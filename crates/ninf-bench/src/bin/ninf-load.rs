@@ -3,7 +3,6 @@
 //! ```text
 //! ninf-load --scenario <name> [--clients <list>] [--seed <u64>]
 //!           [--json <path>] [--csv <dir>] [--addr <host:port>]
-//!           [--server-core reactor|threaded]
 //!           [--trace] [--trace-out <path>] [--no-arg-cache]
 //!           [--compare-sim] [--assert-zero-errors] [--list]
 //!
@@ -43,9 +42,10 @@
 //! and `--json`/`--csv` emit the sweep report schema instead of per-run
 //! reports.
 //!
-//! `--wan <spec>` installs client-side link shaping (token-bucket bandwidth
-//! cap, propagation delay, seeded loss — see `ninf_protocol::LinkShape`) on
-//! the call connection and every bulk lane; `off` clears a scenario's
+//! `--wan <spec>` installs the client-side link model (token-bucket bandwidth
+//! cap, propagation delay, seeded loss, stalls and corruption — one grammar,
+//! see `ninf_protocol::LinkShape::parse`) on the call connection and every
+//! bulk lane; `off` clears a scenario's
 //! default. `--streams <list>` switches to the parallel-stream goodput
 //! curve: one full run per stream count `N`, reporting bulk payload bytes
 //! over wall time per point — the GridFTP-style throughput-vs-N shape
@@ -57,7 +57,6 @@ use ninf_bench::cli::{parse_args, parse_list, CliError};
 use ninf_loadgen::{
     run_scenario, run_sweep, scenario, scenario_names, RunReport, SweepConfig, SweepReport, Target,
 };
-use ninf_server::ServerCore;
 
 fn main() {
     let parsed = match parse_args(
@@ -69,7 +68,6 @@ fn main() {
             "--json",
             "--csv",
             "--addr",
-            "--server-core",
             "--trace-out",
             "--sweep-stages",
             "--stage-secs",
@@ -121,17 +119,6 @@ fn main() {
                 Ok(shape) => sc.spec.options.wan = Some(shape),
                 Err(e) => usage(&format!("--wan: {e}")),
             }
-        }
-    }
-    if let Some(which) = parsed.value("--server-core") {
-        let core = match which {
-            "reactor" => ServerCore::default(),
-            "threaded" => ServerCore::ThreadPerConnection,
-            _ => usage("--server-core is reactor or threaded"),
-        };
-        match &mut sc.target {
-            Target::Spawn { core: c, .. } => *c = core,
-            _ => usage("--server-core only applies to scenarios that spawn one server"),
         }
     }
     let clients: Vec<usize> = match parsed.value("--clients") {
@@ -774,7 +761,6 @@ fn usage(err: &str) -> ! {
     eprintln!(
         "usage: ninf-load --scenario <name> [--clients <list>] [--seed <u64>]\n\
         \x20                [--json <path>] [--csv <dir>] [--addr <host:port>]\n\
-        \x20                [--server-core reactor|threaded]\n\
         \x20                [--trace] [--trace-out <path>] [--no-arg-cache]\n\
         \x20                [--sweep] [--sweep-stages <n>] [--stage-secs <s>]\n\
         \x20                [--window-ms <ms>]\n\

@@ -149,7 +149,6 @@ fn demo(args: &[String]) {
                 pes: 2,
                 mode: ExecMode::TaskParallel,
                 policy: SchedPolicy::Fcfs,
-                core: Default::default(),
                 ..ServerConfig::default()
             },
         )

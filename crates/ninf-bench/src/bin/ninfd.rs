@@ -3,8 +3,8 @@
 //!
 //! ```text
 //! ninfd [--addr 0.0.0.0:5656] [--pes 4] [--mode task|data] \
-//!       [--policy fcfs|sjf|fpfs|fpmpfs] [--core reactor|threaded] \
-//!       [--workers N] [--db-addr 0.0.0.0:5657] \
+//!       [--policy fcfs|sjf|fpfs|fpmpfs] [--workers N] \
+//!       [--db-addr 0.0.0.0:5657] \
 //!       [--trace] [--metrics-addr 0.0.0.0:9156] [--windows-ms 1000] \
 //!       [--wan bw=4m,delay=20ms,loss=0.01]
 //! ```
@@ -21,11 +21,12 @@
 //! flag the window path is disarmed and costs nothing. `--wan <spec>`
 //! shapes the server's reply direction through a shared emulated WAN link
 //! (token-bucket bandwidth, propagation delay; see `LinkShape::parse` for
-//! the grammar). Shaping lives in the per-connection write path, so it
-//! requires `--core threaded` — the reactor's workers must never sleep.
+//! the grammar — a spec's loss and fault terms are accepted but only the
+//! client side applies them). Each reply is paced on the worker thread that
+//! produced it; `--workers` (floored at `pes + 4`) sizes that pool.
 
 use ninf_server::{
-    builtin::register_stdlib, ExecMode, NinfServer, Registry, SchedPolicy, ServerConfig, ServerCore,
+    builtin::register_stdlib, ExecMode, NinfServer, Registry, SchedPolicy, ServerConfig,
 };
 
 fn main() {
@@ -34,7 +35,6 @@ fn main() {
     let mut pes = 4usize;
     let mut mode = ExecMode::TaskParallel;
     let mut policy = SchedPolicy::Fcfs;
-    let mut threaded_core = false;
     let mut workers = 8usize;
     let mut trace = false;
     let mut metrics_addr: Option<String> = None;
@@ -72,13 +72,6 @@ fn main() {
                     Some("fpfs") => SchedPolicy::Fpfs,
                     Some("fpmpfs") => SchedPolicy::Fpmpfs,
                     _ => usage("--policy is fcfs|sjf|fpfs|fpmpfs"),
-                }
-            }
-            "--core" => {
-                threaded_core = match args.next().as_deref() {
-                    Some("reactor") => false,
-                    Some("threaded") => true,
-                    _ => usage("--core is reactor or threaded"),
                 }
             }
             "--workers" => {
@@ -121,19 +114,11 @@ fn main() {
         }
     }
 
-    if wan.is_some() && !threaded_core {
-        usage("--wan requires --core threaded (reactor workers must not sleep)");
-    }
     if trace {
         ninf_obs::recorder::global().set_enabled(true);
     }
     let mut registry = Registry::new();
     register_stdlib(&mut registry, matches!(mode, ExecMode::DataParallel));
-    let core = if threaded_core {
-        ServerCore::ThreadPerConnection
-    } else {
-        ServerCore::Reactor { workers }
-    };
     let server = NinfServer::start(
         &addr,
         registry,
@@ -141,7 +126,7 @@ fn main() {
             pes,
             mode,
             policy,
-            core,
+            workers,
             arg_cache_bytes,
             wan,
         },
@@ -151,12 +136,11 @@ fn main() {
         std::process::exit(1);
     });
     eprintln!(
-        "ninfd: serving dmmul dgefa dgesl dgeco linpack ep dos at {} ({} PEs, {}, {}, {} core)",
+        "ninfd: serving dmmul dgefa dgesl dgeco linpack ep dos at {} ({} PEs, {}, {})",
         server.addr(),
         pes,
         mode.name(),
-        policy.name(),
-        if threaded_core { "threaded" } else { "reactor" }
+        policy.name()
     );
     if let Some(shape) = wan {
         eprintln!("ninfd: reply direction shaped as a WAN link: {shape}");
@@ -210,7 +194,7 @@ fn usage(err: &str) -> ! {
     }
     eprintln!(
         "usage: ninfd [--addr host:port] [--pes N] [--mode task|data] \
-         [--policy fcfs|sjf|fpfs|fpmpfs] [--core reactor|threaded] [--workers N] \
+         [--policy fcfs|sjf|fpfs|fpmpfs] [--workers N] \
          [--db-addr host:port] [--trace] [--metrics-addr host:port] \
          [--arg-cache-bytes N] [--windows-ms N] [--wan spec]"
     );

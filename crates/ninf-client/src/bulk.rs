@@ -26,8 +26,8 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Duration;
 
 use ninf_protocol::{
-    link_for, split_chunks, Digest, LinkShape, Message, ProtocolError, ProtocolResult,
-    ShapedTransport, Transport,
+    link_for, split_chunks, Digest, LinkShape, LinkTransport, Message, ProtocolError,
+    ProtocolResult, Transport,
 };
 use ninf_reactor::MuxStream;
 
@@ -75,7 +75,7 @@ fn dial_lane(
     let mut handle = stream.handle();
     handle.set_deadline(Some(deadline))?;
     let transport: Box<dyn Transport> = match wan {
-        Some(shape) => Box::new(ShapedTransport::new(handle, link_for(addr, shape), lane_id)),
+        Some(shape) => Box::new(LinkTransport::new(handle, link_for(addr, shape), lane_id)),
         None => Box::new(handle),
     };
     Ok(Lane {

@@ -220,7 +220,7 @@ impl NinfClient {
         transport: Box<dyn Transport>,
     ) -> Box<dyn Transport> {
         match options.wan {
-            Some(shape) => Box::new(ninf_protocol::ShapedTransport::new(
+            Some(shape) => Box::new(ninf_protocol::LinkTransport::new(
                 transport,
                 ninf_protocol::link_for(addr, shape),
                 0,

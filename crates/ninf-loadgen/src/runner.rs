@@ -11,7 +11,7 @@ use ninf_metaserver::{Balancing, Directory, Metaserver, ServerEntry};
 use ninf_protocol::{CallStat, Message, ProtocolError, ProtocolResult, Value};
 use ninf_reactor::{run_open_loop, DriverConfig};
 use ninf_server::{
-    builtin::register_stdlib, ExecMode, NinfServer, Registry, SchedPolicy, ServerConfig, ServerCore,
+    builtin::register_stdlib, ExecMode, NinfServer, Registry, SchedPolicy, ServerConfig,
 };
 
 use crate::report::{CallResult, Outcome, RunReport, ServerView};
@@ -30,8 +30,6 @@ pub enum Target {
         pes: usize,
         /// Admission policy.
         policy: SchedPolicy,
-        /// Connection core (reactor vs thread-per-connection baseline).
-        core: ServerCore,
     },
     /// Spawn a fleet fronted by an in-process metaserver; clients route
     /// through `Metaserver::ninf_call`.
@@ -59,7 +57,7 @@ pub(crate) struct LiveTarget {
     pub(crate) backend: Backend,
 }
 
-fn spawn_server(pes: usize, policy: SchedPolicy, core: ServerCore) -> ProtocolResult<NinfServer> {
+fn spawn_server(pes: usize, policy: SchedPolicy) -> ProtocolResult<NinfServer> {
     let mut registry = Registry::new();
     register_stdlib(&mut registry, false);
     NinfServer::start(
@@ -69,7 +67,6 @@ fn spawn_server(pes: usize, policy: SchedPolicy, core: ServerCore) -> ProtocolRe
             pes,
             mode: ExecMode::TaskParallel,
             policy,
-            core,
             ..ServerConfig::default()
         },
     )
@@ -82,8 +79,8 @@ pub(crate) fn materialize(target: &Target, spec: &WorkloadSpec) -> ProtocolResul
             addrs: vec![addr.clone()],
             backend: Backend::Direct(vec![addr.clone()]),
         }),
-        Target::Spawn { pes, policy, core } => {
-            let server = spawn_server(*pes, *policy, *core)?;
+        Target::Spawn { pes, policy } => {
+            let server = spawn_server(*pes, *policy)?;
             let addr = server.addr().to_string();
             Ok(LiveTarget {
                 spawned: vec![server],
@@ -96,7 +93,7 @@ pub(crate) fn materialize(target: &Target, spec: &WorkloadSpec) -> ProtocolResul
             let mut spawned = Vec::new();
             let mut addrs = Vec::new();
             for i in 0..*servers {
-                let server = spawn_server(*pes, SchedPolicy::Fcfs, ServerCore::default())?;
+                let server = spawn_server(*pes, SchedPolicy::Fcfs)?;
                 let addr = server.addr().to_string();
                 dir.register(ServerEntry {
                     name: format!("node{i}"),

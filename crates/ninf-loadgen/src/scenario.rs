@@ -4,7 +4,7 @@
 use std::time::Duration;
 
 use ninf_client::CallOptions;
-use ninf_server::{SchedPolicy, ServerCore};
+use ninf_server::SchedPolicy;
 
 use crate::runner::Target;
 use crate::spec::{Arrival, MixEntry, Phases, Routine, WorkloadSpec};
@@ -60,7 +60,6 @@ pub fn scenario(name: &str) -> Option<Scenario> {
             target: Target::Spawn {
                 pes: 1,
                 policy: SchedPolicy::Fcfs,
-                core: ServerCore::default(),
             },
         }),
         // Open-loop EP at a fixed offered rate with ramp phases: the
@@ -90,7 +89,6 @@ pub fn scenario(name: &str) -> Option<Scenario> {
             target: Target::Spawn {
                 pes: 4,
                 policy: SchedPolicy::Fcfs,
-                core: ServerCore::default(),
             },
         }),
         // The C10k rig: thousands of multiplexed connections from one
@@ -122,7 +120,6 @@ pub fn scenario(name: &str) -> Option<Scenario> {
             target: Target::Spawn {
                 pes: 4,
                 policy: SchedPolicy::Fcfs,
-                core: ServerCore::default(),
             },
         }),
         // A two-server fleet behind the metaserver with a mixed workload
@@ -186,7 +183,6 @@ pub fn scenario(name: &str) -> Option<Scenario> {
             target: Target::Spawn {
                 pes: 2,
                 policy: SchedPolicy::Fcfs,
-                core: ServerCore::default(),
             },
         }),
         // The GridFTP-shaped parallel-stream rig: every call ships a fresh
@@ -226,7 +222,6 @@ pub fn scenario(name: &str) -> Option<Scenario> {
             target: Target::Spawn {
                 pes: 2,
                 policy: SchedPolicy::Fcfs,
-                core: ServerCore::default(),
             },
         }),
         _ => None,
@@ -273,15 +268,9 @@ mod tests {
     }
 
     #[test]
-    fn lan_c10k_targets_the_reactor_core() {
+    fn lan_c10k_spawns_its_own_server_open_loop() {
         let sc = scenario("lan-c10k").unwrap();
-        assert!(matches!(
-            sc.target,
-            Target::Spawn {
-                core: ServerCore::Reactor { .. },
-                ..
-            }
-        ));
+        assert!(matches!(sc.target, Target::Spawn { .. }));
         assert!(matches!(sc.spec.arrival, Arrival::Open { rate_hz } if rate_hz > 0.0));
         assert!(sc.spec.options.deadline.is_some());
     }

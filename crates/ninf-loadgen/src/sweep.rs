@@ -765,7 +765,7 @@ mod tests {
     use crate::runner::Target;
     use crate::spec::{MixEntry, Routine};
     use ninf_client::{CallOptions, CallTiming};
-    use ninf_server::{SchedPolicy, ServerCore};
+    use ninf_server::SchedPolicy;
 
     fn point(stage: usize, offered: f64, ok: usize, latency: f64) -> SweepPoint {
         SweepPoint {
@@ -930,7 +930,6 @@ mod tests {
             target: Target::Spawn {
                 pes: 4,
                 policy: SchedPolicy::Fcfs,
-                core: ServerCore::default(),
             },
         };
         let cfg = SweepConfig {

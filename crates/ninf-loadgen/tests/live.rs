@@ -32,7 +32,6 @@ fn small_linpack(calls_per_client: usize, n: usize) -> Scenario {
         target: Target::Spawn {
             pes: 1,
             policy: SchedPolicy::Fcfs,
-            core: Default::default(),
         },
     }
 }
@@ -119,7 +118,6 @@ fn open_loop_run_is_schedule_faithful_and_seed_reproducible() {
         target: Target::Spawn {
             pes: 2,
             policy: SchedPolicy::Fcfs,
-            core: Default::default(),
         },
     };
     let a = run_scenario(&sc, 2, 42).unwrap();

@@ -404,7 +404,6 @@ mod tests {
                     pes: 2,
                     mode: ExecMode::TaskParallel,
                     policy: SchedPolicy::Fcfs,
-                    core: Default::default(),
                     ..ServerConfig::default()
                 },
             )

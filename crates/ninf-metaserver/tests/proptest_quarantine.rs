@@ -159,7 +159,6 @@ fn successful_probe_reinstates() {
             pes: 1,
             mode: ExecMode::TaskParallel,
             policy: SchedPolicy::Fcfs,
-            core: Default::default(),
             ..ServerConfig::default()
         },
     )

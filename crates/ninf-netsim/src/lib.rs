@@ -18,10 +18,11 @@
 //!   configurations;
 //! * [`rng`] — a small deterministic SplitMix64 generator for client arrival
 //!   processes (no OS entropy ever enters a simulation);
-//! * [`wan`] — the simulator mirror of `ninf-protocol`'s live WAN shaping:
-//!   the same link spec and loss schedule, with chunked parallel-stream
-//!   uploads simulated as fluid flows to predict the goodput-vs-streams
-//!   curve the live `wan-streams` benchmark measures.
+//! * [`wan`] — the simulator half of `ninf-protocol`'s link model: the
+//!   same `LinkShape` and per-send event function, imported rather than
+//!   mirrored, with chunked parallel-stream uploads simulated as fluid
+//!   flows to predict the goodput-vs-streams curve the live `wan-streams`
+//!   benchmark measures.
 //!
 //! Time is `f64` seconds; determinism comes from the engine's sequence-number
 //! tie-break, not from quantizing time.
@@ -36,7 +37,7 @@ pub use engine::{Engine, EventEntry};
 pub use fluid::{FlowId, FlowSpec, FluidNet};
 pub use rng::SplitMix64;
 pub use topology::{LinkId, NodeId, Topology};
-pub use wan::{goodput_curve, simulate_upload, WanRun, WanSpec, CHUNK_WIRE_OVERHEAD};
+pub use wan::{goodput_curve, simulate_upload, WanRun, CHUNK_WIRE_OVERHEAD};
 
 #[cfg(test)]
 mod tests {

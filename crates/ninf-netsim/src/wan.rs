@@ -1,20 +1,22 @@
-//! WAN model: the simulator mirror of `ninf-protocol`'s live link
-//! shaping and parallel-stream chunked bulk transfer.
+//! WAN model: the simulator half of `ninf-protocol`'s link model and the
+//! client's parallel-stream chunked bulk transfer.
 //!
-//! The live side (`ShapedTransport` + the client's chunk fan-out) and
-//! this module share one link spec — [`WanSpec`] carries the same five
-//! integers as `LinkShape`, and [`WanSpec::chunk_lost`] reproduces the
-//! live loss schedule bit-for-bit (same SplitMix64 stream keyed by
-//! `(seed, lane, op)`, same ppm draw). On top of that, a chunked upload
-//! is simulated as [`FluidNet`] flows through a star topology whose
-//! bottleneck is the shaped link:
+//! The live side (`LinkTransport` + the client's chunk fan-out) and this
+//! module share one link definition by *import*: [`simulate_upload`] takes
+//! the same [`LinkShape`] a live run is shaped with and asks the same
+//! [`planned_event`] function what each lane's next send does, so the two
+//! sides cannot disagree about a decision — only about the physics. A
+//! chunked upload is simulated as [`FluidNet`] flows through a star
+//! topology whose bottleneck is the shaped link:
 //!
 //! | live event                         | sim event                        |
 //! |------------------------------------|----------------------------------|
 //! | lane send occupies the link        | flow of `chunk + overhead` bytes |
 //! | token-bucket FIFO pacing           | max-min share of the bottleneck  |
 //! | forwarded send sleeps `delay_us`   | ack timer at completion + delay  |
+//! | stalled send sleeps `stall_us` too | ack timer pushed out by the stall|
 //! | lost send (consumes link time)     | flow drains, then timeout timer  |
+//! | truncated/garbled send is rejected | flow drains, then timeout timer  |
 //! | recv deadline fires, retransmit    | lane re-sends at `t + timeout`   |
 //! | stop-and-wait per lane             | ≤ 1 flow in flight per lane      |
 //!
@@ -29,8 +31,9 @@
 //! again once the congestion term drives the effective loss rate up
 //! faster than added lanes add capacity.
 
+use ninf_protocol::{planned_event, LinkEvent, LinkShape};
+
 use crate::fluid::{FlowId, FlowSpec, FluidNet};
-use crate::rng::SplitMix64;
 use crate::topology::{NodeId, Topology};
 
 /// Wire bytes a chunk frame adds on top of its payload: frame header,
@@ -44,48 +47,6 @@ pub const CHUNK_WIRE_OVERHEAD: u64 = 72;
 /// (ulp × rate) stays inside `finish_flow`'s residual-bytes tolerance.
 const UNCAPPED_BYTES_PER_SEC: f64 = 1e11;
 
-/// One shaped link, mirroring `ninf_protocol::LinkShape` field for
-/// field. Kept dependency-free (this crate links nothing), so the
-/// duplication is deliberate; the testkit pins the two loss schedules
-/// against each other.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct WanSpec {
-    /// Bottleneck capacity in bytes/second; `0` means uncapped.
-    pub bytes_per_sec: u64,
-    /// One-way propagation delay in microseconds.
-    pub delay_us: u64,
-    /// Baseline loss rate in parts per million of send operations.
-    pub loss_ppm: u32,
-    /// Extra loss per additional concurrent lane, in ppm.
-    pub congestion_ppm: u32,
-    /// RNG seed; identical seeds replay identical loss schedules.
-    pub seed: u64,
-}
-
-/// Effective loss cap, as on the live side: a congested link stays
-/// lossy rather than becoming a black hole.
-const MAX_EFF_LOSS_PPM: u64 = 950_000;
-
-impl WanSpec {
-    /// Effective loss rate in ppm when `lanes` lanes share the link.
-    pub fn eff_loss_ppm(&self, lanes: u32) -> u32 {
-        let extra = self.congestion_ppm as u64 * lanes.saturating_sub(1) as u64;
-        (self.loss_ppm as u64 + extra).min(MAX_EFF_LOSS_PPM) as u32
-    }
-
-    /// Whether send operation `op` (0-based) on `lane` is lost when
-    /// `lanes` lanes share the link — bit-identical to the live
-    /// `ninf_protocol::planned_shape` decision.
-    pub fn chunk_lost(&self, lane: u32, lanes: u32, op: u64) -> bool {
-        let mut rng = SplitMix64::new(
-            self.seed
-                ^ (lane as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                ^ op.wrapping_mul(0xA076_1D64_78BD_642F),
-        );
-        rng.next_u64() % 1_000_000 < self.eff_loss_ppm(lanes) as u64
-    }
-}
-
 /// Outcome of one simulated chunked upload.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WanRun {
@@ -95,7 +56,8 @@ pub struct WanRun {
     pub elapsed: f64,
     /// Payload goodput in bytes/second (`total_bytes / elapsed`).
     pub goodput: f64,
-    /// Chunk sends that the link dropped (each forced a retransmit).
+    /// Chunk sends that never arrived intact — lost, or corrupted and
+    /// rejected by the receiver (each forced a retransmit).
     pub lost_chunks: u64,
     /// Total send operations (chunks + retransmits).
     pub sends: u64,
@@ -104,7 +66,7 @@ pub struct WanRun {
 /// What one lane is doing between events.
 enum LanePhase {
     /// A send's bytes are draining through the bottleneck.
-    Transmitting { flow: FlowId, lost: bool },
+    Transmitting { flow: FlowId, event: LinkEvent },
     /// Waiting for a timer (ack delivery or retransmit timeout), after
     /// which the lane sends its next chunk (or is done).
     Waiting { until: f64 },
@@ -116,7 +78,7 @@ struct Lane {
     node: NodeId,
     /// Index into the global chunk list of the chunk in flight / next.
     chunk: usize,
-    /// Send operations taken on this lane so far (the loss-stream op).
+    /// Send operations taken on this lane so far (the event-stream op).
     op: u64,
     phase: LanePhase,
 }
@@ -130,7 +92,7 @@ struct Lane {
 /// lane 0 beside the bulk lanes, so pass `streams + 1` to mirror it
 /// (what [`goodput_curve`] does). Bulk lanes draw as lanes `1..=streams`.
 pub fn simulate_upload(
-    spec: &WanSpec,
+    spec: &LinkShape,
     total_bytes: u64,
     chunk_bytes: u32,
     streams: u32,
@@ -203,24 +165,34 @@ pub fn simulate_upload(
                     .iter_mut()
                     .find(|l| matches!(l.phase, LanePhase::Transmitting { flow, .. } if flow == id))
                     .expect("completed flow belongs to a lane");
-                let LanePhase::Transmitting { lost, .. } = lane.phase else {
+                let LanePhase::Transmitting { event, .. } = lane.phase else {
                     unreachable!()
                 };
-                if lost {
-                    // The bytes burned link time and vanished; the lane's
-                    // receive deadline fires `timeout_s` after the send
-                    // returned, then it re-sends the same chunk.
-                    lane.phase = LanePhase::Waiting {
-                        until: now + timeout_s,
-                    };
-                } else {
-                    // Chunk lands after the propagation delay; the ack
-                    // returns on the unshaped reverse path, so the lane
-                    // frees for its next chunk at the same instant.
-                    lane.phase = LanePhase::Waiting { until: now + delay };
-                    acked += 1;
-                    last_ack = now + delay;
-                    lane.chunk += streams as usize;
+                match event {
+                    // The bytes burned link time and vanished (or arrived
+                    // corrupt and were refused); the lane's receive
+                    // deadline fires `timeout_s` after the send returned,
+                    // then it re-sends the same chunk.
+                    LinkEvent::Lose | LinkEvent::Truncate | LinkEvent::Garble => {
+                        lane.phase = LanePhase::Waiting {
+                            until: now + timeout_s,
+                        }
+                    }
+                    // Chunk lands after the propagation delay (and the
+                    // stall, if it was held); the ack returns on the
+                    // unshaped reverse path, so the lane frees for its next
+                    // chunk at the same instant.
+                    LinkEvent::Forward | LinkEvent::Stall => {
+                        let stall = match event {
+                            LinkEvent::Stall => spec.stall_us as f64 * 1e-6,
+                            _ => 0.0,
+                        };
+                        let landed = now + stall + delay;
+                        lane.phase = LanePhase::Waiting { until: landed };
+                        acked += 1;
+                        last_ack = last_ack.max(landed);
+                        lane.chunk += streams as usize;
+                    }
                 }
                 continue;
             }
@@ -239,10 +211,10 @@ pub fn simulate_upload(
                 lane.phase = LanePhase::Done;
                 continue;
             }
-            let lost = spec.chunk_lost(w as u32 + 1, lanes, lane.op);
+            let event = planned_event(spec, w as u32 + 1, lanes, lane.op);
             lane.op += 1;
             sends += 1;
-            if lost {
+            if !matches!(event, LinkEvent::Forward | LinkEvent::Stall) {
                 lost_chunks += 1;
             }
             let flow = net.start_flow(
@@ -254,7 +226,7 @@ pub fn simulate_upload(
                 },
                 now,
             );
-            lane.phase = LanePhase::Transmitting { flow, lost };
+            lane.phase = LanePhase::Transmitting { flow, event };
         }
     }
 
@@ -273,7 +245,7 @@ pub fn simulate_upload(
 /// `wan-streams` scenario measures. Loss draws use `n + 1` live lanes
 /// per point (bulk lanes plus the call connection).
 pub fn goodput_curve(
-    spec: &WanSpec,
+    spec: &LinkShape,
     total_bytes: u64,
     chunk_bytes: u32,
     streams: &[u32],
@@ -289,27 +261,15 @@ pub fn goodput_curve(
 mod tests {
     use super::*;
 
-    fn lossy_wan() -> WanSpec {
-        WanSpec {
-            bytes_per_sec: 4_000_000,
-            delay_us: 20_000,
-            loss_ppm: 10_000,
-            congestion_ppm: 15_000,
-            seed: 1997,
-        }
+    fn lossy_wan() -> LinkShape {
+        LinkShape::parse("bw=4m,delay=20ms,loss=0.01,congestion=0.015,seed=1997").unwrap()
     }
 
     #[test]
     fn delay_bound_transfer_scales_with_streams() {
         // Uncapped bandwidth, pure delay: each lane completes one chunk
         // per delay, so N lanes move N× the data per unit time.
-        let spec = WanSpec {
-            bytes_per_sec: 0,
-            delay_us: 10_000,
-            loss_ppm: 0,
-            congestion_ppm: 0,
-            seed: 1,
-        };
+        let spec = LinkShape::parse("delay=10ms").unwrap();
         let one = simulate_upload(&spec, 1 << 20, 16 << 10, 1, 2, 1.0);
         let four = simulate_upload(&spec, 1 << 20, 16 << 10, 4, 5, 1.0);
         let ratio = four.goodput / one.goodput;
@@ -321,13 +281,7 @@ mod tests {
 
     #[test]
     fn capped_link_bounds_aggregate_goodput() {
-        let spec = WanSpec {
-            bytes_per_sec: 1_000_000,
-            delay_us: 20_000,
-            loss_ppm: 0,
-            congestion_ppm: 0,
-            seed: 1,
-        };
+        let spec = LinkShape::parse("bw=1m,delay=20ms").unwrap();
         let many = simulate_upload(&spec, 4 << 20, 16 << 10, 16, 17, 1.0);
         assert!(
             many.goodput <= 1_000_000.0 * 1.01,
@@ -369,18 +323,6 @@ mod tests {
     }
 
     #[test]
-    fn losses_force_retransmits_but_not_forever() {
-        let spec = lossy_wan();
-        let run = simulate_upload(&spec, 1 << 20, 16 << 10, 4, 5, 0.25);
-        assert!(run.lost_chunks > 0, "1% loss over 64 chunks should bite");
-        assert_eq!(
-            run.sends,
-            64 + run.lost_chunks,
-            "every loss costs exactly one retransmit"
-        );
-    }
-
-    #[test]
     fn simulation_is_deterministic() {
         let spec = lossy_wan();
         let a = simulate_upload(&spec, 3 << 20, 16 << 10, 8, 9, 0.25);
@@ -388,18 +330,37 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// The simulator's loss count is exactly what the imported event
+    /// function plans for the ops the lane drew — a private copy of the
+    /// schedule reappearing here would break this equality.
     #[test]
-    fn loss_draws_are_lane_and_op_decorrelated() {
-        let spec = WanSpec {
-            bytes_per_sec: 0,
-            delay_us: 0,
-            loss_ppm: 500_000,
-            congestion_ppm: 0,
-            seed: 42,
-        };
-        let schedule =
-            |lane: u32| -> Vec<bool> { (0..64).map(|op| spec.chunk_lost(lane, 4, op)).collect() };
-        assert_eq!(schedule(1), schedule(1), "pure function of (lane, op)");
-        assert_ne!(schedule(1), schedule(2), "lanes draw distinct streams");
+    fn lost_chunks_are_the_imported_schedules_losses() {
+        let spec = LinkShape::parse("bw=4m,delay=2ms,loss=0.2,seed=42").unwrap();
+        // One bulk lane draws as lane 1 of 2 (the call connection is lane 0).
+        let run = simulate_upload(&spec, 1 << 20, 16 << 10, 1, 2, 0.05);
+        let planned = (0..run.sends)
+            .filter(|&op| planned_event(&spec, 1, 2, op) == LinkEvent::Lose)
+            .count() as u64;
+        assert!(planned > 0, "20% loss over {} sends never bit", run.sends);
+        assert_eq!(run.lost_chunks, planned);
+        assert_eq!(
+            run.sends,
+            64 + planned,
+            "every loss costs exactly one retransmit"
+        );
+    }
+
+    #[test]
+    fn stalls_delay_acks_and_corruption_costs_a_retransmit() {
+        let clean = LinkShape::parse("bw=4m,delay=2ms").unwrap();
+        let base = simulate_upload(&clean, 1 << 20, 16 << 10, 1, 2, 0.05);
+        let stalled = LinkShape::parse("bw=4m,delay=2ms,stall=1.0:10ms").unwrap();
+        let slow = simulate_upload(&stalled, 1 << 20, 16 << 10, 1, 2, 0.05);
+        assert_eq!(slow.lost_chunks, 0);
+        assert!((slow.elapsed - base.elapsed - 64.0 * 0.010).abs() < 1e-6);
+        let garbled = LinkShape::parse("bw=4m,delay=2ms,garble=0.2,seed=42").unwrap();
+        let run = simulate_upload(&garbled, 1 << 20, 16 << 10, 1, 2, 0.05);
+        assert!(run.lost_chunks > 0);
+        assert_eq!(run.sends, 64 + run.lost_chunks);
     }
 }

@@ -30,11 +30,10 @@ pub mod codec;
 pub mod crc;
 pub mod digest;
 pub mod error;
-pub mod fault;
 pub mod frame;
+pub mod link;
 pub mod marshal;
 pub mod message;
-pub mod shape;
 pub mod transport;
 pub mod value;
 
@@ -46,22 +45,19 @@ pub use codec::Wire;
 pub use crc::{crc32c, Crc32c};
 pub use digest::{cacheable, digest_value, value_image, Digest, ARG_CACHE_MIN_BYTES};
 pub use error::{ProtocolError, ProtocolResult};
-pub use fault::{
-    fault_schedule, planned_fault, FaultHistory, FaultKind, FaultPlan, FaultStats, FaultyTransport,
-};
 pub use frame::{
     check_frame_payload, encode_frame, parse_frame_header, read_frame, read_frame_mux, write_frame,
     write_frame_mux, FrameHeader, FRAME_HEADER_BYTES, FRAME_MAGIC, MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
+};
+pub use link::{
+    eff_loss_ppm, link_fingerprint, link_for, link_schedule, planned_event, LinkEvent, LinkHistory,
+    LinkShape, LinkStats, LinkTransport, SharedLink,
 };
 pub use marshal::{
     reply_payload_bytes, request_payload_bytes, validate_call_args, validate_results,
 };
 pub use message::{Arg, CallStat, JobPhase, LoadReport, Message};
 pub use ninf_obs::{MetricFrame, MetricKind, MetricSample, Span, TraceContext, WindowsSnapshot};
-pub use shape::{
-    eff_loss_ppm, link_for, planned_shape, shape_fingerprint, shape_schedule, LinkShape, ShapeKind,
-    ShapeStats, ShapedTransport, SharedLink,
-};
 pub use transport::{ChannelTransport, TcpTransport, Transport};
 pub use value::Value;

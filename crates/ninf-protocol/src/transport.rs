@@ -28,7 +28,7 @@ pub trait Transport: Send {
     }
 
     /// Send a pre-encoded byte sequence verbatim, bypassing framing. This is
-    /// the fault-injection hook: [`crate::fault::FaultyTransport`] uses it to
+    /// the fault-injection hook: [`crate::link::LinkTransport`] uses it to
     /// put truncated or garbled frames on the wire. Transports without a
     /// byte-level path reject it.
     fn send_raw(&mut self, _bytes: &[u8]) -> ProtocolResult<()> {

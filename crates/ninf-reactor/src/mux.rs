@@ -508,7 +508,7 @@ mod tests {
         .unwrap();
         let mut h = stream.handle();
         h.set_deadline(Some(Duration::from_millis(80))).unwrap();
-        // recv with nothing outstanding — the FaultyTransport drop shape.
+        // recv with nothing outstanding — the shape of a send the link model lost.
         let err = h.recv().unwrap_err();
         assert!(err.is_timeout(), "expected timeout, got {err}");
         server.shutdown();

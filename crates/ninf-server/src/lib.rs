@@ -21,8 +21,7 @@
 //!   data-parallel (all PEs per call, serialized), the central tradeoff of
 //!   §4.2;
 //! * [`server`] — a live TCP server speaking real Ninf RPC, served by an
-//!   event-driven reactor core (default) or the thread-per-connection
-//!   baseline;
+//!   event-driven reactor core;
 //! * [`stats`] — per-call timestamps `T_submit / T_enqueue / T_dequeue /
 //!   T_complete` and the derived response/wait times of §4.1.
 
@@ -40,7 +39,7 @@ pub use argstore::{ArgStore, DEFAULT_ARG_CACHE_BYTES};
 pub use exec::ExecMode;
 pub use policy::{JobInfo, SchedPolicy};
 pub use registry::{Handler, NinfExecutable, Registry};
-pub use server::{NinfServer, ServerConfig, ServerCore, ServerMetrics};
+pub use server::{NinfServer, ServerConfig, ServerMetrics};
 pub use stats::{CallRecord, ServerStats};
 pub use trace::CostModel;
 pub use twophase::JobTable;

@@ -1,30 +1,22 @@
 //! The live TCP Ninf computational server.
 //!
-//! Two connection cores serve the same per-message protocol logic:
-//!
-//! * [`ServerCore::Reactor`] (default) — one event-loop thread owns every
-//!   nonblocking socket and a bounded worker pool runs the handlers, so one
-//!   ninfd sustains thousands of multiplexed client streams (the C10k path);
-//! * [`ServerCore::ThreadPerConnection`] — the original accept-loop /
-//!   thread-per-socket baseline, kept for A/B benchmarking.
-//!
-//! Either way, every call funnels through the [`JobGate`], so the
+//! One connection core: a reactor's event-loop thread owns every
+//! nonblocking socket and a bounded worker pool runs the per-message
+//! handler, so one ninfd sustains thousands of multiplexed client streams
+//! (the C10k path). Every call funnels through the [`JobGate`], so the
 //! task-parallel/data-parallel tradeoff and the admission policy behave
 //! exactly as in the paper's server.
 
 use std::collections::HashMap;
-use std::io::{BufReader, BufWriter, Write as _};
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
+use std::net::TcpListener;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use ninf_obs::log::Level;
 use ninf_obs::{logkv, recorder, Counter, Gauge, LogHistogram, MetricsRegistry};
 use ninf_protocol::chunk::{ChunkError, Reassembly};
 use ninf_protocol::{
-    read_frame_mux, write_frame_mux, Arg, Digest, LinkShape, Message, ProtocolError,
-    ProtocolResult, SharedLink, Span, TraceContext, Value, Wire, FRAME_HEADER_BYTES,
+    Arg, Digest, LinkShape, Message, ProtocolResult, SharedLink, Span, TraceContext, Value, Wire,
+    FRAME_HEADER_BYTES,
 };
 use ninf_reactor::{Handler, Reactor, ReactorConfig, ReactorHandle, ReactorHooks};
 
@@ -36,27 +28,6 @@ use crate::stats::{CallRecord, ServerStats};
 use crate::trace::CostModel;
 use crate::twophase::JobTable;
 
-/// Which connection core owns the sockets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServerCore {
-    /// Event-driven core: a reactor thread plus `workers` handler threads.
-    /// Invoke handlers block in the PE gate, so the effective pool is sized
-    /// at least `pes + 4` to keep queries flowing under compute saturation.
-    Reactor {
-        /// Handler threads (floor; see above).
-        workers: usize,
-    },
-    /// One detached thread per accepted connection (the pre-reactor
-    /// baseline, kept for the connections-vs-throughput benchmark).
-    ThreadPerConnection,
-}
-
-impl Default for ServerCore {
-    fn default() -> Self {
-        ServerCore::Reactor { workers: 8 }
-    }
-}
-
 /// Server configuration.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -66,19 +37,22 @@ pub struct ServerConfig {
     pub mode: ExecMode,
     /// Admission policy (§5.2–5.3); the paper's server runs FCFS.
     pub policy: SchedPolicy,
-    /// Connection core (reactor by default).
-    pub core: ServerCore,
+    /// Handler threads behind the reactor. A floor, not the exact count:
+    /// Invoke handlers block in the PE gate, so the pool is sized at least
+    /// `pes + 4` to keep queries flowing under compute saturation.
+    pub workers: usize,
     /// Resident-byte budget of the content-addressed argument store
     /// ([`crate::argstore::ArgStore`]); 0 disables server-side caching, so
     /// every `Arg::Ref` comes back as `NeedArg`.
     pub arg_cache_bytes: usize,
     /// Outbound WAN shape: replies pace through one process-wide
-    /// [`SharedLink`] bottleneck plus propagation delay. Loss is
+    /// [`SharedLink`] bottleneck plus propagation delay, on the worker
+    /// thread that produced them (workers already block for whole kernels
+    /// in the PE gate, which is what the `pes + 4` floor is for). Only the
+    /// shape's bandwidth and delay apply: loss and corruption are
     /// deliberately *not* applied server-side — a vanished ack would be
     /// indistinguishable from a vanished chunk, so the lossy direction
-    /// lives in the client's [`ninf_protocol::ShapedTransport`] wrapper.
-    /// Honored by the thread-per-connection core only (the reactor's
-    /// workers must not sleep); `ninfd --wan` enforces `--core threaded`.
+    /// lives in the client's [`ninf_protocol::LinkTransport`] wrapper.
     pub wan: Option<LinkShape>,
 }
 
@@ -88,7 +62,7 @@ impl Default for ServerConfig {
             pes: 4,
             mode: ExecMode::TaskParallel,
             policy: SchedPolicy::Fcfs,
-            core: ServerCore::default(),
+            workers: 8,
             arg_cache_bytes: DEFAULT_ARG_CACHE_BYTES,
             wan: None,
         }
@@ -168,7 +142,7 @@ impl ServerMetrics {
         );
         let chunk_rejects = registry.counter(
             "ninf_server_chunk_rejects_total",
-            "bulk-upload chunks refused (bad CRC, geometry lie, conflict)",
+            "bulk-upload chunks refused (bad CRC, geometry lie, conflict, over budget)",
         );
         let chunk_uploads = registry.counter(
             "ninf_server_chunk_uploads_total",
@@ -227,7 +201,7 @@ impl ServerMetrics {
     }
 }
 
-/// The shared per-call context both connection cores hand to the message
+/// The shared per-call context the reactor's workers hand to the message
 /// handler.
 struct CallContext {
     registry: Arc<Registry>,
@@ -242,26 +216,12 @@ struct CallContext {
     /// Bounded at [`MAX_INFLIGHT_UPLOADS`]; completed uploads move into
     /// `args` and leave this table.
     chunks: parking_lot::Mutex<HashMap<Digest, Reassembly>>,
-    /// Outbound reply shaping (threaded core only); see
-    /// [`ServerConfig::wan`].
-    wan: Option<Arc<SharedLink>>,
-    /// Threaded-core bookkeeping behind the `ninf_server_inflight_calls`
-    /// gauge (the reactor core tracks this in its event loop instead).
-    threaded_inflight: AtomicI64,
-}
-
-/// The running connection core behind a [`NinfServer`].
-enum CoreHandle {
-    Reactor(Option<ReactorHandle>),
-    Threaded {
-        stop: Arc<AtomicBool>,
-        accept_thread: Option<JoinHandle<()>>,
-    },
+    /// Outbound reply shaping; see [`ServerConfig::wan`].
+    wan: Option<SharedLink>,
 }
 
 /// Handle to a running server. Prefer [`NinfServer::shutdown`]; dropping the
-/// handle tears the reactor core down without a drain window (the threaded
-/// core's detached connection threads outlive the handle either way).
+/// handle tears the reactor down without a drain window.
 pub struct NinfServer {
     addr: std::net::SocketAddr,
     stats: Arc<ServerStats>,
@@ -270,7 +230,7 @@ pub struct NinfServer {
     cost: Arc<CostModel>,
     metrics: Arc<ServerMetrics>,
     args: Arc<ArgStore>,
-    core: CoreHandle,
+    reactor: Option<ReactorHandle>,
 }
 
 impl NinfServer {
@@ -285,14 +245,6 @@ impl NinfServer {
         let cost = Arc::new(CostModel::new());
         let metrics = Arc::new(ServerMetrics::new());
         let args = Arc::new(ArgStore::new(config.arg_cache_bytes));
-        if config.wan.is_some() && !matches!(config.core, ServerCore::ThreadPerConnection) {
-            logkv!(
-                Level::Warn,
-                "server",
-                "wan_shape_ignored",
-                why = "reply shaping needs the thread-per-connection core"
-            );
-        }
         let ctx = Arc::new(CallContext {
             registry: Arc::new(registry),
             stats: stats.clone(),
@@ -303,66 +255,32 @@ impl NinfServer {
             args: args.clone(),
             mode: config.mode,
             chunks: parking_lot::Mutex::new(HashMap::new()),
-            wan: config.wan.map(|shape| Arc::new(SharedLink::new(shape))),
-            threaded_inflight: AtomicI64::new(0),
+            wan: config.wan.map(SharedLink::new),
         });
 
-        let core = match config.core {
-            ServerCore::Reactor { workers } => {
-                let handler: Handler = {
-                    let ctx = ctx.clone();
-                    Arc::new(move |req: ninf_reactor::Request| {
-                        Some(handle_message(&ctx, req.message))
-                    })
-                };
-                let hooks = ReactorHooks {
-                    open_connections: Some(metrics.open_connections.clone()),
-                    inflight_calls: Some(metrics.inflight_calls.clone()),
-                    rejected_frames: Some(metrics.rejected_frames.clone()),
-                };
-                let reactor_config = ReactorConfig {
-                    // Invoke handlers block in the gate; keep headroom so
-                    // load/stats queries are served while PEs are saturated.
-                    workers: workers.max(config.pes + 4),
-                    ..ReactorConfig::default()
-                };
-                let handle = Reactor::start(listener, reactor_config, handler, hooks)?;
-                CoreHandle::Reactor(Some(handle))
+        let handler: Handler = Arc::new(move |req: ninf_reactor::Request| {
+            let reply = handle_message(&ctx, req.message);
+            // Outbound WAN shaping: the reply serializes through the
+            // process-wide bottleneck and crosses the propagation delay
+            // before the reactor puts it on the wire (lossless — see
+            // ServerConfig::wan).
+            if let Some(link) = &ctx.wan {
+                link.deliver(FRAME_HEADER_BYTES + 4 + reply.encode().len());
             }
-            ServerCore::ThreadPerConnection => {
-                let stop = Arc::new(AtomicBool::new(false));
-                let accept_thread = {
-                    let ctx = ctx.clone();
-                    let stop = stop.clone();
-                    let open = Arc::new(AtomicI64::new(0));
-                    std::thread::spawn(move || {
-                        for stream in listener.incoming() {
-                            if stop.load(Ordering::SeqCst) {
-                                break;
-                            }
-                            let Ok(stream) = stream else { continue };
-                            let ctx = ctx.clone();
-                            let open = open.clone();
-                            // Connection threads are detached: a client that
-                            // keeps its connection open (normal for Ninf RPC,
-                            // §5.1) must not block shutdown. The thread exits
-                            // when its peer hangs up.
-                            std::thread::spawn(move || {
-                                let n = open.fetch_add(1, Ordering::SeqCst) + 1;
-                                ctx.metrics.open_connections.set(n as f64);
-                                let _ = serve_connection(stream, &ctx);
-                                let n = open.fetch_sub(1, Ordering::SeqCst) - 1;
-                                ctx.metrics.open_connections.set(n as f64);
-                            });
-                        }
-                    })
-                };
-                CoreHandle::Threaded {
-                    stop,
-                    accept_thread: Some(accept_thread),
-                }
-            }
+            Some(reply)
+        });
+        let hooks = ReactorHooks {
+            open_connections: Some(metrics.open_connections.clone()),
+            inflight_calls: Some(metrics.inflight_calls.clone()),
+            rejected_frames: Some(metrics.rejected_frames.clone()),
         };
+        let reactor_config = ReactorConfig {
+            // Invoke handlers block in the gate; keep headroom so
+            // load/stats queries are served while PEs are saturated.
+            workers: config.workers.max(config.pes + 4),
+            ..ReactorConfig::default()
+        };
+        let reactor = Reactor::start(listener, reactor_config, handler, hooks)?;
 
         Ok(Self {
             addr: local,
@@ -372,7 +290,7 @@ impl NinfServer {
             cost,
             metrics,
             args,
-            core,
+            reactor: Some(reactor),
         })
     }
 
@@ -421,105 +339,27 @@ impl NinfServer {
     /// `drain` for in-flight calls to finish before returning. Returns
     /// `true` if the server drained fully, `false` if work was still running
     /// when the window closed. Nothing is torn down mid-execution either
-    /// way — the reactor core serves out dispatched calls before its sockets
-    /// close, and the threaded core's detached connection threads keep going
-    /// until their clients hang up — but the caller knows whether the fleet
-    /// was quiesced in time.
+    /// way — the reactor serves out dispatched calls before its sockets
+    /// close — but the caller knows whether the fleet was quiesced in time.
     pub fn shutdown_with_drain(mut self, drain: std::time::Duration) -> bool {
         let deadline = std::time::Instant::now() + drain;
-        match &mut self.core {
-            CoreHandle::Reactor(handle) => {
-                let handle = handle.take().expect("reactor core running");
-                handle.stop_accepting();
-                let drained = loop {
-                    if self.gate.busy_pes() == 0 && self.metrics.inflight_calls.get() == 0.0 {
-                        break true;
-                    }
-                    if std::time::Instant::now() >= deadline {
-                        break false;
-                    }
-                    std::thread::sleep(std::time::Duration::from_millis(5));
-                };
-                handle.shutdown();
-                drained
+        let reactor = self.reactor.take().expect("reactor running");
+        reactor.stop_accepting();
+        let drained = loop {
+            if self.gate.busy_pes() == 0 && self.metrics.inflight_calls.get() == 0.0 {
+                break true;
             }
-            CoreHandle::Threaded {
-                stop,
-                accept_thread,
-            } => {
-                stop.store(true, Ordering::SeqCst);
-                // Unblock the accept() call.
-                let _ = TcpStream::connect(self.addr);
-                if let Some(t) = accept_thread.take() {
-                    let _ = t.join();
-                }
-                while self.gate.busy_pes() > 0 {
-                    if std::time::Instant::now() >= deadline {
-                        return false;
-                    }
-                    std::thread::sleep(std::time::Duration::from_millis(5));
-                }
-                true
+            if std::time::Instant::now() >= deadline {
+                break false;
             }
-        }
-    }
-}
-
-/// Serve one client connection until it closes (thread-per-connection
-/// core). Mux-aware: each request frame's call id is echoed on its reply,
-/// so multiplexed clients work against the baseline too — though replies
-/// are produced in request order, one at a time.
-fn serve_connection(stream: TcpStream, ctx: &Arc<CallContext>) -> ProtocolResult<()> {
-    let peer = stream
-        .peer_addr()
-        .map(|a| a.to_string())
-        .unwrap_or_else(|_| "?".into());
-    logkv!(Level::Debug, "server", "accept", peer = peer);
-    stream.set_nodelay(true)?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-    loop {
-        let (call_id, msg) = match read_frame_mux(&mut reader) {
-            Ok(x) => x,
-            // Normal client hang-up between calls.
-            Err(ProtocolError::Io(_)) | Err(ProtocolError::Disconnected) => return Ok(()),
-            // Anything else means the wire carried a frame this server
-            // must not act on — bad magic, wrong version, checksum
-            // mismatch, malformed payload. Count it, say why, and tear
-            // the connection down: the stream is desynchronized.
-            Err(e) => {
-                ctx.metrics.rejected_frames.inc();
-                logkv!(
-                    Level::Warn,
-                    "server",
-                    "frame_rejected",
-                    peer = peer,
-                    why = e
-                );
-                return Err(e);
-            }
+            std::thread::sleep(std::time::Duration::from_millis(5));
         };
-        let n = ctx.threaded_inflight.fetch_add(1, Ordering::SeqCst) + 1;
-        ctx.metrics.inflight_calls.set(n as f64);
-        let reply = handle_message(ctx, msg);
-        let n = ctx.threaded_inflight.fetch_sub(1, Ordering::SeqCst) - 1;
-        ctx.metrics.inflight_calls.set(n as f64);
-        // Outbound WAN shaping: the reply serializes through the
-        // process-wide bottleneck and crosses the propagation delay
-        // before it goes on the wire (lossless — see ServerConfig::wan).
-        if let Some(link) = &ctx.wan {
-            link.transmit(FRAME_HEADER_BYTES + 4 + reply.encode().len());
-            let delay = link.shape().delay_us;
-            if delay > 0 {
-                std::thread::sleep(std::time::Duration::from_micros(delay));
-            }
-        }
-        write_frame_mux(&mut writer, call_id, &reply)?;
-        writer.flush()?;
+        reactor.shutdown();
+        drained
     }
 }
 
-/// The protocol state machine, shared by both connection cores: one request
+/// The protocol state machine: one request
 /// message in, one reply message out. Every message kind replies exactly
 /// once; SubmitJob's compute runs detached after its ticket is returned.
 fn handle_message(ctx: &Arc<CallContext>, msg: Message) -> Message {
@@ -569,7 +409,7 @@ fn handle_message(ctx: &Arc<CallContext>, msg: Message) -> Message {
             );
             // The reply leg gets its own span, a sibling of the invoke span
             // under the caller's rpc position, stamped as the reply is
-            // handed to the connection core.
+            // handed to the reactor.
             if let Some(parent) = trace.filter(|_| recorder::global().enabled()) {
                 let start = ninf_obs::now_us();
                 recorder::global().record(Span::at(parent.child(), "reply", "server", start));
@@ -706,7 +546,9 @@ fn handle_message(ctx: &Arc<CallContext>, msg: Message) -> Message {
 }
 
 /// Cap on concurrently reassembling bulk uploads; a fresh digest beyond
-/// it is refused so hostile clients cannot pin unbounded buffers.
+/// it is refused so hostile clients cannot pin unbounded buffers. The
+/// *bytes* those uploads may claim are capped separately, at the argument
+/// store's budget (see [`handle_chunk`]).
 const MAX_INFLIGHT_UPLOADS: usize = 64;
 
 /// One [`Message::PutArgChunk`] through the reassembly table.
@@ -718,6 +560,12 @@ const MAX_INFLIGHT_UPLOADS: usize = 64;
 ///   the *chunk's* ack was lost;
 /// * a duplicate seq with a *different* CRC, a bad CRC, or any geometry
 ///   lie is refused with a typed reason and counted.
+///
+/// A reassembly buffer is allocated at the upload's *claimed* size, so the
+/// claims are budgeted before anything is allocated: the bytes claimed by
+/// all in-flight uploads together may not exceed the argument store's
+/// budget. (A single upload claiming more than that could never be
+/// retained by the store anyway.)
 fn handle_chunk(
     ctx: &CallContext,
     digest: Digest,
@@ -742,6 +590,17 @@ fn handle_chunk(
             ctx.metrics.chunk_rejects.inc();
             return Message::Error {
                 reason: format!("too many in-flight uploads ({MAX_INFLIGHT_UPLOADS})"),
+            };
+        }
+        let claimed: u64 = pending.values().map(|r| r.geometry().0).sum();
+        let budget = ctx.args.budget() as u64;
+        if claimed.saturating_add(total_bytes) > budget {
+            ctx.metrics.chunk_rejects.inc();
+            return Message::Error {
+                reason: format!(
+                    "upload claiming {total_bytes} bytes refused: {claimed} bytes already \
+                     reassembling, argument store budget is {budget}"
+                ),
             };
         }
         match Reassembly::new(digest, total_bytes, total) {
@@ -1013,7 +872,7 @@ mod tests {
     use crate::builtin::register_stdlib;
     use ninf_protocol::{TcpTransport, Transport, Value};
 
-    fn start_test_server_on(mode: ExecMode, core: ServerCore) -> NinfServer {
+    fn start_test_server(mode: ExecMode) -> NinfServer {
         let mut registry = Registry::new();
         register_stdlib(&mut registry, matches!(mode, ExecMode::DataParallel));
         NinfServer::start(
@@ -1023,15 +882,10 @@ mod tests {
                 pes: 2,
                 mode,
                 policy: SchedPolicy::Fcfs,
-                core,
                 ..ServerConfig::default()
             },
         )
         .unwrap()
-    }
-
-    fn start_test_server(mode: ExecMode) -> NinfServer {
-        start_test_server_on(mode, ServerCore::default())
     }
 
     fn raw_call(addr: &str, routine: &str, args: Vec<Value>) -> Message {
@@ -1278,16 +1132,6 @@ mod tests {
     }
 
     #[test]
-    fn thread_per_connection_baseline_still_serves() {
-        let server = start_test_server_on(ExecMode::TaskParallel, ServerCore::ThreadPerConnection);
-        let addr = server.addr().to_string();
-        let reply = raw_call(&addr, "ep", vec![Value::Int(10)]);
-        assert!(matches!(reply, Message::ResultData { .. }));
-        assert_eq!(server.stats().completed(), 1);
-        server.shutdown();
-    }
-
-    #[test]
     fn reactor_core_exposes_connection_gauges() {
         let server = start_test_server(ExecMode::TaskParallel);
         let addr = server.addr().to_string();
@@ -1331,7 +1175,6 @@ mod tests {
                 pes: 2,
                 mode: ExecMode::TaskParallel,
                 policy: SchedPolicy::Fcfs,
-                core: ServerCore::default(),
                 ..ServerConfig::default()
             },
         )
@@ -1370,7 +1213,7 @@ mod tests {
         let client = std::thread::spawn(move || raw_call(&addr, "slow", vec![Value::Int(3)]));
         await_busy(&server);
         // A window shorter than the call: drain returns false, but the
-        // detached connection thread still finishes the reply.
+        // reactor still serves the dispatched call out before it closes.
         assert!(!server.shutdown_with_drain(std::time::Duration::from_millis(50)));
         assert!(matches!(client.join().unwrap(), Message::ResultData { .. }));
     }
@@ -1572,6 +1415,129 @@ mod tests {
         assert!(matches!(t.recv().unwrap(), Message::Error { .. }));
         let (_, rejects, uploads, _) = server.metrics().chunked();
         assert_eq!((rejects, uploads), (2, 0));
+        server.shutdown();
+    }
+
+    /// 64 one-chunk uploads each *claiming* the 256 MiB frame cap: every
+    /// one is refused before a buffer is allocated (admitting them would
+    /// pin 16 GiB and fill all 64 reassembly slots), so an honest upload
+    /// right after still lands and resolves by `Arg::Ref`.
+    #[test]
+    fn lying_uploads_are_refused_by_the_byte_budget_and_wedge_nothing() {
+        let server = start_test_server(ExecMode::TaskParallel);
+        let addr = server.addr().to_string();
+        let mut t = TcpTransport::connect(&addr).unwrap();
+        let claim = u64::from(ninf_protocol::MAX_FRAME_BYTES);
+        let total = 16_384u32; // 16 KiB chunks: seq 0 is geometrically valid
+        let bytes = vec![7u8; (claim / u64::from(total)) as usize];
+        for liar in 0..MAX_INFLIGHT_UPLOADS {
+            t.send(&Message::PutArgChunk {
+                digest: Digest::of(format!("liar {liar}").as_bytes()),
+                total_bytes: claim,
+                total,
+                seq: 0,
+                crc: ninf_protocol::crc32c(&bytes),
+                bytes: bytes.clone(),
+            })
+            .unwrap();
+            match t.recv().unwrap() {
+                Message::Error { reason } => assert!(reason.contains("budget"), "{reason}"),
+                other => panic!("lying upload {liar} admitted: {other:?}"),
+            }
+        }
+        let (_, rejects, _, _) = server.metrics().chunked();
+        assert_eq!(rejects, MAX_INFLIGHT_UPLOADS as u64);
+
+        // Honest uploads may together claim up to the budget, no further —
+        // and the liars hold none of it.
+        let n = 16usize;
+        let (a, b) = ninf_exec::matgen(n);
+        let image = ninf_protocol::value_image(&Value::DoubleArray(a.as_slice().to_vec()));
+        let digest = Digest::of(&image);
+        let chunks = ninf_protocol::split_chunks(digest, &image, 512);
+        t.send(&chunks[0]).unwrap();
+        assert!(matches!(t.recv().unwrap(), Message::ChunkOk { .. }));
+        let budget = server.arg_store().budget() as u64;
+        for (claim, admitted) in [(budget, false), (budget - image.len() as u64, true)] {
+            t.send(&Message::PutArgChunk {
+                digest: Digest::of(b"big but honest"),
+                total_bytes: claim,
+                total: 1,
+                seq: 1, // out of range: opens the reassembly, lands nothing
+                crc: 0,
+                bytes: vec![],
+            })
+            .unwrap();
+            let Message::Error { reason } = t.recv().unwrap() else {
+                panic!("out-of-range seq accepted")
+            };
+            assert_eq!(!reason.contains("budget"), admitted, "{reason}");
+        }
+        for c in &chunks[1..] {
+            t.send(c).unwrap();
+            assert!(matches!(t.recv().unwrap(), Message::ChunkOk { .. }));
+        }
+        t.send(&Message::Invoke {
+            routine: "linpack".into(),
+            args: vec![
+                Arg::Data(Value::Int(n as i32)),
+                Arg::Ref(digest),
+                Arg::Data(Value::DoubleArray(b)),
+            ],
+            trace: None,
+        })
+        .unwrap();
+        assert!(matches!(t.recv().unwrap(), Message::ResultData { .. }));
+        server.shutdown();
+    }
+
+    /// Reply shaping on the reactor: the shaped reply is held for the
+    /// link's propagation delay on a worker thread, and meanwhile a query
+    /// on a second connection is served by another worker — it waits for
+    /// its own reply's delay, not behind the first one.
+    #[test]
+    fn shaped_replies_honour_the_delay_without_starving_other_connections() {
+        const DELAY: std::time::Duration = std::time::Duration::from_millis(30);
+        let mut registry = Registry::new();
+        register_stdlib(&mut registry, false);
+        let server = NinfServer::start(
+            "127.0.0.1:0",
+            registry,
+            ServerConfig {
+                pes: 2,
+                wan: Some(ninf_protocol::LinkShape::parse("delay=30ms").unwrap()),
+                ..ServerConfig::default()
+            },
+        )
+        .unwrap();
+        let addr = server.addr().to_string();
+        let start = std::time::Instant::now();
+        assert!(matches!(
+            raw_call(&addr, "ep", vec![Value::Int(8)]),
+            Message::ResultData { .. }
+        ));
+        // Two shaped replies (interface, result): at least two delays.
+        assert!(start.elapsed() >= 2 * DELAY, "{:?}", start.elapsed());
+
+        // Eight connections' replies pace concurrently, each on its own
+        // worker: all of them answer in about one delay, where a server
+        // that serialized paced replies would need eight.
+        let start = std::time::Instant::now();
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                s.spawn(|| {
+                    let mut t = TcpTransport::connect(&addr).unwrap();
+                    t.send(&Message::QueryLoad).unwrap();
+                    assert!(matches!(t.recv().unwrap(), Message::LoadStatus(_)));
+                });
+            }
+        });
+        let took = start.elapsed();
+        assert!(took >= DELAY, "queries skipped the link: {took:?}");
+        assert!(
+            took < 4 * DELAY,
+            "queries queued behind each other: {took:?}"
+        );
         server.shutdown();
     }
 

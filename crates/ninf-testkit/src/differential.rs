@@ -340,15 +340,8 @@ pub fn wan_live_vs_sim(
         live.push(bulk as f64 / xfer);
     }
 
-    let spec = ninf_netsim::WanSpec {
-        bytes_per_sec: shape.bytes_per_sec,
-        delay_us: shape.delay_us,
-        loss_ppm: shape.loss_ppm,
-        congestion_ppm: shape.congestion_ppm,
-        seed: shape.seed,
-    };
     let sim: Vec<f64> = ninf_netsim::goodput_curve(
-        &spec,
+        &shape,
         image_bytes,
         base.spec.options.chunk_bytes,
         stream_counts,

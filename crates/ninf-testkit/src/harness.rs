@@ -17,9 +17,7 @@ use ninf_client::{NinfClient, Transaction, TxArg};
 use ninf_loadgen::{Outcome, Routine};
 use ninf_metaserver::{Balancing, Directory, Metaserver, ServerEntry};
 use ninf_obs::recorder;
-use ninf_protocol::{
-    fault_schedule, FaultKind, FaultyTransport, ProtocolError, ProtocolResult, Value,
-};
+use ninf_protocol::{link_schedule, LinkTransport, ProtocolError, ProtocolResult, Value};
 use ninf_reactor::MuxStream;
 use ninf_server::{
     builtin::register_stdlib, ExecMode, NinfServer, Registry, SchedPolicy, ServerConfig,
@@ -30,7 +28,7 @@ use crate::invariants::{
     quarantine_legal, traces_connected, tx_exactly_once, window_cursors, BulkRecord, CallRecord,
     Check, StatsPoll, WindowPoll,
 };
-use crate::spec::{fnv1a, ChaosSpec};
+use crate::spec::{fnv1a, fraction, ChaosSpec};
 
 /// Nesting slack for trace validation: in-process clocks agree, but span
 /// ends are stamped a scheduling quantum apart.
@@ -97,9 +95,8 @@ fn spawn_server(pes: usize, arg_cache_bytes: usize) -> ProtocolResult<NinfServer
             pes,
             mode: ExecMode::TaskParallel,
             policy: SchedPolicy::Fcfs,
-            core: Default::default(),
             arg_cache_bytes,
-            wan: None,
+            ..ServerConfig::default()
         },
     )
 }
@@ -178,9 +175,9 @@ fn solution_is_exact(out: &[Value]) -> bool {
 /// One bulk-path client leg: a dialed, WAN-shaped client whose large
 /// arguments pre-ship as chunks over parallel lanes. The link's seeded
 /// loss schedule supplies the faults (bursts land mid-transfer on
-/// individual lanes), so no [`FaultyTransport`] wraps this leg; alongside
-/// the call ledger it records per-call [`BulkRecord`]s for the
-/// [`bulk_isolation`] invariant.
+/// individual lanes), so the scenario's `faults` link does not wrap this
+/// leg; alongside the call ledger it records per-call [`BulkRecord`]s for
+/// the [`bulk_isolation`] invariant.
 fn drive_bulk_client(
     spec: &ChaosSpec,
     addr: &str,
@@ -290,8 +287,8 @@ fn drive_client(
             return (records, trace_ids, Vec::new());
         }
     };
-    let faulty = FaultyTransport::new(stream.handle(), plan);
-    let fault_log = faulty.history_handle();
+    let faulty = LinkTransport::private(stream.handle(), plan);
+    let fault_log = faulty.history();
     let mut c = NinfClient::from_transport(Box::new(faulty));
     // Arm the argument cache with a per-(server, client) digest memory,
     // cleared first so every run starts cold: the refill leg then follows
@@ -317,7 +314,7 @@ fn drive_client(
         // The fault log now covers every send this call performed, so the
         // taint flag reflects the stream state at the moment the outcome
         // was decided. Taint is sticky: the client never reconnects.
-        tainted = tainted || fault_log.snapshot().iter().any(FaultKind::corrupts_stream);
+        tainted = tainted || fault_log.corrupts_stream();
         let outcome = match result {
             Ok(_) => {
                 // The payload CRC means a decoded reply is a genuine
@@ -592,11 +589,11 @@ fn transcript(spec: &ChaosSpec, seed: u64, planned: &[usize], checks: &[Check]) 
     ));
     out.push_str(&format!(
         "# faults drop={:.3} delay={:.3} delay_ms={} truncate={:.3} garble={:.3}\n",
-        spec.faults.drop_prob,
-        spec.faults.delay_prob,
-        spec.faults.delay.as_millis(),
-        spec.faults.truncate_prob,
-        spec.faults.garble_prob
+        fraction(spec.faults.loss_ppm),
+        fraction(spec.faults.stall_ppm),
+        spec.faults.stall_us / 1000,
+        fraction(spec.faults.truncate_ppm),
+        fraction(spec.faults.garble_ppm)
     ));
     if let Some(shape) = spec.link_shape(seed) {
         // Pure function of (spec, seed): the canonical shape with the
@@ -616,7 +613,7 @@ fn transcript(spec: &ChaosSpec, seed: u64, planned: &[usize], checks: &[Check]) 
         // (several transport sends per call) — a pure function of the
         // plan, independent of how the run actually interleaved.
         let plan = spec.client_faults(seed, client);
-        let schedule = fault_schedule(&plan, (4 * n + 8) as u64);
+        let schedule = link_schedule(&plan, 0, 1, (4 * n + 8) as u64);
         let mut bytes = Vec::new();
         for k in &schedule {
             bytes.extend_from_slice(k.label().as_bytes());

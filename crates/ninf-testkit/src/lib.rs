@@ -5,7 +5,7 @@
 //! *predictably* under load and faults — so this crate turns that into
 //! machine-checkable form. A [`ChaosSpec`] names a workload (reusing
 //! [`ninf_loadgen::WorkloadSpec`]), a fleet shape, and a seeded
-//! [`ninf_protocol::FaultPlan`]; [`run_chaos`] spawns the real fleet
+//! [`ninf_protocol::LinkShape`]; [`run_chaos`] spawns the real fleet
 //! (in-process `ninfd`s over loopback TCP), drives fault-injecting
 //! clients plus an optional metaserver transaction leg, and evaluates:
 //!

@@ -1,12 +1,12 @@
 //! Declarative chaos scenarios: a workload (reusing
-//! [`ninf_loadgen::WorkloadSpec`]), a fleet shape, and a fault plan, plus a
+//! [`ninf_loadgen::WorkloadSpec`]), a fleet shape, and a faulty link, plus a
 //! canonical fingerprint so a reproducer command pins *exactly* what ran.
 
 use std::time::Duration;
 
 use ninf_client::CallOptions;
 use ninf_loadgen::{Arrival, MixEntry, Phases, Routine, WorkloadSpec};
-use ninf_protocol::{FaultPlan, LinkShape};
+use ninf_protocol::LinkShape;
 use ninf_server::DEFAULT_ARG_CACHE_BYTES;
 
 /// Everything one chaos run needs besides the seed.
@@ -20,9 +20,11 @@ pub struct ChaosSpec {
     pub clients: usize,
     /// What each client calls and under which reliability policy.
     pub workload: WorkloadSpec,
-    /// Fault plan template; the per-client seed is derived from the run
-    /// seed, everything else is taken verbatim.
-    pub faults: FaultPlan,
+    /// The faulty link every non-bulk client sends through (its loss, stall,
+    /// truncate and garble terms are the fault plan). A template: the
+    /// per-client seed is derived from the run seed, everything else is
+    /// taken verbatim.
+    pub faults: LinkShape,
     /// Live in-process servers to spawn.
     pub servers: usize,
     /// PEs per server.
@@ -46,6 +48,11 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
         h = (h ^ u64::from(*b)).wrapping_mul(0x100_0000_01b3);
     }
     h
+}
+
+/// A ppm rate as the fraction transcripts and fingerprints print.
+pub(crate) fn fraction(ppm: u32) -> f64 {
+    f64::from(ppm) / 1e6
 }
 
 fn push_f64(out: &mut Vec<u8>, v: f64) {
@@ -96,11 +103,14 @@ impl ChaosSpec {
         );
         push_u64(&mut out, u64::from(self.workload.options.retries));
         push_f64(&mut out, self.workload.options.backoff.as_secs_f64());
-        push_f64(&mut out, self.faults.drop_prob);
-        push_f64(&mut out, self.faults.delay_prob);
-        push_f64(&mut out, self.faults.delay.as_secs_f64());
-        push_f64(&mut out, self.faults.truncate_prob);
-        push_f64(&mut out, self.faults.garble_prob);
+        // Rates as fractions and the stall as seconds: the encoding the
+        // fingerprint has always used, so pre-`LinkShape` transcripts of
+        // these scenarios still name the same spec.
+        push_f64(&mut out, fraction(self.faults.loss_ppm));
+        push_f64(&mut out, fraction(self.faults.stall_ppm));
+        push_f64(&mut out, self.faults.stall_us as f64 / 1e6);
+        push_f64(&mut out, fraction(self.faults.truncate_ppm));
+        push_f64(&mut out, fraction(self.faults.garble_ppm));
         // Bulk-transfer and WAN-shaping knobs shape the offered load just
         // like the fault probabilities do, so they are pinned too. The
         // shape's *seed* is excluded for the same reason the fault seed
@@ -133,11 +143,11 @@ impl ChaosSpec {
         fnv1a(&self.canonical_bytes())
     }
 
-    /// Fault plan of `client` in a run seeded with `seed`: the template
+    /// Faulty link of `client` in a run seeded with `seed`: the template
     /// with a decorrelated per-client RNG seed (same constants the
     /// workload spec uses for its per-client streams).
-    pub fn client_faults(&self, seed: u64, client: usize) -> FaultPlan {
-        FaultPlan {
+    pub fn client_faults(&self, seed: u64, client: usize) -> LinkShape {
+        LinkShape {
             seed: seed
                 ^ 0x000c_4a05_u64.wrapping_mul(0x9E37_79B9_7F4A_7C15)
                 ^ (client as u64).wrapping_mul(0xA076_1D64_78BD_642F),
@@ -175,6 +185,11 @@ pub fn chaos_names() -> Vec<&'static str> {
     ]
 }
 
+/// A built-in scenario's link, in the one grammar `--wan` takes.
+fn link(spec: &str) -> LinkShape {
+    LinkShape::parse(spec).expect("built-in link spec parses")
+}
+
 fn ep_workload(calls: usize, deadline_ms: u64) -> WorkloadSpec {
     WorkloadSpec {
         mix: vec![MixEntry {
@@ -206,7 +221,7 @@ pub fn chaos(name: &str) -> Option<ChaosSpec> {
             about: "fault-free control run: all calls succeed, all invariants hold",
             clients: 2,
             workload: ep_workload(6, 2000),
-            faults: FaultPlan::default(),
+            faults: LinkShape::default(),
             servers: 1,
             pes: 2,
             dead_servers: 0,
@@ -221,12 +236,7 @@ pub fn chaos(name: &str) -> Option<ChaosSpec> {
             about: "seeded drops (timeout) and sub-deadline delays on the client send path",
             clients: 3,
             workload: ep_workload(8, 600),
-            faults: FaultPlan {
-                drop_prob: 0.12,
-                delay_prob: 0.10,
-                delay: Duration::from_millis(30),
-                ..FaultPlan::default()
-            },
+            faults: link("loss=0.12,stall=0.10:30ms"),
             servers: 1,
             pes: 2,
             dead_servers: 0,
@@ -241,11 +251,7 @@ pub fn chaos(name: &str) -> Option<ChaosSpec> {
             about: "seeded frame truncation/garbling; checksummed framing rejects every one",
             clients: 3,
             workload: ep_workload(8, 600),
-            faults: FaultPlan {
-                truncate_prob: 0.08,
-                garble_prob: 0.08,
-                ..FaultPlan::default()
-            },
+            faults: link("truncate=0.08,garble=0.08"),
             servers: 1,
             pes: 2,
             dead_servers: 0,
@@ -269,7 +275,7 @@ pub fn chaos(name: &str) -> Option<ChaosSpec> {
                 },
                 ..ep_workload(4, 2000)
             },
-            faults: FaultPlan::default(),
+            faults: LinkShape::default(),
             servers: 2,
             pes: 2,
             dead_servers: 1,
@@ -309,14 +315,7 @@ pub fn chaos(name: &str) -> Option<ChaosSpec> {
                     ..CallOptions::default()
                 },
             },
-            faults: FaultPlan {
-                drop_prob: 0.06,
-                delay_prob: 0.06,
-                delay: Duration::from_millis(20),
-                truncate_prob: 0.04,
-                garble_prob: 0.04,
-                ..FaultPlan::default()
-            },
+            faults: link("loss=0.06,stall=0.06:20ms,truncate=0.04,garble=0.04"),
             servers: 1,
             pes: 2,
             dead_servers: 0,
@@ -368,18 +367,12 @@ pub fn chaos(name: &str) -> Option<ChaosSpec> {
                     // lane for 60 ms, and four straight losses on one
                     // chunk kill the lane (redial, then give up).
                     lane_deadline: Some(Duration::from_millis(60)),
-                    wan: Some(LinkShape {
-                        bytes_per_sec: 32_000_000,
-                        delay_us: 2_000,
-                        loss_ppm: 30_000,
-                        congestion_ppm: 5_000,
-                        // Replaced per run via `link_shape(seed)`.
-                        seed: 0,
-                    }),
+                    // The seed is replaced per run via `link_shape(seed)`.
+                    wan: Some(link("bw=32m,delay=2ms,loss=0.03,congestion=0.005,seed=0")),
                     ..CallOptions::default()
                 },
             },
-            faults: FaultPlan::default(),
+            faults: LinkShape::default(),
             servers: 1,
             pes: 2,
             dead_servers: 0,
@@ -402,7 +395,7 @@ mod tests {
             assert!(spec.clients > 0 && spec.servers > 0);
             // Any plan that can silence a message must pair with a client
             // deadline, or a dropped send would hang the harness.
-            if spec.faults.drop_prob > 0.0 {
+            if spec.faults.loss_ppm > 0 {
                 assert!(spec.workload.options.deadline.is_some());
             }
         }
@@ -443,7 +436,7 @@ mod tests {
         };
         assert!(spec.arg_cache_bytes < 32 * n);
         // And the plan must be able to hit every leg of the refill.
-        assert!(spec.faults.drop_prob > 0.0 && spec.faults.garble_prob > 0.0);
+        assert!(spec.faults.loss_ppm > 0 && spec.faults.garble_ppm > 0);
         assert!(spec.workload.options.deadline.is_some());
     }
 
@@ -513,7 +506,7 @@ mod tests {
         let p0 = spec.client_faults(7, 0);
         let p1 = spec.client_faults(7, 1);
         assert_ne!(p0.seed, p1.seed);
-        assert_eq!(p0.drop_prob, spec.faults.drop_prob);
+        assert_eq!(p0.loss_ppm, spec.faults.loss_ppm);
         // Same (seed, client) → same plan seed.
         assert_eq!(p0.seed, spec.client_faults(7, 0).seed);
     }

@@ -4,7 +4,7 @@
 //! `ninf-netsim` FluidNet upload model.
 //!
 //! Everything here runs against real `ninfd` fleets over loopback TCP —
-//! the only "network" is [`ninf_protocol::ShapedTransport`], so the whole
+//! the only "network" is [`ninf_protocol::LinkTransport`], so the whole
 //! battery is deterministic for a given seed and safe for CI.
 
 use ninf_protocol::LinkShape;
@@ -52,13 +52,7 @@ fn live_goodput_shape_matches_the_fluidnet_model() {
     // propagation delay makes the stop-and-wait latency penalty — and so
     // the benefit of adding lanes — large and stable, without the run-to-
     // run variance a lossy schedule would add on a loaded CI host.
-    let shape = LinkShape {
-        bytes_per_sec: 16_000_000,
-        delay_us: 5_000,
-        loss_ppm: 0,
-        congestion_ppm: 0,
-        seed: 1,
-    };
+    let shape = LinkShape::parse("bw=16m,delay=5ms").unwrap();
     let report = wan_live_vs_sim(&[1, 2, 4], shape, 1997, DEFAULT_TOLERANCE)
         .expect("live wan-streams leg runs");
     assert!(report.pass(), "{}", report.render());

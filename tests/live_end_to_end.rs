@@ -6,7 +6,7 @@ use std::time::{Duration, Instant};
 use ninf::client::{call_async, CallOptions, NinfClient, Transaction, TxArg};
 use ninf::metaserver::{Balancing, Directory, Metaserver, ServerEntry, QUARANTINE_THRESHOLD};
 use ninf::protocol::{
-    FaultPlan, FaultyTransport, Message, ProtocolError, TcpTransport, Transport, Value,
+    LinkShape, LinkTransport, Message, ProtocolError, TcpTransport, Transport, Value,
 };
 use ninf::server::{
     builtin::register_stdlib, ExecMode, NinfServer, Registry, SchedPolicy, ServerConfig,
@@ -541,13 +541,7 @@ fn garbled_frames_are_rejected_and_server_keeps_serving() {
     let addr = server.addr().to_string();
 
     let tcp = TcpTransport::connect_with_deadline(&addr, Some(Duration::from_millis(500))).unwrap();
-    let mut garbler = FaultyTransport::new(
-        tcp,
-        FaultPlan {
-            garble_prob: 1.0,
-            ..FaultPlan::default()
-        },
-    );
+    let mut garbler = LinkTransport::private(tcp, LinkShape::parse("garble=1.0").unwrap());
     garbler.send(&Message::QueryLoad).unwrap();
     // The server never answers a garbled frame — it closes the connection.
     assert!(garbler.recv().is_err());
@@ -560,25 +554,19 @@ fn garbled_frames_are_rejected_and_server_keeps_serving() {
 
 #[test]
 fn dropped_requests_surface_as_read_timeouts() {
-    // Drop faults swallow the request; with a read deadline armed the
+    // A lossy link swallows the request; with a read deadline armed the
     // client sees the same typed Timeout a downed link would produce.
     let server = start_server(1, ExecMode::TaskParallel);
     let addr = server.addr().to_string();
     let deadline = Duration::from_millis(150);
     let tcp = TcpTransport::connect_with_deadline(&addr, Some(deadline)).unwrap();
-    let mut lossy = FaultyTransport::new(
-        tcp,
-        FaultPlan {
-            drop_prob: 1.0,
-            ..FaultPlan::default()
-        },
-    );
-    lossy.send(&Message::QueryLoad).unwrap(); // silently dropped
+    let mut lossy = LinkTransport::private(tcp, LinkShape::parse("loss=1.0").unwrap());
+    lossy.send(&Message::QueryLoad).unwrap(); // silently lost
     match lossy.recv().unwrap_err() {
         ProtocolError::Timeout { operation, .. } => assert_eq!(operation, "read"),
         other => panic!("expected Timeout, got {other:?}"),
     }
-    assert_eq!(lossy.stats().dropped, 1);
+    assert_eq!(lossy.stats().lost, 1);
     server.shutdown();
 }
 
