@@ -309,22 +309,13 @@ fn call_json(routine: &str, n: i64, flops: Option<u64>, timed: &TimedCall) -> se
 }
 
 /// Check a pooled client out of the process-wide stream pool (dialing only
-/// when no live stream to `addr` exists yet).
+/// when no live stream to `addr` exists yet). A refused or timed-out dial
+/// is retried under `options` by the client itself.
 fn connect(addr: &str, options: CallOptions) -> NinfClient {
-    let mut attempt = 0u32;
-    loop {
-        match NinfClient::connect_pooled(addr, options, global_pool().clone()) {
-            Ok(client) => return client,
-            Err(e) if attempt < options.retries && e.is_retryable() => {
-                std::thread::sleep(options.backoff_delay(attempt, 0));
-                attempt += 1;
-            }
-            Err(e) => {
-                eprintln!("cannot connect to {addr}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
+    NinfClient::connect_pooled(addr, options, global_pool().clone()).unwrap_or_else(|e| {
+        eprintln!("cannot connect to {addr}: {e}");
+        std::process::exit(1);
+    })
 }
 
 fn parse_num<T: std::str::FromStr>(v: Option<&String>, msg: &str) -> T {

@@ -45,3 +45,51 @@ fn overfull_link_spec_is_a_usage_error_not_a_panic() {
     );
     assert_usage_error(&out, "sum to 1300000ppm");
 }
+
+/// `--retries` covers a server that is not up yet: the refused dial is an
+/// attempt of the client's own retry loop (`ninf-call` has none), and the
+/// `--json` document keeps its keys — the stats-cursor checkout dialed the
+/// pooled stream, so the measured call reports `stream_reused`.
+#[test]
+fn ninf_call_retries_reach_a_late_starting_server() {
+    let probe = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = probe.local_addr().unwrap().to_string();
+    drop(probe); // free the port for the late server
+    let late_addr = addr.clone();
+    let starter = std::thread::spawn(move || {
+        std::thread::sleep(std::time::Duration::from_millis(300));
+        Command::new(env!("CARGO_BIN_EXE_ninfd"))
+            .args(["--addr", &late_addr, "--pes", "1"])
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::null())
+            .spawn()
+            .expect("ninfd starts")
+    });
+    let out = run(
+        env!("CARGO_BIN_EXE_ninf-call"),
+        &[
+            "--retries",
+            "8",
+            "--deadline",
+            "2",
+            "--json",
+            &addr,
+            "ep",
+            "8",
+        ],
+    );
+    let mut server = starter.join().unwrap();
+    server.kill().ok();
+    server.wait().ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "stderr: {stderr}");
+    let doc = serde_json::from_str(&String::from_utf8_lossy(&out.stdout)).expect("one JSON object");
+    assert_eq!(doc["ok"].as_bool(), Some(true), "{doc}");
+    assert_eq!(doc["stream_reused"].as_bool(), Some(true), "{doc}");
+    for key in ["connect", "interface", "marshal", "roundtrip", "total"] {
+        assert!(
+            doc["timings"][key].as_f64().is_some(),
+            "timings.{key}: {doc}"
+        );
+    }
+}

@@ -112,12 +112,13 @@ impl CallOptions {
 
 /// Client-side decomposition of one `Ninf_call`, in seconds — the
 /// measurement hook a load-generation harness reads instead of scraping
-/// stdout. Segments that did not occur (interface cache hit, no redial) are
+/// stdout. Segments that did not occur (interface cache hit, no dial) are
 /// zero. `total` covers the whole call including retries and backoff sleeps,
 /// so `total ≥ connect + interface + marshal + roundtrip`.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CallTiming {
-    /// Seconds spent re-dialing the server inside the call (retries only).
+    /// Seconds spent dialing (or checking a stream out) inside the call:
+    /// redials after a failed attempt, and the first dial of a [`Call`].
     pub connect: f64,
     /// Seconds fetching the compiled interface (stage 1); 0 on a cache hit.
     pub interface: f64,
@@ -163,21 +164,25 @@ fn addr_salt(addr: &str) -> u64 {
     h
 }
 
-/// A connected Ninf client.
+/// A Ninf client.
 ///
 /// The client keeps one ordered connection (as "standard TCP-based
 /// RPC-protocols require clients and servers to stay connected", §5.1) and
 /// caches compiled interfaces it has already fetched, so repeated calls to
 /// the same routine skip stage 1.
 pub struct NinfClient {
-    transport: Box<dyn Transport>,
+    /// The connection. `None` when nothing is dialed yet or an operation
+    /// failed on it: a connection that failed is never reused (a timed-out
+    /// one is desynchronized — its late reply would answer the next
+    /// request), so the next attempt reaches `addr` anew.
+    transport: Option<Box<dyn Transport>>,
     interfaces: HashMap<String, CompiledInterface>,
-    /// Remembered dial address; retries reconnect through it. `None` for
+    /// Remembered dial address; attempts connect through it. `None` for
     /// clients wrapped around a caller-supplied transport.
     addr: Option<String>,
-    /// Pool this client checks streams out of; reconnects re-check-out
-    /// instead of dialing, so a retry transparently lands on a live (or
-    /// freshly dialed) multiplexed stream. `None` for direct connections.
+    /// Pool this client checks streams out of instead of dialing, so a
+    /// retry transparently lands on a live (or freshly dialed) multiplexed
+    /// stream. `None` for direct connections.
     pool: Option<Arc<MuxPool>>,
     /// Whether the most recent checkout reused an already-open stream.
     stream_reused: bool,
@@ -210,35 +215,11 @@ impl NinfClient {
         Self::connect_with(addr, CallOptions::default())
     }
 
-    /// Wrap a dialed transport in client-side WAN shaping when the options
-    /// ask for it. Lane id 0 is the call connection; bulk lanes take 1..N
-    /// on the same shared link, so control and bulk traffic contend for
-    /// one emulated bottleneck.
-    fn wrap_wan(
-        addr: &str,
-        options: &CallOptions,
-        transport: Box<dyn Transport>,
-    ) -> Box<dyn Transport> {
-        match options.wan {
-            Some(shape) => Box::new(ninf_protocol::LinkTransport::new(
-                transport,
-                ninf_protocol::link_for(addr, shape),
-                0,
-            )),
-            None => transport,
-        }
-    }
-
     /// Connect with a reliability policy: the deadline bounds the connect
-    /// itself and every subsequent operation, and calls through this client
-    /// retry per `options`.
+    /// itself and every subsequent operation, and the connect and the calls
+    /// through this client retry per `options`.
     pub fn connect_with(addr: &str, options: CallOptions) -> ProtocolResult<Self> {
-        let transport = TcpTransport::connect_with_deadline(addr, options.deadline)?;
-        let mut client = Self::from_transport(Self::wrap_wan(addr, &options, Box::new(transport)));
-        client.addr = Some(addr.to_owned());
-        client.cache_key = Some(addr.to_owned());
-        client.options = options;
-        Ok(client)
+        Self::undialed(addr, options, None).dialed()
     }
 
     /// Connect through a shared [`MuxPool`]: the connection is *checked
@@ -252,27 +233,18 @@ impl NinfClient {
         options: CallOptions,
         pool: Arc<MuxPool>,
     ) -> ProtocolResult<Self> {
-        let checkout = pool.checkout(addr, options.deadline)?;
-        let mut client =
-            Self::from_transport(Self::wrap_wan(addr, &options, Box::new(checkout.handle)));
-        client.transport.set_deadline(options.deadline)?;
-        client.addr = Some(addr.to_owned());
-        client.cache_key = Some(addr.to_owned());
-        client.options = options;
-        client.pool = Some(pool);
-        client.stream_reused = checkout.reused;
-        Ok(client)
-    }
-
-    /// Whether the most recent checkout of this pooled client reused an
-    /// already-open multiplexed stream (always `false` for direct
-    /// connections).
-    pub fn stream_reused(&self) -> bool {
-        self.stream_reused
+        Self::undialed(addr, options, Some(pool)).dialed()
     }
 
     /// Wrap an arbitrary transport (e.g. an in-process channel in tests).
+    /// Such a client has no address to reach again, so it keeps this
+    /// transport through failures — what a late reply on it means is the
+    /// supplier's business (a mux handle, for one, discards it by call id).
     pub fn from_transport(transport: Box<dyn Transport>) -> Self {
+        Self::new(Some(transport))
+    }
+
+    fn new(transport: Option<Box<dyn Transport>>) -> Self {
         Self {
             transport,
             interfaces: HashMap::new(),
@@ -290,6 +262,32 @@ impl NinfClient {
             call_ctx: None,
             last_trace_id: 0,
         }
+    }
+
+    /// A client for `addr` with nothing dialed yet: the first attempt of its
+    /// first operation connects.
+    fn undialed(addr: &str, options: CallOptions, pool: Option<Arc<MuxPool>>) -> Self {
+        Self {
+            addr: Some(addr.to_owned()),
+            cache_key: Some(addr.to_owned()),
+            options,
+            pool,
+            ..Self::new(None)
+        }
+    }
+
+    /// The eager constructors' tail: an operation that only connects, run
+    /// under the retry policy like any other.
+    fn dialed(mut self) -> ProtocolResult<Self> {
+        self.with_retries(|_| Ok(()))?;
+        Ok(self)
+    }
+
+    /// Whether the most recent checkout of this pooled client reused an
+    /// already-open multiplexed stream (always `false` for direct
+    /// connections).
+    pub fn stream_reused(&self) -> bool {
+        self.stream_reused
     }
 
     /// Timing decomposition of the most recent [`NinfClient::ninf_call`]
@@ -319,13 +317,14 @@ impl NinfClient {
         self.last_trace_id
     }
 
-    /// Context for one new call: a child of the configured parent, or a
-    /// fresh root. `None` (free of any id/clock work) when tracing is off.
-    fn mint_ctx(&self) -> Option<TraceContext> {
+    /// Context for one new operation: a child of `parent` (or of the
+    /// configured trace parent), or a fresh root. `None` (free of any
+    /// id/clock work) when tracing is off.
+    fn mint_ctx(&self, parent: Option<TraceContext>) -> Option<TraceContext> {
         if !recorder::global().enabled() {
             return None;
         }
-        Some(match self.trace_parent {
+        Some(match parent.or(self.trace_parent) {
             Some(parent) => parent.child(),
             None => TraceContext::root(),
         })
@@ -374,7 +373,7 @@ impl NinfClient {
     }
 
     /// Whether calls on this client use the parallel bulk-transfer path:
-    /// more than one stream requested, a dialed destination to fan out
+    /// at least one stream requested, a dialed destination to fan out
     /// to, and content refs on (a bulk upload is useless if the call
     /// cannot ref it afterwards).
     fn bulk_enabled(&self) -> bool {
@@ -382,6 +381,36 @@ impl NinfClient {
             && self.options.arg_cache
             && self.addr.is_some()
             && self.cache_key.is_some()
+    }
+
+    /// The bulk path's one upload step: ship `image` as chunks over the
+    /// parallel lanes unless the destination is believed to hold it
+    /// already, then remember that it does and account the transfer.
+    /// Returns whether the destination now holds `digest`.
+    fn bulk_put(&mut self, digest: ninf_protocol::Digest, image: &[u8]) -> bool {
+        let (Some(addr), Some(key)) = (self.addr.as_deref(), self.cache_key.as_deref()) else {
+            return false;
+        };
+        if argmem::knows(key, &digest) {
+            return true;
+        }
+        let Ok(report) = crate::bulk::parallel_put(
+            addr,
+            digest,
+            image,
+            self.options.streams,
+            self.options.chunk_bytes,
+            self.options.lane_deadline.or(self.options.deadline),
+            self.options.wan,
+        ) else {
+            return false;
+        };
+        argmem::remember(key, digest);
+        self.bytes_sent += report.bytes as usize;
+        self.timing.bulk_bytes += report.bytes as usize;
+        self.timing.bulk_retransmits += report.retransmits;
+        self.timing.bulk_streams = self.timing.bulk_streams.max(report.streams);
+        true
     }
 
     /// Pre-ship large arguments this destination does not hold yet as
@@ -393,38 +422,10 @@ impl NinfClient {
         if !self.bulk_enabled() {
             return;
         }
-        let (addr, key) = (self.addr.clone().unwrap(), self.cache_key.clone().unwrap());
-        for v in values {
-            if !ninf_protocol::cacheable(v) {
-                continue;
-            }
+        for v in values.iter().filter(|v| ninf_protocol::cacheable(v)) {
             let image = ninf_protocol::value_image(v);
-            if image.len() < ninf_protocol::CHUNK_THRESHOLD {
-                continue;
-            }
-            let digest = ninf_protocol::Digest::of(&image);
-            if argmem::knows(&key, &digest) {
-                continue;
-            }
-            match crate::bulk::parallel_put(
-                &addr,
-                digest,
-                &image,
-                self.options.streams,
-                self.options.chunk_bytes,
-                self.options.lane_deadline.or(self.options.deadline),
-                self.options.wan,
-            ) {
-                Ok(report) => {
-                    argmem::remember(&key, digest);
-                    self.bytes_sent += report.bytes as usize;
-                    self.timing.bulk_bytes += report.bytes as usize;
-                    self.timing.bulk_retransmits += report.retransmits;
-                    self.timing.bulk_streams = self.timing.bulk_streams.max(report.streams);
-                }
-                Err(_) => {
-                    // Fall through: encode_args will ship it inline.
-                }
+            if image.len() >= ninf_protocol::CHUNK_THRESHOLD {
+                self.bulk_put(ninf_protocol::Digest::of(&image), &image);
             }
         }
     }
@@ -433,39 +434,15 @@ impl NinfClient {
     /// Returns `true` only if every named value landed (and was
     /// remembered), so the ref'd request can simply be replayed.
     fn bulk_refill(&mut self, values: &[Value], digests: &[ninf_protocol::Digest]) -> bool {
-        if !self.bulk_enabled() {
-            return false;
-        }
-        let (addr, key) = (self.addr.clone().unwrap(), self.cache_key.clone().unwrap());
-        for wanted in digests {
-            let Some(image) = values
-                .iter()
-                .filter(|v| ninf_protocol::cacheable(v))
-                .map(ninf_protocol::value_image)
-                .find(|image| ninf_protocol::Digest::of(image) == *wanted)
-            else {
-                return false;
-            };
-            match crate::bulk::parallel_put(
-                &addr,
-                *wanted,
-                &image,
-                self.options.streams,
-                self.options.chunk_bytes,
-                self.options.lane_deadline.or(self.options.deadline),
-                self.options.wan,
-            ) {
-                Ok(report) => {
-                    argmem::remember(&key, *wanted);
-                    self.bytes_sent += report.bytes as usize;
-                    self.timing.bulk_bytes += report.bytes as usize;
-                    self.timing.bulk_retransmits += report.retransmits;
-                    self.timing.bulk_streams = self.timing.bulk_streams.max(report.streams);
-                }
-                Err(_) => return false,
-            }
-        }
-        true
+        self.bulk_enabled()
+            && digests.iter().all(|wanted| {
+                values
+                    .iter()
+                    .filter(|v| ninf_protocol::cacheable(v))
+                    .map(ninf_protocol::value_image)
+                    .find(|image| ninf_protocol::Digest::of(image) == *wanted)
+                    .is_some_and(|image| self.bulk_put(*wanted, &image))
+            })
     }
 
     /// Ship one request whose argument list may contain content refs, and
@@ -489,8 +466,7 @@ impl NinfClient {
         self.timing.request_bytes = shipped;
         self.timing.args_refd = refs;
         self.timing.args_refilled = 0;
-        self.transport.send(&build(args))?;
-        let reply = self.transport.recv()?;
+        let reply = self.exchange(&build(args))?;
         let Message::NeedArg { digests } = reply else {
             return Ok(reply);
         };
@@ -504,8 +480,7 @@ impl NinfClient {
             // request unchanged. A second NeedArg (the server evicted
             // again already) falls through to the inline path below.
             let (args, _, _) = self.encode_args(values);
-            self.transport.send(&build(args))?;
-            let reply = self.transport.recv()?;
+            let reply = self.exchange(&build(args))?;
             let Message::NeedArg { digests } = reply else {
                 return Ok(reply);
             };
@@ -515,7 +490,7 @@ impl NinfClient {
         }
         self.bytes_sent += payload_bytes;
         self.timing.request_bytes += payload_bytes;
-        self.transport.send(&build(Arg::inline(values.to_vec())))?;
+        let reply = self.exchange(&build(Arg::inline(values.to_vec())))?;
         // The refill re-primes the server's store, so remember what it now
         // holds and the next call refs again.
         if let Some(key) = self.cache_key.as_deref() {
@@ -523,30 +498,36 @@ impl NinfClient {
                 argmem::remember(key, ninf_protocol::digest_value(v));
             }
         }
-        self.transport.recv()
+        Ok(reply)
     }
 
     /// Replace the reliability policy, re-arming the transport deadline.
     pub fn set_options(&mut self, options: CallOptions) -> ProtocolResult<()> {
-        self.transport.set_deadline(options.deadline)?;
+        if let Some(transport) = &mut self.transport {
+            transport.set_deadline(options.deadline)?;
+        }
         self.options = options;
         Ok(())
     }
 
-    /// Tear down the connection and reach the remembered address again —
-    /// through the pool (re-checkout; dead streams were evicted) for pooled
-    /// clients, by redialing for direct ones. Fails for transport-wrapping
-    /// clients, which have no address.
-    fn reconnect(&mut self) -> ProtocolResult<()> {
-        let addr = self.addr.clone().ok_or(ProtocolError::Disconnected)?;
+    /// Reach the remembered address — through the pool (a checkout; dead
+    /// streams were evicted) for pooled clients, by dialing for direct
+    /// ones — and shape the connection when the options ask for WAN
+    /// emulation. Lane id 0 is the call connection; bulk lanes take 1..N on
+    /// the same shared link, so control and bulk traffic contend for one
+    /// emulated bottleneck. Fails for transport-wrapping clients, which
+    /// have no address.
+    fn dial(&mut self) -> ProtocolResult<()> {
+        let addr = self.addr.as_deref().ok_or(ProtocolError::Disconnected)?;
+        let deadline = self.options.deadline;
         let t0 = Instant::now();
         let start_us = self.call_ctx.map(|_| ninf_obs::now_us());
         let dialed: ProtocolResult<Box<dyn Transport>> = match &self.pool {
-            Some(pool) => pool.checkout(&addr, self.options.deadline).map(|co| {
+            Some(pool) => pool.checkout(addr, deadline).map(|co| {
                 self.stream_reused = co.reused;
                 Box::new(co.handle) as Box<dyn Transport>
             }),
-            None => TcpTransport::connect_with_deadline(&addr, self.options.deadline)
+            None => TcpTransport::connect_with_deadline(addr, deadline)
                 .map(|t| Box::new(t) as Box<dyn Transport>),
         };
         self.timing.connect += t0.elapsed().as_secs_f64();
@@ -556,39 +537,91 @@ impl NinfClient {
                     .with_detail(format!("addr={addr}")),
             );
         }
-        self.transport = Self::wrap_wan(&addr, &self.options, dialed?);
-        self.transport.set_deadline(self.options.deadline)?;
+        let mut transport = match self.options.wan {
+            Some(shape) => Box::new(ninf_protocol::LinkTransport::new(
+                dialed?,
+                ninf_protocol::link_for(addr, shape),
+                0,
+            )),
+            None => dialed?,
+        };
+        transport.set_deadline(deadline)?;
+        self.transport = Some(transport);
         Ok(())
     }
 
-    /// Run `op` under the retry policy: a retryable failure tears the
-    /// connection down, backs off, reconnects, and tries again. Without a
-    /// remembered address the first error is final.
+    /// The live connection, dialed first if there is none.
+    fn wire(&mut self) -> ProtocolResult<&mut Box<dyn Transport>> {
+        if self.transport.is_none() {
+            self.dial()?;
+        }
+        self.transport.as_mut().ok_or(ProtocolError::Disconnected)
+    }
+
+    /// Give up the connection after a failure on it, if there is an
+    /// address to reach again (see [`NinfClient::from_transport`]).
+    fn drop_transport(&mut self) {
+        if self.addr.is_some() {
+            self.transport = None;
+        }
+    }
+
+    /// Send one request and read its reply. A transport that fails either
+    /// half is dropped on the spot, whether or not anything retries.
+    fn exchange(&mut self, msg: &Message) -> ProtocolResult<Message> {
+        let wire = self.wire()?;
+        let reply = wire.send(msg).and_then(|()| wire.recv());
+        if reply.is_err() {
+            self.drop_transport();
+        }
+        reply
+    }
+
+    /// The one reply match every operation shares: the server's `Error` is
+    /// the application answering ([`ProtocolError::Remote`], stream still
+    /// in step); any kind `pick` hands back is a protocol violation, after
+    /// which nothing on the stream can be trusted.
+    fn expect<T>(
+        &mut self,
+        reply: Message,
+        expected: &'static str,
+        pick: impl FnOnce(Message) -> Result<T, Message>,
+    ) -> ProtocolResult<T> {
+        match reply {
+            Message::Error { reason } => Err(ProtocolError::Remote(reason)),
+            other => pick(other).map_err(|got| {
+                self.drop_transport();
+                ProtocolError::UnexpectedMessage {
+                    expected,
+                    got: got.kind().to_owned(),
+                }
+            }),
+        }
+    }
+
+    /// The retry loop — the only one. An attempt is "be connected, then run
+    /// `op`": the dial (or pool checkout) happens inside the attempt, so a
+    /// refused or timed-out dial is that attempt's failure and is retried
+    /// like any other, and because a failed transport was dropped where it
+    /// failed, a retry never runs on the connection its predecessor
+    /// desynchronized. Without a remembered address the first error is
+    /// final.
     fn with_retries<R>(
         &mut self,
         op: impl Fn(&mut Self) -> ProtocolResult<R>,
     ) -> ProtocolResult<R> {
         let mut attempt = 0u32;
         loop {
-            match op(self) {
-                Ok(v) => return Ok(v),
-                Err(e)
-                    if e.is_retryable()
-                        && attempt < self.options.retries
-                        && self.addr.is_some() =>
-                {
-                    let salt = self.addr.as_deref().map(addr_salt).unwrap_or(0);
-                    std::thread::sleep(self.options.backoff_delay(attempt, salt));
-                    // A failed reconnect consumes this attempt; the loop
-                    // decides whether more remain.
-                    if let Err(rec) = self.reconnect() {
-                        if attempt + 1 >= self.options.retries {
-                            return Err(rec);
-                        }
-                    }
+            self.timing.attempts += 1;
+            match self.wire().map(|_| ()).and_then(|()| op(self)) {
+                Err(e) if e.is_retryable() && attempt < self.options.retries => {
+                    let Some(addr) = self.addr.as_deref() else {
+                        return Err(e);
+                    };
+                    std::thread::sleep(self.options.backoff_delay(attempt, addr_salt(addr)));
                     attempt += 1;
                 }
-                Err(e) => return Err(e),
+                outcome => return outcome,
             }
         }
     }
@@ -607,23 +640,15 @@ impl NinfClient {
     pub fn query_interface(&mut self, routine: &str) -> ProtocolResult<&CompiledInterface> {
         if !self.interfaces.contains_key(routine) {
             let t0 = Instant::now();
-            self.transport.send(&Message::QueryInterface {
+            let reply = self.exchange(&Message::QueryInterface {
                 routine: routine.to_owned(),
-            })?;
-            let reply = self.transport.recv();
+            });
             self.timing.interface += t0.elapsed().as_secs_f64();
-            match reply? {
-                Message::InterfaceReply { interface } => {
-                    self.interfaces.insert(routine.to_owned(), interface);
-                }
-                Message::Error { reason } => return Err(ProtocolError::Remote(reason)),
-                other => {
-                    return Err(ProtocolError::UnexpectedMessage {
-                        expected: "InterfaceReply",
-                        got: other.kind().to_owned(),
-                    })
-                }
-            }
+            let interface = self.expect(reply?, "InterfaceReply", |m| match m {
+                Message::InterfaceReply { interface } => Ok(interface),
+                other => Err(other),
+            })?;
+            self.interfaces.insert(routine.to_owned(), interface);
         }
         Ok(&self.interfaces[routine])
     }
@@ -640,13 +665,10 @@ impl NinfClient {
     /// [`NinfClient::connect_with`]).
     pub fn ninf_call(&mut self, routine: &str, args: &[Value]) -> ProtocolResult<Vec<Value>> {
         self.timing = CallTiming::default();
-        self.call_ctx = self.mint_ctx();
+        self.call_ctx = self.mint_ctx(None);
         let start_us = self.call_ctx.map(|_| ninf_obs::now_us());
         let t0 = Instant::now();
-        let out = self.with_retries(|c| {
-            c.timing.attempts += 1;
-            c.ninf_call_once(routine, args)
-        });
+        let out = self.with_retries(|c| c.ninf_call_once(routine, args));
         self.timing.total = t0.elapsed().as_secs_f64();
         self.last_timing = Some(self.timing);
         if let (Some(ctx), Some(start)) = (self.call_ctx, start_us) {
@@ -705,20 +727,15 @@ impl NinfClient {
                 )),
             );
         }
-        match reply? {
-            Message::ResultData { results } => {
-                validate_results(&interface, &layout, &results).map_err(ProtocolError::Remote)?;
-                let reply_bytes = ninf_protocol::reply_payload_bytes(&layout);
-                self.bytes_received += reply_bytes;
-                self.timing.reply_bytes = reply_bytes;
-                Ok(results)
-            }
-            Message::Error { reason } => Err(ProtocolError::Remote(reason)),
-            other => Err(ProtocolError::UnexpectedMessage {
-                expected: "ResultData",
-                got: other.kind().to_owned(),
-            }),
-        }
+        let results = self.expect(reply?, "ResultData", |m| match m {
+            Message::ResultData { results } => Ok(results),
+            other => Err(other),
+        })?;
+        validate_results(&interface, &layout, &results).map_err(ProtocolError::Remote)?;
+        let reply_bytes = ninf_protocol::reply_payload_bytes(&layout);
+        self.bytes_received += reply_bytes;
+        self.timing.reply_bytes = reply_bytes;
+        Ok(results)
     }
 
     /// Two-phase call, phase 1 (§5.1): validate and ship the arguments,
@@ -730,7 +747,7 @@ impl NinfClient {
     /// a retried submission whose first ticket was lost in flight may leave
     /// an orphan job on the server whose result is simply never fetched.
     pub fn submit_job(&mut self, routine: &str, args: &[Value]) -> ProtocolResult<u64> {
-        self.call_ctx = self.mint_ctx();
+        self.call_ctx = self.mint_ctx(None);
         let start_us = self.call_ctx.map(|_| ninf_obs::now_us());
         let out = self.with_retries(|c| c.submit_job_once(routine, args));
         if let (Some(ctx), Some(start)) = (self.call_ctx, start_us) {
@@ -757,27 +774,19 @@ impl NinfClient {
                 args: wire_args,
                 trace,
             })?;
-        match reply {
+        self.expect(reply, "JobTicket", |m| match m {
             Message::JobTicket { job } => Ok(job),
-            Message::Error { reason } => Err(ProtocolError::Remote(reason)),
-            other => Err(ProtocolError::UnexpectedMessage {
-                expected: "JobTicket",
-                got: other.kind().to_owned(),
-            }),
-        }
+            other => Err(other),
+        })
     }
 
     /// Poll a two-phase ticket.
     pub fn poll_job(&mut self, job: u64) -> ProtocolResult<ninf_protocol::JobPhase> {
-        self.transport.send(&Message::PollJob { job })?;
-        match self.transport.recv()? {
+        let reply = self.exchange(&Message::PollJob { job })?;
+        self.expect(reply, "JobStatus", |m| match m {
             Message::JobStatus { job: j, state } if j == job => Ok(state),
-            Message::Error { reason } => Err(ProtocolError::Remote(reason)),
-            other => Err(ProtocolError::UnexpectedMessage {
-                expected: "JobStatus",
-                got: other.kind().to_owned(),
-            }),
-        }
+            other => Err(other),
+        })
     }
 
     /// Two-phase call, phase 2: collect the results of a finished ticket.
@@ -787,28 +796,16 @@ impl NinfClient {
     /// the configured trace parent), so a two-phase call renders as one
     /// connected tree instead of an orphaned server-side fetch span.
     pub fn fetch_result(&mut self, job: u64) -> ProtocolResult<Vec<Value>> {
-        let ctx = if recorder::global().enabled() {
-            Some(match self.call_ctx {
-                Some(submit) => submit.child(),
-                None => match self.trace_parent {
-                    Some(p) => p.child(),
-                    None => TraceContext::root(),
-                },
-            })
-        } else {
-            None
-        };
+        let ctx = self.mint_ctx(self.call_ctx);
         let start_us = ctx.map(|_| ninf_obs::now_us());
-        self.transport
-            .send(&Message::FetchResult { job, trace: ctx })?;
-        let out = match self.transport.recv()? {
-            Message::ResultData { results } => Ok(results),
-            Message::Error { reason } => Err(ProtocolError::Remote(reason)),
-            other => Err(ProtocolError::UnexpectedMessage {
-                expected: "ResultData",
-                got: other.kind().to_owned(),
-            }),
-        };
+        let out = self
+            .exchange(&Message::FetchResult { job, trace: ctx })
+            .and_then(|reply| {
+                self.expect(reply, "ResultData", |m| match m {
+                    Message::ResultData { results } => Ok(results),
+                    other => Err(other),
+                })
+            });
         if let (Some(ctx), Some(start)) = (ctx, start_us) {
             self.last_trace_id = ctx.trace_id;
             recorder::global().record(
@@ -821,15 +818,11 @@ impl NinfClient {
 
     /// List the routines the server exports, with their documentation.
     pub fn list_routines(&mut self) -> ProtocolResult<Vec<(String, String)>> {
-        self.transport.send(&Message::ListRoutines)?;
-        match self.transport.recv()? {
+        let reply = self.exchange(&Message::ListRoutines)?;
+        self.expect(reply, "RoutineList", |m| match m {
             Message::RoutineList { routines } => Ok(routines),
-            Message::Error { reason } => Err(ProtocolError::Remote(reason)),
-            other => Err(ProtocolError::UnexpectedMessage {
-                expected: "RoutineList",
-                got: other.kind().to_owned(),
-            }),
-        }
+            other => Err(other),
+        })
     }
 
     /// Query the server's completed-call records (§4.1 timelines) from
@@ -840,19 +833,15 @@ impl NinfClient {
         &mut self,
         since: u64,
     ) -> ProtocolResult<(f64, u64, Vec<ninf_protocol::CallStat>)> {
-        self.transport.send(&Message::QueryStats { since })?;
-        match self.transport.recv()? {
+        let reply = self.exchange(&Message::QueryStats { since })?;
+        self.expect(reply, "StatsReply", |m| match m {
             Message::StatsReply {
                 now,
                 total,
                 records,
             } => Ok((now, total, records)),
-            Message::Error { reason } => Err(ProtocolError::Remote(reason)),
-            other => Err(ProtocolError::UnexpectedMessage {
-                expected: "StatsReply",
-                got: other.kind().to_owned(),
-            }),
-        }
+            other => Err(other),
+        })
     }
 
     /// Query the server's metric window series from global window index
@@ -865,8 +854,8 @@ impl NinfClient {
         &mut self,
         since: u64,
     ) -> ProtocolResult<(String, ninf_protocol::WindowsSnapshot)> {
-        self.transport.send(&Message::QueryMetrics { since })?;
-        match self.transport.recv()? {
+        let reply = self.exchange(&Message::QueryMetrics { since })?;
+        self.expect(reply, "MetricsReply", |m| match m {
             Message::MetricsReply {
                 process,
                 now,
@@ -884,44 +873,32 @@ impl NinfClient {
                     frames,
                 },
             )),
-            Message::Error { reason } => Err(ProtocolError::Remote(reason)),
-            other => Err(ProtocolError::UnexpectedMessage {
-                expected: "MetricsReply",
-                got: other.kind().to_owned(),
-            }),
-        }
+            other => Err(other),
+        })
     }
 
     /// Fetch the remote process's flight recorder: `(process label, spans
     /// dropped by its ring, retained spans)`. `trace_id` 0 fetches every
     /// retained span.
     pub fn query_trace(&mut self, trace_id: u64) -> ProtocolResult<(String, u64, Vec<Span>)> {
-        self.transport.send(&Message::QueryTrace { trace_id })?;
-        match self.transport.recv()? {
+        let reply = self.exchange(&Message::QueryTrace { trace_id })?;
+        self.expect(reply, "TraceReply", |m| match m {
             Message::TraceReply {
                 process,
                 dropped,
                 spans,
             } => Ok((process, dropped, spans)),
-            Message::Error { reason } => Err(ProtocolError::Remote(reason)),
-            other => Err(ProtocolError::UnexpectedMessage {
-                expected: "TraceReply",
-                got: other.kind().to_owned(),
-            }),
-        }
+            other => Err(other),
+        })
     }
 
     /// Query the server's load (what the metaserver's monitor does).
     pub fn query_load(&mut self) -> ProtocolResult<ninf_protocol::LoadReport> {
-        self.transport.send(&Message::QueryLoad)?;
-        match self.transport.recv()? {
+        let reply = self.exchange(&Message::QueryLoad)?;
+        self.expect(reply, "LoadStatus", |m| match m {
             Message::LoadStatus(r) => Ok(r),
-            Message::Error { reason } => Err(ProtocolError::Remote(reason)),
-            other => Err(ProtocolError::UnexpectedMessage {
-                expected: "LoadStatus",
-                got: other.kind().to_owned(),
-            }),
-        }
+            other => Err(other),
+        })
     }
 }
 
@@ -971,6 +948,68 @@ impl AsyncCall {
     }
 }
 
+/// One one-shot `Ninf_call` as a value: the destination, the routine and its
+/// arguments, and everything that varies about *how* it is made. Fill in
+/// what differs from [`Call::new`] struct-update style, then either
+/// [`Call::run`] it or [`Call::spawn`] it (`Ninf_call_async`).
+///
+/// Every attempt — the first included — connects inside
+/// [`NinfClient`]'s retry loop, so a server that is not up yet is retried
+/// under `options` exactly like one that hung mid-call.
+#[derive(Clone)]
+pub struct Call {
+    /// Server address (`host:port`).
+    pub addr: String,
+    /// Routine name.
+    pub routine: String,
+    /// The `mode_in`/`mode_inout` values in declaration order.
+    pub args: Vec<Value>,
+    /// Deadline, retries, backoff and transfer policy.
+    pub options: CallOptions,
+    /// Check a multiplexed stream out of this pool for each attempt instead
+    /// of dialing, so concurrent calls to one server share connections; a
+    /// stream failure fails exactly the calls in flight on it, and their
+    /// retries land on a live or freshly dialed stream.
+    pub pool: Option<Arc<MuxPool>>,
+    /// Parent the call's spans here (how a routing layer keeps its
+    /// forwarded leg inside the caller's trace); `None` roots a fresh trace.
+    pub trace_parent: Option<TraceContext>,
+    /// Process label on the call's spans.
+    pub process: String,
+}
+
+impl Call {
+    /// A direct, untraced-parent call under [`CallOptions::default`].
+    pub fn new(addr: impl Into<String>, routine: impl Into<String>, args: Vec<Value>) -> Self {
+        Self {
+            addr: addr.into(),
+            routine: routine.into(),
+            args,
+            options: CallOptions::default(),
+            pool: None,
+            trace_parent: None,
+            process: "client".to_string(),
+        }
+    }
+
+    /// Make the call on the current thread.
+    pub fn run(self) -> ProtocolResult<Vec<Value>> {
+        let mut client = NinfClient::undialed(&self.addr, self.options, self.pool);
+        client.trace_parent = self.trace_parent;
+        client.trace_process = self.process;
+        client.ninf_call(&self.routine, &self.args)
+    }
+
+    /// Make the call on a thread of its own; the deadline and retries apply
+    /// inside it, so [`AsyncCall::wait`] returns a typed
+    /// [`ProtocolError::Timeout`] instead of blocking on a silent server.
+    pub fn spawn(self) -> AsyncCall {
+        AsyncCall {
+            handle: std::thread::spawn(move || self.run()),
+        }
+    }
+}
+
 /// Split a Ninf URL into `(server address, routine name)`.
 ///
 /// Accepted forms (paper §2.2 allows
@@ -996,7 +1035,15 @@ pub fn parse_ninf_url(url: &str) -> ProtocolResult<(String, String)> {
 /// routine named by its final path segment.
 pub fn ninf_call_url(url: &str, args: &[Value]) -> ProtocolResult<Vec<Value>> {
     let (addr, routine) = parse_ninf_url(url)?;
-    NinfClient::connect(&addr)?.ninf_call(&routine, args)
+    Call::new(addr, routine, args.to_vec()).run()
+}
+
+/// `Ninf_call_async`: run one call on its own connection and thread.
+///
+/// Each async call opens a fresh connection so multiple outstanding calls
+/// do not serialize on one socket.
+pub fn call_async(addr: String, routine: String, args: Vec<Value>) -> AsyncCall {
+    Call::new(addr, routine, args).spawn()
 }
 
 /// A complete two-phase call over *separate connections*: submit on one,
@@ -1028,203 +1075,37 @@ pub fn call_two_phase(
     }
 }
 
-/// One-shot `Ninf_call` under a reliability policy: every attempt dials a
-/// fresh connection (so a hung previous attempt cannot poison this one),
-/// bounded by `options.deadline` and retried per `options.retries` with
-/// exponential, jittered backoff.
-pub fn call_with_options(
-    addr: &str,
-    routine: &str,
-    args: &[Value],
-    options: CallOptions,
-) -> ProtocolResult<Vec<Value>> {
-    call_with_options_traced(addr, routine, args, options, None, "client")
-}
-
-/// [`call_with_options`] with an explicit trace position: each attempt's
-/// spans parent under `parent` (or start a fresh root trace) and carry the
-/// `process` label — the hook a routing layer uses to keep its forwarded
-/// legs inside the caller's trace.
-pub fn call_with_options_traced(
-    addr: &str,
-    routine: &str,
-    args: &[Value],
-    options: CallOptions,
-    parent: Option<TraceContext>,
-    process: &str,
-) -> ProtocolResult<Vec<Value>> {
-    let mut attempt = 0u32;
-    loop {
-        // One span per attempt: the leg's interface/marshal/rpc spans
-        // parent under this "call" span, which in turn parents under the
-        // routing layer's position (or roots a fresh trace).
-        let ctx = recorder::global().enabled().then(|| match parent {
-            Some(p) => p.child(),
-            None => TraceContext::root(),
-        });
-        let start_us = ctx.map(|_| ninf_obs::now_us());
-        let outcome = NinfClient::connect_with(
-            addr,
-            CallOptions {
-                retries: 0,
-                ..options
-            },
-        )
-        .and_then(|mut client| {
-            client.trace_parent = parent;
-            client.trace_process = process.to_string();
-            client.call_ctx = ctx;
-            client.ninf_call_once(routine, args)
-        });
-        if let (Some(ctx), Some(start)) = (ctx, start_us) {
-            recorder::global().record(Span::at(ctx, "call", process, start).with_detail(format!(
-                "routine={routine} attempt={attempt} ok={}",
-                outcome.is_ok()
-            )));
-        }
-        match outcome {
-            Ok(v) => return Ok(v),
-            Err(e) if e.is_retryable() && attempt < options.retries => {
-                std::thread::sleep(options.backoff_delay(attempt, addr_salt(addr)));
-                attempt += 1;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// [`call_with_options_traced`] over a shared [`MuxPool`]: every attempt
-/// *checks out* a multiplexed stream from `pool` instead of dialing fresh,
-/// so concurrent calls to one server share connections. A stream failure
-/// poisons only that stream and fails exactly the calls in flight on it as
-/// retryable; the retry re-checks-out onto a live or freshly dialed stream.
-pub fn call_pooled_traced(
-    pool: &Arc<MuxPool>,
-    addr: &str,
-    routine: &str,
-    args: &[Value],
-    options: CallOptions,
-    parent: Option<TraceContext>,
-    process: &str,
-) -> ProtocolResult<Vec<Value>> {
-    let mut attempt = 0u32;
-    loop {
-        let ctx = recorder::global().enabled().then(|| match parent {
-            Some(p) => p.child(),
-            None => TraceContext::root(),
-        });
-        let start_us = ctx.map(|_| ninf_obs::now_us());
-        let outcome = NinfClient::connect_pooled(
-            addr,
-            CallOptions {
-                retries: 0,
-                ..options
-            },
-            pool.clone(),
-        )
-        .and_then(|mut client| {
-            client.trace_parent = parent;
-            client.trace_process = process.to_string();
-            client.call_ctx = ctx;
-            client.ninf_call_once(routine, args)
-        });
-        if let (Some(ctx), Some(start)) = (ctx, start_us) {
-            recorder::global().record(Span::at(ctx, "call", process, start).with_detail(format!(
-                "routine={routine} attempt={attempt} ok={}",
-                outcome.is_ok()
-            )));
-        }
-        match outcome {
-            Ok(v) => return Ok(v),
-            Err(e) if e.is_retryable() && attempt < options.retries => {
-                std::thread::sleep(options.backoff_delay(attempt, addr_salt(addr)));
-                attempt += 1;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// [`call_async_traced`] over a shared pool: the worker thread checks its
-/// stream out of `pool` (see [`call_pooled_traced`]) — how the metaserver
-/// fans a transaction out without one dial per call.
-pub fn call_async_pooled(
-    pool: Arc<MuxPool>,
-    addr: String,
-    routine: String,
-    args: Vec<Value>,
-    options: CallOptions,
-    parent: Option<TraceContext>,
-    process: &str,
-) -> AsyncCall {
-    let process = process.to_string();
-    let handle = std::thread::spawn(move || {
-        call_pooled_traced(&pool, &addr, &routine, &args, options, parent, &process)
-    });
-    AsyncCall { handle }
-}
-
-/// `Ninf_call_async`: run one call on its own connection and thread.
-///
-/// Each async call opens a fresh connection so multiple outstanding calls
-/// do not serialize on one socket — exactly how the metaserver fans
-/// transaction calls out to servers.
-pub fn call_async(addr: String, routine: String, args: Vec<Value>) -> AsyncCall {
-    call_async_with(addr, routine, args, CallOptions::default())
-}
-
-/// [`call_async`] under a reliability policy; the deadline and retries
-/// apply inside the worker thread, so `wait` returns a typed
-/// [`ProtocolError::Timeout`] instead of blocking on a silent server.
-pub fn call_async_with(
-    addr: String,
-    routine: String,
-    args: Vec<Value>,
-    options: CallOptions,
-) -> AsyncCall {
-    call_async_traced(addr, routine, args, options, None, "client")
-}
-
-/// [`call_async_with`] with an explicit trace position (see
-/// [`call_with_options_traced`]).
-pub fn call_async_traced(
-    addr: String,
-    routine: String,
-    args: Vec<Value>,
-    options: CallOptions,
-    parent: Option<TraceContext>,
-    process: &str,
-) -> AsyncCall {
-    let process = process.to_string();
-    let handle = std::thread::spawn(move || {
-        call_with_options_traced(&addr, &routine, &args, options, parent, &process)
-    });
-    AsyncCall { handle }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    type SentLog = Arc<std::sync::Mutex<Vec<Message>>>;
+
     /// A scripted transport for unit-testing the client state machine
-    /// without a server.
+    /// without a server; what the client sent is readable from outside.
     struct Scripted {
         replies: std::vec::IntoIter<Message>,
-        sent: Vec<Message>,
+        sent: SentLog,
     }
 
     impl Scripted {
         fn new(replies: Vec<Message>) -> Self {
             Self {
                 replies: replies.into_iter(),
-                sent: Vec::new(),
+                sent: SentLog::default(),
             }
+        }
+
+        fn logged(replies: Vec<Message>) -> (Self, SentLog) {
+            let t = Self::new(replies);
+            let sent = t.sent.clone();
+            (t, sent)
         }
     }
 
     impl Transport for Scripted {
         fn send(&mut self, msg: &Message) -> ProtocolResult<()> {
-            self.sent.push(msg.clone());
+            self.sent.lock().unwrap().push(msg.clone());
             Ok(())
         }
         fn recv(&mut self) -> ProtocolResult<Message> {
@@ -1551,38 +1432,6 @@ mod tests {
         }
     }
 
-    /// A scripted transport that shares its sent-message log.
-    struct SharedScripted {
-        replies: std::vec::IntoIter<Message>,
-        sent: std::sync::Arc<std::sync::Mutex<Vec<Message>>>,
-    }
-
-    impl Transport for SharedScripted {
-        fn send(&mut self, msg: &Message) -> ProtocolResult<()> {
-            self.sent.lock().unwrap().push(msg.clone());
-            Ok(())
-        }
-        fn recv(&mut self) -> ProtocolResult<Message> {
-            self.replies.next().ok_or(ProtocolError::Disconnected)
-        }
-    }
-
-    fn shared_scripted(
-        replies: Vec<Message>,
-    ) -> (
-        SharedScripted,
-        std::sync::Arc<std::sync::Mutex<Vec<Message>>>,
-    ) {
-        let sent = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
-        (
-            SharedScripted {
-                replies: replies.into_iter(),
-                sent: sent.clone(),
-            },
-            sent,
-        )
-    }
-
     fn invoke_args(msg: &Message) -> &[Arg] {
         match msg {
             Message::Invoke { args, .. } => args,
@@ -1595,7 +1444,7 @@ mod tests {
         let key = "argcache-unit-warm";
         crate::argmem::forget_destination(key);
         let n = 16usize;
-        let (t, sent) = shared_scripted(vec![
+        let (t, sent) = Scripted::logged(vec![
             Message::InterfaceReply {
                 interface: dmmul_iface(),
             },
@@ -1635,7 +1484,7 @@ mod tests {
         let d2 = ninf_protocol::digest_value(&args[2]);
         crate::argmem::remember(key, d1);
         crate::argmem::remember(key, d2);
-        let (t, sent) = shared_scripted(vec![
+        let (t, sent) = Scripted::logged(vec![
             Message::InterfaceReply {
                 interface: dmmul_iface(),
             },
@@ -1671,7 +1520,7 @@ mod tests {
         let key = "argcache-unit-off";
         crate::argmem::forget_destination(key);
         let n = 16usize;
-        let (t, sent) = shared_scripted(vec![
+        let (t, sent) = Scripted::logged(vec![
             Message::InterfaceReply {
                 interface: dmmul_iface(),
             },

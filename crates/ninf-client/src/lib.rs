@@ -25,10 +25,21 @@
 //!
 //! There is no client-side stub, header, or IDL file: the first stage of the
 //! call fetches the compiled interface from the server and interprets it to
-//! size and marshal every argument (§2.3). Also provided:
+//! size and marshal every argument (§2.3).
 //!
-//! * [`call_async`] — `Ninf_call_async`: fire a call on its own connection
-//!   and join it later;
+//! There is one way to make a call. [`NinfClient::ninf_call`] runs it under
+//! the client's [`CallOptions`] in the crate's only retry loop, where an
+//! attempt is "be connected, then run the operation": the dial (or pool
+//! checkout) is part of the attempt, and a connection that failed is
+//! dropped, never reused. Everything else is that loop under another name:
+//!
+//! * [`Call`] — a one-shot call as a plain value (destination, routine,
+//!   arguments, options, optional pool and trace position) with two verbs,
+//!   [`Call::run`] and [`Call::spawn`];
+//! * [`ninf_call_url`] and [`call_async`] — the paper's URL-form
+//!   `Ninf_call` and `Ninf_call_async` as one-liners over [`Call`];
+//! * [`call_two_phase`] — §5.1's submit / disconnect / poll / fetch, a
+//!   different protocol rather than an option of the same one;
 //! * [`transaction`] — `Ninf_transaction_begin/end`: record a block of calls,
 //!   derive the data-dependency DAG, and hand it to a scheduler (the
 //!   metaserver executes independent calls task-parallel, §2.4 / §4.3.1).
@@ -40,8 +51,7 @@ pub mod transaction;
 
 pub use bulk::{parallel_put, UploadReport, DEFAULT_LANE_DEADLINE, MAX_CHUNK_ATTEMPTS};
 pub use client::{
-    call_async, call_async_pooled, call_async_traced, call_async_with, call_pooled_traced,
-    call_two_phase, call_with_options, call_with_options_traced, ninf_call_url, parse_ninf_url,
-    AsyncCall, CallOptions, CallTiming, LocalTxError, NinfClient,
+    call_async, call_two_phase, ninf_call_url, parse_ninf_url, AsyncCall, Call, CallOptions,
+    CallTiming, LocalTxError, NinfClient,
 };
 pub use transaction::{execute_locally, PlannedCall, SlotId, Transaction, TxArg};

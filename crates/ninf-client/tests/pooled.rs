@@ -4,7 +4,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use ninf_client::{call_async_pooled, CallOptions, NinfClient};
+use ninf_client::{Call, CallOptions, NinfClient};
 use ninf_protocol::Value;
 use ninf_reactor::{MuxPool, PoolConfig};
 use ninf_server::{builtin::register_stdlib, NinfServer, Registry, ServerConfig};
@@ -77,15 +77,12 @@ fn pooled_async_calls_complete_concurrently() {
 
     let calls: Vec<_> = (0..6)
         .map(|_| {
-            call_async_pooled(
-                pool.clone(),
-                addr.clone(),
-                "ep".into(),
-                vec![Value::Int(4)],
-                opts(),
-                None,
-                "client",
-            )
+            Call {
+                options: opts(),
+                pool: Some(pool.clone()),
+                ..Call::new(addr.as_str(), "ep", vec![Value::Int(4)])
+            }
+            .spawn()
         })
         .collect();
     for call in calls {

@@ -25,14 +25,12 @@
 //! `results/experiments.json`, so live runs are comparable with the sim's
 //! Table 3/4 cells) and to CSV.
 
-pub mod hist;
 pub mod report;
 pub mod runner;
 pub mod scenario;
 pub mod spec;
 pub mod sweep;
 
-pub use hist::LogHistogram;
 pub use report::{CallResult, ClientSummary, Outcome, RunReport, ServerView, Summary};
 pub use runner::{run_scenario, Target};
 pub use scenario::{scenario, scenario_names, Scenario};

@@ -11,8 +11,8 @@ use std::path::{Path, PathBuf};
 use ninf_client::CallTiming;
 use ninf_protocol::CallStat;
 
-use crate::hist::LogHistogram;
 use crate::spec::{fnv1a, schedule_bytes};
+use ninf_obs::LogHistogram;
 
 /// How one call ended, from the client's point of view.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

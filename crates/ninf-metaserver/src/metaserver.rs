@@ -3,7 +3,7 @@
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use ninf_client::{call_async_pooled, AsyncCall, CallOptions, PlannedCall, Transaction, TxArg};
+use ninf_client::{AsyncCall, Call, CallOptions, PlannedCall, Transaction, TxArg};
 use ninf_obs::{recorder, Counter, MetricsRegistry, Span};
 use ninf_protocol::{ProtocolError, ProtocolResult, TraceContext, Value};
 use ninf_reactor::{MuxPool, PoolConfig};
@@ -98,7 +98,7 @@ impl Metaserver {
         let mut pool = self.directory.available_indices();
         if pool.is_empty() {
             // Entire fleet quarantined: fall back to everyone rather than
-            // panic; deadlines and the ft retry loop govern from there.
+            // panic; deadlines and the fail-over loop govern from there.
             pool = (0..self.directory.len()).collect();
         }
         let states = self.directory.probe_states(&pool, self.probe_deadline);
@@ -122,6 +122,40 @@ impl Metaserver {
         (0..self.directory.len()).find(|&i| self.directory.try_reinstate(i, self.probe_deadline))
     }
 
+    /// The one place a call leaves the metaserver: a pooled leg to server
+    /// `idx` under the configured options, its spans parented at `parent`.
+    /// [`Call::run`] it inline or [`Call::spawn`] it to fan out, then hand
+    /// the outcome to [`Metaserver::settle`].
+    fn leg(
+        &self,
+        idx: usize,
+        routine: &str,
+        args: Vec<Value>,
+        parent: Option<TraceContext>,
+    ) -> Call {
+        Call {
+            options: self.options,
+            pool: Some(self.pool.clone()),
+            trace_parent: parent,
+            process: "metaserver".into(),
+            ..Call::new(self.directory.entries()[idx].addr.clone(), routine, args)
+        }
+    }
+
+    /// Account one leg's outcome: the routed/error counters and the
+    /// directory's per-server failure streak (quarantine feeds on it).
+    fn settle<T>(&self, idx: usize, outcome: ProtocolResult<T>) -> ProtocolResult<T> {
+        self.routed.inc();
+        match &outcome {
+            Ok(_) => self.directory.record_success(idx),
+            Err(_) => {
+                self.failed.inc();
+                self.directory.record_failure(idx);
+            }
+        }
+        outcome
+    }
+
     /// Route one `Ninf_call` through the metaserver (the client "need not be
     /// aware … of the physical location of computing servers", §2.4).
     pub fn ninf_call(&self, routine: &str, args: &[Value]) -> ProtocolResult<Vec<Value>> {
@@ -143,38 +177,16 @@ impl Metaserver {
             .enabled()
             .then(|| parent.map(|p| p.child()).unwrap_or_else(TraceContext::root));
         let start_us = ninf_obs::now_us();
-        let bytes: f64 = args.iter().map(|v| v.wire_bytes() as f64).sum();
-        let route_start = ctx.map(|_| ninf_obs::now_us());
-        let idx = self.choose_server(CallEstimate {
-            bytes,
-            flops: bytes * 100.0,
-        });
-        let addr = self.directory.entries()[idx].addr.clone();
-        if let (Some(ctx), Some(start)) = (ctx, route_start) {
+        let idx = self.choose_server(estimate(args));
+        if let Some(ctx) = ctx {
             // The probe + balancing decision is its own hop.
+            let addr = &self.directory.entries()[idx].addr;
             recorder::global().record(
-                Span::at(ctx.child(), "route", "metaserver", start)
+                Span::at(ctx.child(), "route", "metaserver", start_us)
                     .with_detail(format!("server={idx} addr={addr}")),
             );
         }
-        let outcome = call_async_pooled(
-            self.pool.clone(),
-            addr,
-            routine.to_owned(),
-            args.to_vec(),
-            self.options,
-            ctx,
-            "metaserver",
-        )
-        .wait();
-        self.routed.inc();
-        match &outcome {
-            Ok(_) => self.directory.record_success(idx),
-            Err(_) => {
-                self.failed.inc();
-                self.directory.record_failure(idx);
-            }
-        }
+        let outcome = self.settle(idx, self.leg(idx, routine, args.to_vec(), ctx).run());
         let end_us = ninf_obs::now_us();
         self.metrics
             .histogram(
@@ -200,75 +212,21 @@ impl Metaserver {
     }
 
     /// Execute a recorded transaction: topologically layer the dependency
-    /// DAG, fan each layer out task-parallel across the fleet, and collect
-    /// slot values.
+    /// DAG, fan each layer out task-parallel across the fleet (exactly the
+    /// §4.3.1 EP fan-out), and collect slot values — fault-tolerantly
+    /// (§2.4: the metaserver "controls the parallel, fault-tolerant
+    /// execution of multiple sequence of Ninf_calls"). A call that fails on
+    /// one server is retried elsewhere with exponential backoff and jitter.
+    /// Every outcome feeds the directory's failure accounting — a server
+    /// that fails [`crate::directory::QUARANTINE_THRESHOLD`] times in a row
+    /// is quarantined and skipped by retries until a probe reinstates it.
+    /// When every server is quarantined, the quarantined ones are probed
+    /// and the first responder is put back in rotation before giving up.
+    /// Calls are bounded by the configured [`CallOptions`] deadline, so a
+    /// hung (accepting-but-silent) server costs one deadline, not a hang.
     ///
     /// Returns the final contents of every slot (`None` if nothing wrote it).
     pub fn execute_transaction(&self, tx: &Transaction) -> ProtocolResult<Vec<Option<Value>>> {
-        let levels = tx
-            .dependency_levels()
-            .map_err(|i| ProtocolError::Remote(format!("call #{i} reads an unwritten slot")))?;
-        let mut slots: Vec<Option<Value>> = vec![None; tx.slot_count()];
-
-        for level in levels {
-            // Launch every call in this level concurrently, each on its own
-            // connection (this is exactly the §4.3.1 EP fan-out).
-            let mut in_flight: Vec<(usize, AsyncCall)> = Vec::with_capacity(level.len());
-            for &call_idx in &level {
-                let call = &tx.calls()[call_idx];
-                let args = resolve_args(call, &slots)?;
-                let bytes: f64 = args.iter().map(|v| v.wire_bytes() as f64).sum();
-                let sidx = self.choose_server(CallEstimate {
-                    bytes,
-                    flops: bytes * 100.0,
-                });
-                let addr = self.directory.entries()[sidx].addr.clone();
-                in_flight.push((
-                    call_idx,
-                    call_async_pooled(
-                        self.pool.clone(),
-                        addr,
-                        call.routine.clone(),
-                        args,
-                        self.options,
-                        None,
-                        "metaserver",
-                    ),
-                ));
-            }
-            for (call_idx, pending) in in_flight {
-                let results = pending.wait()?;
-                let call = &tx.calls()[call_idx];
-                if results.len() < call.outputs.iter().filter(|o| o.is_some()).count() {
-                    return Err(ProtocolError::Remote(format!(
-                        "call #{call_idx} returned {} values, transaction binds more",
-                        results.len()
-                    )));
-                }
-                for (out, value) in call.outputs.iter().zip(results) {
-                    if let Some(slot) = out {
-                        slots[slot.0] = Some(value);
-                    }
-                }
-            }
-        }
-        Ok(slots)
-    }
-}
-
-impl Metaserver {
-    /// Fault-tolerant variant of [`Metaserver::execute_transaction`] (§2.4:
-    /// the metaserver "controls the parallel, fault-tolerant execution of
-    /// multiple sequence of Ninf_calls"): a call that fails on one server is
-    /// retried elsewhere with exponential backoff and jitter. Every outcome
-    /// feeds the directory's failure accounting — a server that fails
-    /// [`crate::directory::QUARANTINE_THRESHOLD`] times in a row is
-    /// quarantined and skipped by retries until a probe reinstates it. When
-    /// every server is quarantined, the quarantined ones are probed and the
-    /// first responder is put back in rotation before giving up. Calls are
-    /// bounded by the configured [`CallOptions`] deadline, so a hung
-    /// (accepting-but-silent) server costs one deadline, not a hang.
-    pub fn execute_transaction_ft(&self, tx: &Transaction) -> ProtocolResult<Vec<Option<Value>>> {
         let levels = tx
             .dependency_levels()
             .map_err(|i| ProtocolError::Remote(format!("call #{i} reads an unwritten slot")))?;
@@ -281,35 +239,13 @@ impl Metaserver {
             for &call_idx in &level {
                 let call = &tx.calls()[call_idx];
                 let args = resolve_args(call, &slots)?;
-                let bytes: f64 = args.iter().map(|v| v.wire_bytes() as f64).sum();
-                let sidx = self.choose_server(CallEstimate {
-                    bytes,
-                    flops: bytes * 100.0,
-                });
-                let addr = self.directory.entries()[sidx].addr.clone();
-                in_flight.push((
-                    call_idx,
-                    sidx,
-                    call_async_pooled(
-                        self.pool.clone(),
-                        addr,
-                        call.routine.clone(),
-                        args,
-                        self.options,
-                        None,
-                        "metaserver",
-                    ),
-                ));
+                let sidx = self.choose_server(estimate(&args));
+                let pending = self.leg(sidx, &call.routine, args, None).spawn();
+                in_flight.push((call_idx, sidx, pending));
             }
             for (call_idx, first_server, pending) in in_flight {
                 let call = &tx.calls()[call_idx];
-                let mut outcome = pending.wait();
-                match &outcome {
-                    Ok(_) => self.directory.record_success(first_server),
-                    Err(_) => {
-                        self.directory.record_failure(first_server);
-                    }
-                }
+                let mut outcome = self.settle(first_server, pending.wait());
                 let mut last_server = first_server;
                 let mut attempt: u32 = 0;
                 // Only retryable failures fail over: a Remote error is the
@@ -332,23 +268,7 @@ impl Metaserver {
                     // Arguments are re-resolved (slots from earlier levels
                     // are still intact).
                     let args = resolve_args(call, &slots)?;
-                    let addr = self.directory.entries()[sidx].addr.clone();
-                    outcome = call_async_pooled(
-                        self.pool.clone(),
-                        addr,
-                        call.routine.clone(),
-                        args,
-                        self.options,
-                        None,
-                        "metaserver",
-                    )
-                    .wait();
-                    match &outcome {
-                        Ok(_) => self.directory.record_success(sidx),
-                        Err(_) => {
-                            self.directory.record_failure(sidx);
-                        }
-                    }
+                    outcome = self.settle(sidx, self.leg(sidx, &call.routine, args, None).run());
                     last_server = sidx;
                     attempt += 1;
                 }
@@ -358,6 +278,12 @@ impl Metaserver {
                         call.routine
                     ))
                 })?;
+                if results.len() < call.outputs.iter().filter(|o| o.is_some()).count() {
+                    return Err(ProtocolError::Remote(format!(
+                        "call #{call_idx} returned {} values, transaction binds more",
+                        results.len()
+                    )));
+                }
                 for (out, value) in call.outputs.iter().zip(results) {
                     if let Some(slot) = out {
                         slots[slot.0] = Some(value);
@@ -366,6 +292,16 @@ impl Metaserver {
             }
         }
         Ok(slots)
+    }
+}
+
+/// What the metaserver can guess of a call's cost from its arguments
+/// alone: the payload it must move, and work proportional to it.
+fn estimate(args: &[Value]) -> CallEstimate {
+    let bytes: f64 = args.iter().map(|v| v.wire_bytes() as f64).sum();
+    CallEstimate {
+        bytes,
+        flops: bytes * 100.0,
     }
 }
 
@@ -386,7 +322,7 @@ fn resolve_args(call: &PlannedCall, slots: &[Option<Value>]) -> ProtocolResult<V
 mod tests {
     use super::*;
     use crate::directory::ServerEntry;
-    use ninf_client::Transaction;
+    use ninf_client::SlotId;
     use ninf_server::{
         builtin::register_stdlib, ExecMode, NinfServer, Registry, SchedPolicy, ServerConfig,
     };
@@ -417,6 +353,20 @@ mod tests {
             servers.push(server);
         }
         (servers, dir)
+    }
+
+    /// `calls` independent EP calls, each binding `(sums, counts)` slots.
+    fn ep_fan_out(calls: usize) -> (Transaction, Vec<(SlotId, SlotId)>) {
+        let mut tx = Transaction::new();
+        let slots = (0..calls)
+            .map(|_| {
+                let out = (tx.slot(), tx.slot());
+                let args = vec![TxArg::Value(Value::Int(10))];
+                tx.call("ep", args, vec![Some(out.0), Some(out.1)]);
+                out
+            })
+            .collect();
+        (tx, slots)
     }
 
     #[test]
@@ -451,18 +401,7 @@ mod tests {
     fn ep_transaction_fans_out_round_robin() {
         let (servers, dir) = spawn_fleet(3);
         let meta = Metaserver::new(dir, Balancing::RoundRobin);
-        let mut tx = Transaction::new();
-        let mut out_slots = Vec::new();
-        for _ in 0..6 {
-            let sums = tx.slot();
-            let counts = tx.slot();
-            tx.call(
-                "ep",
-                vec![TxArg::Value(Value::Int(10))],
-                vec![Some(sums), Some(counts)],
-            );
-            out_slots.push((sums, counts));
-        }
+        let (tx, out_slots) = ep_fan_out(6);
         let slots = meta.execute_transaction(&tx).unwrap();
         for (sums, counts) in out_slots {
             assert!(slots[sums.0].is_some());
@@ -535,6 +474,26 @@ mod tests {
     }
 
     #[test]
+    fn a_call_returning_fewer_values_than_the_transaction_binds_is_an_error() {
+        // `ep` returns two values; binding a third must fail the
+        // transaction, not finish `Ok` with a silently empty slot.
+        let (servers, dir) = spawn_fleet(1);
+        let meta = Metaserver::new(dir, Balancing::RoundRobin);
+        let mut tx = Transaction::new();
+        let outs = [tx.slot(), tx.slot(), tx.slot()];
+        tx.call(
+            "ep",
+            vec![TxArg::Value(Value::Int(8))],
+            outs.iter().copied().map(Some).collect(),
+        );
+        let err = meta.execute_transaction(&tx).unwrap_err();
+        assert!(err.to_string().contains("binds more"), "{err}");
+        for s in servers {
+            s.shutdown();
+        }
+    }
+
+    #[test]
     fn ft_execution_survives_a_dead_server() {
         let (mut servers, mut dir) = spawn_fleet(2);
         // Register a dead address as a third "server" that every third call
@@ -546,24 +505,11 @@ mod tests {
             linpack_mflops: 100.0,
         });
         let meta = Metaserver::new(dir, Balancing::RoundRobin);
-        let mut tx = Transaction::new();
-        let mut outs = Vec::new();
-        for _ in 0..6 {
-            let sums = tx.slot();
-            let counts = tx.slot();
-            tx.call(
-                "ep",
-                vec![TxArg::Value(Value::Int(10))],
-                vec![Some(sums), Some(counts)],
-            );
-            outs.push(sums);
-        }
-        // Plain execution fails (some calls land on the dead server)...
-        assert!(meta.execute_transaction(&tx).is_err());
-        // ...fault-tolerant execution retries them elsewhere and succeeds.
-        let slots = meta.execute_transaction_ft(&tx).unwrap();
-        for s in outs {
-            assert!(slots[s.0].is_some());
+        let (tx, outs) = ep_fan_out(6);
+        // Calls that land on the dead server are retried elsewhere.
+        let slots = meta.execute_transaction(&tx).unwrap();
+        for (sums, _) in outs {
+            assert!(slots[sums.0].is_some());
         }
         for s in servers.drain(..) {
             s.shutdown();
@@ -584,7 +530,7 @@ mod tests {
         let meta = Metaserver::new(dir, Balancing::RoundRobin);
         let mut tx = Transaction::new();
         tx.call("ep", vec![TxArg::Value(Value::Int(8))], vec![None, None]);
-        assert!(meta.execute_transaction_ft(&tx).is_err());
+        assert!(meta.execute_transaction(&tx).is_err());
     }
 
     /// A listener that accepts connections and then stays silent forever —
@@ -628,21 +574,10 @@ mod tests {
             fast_failure_options(),
             Some(std::time::Duration::from_millis(200)),
         );
-        let mut tx = Transaction::new();
-        let mut outs = Vec::new();
-        for _ in 0..6 {
-            let sums = tx.slot();
-            let counts = tx.slot();
-            tx.call(
-                "ep",
-                vec![TxArg::Value(Value::Int(10))],
-                vec![Some(sums), Some(counts)],
-            );
-            outs.push(sums);
-        }
-        let slots = meta.execute_transaction_ft(&tx).unwrap();
-        for s in outs {
-            assert!(slots[s.0].is_some());
+        let (tx, outs) = ep_fan_out(6);
+        let slots = meta.execute_transaction(&tx).unwrap();
+        for (sums, _) in outs {
+            assert!(slots[sums.0].is_some());
         }
         for s in servers.drain(..) {
             s.shutdown();
@@ -678,7 +613,7 @@ mod tests {
             vec![TxArg::Value(Value::Int(8))],
             vec![Some(sums), None],
         );
-        let slots = meta.execute_transaction_ft(&tx).unwrap();
+        let slots = meta.execute_transaction(&tx).unwrap();
         assert!(slots[sums.0].is_some());
         // The probe that reinstated it also cleared the quarantine.
         assert!(!meta.directory().is_quarantined(0));
@@ -707,7 +642,7 @@ mod tests {
         for _ in 0..8 {
             tx.call("ep", vec![TxArg::Value(Value::Int(8))], vec![None, None]);
         }
-        meta.execute_transaction_ft(&tx).unwrap();
+        meta.execute_transaction(&tx).unwrap();
         assert!(meta.directory().is_quarantined(1));
         assert!(!meta.directory().is_quarantined(0));
         for s in servers.drain(..) {

@@ -12,6 +12,9 @@
 //! - [`window`]: bounded ring of fixed-interval window snapshots over a
 //!   registry — per-second series instead of lifetime totals; `QueryMetrics`
 //!   serves from it.
+//! - [`ring`]: [`CursorRing`], the one bounded ring with a monotone index and
+//!   exactly-once cursors that the recorder, the windows and the server's
+//!   call records all keep their history in.
 //! - [`hist`]: the log-scale latency histogram (shared with `ninf-loadgen`).
 //! - [`export`]: joins per-process spans into call trees, exports Chrome
 //!   `trace_event` JSON for Perfetto, validates nesting, diffs live vs sim.
@@ -26,11 +29,13 @@ pub mod http;
 pub mod log;
 pub mod metrics;
 pub mod recorder;
+pub mod ring;
 pub mod trace;
 pub mod window;
 
 pub use hist::LogHistogram;
 pub use metrics::{process_metrics, Counter, Gauge, MetricsRegistry};
 pub use recorder::FlightRecorder;
+pub use ring::CursorRing;
 pub use trace::{next_id, now_us, Span, TraceContext};
 pub use window::{MetricFrame, MetricKind, MetricSample, WindowsSnapshot};

@@ -5,12 +5,12 @@
 //! the configured capacity — the recorder evicts the oldest span and counts
 //! the drop instead. `QueryTrace` serves straight from here.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use parking_lot::Mutex;
 
+use crate::ring::CursorRing;
 use crate::trace::Span;
 
 /// Default ring capacity: ~64k spans ≈ a few minutes of heavy load, a few
@@ -21,16 +21,13 @@ pub const DEFAULT_CAPACITY: usize = 65_536;
 /// empty or `0`).
 pub const TRACE_ENV: &str = "NINF_TRACE";
 
-struct Ring {
-    buf: VecDeque<Span>,
-    cap: usize,
-}
-
 /// Bounded, drop-counting span sink shared by every thread of a process.
 pub struct FlightRecorder {
     enabled: AtomicBool,
+    /// Evictions only — [`FlightRecorder::clear`] is not a drop — and
+    /// readable without the ring lock.
     dropped: AtomicU64,
-    ring: Mutex<Ring>,
+    ring: Mutex<CursorRing<Span>>,
 }
 
 impl std::fmt::Debug for FlightRecorder {
@@ -49,10 +46,7 @@ impl FlightRecorder {
         Self {
             enabled: AtomicBool::new(false),
             dropped: AtomicU64::new(0),
-            ring: Mutex::new(Ring {
-                buf: VecDeque::new(),
-                cap: capacity.max(1),
-            }),
+            ring: Mutex::new(CursorRing::new(capacity)),
         }
     }
 
@@ -79,19 +73,15 @@ impl FlightRecorder {
         if !self.enabled() {
             return;
         }
-        let mut ring = self.ring.lock();
-        if ring.buf.len() >= ring.cap {
-            ring.buf.pop_front();
+        if self.ring.lock().push(span) {
             self.dropped.fetch_add(1, Ordering::Relaxed);
         }
-        ring.buf.push_back(span);
     }
 
     /// Spans for one trace, or all retained spans when `trace_id == 0`.
     pub fn snapshot(&self, trace_id: u64) -> Vec<Span> {
         let ring = self.ring.lock();
-        ring.buf
-            .iter()
+        ring.since(0)
             .filter(|s| trace_id == 0 || s.trace_id == trace_id)
             .cloned()
             .collect()
@@ -104,7 +94,7 @@ impl FlightRecorder {
 
     /// Spans currently retained.
     pub fn len(&self) -> usize {
-        self.ring.lock().buf.len()
+        self.ring.lock().len()
     }
 
     /// Whether the ring is empty.
@@ -114,7 +104,7 @@ impl FlightRecorder {
 
     /// Drop all retained spans (keeps the drop counter).
     pub fn clear(&self) {
-        self.ring.lock().buf.clear();
+        self.ring.lock().clear();
     }
 }
 

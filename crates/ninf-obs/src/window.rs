@@ -12,13 +12,14 @@
 //! Capture is sampling-based: a caller (the `MetricsRegistry` sampler
 //! thread, or a test) closes windows explicitly; the hot-path metric
 //! handles are untouched, so a disarmed registry pays nothing — not even a
-//! branch. The ring mirrors the server stats ring: a monotone global window
-//! index survives eviction, `snapshot_since` clamps stale cursors to the
-//! ring base, and the pair `(total, dropped)` lets a poller prove
+//! branch. Frames live in the stack's one [`CursorRing`]: a monotone global
+//! window index survives eviction, stale cursors clamp to the oldest
+//! retained frame, and the pair `(total, dropped)` lets a poller prove
 //! exactly-once delivery of every window it was fast enough to see.
 
-use std::collections::VecDeque;
 use std::time::Instant;
+
+use crate::ring::CursorRing;
 
 /// Default ring capacity: ~8.5 minutes of 1 s windows.
 pub const DEFAULT_WINDOW_CAPACITY: usize = 512;
@@ -108,10 +109,7 @@ pub(crate) struct WindowState {
     /// Configured interval, seconds (informational — capture cadence is the
     /// caller's).
     pub(crate) interval: f64,
-    pub(crate) cap: usize,
-    pub(crate) frames: VecDeque<MetricFrame>,
-    /// Windows evicted; frame `frames[0]` has global index `base`.
-    pub(crate) base: u64,
+    frames: CursorRing<MetricFrame>,
     /// Previous cumulative value per metric name.
     pub(crate) prev: std::collections::HashMap<String, PrevCumulative>,
 }
@@ -121,45 +119,25 @@ impl WindowState {
         Self {
             epoch: Instant::now(),
             interval,
-            cap: cap.max(1),
-            frames: VecDeque::new(),
-            base: 0,
+            frames: CursorRing::new(cap),
             prev: std::collections::HashMap::new(),
         }
     }
 
-    /// Windows ever closed.
-    pub(crate) fn total(&self) -> u64 {
-        self.base + self.frames.len() as u64
-    }
-
-    /// Append a closed window, evicting the oldest at capacity.
+    /// Append a closed window, stamped with its global index.
     pub(crate) fn push(&mut self, t: f64, samples: Vec<MetricSample>) {
-        let window = self.total();
-        if self.frames.len() == self.cap {
-            self.frames.pop_front();
-            self.base += 1;
-        }
-        self.frames.push_back(MetricFrame { window, t, samples });
+        let window = self.frames.total();
+        self.frames.push(MetricFrame { window, t, samples });
     }
 
-    /// Frames from global index `since` onward; a stale cursor (pointing at
-    /// evicted windows) clamps to the ring base, a future cursor to the end.
+    /// Retained frames from global window index `since` onward.
     pub(crate) fn snapshot_since(&self, since: u64) -> WindowsSnapshot {
-        let total = self.total();
-        let from = since.clamp(self.base, total);
-        let frames = self
-            .frames
-            .iter()
-            .skip((from - self.base) as usize)
-            .cloned()
-            .collect();
         WindowsSnapshot {
             now: self.epoch.elapsed().as_secs_f64(),
             interval: self.interval,
-            total,
-            dropped: self.base,
-            frames,
+            total: self.frames.total(),
+            dropped: self.frames.evicted(),
+            frames: self.frames.since(since).cloned().collect(),
         }
     }
 }
@@ -172,6 +150,9 @@ mod tests {
         s.frames.iter().map(|f| f.window).collect()
     }
 
+    /// The ring's exactly-once property is `CursorRing`'s test; what is
+    /// the window's own is that each frame carries its global index and
+    /// the snapshot reports `(total, dropped)` beside the frames.
     #[test]
     fn ring_evicts_but_indices_stay_global() {
         let mut w = WindowState::new(1.0, 4);
@@ -182,43 +163,8 @@ mod tests {
         assert_eq!(s.total, 10);
         assert_eq!(s.dropped, 6);
         assert_eq!(frame_indices(&s), vec![6, 7, 8, 9]);
-    }
-
-    #[test]
-    fn incremental_cursors_are_exactly_once_across_eviction() {
-        // Mirror of the stats-ring invariant: a poller advancing its cursor
-        // to `total` after each snapshot sees every window exactly once as
-        // long as it keeps within one ring of the writer, and the clamp
-        // makes a lagging poller skip exactly the evicted prefix.
-        let mut w = WindowState::new(1.0, 8);
-        let mut cursor = 0u64;
-        let mut seen: Vec<u64> = Vec::new();
-        for i in 0..30 {
-            w.push(i as f64, Vec::new());
-            if i % 3 == 2 {
-                let s = w.snapshot_since(cursor);
-                seen.extend(frame_indices(&s));
-                cursor = s.total;
-            }
-        }
-        let s = w.snapshot_since(cursor);
-        seen.extend(frame_indices(&s));
-        // Every window 0..30, each exactly once.
-        assert_eq!(seen, (0..30).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn lagging_cursor_clamps_to_ring_base() {
-        let mut w = WindowState::new(1.0, 4);
-        for i in 0..12 {
-            w.push(i as f64, Vec::new());
-        }
-        // Cursor 2 points at evicted windows; the clamp skips to base 8.
-        let s = w.snapshot_since(2);
-        assert_eq!(frame_indices(&s), vec![8, 9, 10, 11]);
-        // A cursor beyond the end yields nothing (and no panic).
-        let s = w.snapshot_since(99);
-        assert!(s.frames.is_empty());
-        assert_eq!(s.total, 12);
+        // A stale cursor gets the same frames and the same accounting.
+        assert_eq!(w.snapshot_since(2).frames, s.frames);
+        assert!(w.snapshot_since(99).frames.is_empty());
     }
 }

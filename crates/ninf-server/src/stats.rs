@@ -7,17 +7,17 @@
 //! completed T_complete." — with `T_response = T_enqueue − T_submit` and
 //! `T_wait = T_dequeue − T_enqueue`.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use parking_lot::Mutex;
 
+use ninf_obs::CursorRing;
 use ninf_protocol::{CallStat, LoadReport};
 
 /// Default cap on retained [`CallRecord`]s. A long-lived server keeps a
 /// bounded window of recent history instead of growing without limit; the
-/// monotone record index (`base`) keeps incremental stats queries correct
+/// ring's monotone record index keeps incremental stats queries correct
 /// across eviction.
 pub const DEFAULT_RECORD_CAPACITY: usize = 65_536;
 
@@ -79,38 +79,11 @@ impl CallRecord {
     }
 }
 
-/// Bounded record history: a ring of the most recent records plus the
-/// monotone index of the oldest retained one, so global record indices
-/// (`base..base+buf.len()`) stay stable as old entries are evicted.
-#[derive(Debug)]
-struct RecordRing {
-    buf: VecDeque<CallRecord>,
-    /// Global index of `buf[0]`; equivalently, how many records have been
-    /// evicted so far.
-    base: u64,
-    cap: usize,
-}
-
-impl RecordRing {
-    fn push(&mut self, record: CallRecord) {
-        if self.buf.len() == self.cap {
-            self.buf.pop_front();
-            self.base += 1;
-        }
-        self.buf.push_back(record);
-    }
-
-    /// Total records ever completed (retained + evicted).
-    fn total(&self) -> u64 {
-        self.base + self.buf.len() as u64
-    }
-}
-
 /// Shared, thread-safe statistics sink of a live server.
 #[derive(Debug)]
 pub struct ServerStats {
     start: Instant,
-    records: Mutex<RecordRing>,
+    records: Mutex<CursorRing<CallRecord>>,
     running: AtomicUsize,
     queued: AtomicUsize,
     pes: usize,
@@ -126,11 +99,7 @@ impl ServerStats {
     pub fn with_capacity(pes: usize, capacity: usize) -> Self {
         Self {
             start: Instant::now(),
-            records: Mutex::new(RecordRing {
-                buf: VecDeque::with_capacity(capacity.min(DEFAULT_RECORD_CAPACITY)),
-                base: 0,
-                cap: capacity.max(1),
-            }),
+            records: Mutex::new(CursorRing::new(capacity)),
             running: AtomicUsize::new(0),
             queued: AtomicUsize::new(0),
             pes,
@@ -162,7 +131,7 @@ impl ServerStats {
 
     /// Copy of all *retained* records (the most recent window).
     pub fn snapshot(&self) -> Vec<CallRecord> {
-        self.records.lock().buf.iter().cloned().collect()
+        self.records.lock().since(0).cloned().collect()
     }
 
     /// Incremental wire snapshot for a stats query: records from global index
@@ -173,15 +142,8 @@ impl ServerStats {
     /// cursor-driven poller sees every retained record exactly once.
     pub fn snapshot_since(&self, since: u64) -> (f64, u64, Vec<CallStat>) {
         let records = self.records.lock();
-        let total = records.total();
-        let from = since.clamp(records.base, total);
-        let wire = records
-            .buf
-            .iter()
-            .skip((from - records.base) as usize)
-            .map(CallRecord::to_wire)
-            .collect();
-        (self.now(), total, wire)
+        let wire = records.since(since).map(CallRecord::to_wire).collect();
+        (self.now(), records.total(), wire)
     }
 
     /// Number of completed calls over the server's lifetime (including
@@ -192,7 +154,7 @@ impl ServerStats {
 
     /// Number of records currently retained (bounded by the ring capacity).
     pub fn retained(&self) -> usize {
-        self.records.lock().buf.len()
+        self.records.lock().len()
     }
 
     /// Current load report for the metaserver.
@@ -292,47 +254,29 @@ mod tests {
         assert_eq!(snap[cap - 1].t_submit, (10 * cap - 1) as f64);
     }
 
-    /// A cursor-driven incremental poller sees each record exactly once,
-    /// even when eviction removes records between polls.
+    /// The exactly-once cursor property is `ninf_obs::CursorRing`'s own
+    /// test; the stats sink's part is the wire form: the server clock, the
+    /// lifetime total (evicted records included) and the retained records
+    /// from the cursor on, as `CallStat`s.
     #[test]
-    fn incremental_queries_are_exactly_once_across_eviction() {
-        let cap = 4;
-        let s = ServerStats::with_capacity(1, cap);
-        let mut cursor = 0u64;
-        let mut seen = Vec::new();
-        let push = |s: &ServerStats, i: usize| {
+    fn incremental_queries_answer_in_wire_form_with_the_lifetime_total() {
+        let s = ServerStats::with_capacity(1, 4);
+        for i in 0..6 {
             s.job_queued();
             s.job_started();
-            s.job_finished(record(i as f64, i as f64, i as f64, i as f64));
-        };
-        // Poll faster than eviction: nothing lost, nothing duplicated.
-        for i in 0..6 {
-            push(&s, i);
-            if i % 2 == 1 {
-                let (_, total, batch) = s.snapshot_since(cursor);
-                seen.extend(batch.iter().map(|r| r.t_submit as usize));
-                cursor = total;
-            }
+            s.job_finished(record(i as f64, i as f64, i as f64, i as f64 + 0.5));
         }
-        assert_eq!(seen, vec![0, 1, 2, 3, 4, 5]);
-
-        // Now fall behind: 10 more records through a 4-slot ring evicts the
-        // middle. The poller gets only the retained tail — no duplicates,
-        // and the total accounts for the evicted gap.
-        for i in 6..16 {
-            push(&s, i);
-        }
-        let (_, total, batch) = s.snapshot_since(cursor);
-        assert_eq!(total, 16);
-        let tail: Vec<usize> = batch.iter().map(|r| r.t_submit as usize).collect();
-        assert_eq!(tail, vec![12, 13, 14, 15]);
-        cursor = total;
-        // Fully drained: the same cursor now yields an empty, stable reply.
-        let (_, total, batch) = s.snapshot_since(cursor);
-        assert_eq!(total, 16);
-        assert!(batch.is_empty());
-        // A stale cursor (before the window) is clamped, not wrapped.
-        let (_, _, batch) = s.snapshot_since(0);
-        assert_eq!(batch.len(), cap);
+        let (now, total, batch) = s.snapshot_since(3);
+        assert!(now >= 0.0);
+        assert_eq!(total, 6);
+        let retained: Vec<CallStat> = s.snapshot().iter().map(CallRecord::to_wire).collect();
+        assert_eq!(batch, retained[1..]);
+        assert_eq!(
+            (batch[0].t_submit, batch[0].routine.as_str()),
+            (3.0, "linpack")
+        );
+        // Drained cursor: empty; stale cursor: everything retained.
+        assert!(s.snapshot_since(total).2.is_empty());
+        assert_eq!(s.snapshot_since(0).2, retained);
     }
 }

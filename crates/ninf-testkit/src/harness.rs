@@ -447,7 +447,7 @@ fn drive_transaction(
         tx.call("ep", vec![TxArg::Value(Value::Int(8))], vec![Some(s), None]);
         slots.push(s);
     }
-    let out = meta.execute_transaction_ft(&tx)?;
+    let out = meta.execute_transaction(&tx)?;
     let completions: Vec<u32> = slots
         .iter()
         .map(|s| u32::from(out.get(s.0).is_some_and(|v| v.is_some())))

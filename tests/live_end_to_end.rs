@@ -3,7 +3,7 @@
 
 use std::time::{Duration, Instant};
 
-use ninf::client::{call_async, CallOptions, NinfClient, Transaction, TxArg};
+use ninf::client::{call_async, Call, CallOptions, NinfClient, Transaction, TxArg};
 use ninf::metaserver::{Balancing, Directory, Metaserver, ServerEntry, QUARANTINE_THRESHOLD};
 use ninf::protocol::{
     LinkShape, LinkTransport, Message, ProtocolError, TcpTransport, Transport, Value,
@@ -352,7 +352,7 @@ fn metaserver_ft_retries_on_failure() {
         vec![TxArg::Value(Value::Int(10))],
         vec![Some(out), None],
     );
-    let slots = meta.execute_transaction_ft(&tx).unwrap();
+    let slots = meta.execute_transaction(&tx).unwrap();
     assert!(slots[out.0].is_some());
     live.shutdown();
 }
@@ -516,17 +516,16 @@ fn client_retries_reach_a_late_starting_server() {
         )
         .expect("late server starts")
     });
-    let out = ninf::client::call_with_options(
-        &addr,
-        "ep",
-        &[Value::Int(8)],
-        CallOptions {
+    let out = Call {
+        options: CallOptions {
             deadline: Some(Duration::from_secs(2)),
             retries: 40,
             backoff: Duration::from_millis(25),
             ..CallOptions::default()
         },
-    )
+        ..Call::new(addr, "ep", vec![Value::Int(8)])
+    }
+    .run()
     .unwrap();
     assert_eq!(out.len(), 2);
     starter.join().unwrap().shutdown();
@@ -594,7 +593,7 @@ fn quarantined_live_server_is_probed_and_reinstated() {
 
 #[test]
 fn metaserver_ft_survives_hung_server_live() {
-    // Acceptance: execute_transaction_ft succeeds against a directory
+    // Acceptance: execute_transaction succeeds against a directory
     // containing a hung (accepting-but-silent) server, not just a
     // connection-refusing one.
     let live = start_server(1, ExecMode::TaskParallel);
@@ -634,7 +633,7 @@ fn metaserver_ft_survives_hung_server_live() {
         outs.push(sums);
     }
     let start = Instant::now();
-    let slots = meta.execute_transaction_ft(&tx).unwrap();
+    let slots = meta.execute_transaction(&tx).unwrap();
     for s in outs {
         assert!(slots[s.0].is_some());
     }
