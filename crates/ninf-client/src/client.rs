@@ -48,10 +48,12 @@ pub struct CallOptions {
     /// whose XDR image is at least [`ninf_protocol::CHUNK_THRESHOLD`]
     /// bytes are pre-shipped as chunks fanned out over this many
     /// dedicated multiplexed streams (GridFTP-style parallel TCP), then
-    /// named by content ref in the call itself — `1` measures the chunked
-    /// path single-lane, the baseline a stream-count sweep compares
-    /// against. Requires a dialed client (an address to fan out to) and
-    /// `arg_cache`; otherwise it is ignored.
+    /// named by content ref in the call itself. Every lane keeps a sliding
+    /// window of chunks in flight, sized from `wan` when it names the
+    /// link ([`ninf_protocol::lane_window`]), so `1` already fills a
+    /// long-fat pipe; more lanes are what a stream-count sweep compares
+    /// against it. Requires a dialed client (an address to fan out to)
+    /// and `arg_cache`; otherwise it is ignored.
     pub streams: u32,
     /// Chunk payload size for parallel bulk transfer, in bytes.
     pub chunk_bytes: u32,
@@ -61,13 +63,13 @@ pub struct CallOptions {
     /// default) sends at wire speed. Pair with `ninfd --wan` to shape the
     /// reply direction.
     pub wan: Option<ninf_protocol::LinkShape>,
-    /// Per-chunk send+ack deadline for the bulk lanes, driving loss
-    /// recovery: a lane that misses it retransmits the chunk. `None`
+    /// Per-chunk ack deadline for the bulk lanes, driving loss recovery:
+    /// a chunk whose ack misses it is sent again. `None`
     /// falls back to `deadline`, then to
     /// [`crate::bulk::DEFAULT_LANE_DEADLINE`]. On a lossy link this
     /// should be a small multiple of the per-chunk round trip — far
     /// shorter than the whole-call `deadline` — or every lost chunk
-    /// stalls its lane for the full call budget.
+    /// holds its upload open for the full call budget.
     pub lane_deadline: Option<Duration>,
 }
 

@@ -229,3 +229,70 @@ fn transport_wrapped_clients_ignore_the_streams_knob() {
     assert_eq!(timing.bulk_bytes, 0);
     server.shutdown();
 }
+
+#[test]
+fn a_silent_server_sees_each_chunk_four_times_and_only_one_connection() {
+    // A peer that takes every chunk and acks none. Deadlines are not
+    // deaths: the lane must give up after `MAX_CHUNK_ATTEMPTS` sends of a
+    // chunk on the connection it has, not redial a healthy one and send a
+    // fifth copy down it.
+    use std::net::{TcpListener, TcpStream};
+    use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+    use std::sync::Arc;
+
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let done = Arc::new(AtomicBool::new(false));
+    let (conns, frames) = (Arc::new(AtomicU32::new(0)), Arc::new(AtomicU32::new(0)));
+    let acceptor = {
+        let (done, conns, frames) = (done.clone(), conns.clone(), frames.clone());
+        std::thread::spawn(move || {
+            let mut readers = Vec::new();
+            for stream in listener.incoming() {
+                if done.load(Ordering::SeqCst) {
+                    break;
+                }
+                conns.fetch_add(1, Ordering::SeqCst);
+                let frames = frames.clone();
+                readers.push(std::thread::spawn(move || {
+                    let mut reader = std::io::BufReader::new(stream.unwrap());
+                    while let Ok((_, msg)) = ninf_protocol::read_frame_mux(&mut reader) {
+                        assert_eq!(msg.kind(), "PutArgChunk");
+                        frames.fetch_add(1, Ordering::SeqCst);
+                    }
+                }));
+            }
+            for r in readers {
+                r.join().unwrap();
+            }
+        })
+    };
+
+    let image = vec![0x5a_u8; 3 * 1024];
+    let digest = ninf_protocol::Digest::of(&image);
+    let err = parallel_put(
+        &addr,
+        digest,
+        &image,
+        1,
+        1024,
+        Some(Duration::from_millis(40)),
+        None,
+    )
+    .unwrap_err();
+    assert!(err.is_timeout(), "{err}");
+    // The lane has hung up (its readers see EOF); wake the acceptor.
+    done.store(true, Ordering::SeqCst);
+    drop(TcpStream::connect(&addr).unwrap());
+    acceptor.join().unwrap();
+    assert_eq!(
+        conns.load(Ordering::SeqCst),
+        1,
+        "a deadline caused a redial"
+    );
+    assert_eq!(
+        frames.load(Ordering::SeqCst),
+        3 * ninf_client::MAX_CHUNK_ATTEMPTS,
+        "every chunk goes MAX_CHUNK_ATTEMPTS times, no more"
+    );
+}

@@ -51,13 +51,13 @@ pub use frame::{
     PROTOCOL_VERSION,
 };
 pub use link::{
-    eff_loss_ppm, link_fingerprint, link_for, link_schedule, planned_event, LinkEvent, LinkHistory,
-    LinkShape, LinkStats, LinkTransport, SharedLink,
+    eff_loss_ppm, lane_window, link_fingerprint, link_for, link_schedule, planned_event, LinkEvent,
+    LinkHistory, LinkShape, LinkStats, LinkTransport, SharedLink, MAX_LANE_WINDOW,
 };
 pub use marshal::{
     reply_payload_bytes, request_payload_bytes, validate_call_args, validate_results,
 };
 pub use message::{Arg, CallStat, JobPhase, LoadReport, Message};
 pub use ninf_obs::{MetricFrame, MetricKind, MetricSample, Span, TraceContext, WindowsSnapshot};
-pub use transport::{ChannelTransport, TcpTransport, Transport};
+pub use transport::{ChannelTransport, Pipelined, TcpTransport, Transport};
 pub use value::Value;

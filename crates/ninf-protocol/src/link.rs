@@ -7,9 +7,18 @@
 //! lanes sharing the link (the congestion term — the mechanism behind the
 //! GridFTP high-N collapse), and seeded stalls, truncations and bit flips.
 //! [`LinkTransport`] wraps any [`Transport`] and imposes the shape on the
-//! send path: pace through the [`SharedLink`], then apply the operation's
-//! [`LinkEvent`]. Receives pass through untouched: shaping one direction of
-//! a request/reply pair already serializes the conversation through the
+//! send path. A frame occupies its *sender* only while it serialises
+//! through the [`SharedLink`] (queueing behind other lanes included); it
+//! then takes the operation's [`LinkEvent`] and reaches the inner transport
+//! one propagation delay (plus a stall, if it drew one) later, FIFO per
+//! lane, from a small delay line the wrapper drains whenever its caller is
+//! inside `send` or `recv` — no thread, no timer. A caller that sends and
+//! then waits for the reply sees exactly what a sleeping sender would show
+//! it, because a reply cannot precede its request's arrival; a caller that
+//! keeps sending (a bulk lane's window, through [`Pipelined`]) pays the
+//! delay once per burst rather than once per frame, which is what a real
+//! path does. Receives pass through untouched: shaping one direction of a
+//! request/reply pair already serializes the conversation through the
 //! link. Loss and stalls model lost/held packets (the peer sees silence, so
 //! the reader's deadline governs recovery); truncation and garbling model
 //! on-the-wire corruption, which the receiver's framing layer must reject
@@ -31,15 +40,14 @@
 //! prediction cannot disagree about what the link decided — only about the
 //! physics. `docs/MODEL.md` §"Link model" records the event mapping.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
 use crate::error::ProtocolResult;
-use crate::frame::{write_frame, FRAME_HEADER_BYTES};
 use crate::message::Message;
-use crate::transport::Transport;
+use crate::transport::{Pipelined, Transport};
 
 /// One link's shape. All-integer so specs hash and compare exactly (it
 /// rides inside `CallOptions`, which is `Copy + Eq`). The four `*_ppm`
@@ -95,6 +103,26 @@ const MAX_EFF_LOSS_PPM: u64 = 950_000;
 pub fn eff_loss_ppm(shape: &LinkShape, lanes: u32) -> u32 {
     let extra = shape.congestion_ppm as u64 * lanes.saturating_sub(1) as u64;
     (shape.loss_ppm as u64 + extra).min(MAX_EFF_LOSS_PPM) as u32
+}
+
+/// Most chunks a bulk lane keeps un-acked, whatever the link: well inside
+/// the server's per-connection in-flight bound.
+pub const MAX_LANE_WINDOW: u32 = 16;
+
+/// Un-acked chunks a bulk lane keeps in flight. Over a named link it is
+/// that link's bandwidth-delay product in chunks,
+/// `ceil(bw × 2·delay ÷ chunk_bytes)` — the least that keeps the pipe full
+/// while the oldest ack is on its way back; an uncapped link has no such
+/// product and takes the cap. With no link named TCP's own window paces the
+/// lane, so it also takes the cap. Always within `1..=MAX_LANE_WINDOW`.
+/// The uploader and the simulator both call this; nothing configures it.
+pub fn lane_window(link: Option<&LinkShape>, chunk_bytes: u32) -> u32 {
+    let Some(shape) = link.filter(|s| s.bytes_per_sec > 0) else {
+        return MAX_LANE_WINDOW;
+    };
+    let bdp = shape.bytes_per_sec as u128 * 2 * shape.delay_us as u128 / 1_000_000;
+    let chunks = bdp.div_ceil(chunk_bytes.max(1) as u128);
+    chunks.clamp(1, MAX_LANE_WINDOW as u128) as u32
 }
 
 impl LinkShape {
@@ -237,8 +265,9 @@ fn parse_ppm(v: &str) -> Result<u32, String> {
 /// The shared bottleneck all lanes to one destination contend on. Frames
 /// queue FIFO: each send reserves the next free transmission slot
 /// (`len / bytes_per_sec` long), so N lanes collectively never exceed the
-/// cap, while a single stop-and-wait lane leaves the link idle during
-/// its propagation-delay waits — the headroom parallel streams harvest.
+/// cap. A lane whose window is smaller than the bandwidth-delay product
+/// leaves the link idle while it waits for acks — the headroom parallel
+/// streams harvest, and a full window ([`lane_window`]) does not leave.
 #[derive(Debug)]
 pub struct SharedLink {
     shape: LinkShape,
@@ -269,39 +298,29 @@ impl SharedLink {
         self.lanes.load(Ordering::Relaxed)
     }
 
-    /// Serialize `len` bytes through the bottleneck: reserve the next
-    /// free slot and return when the last byte has left the link. The
-    /// propagation delay is *not* included — [`SharedLink::deliver`] adds
-    /// it for frames that actually arrive.
-    pub fn transmit(&self, len: usize) {
+    /// Reserve the next free slot of the bottleneck for `len` bytes and
+    /// return the instant their last byte leaves the link (now, on an
+    /// uncapped link). The sender is busy until then.
+    pub fn reserve(&self, len: usize) -> Instant {
         if self.shape.bytes_per_sec == 0 {
-            return;
+            return Instant::now();
         }
         let tx = Duration::from_nanos(
             (len as u128 * 1_000_000_000 / self.shape.bytes_per_sec as u128) as u64,
         );
-        let done = {
-            let mut free = self.next_free.lock().unwrap_or_else(|e| e.into_inner());
-            let now = self.epoch.elapsed();
-            let start = (*free).max(now);
-            *free = start + tx;
-            *free
-        };
-        let now = self.epoch.elapsed();
-        if done > now {
-            std::thread::sleep(done - now);
-        }
+        let mut free = self.next_free.lock().unwrap_or_else(|e| e.into_inner());
+        *free = (*free).max(self.epoch.elapsed()) + tx;
+        self.epoch + *free
     }
 
-    /// Carry `len` bytes all the way across: [`SharedLink::transmit`],
-    /// then the propagation delay. This is the whole lossless pacing of a
-    /// frame — what [`LinkTransport`] does to every send that arrives, and
-    /// what a server calls directly to shape its reply direction.
+    /// Carry `len` bytes all the way across on the calling thread: sleep
+    /// through the [`SharedLink::reserve`]d slot, then the propagation
+    /// delay. A server shapes its reply direction with this, on the worker
+    /// that wrote the reply; [`LinkTransport`] does not — its frames wait
+    /// out the delay in a delay line while the sender moves on.
     pub fn deliver(&self, len: usize) {
-        self.transmit(len);
-        if self.shape.delay_us > 0 {
-            std::thread::sleep(Duration::from_micros(self.shape.delay_us));
-        }
+        let gone = self.reserve(len) + Duration::from_micros(self.shape.delay_us);
+        std::thread::sleep(gone.saturating_duration_since(Instant::now()));
     }
 }
 
@@ -341,7 +360,8 @@ pub enum LinkEvent {
     Forward,
     /// Transmitted (link time consumed) but lost downstream.
     Lose,
-    /// Held for the shape's stall time, then forwarded.
+    /// Forwarded, arriving the shape's stall time late (and holding back
+    /// the lane's later frames: arrival is FIFO).
     Stall,
     /// Frame cut to a nonempty strict prefix.
     Truncate,
@@ -460,12 +480,12 @@ pub fn link_fingerprint(shape: &LinkShape, lane: u32, lanes: u32, ops: u64) -> u
 /// Counters of what the link did to one lane's sends.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LinkStats {
-    /// Sends delivered intact to the inner transport (stalled ones count
-    /// here too).
+    /// Sends put on the link intact, bound for the inner transport
+    /// (stalled ones count here too).
     pub forwarded: u64,
     /// Sends lost downstream (link time still consumed).
     pub lost: u64,
-    /// Sends held before forwarding.
+    /// Sends whose arrival was held back by the stall time.
     pub stalled: u64,
     /// Frames cut short.
     pub truncated: u64,
@@ -507,11 +527,20 @@ impl LinkHistory {
     }
 }
 
+/// A frame that has left the sender and not yet reached the far end.
+struct InFlight {
+    /// When it arrives, i.e. is due on the inner transport.
+    at: Instant,
+    frame: Vec<u8>,
+}
+
 /// A transport wrapper that imposes a [`LinkShape`] on the send path:
 /// every outgoing frame queues through the lane's [`SharedLink`]
-/// bottleneck, then takes the lane's seeded event — it arrives after the
-/// propagation delay (possibly stalled, truncated or garbled first) or is
-/// lost. Receives pass through untouched.
+/// bottleneck (the only time the sender spends on it), then takes the
+/// lane's seeded event — it reaches the inner transport after the
+/// propagation delay (possibly stalled, truncated or garbled on the way) or
+/// is lost. Receives pass through untouched. Dropping the wrapper drops
+/// whatever is still in flight.
 pub struct LinkTransport<T: Transport> {
     inner: T,
     link: Arc<SharedLink>,
@@ -520,6 +549,8 @@ pub struct LinkTransport<T: Transport> {
     op: u64,
     stats: LinkStats,
     history: LinkHistory,
+    /// The delay line: frames in flight, in arrival (= send) order.
+    line: VecDeque<InFlight>,
 }
 
 impl<T: Transport> LinkTransport<T> {
@@ -535,6 +566,7 @@ impl<T: Transport> LinkTransport<T> {
             op: 0,
             stats: LinkStats::default(),
             history: LinkHistory::default(),
+            line: VecDeque::new(),
         }
     }
 
@@ -555,34 +587,93 @@ impl<T: Transport> LinkTransport<T> {
         self.history.clone()
     }
 
-    /// Take the next operation's event and pace `len` bytes through the
-    /// link accordingly. On return a frame that arrives at all has also
-    /// crossed the propagation delay; the caller only has to put the
-    /// (possibly mangled) bytes on the inner transport.
-    fn pace(&mut self, len: usize) -> (LinkEvent, SplitMix64) {
+    /// Hand the inner transport every frame whose arrival time has come.
+    fn release_due(&mut self) -> ProtocolResult<()> {
+        while self.line.front().is_some_and(|f| f.at <= Instant::now()) {
+            let arrived = self.line.pop_front().expect("front was just seen");
+            self.inner.send_raw(&arrived.frame)?;
+        }
+        Ok(())
+    }
+
+    /// Sleep until `t`, waking to release frames as they fall due.
+    fn sleep_until(&mut self, t: Instant) -> ProtocolResult<()> {
+        loop {
+            self.release_due()?;
+            let now = Instant::now();
+            if now >= t {
+                return Ok(());
+            }
+            let wake = self.line.front().map_or(t, |f| f.at.min(t));
+            std::thread::sleep(wake.saturating_duration_since(now));
+        }
+    }
+
+    /// Stage `msg` on the inner transport — encoded once, its size paces
+    /// the link and its bytes are what arrives — and put the frame on the
+    /// link. Returns the inner transport's ticket for the reply. (The only
+    /// thing that can fail after the ticket is taken is `send_raw`, i.e.
+    /// the connection: a ticket orphaned here is one on a dead stream,
+    /// which gates nothing and goes with the transport.)
+    fn put(&mut self, msg: &Message) -> ProtocolResult<u64> {
+        let (ticket, frame) = self.inner.stage(msg)?;
+        self.ship(frame)?;
+        Ok(ticket)
+    }
+
+    /// Put one staged frame on the link: take the next operation's event,
+    /// hold the sender for the frame's slot on the bottleneck, and leave
+    /// what survives in the delay line, due one propagation delay (plus
+    /// the stall, if drawn) after its last byte left.
+    fn ship(&mut self, mut frame: Vec<u8>) -> ProtocolResult<()> {
         let shape = self.link.shape();
         let lanes = self.link.lanes().max(1);
-        let (event, rng) = draw_event(&shape, self.lane, lanes, self.op);
+        let (event, mut rng) = draw_event(&shape, self.lane, lanes, self.op);
         self.op += 1;
         self.history.push(event);
-        self.stats.bytes += len as u64;
+        self.stats.bytes += frame.len() as u64;
+        let gone = self.link.reserve(frame.len());
+        self.sleep_until(gone)?;
+        let mut flight = Duration::from_micros(shape.delay_us);
         match event {
+            // Lost on the wire: link time consumed, the peer sees nothing.
+            // Pretend success so the caller proceeds to its read — where
+            // the deadline decides.
             LinkEvent::Lose => {
-                self.link.transmit(len);
                 self.stats.lost += 1;
-                return (event, rng);
+                return Ok(());
             }
             LinkEvent::Stall => {
                 self.stats.stalled += 1;
                 self.stats.forwarded += 1;
-                std::thread::sleep(Duration::from_micros(shape.stall_us));
+                flight += Duration::from_micros(shape.stall_us);
             }
             LinkEvent::Forward => self.stats.forwarded += 1,
-            LinkEvent::Truncate => self.stats.truncated += 1,
-            LinkEvent::Garble => self.stats.garbled += 1,
+            LinkEvent::Truncate => {
+                // Connection dies mid-frame: ship a *nonempty* strict
+                // prefix. An empty one would be indistinguishable from a
+                // loss and leave the stream clean at a frame boundary —
+                // truncation must actually poison it.
+                self.stats.truncated += 1;
+                frame.truncate(1 + rng.below(frame.len() as u64 - 1) as usize);
+            }
+            LinkEvent::Garble => {
+                // Flip one bit anywhere — magic, version, length, checksum
+                // word, or deep in the payload. The receiver's framing
+                // layer must reject it wherever it lands; the payload CRC
+                // guarantees that even for payload bits.
+                self.stats.garbled += 1;
+                let byte = rng.below(frame.len() as u64) as usize;
+                frame[byte] ^= 1 << rng.below(8);
+            }
         }
-        self.link.deliver(len);
-        (event, rng)
+        // FIFO per lane: nothing overtakes a stalled frame.
+        let at = self
+            .line
+            .back()
+            .map_or(gone + flight, |f| f.at.max(gone + flight));
+        self.line.push_back(InFlight { at, frame });
+        self.release_due()
     }
 }
 
@@ -594,36 +685,15 @@ impl<T: Transport> Drop for LinkTransport<T> {
 
 impl<T: Transport> Transport for LinkTransport<T> {
     fn send(&mut self, msg: &Message) -> ProtocolResult<()> {
-        let len = FRAME_HEADER_BYTES + msg.encode().len();
-        let (event, mut rng) = self.pace(len);
-        match event {
-            LinkEvent::Forward | LinkEvent::Stall => self.inner.send(msg),
-            // Lost on the wire: the peer sees nothing. Pretend success so
-            // the caller proceeds to its read — where the deadline decides.
-            LinkEvent::Lose => Ok(()),
-            LinkEvent::Truncate | LinkEvent::Garble => {
-                let mut frame = Vec::with_capacity(len);
-                write_frame(&mut frame, msg)?;
-                if event == LinkEvent::Truncate {
-                    // Connection dies mid-frame: ship a *nonempty* strict
-                    // prefix. An empty one would be indistinguishable from
-                    // a loss and leave the stream clean at a frame
-                    // boundary — truncation must actually poison it.
-                    frame.truncate(1 + rng.below(frame.len() as u64 - 1) as usize);
-                } else {
-                    // Flip one bit anywhere — magic, version, length,
-                    // checksum word, or deep in the payload. The receiver's
-                    // framing layer must reject it wherever it lands; the
-                    // payload CRC guarantees that even for payload bits.
-                    let byte = rng.below(frame.len() as u64) as usize;
-                    frame[byte] ^= 1 << rng.below(8);
-                }
-                self.inner.send_raw(&frame)
-            }
-        }
+        self.put(msg).map(|_| ())
     }
 
+    /// Everything sent has arrived before the reply is awaited — a strict
+    /// caller's reply cannot precede its request.
     fn recv(&mut self) -> ProtocolResult<Message> {
+        if let Some(last) = self.line.back().map(|f| f.at) {
+            self.sleep_until(last)?;
+        }
         self.inner.recv()
     }
 
@@ -635,6 +705,37 @@ impl<T: Transport> Transport for LinkTransport<T> {
     /// verbatim, unpaced, and take no event.
     fn send_raw(&mut self, bytes: &[u8]) -> ProtocolResult<()> {
         self.inner.send_raw(bytes)
+    }
+
+    fn stage(&mut self, msg: &Message) -> ProtocolResult<(u64, Vec<u8>)> {
+        self.inner.stage(msg)
+    }
+}
+
+impl<T: Pipelined> Pipelined for LinkTransport<T> {
+    fn post(&mut self, msg: &Message) -> ProtocolResult<u64> {
+        self.put(msg)
+    }
+
+    /// Replies to earlier frames may arrive while later ones are still in
+    /// flight, so the wait is cut at each arrival time to release the frame.
+    fn recv_any(&mut self, wait: Duration) -> ProtocolResult<(u64, Message)> {
+        let limit = Instant::now() + wait;
+        loop {
+            self.release_due()?;
+            let until = self.line.front().map_or(limit, |f| f.at.min(limit));
+            match self
+                .inner
+                .recv_any(until.saturating_duration_since(Instant::now()))
+            {
+                Err(e) if e.is_timeout() && until < limit => continue,
+                other => return other,
+            }
+        }
+    }
+
+    fn forget(&mut self, ticket: u64) {
+        self.inner.forget(ticket)
     }
 }
 
@@ -733,27 +834,238 @@ mod tests {
         assert!(LinkShape::parse("loss=0.5,garble=0.5").is_ok());
     }
 
+    fn tagged(tag: &str) -> Message {
+        Message::QueryInterface {
+            routine: tag.into(),
+        }
+    }
+
+    /// Arrival instants at the far end of a channel pair, by a reader
+    /// thread that stops at the first error (deadline or hang-up).
+    fn arrivals(
+        mut peer: ChannelTransport,
+        patience: Duration,
+    ) -> std::thread::JoinHandle<Vec<(Message, Instant)>> {
+        peer.set_deadline(Some(patience)).unwrap();
+        std::thread::spawn(move || {
+            let mut seen = Vec::new();
+            while let Ok(msg) = peer.recv() {
+                seen.push((msg, Instant::now()));
+            }
+            seen
+        })
+    }
+
     #[test]
-    fn propagation_delay_and_stalls_hold_a_send_but_deliver_it() {
+    fn a_burst_pays_the_propagation_delay_once() {
+        // 4 × ~32 KiB at 1 MB/s is ~131 ms of serialisation; the link is
+        // 60 ms long. A sender asleep through every delay would finish the
+        // burst at 131 + 4·60 = 371 ms and land the last frame then.
         let shape = LinkShape {
-            delay_us: 15_000,
-            stall_ppm: 1_000_000,
-            stall_us: 20_000,
+            bytes_per_sec: 1_000_000,
+            delay_us: 60_000,
+            ..LinkShape::default()
+        };
+        let (a, b) = ChannelTransport::pair();
+        let reader = arrivals(b, Duration::from_millis(600));
+        let mut link = LinkTransport::private(a, shape);
+        let start = Instant::now();
+        for _ in 0..4 {
+            link.send(&bulky()).unwrap();
+        }
+        let sent = start.elapsed();
+        assert!(
+            sent >= Duration::from_millis(125),
+            "link time skipped: {sent:?}"
+        );
+        assert!(
+            sent < Duration::from_millis(131 + 60),
+            "the sender slept through a delay: {sent:?}"
+        );
+        // Nobody replies; the wait is what lets the tail of the burst land.
+        link.set_deadline(Some(Duration::from_millis(150))).unwrap();
+        assert!(link.recv().unwrap_err().is_timeout());
+        drop(link);
+        let seen = reader.join().unwrap();
+        assert_eq!(seen.len(), 4);
+        let first = seen[0].1 - start;
+        let last = seen[3].1 - start;
+        assert!(first >= Duration::from_millis(32 + 60), "{first:?}");
+        assert!(last >= Duration::from_millis(131 + 60), "{last:?}");
+        assert!(
+            last < Duration::from_millis(131 + 60 + 60),
+            "the burst paid the delay more than once: {last:?}"
+        );
+    }
+
+    #[test]
+    fn a_stalled_frame_holds_back_the_frames_behind_it() {
+        // A seed whose first four operations are forward, stall, forward,
+        // forward: the stall sits mid-burst.
+        use LinkEvent::{Forward, Stall};
+        let shape = (0..)
+            .map(|seed| LinkShape {
+                delay_us: 5_000,
+                stall_ppm: 300_000,
+                stall_us: 80_000,
+                seed,
+                ..LinkShape::default()
+            })
+            .find(|s| link_schedule(s, 0, 1, 4) == [Forward, Stall, Forward, Forward])
+            .unwrap();
+        let (a, b) = ChannelTransport::pair();
+        let reader = arrivals(b, Duration::from_millis(400));
+        let mut link = LinkTransport::private(a, shape);
+        let start = Instant::now();
+        for tag in ["0", "1", "2", "3"] {
+            link.send(&tagged(tag)).unwrap();
+        }
+        assert!(
+            start.elapsed() < Duration::from_millis(60),
+            "a stall is the frame's time, not the sender's"
+        );
+        link.set_deadline(Some(Duration::from_millis(150))).unwrap();
+        assert!(link.recv().unwrap_err().is_timeout());
+        assert_eq!((link.stats().stalled, link.stats().forwarded), (1, 4));
+        drop(link);
+        let seen = reader.join().unwrap();
+        let order: Vec<Message> = seen.iter().map(|(m, _)| m.clone()).collect();
+        assert_eq!(order, ["0", "1", "2", "3"].map(tagged), "FIFO per lane");
+        assert!(seen[0].1 - start < Duration::from_millis(60));
+        for (_, at) in &seen[1..] {
+            assert!(
+                *at - start >= Duration::from_millis(85),
+                "{:?}",
+                *at - start
+            );
+        }
+    }
+
+    #[test]
+    fn a_round_trip_still_costs_the_propagation_delay() {
+        let shape = LinkShape {
+            delay_us: 30_000,
+            ..LinkShape::default()
+        };
+        let (a, mut b) = ChannelTransport::pair();
+        let echo = std::thread::spawn(move || {
+            let msg = b.recv().unwrap();
+            b.send(&msg).unwrap();
+        });
+        let mut link = LinkTransport::private(a, shape);
+        let start = Instant::now();
+        link.send(&Message::QueryLoad).unwrap();
+        assert_eq!(link.recv().unwrap(), Message::QueryLoad);
+        assert!(start.elapsed() >= Duration::from_millis(30));
+        echo.join().unwrap();
+        // And a default shape is transparent: the frame is on the inner
+        // transport when `send` returns, nothing but forwards.
+        let (a, mut b) = ChannelTransport::pair();
+        let mut clean = LinkTransport::private(a, LinkShape::default());
+        clean.send(&Message::QueryLoad).unwrap();
+        b.set_deadline(Some(Duration::ZERO)).unwrap();
+        assert_eq!(b.recv().unwrap(), Message::QueryLoad);
+        assert_eq!(clean.history().snapshot(), [LinkEvent::Forward]);
+    }
+
+    #[test]
+    fn dropping_a_link_with_frames_in_flight_neither_blocks_nor_delivers() {
+        let shape = LinkShape {
+            delay_us: 10_000_000,
             ..LinkShape::default()
         };
         let (a, mut b) = ChannelTransport::pair();
         let mut link = LinkTransport::private(a, shape);
         let start = Instant::now();
         link.send(&Message::QueryLoad).unwrap();
-        assert!(start.elapsed() >= Duration::from_millis(35));
-        assert_eq!(b.recv().unwrap(), Message::QueryLoad);
-        assert_eq!((link.stats().stalled, link.stats().forwarded), (1, 1));
-        // And a default shape is transparent: no hold, nothing but forwards.
-        let (a, mut b) = ChannelTransport::pair();
-        let mut clean = LinkTransport::private(a, LinkShape::default());
-        clean.send(&Message::QueryLoad).unwrap();
-        assert_eq!(b.recv().unwrap(), Message::QueryLoad);
-        assert_eq!(clean.history().snapshot(), [LinkEvent::Forward]);
+        drop(link);
+        assert!(start.elapsed() < Duration::from_secs(1));
+        assert!(matches!(b.recv(), Err(ProtocolError::Disconnected)));
+    }
+
+    /// A pipelined far end that acks every frame the moment it arrives.
+    #[derive(Default)]
+    struct Acker {
+        tickets: u64,
+        acks: VecDeque<u64>,
+    }
+
+    impl Transport for Acker {
+        fn send(&mut self, _msg: &Message) -> ProtocolResult<()> {
+            unreachable!("the link model sends staged bytes")
+        }
+        fn recv(&mut self) -> ProtocolResult<Message> {
+            Err(ProtocolError::Disconnected)
+        }
+        fn send_raw(&mut self, bytes: &[u8]) -> ProtocolResult<()> {
+            let call_id = bytes[12..20].try_into().expect("a whole frame header");
+            self.acks.push_back(u64::from_be_bytes(call_id));
+            Ok(())
+        }
+        fn stage(&mut self, msg: &Message) -> ProtocolResult<(u64, Vec<u8>)> {
+            self.tickets += 1;
+            Ok((self.tickets, crate::encode_frame(self.tickets, msg)?))
+        }
+    }
+
+    impl Pipelined for Acker {
+        fn recv_any(&mut self, wait: Duration) -> ProtocolResult<(u64, Message)> {
+            match self.acks.pop_front() {
+                Some(ticket) => Ok((ticket, Message::QueryLoad)),
+                None => {
+                    std::thread::sleep(wait);
+                    Err(ProtocolError::Timeout {
+                        operation: "read",
+                        after: wait,
+                    })
+                }
+            }
+        }
+        fn forget(&mut self, _ticket: u64) {}
+    }
+
+    #[test]
+    fn replies_overtake_frames_still_in_flight() {
+        // Three ~32 ms frames over a 50 ms link: the first ack is due at
+        // ~82 ms, when the third frame (due ~148 ms) has not arrived yet.
+        let shape = LinkShape {
+            bytes_per_sec: 1_000_000,
+            delay_us: 50_000,
+            ..LinkShape::default()
+        };
+        let mut link = LinkTransport::private(Acker::default(), shape);
+        let start = Instant::now();
+        let tickets: Vec<u64> = (0..3).map(|_| link.post(&bulky()).unwrap()).collect();
+        assert_eq!(tickets, [1, 2, 3]);
+        let patience = Duration::from_millis(400);
+        assert_eq!(link.recv_any(patience).unwrap().0, 1);
+        let first = start.elapsed();
+        assert!(first >= Duration::from_millis(82), "{first:?}");
+        assert!(first < Duration::from_millis(140), "{first:?}");
+        assert_eq!(link.recv_any(patience).unwrap().0, 2);
+        assert_eq!(link.recv_any(patience).unwrap().0, 3);
+        assert!(start.elapsed() >= Duration::from_millis(98 + 50));
+        // Nothing open, nothing in flight: the wait runs out as a timeout.
+        assert!(link
+            .recv_any(Duration::from_millis(20))
+            .unwrap_err()
+            .is_timeout());
+    }
+
+    #[test]
+    fn window_is_the_bandwidth_delay_product_in_chunks() {
+        let wan = LinkShape::parse("bw=4m,delay=20ms").unwrap();
+        // 4 MB/s × 40 ms = 160 000 B = 9.77 chunks of 16 KiB.
+        assert_eq!(lane_window(Some(&wan), 16 << 10), 10);
+        assert_eq!(lane_window(Some(&wan), 64 << 10), 3);
+        assert_eq!(lane_window(Some(&wan), 1 << 10), MAX_LANE_WINDOW);
+        // No delay, no product: stop-and-wait is already full.
+        let lan = LinkShape::parse("bw=4m").unwrap();
+        assert_eq!(lane_window(Some(&lan), 16 << 10), 1);
+        // Nothing to compute from: the cap.
+        let uncapped = LinkShape::parse("delay=20ms").unwrap();
+        assert_eq!(lane_window(Some(&uncapped), 16 << 10), MAX_LANE_WINDOW);
+        assert_eq!(lane_window(None, 16 << 10), MAX_LANE_WINDOW);
     }
 
     #[test]

@@ -8,7 +8,7 @@ use std::time::Duration;
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 
 use crate::error::{ProtocolError, ProtocolResult};
-use crate::frame::{read_frame, write_frame};
+use crate::frame::{encode_frame, read_frame, write_frame};
 use crate::message::Message;
 
 /// A bidirectional, ordered, reliable message channel — what Ninf RPC
@@ -36,6 +36,41 @@ pub trait Transport: Send {
             "transport does not support raw frames".into(),
         ))
     }
+
+    /// Encode `msg` as the exact frame [`Transport::send`] would write and
+    /// arm the transport for its reply, without writing anything:
+    /// `send(msg)` is [`Transport::send_raw`] of these bytes. Also returns
+    /// the ticket the reply will carry out of [`Pipelined::recv_any`] (0 on
+    /// transports that do not multiplex). [`crate::link::LinkTransport`]
+    /// sends through this pair, so a frame is encoded once: its size paces
+    /// the link and its bytes wait out the propagation delay. A transport
+    /// meant to sit under one must therefore implement `send_raw` — with
+    /// the default above, every shaped send fails, not only the garbled
+    /// ones — and one that numbers its frames overrides this too.
+    fn stage(&mut self, msg: &Message) -> ProtocolResult<(u64, Vec<u8>)> {
+        Ok((0, encode_frame(0, msg)?))
+    }
+}
+
+/// A transport that can hold several requests outstanding at once — what a
+/// sliding window needs under it. [`Transport::send`]/[`Transport::recv`]
+/// stay the strict one-request-one-reply pairing; these three do not pair.
+pub trait Pipelined: Transport {
+    /// Send `msg` and return the ticket its reply will carry. Earlier
+    /// tickets stay open.
+    fn post(&mut self, msg: &Message) -> ProtocolResult<u64> {
+        let (ticket, frame) = self.stage(msg)?;
+        self.send_raw(&frame)?;
+        Ok(ticket)
+    }
+
+    /// The next reply to any open ticket, in arrival order, waiting at most
+    /// `wait`. A [`ProtocolError::Timeout`] here abandons nothing.
+    fn recv_any(&mut self, wait: Duration) -> ProtocolResult<(u64, Message)>;
+
+    /// Give up on `ticket`: a late reply is dropped and whatever the
+    /// transport held for it is released.
+    fn forget(&mut self, ticket: u64);
 }
 
 /// Boxed transports forward everything, so wrappers generic over
@@ -53,6 +88,9 @@ impl Transport for Box<dyn Transport> {
     }
     fn send_raw(&mut self, bytes: &[u8]) -> ProtocolResult<()> {
         (**self).send_raw(bytes)
+    }
+    fn stage(&mut self, msg: &Message) -> ProtocolResult<(u64, Vec<u8>)> {
+        (**self).stage(msg)
     }
 }
 

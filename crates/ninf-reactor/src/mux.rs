@@ -4,10 +4,11 @@
 //! A [`MuxStream`] owns the socket, a monotone call-id allocator, and a
 //! demux reader thread; [`MuxHandle`]s are checked out per logical client
 //! and implement [`Transport`], so `NinfClient` works over a shared stream
-//! unchanged. Each handle does strict send→recv pairs (the Ninf RPC shape),
-//! but many handles interleave freely on the wire — the server replies in
-//! completion order and the reader routes each reply to its caller by call
-//! id.
+//! unchanged. Through `Transport` a handle does strict send→recv pairs (the
+//! Ninf RPC shape); through [`Pipelined`] one handle keeps several calls
+//! open (a bulk lane's sliding window of chunks). Either way many handles
+//! interleave freely on the wire — the server replies in completion order
+//! and the reader routes each reply to its caller by call id.
 //!
 //! Teardown is the contract the pool relies on: any stream-level error
 //! (socket death, a reply that fails CRC or decode) poisons the stream,
@@ -22,15 +23,18 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use ninf_protocol::{
-    read_frame_mux, write_frame_mux, Message, ProtocolError, ProtocolResult, Transport,
+    encode_frame, read_frame_mux, write_frame_mux, Message, Pipelined, ProtocolError,
+    ProtocolResult, Transport,
 };
 
 /// Default bound on concurrently in-flight calls per stream.
 pub const DEFAULT_MAX_INFLIGHT: usize = 64;
 
-type ReplySlot = Sender<ProtocolResult<Message>>;
+/// One demuxed reply (or the stream's death), tagged with its call id.
+type Reply = (u64, ProtocolResult<Message>);
+type ReplySlot = Sender<Reply>;
 
 struct State {
     /// Call id → reply slot for every call awaiting its reply.
@@ -59,8 +63,8 @@ impl Shared {
         if st.dead.is_none() {
             st.dead = Some(reason.to_string());
         }
-        for (_, slot) in st.pending.drain() {
-            let _ = slot.send(Err(ProtocolError::Disconnected));
+        for (call_id, slot) in st.pending.drain() {
+            let _ = slot.send((call_id, Err(ProtocolError::Disconnected)));
         }
         self.cv.notify_all();
         let _ = self.stream.shutdown(Shutdown::Both);
@@ -118,10 +122,13 @@ impl MuxStream {
 
     /// Check out a handle: one logical client on this stream.
     pub fn handle(&self) -> MuxHandle {
+        let (reply_slot, replies) = unbounded();
         MuxHandle {
             shared: self.shared.clone(),
             deadline: None,
-            outstanding: None,
+            replies,
+            reply_slot,
+            open: Vec::new(),
         }
     }
 
@@ -172,7 +179,7 @@ fn run_reader(shared: Arc<Shared>, mut reader: BufReader<TcpStream>) {
                 // A missing slot means the caller abandoned the call
                 // (deadline fired); the late reply is dropped.
                 if let Some(slot) = slot {
-                    let _ = slot.send(Ok(msg));
+                    let _ = slot.send((call_id, Ok(msg)));
                 }
             }
             Err(e) => {
@@ -183,14 +190,21 @@ fn run_reader(shared: Arc<Shared>, mut reader: BufReader<TcpStream>) {
     }
 }
 
-/// One logical client's view of a [`MuxStream`]; implements [`Transport`]
-/// with strict send→recv pairing, per-call deadlines, and bounded
-/// admission.
+/// One logical client's view of a [`MuxStream`]. Natively it holds any
+/// number of calls open at once ([`Pipelined`]: `post` a request, take
+/// replies in arrival order from `recv_any`, `forget` a ticket to give up
+/// on it), under per-call deadlines and the stream's bounded admission.
+/// [`Transport`]'s strict send→recv pairing is written on top: `send`
+/// abandons whatever was still open, `recv` waits for the latest ticket.
 pub struct MuxHandle {
     shared: Arc<Shared>,
     deadline: Option<Duration>,
-    /// The call sent but not yet received, with its reply channel.
-    outstanding: Option<(u64, Receiver<ProtocolResult<Message>>)>,
+    /// This handle's end of the demux: every reply (or stream death) for
+    /// one of its tickets lands here, tagged with the ticket.
+    replies: Receiver<Reply>,
+    reply_slot: ReplySlot,
+    /// Tickets admitted and neither answered nor forgotten, oldest first.
+    open: Vec<u64>,
 }
 
 impl MuxHandle {
@@ -242,13 +256,72 @@ impl MuxHandle {
         self.shared.cv.notify_all();
     }
 
-    /// Drop the current outstanding call, unregistering its reply slot.
-    fn abandon_outstanding(&mut self) {
-        if let Some((id, _rx)) = self.outstanding.take() {
+    /// Open one call: take an admission slot, a fresh call id, and a place
+    /// in the demux table. The id is the call's ticket.
+    fn admit(&mut self) -> ProtocolResult<u64> {
+        self.acquire_slot()?;
+        let call_id = self.shared.next_id.fetch_add(1, Ordering::Relaxed);
+        {
             let mut st = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
-            st.pending.remove(&id);
-            drop(st);
-            self.release_slot();
+            if st.dead.is_some() {
+                drop(st);
+                self.release_slot();
+                return Err(ProtocolError::Disconnected);
+            }
+            st.pending.insert(call_id, self.reply_slot.clone());
+        }
+        self.open.push(call_id);
+        Ok(call_id)
+    }
+
+    /// Forget every open ticket.
+    fn abandon_open(&mut self) {
+        for ticket in std::mem::take(&mut self.open) {
+            self.close(ticket);
+        }
+    }
+
+    /// Unregister a ticket already taken off `open` and free its slot.
+    fn close(&self, ticket: u64) {
+        let mut st = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
+        st.pending.remove(&ticket);
+        drop(st);
+        self.release_slot();
+    }
+
+    /// The next reply to an open ticket, waiting at most `wait` (forever on
+    /// `None`). Replies to forgotten tickets are skipped.
+    fn next_reply(&mut self, wait: Option<Duration>) -> ProtocolResult<(u64, Message)> {
+        let limit = wait.map(|d| Instant::now() + d);
+        loop {
+            let got = match limit {
+                Some(limit) => self
+                    .replies
+                    .recv_timeout(limit.saturating_duration_since(Instant::now())),
+                None => self
+                    .replies
+                    .recv()
+                    .map_err(|_| RecvTimeoutError::Disconnected),
+            };
+            match got {
+                Ok((ticket, result)) => {
+                    let Some(at) = self.open.iter().position(|&t| t == ticket) else {
+                        continue;
+                    };
+                    // The demux reader (or `poison`) already took the
+                    // ticket out of the table; only the slot remains.
+                    self.open.remove(at);
+                    self.release_slot();
+                    return result.map(|msg| (ticket, msg));
+                }
+                Err(RecvTimeoutError::Timeout) => {
+                    return Err(ProtocolError::Timeout {
+                        operation: "read",
+                        after: wait.unwrap_or_default(),
+                    })
+                }
+                Err(RecvTimeoutError::Disconnected) => return Err(ProtocolError::Disconnected),
+            }
         }
     }
 
@@ -290,62 +363,32 @@ impl Transport for MuxHandle {
     fn send(&mut self, msg: &Message) -> ProtocolResult<()> {
         // A fresh send abandons any reply still owed to this handle — the
         // same semantics as writing a new request down a plain socket.
-        self.abandon_outstanding();
-        self.acquire_slot()?;
-        let call_id = self.shared.next_id.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = bounded(1);
-        {
-            let mut st = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
-            if st.dead.is_some() {
-                drop(st);
-                self.release_slot();
-                return Err(ProtocolError::Disconnected);
-            }
-            st.pending.insert(call_id, tx);
-        }
+        self.abandon_open();
+        let call_id = self.admit()?;
         let write = {
             let mut w = self.shared.writer.lock().unwrap_or_else(|e| e.into_inner());
             let _ = self.shared.stream.set_write_timeout(self.deadline);
             write_frame_mux(&mut *w, call_id, msg)
         };
-        if let Err(e) = write {
-            // A partially-written frame poisons the whole stream: the
-            // server's framing is now out of sync for every caller.
-            self.shared.poison(&e.to_string());
-            self.release_slot();
-            return Err(e);
-        }
-        self.outstanding = Some((call_id, rx));
-        Ok(())
+        // A partially-written frame poisons the whole stream: the server's
+        // framing is now out of sync for every caller.
+        write.inspect_err(|e| self.shared.poison(&e.to_string()))
     }
 
+    /// The reply to the latest ticket; older ones still open are abandoned
+    /// here, which is where a strict caller that sent through
+    /// [`Transport::stage`] (the link model) meets `send`'s rule.
     fn recv(&mut self) -> ProtocolResult<Message> {
-        match self.outstanding.take() {
-            Some((id, rx)) => {
-                let result = match self.deadline {
-                    Some(d) => match rx.recv_timeout(d) {
-                        Ok(r) => r,
-                        Err(RecvTimeoutError::Timeout) => {
-                            let mut st =
-                                self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
-                            st.pending.remove(&id);
-                            drop(st);
-                            Err(ProtocolError::Timeout {
-                                operation: "read",
-                                after: d,
-                            })
-                        }
-                        Err(RecvTimeoutError::Disconnected) => Err(ProtocolError::Disconnected),
-                    },
-                    None => rx.recv().unwrap_or(Err(ProtocolError::Disconnected)),
-                };
-                self.release_slot();
-                result
-            }
-            // Nothing outstanding (e.g. the fault layer dropped the send):
-            // behave like a blocking read on a silent peer.
-            None => Err(self.wait_for_nothing()),
-        }
+        // Nothing open (e.g. the fault layer dropped the send): behave
+        // like a blocking read on a silent peer.
+        let Some(latest) = self.open.pop() else {
+            return Err(self.wait_for_nothing());
+        };
+        self.abandon_open();
+        self.open.push(latest);
+        self.next_reply(self.deadline)
+            .map(|(_, msg)| msg)
+            .inspect_err(|_| self.abandon_open())
     }
 
     fn set_deadline(&mut self, deadline: Option<Duration>) -> ProtocolResult<bool> {
@@ -365,11 +408,35 @@ impl Transport for MuxHandle {
         }
         Ok(())
     }
+
+    fn stage(&mut self, msg: &Message) -> ProtocolResult<(u64, Vec<u8>)> {
+        let call_id = self.admit()?;
+        match encode_frame(call_id, msg) {
+            Ok(frame) => Ok((call_id, frame)),
+            Err(e) => {
+                self.forget(call_id);
+                Err(e)
+            }
+        }
+    }
+}
+
+impl Pipelined for MuxHandle {
+    fn recv_any(&mut self, wait: Duration) -> ProtocolResult<(u64, Message)> {
+        self.next_reply(Some(wait))
+    }
+
+    fn forget(&mut self, ticket: u64) {
+        if let Some(at) = self.open.iter().position(|&t| t == ticket) {
+            self.open.remove(at);
+            self.close(ticket);
+        }
+    }
 }
 
 impl Drop for MuxHandle {
     fn drop(&mut self) {
-        self.abandon_outstanding();
+        self.abandon_open();
     }
 }
 
@@ -511,6 +578,58 @@ mod tests {
         // recv with nothing outstanding — the shape of a send the link model lost.
         let err = h.recv().unwrap_err();
         assert!(err.is_timeout(), "expected timeout, got {err}");
+        server.shutdown();
+    }
+
+    #[test]
+    fn one_handle_holds_several_calls_open_and_takes_replies_in_any_order() {
+        let server = echo_server();
+        let stream = MuxStream::connect(
+            &server.local_addr().to_string(),
+            Some(Duration::from_secs(5)),
+            4,
+        )
+        .unwrap();
+        let mut h = stream.handle();
+        h.set_deadline(Some(Duration::from_secs(5))).unwrap();
+        let mut owed: HashMap<u64, i32> = (0..3)
+            .map(|tag| (h.post(&invoke(tag)).unwrap(), tag))
+            .collect();
+        assert_eq!(owed.len(), 3, "one ticket per post");
+        assert_eq!(stream.inflight(), 3);
+        while !owed.is_empty() {
+            let (ticket, reply) = h.recv_any(Duration::from_secs(5)).unwrap();
+            let tag = owed.remove(&ticket).expect("a ticket this handle posted");
+            assert_eq!(
+                reply,
+                Message::ResultData {
+                    results: vec![Value::Int(tag)]
+                }
+            );
+        }
+        assert_eq!(stream.inflight(), 0);
+
+        // A wait that runs out abandons nothing; `forget` does.
+        let silent = h.post(&Message::QueryLoad).unwrap();
+        let answered = h.post(&invoke(7)).unwrap();
+        assert_eq!(h.recv_any(Duration::from_secs(5)).unwrap().0, answered);
+        let err = h.recv_any(Duration::from_millis(50)).unwrap_err();
+        assert!(err.is_timeout(), "{err}");
+        assert_eq!(stream.inflight(), 1);
+        h.forget(silent);
+        assert_eq!(stream.inflight(), 0);
+
+        // The strict pairing on the same handle: a `send` abandons what
+        // was open, and `recv` is the reply to that send.
+        h.post(&Message::QueryLoad).unwrap();
+        h.send(&invoke(9)).unwrap();
+        assert_eq!(stream.inflight(), 1);
+        assert_eq!(
+            h.recv().unwrap(),
+            Message::ResultData {
+                results: vec![Value::Int(9)]
+            }
+        );
         server.shutdown();
     }
 

@@ -9,10 +9,17 @@
 //! one 32 MB matrix and a thousand 32 KB vectors cost the same — and
 //! eviction is strict LRU over both inserts and lookups.
 //!
+//! The store is also where a chunked bulk upload meets the `Invoke` that
+//! names it, and a client that uploads a fresh value per call would fill
+//! the whole budget with values nobody asks for twice. Uploads therefore
+//! enter through [`ArgStore::land`], which keeps only the newest
+//! [`UPLOAD_RESIDUE_ENTRIES`] of them on the strength of a single lookup
+//! (never fewer lookups: an upload still waiting for its `Invoke` is safe).
+//!
 //! A budget of zero disables the store: nothing is retained and every ref
 //! misses, which is the server-side off switch.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use ninf_protocol::{Digest, Value};
 use parking_lot::Mutex;
@@ -22,10 +29,19 @@ use parking_lot::Mutex;
 /// of strangers to a fixed footprint.
 pub const DEFAULT_ARG_CACHE_BYTES: usize = 64 << 20;
 
+/// Bulk uploads looked up exactly once that stay resident. An entry cap,
+/// not a byte cap, on purpose: it binds only where values are small and a
+/// repeat upload is cheap (64 x 72 KiB = 4.5 MiB of a 64 MiB budget), while
+/// a few multi-megabyte matrices are bounded by the byte budget long before
+/// they are 64. See [`ArgStore::land`].
+pub const UPLOAD_RESIDUE_ENTRIES: usize = 64;
+
 struct Entry {
     value: Value,
     bytes: usize,
     stamp: u64,
+    /// Lookups so far.
+    gets: u32,
 }
 
 #[derive(Default)]
@@ -35,9 +51,19 @@ struct Inner {
     order: BTreeMap<u64, Digest>,
     clock: u64,
     bytes: usize,
+    /// Digests that came in by bulk upload, oldest first, until they age
+    /// out of [`UPLOAD_RESIDUE_ENTRIES`].
+    landed: VecDeque<Digest>,
 }
 
 impl Inner {
+    fn evict(&mut self, d: &Digest) {
+        if let Some(e) = self.map.remove(d) {
+            self.order.remove(&e.stamp);
+            self.bytes -= e.bytes;
+        }
+    }
+
     fn touch(&mut self, d: Digest) {
         let Some(e) = self.map.get_mut(&d) else {
             return;
@@ -91,23 +117,45 @@ impl ArgStore {
                 value,
                 bytes,
                 stamp,
+                gets: 0,
             },
         );
         inner.bytes += bytes;
         let mut evicted = 0;
         while inner.bytes > self.budget {
-            let (&oldest, &victim) = inner
+            let victim = *inner
                 .order
-                .iter()
+                .values()
                 .next()
                 .expect("over budget implies entry");
             // The entry just inserted is the newest; the loop always ends
             // before evicting it because removing everything older already
             // brings `bytes` down to its size, which fits the budget.
-            inner.order.remove(&oldest);
-            let e = inner.map.remove(&victim).expect("indexed entry");
-            inner.bytes -= e.bytes;
+            inner.evict(&victim);
             evicted += 1;
+        }
+        evicted
+    }
+
+    /// Insert a value that arrived as a chunked bulk upload; returns how
+    /// many entries were evicted. Its one certain use is the `Invoke` the
+    /// upload was made for, so once that lookup has happened it is kept
+    /// only while it is among the newest [`UPLOAD_RESIDUE_ENTRIES`] uploads.
+    /// By the time it ages out of those, a second lookup has shown it to be
+    /// a repeat input, or its `Invoke` is still to come — either way it
+    /// stays, an ordinary LRU resident — or it goes.
+    pub fn land(&self, digest: Digest, value: Value) -> usize {
+        let mut evicted = self.insert(digest, value);
+        let mut inner = self.inner.lock();
+        // One slot per digest: a value that lands again ages from now.
+        inner.landed.retain(|d| *d != digest);
+        inner.landed.push_back(digest);
+        while inner.landed.len() > UPLOAD_RESIDUE_ENTRIES {
+            let aged = inner.landed.pop_front().expect("longer than the cap");
+            if inner.map.get(&aged).is_some_and(|e| e.gets == 1) {
+                inner.evict(&aged);
+                evicted += 1;
+            }
         }
         evicted
     }
@@ -116,7 +164,10 @@ impl ArgStore {
     pub fn get(&self, digest: &Digest) -> Option<Value> {
         let mut inner = self.inner.lock();
         inner.touch(*digest);
-        inner.map.get(digest).map(|e| e.value.clone())
+        inner.map.get_mut(digest).map(|e| {
+            e.gets += 1;
+            e.value.clone()
+        })
     }
 
     /// Whether the store currently holds `digest` (no LRU touch).
@@ -144,6 +195,7 @@ impl ArgStore {
         let mut inner = self.inner.lock();
         inner.map.clear();
         inner.order.clear();
+        inner.landed.clear();
         inner.bytes = 0;
     }
 }
@@ -226,6 +278,70 @@ mod tests {
         assert_eq!(store.insert(d3, v3), 1);
         assert!(store.contains(&d1));
         assert!(!store.contains(&d2));
+    }
+
+    #[test]
+    fn uploads_looked_up_once_age_out_and_repeat_inputs_stay() {
+        let store = ArgStore::new(1 << 20);
+        let upload = |i: usize| arr(i as f64, 10);
+        for i in 0..UPLOAD_RESIDUE_ENTRIES {
+            let (d, v) = upload(i);
+            assert_eq!(store.land(d, v), 0);
+            assert!(store.get(&d).is_some(), "the upload's own Invoke");
+        }
+        // Upload 1 is named again by a later call; upload 0 never is.
+        assert!(store.get(&upload(1).0).is_some());
+        assert_eq!(store.len(), UPLOAD_RESIDUE_ENTRIES);
+        for (i, aged_out) in [(UPLOAD_RESIDUE_ENTRIES, 1), (UPLOAD_RESIDUE_ENTRIES + 1, 0)] {
+            let (d, v) = upload(i);
+            assert_eq!(store.land(d, v), aged_out);
+        }
+        assert!(!store.contains(&upload(0).0));
+        assert!(store.contains(&upload(1).0), "a repeat input is a resident");
+        assert!(store.contains(&upload(2).0), "still among the newest");
+        assert_eq!(store.bytes(), 80 * store.len());
+        // Values inserted inline are not uploads: only the budget bounds them.
+        for i in 1000..1000 + 2 * UPLOAD_RESIDUE_ENTRIES {
+            let (d, v) = upload(i);
+            store.insert(d, v);
+        }
+        assert_eq!(store.len(), 3 * UPLOAD_RESIDUE_ENTRIES + 1);
+    }
+
+    #[test]
+    fn an_upload_outlives_any_number_of_later_ones_until_its_invoke() {
+        let store = ArgStore::new(1 << 20);
+        let (waiting, v) = arr(-1.0, 10);
+        store.land(waiting, v.clone());
+        // Other clients' uploads land, and are used, before this one's
+        // `Invoke` arrives; one of them lands twice.
+        for i in 0..2 * UPLOAD_RESIDUE_ENTRIES {
+            let (d, v) = arr(i as f64, 10);
+            store.land(d, v);
+            assert!(store.get(&d).is_some());
+        }
+        assert_eq!(store.len(), UPLOAD_RESIDUE_ENTRIES + 1);
+        assert_eq!(store.get(&waiting), Some(v), "never aged out unused");
+    }
+
+    #[test]
+    fn a_value_that_lands_again_ages_from_its_newer_landing() {
+        // Room for one big value and the small ones, not for two big ones.
+        let store = ArgStore::new(1400);
+        let (x, vx) = arr(-1.0, 100);
+        let (y, vy) = arr(-2.0, 100);
+        store.land(x, vx.clone());
+        assert!(store.get(&x).is_some());
+        assert_eq!(store.land(y, vy), 1, "the byte budget evicts x");
+        assert_eq!(store.land(x, vx.clone()), 1, "and then y");
+        assert!(store.get(&x).is_some());
+        // x's first landing ages out of the newest uploads; its second
+        // has not, and that is the one that counts.
+        for i in 0..UPLOAD_RESIDUE_ENTRIES - 1 {
+            let (d, v) = arr(i as f64, 1);
+            assert_eq!(store.land(d, v), 0);
+        }
+        assert_eq!(store.get(&x), Some(vx));
     }
 
     #[test]

@@ -34,6 +34,7 @@ pub mod server;
 pub mod stats;
 pub mod trace;
 pub mod twophase;
+mod uploads;
 
 pub use argstore::{ArgStore, DEFAULT_ARG_CACHE_BYTES};
 pub use exec::ExecMode;

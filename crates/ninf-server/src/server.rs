@@ -7,13 +7,13 @@
 //! task-parallel/data-parallel tradeoff and the admission policy behave
 //! exactly as in the paper's server.
 
-use std::collections::HashMap;
 use std::net::TcpListener;
 use std::sync::Arc;
+use std::time::Instant;
 
 use ninf_obs::log::Level;
 use ninf_obs::{logkv, recorder, Counter, Gauge, LogHistogram, MetricsRegistry};
-use ninf_protocol::chunk::{ChunkError, Reassembly};
+use ninf_protocol::chunk::Reassembly;
 use ninf_protocol::{
     Arg, Digest, LinkShape, Message, ProtocolResult, SharedLink, Span, TraceContext, Value, Wire,
     FRAME_HEADER_BYTES,
@@ -27,6 +27,7 @@ use crate::registry::{validate_invoke, Registry};
 use crate::stats::{CallRecord, ServerStats};
 use crate::trace::CostModel;
 use crate::twophase::JobTable;
+use crate::uploads::{Accepted, Uploads};
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -89,6 +90,7 @@ pub struct ServerMetrics {
     chunk_rejects: Counter,
     chunk_uploads: Counter,
     chunk_bytes: Counter,
+    chunk_expired: Counter,
 }
 
 impl ServerMetrics {
@@ -152,6 +154,10 @@ impl ServerMetrics {
             "ninf_server_chunk_bytes_total",
             "payload bytes accepted over the chunked bulk path",
         );
+        let chunk_expired = registry.counter(
+            "ninf_server_chunk_expired_total",
+            "bulk uploads dropped unfinished after going idle",
+        );
         Self {
             registry,
             calls,
@@ -170,6 +176,7 @@ impl ServerMetrics {
             chunk_rejects,
             chunk_uploads,
             chunk_bytes,
+            chunk_expired,
         }
     }
 
@@ -212,10 +219,9 @@ struct CallContext {
     metrics: Arc<ServerMetrics>,
     args: Arc<ArgStore>,
     mode: ExecMode,
-    /// In-flight chunked bulk uploads, keyed by the target value's digest.
-    /// Bounded at [`MAX_INFLIGHT_UPLOADS`]; completed uploads move into
-    /// `args` and leave this table.
-    chunks: parking_lot::Mutex<HashMap<Digest, Reassembly>>,
+    /// In-flight chunked bulk uploads; completed ones move into `args`
+    /// and leave this table.
+    uploads: parking_lot::Mutex<Uploads>,
     /// Outbound reply shaping; see [`ServerConfig::wan`].
     wan: Option<SharedLink>,
 }
@@ -254,7 +260,7 @@ impl NinfServer {
             metrics: metrics.clone(),
             args: args.clone(),
             mode: config.mode,
-            chunks: parking_lot::Mutex::new(HashMap::new()),
+            uploads: parking_lot::Mutex::default(),
             wan: config.wan.map(SharedLink::new),
         });
 
@@ -545,27 +551,16 @@ fn handle_message(ctx: &Arc<CallContext>, msg: Message) -> Message {
     }
 }
 
-/// Cap on concurrently reassembling bulk uploads; a fresh digest beyond
-/// it is refused so hostile clients cannot pin unbounded buffers. The
-/// *bytes* those uploads may claim are capped separately, at the argument
-/// store's budget (see [`handle_chunk`]).
-const MAX_INFLIGHT_UPLOADS: usize = 64;
-
-/// One [`Message::PutArgChunk`] through the reassembly table.
+/// One [`Message::PutArgChunk`] through the upload table
+/// ([`crate::uploads`]): fresh bytes and benign retransmits ack, lies and
+/// conflicts are refused with a typed reason and counted, and the chunk
+/// that completes an image lands it in the arg store before it is acked.
 ///
-/// Retransmit-friendly without ever accepting conflicting bytes:
-/// * a chunk for a digest the arg store already holds re-acks — the
-///   whole upload completed earlier but its final ack was lost;
-/// * a duplicate seq whose CRC matches what already landed re-acks —
-///   the *chunk's* ack was lost;
-/// * a duplicate seq with a *different* CRC, a bad CRC, or any geometry
-///   lie is refused with a typed reason and counted.
-///
-/// A reassembly buffer is allocated at the upload's *claimed* size, so the
-/// claims are budgeted before anything is allocated: the bytes claimed by
-/// all in-flight uploads together may not exceed the argument store's
-/// budget. (A single upload claiming more than that could never be
-/// retained by the store anyway.)
+/// A chunk for a digest the arg store already holds re-acks — the whole
+/// upload completed earlier but its final ack was lost. That check runs
+/// under the table lock and only when the table has no entry: an upload's
+/// entry outlives its last chunk until the value is stored, so "no entry"
+/// and "not stored" together really mean the upload is new.
 fn handle_chunk(
     ctx: &CallContext,
     digest: Digest,
@@ -575,72 +570,49 @@ fn handle_chunk(
     crc: u32,
     bytes: &[u8],
 ) -> Message {
-    if ctx.args.budget() == 0 {
+    let refuse = |reason: String| {
         ctx.metrics.chunk_rejects.inc();
-        return Message::Error {
-            reason: "argument store disabled: chunked upload refused".into(),
-        };
+        Message::Error { reason }
+    };
+    let budget = ctx.args.budget() as u64;
+    if budget == 0 {
+        return refuse("argument store disabled: chunked upload refused".into());
     }
-    if ctx.args.contains(&digest) {
+    let mut uploads = ctx.uploads.lock();
+    let now = Instant::now();
+    ctx.metrics
+        .chunk_expired
+        .add(uploads.expire_idle(now) as u64);
+    if !uploads.contains(&digest) && ctx.args.contains(&digest) {
         return Message::ChunkOk { digest, seq };
     }
-    let mut pending = ctx.chunks.lock();
-    if !pending.contains_key(&digest) {
-        if pending.len() >= MAX_INFLIGHT_UPLOADS {
-            ctx.metrics.chunk_rejects.inc();
-            return Message::Error {
-                reason: format!("too many in-flight uploads ({MAX_INFLIGHT_UPLOADS})"),
-            };
-        }
-        let claimed: u64 = pending.values().map(|r| r.geometry().0).sum();
-        let budget = ctx.args.budget() as u64;
-        if claimed.saturating_add(total_bytes) > budget {
-            ctx.metrics.chunk_rejects.inc();
-            return Message::Error {
-                reason: format!(
-                    "upload claiming {total_bytes} bytes refused: {claimed} bytes already \
-                     reassembling, argument store budget is {budget}"
-                ),
-            };
-        }
-        match Reassembly::new(digest, total_bytes, total) {
-            Ok(r) => {
-                pending.insert(digest, r);
-            }
-            Err(e) => {
-                ctx.metrics.chunk_rejects.inc();
-                return Message::Error {
-                    reason: format!("chunk rejected: {e}"),
-                };
-            }
-        }
-    }
-    let r = pending.get_mut(&digest).expect("just ensured present");
-    match r.accept(total_bytes, total, seq, crc, bytes) {
-        Ok(complete) => {
+    let accepted = uploads.accept(now, budget, digest, total_bytes, total, seq, crc, bytes);
+    drop(uploads);
+    match accepted {
+        Ok(Accepted::Duplicate) => {}
+        Ok(fresh) => {
             ctx.metrics.chunks.inc();
             ctx.metrics.chunk_bytes.add(bytes.len() as u64);
-            if complete {
-                let r = pending.remove(&digest).expect("present");
-                drop(pending);
-                if let Err(reason) = finish_upload(ctx, digest, r) {
-                    ctx.metrics.chunk_rejects.inc();
-                    return Message::Error { reason };
+            if let Accepted::Complete(image) = fresh {
+                let stored = finish_upload(ctx, digest, image);
+                ctx.uploads.lock().landed(&digest);
+                if let Err(reason) = stored {
+                    return refuse(reason);
                 }
             }
-            Message::ChunkOk { digest, seq }
         }
-        Err(ChunkError::Duplicate { .. }) if r.seen_crc(seq) == Some(crc) => {
-            Message::ChunkOk { digest, seq }
-        }
-        Err(e) => {
-            ctx.metrics.chunk_rejects.inc();
-            logkv!(Level::Warn, "server", "chunk_rejected", seq = seq, why = e);
-            Message::Error {
-                reason: format!("chunk rejected: {e}"),
-            }
+        Err(reason) => {
+            logkv!(
+                Level::Warn,
+                "server",
+                "chunk_rejected",
+                seq = seq,
+                why = reason
+            );
+            return refuse(reason);
         }
     }
+    Message::ChunkOk { digest, seq }
 }
 
 /// A completed reassembly: verify the image digest, decode the value,
@@ -653,7 +625,7 @@ fn finish_upload(ctx: &CallContext, digest: Digest, r: Reassembly) -> Result<(),
     if dec.remaining() != 0 {
         return Err("upload image has trailing bytes".into());
     }
-    let evicted = ctx.args.insert(digest, value);
+    let evicted = ctx.args.land(digest, value);
     ctx.metrics.argcache_evictions.add(evicted as u64);
     ctx.metrics.chunk_uploads.inc();
     logkv!(
@@ -870,6 +842,7 @@ fn execute_invoke(
 mod tests {
     use super::*;
     use crate::builtin::register_stdlib;
+    use crate::uploads::MAX_INFLIGHT_UPLOADS;
     use ninf_protocol::{TcpTransport, Transport, Value};
 
     fn start_test_server(mode: ExecMode) -> NinfServer {

@@ -48,10 +48,11 @@ fn same_seed_wan_partition_runs_print_byte_identical_transcripts() {
 
 #[test]
 fn live_goodput_shape_matches_the_fluidnet_model() {
-    // Loss-free shaping for the differential: a 16 MB/s cap with 5 ms of
-    // propagation delay makes the stop-and-wait latency penalty — and so
-    // the benefit of adding lanes — large and stable, without the run-to-
-    // run variance a lossy schedule would add on a loaded CI host.
+    // Loss-free shaping for the differential, without the run-to-run
+    // variance a lossy schedule would add on a loaded CI host. Both sides
+    // run the window `lane_window` computes for this link (10 chunks of a
+    // 160 KB bandwidth-delay product), so both say the same thing: one
+    // lane already fills the pipe and more lanes change nothing.
     let shape = LinkShape::parse("bw=16m,delay=5ms").unwrap();
     let report = wan_live_vs_sim(&[1, 2, 4], shape, 1997, DEFAULT_TOLERANCE)
         .expect("live wan-streams leg runs");
