@@ -70,6 +70,37 @@ fn large_args_preship_over_parallel_lanes_and_the_call_refs_them() {
     server.shutdown();
 }
 
+/// The tripwire for a split digest definition: an upload is named by
+/// `Digest::of` over the image, a call by `digest_value` over the value.
+/// Were they two functions, every call would find its upload unknown and
+/// ship the matrix inline as well — slower, never wrong, so only the
+/// client's own counters can tell.
+#[test]
+fn an_uploaded_value_is_named_by_ref_and_never_shipped_inline_again() {
+    let server = start_server();
+    let addr = server.addr().to_string();
+    let mut client = NinfClient::connect_with(&addr, bulk_opts(1)).unwrap();
+    let args = big_linpack_args();
+    let image_len = ninf_protocol::value_image(&args[1]).len();
+    for call in 0..3 {
+        client.ninf_call("linpack", &args).unwrap();
+        let t = client.last_timing().unwrap();
+        let uploaded = if call == 0 { image_len } else { 0 };
+        assert_eq!(t.bulk_bytes, uploaded, "call {call}: one upload, ever");
+        // The rhs ships inline once, then is named by ref like the matrix.
+        assert_eq!(t.args_refd, if call == 0 { 1 } else { 2 }, "call {call}");
+        assert_eq!(t.args_refilled, 0, "call {call}");
+        assert!(
+            t.request_bytes < 2048,
+            "call {call}: no inline copy of the matrix ({} bytes)",
+            t.request_bytes
+        );
+    }
+    let (_, _, uploads, _) = server.metrics().chunked();
+    assert_eq!(uploads, 1);
+    server.shutdown();
+}
+
 #[test]
 fn need_arg_refills_over_the_bulk_lanes_and_replays_the_refs() {
     let server = start_server();

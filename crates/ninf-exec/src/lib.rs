@@ -34,8 +34,8 @@ pub use ep::{
     ep_kernel, ep_kernel_parallel, ep_segment, ep_segment_any, EpResult, NasRng, EP_GAUSSIAN_BINS,
 };
 pub use linpack::{
-    dgefa, dgesl, linpack_flops, linpack_message_bytes, matgen, random_matrix, residual_check,
-    solve,
+    dgefa, dgesl, dgesl_cols, linpack_flops, linpack_message_bytes, matgen, random_matrix,
+    residual_check, solve, ShapeError,
 };
 pub use matrix::Matrix;
 pub use nbody::{

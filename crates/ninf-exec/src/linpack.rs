@@ -111,14 +111,73 @@ pub fn dgefa(a: &mut Matrix) -> Result<Vec<usize>, Singular> {
 
 /// Solve `A·x = b` using the factors produced by [`dgefa`]; `b` is
 /// overwritten with the solution (Fortran `dgesl` with `job = 0`).
+///
+/// Panics if `a` is not square or `ipvt`/`b` do not fit it; see
+/// [`dgesl_cols`] for the checked form over borrowed factors.
 pub fn dgesl(a: &Matrix, ipvt: &[usize], b: &mut [f64]) {
-    let n = a.rows();
-    assert_eq!(n, a.cols());
-    assert_eq!(b.len(), n);
-    assert_eq!(ipvt.len(), n);
-    if n == 0 {
-        return;
+    assert_eq!(a.rows(), a.cols());
+    if let Err(e) = dgesl_cols(a.as_slice(), a.rows(), ipvt, b) {
+        panic!("dgesl: {e}");
     }
+}
+
+/// Why [`dgesl_cols`] refused a system before touching it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ShapeError {
+    /// Operand `what` holds `got` elements where order `n` needs `want`.
+    Length {
+        /// Which operand (`"A"`, `"ipvt"` or `"b"`).
+        what: &'static str,
+        /// Elements order `n` needs.
+        want: usize,
+        /// Elements supplied.
+        got: usize,
+    },
+    /// `ipvt[k]` names row `row`, outside the system.
+    Pivot {
+        /// Elimination step.
+        k: usize,
+        /// The row it names.
+        row: usize,
+    },
+}
+
+impl std::fmt::Display for ShapeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ShapeError::Length { what, want, got } => {
+                write!(f, "{what} has {got} elements, order needs {want}")
+            }
+            ShapeError::Pivot { k, row } => write!(f, "ipvt[{k}] = {row} is outside the system"),
+        }
+    }
+}
+
+impl std::error::Error for ShapeError {}
+
+/// [`dgesl`] against factors borrowed as a column-major `n × n` slice — the
+/// form an argument decoded from the wire (or shared from the arg store)
+/// already has, so a solve never copies the matrix. Every length and pivot
+/// is checked first: a mismatch is a [`ShapeError`], never a slice panic.
+pub fn dgesl_cols(a: &[f64], n: usize, ipvt: &[usize], b: &mut [f64]) -> Result<(), ShapeError> {
+    let fits = |what, want: Option<usize>, got| match want {
+        Some(want) if want == got => Ok(()),
+        want => Err(ShapeError::Length {
+            what,
+            want: want.unwrap_or(usize::MAX),
+            got,
+        }),
+    };
+    fits("A", n.checked_mul(n), a.len())?;
+    fits("ipvt", Some(n), ipvt.len())?;
+    fits("b", Some(n), b.len())?;
+    if let Some((k, &row)) = ipvt.iter().enumerate().find(|&(_, &row)| row >= n) {
+        return Err(ShapeError::Pivot { k, row });
+    }
+    if n == 0 {
+        return Ok(());
+    }
+    let col = |k: usize| &a[k * n..(k + 1) * n];
 
     // Forward elimination: apply L^{-1} (and P) to b.
     for k in 0..n - 1 {
@@ -128,16 +187,15 @@ pub fn dgesl(a: &Matrix, ipvt: &[usize], b: &mut [f64]) {
             b[l] = b[k];
             b[k] = t;
         }
-        let col = a.col(k);
-        daxpy(t, &col[k + 1..], &mut b[k + 1..]);
+        daxpy(t, &col(k)[k + 1..], &mut b[k + 1..]);
     }
     // Back substitution: solve U x = y.
     for k in (0..n).rev() {
-        b[k] /= a[(k, k)];
+        b[k] /= col(k)[k];
         let t = -b[k];
-        let col = a.col(k);
-        daxpy(t, &col[..k], &mut b[..k]);
+        daxpy(t, &col(k)[..k], &mut b[..k]);
     }
+    Ok(())
 }
 
 /// Factor + solve in one call; returns the solution. This is the unit of one
@@ -213,6 +271,40 @@ pub fn linpack_message_bytes(n: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn borrowed_solve_matches_and_refuses_misfits() {
+        let n = 12;
+        let (mut a, b) = matgen(n);
+        let ipvt = dgefa(&mut a).unwrap();
+        let mut owned = b.clone();
+        dgesl(&a, &ipvt, &mut owned);
+        let mut borrowed = b.clone();
+        dgesl_cols(a.as_slice(), n, &ipvt, &mut borrowed).unwrap();
+        assert_eq!(owned, borrowed, "bit-identical to the owned solve");
+
+        let short = &a.as_slice()[1..];
+        assert_eq!(
+            dgesl_cols(short, n, &ipvt, &mut b.clone()),
+            Err(ShapeError::Length {
+                what: "A",
+                want: n * n,
+                got: n * n - 1
+            })
+        );
+        assert!(dgesl_cols(a.as_slice(), n, &ipvt[1..], &mut b.clone()).is_err());
+        assert!(dgesl_cols(a.as_slice(), n, &ipvt, &mut b[1..].to_vec()).is_err());
+        let mut wild = ipvt.clone();
+        wild[3] = n;
+        assert_eq!(
+            dgesl_cols(a.as_slice(), n, &wild, &mut b.clone()),
+            Err(ShapeError::Pivot { k: 3, row: n })
+        );
+        assert!(
+            dgesl_cols(&[], usize::MAX, &[], &mut []).is_err(),
+            "n·n overflows"
+        );
+    }
 
     #[test]
     fn factor_and_solve_known_system() {

@@ -83,7 +83,7 @@ pub fn generate_handler_stub(def: &Define) -> String {
     );
     let _ = writeln!(
         out,
-        "    std::sync::Arc::new(move |args: &[ninf_protocol::Value]| {{"
+        "    std::sync::Arc::new(move |args: &[&ninf_protocol::Value]| {{"
     );
 
     // Unpack inputs in declaration order of sends() params.
@@ -111,7 +111,7 @@ pub fn generate_handler_stub(def: &Define) -> String {
             let _ = writeln!(out, "        // {}", print_param(p));
             let _ = writeln!(
                 out,
-                "        let {}: &[{ty}] = match &args[{arg_idx}] {{",
+                "        let {}: &[{ty}] = match args[{arg_idx}] {{",
                 rust_ident(&p.name)
             );
             let _ = writeln!(out, "            ninf_protocol::Value::{variant}(v) => v,");
@@ -241,8 +241,9 @@ mod tests {
         let stub = generate_handler_stub(&def);
         assert!(stub.contains("pub fn dmmul_handler()"));
         assert!(stub.contains("let n = args[0]"));
-        assert!(stub.contains("let a_: &[f64] = match &args[1]"));
-        assert!(stub.contains("let b_: &[f64] = match &args[2]"));
+        assert!(stub.contains("move |args: &[&ninf_protocol::Value]|"));
+        assert!(stub.contains("let a_: &[f64] = match args[1]"));
+        assert!(stub.contains("let b_: &[f64] = match args[2]"));
         assert!(stub.contains("TODO: call mmul via \"C\""));
         // C is mode_out: allocated with the IDL extent.
         assert!(stub.contains("let out_c_ = vec![Default::default(); (n * n) as usize]"));

@@ -43,8 +43,8 @@ const fn make_tables() -> [[u32; 256]; 8] {
 static TABLES: [[u32; 256]; 8] = make_tables();
 
 /// Slice-by-8 software CRC: eight table lookups per 8-byte chunk instead of
-/// one lookup per byte.
-fn update_sw(mut crc: u32, data: &[u8]) -> u32 {
+/// one lookup per byte. Works on the raw (uncomplemented) register.
+pub(crate) fn update_sw(mut crc: u32, data: &[u8]) -> u32 {
     let mut chunks = data.chunks_exact(8);
     for c in &mut chunks {
         let lo = u32::from_le_bytes([c[0], c[1], c[2], c[3]]) ^ crc;
@@ -81,17 +81,23 @@ fn update_hw(crc: u32, data: &[u8]) -> u32 {
     crc
 }
 
-/// CRC-32C digest of `data` (init `!0`, final complement — the RFC 3720
-/// parameterization, so `crc32c(b"123456789") == 0xE306_9283`).
-pub fn crc32c(data: &[u8]) -> u32 {
+/// Fold `data` into the raw (uncomplemented) CRC-32C register, on the
+/// `crc32` instruction when the host has it.
+pub(crate) fn update(crc: u32, data: &[u8]) -> u32 {
     #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("sse4.2") {
             // SAFETY: the `crc32` instruction was detected at runtime.
-            return !unsafe { update_hw(!0, data) };
+            return unsafe { update_hw(crc, data) };
         }
     }
-    !update_sw(!0, data)
+    update_sw(crc, data)
+}
+
+/// CRC-32C digest of `data` (init `!0`, final complement — the RFC 3720
+/// parameterization, so `crc32c(b"123456789") == 0xE306_9283`).
+pub fn crc32c(data: &[u8]) -> u32 {
+    !update(!0, data)
 }
 
 /// Streaming CRC-32C: digest non-contiguous byte ranges (the v3 frame
@@ -115,15 +121,7 @@ impl Crc32c {
 
     /// Fold `data` into the digest.
     pub fn update(&mut self, data: &[u8]) -> &mut Self {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("sse4.2") {
-                // SAFETY: the `crc32` instruction was detected at runtime.
-                self.0 = unsafe { update_hw(self.0, data) };
-                return self;
-            }
-        }
-        self.0 = update_sw(self.0, data);
+        self.0 = update(self.0, data);
         self
     }
 

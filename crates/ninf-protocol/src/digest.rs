@@ -1,19 +1,46 @@
 //! Content digests for the argument cache.
 //!
-//! A [`Digest`] names one marshalled argument by its bytes: 128 bits built
-//! from two independent passes over the XDR image — a 64-bit SplitMix-style
-//! chunk mix and the frame checksum's own CRC-32C (hardware-accelerated on
-//! SSE4.2, see [`crate::crc`]) folded with the length. The two halves fail
-//! independently, so an accidental collision needs to defeat both at once;
-//! this is a cache key against accidental collision, not an adversarial
-//! MAC — a client that lies about digests only poisons its own results.
+//! A [`Digest`] names one marshalled argument by the bytes of its tagged
+//! XDR image: 128 bits in two independent halves, both computed in **one
+//! pass** over the image.
+//!
+//! - `lo = crc32c(image) << 32 | len mod 2^32` — the frame checksum's own
+//!   CRC-32C (hardware `crc32` on SSE4.2, see [`crate::crc`]) folded with
+//!   the length.
+//! - `hi` — a multi-lane multiply-rotate accumulation: little-endian
+//!   64-bit word `k` of the image (the last one zero-padded) goes to lane
+//!   `k mod 8` as `lane = rotl((lane ^ word) · K, 31)`; the eight lanes are
+//!   then folded the same way into a length-seeded accumulator, which goes
+//!   through the SplitMix64 finalizer once. Eight independent chains, so
+//!   the multiplies overlap instead of waiting on each other.
+//!
+//! [`digest_value`] computes this without materialising the image: the
+//! value's header words, then its body byteswapped one L1-sized block at a
+//! time ([`ninf_xdr::be_blocks`]), each block folded into both halves while
+//! it is still in cache. [`Digest::of`] is **the same function** over a byte
+//! image — chunked uploads are named and verified with it — and a property
+//! test holds `digest_value(v) == Digest::of(&value_image(v))` for every
+//! value kind. A split definition would be silent: every uploaded value
+//! would ship inline a second time and no call would fail.
+//!
+//! The halves fail independently, so an accidental collision needs to
+//! defeat both at once; this is a cache key against accidental collision,
+//! not an adversarial MAC — a client that lies about digests only poisons
+//! its own results.
+//!
+//! **Flag day (PR 21).** Until PR 21 `hi` was one serial SplitMix chain
+//! over the words; its values changed with the lanes (`lo` did not). Peers
+//! on different definitions name values the other cannot find: every ref
+//! misses and is refilled through `NeedArg`, so calls are slower, never
+//! wrong.
 //!
 //! Arguments below [`ARG_CACHE_MIN_BYTES`] are never cached: a digest ref
 //! costs ~20 wire bytes plus a store lookup, which only pays for itself on
 //! the flat arrays that dominate WAN transfer time.
 
+use ninf_xdr::{be_blocks, BeWord};
+
 use crate::codec::Wire;
-use crate::crc::crc32c;
 use crate::value::Value;
 
 /// Arguments smaller than this many XDR bytes are always shipped inline —
@@ -23,7 +50,7 @@ pub const ARG_CACHE_MIN_BYTES: usize = 1024;
 /// 128-bit content digest of one marshalled argument.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Digest {
-    /// SplitMix-style 64-bit chunk mix over the XDR image.
+    /// Eight-lane multiply-rotate accumulation over the XDR image.
     pub hi: u64,
     /// `crc32c(image) << 32 | len mod 2^32` — a second, independent check.
     pub lo: u64,
@@ -32,10 +59,9 @@ pub struct Digest {
 impl Digest {
     /// Digest of a byte image.
     pub fn of(bytes: &[u8]) -> Digest {
-        Digest {
-            hi: mix64(bytes),
-            lo: (u64::from(crc32c(bytes)) << 32) | (bytes.len() as u64 & 0xFFFF_FFFF),
-        }
+        let mut h = Hasher::new();
+        h.update(bytes);
+        h.finish()
     }
 }
 
@@ -45,28 +71,142 @@ impl std::fmt::Display for Digest {
     }
 }
 
-/// SplitMix64-finalized chunk mix: fold each 8-byte word (and a
-/// length-tagged tail) through the SplitMix64 finalizer. Not cryptographic;
-/// paired with the CRC half above for independence.
-fn mix64(bytes: &[u8]) -> u64 {
-    #[inline]
-    fn finalize(mut z: u64) -> u64 {
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+/// Independent accumulator lanes of the `hi` half.
+const LANES: usize = 8;
+/// Bytes one kernel step consumes: one word per lane.
+const GROUP: usize = LANES * 8;
+/// Odd multiplier, 2^64 / φ.
+const K: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// One lane step: a bijection of `acc` for a fixed word and of the word
+/// for a fixed `acc`, so a one-word change always reaches the lane's end.
+#[inline(always)]
+fn mix(acc: u64, word: u64) -> u64 {
+    (acc ^ word).wrapping_mul(K).rotate_left(31)
+}
+
+/// The SplitMix64 finalizer.
+fn finalize(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// The digest kernel: fold whole [`GROUP`]s into the lanes and, word by
+/// word in the same loop, into the raw CRC-32C register through
+/// `crc_word`. Returns the new register.
+#[inline(always)]
+fn absorb(
+    lanes: &mut [u64; LANES],
+    mut crc: u32,
+    groups: &[u8],
+    crc_word: impl Fn(u32, u64) -> u32,
+) -> u32 {
+    let (groups, rest) = groups.as_chunks::<GROUP>();
+    debug_assert!(rest.is_empty(), "absorb takes whole groups");
+    let mut acc = *lanes;
+    for g in groups {
+        let (words, _) = g.as_chunks::<8>();
+        for (lane, w) in acc.iter_mut().zip(words) {
+            let w = u64::from_le_bytes(*w);
+            crc = crc_word(crc, w);
+            *lane = mix(*lane, w);
+        }
     }
-    let mut h = 0x9E37_79B9_7F4A_7C15u64 ^ (bytes.len() as u64);
-    let mut chunks = bytes.chunks_exact(8);
-    for c in &mut chunks {
-        h = finalize(h ^ u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
+    *lanes = acc;
+    crc
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse4.2")]
+fn absorb_hw(lanes: &mut [u64; LANES], crc: u32, groups: &[u8]) -> u32 {
+    use std::arch::x86_64::_mm_crc32_u64;
+    absorb(lanes, crc, groups, |c, w| {
+        _mm_crc32_u64(u64::from(c), w) as u32
+    })
+}
+
+fn absorb_groups(lanes: &mut [u64; LANES], crc: u32, groups: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::arch::is_x86_feature_detected!("sse4.2") {
+            // SAFETY: the `crc32` instruction was detected at runtime.
+            return unsafe { absorb_hw(lanes, crc, groups) };
+        }
     }
-    let rest = chunks.remainder();
-    if !rest.is_empty() {
-        let mut tail = [0u8; 8];
-        tail[..rest.len()].copy_from_slice(rest);
-        h = finalize(h ^ u64::from_le_bytes(tail) ^ (rest.len() as u64) << 56);
+    absorb(lanes, crc, groups, |c, w| {
+        crate::crc::update_sw(c, &w.to_le_bytes())
+    })
+}
+
+/// One streaming pass computing both halves; bytes may arrive in pieces
+/// of any length.
+struct Hasher {
+    lanes: [u64; LANES],
+    /// Raw (uncomplemented) CRC-32C register.
+    crc: u32,
+    len: u64,
+    /// The start of a group whose remaining bytes have not arrived yet.
+    pending: [u8; GROUP],
+    filled: usize,
+}
+
+impl Hasher {
+    fn new() -> Self {
+        let mut lanes = [0u64; LANES];
+        for (i, lane) in lanes.iter_mut().enumerate() {
+            *lane = finalize(i as u64 + 1);
+        }
+        Hasher {
+            lanes,
+            crc: !0,
+            len: 0,
+            pending: [0; GROUP],
+            filled: 0,
+        }
     }
-    finalize(h)
+
+    fn update(&mut self, mut data: &[u8]) {
+        self.len += data.len() as u64;
+        if self.filled > 0 {
+            let take = (GROUP - self.filled).min(data.len());
+            self.pending[self.filled..self.filled + take].copy_from_slice(&data[..take]);
+            self.filled += take;
+            data = &data[take..];
+            if self.filled < GROUP {
+                return;
+            }
+            self.crc = absorb_groups(&mut self.lanes, self.crc, &self.pending);
+            self.filled = 0;
+        }
+        let whole = data.len() - data.len() % GROUP;
+        self.crc = absorb_groups(&mut self.lanes, self.crc, &data[..whole]);
+        let rest = &data[whole..];
+        self.pending[..rest.len()].copy_from_slice(rest);
+        self.filled = rest.len();
+    }
+
+    /// Fold the body of an array value: its count word, then its elements
+    /// one big-endian block at a time.
+    fn array<T: BeWord>(&mut self, items: &[T]) {
+        self.update(&(items.len() as u32).to_be_bytes());
+        be_blocks(items, |block| self.update(block));
+    }
+
+    fn finish(mut self) -> Digest {
+        let tail = &self.pending[..self.filled];
+        self.crc = crate::crc::update(self.crc, tail);
+        for (lane, w) in self.lanes.iter_mut().zip(tail.chunks(8)) {
+            let mut word = [0u8; 8];
+            word[..w.len()].copy_from_slice(w);
+            *lane = mix(*lane, u64::from_le_bytes(word));
+        }
+        let hi = finalize(self.lanes.iter().fold(K ^ self.len, |h, &l| mix(h, l)));
+        Digest {
+            hi,
+            lo: (u64::from(!self.crc) << 32) | (self.len & 0xFFFF_FFFF),
+        }
+    }
 }
 
 /// Full tagged XDR image of one value: the exact byte stream chunked bulk
@@ -79,9 +219,23 @@ pub fn value_image(v: &Value) -> ninf_xdr::Bytes {
 }
 
 /// Digest of one argument value, over its full tagged XDR image (the tag
-/// keeps an `IntArray` and a `FloatArray` with identical bytes distinct).
+/// keeps an `IntArray` and a `FloatArray` with identical bytes distinct),
+/// in one streaming pass that never builds the image:
+/// `digest_value(v) == Digest::of(&value_image(v))`.
 pub fn digest_value(v: &Value) -> Digest {
-    Digest::of(&value_image(v))
+    let mut h = Hasher::new();
+    h.update(&crate::message::value_tag(v).to_be_bytes());
+    match v {
+        Value::Int(x) => h.update(&x.to_be_bytes()),
+        Value::Long(x) => h.update(&x.to_be_bytes()),
+        Value::Float(x) => h.update(&x.to_be_bytes()),
+        Value::Double(x) => h.update(&x.to_be_bytes()),
+        Value::IntArray(a) => h.array(a),
+        Value::LongArray(a) => h.array(a),
+        Value::FloatArray(a) => h.array(a),
+        Value::DoubleArray(a) => h.array(a),
+    }
+    h.finish()
 }
 
 /// Whether an argument is worth caching at all: a flat array whose XDR
@@ -126,6 +280,53 @@ mod tests {
     fn length_is_folded_into_lo() {
         let d = Digest::of(&[0u8; 1234]);
         assert_eq!(d.lo & 0xFFFF_FFFF, 1234);
+    }
+
+    /// Known answers, pinned so that a change of definition is a
+    /// deliberate flag day and not an accident.
+    #[test]
+    fn pinned_known_answers() {
+        let matrix = Value::DoubleArray((0..300).map(|i| f64::from(i) * 0.5 - 7.0).collect());
+        let odd_tail = Value::IntArray(vec![1, -2, 3, -4, 5, -6, 7]);
+        assert_eq!(
+            digest_value(&matrix).to_string(),
+            "9124637e6b157cb6afd8349500000968"
+        );
+        assert_eq!(
+            digest_value(&odd_tail).to_string(),
+            "76e973e9dec187d85aa3604500000024"
+        );
+    }
+
+    proptest::proptest! {
+        /// Bytes arriving in pieces of any length — the value header,
+        /// then 2 KiB blocks, in `digest_value` — digest as one piece.
+        #[test]
+        fn pieces_of_any_length_digest_as_one(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..=2_000),
+            cuts in proptest::collection::vec(0usize..=2_000, 0..6),
+        ) {
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(bytes.len())).collect();
+            cuts.sort_unstable();
+            let mut h = Hasher::new();
+            let mut from = 0;
+            for cut in cuts.into_iter().chain([bytes.len()]) {
+                h.update(&bytes[from..cut]);
+                from = cut;
+            }
+            proptest::prop_assert_eq!(h.finish(), Digest::of(&bytes));
+        }
+    }
+
+    #[test]
+    fn one_word_change_anywhere_changes_hi() {
+        let base: Vec<u8> = (0..200u32).map(|i| (i * 37 % 251) as u8).collect();
+        let d = Digest::of(&base);
+        for at in 0..base.len() {
+            let mut flipped = base.clone();
+            flipped[at] ^= 0x10;
+            assert_ne!(Digest::of(&flipped).hi, d.hi, "flip at byte {at}");
+        }
     }
 
     #[test]

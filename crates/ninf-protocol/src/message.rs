@@ -437,6 +437,21 @@ const VTAG_LONG_ARR: u32 = 5;
 const VTAG_FLOAT_ARR: u32 = 6;
 const VTAG_DOUBLE_ARR: u32 = 7;
 
+/// The tag word a [`Value`]'s tagged image starts with — what
+/// [`crate::digest::digest_value`] folds first without encoding the value.
+pub(crate) fn value_tag(v: &Value) -> u32 {
+    match v {
+        Value::Int(_) => VTAG_INT,
+        Value::Long(_) => VTAG_LONG,
+        Value::Float(_) => VTAG_FLOAT,
+        Value::Double(_) => VTAG_DOUBLE,
+        Value::IntArray(_) => VTAG_INT_ARR,
+        Value::LongArray(_) => VTAG_LONG_ARR,
+        Value::FloatArray(_) => VTAG_FLOAT_ARR,
+        Value::DoubleArray(_) => VTAG_DOUBLE_ARR,
+    }
+}
+
 impl_wire!(
     enum Value {
         Int = VTAG_INT,

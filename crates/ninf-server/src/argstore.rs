@@ -9,6 +9,15 @@
 //! one 32 MB matrix and a thousand 32 KB vectors cost the same — and
 //! eviction is strict LRU over both inserts and lookups.
 //!
+//! Values are shared, not copied: the store holds an `Arc<Value>`, a hit
+//! hands out another handle to it (a pointer copy under the lock, not an
+//! 8 MiB clone), and an inline value the server captures is the same
+//! allocation the call runs on. So the budget bounds *resident entries*;
+//! an entry evicted while a running call still holds it is gone from the
+//! store (and from [`ArgStore::bytes`]) at once, and its memory is freed
+//! when that call drops its handle. Values pinned that way are bounded
+//! separately, by in-flight calls × value size.
+//!
 //! The store is also where a chunked bulk upload meets the `Invoke` that
 //! names it, and a client that uploads a fresh value per call would fill
 //! the whole budget with values nobody asks for twice. Uploads therefore
@@ -20,6 +29,7 @@
 //! misses, which is the server-side off switch.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::sync::Arc;
 
 use ninf_protocol::{Digest, Value};
 use parking_lot::Mutex;
@@ -37,7 +47,7 @@ pub const DEFAULT_ARG_CACHE_BYTES: usize = 64 << 20;
 pub const UPLOAD_RESIDUE_ENTRIES: usize = 64;
 
 struct Entry {
-    value: Value,
+    value: Arc<Value>,
     bytes: usize,
     stamp: u64,
     /// Lookups so far.
@@ -98,7 +108,11 @@ impl ArgStore {
     /// Insert `value` under `digest` (the caller computes the digest so the
     /// hashing cost sits outside the lock). Returns how many entries were
     /// evicted to fit. Values larger than the whole budget are not retained.
-    pub fn insert(&self, digest: Digest, value: Value) -> usize {
+    ///
+    /// Takes a `Value` or an `Arc<Value>`; the latter is stored as is, so a
+    /// caller that keeps a handle shares the one allocation with the store.
+    pub fn insert(&self, digest: Digest, value: impl Into<Arc<Value>>) -> usize {
+        let value = value.into();
         let bytes = value.wire_bytes();
         if bytes > self.budget {
             return 0;
@@ -144,7 +158,7 @@ impl ArgStore {
     /// By the time it ages out of those, a second lookup has shown it to be
     /// a repeat input, or its `Invoke` is still to come — either way it
     /// stays, an ordinary LRU resident — or it goes.
-    pub fn land(&self, digest: Digest, value: Value) -> usize {
+    pub fn land(&self, digest: Digest, value: impl Into<Arc<Value>>) -> usize {
         let mut evicted = self.insert(digest, value);
         let mut inner = self.inner.lock();
         // One slot per digest: a value that lands again ages from now.
@@ -160,13 +174,14 @@ impl ArgStore {
         evicted
     }
 
-    /// Look up (and LRU-touch) a digest.
-    pub fn get(&self, digest: &Digest) -> Option<Value> {
+    /// Look up (and LRU-touch) a digest: a shared handle to the stored
+    /// value, never a copy of it.
+    pub fn get(&self, digest: &Digest) -> Option<Arc<Value>> {
         let mut inner = self.inner.lock();
         inner.touch(*digest);
         inner.map.get_mut(digest).map(|e| {
             e.gets += 1;
-            e.value.clone()
+            Arc::clone(&e.value)
         })
     }
 
@@ -215,7 +230,7 @@ mod tests {
         let store = ArgStore::new(1 << 20);
         let (d, v) = arr(1.5, 100);
         assert_eq!(store.insert(d, v.clone()), 0);
-        assert_eq!(store.get(&d), Some(v));
+        assert_eq!(store.get(&d).as_deref(), Some(&v));
         assert!(store.contains(&d));
         assert_eq!(store.len(), 1);
         assert_eq!(store.bytes(), 800);
@@ -321,7 +336,11 @@ mod tests {
             assert!(store.get(&d).is_some());
         }
         assert_eq!(store.len(), UPLOAD_RESIDUE_ENTRIES + 1);
-        assert_eq!(store.get(&waiting), Some(v), "never aged out unused");
+        assert_eq!(
+            store.get(&waiting).as_deref(),
+            Some(&v),
+            "never aged out unused"
+        );
     }
 
     #[test]
@@ -341,7 +360,44 @@ mod tests {
             let (d, v) = arr(i as f64, 1);
             assert_eq!(store.land(d, v), 0);
         }
-        assert_eq!(store.get(&x), Some(vx));
+        assert_eq!(store.get(&x).as_deref(), Some(&vx));
+    }
+
+    #[test]
+    fn hits_share_one_allocation() {
+        let store = ArgStore::new(1 << 20);
+        let (d, v) = arr(1.5, 100);
+        let mine = Arc::new(v);
+        store.insert(d, Arc::clone(&mine));
+        let (a, b) = (store.get(&d).unwrap(), store.get(&d).unwrap());
+        assert!(Arc::ptr_eq(&a, &b), "two hits, one value");
+        assert!(
+            Arc::ptr_eq(&a, &mine),
+            "the inserter's handle is the stored value"
+        );
+    }
+
+    #[test]
+    fn evicting_a_value_a_call_still_holds_frees_the_budget_not_the_value() {
+        // Room for one 800-byte array.
+        let store = ArgStore::new(800);
+        let (d1, v1) = arr(1.0, 100);
+        store.insert(d1, v1.clone());
+        let running = store.get(&d1).unwrap();
+        let (d2, v2) = arr(2.0, 100);
+        assert_eq!(store.insert(d2, v2), 1);
+        assert!(!store.contains(&d1));
+        assert_eq!(
+            store.bytes(),
+            800,
+            "the evicted entry left the budget at once"
+        );
+        assert_eq!(*running, v1, "the running call's value is intact");
+        assert_eq!(
+            Arc::strong_count(&running),
+            1,
+            "and is the call's alone now"
+        );
     }
 
     #[test]

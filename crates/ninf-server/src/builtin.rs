@@ -63,10 +63,10 @@ fn get_ints<'a>(v: &'a Value, what: &str) -> Result<&'a [i32], String> {
 
 /// `dmmul(n, A, B) -> C` (matrix product, §2's running example).
 pub fn dmmul_handler(parallel: bool) -> Handler {
-    Arc::new(move |args: &[Value]| {
-        let n = get_int(&args[0], "n")?;
-        let a = Matrix::from_col_major(n, n, get_doubles(&args[1], "A")?.to_vec());
-        let b = Matrix::from_col_major(n, n, get_doubles(&args[2], "B")?.to_vec());
+    Arc::new(move |args: &[&Value]| {
+        let n = get_int(args[0], "n")?;
+        let a = Matrix::from_col_major(n, n, get_doubles(args[1], "A")?.to_vec());
+        let b = Matrix::from_col_major(n, n, get_doubles(args[2], "B")?.to_vec());
         let c = if parallel {
             ninf_exec::dmmul_parallel(&a, &b)
         } else {
@@ -78,9 +78,9 @@ pub fn dmmul_handler(parallel: bool) -> Handler {
 
 /// `dgefa(n, A inout) -> (A, ipvt, info)` — LU factorization.
 pub fn dgefa_handler(parallel: bool) -> Handler {
-    Arc::new(move |args: &[Value]| {
-        let n = get_int(&args[0], "n")?;
-        let mut a = Matrix::from_col_major(n, n, get_doubles(&args[1], "A")?.to_vec());
+    Arc::new(move |args: &[&Value]| {
+        let n = get_int(args[0], "n")?;
+        let mut a = Matrix::from_col_major(n, n, get_doubles(args[1], "A")?.to_vec());
         let outcome = if parallel {
             ninf_exec::dgefa_blocked_parallel(&mut a, 0)
         } else {
@@ -102,20 +102,19 @@ pub fn dgefa_handler(parallel: bool) -> Handler {
     })
 }
 
-/// `dgesl(n, A, ipvt, b inout) -> b` — solve with existing factors.
+/// `dgesl(n, A, ipvt, b inout) -> b` — solve with existing factors. `A`
+/// is only read, so the solve runs on the argument itself (for a ref'd
+/// matrix, the arg store's copy); only `b` is copied.
 pub fn dgesl_handler() -> Handler {
-    Arc::new(move |args: &[Value]| {
-        let n = get_int(&args[0], "n")?;
-        let a = Matrix::from_col_major(n, n, get_doubles(&args[1], "A")?.to_vec());
-        let ipvt: Vec<usize> = get_ints(&args[2], "ipvt")?
+    Arc::new(move |args: &[&Value]| {
+        let n = get_int(args[0], "n")?;
+        let a = get_doubles(args[1], "A")?;
+        let ipvt: Vec<usize> = get_ints(args[2], "ipvt")?
             .iter()
-            .map(|&p| p as usize)
+            .map(|&p| usize::try_from(p).unwrap_or(usize::MAX))
             .collect();
-        let mut b = get_doubles(&args[3], "b")?.to_vec();
-        if ipvt.len() != n || b.len() != n {
-            return Err("dgesl: ipvt/b length mismatch".into());
-        }
-        ninf_exec::dgesl(&a, &ipvt, &mut b);
+        let mut b = get_doubles(args[3], "b")?.to_vec();
+        ninf_exec::dgesl_cols(a, n, &ipvt, &mut b).map_err(|e| format!("dgesl: {e}"))?;
         Ok(vec![Value::DoubleArray(b)])
     })
 }
@@ -123,10 +122,10 @@ pub fn dgesl_handler() -> Handler {
 /// `linpack(n, A, b) -> (x, ipvt)` — one benchmark `Ninf_call` (factor +
 /// solve).
 pub fn linpack_handler(parallel: bool) -> Handler {
-    Arc::new(move |args: &[Value]| {
-        let n = get_int(&args[0], "n")?;
-        let mut a = Matrix::from_col_major(n, n, get_doubles(&args[1], "A")?.to_vec());
-        let mut b = get_doubles(&args[2], "b")?.to_vec();
+    Arc::new(move |args: &[&Value]| {
+        let n = get_int(args[0], "n")?;
+        let mut a = Matrix::from_col_major(n, n, get_doubles(args[1], "A")?.to_vec());
+        let mut b = get_doubles(args[2], "b")?.to_vec();
         let ipvt = if parallel {
             ninf_exec::dgefa_blocked_parallel(&mut a, 0).map_err(|e| e.to_string())?
         } else {
@@ -142,8 +141,8 @@ pub fn linpack_handler(parallel: bool) -> Handler {
 
 /// `ep(m) -> (sums[2], counts[10])` — NAS EP, `2^m` pair trials.
 pub fn ep_handler() -> Handler {
-    Arc::new(move |args: &[Value]| {
-        let m = get_int(&args[0], "m")?;
+    Arc::new(move |args: &[&Value]| {
+        let m = get_int(args[0], "m")?;
         if m > 36 {
             return Err("ep: m > 36 would run for days".into());
         }
@@ -157,9 +156,9 @@ pub fn ep_handler() -> Handler {
 
 /// `dgeco(n, A inout) -> (A, ipvt, rcond)` — factor + condition estimate.
 pub fn dgeco_handler() -> Handler {
-    Arc::new(move |args: &[Value]| {
-        let n = get_int(&args[0], "n")?;
-        let mut a = Matrix::from_col_major(n, n, get_doubles(&args[1], "A")?.to_vec());
+    Arc::new(move |args: &[&Value]| {
+        let n = get_int(args[0], "n")?;
+        let mut a = Matrix::from_col_major(n, n, get_doubles(args[1], "A")?.to_vec());
         match ninf_exec::dgeco(&mut a) {
             Ok((ipvt, rcond)) => Ok(vec![
                 Value::DoubleArray(a.into_vec()),
@@ -175,11 +174,11 @@ pub fn dgeco_handler() -> Handler {
 /// gravity of `n` fixed sources at the step's probe grid (the iterative
 /// argument-cache workload: big unchanged inputs, O(1) output).
 pub fn nbody_handler() -> Handler {
-    Arc::new(move |args: &[Value]| {
-        let n = get_int(&args[0], "n")?;
-        let step = get_int(&args[1], "step")?;
-        let masses = get_doubles(&args[2], "masses")?;
-        let pos = get_doubles(&args[3], "pos")?;
+    Arc::new(move |args: &[&Value]| {
+        let n = get_int(args[0], "n")?;
+        let step = get_int(args[1], "step")?;
+        let masses = get_doubles(args[2], "masses")?;
+        let pos = get_doubles(args[3], "pos")?;
         if masses.len() != n || pos.len() != 3 * n {
             return Err("nbody: masses/pos length mismatch".into());
         }
@@ -190,9 +189,9 @@ pub fn nbody_handler() -> Handler {
 
 /// `dos(m, bins) -> hist[bins]` — density-of-states Monte-Carlo.
 pub fn dos_handler() -> Handler {
-    Arc::new(move |args: &[Value]| {
-        let m = get_int(&args[0], "m")?;
-        let bins = get_int(&args[1], "bins")?;
+    Arc::new(move |args: &[&Value]| {
+        let m = get_int(args[0], "m")?;
+        let bins = get_int(args[1], "bins")?;
         if m > 36 {
             return Err("dos: m > 36 would run for days".into());
         }
@@ -210,6 +209,11 @@ pub fn dos_handler() -> Handler {
 mod tests {
     use super::*;
     use crate::registry::validate_invoke;
+
+    /// A handler's borrowed view of owned test arguments.
+    fn refs(args: &[Value]) -> Vec<&Value> {
+        args.iter().collect()
+    }
 
     fn full_registry() -> Registry {
         let mut r = Registry::new();
@@ -238,8 +242,8 @@ mod tests {
             Value::DoubleArray(masses.clone()),
             Value::DoubleArray(pos.clone()),
         ];
-        validate_invoke(&exe.interface, &args).unwrap();
-        let out = (exe.handler)(&args).unwrap();
+        validate_invoke(&exe.interface, &refs(&args)).unwrap();
+        let out = (exe.handler)(&refs(&args)).unwrap();
         let expected = ninf_exec::nbody_kernel(&masses, &pos, 3).to_vec();
         assert_eq!(out, vec![Value::DoubleArray(expected)]);
     }
@@ -255,8 +259,8 @@ mod tests {
             Value::DoubleArray(vec![1.0, 0.0, 0.0, 1.0]),
             Value::DoubleArray(x.clone()),
         ];
-        validate_invoke(&exe.interface, &args).unwrap();
-        let out = (exe.handler)(&args).unwrap();
+        validate_invoke(&exe.interface, &refs(&args)).unwrap();
+        let out = (exe.handler)(&refs(&args)).unwrap();
         assert_eq!(out, vec![Value::DoubleArray(x)]);
     }
 
@@ -271,8 +275,8 @@ mod tests {
             Value::DoubleArray(a.as_slice().to_vec()),
             Value::DoubleArray(b),
         ];
-        validate_invoke(&exe.interface, &args).unwrap();
-        let out = (exe.handler)(&args).unwrap();
+        validate_invoke(&exe.interface, &refs(&args)).unwrap();
+        let out = (exe.handler)(&refs(&args)).unwrap();
         let Value::DoubleArray(x) = &out[0] else {
             panic!("expected x")
         };
@@ -286,21 +290,21 @@ mod tests {
         let r = full_registry();
         let n = 16usize;
         let (a, b) = ninf_exec::matgen(n);
-        let fa = (r.lookup("dgefa").unwrap().handler)(&[
+        let fa = (r.lookup("dgefa").unwrap().handler)(&refs(&[
             Value::Int(n as i32),
             Value::DoubleArray(a.as_slice().to_vec()),
-        ])
+        ]))
         .unwrap();
         let Value::IntArray(info) = &fa[2] else {
             panic!()
         };
         assert_eq!(info[0], 0, "benchmark matrix must be non-singular");
-        let sl = (r.lookup("dgesl").unwrap().handler)(&[
+        let sl = (r.lookup("dgesl").unwrap().handler)(&refs(&[
             Value::Int(n as i32),
             fa[0].clone(),
             fa[1].clone(),
             Value::DoubleArray(b),
-        ])
+        ]))
         .unwrap();
         let Value::DoubleArray(x) = &sl[0] else {
             panic!()
@@ -311,12 +315,40 @@ mod tests {
     }
 
     #[test]
+    fn dgesl_with_a_misfit_matrix_is_an_error_not_a_panic() {
+        let r = full_registry();
+        let n = 8usize;
+        let (mut a, b) = ninf_exec::matgen(n);
+        let ipvt: Vec<i32> = ninf_exec::dgefa(&mut a)
+            .unwrap()
+            .into_iter()
+            .map(|p| p as i32)
+            .collect();
+        let dgesl = &r.lookup("dgesl").unwrap().handler;
+        let call = |a: &[f64], ipvt: &[i32]| {
+            dgesl(&refs(&[
+                Value::Int(n as i32),
+                Value::DoubleArray(a.to_vec()),
+                Value::IntArray(ipvt.to_vec()),
+                Value::DoubleArray(b.clone()),
+            ]))
+        };
+        assert!(call(a.as_slice(), &ipvt).is_ok());
+        let err = call(&a.as_slice()[..n * n - 1], &ipvt).unwrap_err();
+        assert!(err.contains("A has 63 elements"), "{err}");
+        assert!(call(&[a.as_slice(), &[0.0]].concat(), &ipvt).is_err());
+        let mut wild = ipvt.clone();
+        wild[2] = -1;
+        assert!(call(a.as_slice(), &wild).unwrap_err().contains("ipvt[2]"));
+    }
+
+    #[test]
     fn dgefa_reports_singularity_via_info() {
         let r = full_registry();
-        let out = (r.lookup("dgefa").unwrap().handler)(&[
+        let out = (r.lookup("dgefa").unwrap().handler)(&refs(&[
             Value::Int(2),
             Value::DoubleArray(vec![1.0, 2.0, 2.0, 4.0]), // rank 1
-        ])
+        ]))
         .unwrap();
         let Value::IntArray(info) = &out[2] else {
             panic!()
@@ -327,7 +359,7 @@ mod tests {
     #[test]
     fn ep_returns_sane_counts() {
         let r = full_registry();
-        let out = (r.lookup("ep").unwrap().handler)(&[Value::Int(12)]).unwrap();
+        let out = (r.lookup("ep").unwrap().handler)(&refs(&[Value::Int(12)])).unwrap();
         let Value::DoubleArray(counts) = &out[1] else {
             panic!()
         };
@@ -339,13 +371,14 @@ mod tests {
     #[test]
     fn ep_rejects_absurd_sizes() {
         let r = full_registry();
-        assert!((r.lookup("ep").unwrap().handler)(&[Value::Int(60)]).is_err());
+        assert!((r.lookup("ep").unwrap().handler)(&refs(&[Value::Int(60)])).is_err());
     }
 
     #[test]
     fn dos_histogram_sums_to_samples() {
         let r = full_registry();
-        let out = (r.lookup("dos").unwrap().handler)(&[Value::Int(10), Value::Int(16)]).unwrap();
+        let out =
+            (r.lookup("dos").unwrap().handler)(&refs(&[Value::Int(10), Value::Int(16)])).unwrap();
         let Value::DoubleArray(hist) = &out[0] else {
             panic!()
         };
@@ -364,9 +397,11 @@ mod tests {
                 h[j * n + i] = 1.0 / ((i + j + 1) as f64);
             }
         }
-        let out =
-            (r.lookup("dgeco").unwrap().handler)(&[Value::Int(n as i32), Value::DoubleArray(h)])
-                .unwrap();
+        let out = (r.lookup("dgeco").unwrap().handler)(&refs(&[
+            Value::Int(n as i32),
+            Value::DoubleArray(h),
+        ]))
+        .unwrap();
         let Value::DoubleArray(rcond) = &out[2] else {
             panic!()
         };
@@ -377,9 +412,11 @@ mod tests {
         for i in 0..n {
             eye[i * n + i] = 1.0;
         }
-        let out =
-            (r.lookup("dgeco").unwrap().handler)(&[Value::Int(n as i32), Value::DoubleArray(eye)])
-                .unwrap();
+        let out = (r.lookup("dgeco").unwrap().handler)(&refs(&[
+            Value::Int(n as i32),
+            Value::DoubleArray(eye),
+        ]))
+        .unwrap();
         let Value::DoubleArray(rcond) = &out[2] else {
             panic!()
         };
@@ -399,8 +436,8 @@ mod tests {
             Value::DoubleArray(a.as_slice().to_vec()),
             Value::DoubleArray(b),
         ];
-        let o1 = (r1.lookup("linpack").unwrap().handler)(&args).unwrap();
-        let o2 = (r2.lookup("linpack").unwrap().handler)(&args).unwrap();
+        let o1 = (r1.lookup("linpack").unwrap().handler)(&refs(&args)).unwrap();
+        let o2 = (r2.lookup("linpack").unwrap().handler)(&refs(&args)).unwrap();
         assert_eq!(o1, o2, "blocked-parallel LU must match unblocked bitwise");
     }
 }

@@ -15,7 +15,11 @@ use ninf_protocol::Value;
 /// A handler receives the `mode_in`/`mode_inout` values (declaration order)
 /// and returns the `mode_out`/`mode_inout` values (declaration order), or a
 /// human-readable error shipped back to the client.
-pub type Handler = Arc<dyn Fn(&[Value]) -> Result<Vec<Value>, String> + Send + Sync>;
+///
+/// Inputs are borrowed: an argument the arg store resolved is the stored
+/// value itself, shared with the store and any other call using it, so a
+/// handler copies only what it must modify.
+pub type Handler = Arc<dyn Fn(&[&Value]) -> Result<Vec<Value>, String> + Send + Sync>;
 
 /// One registered routine.
 #[derive(Clone)]
@@ -96,7 +100,7 @@ impl Registry {
 /// array argument must then match its computed extent exactly.
 pub fn validate_invoke(
     interface: &CompiledInterface,
-    args: &[Value],
+    args: &[&Value],
 ) -> Result<Vec<ninf_idl::compile::ParamLayout>, String> {
     // Bind scalar inputs by walking sends() params against args.
     let send_params: Vec<_> = interface.params.iter().filter(|p| p.mode.sends()).collect();
@@ -139,7 +143,7 @@ mod tests {
     use super::*;
 
     fn echo_handler() -> Handler {
-        Arc::new(|args: &[Value]| Ok(args.to_vec()))
+        Arc::new(|args: &[&Value]| Ok(args.iter().map(|&v| v.clone()).collect()))
     }
 
     #[test]
@@ -179,12 +183,12 @@ mod tests {
     fn validate_accepts_conforming_args() {
         let iface = ninf_idl::stdlib_interfaces().remove(0); // dmmul
         let n = 4usize;
-        let args = vec![
+        let args = [
             Value::Int(n as i32),
             Value::DoubleArray(vec![1.0; n * n]),
             Value::DoubleArray(vec![2.0; n * n]),
         ];
-        let layout = validate_invoke(&iface, &args).unwrap();
+        let layout = validate_invoke(&iface, &args.iter().collect::<Vec<_>>()).unwrap();
         assert_eq!(layout.len(), 4);
         assert_eq!(layout[3].count, n * n); // C out
     }
@@ -192,29 +196,29 @@ mod tests {
     #[test]
     fn validate_rejects_wrong_arity() {
         let iface = ninf_idl::stdlib_interfaces().remove(0);
-        let err = validate_invoke(&iface, &[Value::Int(4)]).unwrap_err();
+        let err = validate_invoke(&iface, &[&Value::Int(4)]).unwrap_err();
         assert!(err.contains("input arguments"));
     }
 
     #[test]
     fn validate_rejects_wrong_extent() {
         let iface = ninf_idl::stdlib_interfaces().remove(0);
-        let args = vec![
+        let args = [
             Value::Int(4),
             Value::DoubleArray(vec![1.0; 16]),
             Value::DoubleArray(vec![2.0; 15]), // off by one
         ];
-        assert!(validate_invoke(&iface, &args).is_err());
+        assert!(validate_invoke(&iface, &args.iter().collect::<Vec<_>>()).is_err());
     }
 
     #[test]
     fn validate_rejects_wrong_type() {
         let iface = ninf_idl::stdlib_interfaces().remove(0);
-        let args = vec![
+        let args = [
             Value::Int(2),
             Value::FloatArray(vec![1.0; 4]),
             Value::DoubleArray(vec![2.0; 4]),
         ];
-        assert!(validate_invoke(&iface, &args).is_err());
+        assert!(validate_invoke(&iface, &args.iter().collect::<Vec<_>>()).is_err());
     }
 }

@@ -642,11 +642,12 @@ fn finish_upload(ctx: &CallContext, digest: Digest, r: Reassembly) -> Result<(),
 ///
 /// Inline values come through as-is — and cache-worthy ones (large flat
 /// arrays) are captured into the store, since the client will start
-/// ref'ing them once the call succeeds. Refs are looked up; if *any* is
-/// missing the whole call fails closed with the missing digests and no
-/// hit/bytes-saved accounting, because the client will re-ship everything
-/// inline anyway.
-fn resolve_args(ctx: &CallContext, args: Vec<Arg>) -> Result<Vec<Value>, Vec<Digest>> {
+/// ref'ing them once the call succeeds; the store and the call share that
+/// one allocation. Refs are looked up (a shared handle, not a copy); if
+/// *any* is missing the whole call fails closed with the missing digests
+/// and no hit/bytes-saved accounting, because the client will re-ship
+/// everything inline anyway.
+fn resolve_args(ctx: &CallContext, args: Vec<Arg>) -> Result<Vec<Arc<Value>>, Vec<Digest>> {
     let mut out = Vec::with_capacity(args.len());
     let mut missing = Vec::new();
     let mut hits = 0u64;
@@ -654,8 +655,11 @@ fn resolve_args(ctx: &CallContext, args: Vec<Arg>) -> Result<Vec<Value>, Vec<Dig
     for arg in args {
         match arg {
             Arg::Data(v) => {
+                let v = Arc::new(v);
                 if ninf_protocol::cacheable(&v) && ctx.args.budget() > 0 {
-                    let evicted = ctx.args.insert(ninf_protocol::digest_value(&v), v.clone());
+                    let evicted = ctx
+                        .args
+                        .insert(ninf_protocol::digest_value(&v), Arc::clone(&v));
                     ctx.metrics.argcache_evictions.add(evicted as u64);
                 }
                 out.push(v);
@@ -688,7 +692,7 @@ fn resolve_args(ctx: &CallContext, args: Vec<Arg>) -> Result<Vec<Value>, Vec<Dig
 #[allow(clippy::too_many_arguments)] // the call context really has this many parts
 fn execute_invoke(
     routine: &str,
-    args: &[ninf_protocol::Value],
+    args: &[Arc<Value>],
     registry: &Registry,
     stats: &ServerStats,
     gate: &JobGate,
@@ -704,6 +708,8 @@ fn execute_invoke(
         .filter(|_| recorder::global().enabled())
         .map(|parent| parent.child());
     let entry_us = ctx.map(|_| ninf_obs::now_us());
+    let args: Vec<&Value> = args.iter().map(|v| &**v).collect();
+    let args = args.as_slice();
     let Some(exe) = registry.lookup(routine) else {
         metrics.calls.inc();
         metrics.errors.inc();
@@ -1134,7 +1140,7 @@ mod tests {
                    "sleeps, then echoes n",
                    Required "libslow.o"
                    Calls "C" slow(n, m);"#,
-                Arc::new(move |args: &[Value]| {
+                Arc::new(move |args: &[&Value]| {
                     std::thread::sleep(std::time::Duration::from_millis(sleep_ms));
                     let n = args[0].as_scalar_i64().unwrap() as i32;
                     Ok(vec![Value::IntArray(vec![n])])

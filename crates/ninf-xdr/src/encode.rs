@@ -3,13 +3,7 @@
 use bytes::{BufMut, Bytes, BytesMut};
 
 use crate::pad_len;
-use crate::swap::be_words64;
-
-/// Elements converted per stack-buffer flush in the array fast paths.
-///
-/// 256 × 8 B = 2 KiB: comfortably inside L1 and small enough to live on the
-/// stack of deeply nested encode calls.
-const SWAP_CHUNK: usize = 256;
+use crate::swap::{be_blocks, BeWord};
 
 /// Append-only XDR encoder.
 ///
@@ -126,59 +120,34 @@ impl XdrEncoder {
     /// Write doubles back-to-back without a length prefix (fixed array).
     ///
     /// Big-endian conversion runs through the bulk byte-swap kernel over a
-    /// stack-resident chunk and lands in the output buffer one `memcpy` per
-    /// chunk, instead of one 8-byte append (with its capacity check) per
-    /// element.
+    /// stack-resident block ([`be_blocks`]) and lands in the output buffer
+    /// one `memcpy` per block, instead of one 8-byte append (with its
+    /// capacity check) per element.
     pub fn put_f64_slice(&mut self, data: &[f64]) {
-        self.buf.reserve(data.len() * 8);
-        let mut tmp = [0u8; SWAP_CHUNK * 8];
-        for chunk in data.chunks(SWAP_CHUNK) {
-            let nbytes = chunk.len() * 8;
-            // SAFETY: `chunk` is valid for nbytes reads, `tmp` holds
-            // SWAP_CHUNK * 8 >= nbytes bytes, and the buffers are disjoint.
-            unsafe { be_words64(chunk.as_ptr().cast(), tmp.as_mut_ptr(), nbytes) };
-            self.buf.put_slice(&tmp[..nbytes]);
-        }
+        self.put_be_words(data);
     }
 
     /// Write a variable-length array of 32-bit signed integers.
     pub fn put_i32_array(&mut self, data: &[i32]) {
         self.buf.put_u32(data.len() as u32);
-        self.buf.reserve(data.len() * 4);
-        let mut tmp = [0u8; SWAP_CHUNK * 4];
-        for chunk in data.chunks(SWAP_CHUNK) {
-            for (slot, &x) in tmp.chunks_exact_mut(4).zip(chunk) {
-                slot.copy_from_slice(&x.to_be_bytes());
-            }
-            self.buf.put_slice(&tmp[..chunk.len() * 4]);
-        }
+        self.put_be_words(data);
     }
 
     /// Write a variable-length array of 64-bit signed integers.
     pub fn put_i64_array(&mut self, data: &[i64]) {
         self.buf.put_u32(data.len() as u32);
-        self.buf.reserve(data.len() * 8);
-        let mut tmp = [0u8; SWAP_CHUNK * 8];
-        for chunk in data.chunks(SWAP_CHUNK) {
-            let nbytes = chunk.len() * 8;
-            // SAFETY: `chunk` is valid for nbytes reads, `tmp` holds
-            // SWAP_CHUNK * 8 >= nbytes bytes, and the buffers are disjoint.
-            unsafe { be_words64(chunk.as_ptr().cast(), tmp.as_mut_ptr(), nbytes) };
-            self.buf.put_slice(&tmp[..nbytes]);
-        }
+        self.put_be_words(data);
     }
 
     /// Write a variable-length array of single-precision floats.
     pub fn put_f32_array(&mut self, data: &[f32]) {
         self.buf.put_u32(data.len() as u32);
-        self.buf.reserve(data.len() * 4);
-        let mut tmp = [0u8; SWAP_CHUNK * 4];
-        for chunk in data.chunks(SWAP_CHUNK) {
-            for (slot, &x) in tmp.chunks_exact_mut(4).zip(chunk) {
-                slot.copy_from_slice(&x.to_be_bytes());
-            }
-            self.buf.put_slice(&tmp[..chunk.len() * 4]);
-        }
+        self.put_be_words(data);
+    }
+
+    fn put_be_words<T: BeWord>(&mut self, data: &[T]) {
+        self.buf.reserve(std::mem::size_of_val(data));
+        be_blocks(data, |block| self.buf.put_slice(block));
     }
 
     #[inline]

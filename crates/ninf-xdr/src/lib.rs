@@ -42,6 +42,7 @@ pub use bytes::Bytes;
 pub use decode::XdrDecoder;
 pub use encode::XdrEncoder;
 pub use error::{XdrError, XdrResult};
+pub use swap::{be_blocks, BeWord, BE_BLOCK_BYTES};
 
 /// Number of padding bytes needed to round `len` up to a 4-byte boundary.
 #[inline]

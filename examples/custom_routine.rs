@@ -28,13 +28,13 @@ fn main() {
     registry
         .register(
             CONVOLVE_IDL,
-            Arc::new(|args: &[Value]| {
+            Arc::new(|args: &[&Value]| {
                 let n = args[0].as_scalar_i64().ok_or("n must be integer")? as usize;
                 let k = args[1].as_scalar_i64().ok_or("k must be integer")? as usize;
-                let Value::DoubleArray(signal) = &args[2] else {
+                let Value::DoubleArray(signal) = args[2] else {
                     return Err("signal must be doubles".into());
                 };
-                let Value::DoubleArray(kernel) = &args[3] else {
+                let Value::DoubleArray(kernel) = args[3] else {
                     return Err("kernel must be doubles".into());
                 };
                 let mut out = vec![0.0; n + k - 1];
