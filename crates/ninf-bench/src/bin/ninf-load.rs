@@ -10,8 +10,7 @@
 //! ninf-load --scenario lan-linpack --clients 1,4,8  # Table 3-shaped sweep
 //! ninf-load --scenario lan-ep --addr 127.0.0.1:5656 # against a live ninfd
 //! ninf-load --scenario lan-ep --sweep               # coordinated rate ramp
-//! ninf-load --scenario wan-streams --streams 1,2,4,8,16 \
-//!           --wan bw=4m,delay=20ms,loss=0.01,congestion=0.015,seed=1997
+//! ninf-load --scenario wan-upload --wan bw=4m,delay=20ms  # one windowed lane
 //! ```
 //!
 //! Each client-count in `--clients` is one full live run: the scenario's
@@ -44,12 +43,10 @@
 //!
 //! `--wan <spec>` installs the client-side link model (token-bucket bandwidth
 //! cap, propagation delay, seeded loss, stalls and corruption — one grammar,
-//! see `ninf_protocol::LinkShape::parse`) on the call connection and every
-//! bulk lane; `off` clears a scenario's
-//! default. `--streams <list>` switches to the parallel-stream goodput
-//! curve: one full run per stream count `N`, reporting bulk payload bytes
-//! over wall time per point — the GridFTP-style throughput-vs-N shape
-//! committed as `results/BENCH_wan.json`.
+//! see `ninf_protocol::LinkShape::parse`) on the call connection and the
+//! bulk lane; `off` clears a scenario's default. Each run's `--json`
+//! document carries `bulk_bytes`, the image bytes its uploads shipped, so
+//! `bulk_bytes / wall_secs` is that run's upload goodput.
 
 use std::io::Write as _;
 
@@ -73,7 +70,6 @@ fn main() {
             "--stage-secs",
             "--window-ms",
             "--wan",
-            "--streams",
         ],
         &[
             "--list",
@@ -140,68 +136,6 @@ fn main() {
     if parsed.has("--trace") || trace_out.is_some() {
         ninf_obs::recorder::global().set_enabled(true);
         eprintln!("# flight recorder armed");
-    }
-
-    // `--streams`: the parallel-stream goodput curve (the GridFTP shape).
-    // One full run per stream count; a run's goodput is its bulk-shipped
-    // payload bytes over its wall time, so the curve directly answers "how
-    // many parallel lanes does this link reward?".
-    if let Some(raw) = parsed.value("--streams") {
-        if parsed.has("--sweep") {
-            usage("--streams and --sweep are mutually exclusive");
-        }
-        let list: Vec<u32> = match parse_list(raw, "--streams") {
-            Ok(v) if !v.is_empty() && v.iter().all(|&n| n >= 1) => v,
-            Ok(_) => usage("--streams needs a comma list of counts >= 1"),
-            Err(CliError::Bad(msg)) => usage(&msg),
-            Err(CliError::Help) => usage(""),
-        };
-        let c = clients[0];
-        eprintln!("# goodput curve: scenario {name}, {c} client(s), seed {seed}, N in {list:?}");
-        if let Some(shape) = &sc.spec.options.wan {
-            eprintln!("# client-side link shape: {shape}");
-        }
-        let mut points = Vec::new();
-        for &n in &list {
-            sc.spec.options.streams = n;
-            // Each curve point is an independent cold-start measurement. A
-            // spawned target gets a fresh port per run, but an external
-            // `--addr` is one destination across the whole curve — without
-            // this, run N's pre-shipped digests turn run N+1's uploads
-            // into refs and its goodput reads as zero.
-            if let Target::External(addr) = &sc.target {
-                ninf_client::argmem::forget_destination(addr);
-            }
-            eprintln!("# running N={n} stream(s) ...");
-            match run_scenario(&sc, c, seed) {
-                Ok(report) => points.push(wan_point(n, &report)),
-                Err(e) => {
-                    eprintln!("error: run with {n} stream(s) failed: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
-        print!("{}", render_wan_curve(&sc, seed, &points));
-        if let Some(path) = parsed.value("--json") {
-            let doc = wan_json(&sc, seed, c, &points);
-            let mut f = std::fs::File::create(path).expect("create json output");
-            writeln!(
-                f,
-                "{}",
-                serde_json::to_string_pretty(&doc).expect("serialize")
-            )
-            .expect("write json");
-            eprintln!("# wrote {path}");
-        }
-        if parsed.has("--assert-zero-errors") {
-            let errors: usize = points.iter().map(|p| p.errors).sum();
-            if errors > 0 {
-                eprintln!("error: {errors} call(s) failed across the curve");
-                std::process::exit(1);
-            }
-            eprintln!("# zero errors across {} point(s)", points.len());
-        }
-        return;
     }
 
     if parsed.has("--sweep") {
@@ -346,118 +280,6 @@ fn main() {
     }
 }
 
-/// One stream count's worth of the goodput curve.
-struct WanPoint {
-    streams: u32,
-    /// Bulk payload bytes shipped over the lanes (retransmits excluded).
-    bulk_bytes: u64,
-    /// Chunk retransmits forced by losses.
-    retransmits: u64,
-    wall_secs: f64,
-    /// `bulk_bytes / wall_secs`.
-    goodput: f64,
-    ok: usize,
-    errors: usize,
-    latency_mean_s: f64,
-}
-
-/// Fold one run into its curve point.
-fn wan_point(streams: u32, r: &RunReport) -> WanPoint {
-    let bulk_bytes: u64 = r.calls.iter().map(|c| c.timing.bulk_bytes as u64).sum();
-    let retransmits: u64 = r
-        .calls
-        .iter()
-        .map(|c| u64::from(c.timing.bulk_retransmits))
-        .sum();
-    WanPoint {
-        streams,
-        bulk_bytes,
-        retransmits,
-        wall_secs: r.wall_secs,
-        goodput: if r.wall_secs > 0.0 {
-            bulk_bytes as f64 / r.wall_secs
-        } else {
-            0.0
-        },
-        ok: r.fleet.ok,
-        errors: r.fleet.errors(),
-        latency_mean_s: r.fleet.latency.mean,
-    }
-}
-
-/// The goodput-vs-streams table, with the best-N / N=1 ratio the WAN
-/// acceptance gate checks.
-fn render_wan_curve(sc: &ninf_loadgen::Scenario, seed: u64, points: &[WanPoint]) -> String {
-    let mut s = format!(
-        "=================================================================\n\
-         parallel-stream goodput curve: {} seed={} wan={}\n\
-         =================================================================\n\
-         streams  bulk-MiB  wall-s   goodput-MiB/s  retx  ok     errors  lat-mean\n",
-        sc.name,
-        seed,
-        sc.spec
-            .options
-            .wan
-            .map(|w| w.to_string())
-            .unwrap_or_else(|| "off".into()),
-    );
-    for p in points {
-        s += &format!(
-            "{:<8} {:<9.2} {:<8.2} {:<14.3} {:<5} {:<6} {:<7} {:.4}s\n",
-            p.streams,
-            p.bulk_bytes as f64 / (1024.0 * 1024.0),
-            p.wall_secs,
-            p.goodput / (1024.0 * 1024.0),
-            p.retransmits,
-            p.ok,
-            p.errors,
-            p.latency_mean_s,
-        );
-    }
-    let base = points.iter().find(|p| p.streams == 1);
-    let best = points.iter().max_by(|a, b| a.goodput.total_cmp(&b.goodput));
-    if let (Some(base), Some(best)) = (base, best) {
-        if base.goodput > 0.0 {
-            s += &format!(
-                "best: N={} at {:.3} MiB/s = {:.2}x the N=1 goodput\n",
-                best.streams,
-                best.goodput / (1024.0 * 1024.0),
-                best.goodput / base.goodput
-            );
-        }
-    }
-    s
-}
-
-/// The committed `results/BENCH_wan.json` document.
-fn wan_json(
-    sc: &ninf_loadgen::Scenario,
-    seed: u64,
-    clients: usize,
-    points: &[WanPoint],
-) -> serde_json::Value {
-    serde_json::json!({
-        "benchmark": "wan-streams",
-        "scenario": sc.name,
-        "seed": seed,
-        "clients": clients as u64,
-        "wan": sc.spec.options.wan.map(|w| w.to_string()),
-        "chunk_bytes": sc.spec.options.chunk_bytes,
-        "lane_deadline_ms": sc.spec.options.lane_deadline.map(|d| d.as_millis() as u64),
-        "calls_per_client": sc.spec.calls_per_client as u64,
-        "points": points.iter().map(|p| serde_json::json!({
-            "streams": p.streams,
-            "goodput_bytes_per_sec": p.goodput,
-            "bulk_bytes": p.bulk_bytes,
-            "retransmits": p.retransmits,
-            "wall_secs": p.wall_secs,
-            "ok": p.ok as u64,
-            "errors": p.errors as u64,
-            "latency_mean_s": p.latency_mean_s,
-        })).collect::<Vec<_>>(),
-    })
-}
-
 /// One run, rendered in the paper's table vocabulary.
 fn render(r: &RunReport) -> String {
     let mut s = format!(
@@ -494,6 +316,14 @@ fn render(r: &RunReport) -> String {
         "throughput {:.2} calls/s over {:.2}s wall\n",
         r.fleet.calls_per_sec, r.wall_secs
     );
+    let bulk = r.bulk_bytes();
+    if bulk > 0 && r.wall_secs > 0.0 {
+        s += &format!(
+            "bulk upload {:.2} MiB = {:.3} MB/s over the wall time\n",
+            bulk as f64 / (1024.0 * 1024.0),
+            bulk as f64 / r.wall_secs / 1e6
+        );
+    }
     if let Some(server) = &r.server {
         s += &format!(
             "server (n={})  T_response mean {:.4}s max {:.4}s  T_wait mean {:.4}s max {:.4}s  service mean {:.4}s\n",
@@ -763,8 +593,7 @@ fn usage(err: &str) -> ! {
         \x20                [--json <path>] [--csv <dir>] [--addr <host:port>]\n\
         \x20                [--trace] [--trace-out <path>] [--no-arg-cache]\n\
         \x20                [--sweep] [--sweep-stages <n>] [--stage-secs <s>]\n\
-        \x20                [--window-ms <ms>]\n\
-        \x20                [--wan <spec|off>] [--streams <list>]\n\
+        \x20                [--window-ms <ms>] [--wan <spec|off>]\n\
         \x20                [--compare-sim] [--assert-zero-errors] [--list]\n\
          scenarios: {}",
         scenario_names().join(", ")

@@ -35,6 +35,16 @@ fn ninf_load_refuses_the_retired_server_core_flag() {
     assert_usage_error(&out, &flag);
 }
 
+/// There is one bulk lane, so no stream count to sweep.
+#[test]
+fn ninf_load_refuses_the_retired_streams_flag() {
+    let out = run(
+        env!("CARGO_BIN_EXE_ninf-load"),
+        &["--scenario", "wan-upload", "--streams", "4"],
+    );
+    assert_usage_error(&out, "unknown flag `--streams`");
+}
+
 /// A spec whose event bands sum past every send is input from outside the
 /// program: a parse error the CLI prints.
 #[test]

@@ -1,41 +1,43 @@
-//! Windowed, chunked bulk transfer — the client half of the GridFTP-style
-//! WAN path.
+//! Windowed, chunked bulk transfer — the client half of the WAN upload
+//! path.
 //!
 //! A large argument's XDR image is split into CRC-tagged chunks
-//! ([`ninf_protocol::chunk`]) and shipped over dedicated multiplexed
-//! streams to the server, which reassembles and lands the value in its
+//! ([`ninf_protocol::chunk`]) and shipped over one dedicated multiplexed
+//! connection to the server, which reassembles and lands the value in its
 //! argument store; the call itself then names the value by content ref.
+//! The upload runs on the caller's thread.
 //!
-//! Each lane keeps a **sliding window** of un-acked chunks
+//! The connection keeps a **sliding window** of un-acked chunks
 //! ([`ninf_protocol::lane_window`]: the link's bandwidth-delay product in
 //! chunks when the link is named, a fixed cap when it is not): it sends
 //! while fewer than `W` are outstanding and slides on every `ChunkOk`, in
 //! whatever order acks return. On a long-fat link that is what fills the
-//! pipe — one lane pays the propagation delay once per upload, not once per
-//! chunk. More lanes than one are a workaround for a window smaller than
-//! the bandwidth-delay product; with the window sized they add only
-//! congestion (`results/BENCH_wan.json`).
-//!
-//! Lane `w` owns chunks `w, w+N, w+2N, …`: ownership is static, so a
-//! failed lane fails *only its own chunks* and the upload as a whole
-//! (the caller falls back to shipping the value inline), never a
-//! half-written image — the server's reassembly holds partial state
-//! until every chunk lands and the digest verifies.
+//! pipe — an upload pays the propagation delay once, not once per chunk.
+//! Parallel streams are the workaround for a window smaller than the
+//! bandwidth-delay product; with the window sized they add only congestion
+//! (EXPERIMENTS.md, "WAN bulk upload"), so there is one.
 //!
 //! Loss recovery is selective repeat: every send carries its own deadline,
 //! and only the chunk whose deadline passed is sent again (at most
-//! [`MAX_CHUNK_ATTEMPTS`] sends per chunk, then the lane fails). The server
-//! re-acks duplicates idempotently, so a lost ack is indistinguishable from
-//! a lost chunk and both heal the same way. A connection that *dies* is
-//! redialed once per lane, and everything un-acked is sent again on the
-//! fresh one; a deadline is not a death and never causes a redial.
+//! [`MAX_CHUNK_ATTEMPTS`] sends per chunk, then the upload fails). The
+//! server re-acks duplicates idempotently, so a lost ack is
+//! indistinguishable from a lost chunk and both heal the same way. A
+//! connection that *dies* is redialed once, and everything un-acked is sent
+//! again on the fresh one — the server keys reassembly by digest, not by
+//! connection, so the fresh connection continues where the dead one
+//! stopped. A deadline is not a death and never causes a redial. An ack
+//! that names a chunk its ticket did not carry, or a ticket never posted,
+//! ends the upload with [`ProtocolError::AckMismatch`].
 //!
-//! A lane sends from one thread, in one order, so the link events its sends
-//! draw are the same pure function of `(seed, lane, lanes, op)` whatever the
-//! window is.
+//! A failed upload is never half-visible: the server holds partial state
+//! out of its store until every chunk lands and the digest verifies, and
+//! the caller ships the value inline instead.
+//!
+//! The upload sends in one order, so the link events its sends draw are the
+//! same pure function of `(seed, lane, lanes, op)` whatever the window is.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 use ninf_protocol::{
@@ -44,58 +46,52 @@ use ninf_protocol::{
 };
 use ninf_reactor::MuxStream;
 
-/// Sends per chunk (the first and its retransmits) before a lane gives up.
+/// Sends per chunk (the first and its retransmits) before an upload gives
+/// up.
 pub const MAX_CHUNK_ATTEMPTS: u32 = 4;
 
-/// Per-chunk ack deadline a bulk lane uses when the caller set none —
-/// without one, a lost chunk on a lossy link would hang the lane forever
+/// Per-chunk ack deadline an upload uses when the caller set none —
+/// without one, a lost chunk on a lossy link would hang the upload forever
 /// instead of triggering a retransmit.
 pub const DEFAULT_LANE_DEADLINE: Duration = Duration::from_secs(2);
 
-/// What one parallel upload did, for timing/throughput accounting.
+/// Link lane id of the bulk connection on its destination's shared link;
+/// the call connection is lane 0.
+const BULK_LANE: u32 = 1;
+
+/// What one upload did, for timing/throughput accounting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct UploadReport {
     /// Chunks the image split into.
     pub chunks: u32,
-    /// Lanes actually used (≤ requested: never more than one per chunk).
-    pub streams: u32,
     /// Image bytes shipped (chunk payloads, excluding retransmits).
     pub bytes: u64,
     /// Chunk sends beyond each chunk's first: after a lost chunk or ack,
     /// and after a redial.
     pub retransmits: u32,
-    /// Lanes that tore down a dead connection and redialed.
+    /// Times the upload tore down a dead connection and redialed.
     pub redials: u32,
 }
 
-/// Dial one bulk lane with room for `window` open chunks: the handle
+/// Dial the bulk connection with room for `window` open chunks: the handle
 /// (wrapped in client-side WAN shaping when a link is named) and the mux
 /// stream that must outlive it — dropping a [`MuxStream`] shuts the socket
-/// down. Shaped lanes contend for the destination's shared link with
-/// deterministic, decorrelated per-lane loss schedules (lane id 0 is
-/// reserved for the call connection itself).
+/// down. Shaped, it contends for the destination's shared link as
+/// [`BULK_LANE`], with its own deterministic loss schedule.
 fn dial_lane(
     addr: &str,
     deadline: Duration,
     wan: Option<LinkShape>,
-    lane_id: u32,
     window: u32,
 ) -> ProtocolResult<(Box<dyn Pipelined>, MuxStream)> {
     let stream = MuxStream::connect(addr, Some(deadline), window as usize)?;
     let mut handle = stream.handle();
     handle.set_deadline(Some(deadline))?;
     let transport: Box<dyn Pipelined> = match wan {
-        Some(shape) => Box::new(LinkTransport::new(handle, link_for(addr, shape), lane_id)),
+        Some(shape) => Box::new(LinkTransport::new(handle, link_for(addr, shape), BULK_LANE)),
         None => Box::new(handle),
     };
     Ok((transport, stream))
-}
-
-/// Counters the lanes share while an upload is in flight.
-#[derive(Default)]
-struct LaneCounters {
-    retransmits: AtomicU32,
-    redials: AtomicU32,
 }
 
 /// A chunk sent and not yet acked.
@@ -106,14 +102,13 @@ struct Flying {
     due: Instant,
 }
 
-/// One lane's upload state, apart from the connection it runs over.
+/// One upload's state, apart from the connection it runs over.
 struct Upload<'a> {
     chunks: &'a [Message],
     window: usize,
     deadline: Duration,
-    counters: &'a LaneCounters,
-    /// Owned chunks never sent yet.
-    fresh: std::iter::StepBy<std::ops::Range<usize>>,
+    /// Chunks never sent yet.
+    fresh: Range<usize>,
     /// Chunks to send again, ahead of fresh ones.
     again: VecDeque<usize>,
     /// Un-acked sends, oldest first — which is also earliest-due first,
@@ -121,11 +116,27 @@ struct Upload<'a> {
     flying: VecDeque<Flying>,
     /// Sends so far, per chunk.
     sends: Vec<u32>,
+    retransmits: u32,
+    redials: u32,
 }
 
-impl Upload<'_> {
+impl<'a> Upload<'a> {
+    fn new(chunks: &'a [Message], window: u32, deadline: Duration) -> Self {
+        Self {
+            chunks,
+            window: window.max(1) as usize,
+            deadline,
+            fresh: 0..chunks.len(),
+            again: VecDeque::new(),
+            flying: VecDeque::new(),
+            sends: vec![0; chunks.len()],
+            retransmits: 0,
+            redials: 0,
+        }
+    }
+
     /// Send until the window is full or nothing is left to send. A chunk
-    /// that has used up its sends fails the lane instead.
+    /// that has used up its sends fails the upload instead.
     fn fill(&mut self, conn: &mut dyn Pipelined) -> ProtocolResult<()> {
         while self.flying.len() < self.window {
             let Some(chunk) = self.again.pop_front().or_else(|| self.fresh.next()) else {
@@ -138,7 +149,7 @@ impl Upload<'_> {
                 });
             }
             if self.sends[chunk] > 0 {
-                self.counters.retransmits.fetch_add(1, Ordering::Relaxed);
+                self.retransmits += 1;
             }
             self.sends[chunk] += 1;
             let ticket = conn
@@ -153,8 +164,8 @@ impl Upload<'_> {
         Ok(())
     }
 
-    /// Run the window over `conn` until every owned chunk is acked. An
-    /// error leaves the un-acked chunks in `flying` and `again`.
+    /// Run the window over `conn` until every chunk is acked. An error
+    /// leaves the un-acked chunks in `flying` and `again`.
     fn run(&mut self, conn: &mut dyn Pipelined) -> ProtocolResult<()> {
         loop {
             self.fill(conn)?;
@@ -163,15 +174,26 @@ impl Upload<'_> {
             };
             let wait = oldest.due.saturating_duration_since(Instant::now());
             match conn.recv_any(wait) {
-                // (An ack for a ticket already given up on is dropped
-                // below us, so an ack that gets here is for a flying send.)
-                Ok((ticket, Message::ChunkOk { seq, .. }))
-                    if self
-                        .flying
-                        .iter()
-                        .any(|f| f.ticket == ticket && f.chunk == seq as usize) =>
-                {
-                    self.flying.retain(|f| f.ticket != ticket);
+                // An ack for a ticket already given up on is dropped below
+                // us, so one that gets here must be for a flying send, and
+                // for the chunk that send carried.
+                Ok((ticket, Message::ChunkOk { seq, .. })) => {
+                    let Some(at) = self.flying.iter().position(|f| f.ticket == ticket) else {
+                        return Err(ProtocolError::AckMismatch {
+                            ticket,
+                            sent: None,
+                            acked: seq,
+                        });
+                    };
+                    let sent = self.flying[at].chunk;
+                    if sent != seq as usize {
+                        return Err(ProtocolError::AckMismatch {
+                            ticket,
+                            sent: Some(sent as u32),
+                            acked: seq,
+                        });
+                    }
+                    self.flying.remove(at);
                 }
                 Ok((_, Message::Error { reason })) => return Err(ProtocolError::Remote(reason)),
                 Ok((_, other)) => {
@@ -191,99 +213,57 @@ impl Upload<'_> {
             }
         }
     }
-}
 
-/// Run one lane: ship every chunk it owns through a sliding window of
-/// `window` un-acked chunks, with bounded per-chunk retransmission and one
-/// redial if the connection dies. `dial` yields the connection and whatever
-/// has to stay alive under it.
-fn run_lane<K>(
-    mut dial: impl FnMut() -> ProtocolResult<(Box<dyn Pipelined>, K)>,
-    chunks: &[Message],
-    lane: u32,
-    streams: u32,
-    window: u32,
-    deadline: Duration,
-    counters: &LaneCounters,
-) -> ProtocolResult<()> {
-    let mut upload = Upload {
-        chunks,
-        window: window.max(1) as usize,
-        deadline,
-        counters,
-        fresh: (lane as usize..chunks.len()).step_by(streams.max(1) as usize),
-        again: VecDeque::new(),
-        flying: VecDeque::new(),
-        sends: vec![0; chunks.len()],
-    };
-    let (mut conn, mut _keep) = dial()?;
-    match upload.run(&mut *conn) {
-        Err(e) if e.is_retryable() && !e.is_timeout() => {
-            // The connection died mid-window; one fresh dial, then send
-            // everything un-acked again (oldest first, ahead of what else
-            // was queued). The server re-acks whatever the dead connection
-            // already landed.
-            counters.redials.fetch_add(1, Ordering::Relaxed);
-            for f in upload.flying.drain(..).rev() {
-                upload.again.push_front(f.chunk);
+    /// Ship every chunk through the window, with bounded per-chunk
+    /// retransmission and one redial if the connection dies. `dial` yields
+    /// the connection and whatever has to stay alive under it.
+    fn finish<K>(
+        &mut self,
+        mut dial: impl FnMut() -> ProtocolResult<(Box<dyn Pipelined>, K)>,
+    ) -> ProtocolResult<()> {
+        let (mut conn, mut _keep) = dial()?;
+        match self.run(&mut *conn) {
+            Err(e) if e.is_retryable() && !e.is_timeout() => {
+                // The connection died mid-window; one fresh dial, then send
+                // everything un-acked again (oldest first, ahead of what
+                // else was queued). The server re-acks whatever the dead
+                // connection already landed.
+                self.redials += 1;
+                for f in self.flying.drain(..).rev() {
+                    self.again.push_front(f.chunk);
+                }
+                (conn, _keep) = dial()?;
+                self.run(&mut *conn)
             }
-            (conn, _keep) = dial()?;
-            upload.run(&mut *conn)
+            outcome => outcome,
         }
-        outcome => outcome,
     }
 }
 
-/// Ship one value image to `addr` as chunks fanned out over `streams`
-/// parallel lanes, blocking until the server has reassembled, verified,
-/// and stored it under `digest` — or until any lane exhausts its
-/// retries, which fails the whole upload (the caller then ships the
-/// value inline; nothing partial ever escapes).
-pub fn parallel_put(
+/// Ship one value image to `addr` as chunks over one windowed connection,
+/// blocking until the server has reassembled, verified, and stored it
+/// under `digest` — or until a chunk exhausts its retries, the connection
+/// dies twice, or the server refuses the upload, any of which fails it
+/// (the caller then ships the value inline; nothing partial ever escapes).
+pub fn upload(
     addr: &str,
     digest: Digest,
     image: &[u8],
-    streams: u32,
     chunk_bytes: u32,
     deadline: Option<Duration>,
     wan: Option<LinkShape>,
 ) -> ProtocolResult<UploadReport> {
     let chunk_bytes = chunk_bytes.max(1);
     let chunks = split_chunks(digest, image, chunk_bytes);
-    let total = chunks.len() as u32;
-    let streams = streams.clamp(1, total);
     let window = lane_window(wan.as_ref(), chunk_bytes);
     let deadline = deadline.unwrap_or(DEFAULT_LANE_DEADLINE);
-    let counters = LaneCounters::default();
-    let outcome: ProtocolResult<()> = std::thread::scope(|s| {
-        let workers: Vec<_> = (0..streams)
-            .map(|w| {
-                let chunks = &chunks;
-                let counters = &counters;
-                let dial = move || dial_lane(addr, deadline, wan, w + 1, window);
-                s.spawn(move || run_lane(dial, chunks, w, streams, window, deadline, counters))
-            })
-            .collect();
-        let mut first_err = None;
-        for w in workers {
-            let lane_result = w
-                .join()
-                .unwrap_or_else(|_| Err(ProtocolError::Remote("bulk lane panicked".into())));
-            if let Err(e) = lane_result {
-                first_err.get_or_insert(e);
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    });
-    outcome.map(|()| UploadReport {
-        chunks: total,
-        streams,
+    let mut upload = Upload::new(&chunks, window, deadline);
+    upload.finish(|| dial_lane(addr, deadline, wan, window))?;
+    Ok(UploadReport {
+        chunks: chunks.len() as u32,
         bytes: image.len() as u64,
-        retransmits: counters.retransmits.load(Ordering::Relaxed),
-        redials: counters.redials.load(Ordering::Relaxed),
+        retransmits: upload.retransmits,
+        redials: upload.redials,
     })
 }
 
@@ -297,7 +277,7 @@ mod tests {
     use std::sync::{Arc, Mutex};
 
     /// What every connection of one scripted upload did, shared with the
-    /// test after the lane has consumed the connections.
+    /// test after the upload has consumed the connections.
     struct Ledger {
         reassembly: Option<Reassembly>,
         /// Chunk seq of every send attempted on a live connection, in
@@ -316,6 +296,10 @@ mod tests {
         Silence,
         /// The connection dies instead of carrying this frame.
         Die,
+        /// Acked on its own ticket, naming the next chunk instead.
+        MisAck,
+        /// Acked on a ticket that was never posted.
+        Phantom,
     }
 
     /// An in-memory far end in virtual time: arrivals are acked (or not) at
@@ -333,14 +317,14 @@ mod tests {
 
     impl Transport for Peer {
         fn send(&mut self, _: &Message) -> ProtocolResult<()> {
-            unreachable!("a lane posts")
+            unreachable!("an upload posts")
         }
         fn recv(&mut self) -> ProtocolResult<Message> {
-            unreachable!("a lane takes replies in any order")
+            unreachable!("an upload takes replies in any order")
         }
         fn stage(&mut self, msg: &Message) -> ProtocolResult<(u64, Vec<u8>)> {
             let Message::PutArgChunk { seq, .. } = msg else {
-                panic!("a lane ships chunks, not {}", msg.kind())
+                panic!("an upload ships chunks, not {}", msg.kind())
             };
             let mut ledger = self.ledger.lock().unwrap();
             let nth = ledger
@@ -377,14 +361,19 @@ mod tests {
             let mut ledger = self.ledger.lock().unwrap();
             let nth = ledger.staged.iter().filter(|&&s| s == seq as usize).count() - 1;
             ledger.arrived.push(seq as usize);
-            if (self.fate)(seq as usize, nth) == Fate::Ack {
-                let r = ledger
-                    .reassembly
-                    .get_or_insert_with(|| Reassembly::new(digest, total_bytes, total).unwrap());
-                // A duplicate re-acks, as the server's does.
-                let _ = r.accept(total_bytes, total, seq, crc, &bytes);
-                self.acks
-                    .push_back((ticket, Message::ChunkOk { digest, seq }));
+            let ack = |seq| Message::ChunkOk { digest, seq };
+            match (self.fate)(seq as usize, nth) {
+                Fate::Ack => {
+                    let r = ledger.reassembly.get_or_insert_with(|| {
+                        Reassembly::new(digest, total_bytes, total).unwrap()
+                    });
+                    // A duplicate re-acks, as the server's does.
+                    let _ = r.accept(total_bytes, total, seq, crc, &bytes);
+                    self.acks.push_back((ticket, ack(seq)));
+                }
+                Fate::MisAck => self.acks.push_back((ticket, ack(seq + 1))),
+                Fate::Phantom => self.acks.push_back((u64::MAX - ticket, ack(seq))),
+                Fate::Silence | Fate::Die => {}
             }
             Ok(())
         }
@@ -398,6 +387,11 @@ mod tests {
             while let Some((ticket, ack)) = self.acks.pop_front() {
                 if let Some(at) = self.open.iter().position(|&t| t == ticket) {
                     self.open.remove(at);
+                    return Ok((ticket, ack));
+                }
+                // A ticket this connection never issued is a hostile peer's
+                // doing, handed up as it came; a forgotten one is dropped.
+                if ticket > self.tickets {
                     return Ok((ticket, ack));
                 }
             }
@@ -418,7 +412,7 @@ mod tests {
         (image, split)
     }
 
-    /// Run one lane (lane 0 of 1) against scripted connections.
+    /// Run one upload against scripted connections.
     fn drive(
         chunks: &[Message],
         window: u32,
@@ -432,7 +426,6 @@ mod tests {
             dials: 0,
             most_open: 0,
         }));
-        let counters = LaneCounters::default();
         let dial = || {
             ledger.lock().unwrap().dials += 1;
             let peer = wrap(Peer {
@@ -445,11 +438,11 @@ mod tests {
             });
             Ok((peer, ()))
         };
-        let deadline = Duration::from_secs(5);
-        let outcome = run_lane(dial, chunks, 0, 1, window, deadline, &counters);
+        let mut upload = Upload::new(chunks, window, Duration::from_secs(5));
+        let outcome = upload.finish(dial);
         let report = UploadReport {
-            retransmits: counters.retransmits.load(Ordering::Relaxed),
-            redials: counters.redials.load(Ordering::Relaxed),
+            retransmits: upload.retransmits,
+            redials: upload.redials,
             ..UploadReport::default()
         };
         let ledger = Arc::into_inner(ledger).unwrap().into_inner().unwrap();
@@ -513,22 +506,63 @@ mod tests {
             ledger.reassembly.unwrap().into_image().unwrap(),
             image_bytes
         );
-        // A second death is the lane's: no third dial.
+        // A second death is the upload's: no third dial.
         let fate = |seq, _| if seq == 3 { Fate::Die } else { Fate::Ack };
         let (outcome, report, ledger) = drive(&chunks, 2, fate, bare);
         assert!(matches!(outcome, Err(ProtocolError::Disconnected)));
         assert_eq!((ledger.dials, report.redials), (2, 1));
     }
 
+    #[test]
+    fn an_ack_naming_another_chunk_ends_the_upload_within_one_window() {
+        // Chunk 0's ack comes back on its own ticket but names chunk 1.
+        let (_, chunks) = image(8);
+        let fate = |seq, _| if seq == 0 { Fate::MisAck } else { Fate::Ack };
+        let (outcome, report, ledger) = drive(&chunks, 4, fate, bare);
+        assert!(
+            matches!(
+                outcome,
+                Err(ProtocolError::AckMismatch {
+                    sent: Some(0),
+                    acked: 1,
+                    ..
+                })
+            ),
+            "{outcome:?}"
+        );
+        assert!(ledger.staged.len() <= 4, "staged: {:?}", ledger.staged);
+        assert_eq!((ledger.dials, report.redials), (1, 0), "a liar is no death");
+    }
+
+    #[test]
+    fn an_ack_for_a_ticket_never_posted_ends_the_upload_within_one_window() {
+        let (_, chunks) = image(8);
+        let fate = |seq, _| if seq == 0 { Fate::Phantom } else { Fate::Ack };
+        let (outcome, report, ledger) = drive(&chunks, 4, fate, bare);
+        assert!(
+            matches!(
+                outcome,
+                Err(ProtocolError::AckMismatch {
+                    sent: None,
+                    acked: 0,
+                    ..
+                })
+            ),
+            "{outcome:?}"
+        );
+        assert!(ledger.staged.len() <= 4, "staged: {:?}", ledger.staged);
+        assert_eq!((ledger.dials, report.redials), (1, 0), "a liar is no death");
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
         /// Any chunk count, window and seeded loss schedule, through the
-        /// real link model: the lane's k-th send takes op k of the planned
+        /// real link model: the upload's k-th send takes op k of the planned
         /// schedule, never more than `window` chunks are open, every send
         /// the link did not forward costs exactly one retransmit, and the
         /// image lands bit for bit — or, if some chunk drew
-        /// `MAX_CHUNK_ATTEMPTS` losses in a row, the lane gives up on time.
+        /// `MAX_CHUNK_ATTEMPTS` losses in a row, the upload gives up on time.
         #[test]
         fn windowed_upload_over_a_lossy_link(
             n in 1usize..40,
@@ -541,14 +575,14 @@ mod tests {
             let history = Arc::new(Mutex::new(None));
             let (image_bytes, chunks) = image(n);
             let wrap = |peer| {
-                let lane = LinkTransport::new(peer, link.clone(), 1);
+                let lane = LinkTransport::new(peer, link.clone(), BULK_LANE);
                 *history.lock().unwrap() = Some(lane.history());
                 Box::new(lane) as Box<dyn Pipelined>
             };
             let (outcome, report, ledger) = drive(&chunks, window, |_, _| Fate::Ack, wrap);
             let events = history.lock().unwrap().take().unwrap().snapshot();
             prop_assert_eq!(ledger.dials, 1);
-            prop_assert_eq!(&events, &link_schedule(&shape, 1, 1, events.len() as u64));
+            prop_assert_eq!(&events, &link_schedule(&shape, BULK_LANE, 1, events.len() as u64));
             prop_assert_eq!(events.len(), ledger.staged.len());
             let forwarded: Vec<usize> = ledger
                 .staged

@@ -43,27 +43,25 @@ pub struct CallOptions {
     /// holds a digest replies `NeedArg` and the call refills inline, so
     /// turning this off is purely a measurement/diagnostic switch.
     pub arg_cache: bool,
-    /// Parallel bulk-transfer streams. At `0` (the default) everything
-    /// ships inline on the call connection. At `1` or more, arguments
-    /// whose XDR image is at least [`ninf_protocol::CHUNK_THRESHOLD`]
-    /// bytes are pre-shipped as chunks fanned out over this many
-    /// dedicated multiplexed streams (GridFTP-style parallel TCP), then
-    /// named by content ref in the call itself. Every lane keeps a sliding
-    /// window of chunks in flight, sized from `wan` when it names the
-    /// link ([`ninf_protocol::lane_window`]), so `1` already fills a
-    /// long-fat pipe; more lanes are what a stream-count sweep compares
-    /// against it. Requires a dialed client (an address to fan out to)
-    /// and `arg_cache`; otherwise it is ignored.
+    /// Bulk upload switch: 0 = inline; any value ≥ 1 = one windowed lane.
+    /// With a lane, arguments whose XDR image is at least
+    /// [`ninf_protocol::CHUNK_THRESHOLD`] bytes are pre-shipped as chunks
+    /// over one dedicated multiplexed connection, then named by content
+    /// ref in the call itself. The lane keeps a sliding window of chunks
+    /// in flight, sized from `wan` when it names the link
+    /// ([`ninf_protocol::lane_window`]), so it fills a long-fat pipe on its
+    /// own. Requires a dialed client (an address to upload to) and
+    /// `arg_cache`; otherwise it is ignored.
     pub streams: u32,
-    /// Chunk payload size for parallel bulk transfer, in bytes.
+    /// Chunk payload size for bulk upload, in bytes.
     pub chunk_bytes: u32,
     /// Emulated WAN shaping applied client-side to the call connection and
-    /// every bulk lane: all of one destination's traffic contends for one
+    /// the bulk lane: all of one destination's traffic contends for one
     /// [`ninf_protocol::SharedLink`] keyed by `(addr, shape)`. `None` (the
     /// default) sends at wire speed. Pair with `ninfd --wan` to shape the
     /// reply direction.
     pub wan: Option<ninf_protocol::LinkShape>,
-    /// Per-chunk ack deadline for the bulk lanes, driving loss recovery:
+    /// Per-chunk ack deadline for the bulk lane, driving loss recovery:
     /// a chunk whose ack misses it is sent again. `None`
     /// falls back to `deadline`, then to
     /// [`crate::bulk::DEFAULT_LANE_DEADLINE`]. On a lossy link this
@@ -146,15 +144,13 @@ pub struct CallTiming {
     /// Arguments re-shipped inline after a server-side cache miss
     /// (`NeedArg`) on the last attempt.
     pub args_refilled: u32,
-    /// Image bytes pre-shipped as chunks over parallel bulk streams on
-    /// this call. Tracked separately from `request_bytes`, which counts
-    /// only payload shipped inside the Invoke itself — a bulk-shipped
-    /// value arrives by ref there.
+    /// Image bytes pre-shipped as chunks over the bulk lane on this call.
+    /// Tracked separately from `request_bytes`, which counts only payload
+    /// shipped inside the Invoke itself — a bulk-shipped value arrives by
+    /// ref there.
     pub bulk_bytes: usize,
     /// Chunk retransmits during bulk transfer (lost chunks or acks).
     pub bulk_retransmits: u32,
-    /// Parallel lanes the call's bulk uploads used (0 = no bulk upload).
-    pub bulk_streams: u32,
 }
 
 /// FNV-1a of an address, used to salt backoff jitter per server.
@@ -374,10 +370,9 @@ impl NinfClient {
         (args, refs, saved)
     }
 
-    /// Whether calls on this client use the parallel bulk-transfer path:
-    /// at least one stream requested, a dialed destination to fan out
-    /// to, and content refs on (a bulk upload is useless if the call
-    /// cannot ref it afterwards).
+    /// Whether calls on this client use the bulk upload path: the lane
+    /// switched on, a dialed destination to upload to, and content refs on
+    /// (a bulk upload is useless if the call cannot ref it afterwards).
     fn bulk_enabled(&self) -> bool {
         self.options.streams >= 1
             && self.options.arg_cache
@@ -386,9 +381,9 @@ impl NinfClient {
     }
 
     /// The bulk path's one upload step: ship `image` as chunks over the
-    /// parallel lanes unless the destination is believed to hold it
-    /// already, then remember that it does and account the transfer.
-    /// Returns whether the destination now holds `digest`.
+    /// lane unless the destination is believed to hold it already, then
+    /// remember that it does and account the transfer. Returns whether the
+    /// destination now holds `digest`.
     fn bulk_put(&mut self, digest: ninf_protocol::Digest, image: &[u8]) -> bool {
         let (Some(addr), Some(key)) = (self.addr.as_deref(), self.cache_key.as_deref()) else {
             return false;
@@ -396,11 +391,10 @@ impl NinfClient {
         if argmem::knows(key, &digest) {
             return true;
         }
-        let Ok(report) = crate::bulk::parallel_put(
+        let Ok(report) = crate::bulk::upload(
             addr,
             digest,
             image,
-            self.options.streams,
             self.options.chunk_bytes,
             self.options.lane_deadline.or(self.options.deadline),
             self.options.wan,
@@ -411,15 +405,18 @@ impl NinfClient {
         self.bytes_sent += report.bytes as usize;
         self.timing.bulk_bytes += report.bytes as usize;
         self.timing.bulk_retransmits += report.retransmits;
-        self.timing.bulk_streams = self.timing.bulk_streams.max(report.streams);
         true
     }
 
     /// Pre-ship large arguments this destination does not hold yet as
-    /// chunks over parallel bulk streams, so `encode_args` refs them and
-    /// the Invoke itself stays small. A failed upload is absorbed: the
-    /// value simply ships inline with the call (at-most-one transfer of
-    /// the bytes either way — the digest is only remembered on success).
+    /// chunks over the bulk lane, so `encode_args` refs them and the Invoke
+    /// itself stays small. A failed upload is absorbed: the value simply
+    /// ships inline with the call (at-most-one transfer of the bytes either
+    /// way — the digest is only remembered on success). The fallback is
+    /// not lane plumbing but the inline path every non-bulk call takes, and
+    /// sometimes the only way the call can succeed: a server with its
+    /// argument store disabled (`--arg-cache-bytes 0`), or a value larger
+    /// than the store's budget, refuses the upload.
     fn bulk_preship(&mut self, values: &[Value]) {
         if !self.bulk_enabled() {
             return;
@@ -432,7 +429,7 @@ impl NinfClient {
         }
     }
 
-    /// Refill the digests a `NeedArg` named over the parallel bulk lanes.
+    /// Refill the digests a `NeedArg` named over the bulk lane.
     /// Returns `true` only if every named value landed (and was
     /// remembered), so the ref'd request can simply be replayed.
     fn bulk_refill(&mut self, values: &[Value], digests: &[ninf_protocol::Digest]) -> bool {
@@ -449,7 +446,7 @@ impl NinfClient {
 
     /// Ship one request whose argument list may contain content refs, and
     /// absorb `NeedArg` rounds: the named digests are forgotten, then
-    /// either re-shipped as parallel chunk uploads (bulk clients — the
+    /// either re-shipped as chunk uploads (bulk clients — the
     /// ref'd request is replayed afterwards) or folded inline into a
     /// re-sent request. The server executes nothing before all refs
     /// resolve, so the refill round is the call's first (and only)
@@ -478,7 +475,7 @@ impl NinfClient {
         argmem::argref_refilled().add(digests.len() as u64);
         self.timing.args_refilled = digests.len() as u32;
         if self.bulk_refill(values, &digests) {
-            // The lanes re-primed the server's store; replay the ref'd
+            // The lane re-primed the server's store; replay the ref'd
             // request unchanged. A second NeedArg (the server evicted
             // again already) falls through to the inline path below.
             let (args, _, _) = self.encode_args(values);
@@ -515,7 +512,7 @@ impl NinfClient {
     /// Reach the remembered address — through the pool (a checkout; dead
     /// streams were evicted) for pooled clients, by dialing for direct
     /// ones — and shape the connection when the options ask for WAN
-    /// emulation. Lane id 0 is the call connection; bulk lanes take 1..N on
+    /// emulation. Lane id 0 is the call connection; the bulk lane takes 1 on
     /// the same shared link, so control and bulk traffic contend for one
     /// emulated bottleneck. Fails for transport-wrapping clients, which
     /// have no address.

@@ -49,7 +49,7 @@ pub mod bulk;
 pub mod client;
 pub mod transaction;
 
-pub use bulk::{parallel_put, UploadReport, DEFAULT_LANE_DEADLINE, MAX_CHUNK_ATTEMPTS};
+pub use bulk::{upload, UploadReport, DEFAULT_LANE_DEADLINE, MAX_CHUNK_ATTEMPTS};
 pub use client::{
     call_async, call_two_phase, ninf_call_url, parse_ninf_url, AsyncCall, Call, CallOptions,
     CallTiming, LocalTxError, NinfClient,

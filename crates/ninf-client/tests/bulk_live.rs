@@ -1,17 +1,64 @@
-//! Live tests of the parallel-stream bulk-transfer path: chunked uploads
-//! fanned out over multiplexed lanes against a real server, with the call
-//! itself naming the shipped value by content ref.
+//! Live tests of the bulk upload path: chunked uploads over one windowed,
+//! multiplexed lane against a real server, with the call itself naming the
+//! shipped value by content ref.
 
+use std::net::{Shutdown, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
-use ninf_client::{parallel_put, CallOptions, NinfClient};
+use ninf_client::{upload, CallOptions, NinfClient};
 use ninf_protocol::{LinkShape, Value};
 use ninf_server::{builtin::register_stdlib, NinfServer, Registry, ServerConfig};
 
 fn start_server() -> NinfServer {
+    start_server_with(ServerConfig::default())
+}
+
+fn start_server_with(config: ServerConfig) -> NinfServer {
     let mut registry = Registry::new();
     register_stdlib(&mut registry, false);
-    NinfServer::start("127.0.0.1:0", registry, ServerConfig::default()).unwrap()
+    NinfServer::start("127.0.0.1:0", registry, config).unwrap()
+}
+
+/// A TCP relay in front of `upstream` that counts the connections it
+/// accepts. It relays until either side hangs up.
+fn counting_relay(upstream: String) -> (String, Arc<AtomicU32>) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let accepted = Arc::new(AtomicU32::new(0));
+    let count = accepted.clone();
+    std::thread::spawn(move || {
+        for client in listener.incoming() {
+            let Ok(client) = client else { break };
+            count.fetch_add(1, Ordering::SeqCst);
+            let server = TcpStream::connect(&upstream).unwrap();
+            let legs = [
+                (client.try_clone().unwrap(), server.try_clone().unwrap()),
+                (server, client),
+            ];
+            for (mut from, mut to) in legs {
+                std::thread::spawn(move || {
+                    let _ = std::io::copy(&mut from, &mut to);
+                    let _ = to.shutdown(Shutdown::Write);
+                });
+            }
+        }
+    });
+    (addr, accepted)
+}
+
+/// Whether a linpack reply carries the solution of `args`' system,
+/// computed here with the kernel the server runs.
+fn solves(args: &[Value], out: &[Value]) -> bool {
+    let [Value::Int(n), Value::DoubleArray(a), Value::DoubleArray(b)] = args else {
+        panic!("not linpack arguments")
+    };
+    let mut a = ninf_exec::Matrix::from_col_major(*n as usize, *n as usize, a.clone());
+    let ipvt = ninf_exec::dgefa(&mut a).unwrap();
+    let mut x = b.clone();
+    ninf_exec::dgesl(&a, &ipvt, &mut x);
+    out.first() == Some(&Value::DoubleArray(x))
 }
 
 fn bulk_opts(streams: u32) -> CallOptions {
@@ -35,18 +82,17 @@ fn big_linpack_args() -> Vec<Value> {
 }
 
 #[test]
-fn large_args_preship_over_parallel_lanes_and_the_call_refs_them() {
+fn large_args_preship_over_one_lane_and_the_call_refs_them() {
     let server = start_server();
     let addr = server.addr().to_string();
-    let mut client = NinfClient::connect_with(&addr, bulk_opts(4)).unwrap();
+    let mut client = NinfClient::connect_with(&addr, bulk_opts(1)).unwrap();
     // Fresh per-server-address digest memory: the dial address has a fresh
     // port, so nothing is believed held yet.
     let args = big_linpack_args();
     let out = client.ninf_call("linpack", &args).unwrap();
-    assert!(!out.is_empty());
+    assert!(solves(&args, &out));
 
     let timing = client.last_timing().unwrap();
-    assert_eq!(timing.bulk_streams, 4, "four lanes requested and used");
     let image_len = ninf_protocol::value_image(&args[1]).len();
     assert_eq!(
         timing.bulk_bytes, image_len,
@@ -67,6 +113,61 @@ fn large_args_preship_over_parallel_lanes_and_the_call_refs_them() {
     assert!(server
         .arg_store()
         .contains(&ninf_protocol::digest_value(&args[1])));
+    server.shutdown();
+}
+
+/// Any stream count past zero means one windowed lane: the call opens its
+/// own connection and exactly one more for the upload, never one per
+/// requested stream.
+#[test]
+fn streams_four_still_opens_exactly_one_bulk_connection() {
+    let server = start_server();
+    let (relay, accepted) = counting_relay(server.addr().to_string());
+    let mut client = NinfClient::connect_with(&relay, bulk_opts(4)).unwrap();
+    let args = big_linpack_args();
+    let out = client.ninf_call("linpack", &args).unwrap();
+    assert!(solves(&args, &out));
+    let timing = client.last_timing().unwrap();
+    assert_eq!(
+        timing.bulk_bytes,
+        ninf_protocol::value_image(&args[1]).len(),
+        "the matrix went over the bulk lane"
+    );
+    // Both connections carried traffic, so the relay has accepted both.
+    assert_eq!(
+        accepted.load(Ordering::SeqCst),
+        2,
+        "one bulk connection beside the call's"
+    );
+    let (_, _, uploads, _) = server.metrics().chunked();
+    assert_eq!(uploads, 1);
+    server.shutdown();
+}
+
+/// Why a failed upload still falls back inline: a server with its argument
+/// store disabled refuses every upload, and shipping the value with the
+/// call is then the only way the call can succeed.
+#[test]
+fn a_store_disabled_server_refuses_the_upload_and_the_call_succeeds_inline() {
+    let server = start_server_with(ServerConfig {
+        arg_cache_bytes: 0,
+        ..ServerConfig::default()
+    });
+    let addr = server.addr().to_string();
+    let mut client = NinfClient::connect_with(&addr, bulk_opts(1)).unwrap();
+    let args = big_linpack_args();
+    let out = client.ninf_call("linpack", &args).unwrap();
+    assert!(solves(&args, &out), "a wrong answer");
+    let timing = client.last_timing().unwrap();
+    assert_eq!(timing.bulk_bytes, 0, "the refused upload is not accounted");
+    let image_len = ninf_protocol::value_image(&args[1]).len();
+    assert!(
+        timing.request_bytes >= image_len,
+        "the matrix went inline: {} request bytes",
+        timing.request_bytes
+    );
+    let (_, _, uploads, _) = server.metrics().chunked();
+    assert_eq!(uploads, 0, "nothing landed in a disabled store");
     server.shutdown();
 }
 
@@ -105,13 +206,13 @@ fn an_uploaded_value_is_named_by_ref_and_never_shipped_inline_again() {
 fn need_arg_refills_over_the_bulk_lanes_and_replays_the_refs() {
     let server = start_server();
     let addr = server.addr().to_string();
-    let mut client = NinfClient::connect_with(&addr, bulk_opts(2)).unwrap();
+    let mut client = NinfClient::connect_with(&addr, bulk_opts(1)).unwrap();
     let args = big_linpack_args();
     client.ninf_call("linpack", &args).unwrap();
 
     // Evict everything server-side: the next ref'd call draws NeedArg (for
     // the matrix *and* the 1 KiB rhs, both cacheable), and the refill must
-    // travel back over the bulk lanes — the replayed request still ships
+    // travel back over the bulk lane — the replayed request still ships
     // refs, so its inline payload is zero.
     server.arg_store().clear();
     client.ninf_call("linpack", &args).unwrap();
@@ -128,7 +229,7 @@ fn need_arg_refills_over_the_bulk_lanes_and_replays_the_refs() {
 
 #[test]
 fn shaped_bulk_upload_still_lands_byte_identically() {
-    // A lossy, delayed, capped link between the lanes and the server: the
+    // A lossy, delayed, capped link between the lane and the server: the
     // transfer must still complete exactly (retransmits recover every lost
     // chunk) — the correctness half of the WAN story.
     let server = start_server();
@@ -137,17 +238,15 @@ fn shaped_bulk_upload_still_lands_byte_identically() {
     let v = Value::DoubleArray((0..25_000).map(|i| i as f64 * 0.5).collect());
     let image = ninf_protocol::value_image(&v);
     let digest = ninf_protocol::Digest::of(&image);
-    let report = parallel_put(
+    let report = upload(
         &addr,
         digest,
         &image,
-        4,
         8192,
         Some(Duration::from_millis(300)),
         Some(shape),
     )
     .unwrap();
-    assert_eq!(report.streams, 4);
     assert_eq!(report.bytes, image.len() as u64);
     // loss=2% over ~25 chunks usually costs a retransmit, but the schedule
     // is seed-dependent; what matters is the image landed and verified.
@@ -158,13 +257,13 @@ fn shaped_bulk_upload_still_lands_byte_identically() {
 }
 
 #[test]
-fn a_dead_lane_loses_only_its_own_chunks_and_a_fresh_lane_finishes_them() {
-    // The partition story at the chunk-protocol level: two lanes with
-    // strided chunk ownership, one dies mid-upload. The survivor's chunks
-    // must all land and be retained; only the dead lane's stride is
-    // missing, and a replacement connection can finish exactly that
-    // stride — including an idempotent re-ack of the chunk the dead lane
-    // did deliver.
+fn a_dead_connection_loses_only_its_unacked_chunks_and_a_fresh_one_finishes_them() {
+    // What the upload's one redial relies on, at the chunk-protocol level:
+    // a connection lands some chunks and dies; the server keeps them (its
+    // reassembly is keyed by digest, not by connection), so a fresh
+    // connection sends only the rest — starting with one the dead
+    // connection had landed (as when its ack is lost with the connection),
+    // which the server re-acks instead of rejecting.
     let server = start_server();
     let addr = server.addr().to_string();
     let v = Value::DoubleArray((0..20_000).map(|i| (i as f64).sin()).collect());
@@ -173,7 +272,7 @@ fn a_dead_lane_loses_only_its_own_chunks_and_a_fresh_lane_finishes_them() {
     let chunks = ninf_protocol::split_chunks(digest, &image, 8192);
     assert!(
         chunks.len() >= 6,
-        "need a real fan-out: {} chunks",
+        "need a real upload: {} chunks",
         chunks.len()
     );
 
@@ -186,44 +285,47 @@ fn a_dead_lane_loses_only_its_own_chunks_and_a_fresh_lane_finishes_them() {
         }
     }
 
-    // Lane A (even seqs) ships exactly one chunk, then dies.
-    let mut lane_a = ninf_protocol::TcpTransport::connect(&addr).unwrap();
-    send_chunk(&mut lane_a, &chunks[0]);
-    drop(lane_a);
-
-    // Lane B (odd seqs) delivers its whole stride untouched.
-    let mut lane_b = ninf_protocol::TcpTransport::connect(&addr).unwrap();
-    for m in chunks.iter().skip(1).step_by(2) {
-        send_chunk(&mut lane_b, m);
+    // The first connection lands k chunks, then dies.
+    let k = 3;
+    let mut first = ninf_protocol::TcpTransport::connect(&addr).unwrap();
+    for m in &chunks[..k] {
+        send_chunk(&mut first, m);
     }
+    drop(first);
     assert!(
         !server.arg_store().contains(&digest),
-        "the upload must not complete while the dead lane's chunks are missing"
+        "the upload must not complete while chunks are missing"
     );
 
-    // A replacement lane re-walks the dead lane's stride from the top.
-    let mut lane_a2 = ninf_protocol::TcpTransport::connect(&addr).unwrap();
-    for m in chunks.iter().step_by(2) {
-        send_chunk(&mut lane_a2, m);
+    // The fresh one resends the last chunk the dead one landed, then
+    // everything the dead one never sent.
+    let mut fresh = ninf_protocol::TcpTransport::connect(&addr).unwrap();
+    for m in &chunks[k - 1..] {
+        send_chunk(&mut fresh, m);
     }
     assert!(server.arg_store().contains(&digest));
-    let (_, rejects, uploads, bytes) = server.metrics().chunked();
+    let (accepted, rejects, uploads, bytes) = server.metrics().chunked();
     assert_eq!(rejects, 0, "a duplicate retransmit re-acks, never rejects");
     assert_eq!(uploads, 1);
+    assert_eq!(
+        accepted,
+        chunks.len() as u64,
+        "the overlap is re-acked, not landed twice"
+    );
     assert!(bytes >= image.len() as u64);
     server.shutdown();
 }
 
 #[test]
-fn when_every_lane_dies_the_call_falls_back_inline_and_still_succeeds() {
+fn when_the_lane_dies_the_call_falls_back_inline_and_still_succeeds() {
     // A lane deadline no loopback round trip can beat: every chunk times
-    // out, every lane dies, and the upload as a whole fails. The *call*
-    // must absorb that — ship the value inline over the healthy call
-    // connection — and the failed upload may not be accounted as bulk.
+    // out, the lane gives up, and the upload fails. The *call* must absorb
+    // that — ship the value inline over the healthy call connection — and
+    // the failed upload may not be accounted as bulk.
     let server = start_server();
     let addr = server.addr().to_string();
     let opts = CallOptions {
-        streams: 4,
+        streams: 1,
         chunk_bytes: 4096,
         lane_deadline: Some(Duration::from_nanos(1)),
         ..CallOptions::with_deadline(Duration::from_secs(30))
@@ -231,7 +333,7 @@ fn when_every_lane_dies_the_call_falls_back_inline_and_still_succeeds() {
     let mut client = NinfClient::connect_with(&addr, opts).unwrap();
     let args = big_linpack_args();
     let out = client.ninf_call("linpack", &args).unwrap();
-    assert!(!out.is_empty());
+    assert!(solves(&args, &out));
     let timing = client.last_timing().unwrap();
     assert_eq!(timing.bulk_bytes, 0, "a failed upload is not accounted");
     assert_eq!(timing.args_refd, 0, "nothing pre-shipped, so nothing ref'd");
@@ -246,7 +348,7 @@ fn when_every_lane_dies_the_call_falls_back_inline_and_still_succeeds() {
 
 #[test]
 fn transport_wrapped_clients_ignore_the_streams_knob() {
-    // No dial address: bulk fan-out is impossible, and the call must fall
+    // No dial address: a bulk upload is impossible, and the call must fall
     // back to plain inline shipping instead of failing.
     let server = start_server();
     let addr = server.addr().to_string();
@@ -256,7 +358,6 @@ fn transport_wrapped_clients_ignore_the_streams_knob() {
     let args = big_linpack_args();
     client.ninf_call("linpack", &args).unwrap();
     let timing = client.last_timing().unwrap();
-    assert_eq!(timing.bulk_streams, 0);
     assert_eq!(timing.bulk_bytes, 0);
     server.shutdown();
 }
@@ -264,12 +365,10 @@ fn transport_wrapped_clients_ignore_the_streams_knob() {
 #[test]
 fn a_silent_server_sees_each_chunk_four_times_and_only_one_connection() {
     // A peer that takes every chunk and acks none. Deadlines are not
-    // deaths: the lane must give up after `MAX_CHUNK_ATTEMPTS` sends of a
+    // deaths: the upload must give up after `MAX_CHUNK_ATTEMPTS` sends of a
     // chunk on the connection it has, not redial a healthy one and send a
     // fifth copy down it.
-    use std::net::{TcpListener, TcpStream};
-    use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-    use std::sync::Arc;
+    use std::sync::atomic::AtomicBool;
 
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
@@ -301,18 +400,17 @@ fn a_silent_server_sees_each_chunk_four_times_and_only_one_connection() {
 
     let image = vec![0x5a_u8; 3 * 1024];
     let digest = ninf_protocol::Digest::of(&image);
-    let err = parallel_put(
+    let err = upload(
         &addr,
         digest,
         &image,
-        1,
         1024,
         Some(Duration::from_millis(40)),
         None,
     )
     .unwrap_err();
     assert!(err.is_timeout(), "{err}");
-    // The lane has hung up (its readers see EOF); wake the acceptor.
+    // The upload has hung up (its readers see EOF); wake the acceptor.
     done.store(true, Ordering::SeqCst);
     drop(TcpStream::connect(&addr).unwrap());
     acceptor.join().unwrap();

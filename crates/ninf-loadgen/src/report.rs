@@ -348,6 +348,12 @@ impl RunReport {
         (total > 0 && self.wall_secs > 0.0).then(|| total as f64 / self.wall_secs / 1e6)
     }
 
+    /// Image bytes the run's bulk uploads shipped (retransmits excluded);
+    /// over `wall_secs` it is the run's upload goodput.
+    pub fn bulk_bytes(&self) -> u64 {
+        self.calls.iter().map(|c| c.timing.bulk_bytes as u64).sum()
+    }
+
     /// The experiments.json-family document of this run.
     pub fn to_json(&self) -> serde_json::Value {
         let mut doc = serde_json::Map::new();
@@ -356,6 +362,7 @@ impl RunReport {
         doc.insert("clients".into(), serde_json::json!(self.clients as u64));
         doc.insert("seed".into(), serde_json::json!(self.seed));
         doc.insert("wall_secs".into(), serde_json::json!(self.wall_secs));
+        doc.insert("bulk_bytes".into(), serde_json::json!(self.bulk_bytes()));
         doc.insert(
             "cells".into(),
             serde_json::Value::Array(self.per_client.iter().map(|c| c.to_json()).collect()),
@@ -543,6 +550,7 @@ mod tests {
         assert!(cells[0]["perf"]["mean"].as_f64().unwrap() > 0.0);
         assert!(doc["fleet"]["aggregate_mflops"].as_f64().unwrap() > 0.0);
         assert!(doc["fleet"]["errors"].as_u64() == Some(0));
+        assert_eq!(doc["bulk_bytes"], 0, "no upload shipped");
         assert!(doc["schedule_fnv"].as_str().unwrap().starts_with("0x"));
         assert_eq!(doc["schedules"].as_array().unwrap().len(), 2);
         // Same schedules → same fingerprint; different → different.

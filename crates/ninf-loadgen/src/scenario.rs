@@ -31,7 +31,7 @@ pub fn scenario_names() -> Vec<&'static str> {
         "lan-c10k",
         "metaserver-ft",
         "wan-iterative",
-        "wan-streams",
+        "wan-upload",
     ]
 }
 
@@ -185,17 +185,13 @@ pub fn scenario(name: &str) -> Option<Scenario> {
                 policy: SchedPolicy::Fcfs,
             },
         }),
-        // The GridFTP-shaped parallel-stream rig: every call ships a fresh
-        // (salted, so never cached) 512 KiB Linpack matrix, pre-shipped as
-        // chunks over `options.streams` bulk lanes. Sweep the stream count
-        // with `ninf-load --streams 1,2,4,8,16 --wan <spec>` to measure
-        // goodput-vs-N on a shaped link: goodput rises while lanes pipeline
-        // through each other's propagation gaps, knees when the link
-        // saturates, and degrades at high N as the congestion term drives
-        // up the effective loss rate.
-        "wan-streams" => Some(Scenario {
-            name: "wan-streams",
-            about: "parallel-stream bulk upload of unique 512 KiB matrices over a shaped link",
+        // The WAN upload rig: every call ships a fresh (salted, so never
+        // cached) 512 KiB Linpack matrix, pre-shipped as chunks over one
+        // windowed bulk lane. Run it with `--wan <spec>` to measure upload
+        // goodput on a shaped link (`bulk_bytes / wall_secs` in `--json`).
+        "wan-upload" => Some(Scenario {
+            name: "wan-upload",
+            about: "windowed one-lane bulk upload of unique 512 KiB matrices over a shaped link",
             spec: WorkloadSpec {
                 mix: vec![MixEntry {
                     routine: Routine::Linpack { n: 256 },
@@ -210,12 +206,11 @@ pub fn scenario(name: &str) -> Option<Scenario> {
                 options: CallOptions {
                     deadline: Some(Duration::from_secs(60)),
                     // Loss recovery budget per chunk, not per call: a few
-                    // shaped round trips (worst case ~86 ms with 16 lanes
-                    // queued on a 4 MB/s link), so a lost 16 KiB chunk
-                    // stalls its lane for ~0.15 s instead of the whole
-                    // call deadline.
+                    // shaped round trips, so a lost 16 KiB chunk stalls
+                    // the upload for ~0.15 s instead of the whole call
+                    // deadline.
                     lane_deadline: Some(Duration::from_millis(150)),
-                    streams: 4,
+                    streams: 1,
                     ..CallOptions::default()
                 },
             },

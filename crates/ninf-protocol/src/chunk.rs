@@ -24,12 +24,12 @@ use crate::frame::MAX_FRAME_BYTES;
 use crate::message::Message;
 
 /// Arguments whose XDR image is at least this large go chunked over the
-/// parallel lanes; smaller ones ship inline in the Invoke.
+/// bulk lane; smaller ones ship inline in the Invoke.
 pub const CHUNK_THRESHOLD: usize = 64 * 1024;
 
-/// Default chunk payload size. Small enough that N lanes interleave
-/// through a capped link, large enough that per-chunk framing overhead
-/// (~48 bytes) stays under 0.3%.
+/// Default chunk payload size. Small enough that a window of them paces
+/// smoothly through a capped link, large enough that per-chunk framing
+/// overhead (~48 bytes) stays under 0.3%.
 pub const DEFAULT_CHUNK_BYTES: u32 = 16 * 1024;
 
 /// Why a chunk (or a finished upload) was rejected. Every failure mode

@@ -37,6 +37,19 @@ pub enum ProtocolError {
         /// What arrived instead.
         got: String,
     },
+    /// A windowed upload's peer acked what was not sent: a `ChunkOk` naming
+    /// another chunk than the one its ticket carried, or one on a ticket
+    /// never posted. Nothing on that connection can be trusted after this,
+    /// and a fresh one to the same peer is no better, so it is not
+    /// retryable.
+    AckMismatch {
+        /// The ticket the ack came back on.
+        ticket: u64,
+        /// Chunk that ticket carried (`None`: no such ticket was posted).
+        sent: Option<u32>,
+        /// Chunk the ack named.
+        acked: u32,
+    },
     /// The remote side reported an error (e.g. unknown routine, singular
     /// matrix, argument mismatch).
     Remote(String),
@@ -60,13 +73,15 @@ impl ProtocolError {
     }
 
     /// Whether retrying the operation on a *fresh connection* could succeed.
-    /// Remote application errors and version mismatches are deterministic
-    /// and excluded; checksum failures are transient wire corruption and
-    /// *are* retryable once reconnected.
+    /// Remote application errors, version mismatches and mismatched acks
+    /// are deterministic and excluded; checksum failures are transient wire
+    /// corruption and *are* retryable once reconnected.
     pub fn is_retryable(&self) -> bool {
         !matches!(
             self,
-            ProtocolError::Remote(_) | ProtocolError::UnsupportedVersion { .. }
+            ProtocolError::Remote(_)
+                | ProtocolError::UnsupportedVersion { .. }
+                | ProtocolError::AckMismatch { .. }
         )
     }
 }
@@ -88,6 +103,22 @@ impl fmt::Display for ProtocolError {
             ProtocolError::UnexpectedMessage { expected, got } => {
                 write!(f, "protocol violation: expected {expected}, got {got}")
             }
+            ProtocolError::AckMismatch {
+                ticket,
+                sent: Some(sent),
+                acked,
+            } => write!(
+                f,
+                "protocol violation: ticket {ticket} carried chunk {sent}, its ack names chunk {acked}"
+            ),
+            ProtocolError::AckMismatch {
+                ticket,
+                sent: None,
+                acked,
+            } => write!(
+                f,
+                "protocol violation: ack for chunk {acked} on ticket {ticket}, which was never posted"
+            ),
             ProtocolError::Remote(m) => write!(f, "remote error: {m}"),
             ProtocolError::Disconnected => write!(f, "peer disconnected"),
             ProtocolError::Timeout { operation, after } => {

@@ -29,11 +29,11 @@
 //! [`link_schedule`] / [`link_fingerprint`]. Each operation derives its own
 //! SplitMix64 sub-stream, so outcome-dependent parameter draws (the
 //! truncation cut point, the garbled bit) can never shift later decisions.
-//! Lanes are caller-assigned (a parallel-stream uploader gives worker `w`
-//! lane `w`), so two runs with the same shape replay the same schedule
-//! however threads interleave. Only the *effective* loss rate depends on
-//! the live lane count; with `congestion_ppm = 0` the schedule is
-//! independent of it, which is what the chaos harness pins.
+//! Lanes are caller-assigned (a client's call connection is lane 0 and its
+//! bulk upload lane 1), so two runs with the same shape replay the same
+//! schedule however threads interleave. Only the *effective* loss rate
+//! depends on the live lane count; with `congestion_ppm = 0` the schedule
+//! is independent of it, which is what the chaos harness pins.
 //!
 //! The simulator (`ninf-netsim::wan`) imports this module's shape and event
 //! function rather than mirroring them, so a live shaped run and a FluidNet
@@ -105,9 +105,13 @@ pub fn eff_loss_ppm(shape: &LinkShape, lanes: u32) -> u32 {
     (shape.loss_ppm as u64 + extra).min(MAX_EFF_LOSS_PPM) as u32
 }
 
-/// Most chunks a bulk lane keeps un-acked, whatever the link: well inside
-/// the server's per-connection in-flight bound.
-pub const MAX_LANE_WINDOW: u32 = 16;
+/// Most chunks a bulk lane keeps un-acked, whatever the link: half the
+/// server's per-connection in-flight bound (128), and the window a lane
+/// takes when it cannot size one — an unnamed link, or one with no
+/// bandwidth cap. 64 chunks of 16 KiB keep a 1 MiB image in flight, what
+/// four 16-chunk lanes used to; on a 20 ms link the old cap of 16 left one
+/// lane at 0.56× of four (EXPERIMENTS.md, "WAN bulk upload").
+pub const MAX_LANE_WINDOW: u32 = 64;
 
 /// Un-acked chunks a bulk lane keeps in flight. Over a named link it is
 /// that link's bandwidth-delay product in chunks,
@@ -335,8 +339,8 @@ fn registry() -> std::sync::MutexGuard<'static, LinkMap> {
 }
 
 /// Process-global link registry: every lane that names the same
-/// `(key, shape)` shares one [`SharedLink`], so parallel streams from
-/// one process to one destination contend on a single bottleneck the
+/// `(key, shape)` shares one [`SharedLink`], so every connection from
+/// one process to one destination contends on a single bottleneck the
 /// way they would on a real WAN path. The registry holds links weakly —
 /// a link lives exactly as long as some lane holds it — and every lookup
 /// prunes the entries whose last lane has gone, so a process that dials
@@ -556,7 +560,7 @@ pub struct LinkTransport<T: Transport> {
 impl<T: Transport> LinkTransport<T> {
     /// Wrap `inner` as lane `lane` of `link`. Lane numbers are
     /// caller-assigned so schedules stay deterministic however threads
-    /// race; a parallel uploader gives worker `w` lane `w`.
+    /// race; the bulk uploader takes lane 1 beside the call connection's 0.
     pub fn new(inner: T, link: Arc<SharedLink>, lane: u32) -> Self {
         link.lanes.fetch_add(1, Ordering::Relaxed);
         Self {

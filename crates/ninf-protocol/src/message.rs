@@ -376,11 +376,12 @@ pub enum Message {
         /// Retained frames from the cursor onward, oldest first.
         frames: Vec<MetricFrame>,
     },
-    /// One chunk of a parallel-stream bulk upload (WAN path): a slice of
+    /// One chunk of a windowed bulk upload (WAN path): a slice of
     /// a large value's tagged XDR image, addressed by the *whole value's*
     /// content digest so reassembly lands directly in the arg store and a
     /// later [`Message::Invoke`] references it as [`Arg::Ref`]. Chunks
-    /// fan out over N mux streams; each carries its own CRC so a corrupt
+    /// travel through one mux stream's window, and a redial's resends
+    /// through a fresh one; each carries its own CRC so a corrupt
     /// chunk is rejected individually instead of poisoning the upload.
     PutArgChunk {
         /// Digest of the complete value image (the arg-store key).

@@ -1,7 +1,7 @@
-//! Property tests for chunked bulk transfer (the parallel-stream WAN
-//! path): for arbitrary images, chunk sizes, stream counts, and delivery
-//! interleavings the reassembled image is byte-identical to the
-//! original, and any missing, duplicated, or corrupted chunk yields a
+//! Property tests for chunked bulk transfer (the WAN upload path): for
+//! arbitrary images, chunk sizes, and delivery interleavings (retransmits
+//! and a redial reorder arrivals) the reassembled image is byte-identical
+//! to the original, and any missing, duplicated, or corrupted chunk yields a
 //! typed [`ChunkError`] — never a panic, never a silently truncated
 //! value.
 

@@ -185,47 +185,61 @@ pub fn live_vs_sim(
     })
 }
 
-/// One stream-count sample of both WAN goodput curves.
+/// One link shape's sample of live and simulated upload goodput.
 #[derive(Debug, Clone, Copy)]
 pub struct WanShapePoint {
-    /// Parallel bulk streams.
-    pub streams: u32,
-    /// Live bulk goodput, bytes/second.
+    /// The link both sides ran over.
+    pub shape: ninf_protocol::LinkShape,
+    /// Un-acked chunks the upload keeps ([`ninf_protocol::lane_window`]).
+    pub window: u32,
+    /// Live upload-phase goodput, bytes/second.
     pub live_goodput: f64,
     /// FluidNet-predicted goodput, bytes/second.
     pub sim_goodput: f64,
-    /// Live value normalized to the live curve's *best* point.
-    pub live_norm: f64,
-    /// Sim value normalized to the sim curve's *best* point.
-    pub sim_norm: f64,
 }
 
 impl WanShapePoint {
-    /// Absolute difference of the normalized values.
+    /// The link's bandwidth-delay product, in differential-sized chunks.
+    pub fn bdp_chunks(&self) -> f64 {
+        self.shape.bytes_per_sec as f64 * 2.0 * self.shape.delay_us as f64
+            / 1e6
+            / f64::from(WAN_DIFF_CHUNK_BYTES)
+    }
+
+    /// Live goodput as a share of the link's bandwidth.
+    pub fn live_share(&self) -> f64 {
+        self.live_goodput / self.shape.bytes_per_sec as f64
+    }
+
+    /// Predicted goodput as a share of the link's bandwidth.
+    pub fn sim_share(&self) -> f64 {
+        self.sim_goodput / self.shape.bytes_per_sec as f64
+    }
+
+    /// Absolute difference of the two shares.
     pub fn delta(&self) -> f64 {
-        (self.live_norm - self.sim_norm).abs()
+        (self.live_share() - self.sim_share()).abs()
     }
 }
 
-/// The WAN differential verdict: live parallel-stream goodput-vs-N against
-/// the FluidNet prediction, both normalized to their own best point.
+/// The WAN differential verdict: live one-lane upload goodput against the
+/// FluidNet prediction, each as its share of the link, per link shape.
 ///
-/// Max-normalization (instead of the scalability differential's
-/// first-point normalization) keeps every normalized value in `[0, 1]`:
-/// the goodput curve *rises* with N, so dividing by the N=1 point would
-/// amplify absolute deltas at exactly the stream counts under test.
+/// Shares are compared directly, not normalized to a best point: one lane
+/// is one number per link, and how much of the link it fills is exactly
+/// what the window is for.
 #[derive(Debug, Clone)]
 pub struct WanDiffReport {
     /// Scenario compared.
     pub scenario: String,
-    /// Per-stream-count samples.
+    /// Per-link samples.
     pub points: Vec<WanShapePoint>,
-    /// Declared tolerance on normalized values.
+    /// Declared tolerance on the share of link.
     pub tolerance: f64,
 }
 
 impl WanDiffReport {
-    /// Whether every point's shapes agree within tolerance.
+    /// Whether every point's shares agree within tolerance.
     pub fn pass(&self) -> bool {
         self.points.iter().all(|p| p.delta() <= self.tolerance)
     }
@@ -233,25 +247,29 @@ impl WanDiffReport {
     /// Human-readable table.
     pub fn render(&self) -> String {
         let mut s = format!(
-            "# wan live-vs-sim differential: {} (tolerance {:.2} on max-normalized goodput)\n\
-             # {:>7} {:>14} {:>14} {:>10} {:>10} {:>8} verdict\n",
+            "# wan live-vs-sim differential: {} (tolerance {:.2} on upload share of link)\n\
+             # {:>24} {:>6} {:>8} {:>11} {:>11} {:>10} {:>10} {:>8} verdict\n",
             self.scenario,
             self.tolerance,
-            "streams",
-            "live_MiB/s",
-            "sim_MiB/s",
-            "live_norm",
-            "sim_norm",
+            "link",
+            "window",
+            "bdp",
+            "live_MB/s",
+            "sim_MB/s",
+            "live_share",
+            "sim_share",
             "delta"
         );
         for p in &self.points {
             s += &format!(
-                "  {:>7} {:>14.3} {:>14.3} {:>10.3} {:>10.3} {:>8.3} {}\n",
-                p.streams,
-                p.live_goodput / (1024.0 * 1024.0),
-                p.sim_goodput / (1024.0 * 1024.0),
-                p.live_norm,
-                p.sim_norm,
+                "  {:>24} {:>6} {:>8.1} {:>11.3} {:>11.3} {:>10.3} {:>10.3} {:>8.3} {}\n",
+                format!("bw={},delay={}us", p.shape.bytes_per_sec, p.shape.delay_us),
+                p.window,
+                p.bdp_chunks(),
+                p.live_goodput / 1e6,
+                p.sim_goodput / 1e6,
+                p.live_share(),
+                p.sim_share(),
                 p.delta(),
                 if p.delta() <= self.tolerance {
                     "ok"
@@ -269,35 +287,45 @@ impl WanDiffReport {
     }
 }
 
-/// Run the WAN differential: the live `wan-streams` scenario at each
-/// stream count over a client-side shaped loopback link, against
-/// [`ninf_netsim::wan`]'s FluidNet upload model under the *same* link
-/// spec, chunk size, and lane deadline. Both curves are normalized to
-/// their own best point and compared within `tolerance`.
-///
-/// The caller supplies the link `shape` (usually smaller/faster than the
-/// committed benchmark's so the differential stays test-sized); the
-/// scenario's stream knob is overridden per point.
+/// Chunk size of the WAN differential: small enough that the scenario's
+/// 512 KiB image spans twice [`ninf_protocol::MAX_LANE_WINDOW`] chunks, so
+/// a link whose bandwidth-delay product exceeds the cap leaves the window
+/// binding.
+pub const WAN_DIFF_CHUNK_BYTES: u32 = 4096;
+
+/// Run the WAN differential: the live `wan-upload` scenario (one windowed
+/// lane) over each client-side shaped loopback link in `shapes`, against
+/// [`ninf_netsim::wan`]'s FluidNet upload model under the *same* link,
+/// chunk size, window and lane deadline. Each side's upload goodput is
+/// taken as its share of the link's bandwidth and compared within
+/// `tolerance`. Every shape must cap its bandwidth; pick shapes whose
+/// bandwidth-delay product falls below, near and above the window cap.
 pub fn wan_live_vs_sim(
-    stream_counts: &[u32],
-    shape: ninf_protocol::LinkShape,
+    shapes: &[ninf_protocol::LinkShape],
     seed: u64,
     tolerance: f64,
 ) -> ProtocolResult<WanDiffReport> {
-    if stream_counts.is_empty() {
-        return Err(ProtocolError::Remote("no stream counts to compare".into()));
+    if shapes.is_empty() {
+        return Err(ProtocolError::Remote("no link shapes to compare".into()));
     }
-    if stream_counts.contains(&0) {
+    if shapes.iter().any(|s| s.bytes_per_sec == 0) {
         return Err(ProtocolError::Remote(
-            "stream count 0 in wan differential".into(),
+            "an uncapped link has no share to compare".into(),
         ));
     }
-    let base = scenario("wan-streams")
-        .ok_or_else(|| ProtocolError::Remote("scenario wan-streams missing".into()))?;
+    let mut base = scenario("wan-upload")
+        .ok_or_else(|| ProtocolError::Remote("scenario wan-upload missing".into()))?;
+    base.spec.options.chunk_bytes = WAN_DIFF_CHUNK_BYTES;
+    // The links are loss-free, and a window's last ack may trail its post
+    // by a whole link delay: no chunk may be resent for want of a tighter
+    // deadline than the call's.
+    base.spec.options.lane_deadline = None;
+    // Two calls per link keep the live half test-sized.
+    base.spec.calls_per_client = 2;
     // One image per call: the scenario's single Linpack matrix.
     let ninf_loadgen::Routine::Linpack { n } = base.spec.mix[0].routine else {
         return Err(ProtocolError::Remote(
-            "wan-streams no longer ships a Linpack matrix".into(),
+            "wan-upload no longer ships a Linpack matrix".into(),
         ));
     };
     let image_bytes =
@@ -310,67 +338,46 @@ pub fn wan_live_vs_sim(
         .or(base.spec.options.deadline)
         .map_or(2.0, |d| d.as_secs_f64());
 
-    let mut live = Vec::with_capacity(stream_counts.len());
-    for &streams in stream_counts {
+    let mut points = Vec::with_capacity(shapes.len());
+    for &shape in shapes {
         let mut sc = base.clone();
         sc.spec.options.wan = Some(shape);
-        sc.spec.options.streams = streams;
-        // Two calls per point keep the live half test-sized; the shape of
-        // goodput-vs-N does not depend on how often it is measured.
-        sc.spec.calls_per_client = 2;
         let report = run_scenario(&sc, 1, seed)?;
         // Goodput over the *upload phase* alone: call total minus the
         // connect/interface/marshal/roundtrip segments leaves the bulk
-        // pre-ship. The FluidNet model predicts transfer; compute and
-        // marshal time do not vary with N and would otherwise dilute the
-        // normalized shape.
-        let mut bulk = 0u64;
+        // pre-ship. The FluidNet model predicts transfer; compute and the
+        // `Invoke` crossing would otherwise dilute the share.
         let mut xfer = 0.0f64;
         for c in &report.calls {
-            bulk += c.timing.bulk_bytes as u64;
             let t = &c.timing;
             let overhead = t.connect + t.interface + t.marshal + t.roundtrip;
             xfer += (t.total - overhead).max(0.0);
         }
+        let bulk = report.bulk_bytes();
         if bulk == 0 || xfer <= 0.0 {
             return Err(ProtocolError::Remote(format!(
-                "live wan run at N={streams} shipped no bulk bytes"
+                "live wan run over {shape} shipped no bulk bytes"
             )));
         }
-        live.push(bulk as f64 / xfer);
+        let window = ninf_protocol::lane_window(Some(&shape), WAN_DIFF_CHUNK_BYTES);
+        // The call connection is lane 0 beside the upload's lane 1.
+        let sim = ninf_netsim::simulate_upload(
+            &shape,
+            image_bytes,
+            WAN_DIFF_CHUNK_BYTES,
+            2,
+            window,
+            lane_deadline,
+        );
+        points.push(WanShapePoint {
+            shape,
+            window,
+            live_goodput: bulk as f64 / xfer,
+            sim_goodput: sim.goodput,
+        });
     }
-
-    let sim: Vec<f64> = ninf_netsim::goodput_curve(
-        &shape,
-        image_bytes,
-        base.spec.options.chunk_bytes,
-        stream_counts,
-        lane_deadline,
-    )
-    .iter()
-    .map(|r| r.goodput)
-    .collect();
-
-    let live_best = live.iter().cloned().fold(f64::MIN, f64::max);
-    let sim_best = sim.iter().cloned().fold(f64::MIN, f64::max);
-    if live_best <= 0.0 || sim_best <= 0.0 {
-        return Err(ProtocolError::Remote(
-            "degenerate best point; cannot normalize".into(),
-        ));
-    }
-    let points = stream_counts
-        .iter()
-        .zip(live.iter().zip(sim.iter()))
-        .map(|(&streams, (&l, &s))| WanShapePoint {
-            streams,
-            live_goodput: l,
-            sim_goodput: s,
-            live_norm: l / live_best,
-            sim_norm: s / sim_best,
-        })
-        .collect();
     Ok(WanDiffReport {
-        scenario: "wan-streams".into(),
+        scenario: "wan-upload".into(),
         points,
         tolerance,
     })
@@ -416,31 +423,28 @@ mod tests {
         assert!(sim[0] > sim[1] && sim[1] > sim[2], "sim curve: {sim:?}");
     }
 
-    fn wan_point(streams: u32, live_norm: f64, sim_norm: f64) -> WanShapePoint {
+    fn wan_point(live_share: f64, sim_share: f64) -> WanShapePoint {
         WanShapePoint {
-            streams,
-            live_goodput: live_norm * 4e6,
-            sim_goodput: sim_norm * 5e6,
-            live_norm,
-            sim_norm,
+            shape: ninf_protocol::LinkShape::parse("bw=4m,delay=20ms").unwrap(),
+            window: 10,
+            live_goodput: live_share * 4e6,
+            sim_goodput: sim_share * 4e6,
         }
     }
 
     #[test]
     fn wan_verdict_follows_tolerance() {
         let report = WanDiffReport {
-            scenario: "wan-streams".into(),
-            points: vec![
-                wan_point(1, 0.30, 0.26),
-                wan_point(2, 0.58, 0.51),
-                wan_point(4, 1.0, 1.0),
-            ],
+            scenario: "wan-upload".into(),
+            points: vec![wan_point(0.83, 0.86), wan_point(0.40, 0.45)],
             tolerance: 0.35,
         };
         assert!(report.pass());
         assert!(report.render().contains("RESULT PASS"));
+        // Shares, not max-normalized values: a live lane at a third of what
+        // the model predicts diverges even though both are each side's best.
         let diverged = WanDiffReport {
-            points: vec![wan_point(1, 0.95, 0.25), wan_point(4, 1.0, 1.0)],
+            points: vec![wan_point(0.30, 0.86)],
             ..report
         };
         assert!(!diverged.pass());
@@ -449,8 +453,8 @@ mod tests {
 
     #[test]
     fn wan_differential_rejects_degenerate_inputs() {
-        let shape = ninf_protocol::LinkShape::default();
-        assert!(wan_live_vs_sim(&[], shape, 1, 0.35).is_err());
-        assert!(wan_live_vs_sim(&[0, 2], shape, 1, 0.35).is_err());
+        assert!(wan_live_vs_sim(&[], 1, 0.35).is_err());
+        let uncapped = ninf_protocol::LinkShape::parse("delay=20ms").unwrap();
+        assert!(wan_live_vs_sim(&[uncapped], 1, 0.35).is_err());
     }
 }

@@ -143,7 +143,7 @@ fn classify(err: &ProtocolError) -> Outcome {
 /// Arguments of call `seq` from `client`, salted under `unique_args` the
 /// same way the load generator salts (`+= 1 + client·1_000_003 + seq` on
 /// every array's last element) so no two calls ship the same digest and
-/// every call re-runs the whole chunk fan-out.
+/// every call re-runs the whole chunk upload.
 fn salted_args(spec: &ChaosSpec, routine: Routine, client: usize, seq: usize) -> Vec<Value> {
     let mut args = args_for(routine, seq);
     if spec.workload.unique_args {
@@ -173,11 +173,11 @@ fn solution_is_exact(out: &[Value]) -> bool {
 }
 
 /// One bulk-path client leg: a dialed, WAN-shaped client whose large
-/// arguments pre-ship as chunks over parallel lanes. The link's seeded
-/// loss schedule supplies the faults (bursts land mid-transfer on
-/// individual lanes), so the scenario's `faults` link does not wrap this
-/// leg; alongside the call ledger it records per-call [`BulkRecord`]s for
-/// the [`bulk_isolation`] invariant.
+/// arguments pre-ship as chunks over one windowed lane. The link's seeded
+/// loss schedule supplies the faults (bursts land mid-transfer), so the
+/// scenario's `faults` link does not wrap this leg; alongside the call
+/// ledger it records per-call [`BulkRecord`]s for the [`bulk_isolation`]
+/// invariant.
 fn drive_bulk_client(
     spec: &ChaosSpec,
     addr: &str,
@@ -204,7 +204,7 @@ fn drive_bulk_client(
             return (records, trace_ids, bulk);
         }
     };
-    // Per-client digest memory, cleared so every run's fan-out starts cold.
+    // Per-client digest memory, cleared so every run's upload starts cold.
     let cache_key = format!("{addr}#chaos-client{client}");
     ninf_client::argmem::forget_destination(&cache_key);
     c.set_cache_key(Some(cache_key));
@@ -597,7 +597,7 @@ fn transcript(spec: &ChaosSpec, seed: u64, planned: &[usize], checks: &[Check]) 
     ));
     if let Some(shape) = spec.link_shape(seed) {
         // Pure function of (spec, seed): the canonical shape with the
-        // run-derived link seed, plus the fan-out geometry.
+        // run-derived link seed, plus the upload geometry.
         out.push_str(&format!(
             "# wan {shape} streams={} chunk_bytes={} lane_deadline_ms={}\n",
             spec.workload.options.streams,

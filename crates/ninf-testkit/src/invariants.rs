@@ -389,8 +389,8 @@ pub fn quarantine_legal(events: &[HealthEvent], servers: usize) -> Check {
     Check::pass(NAME)
 }
 
-/// One call's parallel-bulk ledger entry, recorded by the harness for
-/// scenarios that drive the chunk fan-out.
+/// One call's bulk-upload ledger entry, recorded by the harness for
+/// scenarios that drive the chunk upload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BulkRecord {
     /// Issuing client.
@@ -400,7 +400,7 @@ pub struct BulkRecord {
     /// XDR image bytes of the call's one chunk-eligible argument.
     pub image_bytes: u64,
     /// Image bytes the client's upload accounting claims it landed over
-    /// the bulk lanes (pre-ship plus any refill; excludes retransmits).
+    /// the bulk lane (pre-ship plus any refill; excludes retransmits).
     pub bulk_bytes: u64,
     /// Chunk retransmits the upload performed.
     pub retransmits: u32,
@@ -411,21 +411,22 @@ pub struct BulkRecord {
     pub result_exact: bool,
 }
 
-/// Bulk-lane isolation: a dying lane may fail only its own chunks, never
-/// the call and never another lane's bytes. Three checkable faces:
+/// Bulk-upload isolation: a dying bulk connection may cost a redial and
+/// the resend of its un-acked chunks, or the upload, but never the call
+/// and never a wrong byte. Three checkable faces:
 ///
 /// * **All-or-nothing uploads** — `bulk_bytes` is always a whole number
-///   of images: a lane that dies mid-fan-out fails the entire upload
-///   (the call falls back to shipping the value inline) and the server's
+///   of images: an upload that fails part-way fails as a whole (the call
+///   falls back to shipping the value inline) and the server's
 ///   reassembly holds partial state out of the arg store, so no fraction
 ///   of an image can ever be claimed as landed.
 /// * **Payload exactness** — every `Ok` call's solution must match the
 ///   one predicted from the exact salted bytes shipped; retransmits and
-///   redials on any lane must deliver each chunk's bytes exactly once or
+///   the redial must deliver each chunk's bytes exactly once or
 ///   the digest check would have refused the image.
 /// * **Loss stays loss** — a shaped link only delays or drops; the sole
 ///   legal failure is a client deadline expiry (`Timeout`). A `Transport`
-///   or `Remote` outcome would mean a lane failure escaped its lane
+///   or `Remote` outcome would mean an upload failure escaped the upload
 ///   (a desynced stream, a half-written image that decoded, …).
 pub fn bulk_isolation(records: &[BulkRecord]) -> Check {
     const NAME: &str = "bulk-isolation";
@@ -723,7 +724,7 @@ mod tests {
         assert!(bulk_isolation(&[rec(0, Outcome::Ok, true)]).pass);
         assert!(bulk_isolation(&[rec(2000, Outcome::Ok, true)]).pass);
         assert!(bulk_isolation(&[rec(1000, Outcome::Timeout, true)]).pass);
-        // A fraction of an image in the ledger = a lane leaked a partial.
+        // A fraction of an image in the ledger = an upload leaked a partial.
         let c = bulk_isolation(&[rec(500, Outcome::Ok, true)]);
         assert!(!c.pass);
         assert!(c.detail.contains("partial upload"));

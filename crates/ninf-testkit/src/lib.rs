@@ -27,11 +27,12 @@
 //! - **quarantine-legal** — the directory's health-event log replays
 //!   legally: quarantine only at the threshold, reinstatement only after
 //!   a success.
-//! - **bulk-isolation** — for scenarios driving the parallel-stream chunk
-//!   fan-out over a shaped link (`wan-partition`): uploads are
-//!   all-or-nothing in the ledger, an `Ok` call's solution proves the
-//!   server computed on exactly the shipped bytes, and pure loss may only
-//!   delay or time a call out — a dying lane fails only its own chunks.
+//! - **bulk-isolation** — for scenarios driving the windowed chunk upload
+//!   over a shaped link (`wan-partition`): uploads are all-or-nothing in
+//!   the ledger, an `Ok` call's solution proves the server computed on
+//!   exactly the shipped bytes, and pure loss may only delay or time a
+//!   call out — a connection that dies mid-upload costs one redial and
+//!   the resend of its un-acked chunks, never the call.
 //!
 //! Transcripts are bit-deterministic for a given `(spec, seed)`: they
 //! carry the spec fingerprint and the *planned* fault/arrival schedule
@@ -42,9 +43,9 @@
 //! scalability shape against a matched simulator scenario (saturated
 //! closed-loop clients on a 1-PE server), normalized and compared within
 //! a declared tolerance. [`wan_live_vs_sim`] is its WAN sibling: the live
-//! `wan-streams` goodput-vs-stream-count shape over a shaped loopback
-//! link against [`ninf_netsim::wan`]'s FluidNet upload model under the
-//! same link spec, both max-normalized.
+//! `wan-upload` scenario's one-lane upload goodput over shaped loopback
+//! links against [`ninf_netsim::wan`]'s FluidNet upload model under the
+//! same link spec, each as its share of the link.
 
 #![warn(missing_docs)]
 
@@ -55,7 +56,7 @@ pub mod spec;
 
 pub use differential::{
     live_vs_sim, wan_live_vs_sim, DiffReport, ShapePoint, WanDiffReport, WanShapePoint,
-    DEFAULT_TOLERANCE,
+    DEFAULT_TOLERANCE, WAN_DIFF_CHUNK_BYTES,
 };
 pub use harness::{run_chaos, ChaosRun, Inject};
 pub use invariants::{BulkRecord, CallRecord, Check, StatsPoll, WindowPoll};

@@ -166,8 +166,8 @@ impl ChaosSpec {
         })
     }
 
-    /// Whether this scenario drives the parallel-stream bulk path (and the
-    /// harness therefore records a per-call bulk ledger).
+    /// Whether this scenario drives the bulk upload path (and the harness
+    /// therefore records a per-call bulk ledger).
     pub fn bulk_leg(&self) -> bool {
         self.workload.options.streams >= 1
     }
@@ -324,18 +324,19 @@ pub fn chaos(name: &str) -> Option<ChaosSpec> {
             // every warm call misses on pos and must refill inline.
             arg_cache_bytes: 4096,
         }),
-        // The parallel-stream bulk path over a lossy shaped link: every
-        // call pre-ships a fresh (salted) Linpack matrix as chunks fanned
-        // out over 4 lanes, and the link's seeded loss schedule lands
-        // mid-transfer bursts on individual lanes — retransmits, lane
-        // deaths, and redials all happen *inside* the upload. The bulk
-        // invariants then assert the blast radius: uploads are
-        // all-or-nothing in the ledger, an `Ok` call's solution proves the
-        // server computed on exactly the shipped bytes, and pure loss can
-        // only delay or time a call out, never corrupt it.
+        // The bulk upload path over a lossy shaped link: every call
+        // pre-ships a fresh (salted) Linpack matrix as chunks over one
+        // windowed lane, and the link's seeded loss schedule lands
+        // mid-transfer bursts on it — retransmits, a dead connection, one
+        // redial that resends only the un-acked chunks, or a typed error,
+        // all *inside* the upload. The bulk invariants then assert the
+        // blast radius: uploads are all-or-nothing in the ledger, an `Ok`
+        // call's solution proves the server computed on exactly the
+        // shipped bytes, and pure loss can only delay or time a call out,
+        // never corrupt it.
         "wan-partition" => Some(ChaosSpec {
             name: "wan-partition",
-            about: "chunk fan-out over a lossy shaped link: lane deaths fail only their own chunks",
+            about: "windowed chunk upload over a lossy shaped link: one redial resends only the un-acked",
             clients: 2,
             workload: WorkloadSpec {
                 mix: vec![MixEntry {
@@ -351,7 +352,7 @@ pub fn chaos(name: &str) -> Option<ChaosSpec> {
                 phases: Phases::none(),
                 calls_per_client: 2,
                 // Salted arrays: no two calls ship the same digest, so
-                // every call re-runs the whole fan-out under fresh loss
+                // every call re-runs the whole upload under fresh loss
                 // draws instead of hitting the argument cache.
                 unique_args: true,
                 options: CallOptions {
@@ -361,11 +362,11 @@ pub fn chaos(name: &str) -> Option<ChaosSpec> {
                     deadline: Some(Duration::from_millis(1500)),
                     retries: 2,
                     backoff: Duration::from_millis(20),
-                    streams: 4,
+                    streams: 1,
                     chunk_bytes: 8192,
-                    // A few shaped round trips: a lost chunk stalls its
-                    // lane for 60 ms, and four straight losses on one
-                    // chunk kill the lane (redial, then give up).
+                    // A few shaped round trips: a lost chunk is resent
+                    // after 60 ms, and four straight losses on one chunk
+                    // fail the upload (the call then ships it inline).
                     lane_deadline: Some(Duration::from_millis(60)),
                     // The seed is replaced per run via `link_shape(seed)`.
                     wan: Some(link("bw=32m,delay=2ms,loss=0.03,congestion=0.005,seed=0")),
@@ -446,9 +447,9 @@ mod tests {
         assert!(spec.bulk_leg());
         assert!(
             spec.workload.unique_args,
-            "repeat digests would skip the fan-out"
+            "repeat digests would skip the upload"
         );
-        assert!(spec.workload.options.streams > 1);
+        assert_eq!(spec.workload.options.streams, 1, "one windowed lane");
         let shape = spec.workload.options.wan.expect("shaped link");
         assert!(
             shape.loss_ppm > 0,

@@ -1,14 +1,16 @@
 //! The WAN test battery: the `wan-partition` chaos scenario holding its
 //! invariants under seeded loss, same-seed reproducibility down to the
-//! byte, and the live shaped-loopback goodput shape agreeing with the
+//! byte, and the live shaped-loopback upload goodput agreeing with the
 //! `ninf-netsim` FluidNet upload model.
 //!
 //! Everything here runs against real `ninfd` fleets over loopback TCP —
 //! the only "network" is [`ninf_protocol::LinkTransport`], so the whole
 //! battery is deterministic for a given seed and safe for CI.
 
-use ninf_protocol::LinkShape;
-use ninf_testkit::{chaos, run_chaos, wan_live_vs_sim, ChaosRun, Inject, DEFAULT_TOLERANCE};
+use ninf_protocol::{LinkShape, MAX_LANE_WINDOW};
+use ninf_testkit::{
+    chaos, run_chaos, wan_live_vs_sim, ChaosRun, Inject, DEFAULT_TOLERANCE, WAN_DIFF_CHUNK_BYTES,
+};
 
 fn wan_partition(seed: u64) -> ChaosRun {
     let spec = chaos("wan-partition").expect("scenario registered");
@@ -36,7 +38,7 @@ fn wan_partition_holds_its_invariants_across_seeds() {
 #[test]
 fn same_seed_wan_partition_runs_print_byte_identical_transcripts() {
     // The determinism contract: transcripts are pure functions of
-    // (spec, seed). Loss schedules, lane deaths, and retransmit counts are
+    // (spec, seed). Loss schedules, redials, and retransmit counts are
     // all wall-clock-adjacent, so none of them may leak into the bytes.
     let a = wan_partition(7);
     let b = wan_partition(7);
@@ -49,12 +51,23 @@ fn same_seed_wan_partition_runs_print_byte_identical_transcripts() {
 #[test]
 fn live_goodput_shape_matches_the_fluidnet_model() {
     // Loss-free shaping for the differential, without the run-to-run
-    // variance a lossy schedule would add on a loaded CI host. Both sides
-    // run the window `lane_window` computes for this link (10 chunks of a
-    // 160 KB bandwidth-delay product), so both say the same thing: one
-    // lane already fills the pipe and more lanes change nothing.
-    let shape = LinkShape::parse("bw=16m,delay=5ms").unwrap();
-    let report = wan_live_vs_sim(&[1, 2, 4], shape, 1997, DEFAULT_TOLERANCE)
-        .expect("live wan-streams leg runs");
+    // variance a lossy schedule would add on a loaded CI host. One lane
+    // over three links whose bandwidth-delay product is a quarter of, about
+    // equal to, and twice the window cap: the window fills the first two
+    // and binds on the third, and the model must say how much of each link
+    // the upload gets.
+    // At 1 MB/s a chunk takes 4 ms of link time, so the live sender's
+    // per-chunk wake-ups stay a small share of it even on a loaded host.
+    let bw = 1_000_000u64;
+    let cap_bytes = u64::from(MAX_LANE_WINDOW * WAN_DIFF_CHUNK_BYTES);
+    let link = |bdp_in_caps: f64| LinkShape {
+        bytes_per_sec: bw,
+        // bdp = bw × 2·delay
+        delay_us: (bdp_in_caps * cap_bytes as f64 / (2.0 * bw as f64) * 1e6) as u64,
+        ..LinkShape::default()
+    };
+    let report = wan_live_vs_sim(&[link(0.25), link(1.0), link(2.0)], 1997, DEFAULT_TOLERANCE)
+        .expect("live wan-upload leg runs");
+    println!("{}", report.render());
     assert!(report.pass(), "{}", report.render());
 }
