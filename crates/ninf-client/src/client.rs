@@ -10,7 +10,7 @@ use ninf_idl::CompiledInterface;
 use ninf_obs::recorder;
 use ninf_protocol::{
     validate_call_args, validate_results, Arg, Message, ProtocolError, ProtocolResult, Span,
-    TcpTransport, TraceContext, Transport, Value,
+    SplitMix64, TcpTransport, TraceContext, Transport, Value,
 };
 use ninf_reactor::MuxPool;
 
@@ -100,12 +100,11 @@ impl CallOptions {
     /// retriers against one server de-synchronize without OS entropy.
     pub fn backoff_delay(&self, attempt: u32, salt: u64) -> Duration {
         let doubled = self.backoff.saturating_mul(1u32 << attempt.min(10));
-        // One SplitMix64 scramble of (salt, attempt) -> jitter in [0.5, 1.0).
-        let mut z = salt.wrapping_add((u64::from(attempt) + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        let unit = (z >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+        // The first draw of a stream keyed by (salt, attempt): jitter in [0.5, 1.0).
+        let unit = SplitMix64::new(
+            salt.wrapping_add(u64::from(attempt).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+        )
+        .next_f64();
         doubled.mul_f64(0.5 + 0.5 * unit)
     }
 }
@@ -1386,6 +1385,28 @@ mod tests {
         assert_eq!(opts.backoff_delay(1, 7), opts.backoff_delay(1, 7));
         // Different salts de-synchronize concurrent retriers.
         assert_ne!(opts.backoff_delay(1, 7), opts.backoff_delay(1, 8));
+    }
+
+    #[test]
+    fn backoff_jitter_known_answers() {
+        // Every seeded run's retry schedule depends on these values.
+        let opts = CallOptions {
+            backoff: Duration::from_millis(100),
+            ..CallOptions::default()
+        };
+        for (attempt, salt, nanos) in [
+            (0u32, 0u64, 94_165_540u64),
+            (1, 7, 101_678_829),
+            (3, 0xdead_beef, 581_877_481),
+            (10, u64::MAX, 51_939_222_981),
+            (u32::MAX, 1, 90_397_035_249),
+        ] {
+            assert_eq!(
+                opts.backoff_delay(attempt, salt),
+                Duration::from_nanos(nanos),
+                "attempt {attempt}, salt {salt:#x}"
+            );
+        }
     }
 
     #[test]

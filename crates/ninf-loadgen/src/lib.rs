@@ -34,7 +34,7 @@ pub mod sweep;
 pub use report::{CallResult, ClientSummary, Outcome, RunReport, ServerView, Summary};
 pub use runner::{run_scenario, Target};
 pub use scenario::{scenario, scenario_names, Scenario};
-pub use spec::{Arrival, MixEntry, Phases, Routine, SplitMix64, WorkloadSpec};
+pub use spec::{Arrival, MixEntry, Phases, Routine, WorkloadSpec};
 pub use sweep::{
     estimate_knee, run_sweep, KneeEstimate, RemoteSeries, SweepConfig, SweepPoint, SweepReport,
     SweepTimeline,

@@ -10,6 +10,7 @@
 use std::time::Duration;
 
 use ninf_client::CallOptions;
+use ninf_protocol::SplitMix64;
 
 /// One routine+size the mix can draw.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -153,39 +154,6 @@ pub struct WorkloadSpec {
     pub unique_args: bool,
     /// Reliability policy each live client runs under.
     pub options: CallOptions,
-}
-
-/// SplitMix64: the crate's only randomness source. Deterministic, seedable,
-/// and embarrassingly reproducible — exactly what a measurement harness
-/// wants from its arrival process.
-#[derive(Debug, Clone)]
-pub struct SplitMix64(u64);
-
-impl SplitMix64 {
-    /// Stream seeded with `seed`.
-    pub fn new(seed: u64) -> Self {
-        Self(seed)
-    }
-
-    /// Next raw 64-bit value.
-    pub fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `[0, 1)` with 53 bits of precision.
-    pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
-    /// Exponential with mean `1/rate` (inter-arrival of a Poisson process).
-    pub fn next_exp(&mut self, rate: f64) -> f64 {
-        // 1 − u ∈ (0, 1] so ln is finite.
-        -(1.0 - self.next_f64()).ln() / rate
-    }
 }
 
 /// FNV-1a over a byte slice; used to fingerprint schedules in reports.
@@ -424,17 +392,5 @@ mod tests {
         assert_eq!(nb.name(), "nbody");
         assert_eq!(nb.scalar(), 4096);
         assert_eq!(nb.flops(), Some(ninf_exec::nbody_flops(4096) as u64));
-    }
-
-    #[test]
-    fn splitmix_streams_are_stable() {
-        let mut a = SplitMix64::new(42);
-        let mut b = SplitMix64::new(42);
-        for _ in 0..100 {
-            assert_eq!(a.next_u64(), b.next_u64());
-        }
-        let u = SplitMix64::new(7).next_f64();
-        assert!((0.0..1.0).contains(&u));
-        assert!(SplitMix64::new(7).next_exp(10.0) >= 0.0);
     }
 }

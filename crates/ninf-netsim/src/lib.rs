@@ -16,8 +16,6 @@
 //! * [`topology`] — node/link graph with static shortest-path routing and
 //!   helpers to build the paper's LAN, single-site WAN, and 4-site WAN
 //!   configurations;
-//! * [`rng`] — a small deterministic SplitMix64 generator for client arrival
-//!   processes (no OS entropy ever enters a simulation);
 //! * [`wan`] — the simulator half of `ninf-protocol`'s link model: the
 //!   same `LinkShape` and per-send event function, imported rather than
 //!   mirrored, with the client's windowed chunk upload simulated as fluid
@@ -29,13 +27,11 @@
 
 pub mod engine;
 pub mod fluid;
-pub mod rng;
 pub mod topology;
 pub mod wan;
 
 pub use engine::{Engine, EventEntry};
 pub use fluid::{FlowId, FlowSpec, FluidNet};
-pub use rng::SplitMix64;
 pub use topology::{LinkId, NodeId, Topology};
 pub use wan::{simulate_upload, WanRun, CHUNK_WIRE_OVERHEAD};
 

@@ -34,6 +34,7 @@ pub mod frame;
 pub mod link;
 pub mod marshal;
 pub mod message;
+pub mod rng;
 pub mod transport;
 pub mod value;
 
@@ -59,5 +60,6 @@ pub use marshal::{
 };
 pub use message::{Arg, CallStat, JobPhase, LoadReport, Message};
 pub use ninf_obs::{MetricFrame, MetricKind, MetricSample, Span, TraceContext, WindowsSnapshot};
+pub use rng::SplitMix64;
 pub use transport::{ChannelTransport, Pipelined, TcpTransport, Transport};
 pub use value::Value;

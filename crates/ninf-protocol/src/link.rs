@@ -27,7 +27,7 @@
 //! **Determinism contract**: the event send operation `k` on lane `l` takes
 //! is a pure function of `(shape, l, lanes, k)` — see [`planned_event`] /
 //! [`link_schedule`] / [`link_fingerprint`]. Each operation derives its own
-//! SplitMix64 sub-stream, so outcome-dependent parameter draws (the
+//! [`SplitMix64`] sub-stream, so outcome-dependent parameter draws (the
 //! truncation cut point, the garbled bit) can never shift later decisions.
 //! Lanes are caller-assigned (a client's call connection is lane 0 and its
 //! bulk upload lane 1), so two runs with the same shape replay the same
@@ -47,6 +47,7 @@ use std::time::{Duration, Instant};
 
 use crate::error::ProtocolResult;
 use crate::message::Message;
+use crate::rng::SplitMix64;
 use crate::transport::{Pipelined, Transport};
 
 /// One link's shape. All-integer so specs hash and compare exactly (it
@@ -398,31 +399,12 @@ impl LinkEvent {
     }
 }
 
-/// The crate's one seeded generator. (`ninf-netsim::rng` keeps its own copy
-/// for arrival processes; link decisions all come from this one.)
-#[derive(Debug, Clone, Copy)]
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        ((self.next_u64() as u128 * n as u128) >> 64) as u64
-    }
-}
-
 /// Draw operation `op`'s event on lane `lane` under `shape`. Returns the
 /// operation's dedicated sub-stream too, positioned after the decision
 /// draw: the event's parameters (cut point, flipped bit) draw from it and
 /// from nowhere else, so no operation's outcome can shift another's.
 fn draw_event(shape: &LinkShape, lane: u32, lanes: u32, op: u64) -> (LinkEvent, SplitMix64) {
-    let mut rng = SplitMix64(
+    let mut rng = SplitMix64::new(
         shape.seed
             ^ (lane as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
             ^ op.wrapping_mul(0xA076_1D64_78BD_642F),

@@ -1,7 +1,7 @@
 //! Protocol messages and their XDR codecs.
 //!
 //! The codecs are *generated*: every struct and enum that crosses the wire
-//! declares its layout once through [`crate::codec::impl_wire!`], and the
+//! declares its layout once through `codec::impl_wire!`, and the
 //! `Message` enum's whole encode/decode surface comes from one tag table
 //! fed to `impl_message_codec!` at the bottom of this file. The payload
 //! byte layout is unchanged from protocol v1 — only the frame header grew

@@ -1,9 +1,12 @@
-//! Deterministic pseudo-random numbers for simulation processes.
+//! The workspace's one seeded generator.
 //!
-//! Simulations must be exactly reproducible from a seed (DESIGN.md §6), so we
-//! use a self-contained SplitMix64 rather than OS entropy. SplitMix64 passes
-//! BigCrush, is trivially seedable, and every draw is a pure function of the
-//! previous state.
+//! Everything that must replay from a seed draws from [`SplitMix64`]: the
+//! link model's per-send events, the simulator's arrival and service
+//! processes, the load generator's open-loop schedules and the client's
+//! retry jitter. No OS entropy ever enters any of them. SplitMix64 passes
+//! BigCrush, is trivially seedable, and every draw is a pure function of
+//! the previous state, so one definition pins every seeded stream at once
+//! (the known answers below).
 
 /// SplitMix64 generator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,6 +51,12 @@ impl SplitMix64 {
         ((self.next_u64() as u128 * n as u128) >> 64) as u64
     }
 
+    /// Exponential with mean `1/rate` (inter-arrival of a Poisson process).
+    pub fn next_exp(&mut self, rate: f64) -> f64 {
+        // 1 − u ∈ (0, 1] so ln is finite.
+        -(1.0 - self.next_f64()).ln() / rate
+    }
+
     /// Derive an independent child generator (for per-client streams).
     pub fn fork(&mut self) -> SplitMix64 {
         SplitMix64::new(self.next_u64())
@@ -57,6 +66,14 @@ impl SplitMix64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn known_answers_from_seed_zero() {
+        let mut g = SplitMix64::new(0);
+        assert_eq!(g.next_u64(), 0xe220_a839_7b1d_cdaf);
+        assert_eq!(g.next_u64(), 0x6e78_9e6a_a1b9_65f4);
+        assert_eq!(g.next_u64(), 0x06c4_5d18_8009_454f);
+    }
 
     #[test]
     fn deterministic_from_seed() {
@@ -104,5 +121,17 @@ mod tests {
         let mut a = root.fork();
         let mut b = root.fork();
         assert_ne!(a.next_u64(), b.next_u64());
+    }
+
+    #[test]
+    fn splitmix_streams_are_stable() {
+        let mut a = SplitMix64::new(42);
+        let mut b = SplitMix64::new(42);
+        for _ in 0..100 {
+            assert_eq!(a.next_u64(), b.next_u64());
+        }
+        let u = SplitMix64::new(7).next_f64();
+        assert!((0.0..1.0).contains(&u));
+        assert!(SplitMix64::new(7).next_exp(10.0) >= 0.0);
     }
 }

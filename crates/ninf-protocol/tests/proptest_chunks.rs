@@ -6,7 +6,7 @@
 //! value.
 
 use ninf_protocol::chunk::{chunk_span, split, ChunkError, Reassembly};
-use ninf_protocol::{crc32c, Digest, Message};
+use ninf_protocol::{crc32c, Digest, Message, SplitMix64};
 use proptest::prelude::*;
 
 /// Unpack the fields of a `PutArgChunk` produced by `split`.
@@ -30,14 +30,10 @@ fn fields(m: &Message) -> (u64, u32, u32, u32, Vec<u8>) {
 fn lane_interleaving(total: u32, lanes: u32, seed: u64) -> Vec<u32> {
     let mut cursors: Vec<u32> = (0..lanes).collect();
     let mut order = Vec::with_capacity(total as usize);
-    let mut state = seed;
+    let mut rng = SplitMix64::new(seed);
     while order.len() < total as usize {
-        // SplitMix64 step picks which live lane moves next.
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
+        // One draw picks which live lane moves next.
+        let z = rng.next_u64();
         let live: Vec<usize> = (0..lanes as usize)
             .filter(|&w| cursors[w] < total)
             .collect();

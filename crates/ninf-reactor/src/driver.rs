@@ -79,7 +79,7 @@ pub struct DriverReport {
 }
 
 impl DriverReport {
-    /// Latency percentile over completed calls (q in [0,1]).
+    /// Latency percentile over completed calls (`q` in `[0, 1]`).
     pub fn latency_quantile(&self, q: f64) -> f64 {
         let mut lat: Vec<f64> = self
             .samples

@@ -5,6 +5,11 @@
 //! (a *miss*); reusing one is a *hit*. Dead streams — poisoned by any
 //! stream-level error — are evicted on the next checkout, so a retry after
 //! a stream failure transparently lands on a fresh connection.
+//!
+//! `max_streams_per_addr` is an invariant: each address's streams sit
+//! behind their own lock, held across a dial, so a burst of concurrent
+//! checkouts to one address waits for a single dial and then shares its
+//! stream, while checkouts to other addresses never wait on it.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -42,9 +47,12 @@ pub struct Checkout {
     pub reused: bool,
 }
 
+/// One address's pooled streams, behind that address's own lock.
+type Slot = Arc<Mutex<Vec<Arc<MuxStream>>>>;
+
 /// Shared pool of multiplexed streams, keyed by server address.
 pub struct MuxPool {
-    streams: Mutex<HashMap<String, Vec<Arc<MuxStream>>>>,
+    slots: Mutex<HashMap<String, Slot>>,
     config: PoolConfig,
     hits: Counter,
     misses: Counter,
@@ -60,7 +68,7 @@ impl MuxPool {
     /// Pool with standalone hit/miss counters.
     pub fn new(config: PoolConfig) -> Self {
         MuxPool {
-            streams: Mutex::new(HashMap::new()),
+            slots: Mutex::new(HashMap::new()),
             config,
             hits: Counter::default(),
             misses: Counter::default(),
@@ -71,7 +79,7 @@ impl MuxPool {
     /// `ninf_client_pool_hits_total` / `ninf_client_pool_misses_total`.
     pub fn with_metrics(config: PoolConfig, registry: &MetricsRegistry) -> Self {
         MuxPool {
-            streams: Mutex::new(HashMap::new()),
+            slots: Mutex::new(HashMap::new()),
             config,
             hits: registry.counter(
                 "ninf_client_pool_hits_total",
@@ -84,37 +92,36 @@ impl MuxPool {
         }
     }
 
+    /// The slot for `addr`, created on first use.
+    fn slot(&self, addr: &str) -> Slot {
+        let mut map = self.slots.lock().unwrap_or_else(|e| e.into_inner());
+        map.entry(addr.to_string()).or_default().clone()
+    }
+
     /// Check out a handle for `addr`, dialing (with `deadline`) on a miss.
     pub fn checkout(&self, addr: &str, deadline: Option<Duration>) -> ProtocolResult<Checkout> {
-        {
-            let mut map = self.streams.lock().unwrap_or_else(|e| e.into_inner());
-            let list = map.entry(addr.to_string()).or_default();
-            // Evict streams poisoned since the last checkout.
-            list.retain(|s| !s.is_dead());
-            // Reuse the least-loaded live stream unless every one is at its
-            // admission bound and there is still dial budget.
-            if let Some(best) = list.iter().min_by_key(|s| s.inflight()) {
-                let saturated = best.inflight() >= self.config.max_inflight_per_stream;
-                if !saturated || list.len() >= self.config.max_streams_per_addr {
-                    self.hits.inc();
-                    return Ok(Checkout {
-                        handle: best.handle(),
-                        reused: true,
-                    });
-                }
+        let slot = self.slot(addr);
+        let mut list = slot.lock().unwrap_or_else(|e| e.into_inner());
+        // Evict streams poisoned since the last checkout.
+        list.retain(|s| !s.is_dead());
+        // Reuse the least-loaded live stream unless every one is at its
+        // admission bound and there is still dial budget.
+        if let Some(best) = list.iter().min_by_key(|s| s.inflight()) {
+            let saturated = best.inflight() >= self.config.max_inflight_per_stream;
+            if !saturated || list.len() >= self.config.max_streams_per_addr {
+                self.hits.inc();
+                return Ok(Checkout {
+                    handle: best.handle(),
+                    reused: true,
+                });
             }
         }
-        // Dial outside the lock: a slow connect must not block checkouts to
-        // other addresses. A concurrent dial to the same address may race
-        // past `max_streams_per_addr` by one — the cap is a target, not an
-        // invariant.
+        // Dial holding this address's lock (and only that one): checkouts
+        // racing this one wait here and then reuse what it dialed.
         let stream = MuxStream::connect(addr, deadline, self.config.max_inflight_per_stream)?;
         self.misses.inc();
         let handle = stream.handle();
-        let mut map = self.streams.lock().unwrap_or_else(|e| e.into_inner());
-        map.entry(addr.to_string())
-            .or_default()
-            .push(Arc::new(stream));
+        list.push(Arc::new(stream));
         Ok(Checkout {
             handle,
             reused: false,
@@ -133,18 +140,21 @@ impl MuxPool {
 
     /// Live streams currently pooled for `addr`.
     pub fn open_streams(&self, addr: &str) -> usize {
-        let map = self.streams.lock().unwrap_or_else(|e| e.into_inner());
-        map.get(addr)
-            .map(|l| l.iter().filter(|s| !s.is_dead()).count())
-            .unwrap_or(0)
+        let slot = self
+            .slots
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .get(addr)
+            .cloned();
+        slot.map_or(0, |slot| {
+            let list = slot.lock().unwrap_or_else(|e| e.into_inner());
+            list.iter().filter(|s| !s.is_dead()).count()
+        })
     }
 
     /// Drop every pooled stream (closing the sockets).
     pub fn clear(&self) {
-        self.streams
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clear();
+        self.slots.lock().unwrap_or_else(|e| e.into_inner()).clear();
     }
 }
 
@@ -233,6 +243,38 @@ mod tests {
         assert!(!fresh.reused, "poisoned stream must not be handed out");
         ping(&mut fresh.handle);
         assert_eq!(pool.misses(), 2);
+        server.shutdown();
+    }
+
+    #[test]
+    fn concurrent_checkouts_never_exceed_the_stream_cap() {
+        const BURST: usize = 32;
+        const ROUNDS: usize = 40;
+        let server = echo_server();
+        let addr = server.local_addr().to_string();
+        for round in 0..ROUNDS {
+            let pool = StdArc::new(MuxPool::new(PoolConfig {
+                max_streams_per_addr: 1,
+                ..PoolConfig::default()
+            }));
+            let start = StdArc::new(std::sync::Barrier::new(BURST));
+            let burst: Vec<_> = (0..BURST)
+                .map(|_| {
+                    let (pool, start, addr) = (pool.clone(), start.clone(), addr.clone());
+                    std::thread::spawn(move || {
+                        start.wait();
+                        pool.checkout(&addr, Some(Duration::from_secs(5))).unwrap()
+                    })
+                })
+                .collect();
+            // Hold every handle until the counts are read, so no stream can
+            // die and be redialed mid-round.
+            let checkouts: Vec<Checkout> = burst.into_iter().map(|t| t.join().unwrap()).collect();
+            assert_eq!(pool.misses(), 1, "round {round}: one dial per address");
+            assert_eq!(pool.hits(), BURST as u64 - 1, "round {round}");
+            assert_eq!(pool.open_streams(&addr), 1, "round {round}");
+            assert_eq!(checkouts.iter().filter(|c| !c.reused).count(), 1);
+        }
         server.shutdown();
     }
 

@@ -6,7 +6,7 @@
 //! `p = 1/2` in the paper's runs. A client is synchronous: while a call is in
 //! flight, decision epochs are skipped.
 
-use ninf_netsim::SplitMix64;
+use ninf_protocol::SplitMix64;
 
 /// One simulated client process.
 #[derive(Debug)]

@@ -663,7 +663,7 @@ pub fn policy_queue_sim(jobs: &[(f64, f64, usize)], policy: SchedPolicy, pes: us
 fn ablation_sjf(seed: u64) -> ExperimentOutput {
     // Mixed small/large Linpack jobs on the 4-PE gate: SJF should cut mean
     // wait vs FCFS (§5.2).
-    let mut rng = ninf_netsim::SplitMix64::new(seed);
+    let mut rng = ninf_protocol::SplitMix64::new(seed);
     let jobs: Vec<(f64, f64, usize)> = (0..200)
         .map(|i| {
             let arrival = i as f64 * 0.8;
@@ -694,7 +694,7 @@ fn ablation_sjf(seed: u64) -> ExperimentOutput {
 fn ablation_fpfs(seed: u64) -> ExperimentOutput {
     // Mixed-width jobs (1, 2, 4 PEs): FCFS head-of-line blocking idles PEs;
     // FPFS/FPMPFS backfill (§5.3).
-    let mut rng = ninf_netsim::SplitMix64::new(seed);
+    let mut rng = ninf_protocol::SplitMix64::new(seed);
     let jobs: Vec<(f64, f64, usize)> = (0..300)
         .map(|i| {
             let arrival = i as f64 * 0.5;
@@ -843,14 +843,14 @@ fn ablation_twophase(seed: u64) -> ExperimentOutput {
     // §5.1: connected RPC holds a server connection slot through the whole
     // call; two-phase transfers release it during computation. With K slots
     // and c > K clients, two-phase multiplies admitted concurrency.
-    let mut rng = ninf_netsim::SplitMix64::new(seed);
+    let mut rng = ninf_protocol::SplitMix64::new(seed);
     let slots = 4usize;
     let clients = 16usize;
     let t_transfer = 3.0;
     let t_compute = 12.0;
     let horizon = 2000.0;
 
-    let run = |two_phase: bool, rng: &mut ninf_netsim::SplitMix64| -> (f64, usize) {
+    let run = |two_phase: bool, rng: &mut ninf_protocol::SplitMix64| -> (f64, usize) {
         // Each client loops: acquire slot, hold (transfer [+ compute if
         // connected]), release, [compute offline], repeat. FIFO slot queue.
         let hold = if two_phase {

@@ -4,8 +4,8 @@
 use std::collections::HashMap;
 
 use ninf_metaserver::{CallEstimate, ServerState};
-use ninf_netsim::{Engine, FlowId, FlowSpec, FluidNet, SplitMix64};
-use ninf_protocol::LoadReport;
+use ninf_netsim::{Engine, FlowId, FlowSpec, FluidNet};
+use ninf_protocol::{LoadReport, SplitMix64};
 
 use crate::client::ClientProc;
 use crate::metrics::{CallMetrics, CellResult};

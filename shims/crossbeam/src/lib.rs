@@ -1,7 +1,7 @@
 //! Offline stand-in for the `crossbeam` crate.
 //!
 //! Only `crossbeam::channel::{bounded, unbounded, Sender, Receiver}` is used
-//! in this workspace (the in-process [`ChannelTransport`] pair and the
+//! in this workspace (the in-process `ChannelTransport` pair and the
 //! reactor's command/work queues); this shim maps those onto
 //! `std::sync::mpsc`, which has the same blocking semantics. Unlike
 //! crossbeam's, the receiver is not cloneable — multi-consumer users share
