@@ -271,7 +271,7 @@ pub fn upload(
 mod tests {
     use super::*;
     use ninf_protocol::{
-        encode_frame, link_schedule, read_frame_mux, LinkEvent, Reassembly, SharedLink,
+        link_schedule, read_frame_mux, FrameFn, LinkEvent, Reassembly, SharedLink,
     };
     use proptest::prelude::*;
     use std::sync::{Arc, Mutex};
@@ -322,28 +322,26 @@ mod tests {
         fn recv(&mut self) -> ProtocolResult<Message> {
             unreachable!("an upload takes replies in any order")
         }
-        fn stage(&mut self, msg: &Message) -> ProtocolResult<(u64, Vec<u8>)> {
+        fn stage(&mut self, encode: FrameFn<'_>) -> ProtocolResult<(u64, Vec<u8>)> {
+            let frame = encode(self.tickets + 1)?;
+            let (_, msg) = read_frame_mux(&mut frame.as_slice())?;
             let Message::PutArgChunk { seq, .. } = msg else {
                 panic!("an upload ships chunks, not {}", msg.kind())
             };
             let mut ledger = self.ledger.lock().unwrap();
-            let nth = ledger
-                .staged
-                .iter()
-                .filter(|&&s| s == *seq as usize)
-                .count();
+            let nth = ledger.staged.iter().filter(|&&s| s == seq as usize).count();
             if self.dead {
                 return Err(ProtocolError::Disconnected);
             }
-            ledger.staged.push(*seq as usize);
-            if (self.fate)(*seq as usize, nth) == Fate::Die {
+            ledger.staged.push(seq as usize);
+            if (self.fate)(seq as usize, nth) == Fate::Die {
                 self.dead = true;
                 return Err(ProtocolError::Disconnected);
             }
             self.tickets += 1;
             self.open.push(self.tickets);
             ledger.most_open = ledger.most_open.max(self.open.len());
-            Ok((self.tickets, encode_frame(self.tickets, msg)?))
+            Ok((self.tickets, frame))
         }
         fn send_raw(&mut self, mut frame: &[u8]) -> ProtocolResult<()> {
             let (ticket, msg) = read_frame_mux(&mut frame)?;

@@ -9,8 +9,8 @@ use std::time::{Duration, Instant};
 use ninf_idl::CompiledInterface;
 use ninf_obs::recorder;
 use ninf_protocol::{
-    validate_call_args, validate_results, Arg, Message, ProtocolError, ProtocolResult, Span,
-    SplitMix64, TcpTransport, TraceContext, Transport, Value,
+    encode_call, validate_call_args, validate_results, CallArg, CallKind, Digest, Message,
+    ProtocolError, ProtocolResult, Span, SplitMix64, TcpTransport, TraceContext, Transport, Value,
 };
 use ninf_reactor::MuxPool;
 
@@ -161,6 +161,34 @@ fn addr_salt(addr: &str) -> u64 {
     h
 }
 
+/// Whether `key`'s destination is believed to hold `d`. If not, it is
+/// remembered as held from now on: the value is about to ship inline, and
+/// a stale belief surfaces as `NeedArg` (see
+/// [`NinfClient::send_with_refill`]).
+fn held(key: &str, d: &Digest) -> bool {
+    if argmem::knows(key, d) {
+        return true;
+    }
+    argmem::remember(key, *d);
+    false
+}
+
+/// The inline refill's policy: everything ships inline, and the server's
+/// store holds every value afterwards.
+fn resent(key: &str, d: &Digest) -> bool {
+    argmem::remember(key, *d);
+    false
+}
+
+/// The call an `Invoke`/`SubmitJob` carries, apart from its arguments.
+struct CallSpec<'a> {
+    kind: CallKind,
+    routine: &'a str,
+    trace: Option<TraceContext>,
+    /// Array bytes of the arguments, all inline.
+    payload_bytes: usize,
+}
+
 /// A Ninf client.
 ///
 /// The client keeps one ordered connection (as "standard TCP-based
@@ -200,6 +228,11 @@ pub struct NinfClient {
     /// Key into the process-wide per-destination argument-digest memory;
     /// `None` (transport-wrapping clients) ships everything inline.
     cache_key: Option<String>,
+    /// Per argument position: whether the previous call shipped a
+    /// cacheable value there inline — the guess that the next one misses
+    /// too ([`CallArg::Fold`]). Only an ordering hint: a wrong guess costs
+    /// one pass and never changes the bytes sent.
+    shipped_inline: Vec<bool>,
     /// Context of the call in progress (`None` when tracing is off).
     call_ctx: Option<TraceContext>,
     /// Trace id of the most recent traced call (0 before any, or untraced).
@@ -256,6 +289,7 @@ impl NinfClient {
             trace_parent: None,
             trace_process: "client".to_string(),
             cache_key: None,
+            shipped_inline: Vec::new(),
             call_ctx: None,
             last_trace_id: 0,
         }
@@ -335,38 +369,91 @@ impl NinfClient {
         self.cache_key = key;
     }
 
-    /// Encode call values as wire arguments, replacing values this
-    /// destination is believed to hold with content refs. Values sent inline
-    /// are remembered optimistically — a stale belief surfaces as `NeedArg`
-    /// and is repaired by [`NinfClient::send_with_refill`]. Returns
-    /// `(args, refs shipped, payload bytes saved)`.
-    fn encode_args(&self, values: &[Value]) -> (Vec<Arg>, u32, usize) {
-        let Some(key) = self.cache_key.as_deref().filter(|_| self.options.arg_cache) else {
-            return (Arg::inline(values.to_vec()), 0, 0);
+    /// The destination key content refs are remembered under, when this
+    /// client names arguments by digest at all.
+    fn ref_key(&self) -> Option<&str> {
+        self.cache_key.as_deref().filter(|_| self.options.arg_cache)
+    }
+
+    /// Plan how each argument ships, naming values this destination is
+    /// believed to hold by content ref. A cacheable position that went
+    /// inline on the previous call is expected to miss again and is
+    /// planned as [`CallArg::Fold`]: encoded inline with its digest folded
+    /// into the same pass, and rolled back to a ref only if the guess was
+    /// wrong. Every other cacheable position is digested first. The bytes
+    /// sent are the same either way; the guess only saves a miss its
+    /// separate digest pass.
+    fn plan_args<'v>(&self, values: &'v [Value]) -> Vec<CallArg<'v>> {
+        let Some(key) = self.ref_key() else {
+            return values.iter().map(CallArg::Data).collect();
         };
-        let mut refs = 0u32;
-        let mut saved = 0usize;
-        let args = values
+        values
             .iter()
-            .map(|v| {
+            .enumerate()
+            .map(|(pos, v)| {
                 if !ninf_protocol::cacheable(v) {
-                    return Arg::Data(v.clone());
-                }
-                let d = ninf_protocol::digest_value(v);
-                if argmem::knows(key, &d) {
-                    refs += 1;
-                    saved += v.wire_bytes();
-                    Arg::Ref(d)
+                    CallArg::Data(v)
+                } else if self.shipped_inline.get(pos) == Some(&true) {
+                    CallArg::Fold(v)
                 } else {
-                    argmem::remember(key, d);
-                    Arg::Data(v.clone())
+                    let d = ninf_protocol::digest_value(v);
+                    if held(key, &d) {
+                        CallArg::Ref(d)
+                    } else {
+                        CallArg::Data(v)
+                    }
                 }
             })
-            .collect();
-        if refs > 0 {
-            argmem::argref_sent().add(u64::from(refs));
+            .collect()
+    }
+
+    /// Send one call straight from the caller's values and read its reply;
+    /// `policy` decides each [`CallArg::Fold`] position once its digest is
+    /// known. Accounts the bytes sent and notes which cacheable positions
+    /// went inline, for the next call's plan; `args` is left holding what
+    /// each position shipped as.
+    fn exchange_call(
+        &mut self,
+        call: &CallSpec<'_>,
+        values: &[Value],
+        args: &mut [CallArg<'_>],
+        policy: fn(&str, &Digest) -> bool,
+    ) -> ProtocolResult<Message> {
+        self.wire()?;
+        // Field borrows, not `ref_key()`: the transport is borrowed mutably
+        // beside the key.
+        let key = self.cache_key.as_deref().filter(|_| self.options.arg_cache);
+        let wire = self.transport.as_mut().ok_or(ProtocolError::Disconnected)?;
+        let reply = wire
+            .send_frame(&mut |ticket| {
+                encode_call(ticket, call.kind, call.routine, args, call.trace, |d| {
+                    key.is_some_and(|key| policy(key, d))
+                })
+            })
+            .and_then(|()| wire.recv());
+        if reply.is_err() {
+            self.drop_transport();
         }
-        (args, refs, saved)
+        let refd = |a: &CallArg<'_>| matches!(a, CallArg::Ref(_));
+        let refs = args.iter().filter(|a| refd(a)).count();
+        if refs > 0 {
+            argmem::argref_sent().add(refs as u64);
+        }
+        self.shipped_inline = args
+            .iter()
+            .zip(values)
+            .map(|(a, v)| !refd(a) && ninf_protocol::cacheable(v))
+            .collect();
+        let saved: usize = args
+            .iter()
+            .zip(values)
+            .filter(|(a, _)| refd(a))
+            .map(|(_, v)| v.wire_bytes())
+            .sum();
+        let shipped = call.payload_bytes - saved;
+        self.bytes_sent += shipped;
+        self.timing.request_bytes += shipped;
+        reply
     }
 
     /// Whether calls on this client use the bulk upload path: the lane
@@ -408,8 +495,9 @@ impl NinfClient {
     }
 
     /// Pre-ship large arguments this destination does not hold yet as
-    /// chunks over the bulk lane, so `encode_args` refs them and the Invoke
-    /// itself stays small. A failed upload is absorbed: the value simply
+    /// chunks over the bulk lane, so the call refs them and the Invoke
+    /// itself stays small. Each image comes out of the frame writer with
+    /// its digest, in one pass. A failed upload is absorbed: the value simply
     /// ships inline with the call (at-most-one transfer of the bytes either
     /// way — the digest is only remembered on success). The fallback is
     /// not lane plumbing but the inline path every non-bulk call takes, and
@@ -421,29 +509,39 @@ impl NinfClient {
             return;
         }
         for v in values.iter().filter(|v| ninf_protocol::cacheable(v)) {
-            let image = ninf_protocol::value_image(v);
+            let (image, digest) = ninf_protocol::digested_image(v);
             if image.len() >= ninf_protocol::CHUNK_THRESHOLD {
-                self.bulk_put(ninf_protocol::Digest::of(&image), &image);
+                self.bulk_put(digest, &image);
             }
         }
     }
 
-    /// Refill the digests a `NeedArg` named over the bulk lane.
-    /// Returns `true` only if every named value landed (and was
-    /// remembered), so the ref'd request can simply be replayed.
-    fn bulk_refill(&mut self, values: &[Value], digests: &[ninf_protocol::Digest]) -> bool {
-        self.bulk_enabled()
-            && digests.iter().all(|wanted| {
-                values
-                    .iter()
-                    .filter(|v| ninf_protocol::cacheable(v))
-                    .map(ninf_protocol::value_image)
-                    .find(|image| ninf_protocol::Digest::of(image) == *wanted)
-                    .is_some_and(|image| self.bulk_put(*wanted, &image))
-            })
+    /// Refill the digests a `NeedArg` named over the bulk lane: values are
+    /// matched by digest, and only the named ones are imaged. Returns
+    /// `true` only if every named value landed (and was remembered), so
+    /// the ref'd request can simply be replayed.
+    fn bulk_refill(&mut self, values: &[Value], digests: &[Digest]) -> bool {
+        if !self.bulk_enabled() {
+            return false;
+        }
+        let named: Vec<(Digest, &Value)> = values
+            .iter()
+            .filter(|v| ninf_protocol::cacheable(v))
+            .map(|v| (ninf_protocol::digest_value(v), v))
+            .filter(|(d, _)| digests.contains(d))
+            .collect();
+        digests.iter().all(|wanted| {
+            named
+                .iter()
+                .find(|(d, _)| d == wanted)
+                .is_some_and(|(d, v)| {
+                    let image = ninf_protocol::value_image(v);
+                    self.bulk_put(*d, &image)
+                })
+        })
     }
 
-    /// Ship one request whose argument list may contain content refs, and
+    /// Ship one call whose arguments may be named by content ref, and
     /// absorb `NeedArg` rounds: the named digests are forgotten, then
     /// either re-shipped as chunk uploads (bulk clients — the
     /// ref'd request is replayed afterwards) or folded inline into a
@@ -454,17 +552,15 @@ impl NinfClient {
     /// caller as an unexpected message.
     fn send_with_refill(
         &mut self,
+        call: &CallSpec<'_>,
         values: &[Value],
-        payload_bytes: usize,
-        build: &dyn Fn(Vec<Arg>) -> Message,
     ) -> ProtocolResult<Message> {
-        let (args, refs, saved) = self.encode_args(values);
-        let shipped = payload_bytes - saved;
-        self.bytes_sent += shipped;
-        self.timing.request_bytes = shipped;
-        self.timing.args_refd = refs;
+        self.timing.request_bytes = 0;
         self.timing.args_refilled = 0;
-        let reply = self.exchange(&build(args))?;
+        let mut args = self.plan_args(values);
+        let reply = self.exchange_call(call, values, &mut args, held);
+        self.timing.args_refd = args.iter().filter(|a| matches!(a, CallArg::Ref(_))).count() as u32;
+        let reply = reply?;
         let Message::NeedArg { digests } = reply else {
             return Ok(reply);
         };
@@ -475,10 +571,10 @@ impl NinfClient {
         self.timing.args_refilled = digests.len() as u32;
         if self.bulk_refill(values, &digests) {
             // The lane re-primed the server's store; replay the ref'd
-            // request unchanged. A second NeedArg (the server evicted
-            // again already) falls through to the inline path below.
-            let (args, _, _) = self.encode_args(values);
-            let reply = self.exchange(&build(args))?;
+            // request. A second NeedArg (the server evicted again already)
+            // falls through to the inline path below.
+            let mut args = self.plan_args(values);
+            let reply = self.exchange_call(call, values, &mut args, held)?;
             let Message::NeedArg { digests } = reply else {
                 return Ok(reply);
             };
@@ -486,17 +582,17 @@ impl NinfClient {
                 argmem::forget(key, &digests);
             }
         }
-        self.bytes_sent += payload_bytes;
-        self.timing.request_bytes += payload_bytes;
-        let reply = self.exchange(&build(Arg::inline(values.to_vec())))?;
-        // The refill re-primes the server's store, so remember what it now
-        // holds and the next call refs again.
-        if let Some(key) = self.cache_key.as_deref() {
-            for v in values.iter().filter(|v| ninf_protocol::cacheable(v)) {
-                argmem::remember(key, ninf_protocol::digest_value(v));
-            }
-        }
-        Ok(reply)
+        // Everything inline. The refill re-primes the server's store, so
+        // each cacheable value is digested in the encode pass and
+        // remembered, and the next call refs again.
+        let mut args: Vec<CallArg<'_>> = values
+            .iter()
+            .map(|v| match self.ref_key() {
+                Some(_) if ninf_protocol::cacheable(v) => CallArg::Fold(v),
+                _ => CallArg::Data(v),
+            })
+            .collect();
+        self.exchange_call(call, values, &mut args, resent)
     }
 
     /// Replace the reliability policy, re-arming the transport deadline.
@@ -710,12 +806,13 @@ impl NinfClient {
         let rpc_ctx = ctx.map(|c| c.child());
         let rpc_start_us = rpc_ctx.map(|_| ninf_obs::now_us());
         let t_wire = Instant::now();
-        let routine_name = routine.to_owned();
-        let reply = self.send_with_refill(args, payload_bytes, &move |wire_args| Message::Invoke {
-            routine: routine_name.clone(),
-            args: wire_args,
+        let call = CallSpec {
+            kind: CallKind::Invoke,
+            routine,
             trace: rpc_ctx,
-        });
+            payload_bytes,
+        };
+        let reply = self.send_with_refill(&call, args);
         self.timing.roundtrip += t_wire.elapsed().as_secs_f64();
         if let (Some(rpc), Some(start)) = (rpc_ctx, rpc_start_us) {
             recorder::global().record(
@@ -764,14 +861,13 @@ impl NinfClient {
         let layout = validate_call_args(&interface, args).map_err(ProtocolError::Remote)?;
         let payload_bytes = ninf_protocol::request_payload_bytes(&layout);
         self.bulk_preship(args);
-        let trace = self.call_ctx;
-        let routine_name = routine.to_owned();
-        let reply =
-            self.send_with_refill(args, payload_bytes, &move |wire_args| Message::SubmitJob {
-                routine: routine_name.clone(),
-                args: wire_args,
-                trace,
-            })?;
+        let call = CallSpec {
+            kind: CallKind::SubmitJob,
+            routine,
+            trace: self.call_ctx,
+            payload_bytes,
+        };
+        let reply = self.send_with_refill(&call, args)?;
         self.expect(reply, "JobTicket", |m| match m {
             Message::JobTicket { job } => Ok(job),
             other => Err(other),
@@ -1076,11 +1172,13 @@ pub fn call_two_phase(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ninf_protocol::Arg;
 
     type SentLog = Arc<std::sync::Mutex<Vec<Message>>>;
 
     /// A scripted transport for unit-testing the client state machine
-    /// without a server; what the client sent is readable from outside.
+    /// without a server; what the client sent (each frame decoded) is
+    /// readable from outside.
     struct Scripted {
         replies: std::vec::IntoIter<Message>,
         sent: SentLog,
@@ -1102,8 +1200,9 @@ mod tests {
     }
 
     impl Transport for Scripted {
-        fn send(&mut self, msg: &Message) -> ProtocolResult<()> {
-            self.sent.lock().unwrap().push(msg.clone());
+        fn send_raw(&mut self, mut frame: &[u8]) -> ProtocolResult<()> {
+            let msg = ninf_protocol::read_frame(&mut frame)?;
+            self.sent.lock().unwrap().push(msg);
             Ok(())
         }
         fn recv(&mut self) -> ProtocolResult<Message> {

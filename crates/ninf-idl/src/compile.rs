@@ -12,7 +12,7 @@
 
 use std::collections::BTreeMap;
 
-use ninf_xdr::{XdrDecoder, XdrEncoder};
+use ninf_xdr::{XdrDecoder, XdrEncoder, XdrSink};
 
 use crate::ast::{BaseType, Define, Mode, Param};
 use crate::error::{IdlError, IdlResult};
@@ -274,7 +274,7 @@ impl CompiledInterface {
     }
 
     /// Serialize to XDR for shipping in an `InterfaceReply`.
-    pub fn encode_xdr(&self, enc: &mut XdrEncoder) {
+    pub fn encode_xdr<S: XdrSink>(&self, enc: &mut XdrEncoder<S>) {
         enc.put_string(&self.name);
         enc.put_string(&self.doc);
         enc.put_u32(self.scalar_table.len() as u32);

@@ -93,15 +93,17 @@ fn finalize(mut z: u64) -> u64 {
 }
 
 /// The digest kernel: fold whole [`GROUP`]s into the lanes and, word by
-/// word in the same loop, into the raw CRC-32C register through
-/// `crc_word`. Returns the new register.
+/// word in the same loop, into `N` raw CRC-32C registers through
+/// `crc_word` — the digest's own, and, when the frame writer digests an
+/// argument as it encodes it, the frame's, whose chain then runs beside
+/// the digest's instead of after it. Returns the new registers.
 #[inline(always)]
 fn absorb(
     lanes: &mut [u64; LANES],
-    mut crc: u32,
+    crcs: &mut [u32],
     groups: &[u8],
     crc_word: impl Fn(u32, u64) -> u32,
-) -> u32 {
+) {
     let (groups, rest) = groups.as_chunks::<GROUP>();
     debug_assert!(rest.is_empty(), "absorb takes whole groups");
     let mut acc = *lanes;
@@ -109,42 +111,58 @@ fn absorb(
         let (words, _) = g.as_chunks::<8>();
         for (lane, w) in acc.iter_mut().zip(words) {
             let w = u64::from_le_bytes(*w);
-            crc = crc_word(crc, w);
+            for crc in crcs.iter_mut() {
+                *crc = crc_word(*crc, w);
+            }
             *lane = mix(*lane, w);
         }
     }
     *lanes = acc;
-    crc
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sse4.2")]
-fn absorb_hw(lanes: &mut [u64; LANES], crc: u32, groups: &[u8]) -> u32 {
+fn absorb_hw<const N: usize>(
+    lanes: &mut [u64; LANES],
+    mut crcs: [u32; N],
+    groups: &[u8],
+) -> [u32; N] {
     use std::arch::x86_64::_mm_crc32_u64;
-    absorb(lanes, crc, groups, |c, w| {
+    absorb(lanes, &mut crcs, groups, |c, w| {
         _mm_crc32_u64(u64::from(c), w) as u32
-    })
+    });
+    crcs
 }
 
-fn absorb_groups(lanes: &mut [u64; LANES], crc: u32, groups: &[u8]) -> u32 {
+fn absorb_groups<const N: usize>(
+    lanes: &mut [u64; LANES],
+    mut crcs: [u32; N],
+    groups: &[u8],
+) -> [u32; N] {
     #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("sse4.2") {
             // SAFETY: the `crc32` instruction was detected at runtime.
-            return unsafe { absorb_hw(lanes, crc, groups) };
+            return unsafe { absorb_hw(lanes, crcs, groups) };
         }
     }
-    absorb(lanes, crc, groups, |c, w| {
+    absorb(lanes, &mut crcs, groups, |c, w| {
         crate::crc::update_sw(c, &w.to_le_bytes())
-    })
+    });
+    crcs
 }
 
 /// One streaming pass computing both halves; bytes may arrive in pieces
-/// of any length.
-struct Hasher {
+/// of any length. The frame writer feeds one from the bytes it writes, so
+/// an argument is digested in the pass that encodes it, and hands it the
+/// frame's CRC register to carry over the same bytes.
+pub(crate) struct Hasher {
     lanes: [u64; LANES],
     /// Raw (uncomplemented) CRC-32C register.
     crc: u32,
+    /// A second raw CRC-32C register advanced over exactly the bytes
+    /// hashed, in order (the frame's, while an argument is digested).
+    carry: Option<u32>,
     len: u64,
     /// The start of a group whose remaining bytes have not arrived yet.
     pending: [u8; GROUP],
@@ -152,7 +170,12 @@ struct Hasher {
 }
 
 impl Hasher {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
+        Self::carrying(None)
+    }
+
+    /// A hasher that also advances `carry` over every byte it hashes.
+    pub(crate) fn carrying(carry: Option<u32>) -> Self {
         let mut lanes = [0u64; LANES];
         for (i, lane) in lanes.iter_mut().enumerate() {
             *lane = finalize(i as u64 + 1);
@@ -160,13 +183,28 @@ impl Hasher {
         Hasher {
             lanes,
             crc: !0,
+            carry,
             len: 0,
             pending: [0; GROUP],
             filled: 0,
         }
     }
 
-    fn update(&mut self, mut data: &[u8]) {
+    /// Absorb whole groups into the lanes and both registers (fields
+    /// passed apart so a group can come from `pending` without a copy).
+    fn fold_groups(
+        lanes: &mut [u64; LANES],
+        crc: &mut u32,
+        carry: &mut Option<u32>,
+        groups: &[u8],
+    ) {
+        match carry {
+            None => [*crc] = absorb_groups(lanes, [*crc], groups),
+            Some(carry) => [*crc, *carry] = absorb_groups(lanes, [*crc, *carry], groups),
+        }
+    }
+
+    pub(crate) fn update(&mut self, mut data: &[u8]) {
         self.len += data.len() as u64;
         if self.filled > 0 {
             let take = (GROUP - self.filled).min(data.len());
@@ -176,11 +214,21 @@ impl Hasher {
             if self.filled < GROUP {
                 return;
             }
-            self.crc = absorb_groups(&mut self.lanes, self.crc, &self.pending);
+            Self::fold_groups(
+                &mut self.lanes,
+                &mut self.crc,
+                &mut self.carry,
+                &self.pending,
+            );
             self.filled = 0;
         }
         let whole = data.len() - data.len() % GROUP;
-        self.crc = absorb_groups(&mut self.lanes, self.crc, &data[..whole]);
+        Self::fold_groups(
+            &mut self.lanes,
+            &mut self.crc,
+            &mut self.carry,
+            &data[..whole],
+        );
         let rest = &data[whole..];
         self.pending[..rest.len()].copy_from_slice(rest);
         self.filled = rest.len();
@@ -193,19 +241,26 @@ impl Hasher {
         be_blocks(items, |block| self.update(block));
     }
 
-    fn finish(mut self) -> Digest {
+    pub(crate) fn finish(self) -> Digest {
+        self.close().0
+    }
+
+    /// The digest, and the carried register advanced over every byte.
+    pub(crate) fn close(mut self) -> (Digest, Option<u32>) {
         let tail = &self.pending[..self.filled];
         self.crc = crate::crc::update(self.crc, tail);
+        let carry = self.carry.map(|c| crate::crc::update(c, tail));
         for (lane, w) in self.lanes.iter_mut().zip(tail.chunks(8)) {
             let mut word = [0u8; 8];
             word[..w.len()].copy_from_slice(w);
             *lane = mix(*lane, u64::from_le_bytes(word));
         }
         let hi = finalize(self.lanes.iter().fold(K ^ self.len, |h, &l| mix(h, l)));
-        Digest {
+        let digest = Digest {
             hi,
             lo: (u64::from(!self.crc) << 32) | (self.len & 0xFFFF_FFFF),
-        }
+        };
+        (digest, carry)
     }
 }
 

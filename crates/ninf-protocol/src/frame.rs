@@ -16,15 +16,29 @@
 //! [`ProtocolError::UnsupportedVersion`]; the payload encoding itself is
 //! unchanged since v1, only the header grew.
 //!
-//! On the write side the header and the borrowed payload go out in one
-//! vectored syscall — the multi-megabyte matrix payload is never copied into
-//! a header-prefixed staging buffer.
+//! One writer makes every frame: [`encode_frame`] for an owned
+//! [`Message`], [`encode_call`] for a client's call whose arguments borrow
+//! the caller's values. It sizes the payload without writing it
+//! ([`Message::payload_len`]), allocates the frame once, reserves the
+//! header at its front, and encodes the payload straight behind it. The
+//! CRC-32C is folded in as the bytes are written — each array block right
+//! after it is appended, while it is still in L1 — and the length and CRC
+//! words are patched last. A frame therefore costs one user-space pass
+//! per payload byte; writers put it on the wire with one `write_all`.
+//! [`encode_call`] can also digest an inline argument in the pass that
+//! encodes it (see [`CallArg::Fold`]).
 
-use std::io::{IoSlice, Read, Write};
+use std::io::{Read, Write};
 
-use crate::crc::Crc32c;
+use ninf_xdr::{be_blocks, BeWord, ByteCount, XdrEncoder, XdrSink};
+
+use crate::codec::Wire;
+use crate::crc::{self, Crc32c};
+use crate::digest::{Digest, Hasher};
 use crate::error::{ProtocolError, ProtocolResult};
-use crate::message::Message;
+use crate::message::{put_call, put_ref, CallArg, CallKind, Message};
+use crate::value::Value;
+use crate::TraceContext;
 
 /// Frame magic: ASCII "NINF".
 pub const FRAME_MAGIC: u32 = 0x4E49_4E46;
@@ -58,17 +72,207 @@ fn frame_crc(call_id: u64, payload: &[u8]) -> u32 {
     h.finish()
 }
 
+/// The typed refusal of a payload over [`MAX_FRAME_BYTES`].
+fn check_len(len: usize) -> ProtocolResult<u32> {
+    match u32::try_from(len) {
+        Ok(len) if len <= MAX_FRAME_BYTES => Ok(len),
+        _ => Err(ProtocolError::Frame(format!(
+            "frame too large: {len} bytes"
+        ))),
+    }
+}
+
+/// The frame writer's sink: the frame buffer, header reserved at its
+/// front; the CRC-32C register over call id ++ payload; and at most one
+/// argument being digested in the same pass. The folds read the buffer
+/// lazily — small writes accumulate, and each array block is folded right
+/// after it is appended, while it is still in L1. While an argument is
+/// digested, the digest kernel carries the frame's CRC register, so the
+/// two CRC chains run side by side in one loop. A bare sink (no header, no
+/// CRC) writes a value image and its digest ([`digested_image`]).
+struct FrameSink {
+    buf: Vec<u8>,
+    /// Bytes of `buf` folded so far.
+    folded: usize,
+    /// Raw (uncomplemented) CRC-32C register; `None` for a bare sink and
+    /// while `digest` carries it.
+    crc: Option<u32>,
+    /// The argument being digested.
+    digest: Option<Hasher>,
+}
+
+/// Where a folded argument started: what a rollback restores.
+#[derive(Clone, Copy)]
+struct Mark {
+    len: usize,
+    crc: Option<u32>,
+}
+
+impl FrameSink {
+    fn fold(&mut self) {
+        let fresh = &self.buf[self.folded..];
+        match (&mut self.digest, &mut self.crc) {
+            (Some(h), _) => h.update(fresh),
+            (None, Some(crc)) => *crc = crc::update(*crc, fresh),
+            (None, None) => {}
+        }
+        self.folded = self.buf.len();
+    }
+
+    /// Start digesting what is written next.
+    fn begin_digest(&mut self) -> Mark {
+        self.fold();
+        let mark = Mark {
+            len: self.buf.len(),
+            crc: self.crc,
+        };
+        self.digest = Some(Hasher::carrying(self.crc.take()));
+        mark
+    }
+
+    /// The digest of everything written since [`FrameSink::begin_digest`].
+    fn end_digest(&mut self) -> Digest {
+        self.fold();
+        let (digest, crc) = self.digest.take().expect("a digest was begun").close();
+        self.crc = crc;
+        digest
+    }
+
+    /// Forget everything written since `mark`.
+    fn rollback(&mut self, mark: Mark) {
+        self.buf.truncate(mark.len);
+        self.folded = mark.len;
+        self.crc = mark.crc;
+    }
+}
+
+impl XdrSink for FrameSink {
+    #[inline]
+    fn put_slice(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+    }
+
+    fn put_words<T: BeWord>(&mut self, data: &[T]) {
+        self.buf.reserve(std::mem::size_of_val(data));
+        be_blocks(data, |block| {
+            self.buf.extend_from_slice(block);
+            self.fold();
+        });
+    }
+}
+
+/// The one frame writer (see the module docs).
+struct FrameWriter {
+    enc: XdrEncoder<FrameSink>,
+}
+
+impl FrameWriter {
+    /// A frame for `call_id` with room for a `payload`-byte payload,
+    /// which must fit [`MAX_FRAME_BYTES`].
+    fn new(call_id: u64, payload: usize) -> ProtocolResult<Self> {
+        check_len(payload)?;
+        let mut buf = Vec::with_capacity(FRAME_HEADER_BYTES + payload);
+        buf.extend_from_slice(&FRAME_MAGIC.to_be_bytes());
+        buf.extend_from_slice(&PROTOCOL_VERSION.to_be_bytes());
+        buf.extend_from_slice(&[0; 4]); // length, patched by `finish`
+        buf.extend_from_slice(&call_id.to_be_bytes());
+        buf.extend_from_slice(&[0; 4]); // CRC, patched by `finish`
+        Ok(FrameWriter {
+            enc: XdrEncoder::on(FrameSink {
+                buf,
+                folded: FRAME_HEADER_BYTES,
+                crc: Some(crc::update(!0, &call_id.to_be_bytes())),
+                digest: None,
+            }),
+        })
+    }
+
+    /// Patch the length and CRC words and hand the frame over.
+    fn finish(self) -> ProtocolResult<Vec<u8>> {
+        let mut sink = self.enc.into_sink();
+        sink.fold();
+        let len = check_len(sink.buf.len() - FRAME_HEADER_BYTES)?;
+        sink.buf[8..12].copy_from_slice(&len.to_be_bytes());
+        let crc = !sink.crc.expect("a frame sink checksums");
+        sink.buf[20..24].copy_from_slice(&crc.to_be_bytes());
+        Ok(sink.buf)
+    }
+}
+
+/// Encode one framed message tagged with `call_id` into a fresh,
+/// exactly-sized buffer.
+pub fn encode_frame(call_id: u64, msg: &Message) -> ProtocolResult<Vec<u8>> {
+    let mut w = FrameWriter::new(call_id, msg.payload_len())?;
+    msg.put(&mut w.enc);
+    w.finish()
+}
+
+/// Encode a call frame straight from the caller's values: the bytes
+/// [`encode_frame`] writes for the [`Message::Invoke`] (or
+/// [`Message::SubmitJob`]) these positions describe, without building it.
+///
+/// A [`CallArg::Fold`] position is written inline with its digest computed
+/// in the same pass; `held` is then asked whether the destination holds
+/// that digest, and if it does, the position is rolled back (bytes and
+/// CRC) and written as a ref. On return each `Fold` in `args` has been
+/// replaced by what was sent: `Data` or `Ref`.
+pub fn encode_call(
+    call_id: u64,
+    kind: CallKind,
+    routine: &str,
+    args: &mut [CallArg<'_>],
+    trace: Option<TraceContext>,
+    mut held: impl FnMut(&Digest) -> bool,
+) -> ProtocolResult<Vec<u8>> {
+    let mut planned = XdrEncoder::on(ByteCount::default());
+    planned.put_u32(kind.tag());
+    put_call(&mut planned, routine, args.len(), &trace, |enc| {
+        args.iter().for_each(|a| a.put(enc))
+    });
+    let mut w = FrameWriter::new(call_id, planned.into_sink().0)?;
+    w.enc.put_u32(kind.tag());
+    put_call(&mut w.enc, routine, args.len(), &trace, |enc| {
+        for arg in args.iter_mut() {
+            let CallArg::Fold(v) = *arg else {
+                arg.put(enc);
+                continue;
+            };
+            let mark = enc.sink_mut().begin_digest();
+            v.put(enc);
+            let d = enc.sink_mut().end_digest();
+            *arg = if held(&d) {
+                enc.sink_mut().rollback(mark);
+                put_ref(enc, &d);
+                CallArg::Ref(d)
+            } else {
+                CallArg::Data(v)
+            };
+        }
+    });
+    w.finish()
+}
+
+/// A value's full tagged XDR image and its digest, from one pass of the
+/// frame writer's sink: what a bulk upload ships and the name it ships
+/// under (`Digest::of(&image)`, which is `digest_value(v)`).
+pub fn digested_image(v: &Value) -> (Vec<u8>, Digest) {
+    let mut len = XdrEncoder::on(ByteCount::default());
+    v.put(&mut len);
+    let mut enc = XdrEncoder::on(FrameSink {
+        buf: Vec::with_capacity(len.into_sink().0),
+        folded: 0,
+        crc: None,
+        digest: None,
+    });
+    enc.sink_mut().begin_digest();
+    v.put(&mut enc);
+    let digest = enc.sink_mut().end_digest();
+    (enc.into_sink().buf, digest)
+}
+
 /// Write one framed message tagged with `call_id`.
 pub fn write_frame_mux<W: Write>(w: &mut W, call_id: u64, msg: &Message) -> ProtocolResult<()> {
-    let payload = msg.encode();
-    let len = payload.len() as u32;
-    if len > MAX_FRAME_BYTES {
-        return Err(ProtocolError::Frame(format!(
-            "frame too large: {len} bytes"
-        )));
-    }
-    let header = encode_header(call_id, len, frame_crc(call_id, &payload));
-    write_all_vectored(w, &header, &payload)?;
+    w.write_all(&encode_frame(call_id, msg)?)?;
     w.flush()?;
     Ok(())
 }
@@ -76,33 +280,6 @@ pub fn write_frame_mux<W: Write>(w: &mut W, call_id: u64, msg: &Message) -> Prot
 /// Write one framed message with call id 0 (the sequential-peer form).
 pub fn write_frame<W: Write>(w: &mut W, msg: &Message) -> ProtocolResult<()> {
     write_frame_mux(w, 0, msg)
-}
-
-/// Encode one framed message into a fresh buffer. The reactor and the mux
-/// driver use this to stage whole frames onto nonblocking write queues.
-pub fn encode_frame(call_id: u64, msg: &Message) -> ProtocolResult<Vec<u8>> {
-    let payload = msg.encode();
-    let len = payload.len() as u32;
-    if len > MAX_FRAME_BYTES {
-        return Err(ProtocolError::Frame(format!(
-            "frame too large: {len} bytes"
-        )));
-    }
-    let header = encode_header(call_id, len, frame_crc(call_id, &payload));
-    let mut buf = Vec::with_capacity(FRAME_HEADER_BYTES + payload.len());
-    buf.extend_from_slice(&header);
-    buf.extend_from_slice(&payload);
-    Ok(buf)
-}
-
-fn encode_header(call_id: u64, len: u32, crc: u32) -> [u8; FRAME_HEADER_BYTES] {
-    let mut header = [0u8; FRAME_HEADER_BYTES];
-    header[0..4].copy_from_slice(&FRAME_MAGIC.to_be_bytes());
-    header[4..8].copy_from_slice(&PROTOCOL_VERSION.to_be_bytes());
-    header[8..12].copy_from_slice(&len.to_be_bytes());
-    header[12..20].copy_from_slice(&call_id.to_be_bytes());
-    header[20..24].copy_from_slice(&crc.to_be_bytes());
-    header
 }
 
 /// Validate a raw v3 header. Magic, version, and length bounds are checked
@@ -171,26 +348,6 @@ pub fn read_frame_mux<R: Read>(r: &mut R) -> ProtocolResult<(u64, Message)> {
 /// peers).
 pub fn read_frame<R: Read>(r: &mut R) -> ProtocolResult<Message> {
     read_frame_mux(r).map(|(_, msg)| msg)
-}
-
-/// Write `header` then `payload` with vectored I/O, tracking partial writes
-/// manually (short vectored writes are legal for any `Write` impl).
-fn write_all_vectored<W: Write>(w: &mut W, header: &[u8], payload: &[u8]) -> std::io::Result<()> {
-    let total = header.len() + payload.len();
-    let mut written = 0usize;
-    while written < total {
-        let n = if written < header.len() {
-            let bufs = [IoSlice::new(&header[written..]), IoSlice::new(payload)];
-            w.write_vectored(&bufs)?
-        } else {
-            w.write(&payload[written - header.len()..])?
-        };
-        if n == 0 {
-            return Err(std::io::ErrorKind::WriteZero.into());
-        }
-        written += n;
-    }
-    Ok(())
 }
 
 /// Granularity of payload reads: allocation grows only as bytes arrive.
@@ -379,6 +536,15 @@ mod tests {
     }
 
     #[test]
+    fn oversized_payload_is_refused_before_allocating() {
+        let too_big = MAX_FRAME_BYTES as usize + 1;
+        assert!(matches!(
+            FrameWriter::new(7, too_big),
+            Err(ProtocolError::Frame(m)) if m.contains("too large")
+        ));
+    }
+
+    #[test]
     fn lying_length_header_fails_on_missing_bytes() {
         // Header claims a near-maximal payload but the stream carries only a
         // few bytes: the read must fail with an I/O error after at most one
@@ -467,8 +633,8 @@ mod tests {
         assert_eq!(decoded, msg);
     }
 
-    /// A writer that accepts at most one byte per call, including vectored
-    /// calls — the worst legal case for partial-write bookkeeping.
+    /// A writer that accepts at most one byte per call — the worst legal
+    /// case for partial-write bookkeeping.
     struct TrickleWriter(Vec<u8>);
 
     impl Write for TrickleWriter {
@@ -479,21 +645,13 @@ mod tests {
             self.0.push(buf[0]);
             Ok(1)
         }
-        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
-            for b in bufs {
-                if !b.is_empty() {
-                    return self.write(&b[..1]);
-                }
-            }
-            Ok(0)
-        }
         fn flush(&mut self) -> std::io::Result<()> {
             Ok(())
         }
     }
 
     #[test]
-    fn partial_vectored_writes_still_frame_correctly() {
+    fn one_byte_writes_still_frame_correctly() {
         let msg = Message::Invoke {
             routine: "trickle".into(),
             args: Arg::inline(vec![Value::DoubleArray(vec![2.5; 17])]),

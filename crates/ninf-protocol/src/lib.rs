@@ -47,9 +47,9 @@ pub use crc::{crc32c, Crc32c};
 pub use digest::{cacheable, digest_value, value_image, Digest, ARG_CACHE_MIN_BYTES};
 pub use error::{ProtocolError, ProtocolResult};
 pub use frame::{
-    check_frame_payload, encode_frame, parse_frame_header, read_frame, read_frame_mux, write_frame,
-    write_frame_mux, FrameHeader, FRAME_HEADER_BYTES, FRAME_MAGIC, MAX_FRAME_BYTES,
-    PROTOCOL_VERSION,
+    check_frame_payload, digested_image, encode_call, encode_frame, parse_frame_header, read_frame,
+    read_frame_mux, write_frame, write_frame_mux, FrameHeader, FRAME_HEADER_BYTES, FRAME_MAGIC,
+    MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
 pub use link::{
     eff_loss_ppm, lane_window, link_fingerprint, link_for, link_schedule, planned_event, LinkEvent,
@@ -58,8 +58,8 @@ pub use link::{
 pub use marshal::{
     reply_payload_bytes, request_payload_bytes, validate_call_args, validate_results,
 };
-pub use message::{Arg, CallStat, JobPhase, LoadReport, Message};
+pub use message::{Arg, CallArg, CallKind, CallStat, JobPhase, LoadReport, Message};
 pub use ninf_obs::{MetricFrame, MetricKind, MetricSample, Span, TraceContext, WindowsSnapshot};
 pub use rng::SplitMix64;
-pub use transport::{ChannelTransport, Pipelined, TcpTransport, Transport};
+pub use transport::{ChannelTransport, FrameFn, Pipelined, TcpTransport, Transport};
 pub use value::Value;

@@ -48,7 +48,7 @@ use std::time::{Duration, Instant};
 use crate::error::ProtocolResult;
 use crate::message::Message;
 use crate::rng::SplitMix64;
-use crate::transport::{Pipelined, Transport};
+use crate::transport::{FrameFn, Pipelined, Transport};
 
 /// One link's shape. All-integer so specs hash and compare exactly (it
 /// rides inside `CallOptions`, which is `Copy + Eq`). The four `*_ppm`
@@ -595,14 +595,14 @@ impl<T: Transport> LinkTransport<T> {
         }
     }
 
-    /// Stage `msg` on the inner transport — encoded once, its size paces
-    /// the link and its bytes are what arrives — and put the frame on the
+    /// Stage a frame on the inner transport — encoded once, its size
+    /// paces the link and its bytes are what arrives — and put it on the
     /// link. Returns the inner transport's ticket for the reply. (The only
     /// thing that can fail after the ticket is taken is `send_raw`, i.e.
     /// the connection: a ticket orphaned here is one on a dead stream,
     /// which gates nothing and goes with the transport.)
-    fn put(&mut self, msg: &Message) -> ProtocolResult<u64> {
-        let (ticket, frame) = self.inner.stage(msg)?;
+    fn put(&mut self, encode: FrameFn<'_>) -> ProtocolResult<u64> {
+        let (ticket, frame) = self.inner.stage(encode)?;
         self.ship(frame)?;
         Ok(ticket)
     }
@@ -670,8 +670,8 @@ impl<T: Transport> Drop for LinkTransport<T> {
 }
 
 impl<T: Transport> Transport for LinkTransport<T> {
-    fn send(&mut self, msg: &Message) -> ProtocolResult<()> {
-        self.put(msg).map(|_| ())
+    fn send_frame(&mut self, encode: FrameFn<'_>) -> ProtocolResult<()> {
+        self.put(encode).map(|_| ())
     }
 
     /// Everything sent has arrived before the reply is awaited — a strict
@@ -693,14 +693,14 @@ impl<T: Transport> Transport for LinkTransport<T> {
         self.inner.send_raw(bytes)
     }
 
-    fn stage(&mut self, msg: &Message) -> ProtocolResult<(u64, Vec<u8>)> {
-        self.inner.stage(msg)
+    fn stage(&mut self, encode: FrameFn<'_>) -> ProtocolResult<(u64, Vec<u8>)> {
+        self.inner.stage(encode)
     }
 }
 
 impl<T: Pipelined> Pipelined for LinkTransport<T> {
     fn post(&mut self, msg: &Message) -> ProtocolResult<u64> {
-        self.put(msg)
+        self.put(&mut |ticket| crate::frame::encode_frame(ticket, msg))
     }
 
     /// Replies to earlier frames may arrive while later ones are still in
@@ -988,9 +988,9 @@ mod tests {
             self.acks.push_back(u64::from_be_bytes(call_id));
             Ok(())
         }
-        fn stage(&mut self, msg: &Message) -> ProtocolResult<(u64, Vec<u8>)> {
+        fn stage(&mut self, encode: FrameFn<'_>) -> ProtocolResult<(u64, Vec<u8>)> {
             self.tickets += 1;
-            Ok((self.tickets, crate::encode_frame(self.tickets, msg)?))
+            Ok((self.tickets, encode(self.tickets)?))
         }
     }
 

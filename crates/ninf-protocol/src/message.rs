@@ -9,7 +9,7 @@
 
 use ninf_idl::CompiledInterface;
 use ninf_obs::{MetricFrame, MetricKind, MetricSample, Span, TraceContext};
-use ninf_xdr::{XdrDecoder, XdrEncoder};
+use ninf_xdr::{ByteCount, XdrDecoder, XdrEncoder, XdrSink};
 
 use crate::codec::{impl_message_codec, impl_wire, Wire};
 use crate::digest::Digest;
@@ -144,6 +144,10 @@ impl_wire!(struct MetricFrame {
 /// an all-inline call encodes exactly as it did before refs existed
 /// (flag-day compatibility: old captures decode, old golden bytes hold).
 /// `Ref` takes the next tag up.
+///
+/// This is the owned form a decode yields. A client sends the borrowed
+/// form, [`CallArg`], and both write a position through the same two
+/// codecs: the [`Value`]'s and the ref writer.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Arg {
     /// The marshalled value, shipped inline.
@@ -182,15 +186,18 @@ impl Arg {
     }
 }
 
+/// Write one argument position as a content ref.
+pub(crate) fn put_ref<S: XdrSink>(enc: &mut XdrEncoder<S>, d: &Digest) {
+    enc.put_u32(VTAG_ARG_REF);
+    d.put(enc);
+}
+
 impl Wire for Arg {
-    fn put(&self, enc: &mut XdrEncoder) {
+    fn put<S: XdrSink>(&self, enc: &mut XdrEncoder<S>) {
         match self {
             // A bare Value image: its own tag word (0–7) then the body.
             Arg::Data(v) => v.put(enc),
-            Arg::Ref(d) => {
-                enc.put_u32(VTAG_ARG_REF);
-                d.put(enc);
-            }
+            Arg::Ref(d) => put_ref(enc, d),
         }
     }
     fn get(dec: &mut XdrDecoder<'_>) -> ProtocolResult<Self> {
@@ -205,8 +212,70 @@ impl Wire for Arg {
     }
 }
 
+/// One argument position of a call as a client sends it, borrowing the
+/// caller's value: no position is cloned into the message, and
+/// [`crate::frame::encode_call`] writes the frame straight from these.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum CallArg<'a> {
+    /// Ship the value inline.
+    Data(&'a Value),
+    /// Name a value the destination holds by its digest.
+    Ref(Digest),
+    /// Ship the value inline and digest it in the same pass; if the
+    /// destination turns out to hold that digest, the position is rolled
+    /// back and written as a `Ref` instead. The bytes sent are what
+    /// digesting first and then choosing would have sent.
+    Fold(&'a Value),
+}
+
+impl CallArg<'_> {
+    /// Write this position as planned (a `Fold` as inline data).
+    pub(crate) fn put<S: XdrSink>(&self, enc: &mut XdrEncoder<S>) {
+        match self {
+            CallArg::Data(v) | CallArg::Fold(v) => v.put(enc),
+            CallArg::Ref(d) => put_ref(enc, d),
+        }
+    }
+}
+
+/// Which of the two call messages a borrowed call encodes as.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CallKind {
+    /// [`Message::Invoke`].
+    Invoke,
+    /// [`Message::SubmitJob`].
+    SubmitJob,
+}
+
+impl CallKind {
+    /// The message tag.
+    pub(crate) fn tag(self) -> u32 {
+        match self {
+            CallKind::Invoke => TAG_INVOKE,
+            CallKind::SubmitJob => TAG_SUBMIT_JOB,
+        }
+    }
+}
+
+/// The one writer of a call body (after its tag): routine, argument count,
+/// the positions `put_args` writes, trace. The owned [`Message::Invoke`] /
+/// [`Message::SubmitJob`] and a client's borrowed call both encode through
+/// it, and the decode table reads the fields in this order.
+pub(crate) fn put_call<S: XdrSink>(
+    enc: &mut XdrEncoder<S>,
+    routine: &str,
+    argc: usize,
+    trace: &Option<TraceContext>,
+    put_args: impl FnOnce(&mut XdrEncoder<S>),
+) {
+    enc.put_string(routine);
+    enc.put_u32(argc as u32);
+    put_args(enc);
+    trace.put(enc);
+}
+
 impl Wire for CompiledInterface {
-    fn put(&self, enc: &mut XdrEncoder) {
+    fn put<S: XdrSink>(&self, enc: &mut XdrEncoder<S>) {
         self.encode_xdr(enc);
     }
     fn get(dec: &mut XdrDecoder<'_>) -> ProtocolResult<Self> {
@@ -503,10 +572,8 @@ impl_message_codec! {
     structs {
         QueryInterface = TAG_QUERY_INTERFACE => { routine },
         InterfaceReply = TAG_INTERFACE_REPLY => { interface },
-        Invoke = TAG_INVOKE => { routine, args, trace },
         ResultData = TAG_RESULT_DATA => { results },
         Error = TAG_ERROR => { reason },
-        SubmitJob = TAG_SUBMIT_JOB => { routine, args, trace },
         JobTicket = TAG_JOB_TICKET => { job },
         PollJob = TAG_POLL_JOB => { job },
         JobStatus = TAG_JOB_STATUS => { job, state },
@@ -523,6 +590,26 @@ impl_message_codec! {
         MetricsReply = TAG_METRICS_REPLY => { process, now, interval, total, dropped, frames },
         PutArgChunk = TAG_PUT_ARG_CHUNK => { digest, total_bytes, total, seq, crc, bytes },
         ChunkOk = TAG_CHUNK_OK => { digest, seq },
+    }
+    calls {
+        Invoke = TAG_INVOKE,
+        SubmitJob = TAG_SUBMIT_JOB,
+    }
+}
+
+impl Message {
+    /// Payload bytes [`Message::put`] writes, measured without writing them.
+    pub fn payload_len(&self) -> usize {
+        let mut count = XdrEncoder::on(ByteCount::default());
+        self.put(&mut count);
+        count.into_sink().0
+    }
+
+    /// Encode to XDR payload bytes (without frame header).
+    pub fn encode(&self) -> bytes::Bytes {
+        let mut enc = XdrEncoder::with_capacity(self.payload_len());
+        self.put(&mut enc);
+        enc.finish()
     }
 }
 

@@ -1,21 +1,34 @@
 //! Message transports: real TCP and an in-process channel pair, both with
 //! optional per-operation deadlines.
 
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 
 use crate::error::{ProtocolError, ProtocolResult};
-use crate::frame::{encode_frame, read_frame, write_frame};
+use crate::frame::{encode_frame, read_frame};
 use crate::message::Message;
+
+/// Encodes the frame for a given call id — what a transport runs once it
+/// has taken the ticket the frame must carry (the call id is inside the
+/// frame CRC, so a frame cannot be encoded before its ticket is known).
+pub type FrameFn<'a> = &'a mut dyn FnMut(u64) -> ProtocolResult<Vec<u8>>;
 
 /// A bidirectional, ordered, reliable message channel — what Ninf RPC
 /// assumes of TCP.
+///
+/// Every send is one frame out of the one frame writer
+/// ([`crate::frame`]): [`Transport::send`] encodes an owned message,
+/// and a caller with borrowed data ([`crate::frame::encode_call`]) hands
+/// its own encoder to [`Transport::send_frame`].
 pub trait Transport: Send {
     /// Send one message (blocking until handed to the OS / peer).
-    fn send(&mut self, msg: &Message) -> ProtocolResult<()>;
+    fn send(&mut self, msg: &Message) -> ProtocolResult<()> {
+        self.send_frame(&mut |ticket| encode_frame(ticket, msg))
+    }
+
     /// Receive the next message (blocking).
     fn recv(&mut self) -> ProtocolResult<Message>;
 
@@ -37,18 +50,27 @@ pub trait Transport: Send {
         ))
     }
 
-    /// Encode `msg` as the exact frame [`Transport::send`] would write and
-    /// arm the transport for its reply, without writing anything:
-    /// `send(msg)` is [`Transport::send_raw`] of these bytes. Also returns
-    /// the ticket the reply will carry out of [`Pipelined::recv_any`] (0 on
-    /// transports that do not multiplex). [`crate::link::LinkTransport`]
-    /// sends through this pair, so a frame is encoded once: its size paces
-    /// the link and its bytes wait out the propagation delay. A transport
-    /// meant to sit under one must therefore implement `send_raw` — with
-    /// the default above, every shaped send fails, not only the garbled
-    /// ones — and one that numbers its frames overrides this too.
-    fn stage(&mut self, msg: &Message) -> ProtocolResult<(u64, Vec<u8>)> {
-        Ok((0, encode_frame(0, msg)?))
+    /// Take the ticket the next frame carries (its call id; 0 on
+    /// transports that do not multiplex), arm the transport for its reply,
+    /// and run `encode` for it — without writing anything. The ticket is
+    /// what the reply carries out of [`Pipelined::recv_any`].
+    /// [`crate::link::LinkTransport`] sends through this, so a frame is
+    /// encoded once: its size paces the link and its bytes wait out the
+    /// propagation delay. A transport meant to sit under one must
+    /// therefore implement `send_raw` — with the default above, every
+    /// shaped send fails, not only the garbled ones — and one that numbers
+    /// its frames overrides this too.
+    fn stage(&mut self, encode: FrameFn<'_>) -> ProtocolResult<(u64, Vec<u8>)> {
+        Ok((0, encode(0)?))
+    }
+
+    /// Send the frame `encode` writes for the next ticket: the strict
+    /// one-request-one-reply send [`Transport::send`] is made of. The
+    /// default stages the frame and writes it with
+    /// [`Transport::send_raw`].
+    fn send_frame(&mut self, encode: FrameFn<'_>) -> ProtocolResult<()> {
+        let (_, frame) = self.stage(encode)?;
+        self.send_raw(&frame)
     }
 }
 
@@ -59,7 +81,7 @@ pub trait Pipelined: Transport {
     /// Send `msg` and return the ticket its reply will carry. Earlier
     /// tickets stay open.
     fn post(&mut self, msg: &Message) -> ProtocolResult<u64> {
-        let (ticket, frame) = self.stage(msg)?;
+        let (ticket, frame) = self.stage(&mut |ticket| encode_frame(ticket, msg))?;
         self.send_raw(&frame)?;
         Ok(ticket)
     }
@@ -89,8 +111,11 @@ impl Transport for Box<dyn Transport> {
     fn send_raw(&mut self, bytes: &[u8]) -> ProtocolResult<()> {
         (**self).send_raw(bytes)
     }
-    fn stage(&mut self, msg: &Message) -> ProtocolResult<(u64, Vec<u8>)> {
-        (**self).stage(msg)
+    fn stage(&mut self, encode: FrameFn<'_>) -> ProtocolResult<(u64, Vec<u8>)> {
+        (**self).stage(encode)
+    }
+    fn send_frame(&mut self, encode: FrameFn<'_>) -> ProtocolResult<()> {
+        (**self).send_frame(encode)
     }
 }
 
@@ -115,10 +140,12 @@ fn promote_timeout(
     }
 }
 
-/// TCP transport with buffered reader/writer halves.
+/// TCP transport: a buffered reader half, and a writer half that puts
+/// each whole frame down with one `write_all` (a frame arrives fully
+/// encoded, so a write buffer would only copy it).
 pub struct TcpTransport {
     reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
+    writer: TcpStream,
     deadline: Option<Duration>,
 }
 
@@ -127,10 +154,9 @@ impl TcpTransport {
     pub fn new(stream: TcpStream) -> ProtocolResult<Self> {
         stream.set_nodelay(true)?;
         let reader = BufReader::new(stream.try_clone()?);
-        let writer = BufWriter::new(stream);
         Ok(Self {
             reader,
-            writer,
+            writer: stream,
             deadline: None,
         })
     }
@@ -160,10 +186,6 @@ impl TcpTransport {
 }
 
 impl Transport for TcpTransport {
-    fn send(&mut self, msg: &Message) -> ProtocolResult<()> {
-        write_frame(&mut self.writer, msg).map_err(|e| promote_timeout(e, "write", self.deadline))
-    }
-
     fn recv(&mut self) -> ProtocolResult<Message> {
         read_frame(&mut self.reader).map_err(|e| promote_timeout(e, "read", self.deadline))
     }
@@ -177,12 +199,9 @@ impl Transport for TcpTransport {
     }
 
     fn send_raw(&mut self, bytes: &[u8]) -> ProtocolResult<()> {
-        let run = |w: &mut BufWriter<TcpStream>| -> ProtocolResult<()> {
-            w.write_all(bytes)?;
-            w.flush()?;
-            Ok(())
-        };
-        run(&mut self.writer).map_err(|e| promote_timeout(e, "write", self.deadline))
+        self.writer
+            .write_all(bytes)
+            .map_err(|e| promote_timeout(e.into(), "write", self.deadline))
     }
 }
 
@@ -229,10 +248,9 @@ impl ChannelTransport {
 }
 
 impl Transport for ChannelTransport {
-    fn send(&mut self, msg: &Message) -> ProtocolResult<()> {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, msg)?;
-        self.tx.send(buf).map_err(|_| ProtocolError::Disconnected)
+    fn send_frame(&mut self, encode: FrameFn<'_>) -> ProtocolResult<()> {
+        let (_, frame) = self.stage(encode)?;
+        self.tx.send(frame).map_err(|_| ProtocolError::Disconnected)
     }
 
     fn recv(&mut self) -> ProtocolResult<Message> {

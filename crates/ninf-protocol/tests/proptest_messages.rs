@@ -8,8 +8,10 @@
 //! fails if the proptest generator or the sample list misses a kind.
 
 use ninf_protocol::{
-    read_frame, write_frame, Arg, CallStat, Digest, JobPhase, LoadReport, Message, MetricFrame,
-    MetricKind, MetricSample, ProtocolError, Span, TraceContext, Value,
+    digest_value, digested_image, encode_call, encode_frame, read_frame, value_image, write_frame,
+    Arg, CallArg, CallKind, CallStat, Crc32c, Digest, JobPhase, LoadReport, Message, MetricFrame,
+    MetricKind, MetricSample, ProtocolError, Span, TraceContext, Value, FRAME_MAGIC,
+    PROTOCOL_VERSION,
 };
 use proptest::prelude::*;
 
@@ -613,5 +615,160 @@ fn every_variant_rejects_every_single_bit_flip() {
                 buf[i] ^= 1 << bit;
             }
         }
+    }
+}
+
+/// A frame as a reference builds it by hand: the 24-byte header with
+/// `crc32c(call id ++ payload)`, then the payload from the owned codec
+/// into a plain buffer — no sizing pass, no folded CRC.
+fn reference_frame(call_id: u64, msg: &Message) -> Vec<u8> {
+    let payload = msg.encode();
+    let mut crc = Crc32c::new();
+    crc.update(&call_id.to_be_bytes()).update(&payload);
+    [
+        &FRAME_MAGIC.to_be_bytes()[..],
+        &PROTOCOL_VERSION.to_be_bytes()[..],
+        &(payload.len() as u32).to_be_bytes()[..],
+        &call_id.to_be_bytes()[..],
+        &crc.finish().to_be_bytes()[..],
+        &payload[..],
+    ]
+    .concat()
+}
+
+/// Values long enough to span several of the encoder's 2 KiB blocks and
+/// the digest's 64-byte groups, with every tail length.
+fn arb_wide_value() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        arb_value(),
+        proptest::collection::vec(any::<i32>(), 0..1100).prop_map(Value::IntArray),
+        proptest::collection::vec(any::<i64>(), 0..600).prop_map(Value::LongArray),
+        proptest::collection::vec(any::<u32>(), 0..1100)
+            .prop_map(|v| Value::FloatArray(v.into_iter().map(|b| (b % 4096) as f32).collect())),
+        proptest::collection::vec(any::<u64>(), 0..600)
+            .prop_map(|v| Value::DoubleArray(v.into_iter().map(|b| (b % 65536) as f64).collect())),
+    ]
+}
+
+fn borrowed(args: &[Arg]) -> Vec<CallArg<'_>> {
+    args.iter()
+        .map(|a| match a {
+            Arg::Data(v) => CallArg::Data(v),
+            Arg::Ref(d) => CallArg::Ref(*d),
+        })
+        .collect()
+}
+
+fn call_message(
+    kind: CallKind,
+    routine: &str,
+    args: Vec<Arg>,
+    trace: Option<TraceContext>,
+) -> Message {
+    let routine = routine.to_owned();
+    match kind {
+        CallKind::Invoke => Message::Invoke {
+            routine,
+            args,
+            trace,
+        },
+        CallKind::SubmitJob => Message::SubmitJob {
+            routine,
+            args,
+            trace,
+        },
+    }
+}
+
+proptest! {
+    /// The one frame writer's frame is the reference frame, byte for
+    /// byte, for every message and call id.
+    #[test]
+    fn frame_writer_matches_reference(msg in arb_message(), call_id in any::<u64>()) {
+        prop_assert_eq!(encode_frame(call_id, &msg).unwrap(), reference_frame(call_id, &msg));
+    }
+
+    /// A call written straight from borrowed values is the reference
+    /// frame of the owned message it describes.
+    #[test]
+    fn borrowed_call_matches_owned_message(
+        args in proptest::collection::vec(arb_arg(), 0..6),
+        call_id in any::<u64>(),
+        submit in any::<bool>(),
+        t in any::<u64>(),
+    ) {
+        let kind = if submit { CallKind::SubmitJob } else { CallKind::Invoke };
+        let trace = arb_trace(t);
+        let mut call = borrowed(&args);
+        let frame = encode_call(call_id, kind, "dgesl", &mut call, trace, |_| {
+            unreachable!("no position folds")
+        })
+        .unwrap();
+        let msg = call_message(kind, "dgesl", args, trace);
+        prop_assert_eq!(frame, reference_frame(call_id, &msg));
+    }
+
+    /// Digesting an argument in the pass that encodes it gives
+    /// `digest_value`, for every value kind and length (odd tails
+    /// included) and wherever in the frame the argument starts; the
+    /// frame itself is unchanged by the fold.
+    #[test]
+    fn folded_digest_is_digest_value(
+        lead in proptest::collection::vec(arb_value(), 0..3),
+        v in arb_wide_value(),
+        call_id in any::<u64>(),
+    ) {
+        let mut call: Vec<CallArg<'_>> = lead.iter().map(CallArg::Data).collect();
+        call.push(CallArg::Fold(&v));
+        let mut seen = Vec::new();
+        let frame = encode_call(call_id, CallKind::Invoke, "f", &mut call, None, |d| {
+            seen.push(*d);
+            false
+        })
+        .unwrap();
+        prop_assert_eq!(seen, vec![digest_value(&v)]);
+        prop_assert_eq!(call.last(), Some(&CallArg::Data(&v)));
+        let mut args = Arg::inline(lead.clone());
+        args.push(Arg::Data(v.clone()));
+        prop_assert_eq!(frame, reference_frame(call_id, &call_message(CallKind::Invoke, "f", args, None)));
+        let (image, digest) = digested_image(&v);
+        prop_assert_eq!(&image[..], &value_image(&v)[..]);
+        prop_assert_eq!(digest, digest_value(&v));
+    }
+
+    /// Folding every position and rolling the held ones back to refs (a
+    /// mispredicted hit) ships the bytes the digest-first path ships, and
+    /// leaves the same plan behind.
+    #[test]
+    fn mispredicted_hit_ships_digest_first_bytes(
+        values in proptest::collection::vec(arb_wide_value(), 1..5),
+        known in proptest::collection::vec(any::<bool>(), 5),
+        call_id in any::<u64>(),
+        t in any::<u64>(),
+    ) {
+        let held: Vec<Digest> = values
+            .iter()
+            .zip(&known)
+            .filter(|(_, &k)| k)
+            .map(|(v, _)| digest_value(v))
+            .collect();
+        let mut first: Vec<CallArg<'_>> = values
+            .iter()
+            .map(|v| {
+                let d = digest_value(v);
+                if held.contains(&d) { CallArg::Ref(d) } else { CallArg::Data(v) }
+            })
+            .collect();
+        let digest_first = encode_call(call_id, CallKind::Invoke, "f", &mut first, arb_trace(t), |_| {
+            unreachable!("nothing folds")
+        })
+        .unwrap();
+        let mut folded: Vec<CallArg<'_>> = values.iter().map(CallArg::Fold).collect();
+        let guessed = encode_call(call_id, CallKind::Invoke, "f", &mut folded, arb_trace(t), |d| {
+            held.contains(d)
+        })
+        .unwrap();
+        prop_assert_eq!(guessed, digest_first);
+        prop_assert_eq!(folded, first);
     }
 }

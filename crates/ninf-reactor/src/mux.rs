@@ -17,7 +17,7 @@
 //! on next checkout. Calls on other streams never notice.
 
 use std::collections::HashMap;
-use std::io::{BufReader, BufWriter};
+use std::io::BufReader;
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -25,8 +25,7 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use ninf_protocol::{
-    encode_frame, read_frame_mux, write_frame_mux, Message, Pipelined, ProtocolError,
-    ProtocolResult, Transport,
+    read_frame_mux, FrameFn, Message, Pipelined, ProtocolError, ProtocolResult, Transport,
 };
 
 /// Default bound on concurrently in-flight calls per stream.
@@ -47,7 +46,8 @@ struct State {
 
 struct Shared {
     stream: TcpStream,
-    writer: Mutex<BufWriter<TcpStream>>,
+    /// Whole frames go down under this lock, one `write_all` each.
+    writer: Mutex<TcpStream>,
     state: Mutex<State>,
     /// Signals slot releases and stream death.
     cv: Condvar,
@@ -95,7 +95,7 @@ impl MuxStream {
             None => TcpStream::connect(sockaddr)?,
         };
         stream.set_nodelay(true)?;
-        let writer = BufWriter::new(stream.try_clone()?);
+        let writer = stream.try_clone()?;
         let reader = BufReader::new(stream.try_clone()?);
         let shared = Arc::new(Shared {
             stream,
@@ -360,19 +360,13 @@ impl MuxHandle {
 }
 
 impl Transport for MuxHandle {
-    fn send(&mut self, msg: &Message) -> ProtocolResult<()> {
-        // A fresh send abandons any reply still owed to this handle — the
-        // same semantics as writing a new request down a plain socket.
+    /// A fresh send abandons any reply still owed to this handle — the
+    /// same semantics as writing a new request down a plain socket. The
+    /// frame is encoded before the stream's writer lock is taken.
+    fn send_frame(&mut self, encode: FrameFn<'_>) -> ProtocolResult<()> {
         self.abandon_open();
-        let call_id = self.admit()?;
-        let write = {
-            let mut w = self.shared.writer.lock().unwrap_or_else(|e| e.into_inner());
-            let _ = self.shared.stream.set_write_timeout(self.deadline);
-            write_frame_mux(&mut *w, call_id, msg)
-        };
-        // A partially-written frame poisons the whole stream: the server's
-        // framing is now out of sync for every caller.
-        write.inspect_err(|e| self.shared.poison(&e.to_string()))
+        let (_, frame) = self.stage(encode)?;
+        self.send_raw(&frame)
     }
 
     /// The reply to the latest ticket; older ones still open are abandoned
@@ -400,8 +394,10 @@ impl Transport for MuxHandle {
         use std::io::Write;
         let mut w = self.shared.writer.lock().unwrap_or_else(|e| e.into_inner());
         let _ = self.shared.stream.set_write_timeout(self.deadline);
-        let res = w.write_all(bytes).and_then(|_| w.flush());
+        let res = w.write_all(bytes);
         drop(w);
+        // A partially-written frame poisons the whole stream: the server's
+        // framing is now out of sync for every caller.
         if let Err(e) = res {
             self.shared.poison(&e.to_string());
             return Err(ProtocolError::Io(e));
@@ -409,9 +405,9 @@ impl Transport for MuxHandle {
         Ok(())
     }
 
-    fn stage(&mut self, msg: &Message) -> ProtocolResult<(u64, Vec<u8>)> {
+    fn stage(&mut self, encode: FrameFn<'_>) -> ProtocolResult<(u64, Vec<u8>)> {
         let call_id = self.admit()?;
-        match encode_frame(call_id, msg) {
+        match encode(call_id) {
             Ok(frame) => Ok((call_id, frame)),
             Err(e) => {
                 self.forget(call_id);

@@ -269,9 +269,10 @@ impl NinfServer {
             // Outbound WAN shaping: the reply serializes through the
             // process-wide bottleneck and crosses the propagation delay
             // before the reactor puts it on the wire (lossless — see
-            // ServerConfig::wan).
+            // ServerConfig::wan). Its length is the frame writer's own
+            // sizing pass, which reads no array bytes.
             if let Some(link) = &ctx.wan {
-                link.deliver(FRAME_HEADER_BYTES + 4 + reply.encode().len());
+                link.deliver(FRAME_HEADER_BYTES + reply.payload_len());
             }
             Some(reply)
         });

@@ -40,7 +40,7 @@ mod swap;
 
 pub use bytes::Bytes;
 pub use decode::XdrDecoder;
-pub use encode::XdrEncoder;
+pub use encode::{ByteCount, XdrEncoder, XdrSink};
 pub use error::{XdrError, XdrResult};
 pub use swap::{be_blocks, BeWord, BE_BLOCK_BYTES};
 
