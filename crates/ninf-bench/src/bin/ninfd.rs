@@ -178,7 +178,7 @@ fn main() {
     // Periodic one-line status, forever.
     loop {
         std::thread::sleep(std::time::Duration::from_secs(30));
-        let report = server.stats().load_report();
+        let report = server.load_report();
         eprintln!(
             "ninfd: {} calls done, {} running, {} queued",
             server.stats().completed(),

@@ -32,9 +32,9 @@ pub mod spec;
 pub mod sweep;
 
 pub use report::{CallResult, ClientSummary, Outcome, RunReport, ServerView, Summary};
-pub use runner::{run_scenario, Target};
+pub use runner::{classify, run_scenario, spawn_server, Target};
 pub use scenario::{scenario, scenario_names, Scenario};
-pub use spec::{Arrival, MixEntry, Phases, Routine, WorkloadSpec};
+pub use spec::{fnv1a, Arrival, MixEntry, Phases, Routine, WorkloadSpec};
 pub use sweep::{
     estimate_knee, run_sweep, KneeEstimate, RemoteSeries, SweepConfig, SweepPoint, SweepReport,
     SweepTimeline,

@@ -12,6 +12,7 @@ use ninf_protocol::{CallStat, Message, ProtocolError, ProtocolResult, Value};
 use ninf_reactor::{run_open_loop, DriverConfig};
 use ninf_server::{
     builtin::register_stdlib, ExecMode, NinfServer, Registry, SchedPolicy, ServerConfig,
+    DEFAULT_ARG_CACHE_BYTES,
 };
 
 use crate::report::{CallResult, Outcome, RunReport, ServerView};
@@ -57,7 +58,14 @@ pub(crate) struct LiveTarget {
     pub(crate) backend: Backend,
 }
 
-fn spawn_server(pes: usize, policy: SchedPolicy) -> ProtocolResult<NinfServer> {
+/// An in-process task-parallel `ninfd` on an ephemeral loopback port,
+/// serving the standard library under `policy` with an argument store of
+/// `arg_cache_bytes`.
+pub fn spawn_server(
+    pes: usize,
+    policy: SchedPolicy,
+    arg_cache_bytes: usize,
+) -> ProtocolResult<NinfServer> {
     let mut registry = Registry::new();
     register_stdlib(&mut registry, false);
     NinfServer::start(
@@ -67,6 +75,7 @@ fn spawn_server(pes: usize, policy: SchedPolicy) -> ProtocolResult<NinfServer> {
             pes,
             mode: ExecMode::TaskParallel,
             policy,
+            arg_cache_bytes,
             ..ServerConfig::default()
         },
     )
@@ -80,7 +89,7 @@ pub(crate) fn materialize(target: &Target, spec: &WorkloadSpec) -> ProtocolResul
             backend: Backend::Direct(vec![addr.clone()]),
         }),
         Target::Spawn { pes, policy } => {
-            let server = spawn_server(*pes, *policy)?;
+            let server = spawn_server(*pes, *policy, DEFAULT_ARG_CACHE_BYTES)?;
             let addr = server.addr().to_string();
             Ok(LiveTarget {
                 spawned: vec![server],
@@ -93,7 +102,7 @@ pub(crate) fn materialize(target: &Target, spec: &WorkloadSpec) -> ProtocolResul
             let mut spawned = Vec::new();
             let mut addrs = Vec::new();
             for i in 0..*servers {
-                let server = spawn_server(*pes, SchedPolicy::Fcfs)?;
+                let server = spawn_server(*pes, SchedPolicy::Fcfs, DEFAULT_ARG_CACHE_BYTES)?;
                 let addr = server.addr().to_string();
                 dir.register(ServerEntry {
                     name: format!("node{i}"),
@@ -201,7 +210,9 @@ impl Inputs {
     }
 }
 
-fn classify(err: &ProtocolError) -> Outcome {
+/// The outcome class of a failed call: refused by the server, out of
+/// time, or lost in transport.
+pub fn classify(err: &ProtocolError) -> Outcome {
     match err {
         ProtocolError::Remote(_) => Outcome::Remote,
         ProtocolError::Timeout { .. } => Outcome::Timeout,

@@ -1,20 +1,25 @@
 //! Layout-directed argument validation — the client-side "interpretation" of
-//! the compiled IDL, and the server-side defensive re-check.
+//! the compiled IDL, and the server-side defensive re-check. Both sides run
+//! this one checker, so a call is refused for the same reason wherever it
+//! is refused.
 //!
 //! `Ninf_call` "interprets the IDL code and marshalls the arguments" (§2.3):
 //! scalar integer inputs bind the dimension variables, the size programs
 //! yield each array's extent, and every supplied array must match exactly.
+
+use std::borrow::Borrow;
 
 use ninf_idl::compile::ParamLayout;
 use ninf_idl::CompiledInterface;
 
 use crate::value::Value;
 
-/// Validate `args` — the `mode_in`/`mode_inout` values in declaration order —
-/// against `interface`, returning the resolved layout of *all* parameters.
-pub fn validate_call_args(
+/// Validate `args` — the `mode_in`/`mode_inout` values in declaration order,
+/// owned (the client's) or borrowed (the server's) — against `interface`,
+/// returning the resolved layout of *all* parameters.
+pub fn validate_call_args<V: Borrow<Value>>(
     interface: &CompiledInterface,
-    args: &[Value],
+    args: &[V],
 ) -> Result<Vec<ParamLayout>, String> {
     let send_params: Vec<_> = interface.params.iter().filter(|p| p.mode.sends()).collect();
     if send_params.len() != args.len() {
@@ -29,7 +34,7 @@ pub fn validate_call_args(
     let mut scalars: Vec<(&str, i64)> = Vec::new();
     for (p, v) in send_params.iter().zip(args) {
         if p.is_scalar() && interface.scalar_table.iter().any(|s| s == &p.name) {
-            match v.as_scalar_i64() {
+            match v.borrow().as_scalar_i64() {
                 Some(x) => scalars.push((p.name.as_str(), x)),
                 None => {
                     return Err(format!(
@@ -44,7 +49,8 @@ pub fn validate_call_args(
 
     let send_layout: Vec<_> = layout.iter().filter(|l| l.mode.sends()).collect();
     for ((l, v), p) in send_layout.iter().zip(args).zip(&send_params) {
-        v.conforms(l.base, l.count, p.is_scalar())
+        v.borrow()
+            .conforms(l.base, l.count, p.is_scalar())
             .map_err(|e| e.to_string())?;
     }
     Ok(layout)

@@ -293,13 +293,22 @@ impl Loop {
             if self.poller.wait(&mut events, 500).is_err() {
                 break;
             }
-            // Commands first: replies free in-flight slots, which can
-            // re-enable paused connections before their events process.
+            // Wake bytes, then commands, then socket events. A worker queues
+            // its command before it writes its wake byte, so a command this
+            // turn's drain misses still has a byte left to end the next
+            // wait. (Read the other way round, a reply queued between the
+            // two reads loses its byte and waits out the 500 ms poll.)
+            // Commands go before events: replies free in-flight slots,
+            // which can re-enable paused connections before their events
+            // process.
+            if events.iter().any(|ev| ev.token == TOKEN_WAKER) {
+                self.drain_waker();
+            }
             self.drain_commands();
             for ev in events.iter().copied() {
                 match ev.token {
                     TOKEN_LISTENER => self.accept_ready(),
-                    TOKEN_WAKER => self.drain_waker(),
+                    TOKEN_WAKER => {}
                     token => self.conn_ready(token, ev),
                 }
             }
@@ -823,6 +832,62 @@ mod tests {
         }
         w.join().unwrap();
         assert_eq!(seen.len(), total as usize);
+        handle.shutdown();
+    }
+
+    /// A lost wake-up. The second call of each pair replies from its
+    /// worker just after the loop has taken the first call's reply off the
+    /// command queue (the in-flight gauge dropping to one is the signal),
+    /// at a delay swept across rounds. If the loop read the waker after
+    /// its command queue, a reply landing between the two reads would have
+    /// its wake byte eaten and sit queued until the next event or the
+    /// poll's 500 ms timeout: the pair's round trip would stall.
+    #[test]
+    fn a_reply_racing_the_waker_drain_is_not_lost() {
+        let hooks = ReactorHooks {
+            inflight_calls: Some(Gauge::default()),
+            ..Default::default()
+        };
+        let inflight = hooks.inflight_calls.clone().unwrap();
+        let handler: Handler = Arc::new(move |req: Request| {
+            if req.call_id.is_multiple_of(2) {
+                let give_up = std::time::Instant::now() + Duration::from_secs(1);
+                while inflight.get() > 1.0 && std::time::Instant::now() < give_up {
+                    std::hint::spin_loop();
+                }
+                let delay = Duration::from_nanos(100 * (req.call_id / 2 % 200));
+                let until = std::time::Instant::now() + delay;
+                while std::time::Instant::now() < until {
+                    std::hint::spin_loop();
+                }
+            }
+            Some(Message::QueryLoad)
+        });
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let handle = Reactor::start(listener, ReactorConfig::default(), handler, hooks).unwrap();
+        let stream = TcpStream::connect(handle.local_addr()).unwrap();
+        stream.set_nodelay(true).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+        let rounds = 2048u64;
+        for round in 0..rounds {
+            // Both frames in one write, so the loop dispatches them together.
+            let mut pair = encode_frame(2 * round + 1, &Message::QueryLoad).unwrap();
+            pair.extend(encode_frame(2 * round + 2, &Message::QueryLoad).unwrap());
+            let start = std::time::Instant::now();
+            writer.write_all(&pair).unwrap();
+            for _ in 0..2 {
+                read_frame_mux(&mut reader).unwrap();
+            }
+            let took = start.elapsed();
+            assert!(
+                took < Duration::from_millis(400),
+                "round {round} of {rounds} stalled {took:?}"
+            );
+        }
         handle.shutdown();
     }
 }

@@ -208,7 +208,7 @@ pub fn dos_handler() -> Handler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::validate_invoke;
+    use ninf_protocol::validate_call_args;
 
     /// A handler's borrowed view of owned test arguments.
     fn refs(args: &[Value]) -> Vec<&Value> {
@@ -242,7 +242,7 @@ mod tests {
             Value::DoubleArray(masses.clone()),
             Value::DoubleArray(pos.clone()),
         ];
-        validate_invoke(&exe.interface, &refs(&args)).unwrap();
+        validate_call_args(&exe.interface, &args).unwrap();
         let out = (exe.handler)(&refs(&args)).unwrap();
         let expected = ninf_exec::nbody_kernel(&masses, &pos, 3).to_vec();
         assert_eq!(out, vec![Value::DoubleArray(expected)]);
@@ -259,7 +259,7 @@ mod tests {
             Value::DoubleArray(vec![1.0, 0.0, 0.0, 1.0]),
             Value::DoubleArray(x.clone()),
         ];
-        validate_invoke(&exe.interface, &refs(&args)).unwrap();
+        validate_call_args(&exe.interface, &args).unwrap();
         let out = (exe.handler)(&refs(&args)).unwrap();
         assert_eq!(out, vec![Value::DoubleArray(x)]);
     }
@@ -275,7 +275,7 @@ mod tests {
             Value::DoubleArray(a.as_slice().to_vec()),
             Value::DoubleArray(b),
         ];
-        validate_invoke(&exe.interface, &refs(&args)).unwrap();
+        validate_call_args(&exe.interface, &args).unwrap();
         let out = (exe.handler)(&refs(&args)).unwrap();
         let Value::DoubleArray(x) = &out[0] else {
             panic!("expected x")

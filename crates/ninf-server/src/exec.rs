@@ -5,9 +5,13 @@
 //! the computing resources amongst different client requests in a *task
 //! parallel manner*, or allocate all the processors to each client task in a
 //! *data parallel manner* in sequence". [`ExecMode`] picks the width;
-//! [`JobGate`] enforces it with a [`SchedPolicy`]-driven admission queue.
+//! [`JobGate`] enforces it with a [`SchedPolicy`]-driven admission queue,
+//! and is the server's one count of running and queued calls
+//! ([`JobGate::load_report`]).
 
 use parking_lot::{Condvar, Mutex};
+
+use ninf_protocol::LoadReport;
 
 use crate::policy::{JobInfo, SchedPolicy};
 
@@ -44,6 +48,8 @@ impl ExecMode {
 #[derive(Debug)]
 struct GateState {
     free_pes: usize,
+    /// Admitted jobs whose guard is still alive.
+    running: usize,
     /// Queue in arrival order; `u64` is the ticket identifying the waiter.
     queue: Vec<(u64, JobInfo)>,
     next_ticket: u64,
@@ -66,6 +72,7 @@ impl JobGate {
         Self {
             state: Mutex::new(GateState {
                 free_pes: pes,
+                running: 0,
                 queue: Vec::new(),
                 next_ticket: 0,
             }),
@@ -88,6 +95,25 @@ impl JobGate {
     /// PEs currently in use.
     pub fn busy_pes(&self) -> usize {
         self.pes - self.state.lock().free_pes
+    }
+
+    /// Running and queued jobs, read together under the gate's lock, as the
+    /// load report a `QueryLoad` answers.
+    pub fn load_report(&self) -> LoadReport {
+        let (running, queued) = {
+            let st = self.state.lock();
+            (st.running as u32, st.queue.len() as u32)
+        };
+        let pes = self.pes as u32;
+        LoadReport {
+            pes,
+            running,
+            queued,
+            // The live server reports instantaneous runnable count as its
+            // load proxy; the simulator computes the true damped average.
+            load_average: (running + queued) as f64,
+            cpu_utilization: 100.0 * running.min(pes) as f64 / pes as f64,
+        }
     }
 
     /// Block until the policy admits this job; returns a guard that releases
@@ -114,6 +140,7 @@ impl JobGate {
                 if st.queue[idx].0 == ticket {
                     st.queue.remove(idx);
                     st.free_pes -= job.pes_required;
+                    st.running += 1;
                     drop(st);
                     // The admitted job changed the state; others re-evaluate.
                     self.cv.notify_all();
@@ -141,6 +168,7 @@ impl Drop for JobGuard<'_> {
     fn drop(&mut self) {
         let mut st = self.gate.state.lock();
         st.free_pes += self.pes;
+        st.running -= 1;
         drop(st);
         self.gate.cv.notify_all();
     }
@@ -224,6 +252,40 @@ mod tests {
             assert_eq!(gate.busy_pes(), 2);
         }
         assert_eq!(gate.busy_pes(), 0);
+    }
+
+    /// Jobs blocked in the gate count as queued and admitted ones as
+    /// running, from the same lock that admits them.
+    #[test]
+    fn lifecycle_counters() {
+        let gate = Arc::new(JobGate::new(4, SchedPolicy::Fcfs));
+        let g1 = gate.acquire(job(1));
+        let g2 = gate.acquire(job(1));
+        let waiter = {
+            let gate = gate.clone();
+            std::thread::spawn(move || drop(gate.acquire(job(4))))
+        };
+        while gate.queued() == 0 {
+            std::thread::yield_now();
+        }
+        let rep = gate.load_report();
+        assert_eq!((rep.pes, rep.running, rep.queued), (4, 2, 1));
+        assert_eq!(rep.load_average, 3.0);
+        drop(g1);
+        drop(g2);
+        waiter.join().unwrap();
+        let rep = gate.load_report();
+        assert_eq!((rep.running, rep.queued), (0, 0));
+    }
+
+    #[test]
+    fn utilization_caps_at_100() {
+        let gate = JobGate::new(1, SchedPolicy::Fcfs);
+        let _g = gate.acquire(job(1));
+        assert_eq!(gate.load_report().cpu_utilization, 100.0);
+        let wide = JobGate::new(4, SchedPolicy::Fcfs);
+        let _w = wide.acquire(job(1));
+        assert_eq!(wide.load_report().cpu_utilization, 25.0);
     }
 
     #[test]

@@ -41,6 +41,6 @@ pub use exec::ExecMode;
 pub use policy::{JobInfo, SchedPolicy};
 pub use registry::{Handler, NinfExecutable, Registry};
 pub use server::{NinfServer, ServerConfig, ServerMetrics};
-pub use stats::{CallRecord, ServerStats};
+pub use stats::ServerStats;
 pub use trace::CostModel;
 pub use twophase::JobTable;

@@ -9,7 +9,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use ninf_idl::{CompiledInterface, IdlError, Mode};
+use ninf_idl::{CompiledInterface, IdlError};
 use ninf_protocol::Value;
 
 /// A handler receives the `mode_in`/`mode_inout` values (declaration order)
@@ -61,14 +61,6 @@ impl Registry {
         Ok(())
     }
 
-    /// Register an already-compiled interface.
-    pub fn register_compiled(&mut self, interface: CompiledInterface, handler: Handler) {
-        self.entries.insert(
-            interface.name.clone(),
-            NinfExecutable { interface, handler },
-        );
-    }
-
     /// Find an executable by routine name. Accepts bare names and
     /// `ninf://host/name` URLs (the paper's `Ninf_call("http://.../dmmul")`
     /// form) by taking the final path segment.
@@ -93,54 +85,10 @@ impl Registry {
     }
 }
 
-/// Validate `args` (the client's `mode_in`/`mode_inout` values) against the
-/// interface and return the resolved per-parameter layout.
-///
-/// Scalar integer inputs are bound to the IDL dimension variables; every
-/// array argument must then match its computed extent exactly.
-pub fn validate_invoke(
-    interface: &CompiledInterface,
-    args: &[&Value],
-) -> Result<Vec<ninf_idl::compile::ParamLayout>, String> {
-    // Bind scalar inputs by walking sends() params against args.
-    let send_params: Vec<_> = interface.params.iter().filter(|p| p.mode.sends()).collect();
-    if send_params.len() != args.len() {
-        return Err(format!(
-            "{} takes {} input arguments, got {}",
-            interface.name,
-            send_params.len(),
-            args.len()
-        ));
-    }
-    let mut scalars: Vec<(&str, i64)> = Vec::new();
-    for (p, v) in send_params.iter().zip(args) {
-        if p.is_scalar() {
-            let Some(x) = v.as_scalar_i64() else {
-                if !matches!(p.mode, Mode::In | Mode::InOut) {
-                    continue;
-                }
-                // Non-integer scalars are legal arguments but cannot size arrays.
-                continue;
-            };
-            if interface.scalar_table.iter().any(|s| s == &p.name) {
-                scalars.push((p.name.as_str(), x));
-            }
-        }
-    }
-    let layout = interface.layout(&scalars).map_err(|e| e.to_string())?;
-
-    // Validate each input value against its layout slot.
-    let send_layout: Vec<_> = layout.iter().filter(|l| l.mode.sends()).collect();
-    for ((l, v), p) in send_layout.iter().zip(args).zip(&send_params) {
-        v.conforms(l.base, l.count, p.is_scalar())
-            .map_err(|e| e.to_string())?;
-    }
-    Ok(layout)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ninf_protocol::validate_call_args;
 
     fn echo_handler() -> Handler {
         Arc::new(|args: &[&Value]| Ok(args.iter().map(|&v| v.clone()).collect()))
@@ -179,46 +127,50 @@ mod tests {
         assert!(r.is_empty());
     }
 
+    /// The server checks a call against the registered interface with the
+    /// client's own checker, over the borrowed values the handler gets.
+    fn validate(args: &[&Value]) -> Result<Vec<ninf_idl::compile::ParamLayout>, String> {
+        let mut r = Registry::new();
+        r.register(ninf_idl::stdlib()[0], echo_handler()).unwrap(); // dmmul
+        validate_call_args(&r.lookup("dmmul").unwrap().interface, args)
+    }
+
     #[test]
     fn validate_accepts_conforming_args() {
-        let iface = ninf_idl::stdlib_interfaces().remove(0); // dmmul
         let n = 4usize;
         let args = [
             Value::Int(n as i32),
             Value::DoubleArray(vec![1.0; n * n]),
             Value::DoubleArray(vec![2.0; n * n]),
         ];
-        let layout = validate_invoke(&iface, &args.iter().collect::<Vec<_>>()).unwrap();
+        let layout = validate(&args.iter().collect::<Vec<_>>()).unwrap();
         assert_eq!(layout.len(), 4);
         assert_eq!(layout[3].count, n * n); // C out
     }
 
     #[test]
     fn validate_rejects_wrong_arity() {
-        let iface = ninf_idl::stdlib_interfaces().remove(0);
-        let err = validate_invoke(&iface, &[&Value::Int(4)]).unwrap_err();
+        let err = validate(&[&Value::Int(4)]).unwrap_err();
         assert!(err.contains("input arguments"));
     }
 
     #[test]
     fn validate_rejects_wrong_extent() {
-        let iface = ninf_idl::stdlib_interfaces().remove(0);
         let args = [
             Value::Int(4),
             Value::DoubleArray(vec![1.0; 16]),
             Value::DoubleArray(vec![2.0; 15]), // off by one
         ];
-        assert!(validate_invoke(&iface, &args.iter().collect::<Vec<_>>()).is_err());
+        assert!(validate(&args.iter().collect::<Vec<_>>()).is_err());
     }
 
     #[test]
     fn validate_rejects_wrong_type() {
-        let iface = ninf_idl::stdlib_interfaces().remove(0);
         let args = [
             Value::Int(2),
             Value::FloatArray(vec![1.0; 4]),
             Value::DoubleArray(vec![2.0; 4]),
         ];
-        assert!(validate_invoke(&iface, &args.iter().collect::<Vec<_>>()).is_err());
+        assert!(validate(&args.iter().collect::<Vec<_>>()).is_err());
     }
 }

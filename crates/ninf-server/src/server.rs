@@ -15,7 +15,8 @@ use ninf_obs::log::Level;
 use ninf_obs::{logkv, recorder, Counter, Gauge, LogHistogram, MetricsRegistry};
 use ninf_protocol::chunk::Reassembly;
 use ninf_protocol::{
-    Arg, Digest, LinkShape, Message, ProtocolResult, SharedLink, Span, TraceContext, Value, Wire,
+    reply_payload_bytes, request_payload_bytes, validate_call_args, Arg, CallStat, Digest,
+    LinkShape, LoadReport, Message, ProtocolResult, SharedLink, Span, TraceContext, Value, Wire,
     FRAME_HEADER_BYTES,
 };
 use ninf_reactor::{Handler, Reactor, ReactorConfig, ReactorHandle, ReactorHooks};
@@ -23,8 +24,8 @@ use ninf_reactor::{Handler, Reactor, ReactorConfig, ReactorHandle, ReactorHooks}
 use crate::argstore::{ArgStore, DEFAULT_ARG_CACHE_BYTES};
 use crate::exec::{ExecMode, JobGate};
 use crate::policy::{JobInfo, SchedPolicy};
-use crate::registry::{validate_invoke, Registry};
-use crate::stats::{CallRecord, ServerStats};
+use crate::registry::Registry;
+use crate::stats::ServerStats;
 use crate::trace::CostModel;
 use crate::twophase::JobTable;
 use crate::uploads::{Accepted, Uploads};
@@ -211,11 +212,11 @@ impl ServerMetrics {
 /// The shared per-call context the reactor's workers hand to the message
 /// handler.
 struct CallContext {
-    registry: Arc<Registry>,
+    registry: Registry,
     stats: Arc<ServerStats>,
     gate: Arc<JobGate>,
     jobs: Arc<JobTable>,
-    cost: Arc<CostModel>,
+    cost: CostModel,
     metrics: Arc<ServerMetrics>,
     args: Arc<ArgStore>,
     mode: ExecMode,
@@ -233,7 +234,6 @@ pub struct NinfServer {
     stats: Arc<ServerStats>,
     gate: Arc<JobGate>,
     jobs: Arc<JobTable>,
-    cost: Arc<CostModel>,
     metrics: Arc<ServerMetrics>,
     args: Arc<ArgStore>,
     reactor: Option<ReactorHandle>,
@@ -245,18 +245,17 @@ impl NinfServer {
     pub fn start(addr: &str, registry: Registry, config: ServerConfig) -> ProtocolResult<Self> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        let stats = Arc::new(ServerStats::new(config.pes));
+        let stats = Arc::new(ServerStats::new());
         let gate = Arc::new(JobGate::new(config.pes, config.policy));
         let jobs = Arc::new(JobTable::new());
-        let cost = Arc::new(CostModel::new());
         let metrics = Arc::new(ServerMetrics::new());
         let args = Arc::new(ArgStore::new(config.arg_cache_bytes));
         let ctx = Arc::new(CallContext {
-            registry: Arc::new(registry),
+            registry,
             stats: stats.clone(),
             gate: gate.clone(),
             jobs: jobs.clone(),
-            cost: cost.clone(),
+            cost: CostModel::new(),
             metrics: metrics.clone(),
             args: args.clone(),
             mode: config.mode,
@@ -294,7 +293,6 @@ impl NinfServer {
             stats,
             gate,
             jobs,
-            cost,
             metrics,
             args,
             reactor: Some(reactor),
@@ -316,14 +314,14 @@ impl NinfServer {
         self.gate.busy_pes()
     }
 
+    /// Running and queued calls, as a `QueryLoad` would answer.
+    pub fn load_report(&self) -> LoadReport {
+        self.gate.load_report()
+    }
+
     /// The two-phase job table (observable in tests).
     pub fn jobs(&self) -> &Arc<JobTable> {
         &self.jobs
-    }
-
-    /// The execution-trace cost model feeding SJF predictions (§5.2).
-    pub fn cost_model(&self) -> &Arc<CostModel> {
-        &self.cost
     }
 
     /// Per-process metric handles (counters, gauges, latency summary).
@@ -387,7 +385,7 @@ fn handle_message(ctx: &Arc<CallContext>, msg: Message) -> Message {
             args,
             trace,
         } => {
-            let t_submit = ctx.stats.now();
+            let t_submit = Instant::now();
             logkv!(
                 Level::Info,
                 "server",
@@ -402,18 +400,18 @@ fn handle_message(ctx: &Arc<CallContext>, msg: Message) -> Message {
                 Ok(values) => values,
                 Err(digests) => return Message::NeedArg { digests },
             };
-            let reply = execute_invoke(
-                &routine,
-                &args,
-                &ctx.registry,
-                &ctx.stats,
-                &ctx.gate,
-                &ctx.cost,
-                ctx.mode,
-                t_submit,
-                trace,
-                &ctx.metrics,
-            );
+            let reply = match execute_invoke(
+                ctx,
+                Submitted {
+                    routine,
+                    args,
+                    trace,
+                    t_submit,
+                },
+            ) {
+                Ok(results) => Message::ResultData { results },
+                Err(reason) => Message::Error { reason },
+            };
             // The reply leg gets its own span, a sibling of the invoke span
             // under the caller's rpc position, stamped as the reply is
             // handed to the reactor.
@@ -428,6 +426,7 @@ fn handle_message(ctx: &Arc<CallContext>, msg: Message) -> Message {
             args,
             trace,
         } => {
+            let t_submit = Instant::now();
             // Two-phase, phase 1 (§5.1): ticket now, compute detached —
             // the client may disconnect immediately. Refs resolve before
             // the ticket exists, so a store miss is a NeedArg, not a job
@@ -445,25 +444,14 @@ fn handle_message(ctx: &Arc<CallContext>, msg: Message) -> Message {
                 job = ticket
             );
             let ctx = ctx.clone();
+            let call = Submitted {
+                routine,
+                args,
+                trace,
+                t_submit,
+            };
             std::thread::spawn(move || {
-                let t_submit = ctx.stats.now();
-                let reply = execute_invoke(
-                    &routine,
-                    &args,
-                    &ctx.registry,
-                    &ctx.stats,
-                    &ctx.gate,
-                    &ctx.cost,
-                    ctx.mode,
-                    t_submit,
-                    trace,
-                    &ctx.metrics,
-                );
-                let outcome = match reply {
-                    Message::ResultData { results } => Ok(results),
-                    Message::Error { reason } => Err(reason),
-                    other => Err(format!("internal: unexpected {}", other.kind())),
-                };
+                let outcome = execute_invoke(&ctx, call);
                 ctx.jobs.complete(ticket, outcome);
             });
             Message::JobTicket { job: ticket }
@@ -487,7 +475,7 @@ fn handle_message(ctx: &Arc<CallContext>, msg: Message) -> Message {
                 },
             }
         }
-        Message::QueryLoad => Message::LoadStatus(ctx.stats.load_report()),
+        Message::QueryLoad => Message::LoadStatus(ctx.gate.load_report()),
         Message::QueryStats { since } => {
             let (now, total, records) = ctx.stats.snapshot_since(since);
             Message::StatsReply {
@@ -690,159 +678,132 @@ fn resolve_args(ctx: &CallContext, args: Vec<Arg>) -> Result<Vec<Arc<Value>>, Ve
     Ok(out)
 }
 
-#[allow(clippy::too_many_arguments)] // the call context really has this many parts
-fn execute_invoke(
-    routine: &str,
-    args: &[Arc<Value>],
-    registry: &Registry,
-    stats: &ServerStats,
-    gate: &JobGate,
-    cost: &CostModel,
-    mode: ExecMode,
-    t_submit: f64,
+/// An `Invoke` or `SubmitJob` the server has accepted: its routine, its
+/// resolved arguments, the caller's trace position, and T_submit — the
+/// clock reading taken as the request reached the handler.
+struct Submitted {
+    routine: String,
+    args: Vec<Arc<Value>>,
     trace: Option<TraceContext>,
-    metrics: &ServerMetrics,
-) -> Message {
-    // The caller's rpc span is the parent; this invoke gets its own span with
-    // queue_wait and exec nested inside it.
-    let ctx = trace
-        .filter(|_| recorder::global().enabled())
-        .map(|parent| parent.child());
-    let entry_us = ctx.map(|_| ninf_obs::now_us());
-    let args: Vec<&Value> = args.iter().map(|v| &**v).collect();
-    let args = args.as_slice();
-    let Some(exe) = registry.lookup(routine) else {
-        metrics.calls.inc();
-        metrics.errors.inc();
-        return Message::Error {
-            reason: format!("unknown routine `{routine}`"),
-        };
-    };
-    let layout = match validate_invoke(&exe.interface, args) {
-        Ok(l) => l,
-        Err(reason) => {
-            metrics.calls.inc();
-            metrics.errors.inc();
-            logkv!(
-                Level::Warn,
-                "server",
-                "invoke_rejected",
-                routine = routine,
-                reason = reason
-            );
-            return Message::Error { reason };
-        }
-    };
-    let request_bytes: usize = layout
-        .iter()
-        .filter(|l| l.mode.sends() && l.count > 1)
-        .map(|l| l.bytes)
-        .sum();
-    let reply_bytes: usize = layout
-        .iter()
-        .filter(|l| l.mode.receives() && l.count > 1)
-        .map(|l| l.bytes)
-        .sum();
+    t_submit: Instant,
+}
+
+/// Run one accepted call and count it: every call — refused, failed or
+/// ok — is counted here, once.
+fn execute_invoke(ctx: &CallContext, call: Submitted) -> Result<Vec<Value>, String> {
+    let outcome = run_call(ctx, &call);
+    ctx.metrics.calls.inc();
+    if let Err(reason) = &outcome {
+        ctx.metrics.errors.inc();
+        logkv!(
+            Level::Warn,
+            "server",
+            "invoke_failed",
+            routine = call.routine,
+            reason = reason
+        );
+    }
+    outcome
+}
+
+/// One call's §4.1 lifecycle: check it against the IDL with the client's
+/// own checker, wait in the PE gate, execute. The clock is read once at
+/// each lifecycle point (T_submit on arrival), and the record, the
+/// `invoke`/`queue_wait`/`exec` spans, the latency histogram and the
+/// cost-model sample are all computed from those four readings. A call the
+/// check refuses leaves no record.
+fn run_call(ctx: &CallContext, call: &Submitted) -> Result<Vec<Value>, String> {
+    let routine = call.routine.as_str();
+    let exe = ctx
+        .registry
+        .lookup(routine)
+        .ok_or_else(|| format!("unknown routine `{routine}`"))?;
+    let args: Vec<&Value> = call.args.iter().map(|v| &**v).collect();
+    let layout = validate_call_args(&exe.interface, &args)?;
+    let request_bytes = request_payload_bytes(&layout);
+    let reply_bytes = reply_payload_bytes(&layout);
     let n = args.first().and_then(|v| v.as_scalar_i64());
 
-    let t_enqueue = stats.now();
-    stats.job_queued();
+    let t_enqueue = Instant::now();
     // SJF's cost estimate (§5.2): the execution trace's power-law fit when
     // available, else the IDL-derived data volume as a first-call proxy.
     let estimated_cost = n
-        .and_then(|n| cost.predict(routine, n))
+        .and_then(|n| ctx.cost.predict(routine, n))
         .unwrap_or((request_bytes + reply_bytes) as f64 * 1e-9);
-    let enqueue_us = ctx.map(|_| ninf_obs::now_us());
-    let guard = gate.acquire(JobInfo {
+    let guard = ctx.gate.acquire(JobInfo {
         arrival_seq: 0, // assigned by the gate
         estimated_cost,
-        pes_required: mode.pes_per_call(gate.pes()),
+        pes_required: ctx.mode.pes_per_call(ctx.gate.pes()),
     });
-    let t_dequeue = stats.now();
-    stats.job_started();
-    let dequeue_us = ctx.map(|_| ninf_obs::now_us());
-
-    let result = (exe.handler)(args);
-    let t_complete = stats.now();
+    let t_dequeue = Instant::now();
+    let result = (exe.handler)(&args);
+    let t_complete = Instant::now();
     drop(guard);
-    let complete_us = ctx.map(|_| ninf_obs::now_us());
-    if let Some(n) = n {
-        cost.record(routine, n, t_complete - t_dequeue);
-    }
 
-    stats.job_finished(CallRecord {
+    let stats = &ctx.stats;
+    let record = CallStat {
         routine: routine.to_owned(),
         n,
-        request_bytes,
-        reply_bytes,
-        t_submit,
-        t_enqueue,
-        t_dequeue,
-        t_complete,
-    });
-    metrics.calls.inc();
-    if result.is_err() {
-        metrics.errors.inc();
+        request_bytes: request_bytes as u64,
+        reply_bytes: reply_bytes as u64,
+        t_submit: stats.secs(call.t_submit),
+        t_enqueue: stats.secs(t_enqueue),
+        t_dequeue: stats.secs(t_dequeue),
+        t_complete: stats.secs(t_complete),
+    };
+    if let Some(n) = n {
+        ctx.cost.record(routine, n, record.service());
     }
-    metrics.latency.lock().record(t_complete - t_submit);
-    let load = stats.load_report();
-    metrics.running.set(load.running as f64);
-    metrics.queued.set(load.queued as f64);
+    ctx.metrics.latency.lock().record(record.total());
+    let load = ctx.gate.load_report();
+    ctx.metrics.running.set(load.running as f64);
+    ctx.metrics.queued.set(load.queued as f64);
 
-    if let (Some(ctx), Some(entry), Some(enq), Some(deq), Some(done)) =
-        (ctx, entry_us, enqueue_us, dequeue_us, complete_us)
+    // The caller's rpc span is the parent; this invoke gets its own span,
+    // from T_submit, with queue_wait and exec nested inside it.
+    if let Some(invoke) = call
+        .trace
+        .filter(|_| recorder::global().enabled())
+        .map(|parent| parent.child())
     {
+        let span = |pos: TraceContext, name: &str, from: Instant, to: Instant, detail| Span {
+            trace_id: pos.trace_id,
+            span_id: pos.span_id,
+            parent_span_id: pos.parent_span_id,
+            name: name.into(),
+            process: "server".into(),
+            start_us: stats.span_us(from),
+            dur_us: stats.span_us(to) - stats.span_us(from),
+            detail,
+        };
         let rec = recorder::global();
-        let wait = ctx.child();
-        rec.record(Span {
-            trace_id: wait.trace_id,
-            span_id: wait.span_id,
-            parent_span_id: wait.parent_span_id,
-            name: "queue_wait".into(),
-            process: "server".into(),
-            start_us: enq,
-            dur_us: deq.saturating_sub(enq),
-            detail: String::new(),
-        });
-        let exec = ctx.child();
-        rec.record(Span {
-            trace_id: exec.trace_id,
-            span_id: exec.span_id,
-            parent_span_id: exec.parent_span_id,
-            name: "exec".into(),
-            process: "server".into(),
-            start_us: deq,
-            dur_us: done.saturating_sub(deq),
-            detail: match n {
+        rec.record(span(
+            invoke.child(),
+            "queue_wait",
+            t_enqueue,
+            t_dequeue,
+            String::new(),
+        ));
+        rec.record(span(
+            invoke.child(),
+            "exec",
+            t_dequeue,
+            t_complete,
+            match n {
                 Some(n) => format!("routine={routine} n={n}"),
                 None => format!("routine={routine}"),
             },
-        });
-        rec.record(Span {
-            trace_id: ctx.trace_id,
-            span_id: ctx.span_id,
-            parent_span_id: ctx.parent_span_id,
-            name: "invoke".into(),
-            process: "server".into(),
-            start_us: entry,
-            dur_us: done.saturating_sub(entry),
-            detail: format!("routine={routine} ok={}", result.is_ok()),
-        });
+        ));
+        rec.record(span(
+            invoke,
+            "invoke",
+            call.t_submit,
+            t_complete,
+            format!("routine={routine} ok={}", result.is_ok()),
+        ));
     }
-
-    match result {
-        Ok(results) => Message::ResultData { results },
-        Err(reason) => {
-            logkv!(
-                Level::Warn,
-                "server",
-                "invoke_failed",
-                routine = routine,
-                reason = reason
-            );
-            Message::Error { reason }
-        }
-    }
+    stats.record(record);
+    result
 }
 
 #[cfg(test)]
@@ -957,16 +918,85 @@ mod tests {
         server.shutdown();
     }
 
+    /// Running and queued calls come from the PE gate while calls block
+    /// in it: three calls on two PEs are 2 running + 1 queued when each
+    /// takes one PE, 1 + 2 when each takes them all.
     #[test]
     fn load_query_reports_pes() {
-        let server = start_test_server(ExecMode::TaskParallel);
-        let mut t = TcpTransport::connect(&server.addr().to_string()).unwrap();
-        t.send(&Message::QueryLoad).unwrap();
-        match t.recv().unwrap() {
-            Message::LoadStatus(rep) => assert_eq!(rep.pes, 2),
-            other => panic!("unexpected {other:?}"),
+        for (mode, running, queued) in [
+            (ExecMode::TaskParallel, 2, 1),
+            (ExecMode::DataParallel, 1, 2),
+        ] {
+            let release = Arc::new((parking_lot::Mutex::new(false), parking_lot::Condvar::new()));
+            let mut registry = Registry::new();
+            let held = release.clone();
+            registry
+                .register(
+                    r#"Define hold(mode_in int n, mode_out int m[1])
+                       "blocks until released, then echoes n",
+                       Calls "C" hold(n, m);"#,
+                    Arc::new(move |args: &[&Value]| {
+                        let (open, cv) = &*held;
+                        let mut open = open.lock();
+                        while !*open {
+                            cv.wait(&mut open);
+                        }
+                        let n = args[0].as_scalar_i64().unwrap() as i32;
+                        Ok(vec![Value::IntArray(vec![n])])
+                    }),
+                )
+                .unwrap();
+            let server = NinfServer::start(
+                "127.0.0.1:0",
+                registry,
+                ServerConfig {
+                    pes: 2,
+                    mode,
+                    ..ServerConfig::default()
+                },
+            )
+            .unwrap();
+            let addr = server.addr().to_string();
+            let load = || {
+                let mut t = TcpTransport::connect(&addr).unwrap();
+                t.send(&Message::QueryLoad).unwrap();
+                match t.recv().unwrap() {
+                    Message::LoadStatus(rep) => rep,
+                    other => panic!("unexpected {other:?}"),
+                }
+            };
+            let idle = load();
+            assert_eq!((idle.pes, idle.running, idle.queued), (2, 0, 0));
+
+            let calls: Vec<_> = (0..3)
+                .map(|i| {
+                    let addr = addr.clone();
+                    std::thread::spawn(move || raw_call(&addr, "hold", vec![Value::Int(i)]))
+                })
+                .collect();
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            let busy = loop {
+                let rep = load();
+                if rep.running + rep.queued == 3 {
+                    break rep;
+                }
+                assert!(std::time::Instant::now() < deadline, "{mode:?}: {rep:?}");
+                std::thread::sleep(std::time::Duration::from_millis(2));
+            };
+            assert_eq!((busy.running, busy.queued), (running, queued), "{mode:?}");
+            assert_eq!(busy.load_average, 3.0);
+            assert_eq!(server.load_report(), busy);
+
+            *release.0.lock() = true;
+            release.1.notify_all();
+            for call in calls {
+                assert!(matches!(call.join().unwrap(), Message::ResultData { .. }));
+            }
+            let done = load();
+            assert_eq!((done.running, done.queued), (0, 0), "{mode:?}");
+            assert_eq!(server.stats().completed(), 3);
+            server.shutdown();
         }
-        server.shutdown();
     }
 
     #[test]

@@ -6,135 +6,84 @@
 //! executable was invoked T_dequeue, and the time at which Ninf_call was
 //! completed T_complete." — with `T_response = T_enqueue − T_submit` and
 //! `T_wait = T_dequeue − T_enqueue`.
+//!
+//! A record is a [`CallStat`], the type a `QueryStats` reply carries, so the
+//! server keeps exactly what it ships. Its derived times
+//! (`response`/`wait`/`service`/`total`) are `CallStat`'s own methods.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use parking_lot::Mutex;
 
 use ninf_obs::CursorRing;
-use ninf_protocol::{CallStat, LoadReport};
+use ninf_protocol::CallStat;
 
-/// Default cap on retained [`CallRecord`]s. A long-lived server keeps a
-/// bounded window of recent history instead of growing without limit; the
-/// ring's monotone record index keeps incremental stats queries correct
-/// across eviction.
+/// Default cap on retained records. A long-lived server keeps a bounded
+/// window of recent history instead of growing without limit; the ring's
+/// monotone record index keeps incremental stats queries correct across
+/// eviction.
 pub const DEFAULT_RECORD_CAPACITY: usize = 65_536;
 
-/// One completed `Ninf_call` as observed by the server.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CallRecord {
-    /// Routine name.
-    pub routine: String,
-    /// First scalar input (the matrix order `n` / EP exponent `m`), for
-    /// grouping results into table rows.
-    pub n: Option<i64>,
-    /// Request payload bytes (arrays only, per the paper's convention).
-    pub request_bytes: usize,
-    /// Reply payload bytes.
-    pub reply_bytes: usize,
-    /// Seconds since server start at each lifecycle point.
-    pub t_submit: f64,
-    /// See above.
-    pub t_enqueue: f64,
-    /// See above.
-    pub t_dequeue: f64,
-    /// See above.
-    pub t_complete: f64,
-}
-
-impl CallRecord {
-    /// `T_response = T_enqueue − T_submit`.
-    pub fn response(&self) -> f64 {
-        self.t_enqueue - self.t_submit
-    }
-
-    /// `T_wait = T_dequeue − T_enqueue`.
-    pub fn wait(&self) -> f64 {
-        self.t_dequeue - self.t_enqueue
-    }
-
-    /// Pure service time (execution).
-    pub fn service(&self) -> f64 {
-        self.t_complete - self.t_dequeue
-    }
-
-    /// End-to-end server-side time.
-    pub fn total(&self) -> f64 {
-        self.t_complete - self.t_submit
-    }
-
-    /// The wire form of this record (for [`ninf_protocol::Message::StatsReply`]).
-    pub fn to_wire(&self) -> CallStat {
-        CallStat {
-            routine: self.routine.clone(),
-            n: self.n,
-            request_bytes: self.request_bytes as u64,
-            reply_bytes: self.reply_bytes as u64,
-            t_submit: self.t_submit,
-            t_enqueue: self.t_enqueue,
-            t_dequeue: self.t_dequeue,
-            t_complete: self.t_complete,
-        }
-    }
-}
-
-/// Shared, thread-safe statistics sink of a live server.
+/// Shared, thread-safe statistics sink of a live server, and the server's
+/// one clock: every record timestamp is seconds since the sink was made.
 #[derive(Debug)]
 pub struct ServerStats {
     start: Instant,
-    records: Mutex<CursorRing<CallRecord>>,
-    running: AtomicUsize,
-    queued: AtomicUsize,
-    pes: usize,
+    /// `start` on the span timeline ([`ninf_obs::now_us`], epoch µs).
+    start_us: u64,
+    records: Mutex<CursorRing<CallStat>>,
+}
+
+impl Default for ServerStats {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl ServerStats {
-    /// New sink for a machine with `pes` PEs; the clock starts now.
-    pub fn new(pes: usize) -> Self {
-        Self::with_capacity(pes, DEFAULT_RECORD_CAPACITY)
+    /// New sink; the clock starts now.
+    pub fn new() -> Self {
+        Self::with_capacity(DEFAULT_RECORD_CAPACITY)
     }
 
     /// New sink retaining at most `capacity` recent records.
-    pub fn with_capacity(pes: usize, capacity: usize) -> Self {
+    pub fn with_capacity(capacity: usize) -> Self {
         Self {
             start: Instant::now(),
+            start_us: ninf_obs::now_us(),
             records: Mutex::new(CursorRing::new(capacity)),
-            running: AtomicUsize::new(0),
-            queued: AtomicUsize::new(0),
-            pes,
         }
     }
 
     /// Seconds since server start.
     pub fn now(&self) -> f64 {
-        self.start.elapsed().as_secs_f64()
+        self.secs(Instant::now())
     }
 
-    /// Mark a job queued (between enqueue and dequeue).
-    pub fn job_queued(&self) {
-        self.queued.fetch_add(1, Ordering::Relaxed);
+    /// `t` as seconds since server start, the unit of every record field.
+    pub fn secs(&self, t: Instant) -> f64 {
+        t.saturating_duration_since(self.start).as_secs_f64()
     }
 
-    /// Mark a job moved from queue to execution.
-    pub fn job_started(&self) {
-        self.queued.fetch_sub(1, Ordering::Relaxed);
-        self.running.fetch_add(1, Ordering::Relaxed);
+    /// `t` on the span timeline. Spans and records read the same instant,
+    /// so a span's length is its record interval to the microsecond; the
+    /// monotonic clock is anchored to the epoch once, at server start.
+    pub fn span_us(&self, t: Instant) -> u64 {
+        self.start_us + t.saturating_duration_since(self.start).as_micros() as u64
     }
 
-    /// Mark a job finished and store its record (evicting the oldest retained
-    /// record once the ring is full).
-    pub fn job_finished(&self, record: CallRecord) {
-        self.running.fetch_sub(1, Ordering::Relaxed);
-        self.records.lock().push(record);
+    /// Store a completed call's record (evicting the oldest retained record
+    /// once the ring is full).
+    pub fn record(&self, stat: CallStat) {
+        self.records.lock().push(stat);
     }
 
     /// Copy of all *retained* records (the most recent window).
-    pub fn snapshot(&self) -> Vec<CallRecord> {
+    pub fn snapshot(&self) -> Vec<CallStat> {
         self.records.lock().since(0).cloned().collect()
     }
 
-    /// Incremental wire snapshot for a stats query: records from global index
+    /// Incremental snapshot for a stats query: records from global index
     /// `since` onward, the total count ever completed, and the server clock
     /// now — so a polling harness ships only new history on each probe.
     /// `since` below the retention window is clamped up to the oldest
@@ -142,8 +91,8 @@ impl ServerStats {
     /// cursor-driven poller sees every retained record exactly once.
     pub fn snapshot_since(&self, since: u64) -> (f64, u64, Vec<CallStat>) {
         let records = self.records.lock();
-        let wire = records.since(since).map(CallRecord::to_wire).collect();
-        (self.now(), records.total(), wire)
+        let batch = records.since(since).cloned().collect();
+        (self.now(), records.total(), batch)
     }
 
     /// Number of completed calls over the server's lifetime (including
@@ -156,29 +105,15 @@ impl ServerStats {
     pub fn retained(&self) -> usize {
         self.records.lock().len()
     }
-
-    /// Current load report for the metaserver.
-    pub fn load_report(&self) -> LoadReport {
-        let running = self.running.load(Ordering::Relaxed) as u32;
-        let queued = self.queued.load(Ordering::Relaxed) as u32;
-        LoadReport {
-            pes: self.pes as u32,
-            running,
-            queued,
-            // The live server reports instantaneous runnable count as its
-            // load proxy; the simulator computes the true damped average.
-            load_average: (running + queued) as f64,
-            cpu_utilization: 100.0 * running.min(self.pes as u32) as f64 / self.pes as f64,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
-    fn record(submit: f64, enqueue: f64, dequeue: f64, complete: f64) -> CallRecord {
-        CallRecord {
+    fn record(submit: f64, enqueue: f64, dequeue: f64, complete: f64) -> CallStat {
+        CallStat {
             routine: "linpack".into(),
             n: Some(600),
             request_bytes: 100,
@@ -200,37 +135,22 @@ mod tests {
     }
 
     #[test]
-    fn lifecycle_counters() {
-        let s = ServerStats::new(4);
-        s.job_queued();
-        s.job_queued();
-        assert_eq!(s.load_report().queued, 2);
-        s.job_started();
-        let rep = s.load_report();
-        assert_eq!(rep.queued, 1);
-        assert_eq!(rep.running, 1);
-        assert_eq!(rep.pes, 4);
-        s.job_finished(record(0.0, 0.0, 0.0, 1.0));
-        assert_eq!(s.load_report().running, 0);
-        assert_eq!(s.completed(), 1);
-    }
-
-    #[test]
-    fn utilization_caps_at_100() {
-        let s = ServerStats::new(1);
-        s.job_queued();
-        s.job_started();
-        s.job_queued();
-        s.job_started();
-        assert_eq!(s.load_report().cpu_utilization, 100.0);
-    }
-
-    #[test]
     fn clock_is_monotone() {
-        let s = ServerStats::new(1);
+        let s = ServerStats::new();
         let a = s.now();
         let b = s.now();
         assert!(b >= a);
+    }
+
+    /// One instant, two units: the record's seconds and the span
+    /// timeline's microseconds advance together.
+    #[test]
+    fn span_timeline_and_record_seconds_read_one_instant() {
+        let s = ServerStats::new();
+        let t = Instant::now() + Duration::from_micros(1_234_567);
+        let us = s.span_us(t) - s.span_us(s.start);
+        assert_eq!(us, (s.secs(t) * 1e6) as u64);
+        assert!(s.span_us(s.start).abs_diff(ninf_obs::now_us()) < 1_000_000);
     }
 
     /// A long run stays memory-flat: the ring never retains more than its
@@ -238,11 +158,9 @@ mod tests {
     #[test]
     fn record_history_is_bounded() {
         let cap = 8;
-        let s = ServerStats::with_capacity(2, cap);
+        let s = ServerStats::with_capacity(cap);
         for i in 0..10 * cap {
-            s.job_queued();
-            s.job_started();
-            s.job_finished(record(i as f64, i as f64, i as f64, i as f64 + 1.0));
+            s.record(record(i as f64, i as f64, i as f64, i as f64 + 1.0));
             assert!(s.retained() <= cap);
         }
         assert_eq!(s.completed(), 10 * cap);
@@ -257,19 +175,17 @@ mod tests {
     /// The exactly-once cursor property is `ninf_obs::CursorRing`'s own
     /// test; the stats sink's part is the wire form: the server clock, the
     /// lifetime total (evicted records included) and the retained records
-    /// from the cursor on, as `CallStat`s.
+    /// from the cursor on, as the `CallStat`s the ring holds.
     #[test]
     fn incremental_queries_answer_in_wire_form_with_the_lifetime_total() {
-        let s = ServerStats::with_capacity(1, 4);
+        let s = ServerStats::with_capacity(4);
         for i in 0..6 {
-            s.job_queued();
-            s.job_started();
-            s.job_finished(record(i as f64, i as f64, i as f64, i as f64 + 0.5));
+            s.record(record(i as f64, i as f64, i as f64, i as f64 + 0.5));
         }
         let (now, total, batch) = s.snapshot_since(3);
         assert!(now >= 0.0);
         assert_eq!(total, 6);
-        let retained: Vec<CallStat> = s.snapshot().iter().map(CallRecord::to_wire).collect();
+        let retained = s.snapshot();
         assert_eq!(batch, retained[1..]);
         assert_eq!(
             (batch[0].t_submit, batch[0].routine.as_str()),

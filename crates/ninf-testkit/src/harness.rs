@@ -14,21 +14,19 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use ninf_client::{NinfClient, Transaction, TxArg};
-use ninf_loadgen::{Outcome, Routine};
+use ninf_loadgen::{classify, fnv1a, spawn_server, Outcome, Routine};
 use ninf_metaserver::{Balancing, Directory, Metaserver, ServerEntry};
 use ninf_obs::recorder;
-use ninf_protocol::{link_schedule, LinkTransport, ProtocolError, ProtocolResult, Value};
+use ninf_protocol::{link_schedule, LinkTransport, ProtocolResult, Value};
 use ninf_reactor::MuxStream;
-use ninf_server::{
-    builtin::register_stdlib, ExecMode, NinfServer, Registry, SchedPolicy, ServerConfig,
-};
+use ninf_server::SchedPolicy;
 
 use crate::invariants::{
     bulk_isolation, conservation, corruption_rejected, exactly_once, monotone_cursors,
     quarantine_legal, traces_connected, tx_exactly_once, window_cursors, BulkRecord, CallRecord,
     Check, StatsPoll, WindowPoll,
 };
-use crate::spec::{fnv1a, fraction, ChaosSpec};
+use crate::spec::{fraction, ChaosSpec};
 
 /// Nesting slack for trace validation: in-process clocks agree, but span
 /// ends are stamped a scheduling quantum apart.
@@ -85,22 +83,6 @@ impl ChaosRun {
 /// trace snapshots (and wall-clock determinism).
 static GATE: Mutex<()> = Mutex::new(());
 
-fn spawn_server(pes: usize, arg_cache_bytes: usize) -> ProtocolResult<NinfServer> {
-    let mut registry = Registry::new();
-    register_stdlib(&mut registry, false);
-    NinfServer::start(
-        "127.0.0.1:0",
-        registry,
-        ServerConfig {
-            pes,
-            mode: ExecMode::TaskParallel,
-            policy: SchedPolicy::Fcfs,
-            arg_cache_bytes,
-            ..ServerConfig::default()
-        },
-    )
-}
-
 /// Call arguments for call `seq` of a routine. Linpack gets an identity
 /// system so the solve is well-conditioned without hauling a matrix
 /// generator in here; N-body regenerates its deterministic particle set, so
@@ -129,14 +111,6 @@ fn args_for(routine: Routine, seq: usize) -> Vec<Value> {
                 Value::DoubleArray(pos),
             ]
         }
-    }
-}
-
-fn classify(err: &ProtocolError) -> Outcome {
-    match err {
-        ProtocolError::Remote(_) => Outcome::Remote,
-        ProtocolError::Timeout { .. } => Outcome::Timeout,
-        _ => Outcome::Transport,
     }
 }
 
@@ -465,7 +439,7 @@ pub fn run_chaos(spec: &ChaosSpec, seed: u64, inject: Inject) -> ProtocolResult<
 
     let mut servers = Vec::with_capacity(spec.servers);
     for _ in 0..spec.servers {
-        let s = spawn_server(spec.pes, spec.arg_cache_bytes)?;
+        let s = spawn_server(spec.pes, SchedPolicy::Fcfs, spec.arg_cache_bytes)?;
         // Armed window rings feed the window-cursor invariant the same way
         // CallStat records feed monotone-cursors.
         s.metrics().registry().start_window_sampler(WINDOW_INTERVAL);

@@ -5,7 +5,7 @@
 use std::time::Duration;
 
 use ninf_client::CallOptions;
-use ninf_loadgen::{Arrival, MixEntry, Phases, Routine, WorkloadSpec};
+use ninf_loadgen::{fnv1a, Arrival, MixEntry, Phases, Routine, WorkloadSpec};
 use ninf_protocol::LinkShape;
 use ninf_server::DEFAULT_ARG_CACHE_BYTES;
 
@@ -39,15 +39,6 @@ pub struct ChaosSpec {
     /// every warm call, pushing the refill leg through the fault injector.
     /// Excluded from the fingerprint: it shapes the server, not the load.
     pub arg_cache_bytes: usize,
-}
-
-/// FNV-1a (the same hash reports use for schedules).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in bytes {
-        h = (h ^ u64::from(*b)).wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 /// A ppm rate as the fraction transcripts and fingerprints print.

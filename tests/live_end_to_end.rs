@@ -426,6 +426,47 @@ fn load_reports_reflect_activity() {
     server.shutdown();
 }
 
+/// One IDL argument check on both sides: a non-integer scalar where the
+/// interface needs an integer to size its arrays is refused with the same
+/// reason by the client (before anything is sent) and by the server (to a
+/// peer that skips the client's check), and nothing runs.
+#[test]
+fn non_integer_sizing_scalar_is_refused_alike_by_client_and_server() {
+    let server = start_server(2, ExecMode::TaskParallel);
+    let addr = server.addr().to_string();
+    let args = vec![
+        Value::Double(4.0),
+        Value::DoubleArray(vec![0.0; 16]),
+        Value::DoubleArray(vec![0.0; 4]),
+    ];
+
+    let mut client = NinfClient::connect(&addr).unwrap();
+    let client_reason = match client.ninf_call("linpack", &args) {
+        Err(ProtocolError::Remote(reason)) => reason,
+        other => panic!("client must refuse: {other:?}"),
+    };
+
+    let mut raw = TcpTransport::connect(&addr).unwrap();
+    raw.send(&Message::Invoke {
+        routine: "linpack".into(),
+        args: ninf::protocol::Arg::inline(args),
+        trace: None,
+    })
+    .unwrap();
+    let server_reason = match raw.recv().unwrap() {
+        Message::Error { reason } => reason,
+        other => panic!("server must refuse: {other:?}"),
+    };
+
+    assert_eq!(server_reason, client_reason);
+    assert!(
+        server_reason.contains("must be an integer"),
+        "{server_reason}"
+    );
+    assert_eq!(server.stats().completed(), 0, "a refused call never runs");
+    server.shutdown();
+}
+
 /// A listener that accepts connections and never answers — the worst live
 /// failure mode, invisible to connection-refused checks.
 fn hung_listener() -> String {

@@ -173,3 +173,52 @@ fn metrics_exposition_agrees_with_call_count() {
 
     server.shutdown();
 }
+
+/// A traced call's server spans and its `QueryStats` record are read from
+/// the same four clock readings, so they agree to the microsecond:
+/// `queue_wait` is `wait()`, `exec` is `service()`, and `invoke` is
+/// `total()`, starting at T_submit (before the arguments resolve — a
+/// 320 KB matrix here, so a span that started later would be short by its
+/// digest).
+#[test]
+fn server_spans_equal_the_calls_stats_record() {
+    recorder::global().set_enabled(true);
+    let server = start_server();
+    let mut client = NinfClient::connect(&server.addr().to_string()).unwrap();
+    client.ninf_call("linpack", &linpack_args(200)).unwrap();
+    let trace_id = client.last_trace_id();
+    assert_ne!(trace_id, 0);
+
+    let (_, total, records) = client.query_stats(0).unwrap();
+    assert_eq!(total, 1);
+    let rec = &records[0];
+    settle();
+    let spans = recorder::global().snapshot(trace_id);
+    let span = |name: &str| {
+        let found: Vec<&Span> = spans
+            .iter()
+            .filter(|s| s.process == "server" && s.name == name)
+            .collect();
+        assert_eq!(found.len(), 1, "one server `{name}` span");
+        found[0].clone()
+    };
+    let (invoke, wait, exec) = (span("invoke"), span("queue_wait"), span("exec"));
+    let agree = |us: u64, secs: f64, what: &str| {
+        let gap = us as f64 - secs * 1e6;
+        assert!(gap.abs() <= 1.0, "{what}: span {us} µs, record {secs} s");
+    };
+    agree(wait.dur_us, rec.wait(), "queue_wait");
+    agree(exec.dur_us, rec.service(), "exec");
+    agree(invoke.dur_us, rec.total(), "invoke");
+    agree(
+        wait.start_us - invoke.start_us,
+        rec.t_enqueue - rec.t_submit,
+        "invoke start → T_enqueue",
+    );
+    agree(
+        exec.start_us - invoke.start_us,
+        rec.t_dequeue - rec.t_submit,
+        "invoke start → T_dequeue",
+    );
+    server.shutdown();
+}
