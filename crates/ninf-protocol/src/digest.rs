@@ -21,7 +21,10 @@
 //! image — chunked uploads are named and verified with it — and a property
 //! test holds `digest_value(v) == Digest::of(&value_image(v))` for every
 //! value kind. A split definition would be silent: every uploaded value
-//! would ship inline a second time and no call would fail.
+//! would ship inline a second time and no call would fail. The frame check
+//! ([`crate::frame::check_frame_payload`]) takes the same digest of each
+//! cacheable inline argument straight from the received payload, in the
+//! pass that checks the frame's CRC.
 //!
 //! The halves fail independently, so an accidental collision needs to
 //! defeat both at once; this is a cache key against accidental collision,
@@ -154,8 +157,9 @@ fn absorb_groups<const N: usize>(
 
 /// One streaming pass computing both halves; bytes may arrive in pieces
 /// of any length. The frame writer feeds one from the bytes it writes, so
-/// an argument is digested in the pass that encodes it, and hands it the
-/// frame's CRC register to carry over the same bytes.
+/// an argument is digested in the pass that encodes it, and the frame
+/// check feeds one from the payload it checks; both hand it the frame's
+/// CRC register to carry over the same bytes.
 pub(crate) struct Hasher {
     lanes: [u64; LANES],
     /// Raw (uncomplemented) CRC-32C register.

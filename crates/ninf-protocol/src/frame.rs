@@ -27,16 +27,28 @@
 //! per payload byte; writers put it on the wire with one `write_all`.
 //! [`encode_call`] can also digest an inline argument in the pass that
 //! encodes it (see [`CallArg::Fold`]).
+//!
+//! One check reads every frame: [`check_frame_payload`], one pass over
+//! the payload before its decode. It first *locates* each cacheable inline
+//! argument of an `Invoke`/`SubmitJob` from the header words alone (message
+//! tag, routine length and pad, argument count, each argument's tag and
+//! element count), reading no array byte. It then *folds*: the CRC-32C runs
+//! over call id ++ payload, and over each located argument the digest
+//! kernel carries the frame's CRC register, so the argument's digest comes
+//! out of the pass that checks it. Only once the CRC matches does the
+//! payload decode. A server therefore makes two passes over an inline
+//! argument — this one and the decode — and hands the digests to its
+//! argument store with the message ([`CheckedFrame::digests`]).
 
 use std::io::{Read, Write};
 
 use ninf_xdr::{be_blocks, BeWord, ByteCount, XdrEncoder, XdrSink};
 
 use crate::codec::Wire;
-use crate::crc::{self, Crc32c};
+use crate::crc;
 use crate::digest::{Digest, Hasher};
 use crate::error::{ProtocolError, ProtocolResult};
-use crate::message::{put_call, put_ref, CallArg, CallKind, Message};
+use crate::message::{cacheable_arg_ranges, put_call, put_ref, CallArg, CallKind, Message};
 use crate::value::Value;
 use crate::TraceContext;
 
@@ -62,14 +74,6 @@ pub struct FrameHeader {
     pub call_id: u64,
     /// Expected CRC-32C over call-id bytes ++ payload.
     pub crc: u32,
-}
-
-/// CRC-32C over the call-id bytes and the payload — the integrity domain of
-/// a v3 frame.
-fn frame_crc(call_id: u64, payload: &[u8]) -> u32 {
-    let mut h = Crc32c::new();
-    h.update(&call_id.to_be_bytes()).update(payload);
-    h.finish()
 }
 
 /// The typed refusal of a payload over [`MAX_FRAME_BYTES`].
@@ -308,18 +312,55 @@ pub fn parse_frame_header(header: &[u8; FRAME_HEADER_BYTES]) -> ProtocolResult<F
     Ok(FrameHeader { len, call_id, crc })
 }
 
+/// A frame payload that passed [`check_frame_payload`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct CheckedFrame {
+    /// The decoded message.
+    pub message: Message,
+    /// For an `Invoke`/`SubmitJob`, one entry per argument position: the
+    /// digest of an inline argument that is
+    /// [`cacheable`](crate::digest::cacheable) (`digest_value` of the
+    /// decoded value), `None` for every other position. Empty for any
+    /// other message.
+    pub digests: Vec<Option<Digest>>,
+}
+
 /// Verify the CRC and decode the payload of a frame whose header already
-/// parsed. `payload` must be exactly `header.len` bytes.
-pub fn check_frame_payload(header: &FrameHeader, payload: &[u8]) -> ProtocolResult<Message> {
+/// parsed, digesting each cacheable inline argument in the CRC's pass (see
+/// the module docs). `payload` must be exactly `header.len` bytes.
+pub fn check_frame_payload(header: &FrameHeader, payload: &[u8]) -> ProtocolResult<CheckedFrame> {
     debug_assert_eq!(payload.len(), header.len as usize);
-    let got = frame_crc(header.call_id, payload);
+    let ranges = cacheable_arg_ranges(payload);
+    let mut found = Vec::with_capacity(ranges.len());
+    let mut crc = crc::update(!0, &header.call_id.to_be_bytes());
+    let mut folded = 0;
+    for (pos, range) in ranges {
+        crc = crc::update(crc, &payload[folded..range.start]);
+        let mut h = Hasher::carrying(Some(crc));
+        h.update(&payload[range.clone()]);
+        let (digest, carried) = h.close();
+        crc = carried.expect("the hasher carries the frame's register");
+        found.push((pos, digest));
+        folded = range.end;
+    }
+    let got = !crc::update(crc, &payload[folded..]);
     if got != header.crc {
         return Err(ProtocolError::Checksum {
             expected: header.crc,
             got,
         });
     }
-    Message::decode(payload)
+    let message = Message::decode(payload)?;
+    let mut digests = Vec::new();
+    if let Message::Invoke { args, .. } | Message::SubmitJob { args, .. } = &message {
+        // The decode accepted the words the ranges were located from, so
+        // every located position is one of `args`.
+        digests.resize(args.len(), None);
+        for (pos, digest) in found {
+            digests[pos] = Some(digest);
+        }
+    }
+    Ok(CheckedFrame { message, digests })
 }
 
 /// Read one framed message and its call id (blocking).
@@ -340,8 +381,8 @@ pub fn read_frame_mux<R: Read>(r: &mut R) -> ProtocolResult<(u64, Message)> {
         payload.resize(start + take, 0);
         r.read_exact(&mut payload[start..])?;
     }
-    let msg = check_frame_payload(&header, &payload)?;
-    Ok((header.call_id, msg))
+    let checked = check_frame_payload(&header, &payload)?;
+    Ok((header.call_id, checked.message))
 }
 
 /// Read one framed message, discarding the call id (blocking, sequential
@@ -356,7 +397,7 @@ const PAYLOAD_READ_CHUNK: usize = 64 * 1024;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::crc::crc32c;
+    use crate::crc::{crc32c, Crc32c};
     use crate::message::Arg;
     use crate::value::Value;
 
@@ -630,7 +671,8 @@ mod tests {
         assert_eq!(parsed.call_id, 99);
         assert_eq!(parsed.len as usize, buf.len() - FRAME_HEADER_BYTES);
         let decoded = check_frame_payload(&parsed, &buf[FRAME_HEADER_BYTES..]).unwrap();
-        assert_eq!(decoded, msg);
+        assert_eq!(decoded.message, msg);
+        assert_eq!(decoded.digests, vec![None]);
     }
 
     /// A writer that accepts at most one byte per call — the worst legal

@@ -48,8 +48,8 @@ pub use digest::{cacheable, digest_value, value_image, Digest, ARG_CACHE_MIN_BYT
 pub use error::{ProtocolError, ProtocolResult};
 pub use frame::{
     check_frame_payload, digested_image, encode_call, encode_frame, parse_frame_header, read_frame,
-    read_frame_mux, write_frame, write_frame_mux, FrameHeader, FRAME_HEADER_BYTES, FRAME_MAGIC,
-    MAX_FRAME_BYTES, PROTOCOL_VERSION,
+    read_frame_mux, write_frame, write_frame_mux, CheckedFrame, FrameHeader, FRAME_HEADER_BYTES,
+    FRAME_MAGIC, MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
 pub use link::{
     eff_loss_ppm, lane_window, link_fingerprint, link_for, link_schedule, planned_event, LinkEvent,

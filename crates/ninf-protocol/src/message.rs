@@ -7,6 +7,8 @@
 //! byte layout is unchanged from protocol v1 — only the frame header grew
 //! a checksum word in v2.
 
+use std::ops::Range;
+
 use ninf_idl::CompiledInterface;
 use ninf_obs::{MetricFrame, MetricKind, MetricSample, Span, TraceContext};
 use ninf_xdr::{ByteCount, XdrDecoder, XdrEncoder, XdrSink};
@@ -272,6 +274,62 @@ pub(crate) fn put_call<S: XdrSink>(
     enc.put_u32(argc as u32);
     put_args(enc);
     trace.put(enc);
+}
+
+/// Where each cacheable inline argument of a call payload sits:
+/// `(position, byte range of its tagged image)` for every `Arg::Data` that
+/// [`crate::digest::cacheable`] accepts, in payload order. It reads the
+/// header words alone — the message tag, the routine's length and XDR
+/// pad, the argument count, each argument's tag and element count — and
+/// skips every body unread. A payload that is not a call yields nothing;
+/// one whose words run out or go wrong yields the ranges found before
+/// that point (its decode fails afterwards). Nothing is allocated for a
+/// claimed count: every range found is at least
+/// [`ARG_CACHE_MIN_BYTES`](crate::digest::ARG_CACHE_MIN_BYTES) of real
+/// payload.
+pub(crate) fn cacheable_arg_ranges(payload: &[u8]) -> Vec<(usize, Range<usize>)> {
+    let mut found = Vec::new();
+    // An error only ends the walk; `Message::decode` reports it.
+    let _ = locate_cacheable_args(payload, &mut found);
+    found
+}
+
+fn locate_cacheable_args(
+    payload: &[u8],
+    found: &mut Vec<(usize, Range<usize>)>,
+) -> ninf_xdr::XdrResult<()> {
+    let mut dec = XdrDecoder::new(payload);
+    if !matches!(dec.get_u32()?, TAG_INVOKE | TAG_SUBMIT_JOB) {
+        return Ok(());
+    }
+    dec.get_opaque()?; // the routine, with its pad
+    let argc = dec.get_u32()?;
+    // Each position consumes at least its tag word, so the walk ends
+    // with the payload whatever `argc` claims.
+    for pos in 0..argc as usize {
+        let start = dec.position();
+        let (width, array) = match dec.get_u32()? {
+            VTAG_INT | VTAG_FLOAT => (4, false),
+            VTAG_LONG | VTAG_DOUBLE => (8, false),
+            VTAG_INT_ARR | VTAG_FLOAT_ARR => (4, true),
+            VTAG_LONG_ARR | VTAG_DOUBLE_ARR => (8, true),
+            VTAG_ARG_REF => (16, false),
+            _ => return Ok(()),
+        };
+        let body = if array {
+            match (dec.get_u32()? as usize).checked_mul(width) {
+                Some(body) => body,
+                None => return Ok(()),
+            }
+        } else {
+            width
+        };
+        dec.get_opaque_fixed(body)?;
+        if array && body >= crate::digest::ARG_CACHE_MIN_BYTES {
+            found.push((pos, start..dec.position()));
+        }
+    }
+    Ok(())
 }
 
 impl Wire for CompiledInterface {

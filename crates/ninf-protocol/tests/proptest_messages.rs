@@ -8,10 +8,10 @@
 //! fails if the proptest generator or the sample list misses a kind.
 
 use ninf_protocol::{
-    digest_value, digested_image, encode_call, encode_frame, read_frame, value_image, write_frame,
-    Arg, CallArg, CallKind, CallStat, Crc32c, Digest, JobPhase, LoadReport, Message, MetricFrame,
-    MetricKind, MetricSample, ProtocolError, Span, TraceContext, Value, FRAME_MAGIC,
-    PROTOCOL_VERSION,
+    cacheable, check_frame_payload, digest_value, digested_image, encode_call, encode_frame,
+    read_frame, value_image, write_frame, Arg, CallArg, CallKind, CallStat, Crc32c, Digest,
+    FrameHeader, JobPhase, LoadReport, Message, MetricFrame, MetricKind, MetricSample,
+    ProtocolError, Span, TraceContext, Value, FRAME_MAGIC, PROTOCOL_VERSION,
 };
 use proptest::prelude::*;
 
@@ -770,5 +770,187 @@ proptest! {
         .unwrap();
         prop_assert_eq!(guessed, digest_first);
         prop_assert_eq!(folded, first);
+    }
+}
+
+/// A header whose CRC matches `payload`.
+fn header_for(call_id: u64, payload: &[u8]) -> FrameHeader {
+    let mut crc = Crc32c::new();
+    crc.update(&call_id.to_be_bytes()).update(payload);
+    FrameHeader {
+        len: payload.len() as u32,
+        call_id,
+        crc: crc.finish(),
+    }
+}
+
+/// The reference frame check, with no digests: CRC-32C over call id ++
+/// payload in a pass of its own, then the decode.
+fn reference_check(header: &FrameHeader, payload: &[u8]) -> Result<Message, ProtocolError> {
+    let got = header_for(header.call_id, payload).crc;
+    if got != header.crc {
+        return Err(ProtocolError::Checksum {
+            expected: header.crc,
+            got,
+        });
+    }
+    Message::decode(payload)
+}
+
+/// The digests a check of `msg` must hand over: `digest_value` at each
+/// cacheable inline position of a call, `None` at every other position,
+/// and none at all for any other message.
+fn expected_digests(msg: &Message) -> Vec<Option<Digest>> {
+    match msg {
+        Message::Invoke { args, .. } | Message::SubmitJob { args, .. } => args
+            .iter()
+            .map(|a| match a {
+                Arg::Data(v) if cacheable(v) => Some(digest_value(v)),
+                _ => None,
+            })
+            .collect(),
+        _ => Vec::new(),
+    }
+}
+
+/// The check agrees with the reference on any payload: the same message
+/// with exactly the expected digests, or the same typed error.
+fn check_matches_reference(header: &FrameHeader, payload: &[u8]) -> Result<(), TestCaseError> {
+    match (
+        check_frame_payload(header, payload),
+        reference_check(header, payload),
+    ) {
+        (Ok(checked), Ok(msg)) => {
+            prop_assert_eq!(checked.digests, expected_digests(&msg));
+            prop_assert_eq!(checked.message, msg);
+        }
+        (Err(got), Err(want)) => prop_assert_eq!(format!("{got:?}"), format!("{want:?}")),
+        (got, want) => prop_assert!(
+            false,
+            "check gave {:?}, reference {:?}",
+            got.map(|c| c.message.kind()),
+            want.map(|m| m.kind())
+        ),
+    }
+    Ok(())
+}
+
+/// Argument values whose image straddles `ARG_CACHE_MIN_BYTES` (256
+/// four-byte or 128 eight-byte elements) and the digest's 64-byte groups,
+/// of every value kind.
+fn arb_call_value() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        arb_value(),
+        arb_wide_value(),
+        proptest::collection::vec(any::<i32>(), 240..272).prop_map(Value::IntArray),
+        proptest::collection::vec(any::<i64>(), 112..144).prop_map(Value::LongArray),
+        proptest::collection::vec(any::<u32>(), 240..272)
+            .prop_map(|v| Value::FloatArray(v.into_iter().map(|b| (b % 4096) as f32).collect())),
+        proptest::collection::vec(any::<u64>(), 112..144)
+            .prop_map(|v| Value::DoubleArray(v.into_iter().map(|b| (b % 65536) as f64).collect())),
+    ]
+}
+
+/// An `Invoke` or `SubmitJob` with refs mixed in, a routine of 0–7 bytes
+/// (every XDR pad), with or without a trace, under any call id.
+fn arb_call() -> impl Strategy<Value = (u64, Message)> {
+    (
+        proptest::collection::vec(
+            prop_oneof![
+                4 => arb_call_value().prop_map(Arg::Data),
+                1 => (any::<u64>(), any::<u64>()).prop_map(|(hi, lo)| Arg::Ref(Digest { hi, lo })),
+            ],
+            0..6,
+        ),
+        "[a-z]{0,7}",
+        any::<bool>(),
+        any::<u64>(),
+        any::<u64>(),
+    )
+        .prop_map(|(args, routine, submit, t, call_id)| {
+            let kind = if submit {
+                CallKind::SubmitJob
+            } else {
+                CallKind::Invoke
+            };
+            (call_id, call_message(kind, &routine, args, arb_trace(t)))
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The check's digests pair with exactly the cacheable inline
+    /// positions of the decoded call, each equal to `digest_value`.
+    #[test]
+    fn check_digests_exactly_the_cacheable_inline_args((call_id, msg) in arb_call()) {
+        let frame = encode_frame(call_id, &msg).unwrap();
+        let payload = &frame[ninf_protocol::FRAME_HEADER_BYTES..];
+        let checked = check_frame_payload(&header_for(call_id, payload), payload).unwrap();
+        prop_assert_eq!(checked.digests, expected_digests(&msg));
+        prop_assert_eq!(checked.message, msg);
+    }
+
+    /// Every message kind checks as the reference does; only a call
+    /// carries digests.
+    #[test]
+    fn check_of_any_message_is_the_reference(msg in arb_message(), call_id in any::<u64>()) {
+        let payload = msg.encode();
+        check_matches_reference(&header_for(call_id, &payload), &payload)?;
+    }
+
+    /// Arbitrary bytes, led by a call tag or not, under a matching or an
+    /// arbitrary CRC: never a panic, always the reference's answer.
+    #[test]
+    fn check_of_garbage_is_the_reference(
+        tag in prop_oneof![Just(3u32), Just(8u32), any::<u32>()],
+        body in proptest::collection::vec(any::<u8>(), 0..512),
+        call_id in any::<u64>(),
+        crc in proptest::option::of(any::<u32>()),
+    ) {
+        let payload = [&tag.to_be_bytes()[..], &body].concat();
+        let mut header = header_for(call_id, &payload);
+        if let Some(crc) = crc {
+            header.crc = crc;
+        }
+        check_matches_reference(&header, &payload)?;
+    }
+
+    /// A call cut short anywhere, its CRC recomputed so the cut reaches
+    /// the locator and the decode: the reference's typed error.
+    #[test]
+    fn check_of_truncated_call_is_the_reference(
+        (call_id, msg) in arb_call(),
+        cut in any::<prop::sample::Index>(),
+    ) {
+        let payload = msg.encode();
+        let payload = &payload[..cut.index(payload.len())];
+        check_matches_reference(&header_for(call_id, payload), payload)?;
+    }
+
+    /// One bit of a call flipped. Under the sender's CRC the answer is
+    /// `Checksum`, ranges found or not; under a recomputed CRC the flip
+    /// reaches the locator and the decode, and the check is still the
+    /// reference, digests included.
+    #[test]
+    fn check_of_bit_flipped_call_is_the_reference(
+        (call_id, msg) in arb_call(),
+        pos in any::<prop::sample::Index>(),
+        bit in 0u8..8,
+    ) {
+        let mut payload = msg.encode().to_vec();
+        let sent = header_for(call_id, &payload);
+        let at = pos.index(payload.len());
+        payload[at] ^= 1 << bit;
+        let flipped = header_for(call_id, &payload);
+        prop_assert!(
+            matches!(
+                check_frame_payload(&sent, &payload),
+                Err(ProtocolError::Checksum { expected, got })
+                    if expected == sent.crc && got == flipped.crc
+            ),
+            "a flipped bit must fail the sender's CRC"
+        );
+        check_matches_reference(&flipped, &payload)?;
     }
 }

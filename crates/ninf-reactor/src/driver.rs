@@ -382,7 +382,7 @@ fn pump_conn_read(
             break;
         }
         let msg = match check_frame_payload(&header, &buf[FRAME_HEADER_BYTES..total]) {
-            Ok(m) => m,
+            Ok(checked) => checked.message,
             Err(_) => {
                 kill_conn(conn, poller, errors);
                 return;

@@ -4,9 +4,9 @@
 //! ```text
 //!            ┌────────────────────────── reactor thread ──────────────────┐
 //!  accept ──▶│ nonblocking sockets, per-conn read buffers + write queues, │
-//!            │ frame extraction (header parse → CRC → decode)             │
+//!            │ frame extraction (header parse → CRC+digests → decode)     │
 //!            └──────┬──────────────────────────────────▲──────────────────┘
-//!                   │ (conn, call_id, Message)         │ Command::Reply (encoded frame) + wake
+//!                   │ (conn, call_id, Message, digests)│ Command::Reply (encoded frame) + wake
 //!            ┌──────▼──────────────────────────────────┴──────────────────┐
 //!            │ worker pool (bounded): handler(msg) → Option<Message>      │
 //!            └────────────────────────────────────────────────────────────┘
@@ -32,7 +32,8 @@ use std::thread::JoinHandle;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use ninf_obs::metrics::{Counter, Gauge};
 use ninf_protocol::{
-    check_frame_payload, encode_frame, parse_frame_header, Message, FRAME_HEADER_BYTES,
+    check_frame_payload, encode_frame, parse_frame_header, CheckedFrame, Digest, Message,
+    FRAME_HEADER_BYTES,
 };
 
 use crate::sys::{Interest, PollEvent, Poller};
@@ -83,6 +84,10 @@ pub struct Request {
     pub call_id: u64,
     /// The decoded message.
     pub message: Message,
+    /// Per argument position of an `Invoke`/`SubmitJob`, the digest of a
+    /// cacheable inline argument, computed in the frame check's CRC pass
+    /// ([`ninf_protocol::CheckedFrame::digests`]); empty otherwise.
+    pub digests: Vec<Option<Digest>>,
     /// Peer address, for logs.
     pub peer: SocketAddr,
 }
@@ -479,11 +484,12 @@ impl Loop {
                     break;
                 }
                 match check_frame_payload(&header, &buf[FRAME_HEADER_BYTES..total]) {
-                    Ok(message) => {
+                    Ok(CheckedFrame { message, digests }) => {
                         dispatched.push(Request {
                             conn_id: token,
                             call_id: header.call_id,
                             message,
+                            digests,
                             peer: conn.peer,
                         });
                         consumed += total;
@@ -741,6 +747,62 @@ mod tests {
         // A still works.
         a.send(&Message::QueryLoad).unwrap();
         a.recv().unwrap();
+        assert_eq!(rejected.get(), 1);
+        handle.shutdown();
+    }
+
+    /// Exactly-once behind a bad frame: a frame that fails its CRC and a
+    /// valid `Invoke` arriving in the same read dispatch nothing — the
+    /// frame check runs, and closes the connection, before anything
+    /// behind it is extracted.
+    #[test]
+    fn nothing_dispatches_behind_a_bad_frame() {
+        let invokes = Arc::new(AtomicI64::new(0));
+        let seen = Arc::clone(&invokes);
+        let handler: Handler = Arc::new(move |req: Request| {
+            if matches!(req.message, Message::Invoke { .. }) {
+                seen.fetch_add(1, Ordering::SeqCst);
+            }
+            Some(Message::QueryLoad)
+        });
+        let hooks = ReactorHooks {
+            rejected_frames: Some(Counter::default()),
+            ..Default::default()
+        };
+        let rejected = hooks.rejected_frames.clone().unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let handle = Reactor::start(listener, ReactorConfig::default(), handler, hooks).unwrap();
+        let addr = handle.local_addr().to_string();
+
+        let mut a = TcpTransport::connect(&addr).unwrap();
+        a.send(&Message::QueryLoad).unwrap();
+        a.recv().unwrap();
+
+        let invoke = Message::Invoke {
+            routine: "dgesl".into(),
+            args: ninf_protocol::Arg::inline(vec![ninf_protocol::Value::DoubleArray(vec![
+                0.5;
+                256
+            ])]),
+            trace: None,
+        };
+        let mut bad = encode_frame(1, &invoke).unwrap();
+        let last = bad.len() - 1;
+        bad[last] ^= 0x01;
+        let both = [bad, encode_frame(2, &invoke).unwrap()].concat();
+        let mut b = TcpStream::connect(handle.local_addr()).unwrap();
+        b.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        b.write_all(&both).unwrap();
+        let mut reply = Vec::new();
+        match b.read_to_end(&mut reply) {
+            Ok(0) => {}
+            Err(e) if e.kind() == io::ErrorKind::ConnectionReset => {}
+            other => panic!("the connection must close without a reply, got {other:?}"),
+        }
+
+        a.send(&Message::QueryLoad).unwrap();
+        a.recv().unwrap();
+        assert_eq!(invokes.load(Ordering::SeqCst), 0);
         assert_eq!(rejected.get(), 1);
         handle.shutdown();
     }

@@ -264,7 +264,7 @@ impl NinfServer {
         });
 
         let handler: Handler = Arc::new(move |req: ninf_reactor::Request| {
-            let reply = handle_message(&ctx, req.message);
+            let reply = handle_message(&ctx, req.message, &req.digests);
             // Outbound WAN shaping: the reply serializes through the
             // process-wide bottleneck and crosses the propagation delay
             // before the reactor puts it on the wire (lossless — see
@@ -367,7 +367,8 @@ impl NinfServer {
 /// The protocol state machine: one request
 /// message in, one reply message out. Every message kind replies exactly
 /// once; SubmitJob's compute runs detached after its ticket is returned.
-fn handle_message(ctx: &Arc<CallContext>, msg: Message) -> Message {
+/// `digests` are the frame check's, one per argument of a call.
+fn handle_message(ctx: &Arc<CallContext>, msg: Message, digests: &[Option<Digest>]) -> Message {
     match msg {
         Message::QueryInterface { routine } => match ctx.registry.lookup(&routine) {
             Some(exe) => Message::InterfaceReply {
@@ -396,7 +397,7 @@ fn handle_message(ctx: &Arc<CallContext>, msg: Message) -> Message {
             // Refs resolve against the arg store *before* anything runs: a
             // miss replies NeedArg without touching the gate or the
             // handler, so the client's re-send cannot double-execute.
-            let args = match resolve_args(ctx, args) {
+            let args = match resolve_args(ctx, args, digests) {
                 Ok(values) => values,
                 Err(digests) => return Message::NeedArg { digests },
             };
@@ -431,7 +432,7 @@ fn handle_message(ctx: &Arc<CallContext>, msg: Message) -> Message {
             // the client may disconnect immediately. Refs resolve before
             // the ticket exists, so a store miss is a NeedArg, not a job
             // that can never run.
-            let args = match resolve_args(ctx, args) {
+            let args = match resolve_args(ctx, args, digests) {
                 Ok(values) => values,
                 Err(digests) => return Message::NeedArg { digests },
             };
@@ -630,25 +631,30 @@ fn finish_upload(ctx: &CallContext, digest: Digest, r: Reassembly) -> Result<(),
 /// Resolve wire args to concrete values against the arg store.
 ///
 /// Inline values come through as-is — and cache-worthy ones (large flat
-/// arrays) are captured into the store, since the client will start
-/// ref'ing them once the call succeeds; the store and the call share that
-/// one allocation. Refs are looked up (a shared handle, not a copy); if
+/// arrays, the positions `digests` names) are captured into the store
+/// under the digest the frame check folded into its CRC pass, since the
+/// client will start ref'ing them once the call succeeds; the store and
+/// the call share that one allocation, and no argument byte is read
+/// again. Refs are looked up (a shared handle, not a copy); if
 /// *any* is missing the whole call fails closed with the missing digests
 /// and no hit/bytes-saved accounting, because the client will re-ship
 /// everything inline anyway.
-fn resolve_args(ctx: &CallContext, args: Vec<Arg>) -> Result<Vec<Arc<Value>>, Vec<Digest>> {
+fn resolve_args(
+    ctx: &CallContext,
+    args: Vec<Arg>,
+    digests: &[Option<Digest>],
+) -> Result<Vec<Arc<Value>>, Vec<Digest>> {
     let mut out = Vec::with_capacity(args.len());
     let mut missing = Vec::new();
     let mut hits = 0u64;
     let mut bytes_saved = 0u64;
-    for arg in args {
+    for (pos, arg) in args.into_iter().enumerate() {
         match arg {
             Arg::Data(v) => {
                 let v = Arc::new(v);
-                if ninf_protocol::cacheable(&v) && ctx.args.budget() > 0 {
-                    let evicted = ctx
-                        .args
-                        .insert(ninf_protocol::digest_value(&v), Arc::clone(&v));
+                let digest = digests.get(pos).copied().flatten();
+                if let Some(d) = digest.filter(|_| ctx.args.budget() > 0) {
+                    let evicted = ctx.args.insert(d, Arc::clone(&v));
                     ctx.metrics.argcache_evictions.add(evicted as u64);
                 }
                 out.push(v);
