@@ -158,10 +158,8 @@ fn main() {
             if q.is_empty() {
                 usage("query needs a Ninf_query string");
             }
-            let (desc, values) = ninf_db::ninf_query(&addr, &q).unwrap_or_else(|e| {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            });
+            let mut client = connect(&addr, options);
+            let (desc, values) = client.ninf_query(&q).unwrap_or_else(die);
             println!("{desc}");
             for v in values {
                 match v {

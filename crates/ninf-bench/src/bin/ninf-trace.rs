@@ -35,6 +35,7 @@
 //! Output files load directly in Perfetto (<https://ui.perfetto.dev>) or
 //! `chrome://tracing`.
 
+use ninf_bench::cli::{parse_args, CliError, Parsed};
 use ninf_client::NinfClient;
 use ninf_metaserver::{Balancing, Directory, Metaserver, ServerEntry};
 use ninf_obs::export::{
@@ -65,33 +66,13 @@ fn main() {
     }
 }
 
-/// Pull `--flag value` out of an argument list; the rest are positionals.
-fn split_flags(args: &[String], flags: &[&str]) -> (Vec<(String, String)>, Vec<String>) {
-    let mut values = Vec::new();
-    let mut positional = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if flags.contains(&a.as_str()) {
-            match it.next() {
-                Some(v) => values.push((a.clone(), v.clone())),
-                None => usage(&format!("{a} needs a value")),
-            }
-        } else if a == "--help" || a == "-h" {
-            usage("");
-        } else if a.starts_with("--") {
-            usage(&format!("unknown flag `{a}`"));
-        } else {
-            positional.push(a.clone());
-        }
+/// Parse a subcommand's `--flag value` pairs; the rest are positionals.
+fn flags(args: &[String], value_flags: &[&str]) -> Parsed {
+    match parse_args(args.iter().cloned(), value_flags, &[]) {
+        Ok(parsed) => parsed,
+        Err(CliError::Help) => usage(""),
+        Err(CliError::Bad(msg)) => usage(&msg),
     }
-    (values, positional)
-}
-
-fn flag_value<'a>(values: &'a [(String, String)], flag: &str) -> Option<&'a str> {
-    values
-        .iter()
-        .find(|(f, _)| f == flag)
-        .map(|(_, v)| v.as_str())
 }
 
 /// Trace ids print as 16 hex digits in the load generator's CSV; accept
@@ -128,11 +109,12 @@ fn write_or_print(spans: &[Span], out: Option<&str>) {
 
 /// One traced, metaserver-routed call against an in-process fleet.
 fn demo(args: &[String]) {
-    let (values, extra) = split_flags(args, &["--n", "--out"]);
-    if let Some(extra) = extra.first() {
+    let parsed = flags(args, &["--n", "--out"]);
+    if let Some(extra) = parsed.positionals.first() {
         usage(&format!("unexpected argument `{extra}`"));
     }
-    let n: usize = flag_value(&values, "--n")
+    let n: usize = parsed
+        .value("--n")
         .map(|v| v.parse().unwrap_or_else(|_| usage("--n needs an integer")))
         .unwrap_or(64);
 
@@ -195,7 +177,7 @@ fn demo(args: &[String]) {
         spans.len(),
         covered
     );
-    write_or_print(&spans, flag_value(&values, "--out"));
+    write_or_print(&spans, parsed.value("--out"));
     for s in servers {
         s.shutdown();
     }
@@ -203,12 +185,10 @@ fn demo(args: &[String]) {
 
 /// Drain live processes' recorders over QueryTrace and join the spans.
 fn fetch(args: &[String]) {
-    let (values, addrs) = split_flags(args, &["--trace", "--merge", "--out", "--slack-us"]);
-    let trace_id = flag_value(&values, "--trace")
-        .map(parse_trace_id)
-        .unwrap_or(0);
+    let parsed = flags(args, &["--trace", "--merge", "--out", "--slack-us"]);
+    let trace_id = parsed.value("--trace").map(parse_trace_id).unwrap_or(0);
     let mut spans: Vec<Span> = Vec::new();
-    if let Some(path) = flag_value(&values, "--merge") {
+    if let Some(path) = parsed.value("--merge") {
         let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
             eprintln!("cannot read {path}: {e}");
             std::process::exit(1);
@@ -223,10 +203,11 @@ fn fetch(args: &[String]) {
         eprintln!("# merged {} span(s) from {path}", merged.len());
         spans.append(&mut merged);
     }
+    let addrs = &parsed.positionals;
     if addrs.is_empty() && spans.is_empty() {
         usage("fetch needs at least one <addr> or --merge <file>");
     }
-    for addr in &addrs {
+    for addr in addrs {
         match NinfClient::connect(addr).and_then(|mut c| c.query_trace(trace_id)) {
             Ok((process, dropped, mut remote)) => {
                 eprintln!(
@@ -243,17 +224,18 @@ fn fetch(args: &[String]) {
     }
     let spans = dedup(&spans);
     println!("{}", render_tree(&spans));
-    write_or_print(&spans, flag_value(&values, "--out"));
+    write_or_print(&spans, parsed.value("--out"));
 }
 
 /// A simulated LAN run in the live span schema.
 fn sim(args: &[String]) {
-    let (values, extra) = split_flags(args, &["--clients", "--n", "--seed", "--out"]);
-    if let Some(extra) = extra.first() {
+    let parsed = flags(args, &["--clients", "--n", "--seed", "--out"]);
+    if let Some(extra) = parsed.positionals.first() {
         usage(&format!("unexpected argument `{extra}`"));
     }
     let parse_or = |flag: &str, default: u64| -> u64 {
-        flag_value(&values, flag)
+        parsed
+            .value(flag)
             .map(|v| {
                 v.parse()
                     .unwrap_or_else(|_| usage(&format!("{flag} needs an integer")))
@@ -281,12 +263,12 @@ fn sim(args: &[String]) {
         cell.clients,
         cell.perf.mean
     );
-    write_or_print(&spans, flag_value(&values, "--out"));
+    write_or_print(&spans, parsed.value("--out"));
 }
 
 /// Per-(process, name) mean-duration comparison of two trace files.
 fn diff(args: &[String]) {
-    let (_, files) = split_flags(args, &[]);
+    let files = flags(args, &[]).positionals;
     let [a, b] = files.as_slice() else {
         usage("diff needs exactly two <chrome.json> files");
     };
@@ -305,11 +287,12 @@ fn diff(args: &[String]) {
 
 /// Validate a Chrome trace file (parse, nesting, client↔server coverage).
 fn check(args: &[String]) {
-    let (values, files) = split_flags(args, &["--slack-us"]);
-    let [path] = files.as_slice() else {
+    let parsed = flags(args, &["--slack-us"]);
+    let [path] = parsed.positionals.as_slice() else {
         usage("check needs exactly one <chrome.json> file");
     };
-    let slack: u64 = flag_value(&values, "--slack-us")
+    let slack: u64 = parsed
+        .value("--slack-us")
         .map(|v| {
             v.parse()
                 .unwrap_or_else(|_| usage("--slack-us needs an integer"))
@@ -349,7 +332,7 @@ fn check(args: &[String]) {
 
 /// `curl`-equivalent read of a Prometheus metrics endpoint.
 fn metrics(args: &[String]) {
-    let (_, addrs) = split_flags(args, &[]);
+    let addrs = flags(args, &[]).positionals;
     let [addr] = addrs.as_slice() else {
         usage("metrics needs exactly one <addr>");
     };
@@ -364,8 +347,8 @@ fn metrics(args: &[String]) {
 
 /// Merged per-window fleet view of a `ninf-load --sweep` JSON report.
 fn timeline(args: &[String]) {
-    let (values, files) = split_flags(args, &["--metric", "--source"]);
-    let [path] = files.as_slice() else {
+    let parsed = flags(args, &["--metric", "--source"]);
+    let [path] = parsed.positionals.as_slice() else {
         usage("timeline needs exactly one <sweep.json> file");
     };
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
@@ -376,11 +359,7 @@ fn timeline(args: &[String]) {
         eprintln!("timeline failed: {path} does not parse: {e}");
         std::process::exit(1);
     });
-    match render_timeline(
-        &doc,
-        flag_value(&values, "--metric"),
-        flag_value(&values, "--source"),
-    ) {
+    match render_timeline(&doc, parsed.value("--metric"), parsed.value("--source")) {
         Ok(rendered) => print!("{rendered}"),
         Err(e) => {
             eprintln!("timeline failed: {e}");

@@ -25,94 +25,75 @@
 //! client side applies them). Each reply is paced on the worker thread that
 //! produced it; `--workers` (floored at `pes + 4`) sizes that pool.
 
+use ninf_bench::cli::{parse_args, CliError, Parsed};
 use ninf_server::{
     builtin::register_stdlib, ExecMode, NinfServer, Registry, SchedPolicy, ServerConfig,
 };
 
 fn main() {
-    let mut addr = "127.0.0.1:5656".to_string();
-    let mut db_addr: Option<String> = None;
-    let mut pes = 4usize;
-    let mut mode = ExecMode::TaskParallel;
-    let mut policy = SchedPolicy::Fcfs;
-    let mut workers = 8usize;
-    let mut trace = false;
-    let mut metrics_addr: Option<String> = None;
-    let mut arg_cache_bytes = ninf_server::DEFAULT_ARG_CACHE_BYTES;
-    let mut windows_ms: Option<u64> = None;
-    let mut wan: Option<ninf_protocol::LinkShape> = None;
-
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--addr" => addr = args.next().unwrap_or_else(|| usage("--addr needs a value")),
-            "--db-addr" => {
-                db_addr = Some(
-                    args.next()
-                        .unwrap_or_else(|| usage("--db-addr needs a value")),
-                )
-            }
-            "--pes" => {
-                pes = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--pes needs a positive integer"))
-            }
-            "--mode" => {
-                mode = match args.next().as_deref() {
-                    Some("task") => ExecMode::TaskParallel,
-                    Some("data") => ExecMode::DataParallel,
-                    _ => usage("--mode is task or data"),
-                }
-            }
-            "--policy" => {
-                policy = match args.next().as_deref() {
-                    Some("fcfs") => SchedPolicy::Fcfs,
-                    Some("sjf") => SchedPolicy::Sjf,
-                    Some("fpfs") => SchedPolicy::Fpfs,
-                    Some("fpmpfs") => SchedPolicy::Fpmpfs,
-                    _ => usage("--policy is fcfs|sjf|fpfs|fpmpfs"),
-                }
-            }
-            "--workers" => {
-                workers = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--workers needs a positive integer"))
-            }
-            "--trace" => trace = true,
-            "--arg-cache-bytes" => {
-                arg_cache_bytes = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--arg-cache-bytes needs a byte count (0 disables)"))
-            }
-            "--metrics-addr" => {
-                metrics_addr = Some(
-                    args.next()
-                        .unwrap_or_else(|| usage("--metrics-addr needs a value")),
-                )
-            }
-            "--windows-ms" => {
-                windows_ms = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&ms| ms > 0)
-                        .unwrap_or_else(|| {
-                            usage("--windows-ms needs a positive millisecond count")
-                        }),
-                )
-            }
-            "--wan" => {
-                let spec = args.next().unwrap_or_else(|| usage("--wan needs a spec"));
-                wan = Some(ninf_protocol::LinkShape::parse(&spec).unwrap_or_else(|e| {
-                    usage(&format!("--wan: {e}"));
-                }));
-            }
-            "--help" | "-h" => usage(""),
-            other => usage(&format!("unknown argument `{other}`")),
-        }
+    let parsed = match parse_args(
+        std::env::args().skip(1),
+        &[
+            "--addr",
+            "--db-addr",
+            "--pes",
+            "--mode",
+            "--policy",
+            "--workers",
+            "--arg-cache-bytes",
+            "--metrics-addr",
+            "--windows-ms",
+            "--wan",
+        ],
+        &["--trace"],
+    ) {
+        Ok(p) => p,
+        Err(CliError::Help) => usage(""),
+        Err(CliError::Bad(msg)) => usage(&msg),
+    };
+    if let Some(extra) = parsed.positionals.first() {
+        usage(&format!("unknown argument `{extra}`"));
     }
+    let addr = parsed
+        .value("--addr")
+        .unwrap_or("127.0.0.1:5656")
+        .to_string();
+    let db_addr = parsed.value("--db-addr");
+    let pes: usize = number(&parsed, "--pes", 4, "--pes needs a positive integer");
+    let mode = match parsed.value("--mode") {
+        None | Some("task") => ExecMode::TaskParallel,
+        Some("data") => ExecMode::DataParallel,
+        Some(_) => usage("--mode is task or data"),
+    };
+    let policy = match parsed.value("--policy") {
+        None | Some("fcfs") => SchedPolicy::Fcfs,
+        Some("sjf") => SchedPolicy::Sjf,
+        Some("fpfs") => SchedPolicy::Fpfs,
+        Some("fpmpfs") => SchedPolicy::Fpmpfs,
+        Some(_) => usage("--policy is fcfs|sjf|fpfs|fpmpfs"),
+    };
+    let workers = number(
+        &parsed,
+        "--workers",
+        8,
+        "--workers needs a positive integer",
+    );
+    let trace = parsed.has("--trace");
+    let arg_cache_bytes = number(
+        &parsed,
+        "--arg-cache-bytes",
+        ninf_server::DEFAULT_ARG_CACHE_BYTES,
+        "--arg-cache-bytes needs a byte count (0 disables)",
+    );
+    let metrics_addr = parsed.value("--metrics-addr");
+    let windows_ms = match parsed.parse::<u64>("--windows-ms") {
+        Ok(None) => None,
+        Ok(Some(ms)) if ms > 0 => Some(ms),
+        _ => usage("--windows-ms needs a positive millisecond count"),
+    };
+    let wan = parsed.value("--wan").map(|spec| {
+        ninf_protocol::LinkShape::parse(spec).unwrap_or_else(|e| usage(&format!("--wan: {e}")))
+    });
 
     if trace {
         ninf_obs::recorder::global().set_enabled(true);
@@ -147,7 +128,7 @@ fn main() {
     }
 
     if let Some(a) = metrics_addr {
-        match ninf_obs::http::serve_metrics(server.metrics().registry().clone(), &a) {
+        match ninf_obs::http::serve_metrics(server.metrics().registry().clone(), a) {
             Ok(bound) => eprintln!("ninfd: metrics at http://{bound}/metrics"),
             Err(e) => {
                 eprintln!("cannot bind metrics on {a}: {e}");
@@ -167,7 +148,7 @@ fn main() {
     }
 
     let _db = db_addr.map(|a| {
-        let db = ninf_db::DbServer::start(&a, ninf_db::builtin_datasets()).unwrap_or_else(|e| {
+        let db = ninf_db::DbServer::start(a, ninf_db::builtin_datasets()).unwrap_or_else(|e| {
             eprintln!("cannot bind database on {a}: {e}");
             std::process::exit(1);
         });
@@ -186,6 +167,14 @@ fn main() {
             report.queued
         );
     }
+}
+
+/// `flag`'s number, `default` when absent; a malformed one is a usage error.
+fn number<T: std::str::FromStr>(parsed: &Parsed, flag: &str, default: T, err: &str) -> T {
+    parsed
+        .parse(flag)
+        .unwrap_or_else(|_| usage(err))
+        .unwrap_or(default)
 }
 
 fn usage(err: &str) -> ! {

@@ -1,11 +1,10 @@
 //! Tiny shared argument parser for the workspace binaries.
 //!
-//! Every binary (`repro`, `ninf-call`, `ninf-load`, `ninfd`) historically
-//! hand-rolled its flag loop, and they disagreed on the basics — some
-//! rejected unknown flags, some silently treated them as positionals. This
-//! module gives them one behavior: declared flags parse anywhere on the
-//! line, `--help`/`-h` asks for usage, and *anything else starting with
-//! `--` is an error* naming the offending flag.
+//! Every flag-taking binary (`repro`, `ninf-call`, `ninf-load`, `ninfd`,
+//! `ninf-trace`, `ninf-chaos`) parses through here, so they share one
+//! behavior: declared flags parse anywhere on the line, `--help`/`-h` asks
+//! for usage, and *anything else starting with `--` is an error* naming
+//! the offending flag.
 
 /// Parse outcome that isn't a successful parse.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -22,7 +22,7 @@ fn assert_usage_error(out: &Output, needle: &str) {
 fn ninfd_refuses_the_retired_core_flag() {
     let flag = format!("--{}", "core");
     let out = run(env!("CARGO_BIN_EXE_ninfd"), &[&flag, "threaded"]);
-    assert_usage_error(&out, &format!("unknown argument `{flag}`"));
+    assert_usage_error(&out, &format!("unknown flag `{flag}`"));
 }
 
 #[test]

@@ -986,6 +986,26 @@ impl NinfClient {
         })
     }
 
+    /// `Ninf_query` (§2.2): ask a numerical database server for a dataset
+    /// (see `ninf_db::query` for the language). Returns `(description,
+    /// values)`; a query the server cannot answer is
+    /// [`ProtocolError::Remote`]. Honors the client's [`CallOptions`] like
+    /// [`NinfClient::ninf_call`].
+    pub fn ninf_query(&mut self, query: &str) -> ProtocolResult<(String, Vec<Value>)> {
+        self.with_retries(|c| {
+            let reply = c.exchange(&Message::DbQuery {
+                query: query.to_owned(),
+            })?;
+            c.expect(reply, "DbReply", |m| match m {
+                Message::DbReply {
+                    description,
+                    values,
+                } => Ok((description, values)),
+                other => Err(other),
+            })
+        })
+    }
+
     /// Query the server's load (what the metaserver's monitor does).
     pub fn query_load(&mut self) -> ProtocolResult<ninf_protocol::LoadReport> {
         let reply = self.exchange(&Message::QueryLoad)?;

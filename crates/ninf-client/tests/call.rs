@@ -1,12 +1,14 @@
 //! `Call`: the dial happens inside the retry loop, so a server that is not
 //! up yet is retried like one that failed mid-call — on a direct connection
-//! and through a pool.
+//! and through a pool. `Ninf_query` runs in the same loop, so its deadline
+//! holds against a silent server.
 
+use std::io::Read;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use ninf_client::{Call, CallOptions};
-use ninf_protocol::Value;
+use ninf_client::{Call, CallOptions, NinfClient};
+use ninf_protocol::{ProtocolError, Value};
 use ninf_reactor::MuxPool;
 use ninf_server::{builtin::register_stdlib, NinfServer, Registry, ServerConfig};
 
@@ -48,4 +50,29 @@ fn a_refused_first_dial_is_retried() {
 #[test]
 fn a_refused_first_checkout_is_retried() {
     call_a_late_server(Some(Arc::new(MuxPool::default())));
+}
+
+/// A database "server" that accepts and never replies: the query fails with
+/// a typed timeout inside its deadline instead of hanging.
+#[test]
+fn ninf_query_against_a_silent_server_times_out() {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let silent = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        // Swallow the query; EOF comes when the client gives up.
+        let _ = stream.read_to_end(&mut Vec::new());
+    });
+    let deadline = Duration::from_millis(300);
+    let mut client = NinfClient::connect_with(&addr, CallOptions::with_deadline(deadline)).unwrap();
+    let t0 = Instant::now();
+    let outcome = client.ninf_query("LIST");
+    let took = t0.elapsed();
+    assert!(
+        matches!(outcome, Err(ProtocolError::Timeout { .. })),
+        "expected a typed timeout, got {outcome:?}"
+    );
+    assert!(took < deadline * 4, "the deadline did not hold: {took:?}");
+    drop(client);
+    silent.join().unwrap();
 }

@@ -10,8 +10,9 @@
 //! * [`query`] — the tiny `Ninf_query` language: `GET name [SUB r0 r1 c0 c1]`,
 //!   `LIST [prefix]`, `INFO name`, `DIMS name`;
 //! * [`server::DbServer`] — a live TCP server answering
-//!   [`ninf_protocol::Message::DbQuery`] (the §5.1 two-phase idea was first
-//!   deployed for exactly these database queries);
+//!   [`ninf_protocol::Message::DbQuery`] on the `ninf-reactor` connection
+//!   core (the §5.1 two-phase idea was first deployed for exactly these
+//!   database queries); clients ask it through `NinfClient::ninf_query`;
 //! * [`builtin_datasets`] — mathematical constants, test matrices, and the
 //!   Linpack benchmark generator as a queryable dataset.
 //!
@@ -28,7 +29,7 @@ pub mod query;
 pub mod server;
 pub mod store;
 
-pub use query::{execute, ninf_query};
+pub use query::execute;
 pub use server::DbServer;
 pub use store::{DataSet, DataStore};
 

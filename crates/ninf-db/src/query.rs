@@ -81,24 +81,6 @@ fn payload(ds: &DataSet) -> Vec<Value> {
     ]
 }
 
-/// `Ninf_query` over the wire: connect, ask, return `(description, values)`.
-pub fn ninf_query(addr: &str, query: &str) -> Result<(String, Vec<Value>), String> {
-    use ninf_protocol::{Message, TcpTransport, Transport};
-    let mut t = TcpTransport::connect(addr).map_err(|e| e.to_string())?;
-    t.send(&Message::DbQuery {
-        query: query.to_owned(),
-    })
-    .map_err(|e| e.to_string())?;
-    match t.recv().map_err(|e| e.to_string())? {
-        Message::DbReply {
-            description,
-            values,
-        } => Ok((description, values)),
-        Message::Error { reason } => Err(reason),
-        other => Err(format!("unexpected {}", other.kind())),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,91 +1,60 @@
-//! The live TCP database server.
+//! The live TCP database server, served by the reactor.
 
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
-use ninf_protocol::{Message, ProtocolError, ProtocolResult, TcpTransport, Transport};
+use ninf_protocol::{Message, ProtocolResult};
+use ninf_reactor::{Handler, Reactor, ReactorConfig, ReactorHandle, ReactorHooks, Request};
 
 use crate::query::execute;
 use crate::store::DataStore;
 
 /// A running Ninf database server; stop with [`DbServer::shutdown`].
 pub struct DbServer {
-    addr: std::net::SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
+    reactor: ReactorHandle,
 }
 
 impl DbServer {
     /// Serve `store` on `addr` (use port 0 for ephemeral).
     pub fn start(addr: &str, store: DataStore) -> ProtocolResult<Self> {
         let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
         let store = Arc::new(store);
-        let accept_thread = {
-            let stop = stop.clone();
-            std::thread::spawn(move || {
-                for stream in listener.incoming() {
-                    if stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(stream) = stream else { continue };
-                    let store = store.clone();
-                    std::thread::spawn(move || {
-                        let _ = serve(stream, &store);
-                    });
-                }
-            })
-        };
-        Ok(Self {
-            addr: local,
-            stop,
-            accept_thread: Some(accept_thread),
-        })
+        let handler: Handler = Arc::new(move |req: Request| Some(answer(&store, req.message)));
+        let reactor = Reactor::start(
+            listener,
+            ReactorConfig::default(),
+            handler,
+            ReactorHooks::default(),
+        )?;
+        Ok(Self { reactor })
     }
 
     /// The bound address.
-    pub fn addr(&self) -> std::net::SocketAddr {
-        self.addr
+    pub fn addr(&self) -> SocketAddr {
+        self.reactor.local_addr()
     }
 
-    /// Stop accepting connections.
-    pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(self.addr);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
+    /// Stop serving: queries already received are answered, then every
+    /// connection closes.
+    pub fn shutdown(self) {
+        self.reactor.shutdown();
     }
 }
 
-fn serve(stream: TcpStream, store: &DataStore) -> ProtocolResult<()> {
-    let mut transport = TcpTransport::new(stream)?;
-    loop {
-        let msg = match transport.recv() {
-            Ok(m) => m,
-            Err(ProtocolError::Io(_)) | Err(ProtocolError::Disconnected) => return Ok(()),
-            Err(e) => return Err(e),
-        };
-        match msg {
-            Message::DbQuery { query } => {
-                let reply = match execute(store, &query) {
-                    Ok((description, values)) => Message::DbReply {
-                        description,
-                        values,
-                    },
-                    Err(reason) => Message::Error { reason },
-                };
-                transport.send(&reply)?;
-            }
-            other => {
-                transport.send(&Message::Error {
-                    reason: format!("database server: unexpected {}", other.kind()),
-                })?;
-            }
-        }
+/// The reply to one request: a `DbReply`, or an `Error` for a failed query
+/// or a message this server does not serve.
+fn answer(store: &DataStore, msg: Message) -> Message {
+    match msg {
+        Message::DbQuery { query } => match execute(store, &query) {
+            Ok((description, values)) => Message::DbReply {
+                description,
+                values,
+            },
+            Err(reason) => Message::Error { reason },
+        },
+        other => Message::Error {
+            reason: format!("database server: unexpected {}", other.kind()),
+        },
     }
 }
 
@@ -93,15 +62,19 @@ fn serve(stream: TcpStream, store: &DataStore) -> ProtocolResult<()> {
 mod tests {
     use super::*;
     use crate::builtin_datasets;
-    use crate::query::ninf_query;
-    use ninf_protocol::Value;
+    use ninf_client::{CallOptions, NinfClient};
+    use ninf_protocol::{ProtocolError, TcpTransport, Transport, Value};
+    use std::time::Duration;
+
+    fn query(addr: SocketAddr, q: &str) -> Result<(String, Vec<Value>), ProtocolError> {
+        NinfClient::connect(&addr.to_string())?.ninf_query(q)
+    }
 
     #[test]
     fn query_over_the_wire() {
         let server = DbServer::start("127.0.0.1:0", builtin_datasets()).unwrap();
-        let addr = server.addr().to_string();
 
-        let (desc, values) = ninf_query(&addr, "GET matrix/hilbert4").unwrap();
+        let (desc, values) = query(server.addr(), "GET matrix/hilbert4").unwrap();
         assert!(desc.contains("Hilbert"));
         assert_eq!(values[0], Value::IntArray(vec![4, 4]));
         let Value::DoubleArray(d) = &values[1] else {
@@ -110,8 +83,10 @@ mod tests {
         assert_eq!(d.len(), 16);
 
         // Errors travel as Error messages.
-        let err = ninf_query(&addr, "GET nothing/here").unwrap_err();
-        assert!(err.contains("no dataset"));
+        match query(server.addr(), "GET nothing/here") {
+            Err(ProtocolError::Remote(reason)) => assert!(reason.contains("no dataset")),
+            other => panic!("expected a remote error, got {other:?}"),
+        }
 
         server.shutdown();
     }
@@ -119,7 +94,7 @@ mod tests {
     #[test]
     fn listing_over_the_wire() {
         let server = DbServer::start("127.0.0.1:0", builtin_datasets()).unwrap();
-        let (names, _) = ninf_query(&server.addr().to_string(), "LIST const/").unwrap();
+        let (names, _) = query(server.addr(), "LIST const/").unwrap();
         assert!(names.contains("const/pi"));
         server.shutdown();
     }
@@ -136,12 +111,28 @@ mod tests {
         server.shutdown();
     }
 
+    /// Shutdown closes the connections it was serving, not just the
+    /// listener: a client that connected before it gets no more answers.
+    #[test]
+    fn shutdown_closes_open_connections() {
+        let server = DbServer::start("127.0.0.1:0", builtin_datasets()).unwrap();
+        let options = CallOptions::with_deadline(Duration::from_secs(5));
+        let mut client = NinfClient::connect_with(&server.addr().to_string(), options).unwrap();
+        client.ninf_query("LIST").unwrap();
+        server.shutdown();
+        let after = client.ninf_query("LIST");
+        assert!(
+            matches!(after, Err(ref e) if !e.is_timeout()),
+            "a query on a connection from before shutdown must fail at once, got {after:?}"
+        );
+    }
+
     #[test]
     fn fetched_hilbert_solves_with_linpack_kernels() {
         // End-to-end database -> computation: pull a matrix from the DB
         // server and solve it locally.
         let server = DbServer::start("127.0.0.1:0", builtin_datasets()).unwrap();
-        let (_, values) = ninf_query(&server.addr().to_string(), "GET matrix/hilbert4").unwrap();
+        let (_, values) = query(server.addr(), "GET matrix/hilbert4").unwrap();
         let Value::DoubleArray(data) = &values[1] else {
             panic!()
         };

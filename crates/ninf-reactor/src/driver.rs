@@ -13,15 +13,13 @@
 //! latency, not reduced offered load.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, Read, Write};
+use std::io;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
-use std::os::unix::io::AsRawFd;
 use std::time::{Duration, Instant};
 
-use ninf_protocol::{
-    check_frame_payload, encode_frame, parse_frame_header, Message, FRAME_HEADER_BYTES,
-};
+use ninf_protocol::{encode_frame, Message};
 
+use crate::conn::{Filled, FrameConn, READ_CHUNK};
 use crate::sys::{Interest, PollEvent, Poller};
 
 /// Open-loop drive plan.
@@ -111,15 +109,11 @@ impl DriverReport {
 }
 
 struct DriverConn {
-    stream: TcpStream,
-    read_buf: Vec<u8>,
-    write_queue: VecDeque<Vec<u8>>,
-    write_off: usize,
+    io: FrameConn,
     /// Calls sent, awaiting replies: call id → (scheduled offset seconds).
     pending: HashMap<u64, f64>,
     /// Due calls waiting for an in-flight slot: scheduled offsets.
     backlog: VecDeque<f64>,
-    interest: Interest,
     alive: bool,
 }
 
@@ -139,24 +133,13 @@ pub fn run_open_loop(config: &DriverConfig) -> io::Result<DriverReport> {
     // reactor's accept loop keeps the backlog drained), then nonblocking
     // for the event loop.
     for i in 0..config.conns {
-        match TcpStream::connect_timeout(&sockaddr, Duration::from_secs(10)) {
-            Ok(stream) => {
-                let _ = stream.set_nodelay(true);
-                stream.set_nonblocking(true)?;
-                poller.register(stream.as_raw_fd(), i as u64, Interest::READ)?;
-                conns.push(DriverConn {
-                    stream,
-                    read_buf: Vec::new(),
-                    write_queue: VecDeque::new(),
-                    write_off: 0,
-                    pending: HashMap::new(),
-                    backlog: VecDeque::new(),
-                    interest: Interest::READ,
-                    alive: true,
-                });
-            }
-            Err(e) => return Err(e),
-        }
+        let stream = TcpStream::connect_timeout(&sockaddr, Duration::from_secs(10))?;
+        conns.push(DriverConn {
+            io: FrameConn::register(stream, &mut poller, i as u64)?,
+            pending: HashMap::new(),
+            backlog: VecDeque::new(),
+            alive: true,
+        });
     }
 
     let total_calls = (config.duration.as_secs_f64() * config.rate_hz).floor() as u64;
@@ -168,7 +151,7 @@ pub fn run_open_loop(config: &DriverConfig) -> io::Result<DriverReport> {
     let mut issued = 0u64;
     let mut samples: Vec<CallSample> = Vec::new();
     let mut events: Vec<PollEvent> = Vec::new();
-    let mut scratch = vec![0u8; 64 * 1024];
+    let mut scratch = vec![0u8; READ_CHUNK];
     let mut last_event = start;
 
     loop {
@@ -193,7 +176,7 @@ pub fn run_open_loop(config: &DriverConfig) -> io::Result<DriverReport> {
 
         // Push staged bytes out and collect replies.
         for (ci, conn) in conns.iter_mut().enumerate() {
-            if conn.alive && !conn.write_queue.is_empty() {
+            if conn.alive && conn.io.has_writes() {
                 pump_conn_write(conn, &mut poller, ci as u64, &mut errors);
             }
         }
@@ -252,7 +235,7 @@ pub fn run_open_loop(config: &DriverConfig) -> io::Result<DriverReport> {
                         &mut next_call_id,
                     )?;
                 }
-                if conns[ci].alive && !conns[ci].write_queue.is_empty() {
+                if conns[ci].alive && conns[ci].io.has_writes() {
                     pump_conn_write(&mut conns[ci], &mut poller, ev.token, &mut errors);
                 }
             }
@@ -290,14 +273,14 @@ fn stage_call(
     let frame = encode_frame(call_id, request)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
     conn.pending.insert(call_id, scheduled);
-    conn.write_queue.push_back(frame);
+    conn.io.queue(frame);
     Ok(())
 }
 
 fn kill_conn(conn: &mut DriverConn, poller: &mut Poller, errors: &mut u64) {
     if conn.alive {
         conn.alive = false;
-        let _ = poller.deregister(conn.stream.as_raw_fd());
+        conn.io.deregister(poller);
         *errors += (conn.pending.len() + conn.backlog.len()) as u64;
         conn.pending.clear();
         conn.backlog.clear();
@@ -305,102 +288,56 @@ fn kill_conn(conn: &mut DriverConn, poller: &mut Poller, errors: &mut u64) {
 }
 
 fn pump_conn_write(conn: &mut DriverConn, poller: &mut Poller, token: u64, errors: &mut u64) {
-    while let Some(front) = conn.write_queue.front() {
-        match conn.stream.write(&front[conn.write_off..]) {
-            Ok(0) => {
-                kill_conn(conn, poller, errors);
-                return;
-            }
-            Ok(n) => {
-                conn.write_off += n;
-                if conn.write_off == front.len() {
-                    conn.write_queue.pop_front();
-                    conn.write_off = 0;
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => {
-                kill_conn(conn, poller, errors);
-                return;
-            }
-        }
+    if conn.io.flush().is_err() {
+        kill_conn(conn, poller, errors);
+        return;
     }
     let want = Interest {
         readable: true,
-        writable: !conn.write_queue.is_empty(),
+        writable: conn.io.has_writes(),
     };
-    if want != conn.interest {
-        conn.interest = want;
-        let _ = poller.modify(conn.stream.as_raw_fd(), token, want);
-    }
+    conn.io.set_interest(poller, token, want);
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Read until the socket would block, matching each reply to its pending
+/// call as it is sliced.
 fn pump_conn_read(
     conn: &mut DriverConn,
     poller: &mut Poller,
-    _token: u64,
+    token: u64,
     scratch: &mut [u8],
     start: Instant,
     samples: &mut Vec<CallSample>,
     errors: &mut u64,
 ) {
     loop {
-        match conn.stream.read(scratch) {
-            Ok(0) => {
-                kill_conn(conn, poller, errors);
-                return;
-            }
-            Ok(n) => conn.read_buf.extend_from_slice(&scratch[..n]),
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => {
+        match conn.io.read(scratch) {
+            Filled::Bytes => {}
+            Filled::WouldBlock => return,
+            Filled::Closed => {
                 kill_conn(conn, poller, errors);
                 return;
             }
         }
-    }
-    // Extract complete reply frames.
-    let mut consumed = 0usize;
-    loop {
-        let buf = &conn.read_buf[consumed..];
-        if buf.len() < FRAME_HEADER_BYTES {
-            break;
-        }
-        let header: [u8; FRAME_HEADER_BYTES] =
-            buf[..FRAME_HEADER_BYTES].try_into().expect("header slice");
-        let header = match parse_frame_header(&header) {
-            Ok(h) => h,
-            Err(_) => {
-                kill_conn(conn, poller, errors);
-                return;
+        loop {
+            let (call_id, checked) = match conn.io.next_frame() {
+                Ok(Some(frame)) => frame,
+                Ok(None) => break,
+                Err(_) => {
+                    kill_conn(conn, poller, errors);
+                    return;
+                }
+            };
+            if let Some(scheduled) = conn.pending.remove(&call_id) {
+                let now = start.elapsed().as_secs_f64();
+                samples.push(CallSample {
+                    conn: token as usize,
+                    scheduled,
+                    latency: (now - scheduled).max(0.0),
+                    ok: !matches!(checked.message, Message::Error { .. }),
+                });
             }
-        };
-        let total = FRAME_HEADER_BYTES + header.len as usize;
-        if buf.len() < total {
-            break;
         }
-        let msg = match check_frame_payload(&header, &buf[FRAME_HEADER_BYTES..total]) {
-            Ok(checked) => checked.message,
-            Err(_) => {
-                kill_conn(conn, poller, errors);
-                return;
-            }
-        };
-        consumed += total;
-        if let Some(scheduled) = conn.pending.remove(&header.call_id) {
-            let now = start.elapsed().as_secs_f64();
-            samples.push(CallSample {
-                conn: _token as usize,
-                scheduled,
-                latency: (now - scheduled).max(0.0),
-                ok: !matches!(msg, Message::Error { .. }),
-            });
-        }
-    }
-    if consumed > 0 {
-        conn.read_buf.drain(..consumed);
     }
 }
 

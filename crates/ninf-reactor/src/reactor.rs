@@ -20,9 +20,9 @@
 //! mismatch, undecodable payload — closes exactly that connection; calls
 //! in flight on other connections are untouched.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicI64, Ordering};
@@ -31,11 +31,9 @@ use std::thread::JoinHandle;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use ninf_obs::metrics::{Counter, Gauge};
-use ninf_protocol::{
-    check_frame_payload, encode_frame, parse_frame_header, CheckedFrame, Digest, Message,
-    FRAME_HEADER_BYTES,
-};
+use ninf_protocol::{encode_frame, CheckedFrame, Digest, Message};
 
+use crate::conn::{Filled, FrameConn, READ_CHUNK, STAGING_CAP};
 use crate::sys::{Interest, PollEvent, Poller};
 
 /// Tuning knobs for [`Reactor::start`].
@@ -48,10 +46,6 @@ pub struct ReactorConfig {
     /// Calls in flight per connection before the reactor stops extracting
     /// frames from it.
     pub max_inflight_per_conn: usize,
-    /// Staged (unparsed) bytes per connection before the reactor stops
-    /// reading its socket. Must exceed the largest legal frame to make
-    /// progress on matrix payloads.
-    pub read_buffer_cap: usize,
 }
 
 impl Default for ReactorConfig {
@@ -59,7 +53,6 @@ impl Default for ReactorConfig {
         ReactorConfig {
             workers: 8,
             max_inflight_per_conn: 128,
-            read_buffer_cap: 512 * 1024 * 1024,
         }
     }
 }
@@ -123,17 +116,10 @@ impl Waker {
 }
 
 struct Conn {
-    stream: TcpStream,
+    io: FrameConn,
     peer: SocketAddr,
-    /// Staged bytes not yet consumed by frame extraction.
-    read_buf: Vec<u8>,
-    /// Reply frames waiting for the socket to accept them.
-    write_queue: VecDeque<Vec<u8>>,
-    /// Bytes of `write_queue[0]` already written.
-    write_off: usize,
     /// Calls dispatched to workers, not yet replied.
     inflight: usize,
-    interest: Interest,
 }
 
 /// A running reactor. Dropping the handle stops it.
@@ -251,6 +237,7 @@ impl Reactor {
             inflight_total,
             accepting: true,
             draining: false,
+            scratch: vec![0; READ_CHUNK],
         };
         state
             .poller
@@ -288,6 +275,8 @@ struct Loop {
     /// Stop requested: no new reads, exit once in-flight work is served out
     /// and every reply flushed.
     draining: bool,
+    /// Every connection's reads pass through this one buffer.
+    scratch: Vec<u8>,
 }
 
 impl Loop {
@@ -319,7 +308,7 @@ impl Loop {
             }
             if self.draining
                 && self.inflight_total.load(Ordering::Relaxed) == 0
-                && self.conns.values().all(|c| c.write_queue.is_empty())
+                && self.conns.values().all(|c| !c.io.has_writes())
             {
                 break;
             }
@@ -366,29 +355,17 @@ impl Loop {
         while self.accepting {
             match self.listener.accept() {
                 Ok((stream, peer)) => {
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    let _ = stream.set_nodelay(true);
                     let token = self.next_token;
                     self.next_token += 1;
-                    if self
-                        .poller
-                        .register(stream.as_raw_fd(), token, Interest::READ)
-                        .is_err()
-                    {
+                    let Ok(io) = FrameConn::register(stream, &mut self.poller, token) else {
                         continue;
-                    }
+                    };
                     self.conns.insert(
                         token,
                         Conn {
-                            stream,
+                            io,
                             peer,
-                            read_buf: Vec::new(),
-                            write_queue: VecDeque::new(),
-                            write_off: 0,
                             inflight: 0,
-                            interest: Interest::READ,
                         },
                     );
                     self.set_open_gauge();
@@ -413,99 +390,63 @@ impl Loop {
         }
     }
 
-    /// Pull bytes off the socket and extract frames. Returns false if the
-    /// connection was closed.
-    fn read_ready(&mut self, token: u64) -> bool {
-        let mut scratch = [0u8; 64 * 1024];
+    /// Pull bytes off the socket, extracting frames after every read.
+    fn read_ready(&mut self, token: u64) {
         loop {
-            let conn = match self.conns.get_mut(&token) {
-                Some(c) => c,
-                None => return false,
+            let Some(conn) = self.conns.get_mut(&token) else {
+                return;
             };
-            if !conn.interest.readable {
+            if !conn.io.interest().readable {
                 // Paused by backpressure; leave the bytes in the kernel.
-                return true;
+                return;
             }
-            if conn.read_buf.len() >= self.config.read_buffer_cap {
+            if conn.io.staged() >= STAGING_CAP {
                 self.update_interest(token);
-                return true;
+                return;
             }
-            match conn.stream.read(&mut scratch) {
-                Ok(0) => {
-                    self.close_conn(token);
-                    return false;
-                }
-                Ok(n) => {
-                    conn.read_buf.extend_from_slice(&scratch[..n]);
+            match conn.io.read(&mut self.scratch) {
+                Filled::Bytes => {
                     if !self.extract_frames(token) {
-                        return false;
+                        return;
                     }
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
+                Filled::WouldBlock => return,
+                Filled::Closed => {
                     self.close_conn(token);
-                    return false;
+                    return;
                 }
             }
         }
     }
 
-    /// Parse complete frames out of the staging buffer and dispatch them.
-    /// Returns false if the connection was closed (malformed frame).
+    /// Slice complete frames off the staging buffer and dispatch them, up
+    /// to the connection's in-flight cap. Returns false if the connection
+    /// was closed (malformed frame).
     fn extract_frames(&mut self, token: u64) -> bool {
-        let mut consumed = 0usize;
-        let mut dispatched: Vec<Request> = Vec::new();
-        let (close, pause_changed) = {
-            let conn = match self.conns.get_mut(&token) {
-                Some(c) => c,
-                None => return false,
-            };
-            let mut close = false;
-            loop {
-                if conn.inflight + dispatched.len() >= self.config.max_inflight_per_conn {
-                    break;
-                }
-                let buf = &conn.read_buf[consumed..];
-                if buf.len() < FRAME_HEADER_BYTES {
-                    break;
-                }
-                let header: [u8; FRAME_HEADER_BYTES] =
-                    buf[..FRAME_HEADER_BYTES].try_into().expect("header slice");
-                let header = match parse_frame_header(&header) {
-                    Ok(h) => h,
-                    Err(_) => {
-                        close = true;
-                        break;
-                    }
-                };
-                let total = FRAME_HEADER_BYTES + header.len as usize;
-                if buf.len() < total {
-                    break;
-                }
-                match check_frame_payload(&header, &buf[FRAME_HEADER_BYTES..total]) {
-                    Ok(CheckedFrame { message, digests }) => {
-                        dispatched.push(Request {
-                            conn_id: token,
-                            call_id: header.call_id,
-                            message,
-                            digests,
-                            peer: conn.peer,
-                        });
-                        consumed += total;
-                    }
-                    Err(_) => {
-                        close = true;
-                        break;
-                    }
-                }
-            }
-            if consumed > 0 {
-                conn.read_buf.drain(..consumed);
-            }
-            conn.inflight += dispatched.len();
-            (close, true)
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return false;
         };
+        let mut dispatched: Vec<Request> = Vec::new();
+        let mut bad = false;
+        while conn.inflight + dispatched.len() < self.config.max_inflight_per_conn {
+            match conn.io.next_frame() {
+                Ok(Some((call_id, CheckedFrame { message, digests }))) => {
+                    dispatched.push(Request {
+                        conn_id: token,
+                        call_id,
+                        message,
+                        digests,
+                        peer: conn.peer,
+                    })
+                }
+                Ok(None) => break,
+                Err(_) => {
+                    bad = true;
+                    break;
+                }
+            }
+        }
+        conn.inflight += dispatched.len();
         let n = dispatched.len() as i64;
         if n > 0 {
             self.inflight_total.fetch_add(n, Ordering::Relaxed);
@@ -514,103 +455,64 @@ impl Loop {
                 let _ = self.work_tx.send(req);
             }
         }
-        if close {
+        if bad {
             if let Some(c) = &self.hooks.rejected_frames {
                 c.inc();
             }
             self.close_conn(token);
             return false;
         }
-        if pause_changed {
-            self.update_interest(token);
-        }
+        self.update_interest(token);
         true
     }
 
     fn handle_reply(&mut self, token: u64, bytes: Option<Vec<u8>>) {
         self.inflight_total.fetch_sub(1, Ordering::Relaxed);
         self.set_inflight_gauge();
-        let had_conn = if let Some(conn) = self.conns.get_mut(&token) {
-            conn.inflight = conn.inflight.saturating_sub(1);
-            if let Some(b) = bytes {
-                conn.write_queue.push_back(b);
-            }
-            true
-        } else {
-            false
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return;
         };
-        if had_conn && self.flush_writes(token) {
-            // Freed an in-flight slot: frames may already be staged.
-            if self.extract_frames(token) {
-                self.update_interest(token);
-            }
+        conn.inflight = conn.inflight.saturating_sub(1);
+        if let Some(b) = bytes {
+            conn.io.queue(b);
+        }
+        // Freed an in-flight slot: frames may already be staged.
+        if self.flush_writes(token) {
+            self.extract_frames(token);
         }
     }
 
     /// Write queued reply bytes until drained or WouldBlock. Returns false
     /// if the connection was closed.
     fn flush_writes(&mut self, token: u64) -> bool {
-        loop {
-            let conn = match self.conns.get_mut(&token) {
-                Some(c) => c,
-                None => return false,
-            };
-            let front = match conn.write_queue.front() {
-                Some(f) => f,
-                None => {
-                    self.update_interest(token);
-                    return true;
-                }
-            };
-            match conn.stream.write(&front[conn.write_off..]) {
-                Ok(0) => {
-                    self.close_conn(token);
-                    return false;
-                }
-                Ok(n) => {
-                    conn.write_off += n;
-                    if conn.write_off == front.len() {
-                        conn.write_queue.pop_front();
-                        conn.write_off = 0;
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    self.update_interest(token);
-                    return true;
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.close_conn(token);
-                    return false;
-                }
-            }
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return false;
+        };
+        if conn.io.flush().is_err() {
+            self.close_conn(token);
+            return false;
         }
+        self.update_interest(token);
+        true
     }
 
     /// Recompute a connection's poller interest from its state: read while
-    /// under the in-flight and buffer caps, write while replies are queued.
+    /// under the in-flight and staging caps, write while replies are queued.
     fn update_interest(&mut self, token: u64) {
-        let (fd, want, have) = match self.conns.get_mut(&token) {
-            Some(conn) => {
-                let readable = !self.draining
+        if let Some(conn) = self.conns.get_mut(&token) {
+            let want = Interest {
+                readable: !self.draining
                     && conn.inflight < self.config.max_inflight_per_conn
-                    && conn.read_buf.len() < self.config.read_buffer_cap;
-                let writable = !conn.write_queue.is_empty();
-                let want = Interest { readable, writable };
-                let have = conn.interest;
-                conn.interest = want;
-                (conn.stream.as_raw_fd(), want, have)
-            }
-            None => return,
-        };
-        if want != have {
-            let _ = self.poller.modify(fd, token, want);
+                    && conn.io.staged() < STAGING_CAP,
+                writable: conn.io.has_writes(),
+            };
+            conn.io.set_interest(&mut self.poller, token, want);
         }
     }
 
     fn close_conn(&mut self, token: u64) {
         if let Some(conn) = self.conns.remove(&token) {
-            let _ = self.poller.deregister(conn.stream.as_raw_fd());
+            conn.io.deregister(&mut self.poller);
             // Calls still in flight on this connection will decrement the
             // global gauge when their Reply commands arrive (the per-conn
             // count dies with the conn).
@@ -636,6 +538,7 @@ mod tests {
     use super::*;
     use ninf_protocol::{read_frame_mux, write_frame_mux, ProtocolResult, TcpTransport, Transport};
     use std::io::BufReader;
+    use std::net::TcpStream;
     use std::time::Duration;
 
     fn echo_handler() -> Handler {
@@ -868,7 +771,6 @@ mod tests {
             ReactorConfig {
                 workers: 2,
                 max_inflight_per_conn: 4,
-                ..Default::default()
             },
             echo_handler(),
             ReactorHooks::default(),

@@ -7,7 +7,7 @@
 //! ```
 
 use ninf::client::NinfClient;
-use ninf::db::{builtin_datasets, ninf_query, DbServer};
+use ninf::db::{builtin_datasets, DbServer};
 use ninf::protocol::Value;
 use ninf::server::{builtin::register_stdlib, NinfServer, Registry, ServerConfig};
 
@@ -25,12 +25,13 @@ fn main() {
     println!("Ninf computational server at {}", compute.addr());
 
     // --- browse the database.
-    let (listing, _) = ninf_query(&db_addr, "LIST").expect("LIST");
+    let mut db_client = NinfClient::connect(&db_addr).expect("connect db");
+    let (listing, _) = db_client.ninf_query("LIST").expect("LIST");
     println!("\ndatasets:\n{listing}\n");
 
     // --- Ninf_query: fetch the Hilbert matrix (ill-conditioned test case).
     let n = 8usize;
-    let (desc, values) = ninf_query(&db_addr, "GET matrix/hilbert8").expect("GET");
+    let (desc, values) = db_client.ninf_query("GET matrix/hilbert8").expect("GET");
     println!("fetched: {desc}");
     let Value::DoubleArray(h) = &values[1] else {
         unreachable!()
@@ -63,7 +64,9 @@ fn main() {
     );
 
     // --- sub-matrix queries ship only what you need.
-    let (desc, values) = ninf_query(&db_addr, "GET matrix/linpack100 SUB 0 4 0 4").expect("SUB");
+    let (desc, values) = db_client
+        .ninf_query("GET matrix/linpack100 SUB 0 4 0 4")
+        .expect("SUB");
     let Value::DoubleArray(block) = &values[1] else {
         unreachable!()
     };
