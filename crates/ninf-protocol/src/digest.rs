@@ -2,11 +2,12 @@
 //!
 //! A [`Digest`] names one marshalled argument by the bytes of its tagged
 //! XDR image: 128 bits in two independent halves, both computed in **one
-//! pass** over the image.
+//! pass** over the image, one 2 KiB block at a time: the lanes fold a
+//! block, then the CRC folds the same block while it is still in L1.
 //!
 //! - `lo = crc32c(image) << 32 | len mod 2^32` — the frame checksum's own
-//!   CRC-32C (hardware `crc32` on SSE4.2, see [`crate::crc`]) folded with
-//!   the length.
+//!   CRC-32C (the carry-less-multiply fold, see [`crate::crc`]) folded
+//!   with the length.
 //! - `hi` — a multi-lane multiply-rotate accumulation: little-endian
 //!   64-bit word `k` of the image (the last one zero-padded) goes to lane
 //!   `k mod 8` as `lane = rotl((lane ^ word) · K, 31)`; the eight lanes are
@@ -41,7 +42,7 @@
 //! costs ~20 wire bytes plus a store lookup, which only pays for itself on
 //! the flat arrays that dominate WAN transfer time.
 
-use ninf_xdr::{be_blocks, BeWord};
+use ninf_xdr::{be_blocks, BeWord, BE_BLOCK_BYTES};
 
 use crate::codec::Wire;
 use crate::value::Value;
@@ -95,71 +96,27 @@ fn finalize(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The digest kernel: fold whole [`GROUP`]s into the lanes and, word by
-/// word in the same loop, into `N` raw CRC-32C registers through
-/// `crc_word` — the digest's own, and, when the frame writer digests an
-/// argument as it encodes it, the frame's, whose chain then runs beside
-/// the digest's instead of after it. Returns the new registers.
-#[inline(always)]
-fn absorb(
-    lanes: &mut [u64; LANES],
-    crcs: &mut [u32],
-    groups: &[u8],
-    crc_word: impl Fn(u32, u64) -> u32,
-) {
-    let (groups, rest) = groups.as_chunks::<GROUP>();
-    debug_assert!(rest.is_empty(), "absorb takes whole groups");
+/// The digest kernel: fold whole [`GROUP`]s into the lanes. [`Hasher`]
+/// advances the CRC registers over the same bytes with
+/// [`crate::crc::update`].
+#[inline]
+fn absorb(lanes: &mut [u64; LANES], groups: &[[u8; GROUP]]) {
     let mut acc = *lanes;
     for g in groups {
         let (words, _) = g.as_chunks::<8>();
         for (lane, w) in acc.iter_mut().zip(words) {
-            let w = u64::from_le_bytes(*w);
-            for crc in crcs.iter_mut() {
-                *crc = crc_word(*crc, w);
-            }
-            *lane = mix(*lane, w);
+            *lane = mix(*lane, u64::from_le_bytes(*w));
         }
     }
     *lanes = acc;
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse4.2")]
-fn absorb_hw<const N: usize>(
-    lanes: &mut [u64; LANES],
-    mut crcs: [u32; N],
-    groups: &[u8],
-) -> [u32; N] {
-    use std::arch::x86_64::_mm_crc32_u64;
-    absorb(lanes, &mut crcs, groups, |c, w| {
-        _mm_crc32_u64(u64::from(c), w) as u32
-    });
-    crcs
-}
-
-fn absorb_groups<const N: usize>(
-    lanes: &mut [u64; LANES],
-    mut crcs: [u32; N],
-    groups: &[u8],
-) -> [u32; N] {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("sse4.2") {
-            // SAFETY: the `crc32` instruction was detected at runtime.
-            return unsafe { absorb_hw(lanes, crcs, groups) };
-        }
-    }
-    absorb(lanes, &mut crcs, groups, |c, w| {
-        crate::crc::update_sw(c, &w.to_le_bytes())
-    });
-    crcs
 }
 
 /// One streaming pass computing both halves; bytes may arrive in pieces
 /// of any length. The frame writer feeds one from the bytes it writes, so
 /// an argument is digested in the pass that encodes it, and the frame
 /// check feeds one from the payload it checks; both hand it the frame's
-/// CRC register to carry over the same bytes.
+/// CRC register to carry over the same bytes: each block goes to the
+/// lanes and then to each register while it is in L1.
 pub(crate) struct Hasher {
     lanes: [u64; LANES],
     /// Raw (uncomplemented) CRC-32C register.
@@ -194,22 +151,23 @@ impl Hasher {
         }
     }
 
-    /// Absorb whole groups into the lanes and both registers (fields
-    /// passed apart so a group can come from `pending` without a copy).
-    fn fold_groups(
-        lanes: &mut [u64; LANES],
-        crc: &mut u32,
-        carry: &mut Option<u32>,
-        groups: &[u8],
-    ) {
-        match carry {
-            None => [*crc] = absorb_groups(lanes, [*crc], groups),
-            Some(carry) => [*crc, *carry] = absorb_groups(lanes, [*crc, *carry], groups),
+    /// Fold `data` one [`BE_BLOCK_BYTES`] block at a time: the lanes, then
+    /// each CRC register over the same block while it is still in L1.
+    pub(crate) fn update(&mut self, data: &[u8]) {
+        self.len += data.len() as u64;
+        for block in data.chunks(BE_BLOCK_BYTES) {
+            self.feed_lanes(block);
+            self.crc = crate::crc::update(self.crc, block);
+            if let Some(carry) = &mut self.carry {
+                *carry = crate::crc::update(*carry, block);
+            }
         }
     }
 
-    pub(crate) fn update(&mut self, mut data: &[u8]) {
-        self.len += data.len() as u64;
+    /// The lanes' share of [`Hasher::update`]: whole groups go to the
+    /// kernel, and the start of a group still arriving waits in `pending`.
+    /// (The CRC registers take bytes at any boundary.)
+    fn feed_lanes(&mut self, mut data: &[u8]) {
         if self.filled > 0 {
             let take = (GROUP - self.filled).min(data.len());
             self.pending[self.filled..self.filled + take].copy_from_slice(&data[..take]);
@@ -218,22 +176,11 @@ impl Hasher {
             if self.filled < GROUP {
                 return;
             }
-            Self::fold_groups(
-                &mut self.lanes,
-                &mut self.crc,
-                &mut self.carry,
-                &self.pending,
-            );
+            absorb(&mut self.lanes, std::slice::from_ref(&self.pending));
             self.filled = 0;
         }
-        let whole = data.len() - data.len() % GROUP;
-        Self::fold_groups(
-            &mut self.lanes,
-            &mut self.crc,
-            &mut self.carry,
-            &data[..whole],
-        );
-        let rest = &data[whole..];
+        let (groups, rest) = data.as_chunks::<GROUP>();
+        absorb(&mut self.lanes, groups);
         self.pending[..rest.len()].copy_from_slice(rest);
         self.filled = rest.len();
     }
@@ -252,8 +199,6 @@ impl Hasher {
     /// The digest, and the carried register advanced over every byte.
     pub(crate) fn close(mut self) -> (Digest, Option<u32>) {
         let tail = &self.pending[..self.filled];
-        self.crc = crate::crc::update(self.crc, tail);
-        let carry = self.carry.map(|c| crate::crc::update(c, tail));
         for (lane, w) in self.lanes.iter_mut().zip(tail.chunks(8)) {
             let mut word = [0u8; 8];
             word[..w.len()].copy_from_slice(w);
@@ -264,7 +209,7 @@ impl Hasher {
             hi,
             lo: (u64::from(!self.crc) << 32) | (self.len & 0xFFFF_FFFF),
         };
-        (digest, carry)
+        (digest, self.carry)
     }
 }
 
@@ -374,6 +319,37 @@ mod tests {
                 from = cut;
             }
             proptest::prop_assert_eq!(h.finish(), Digest::of(&bytes));
+        }
+    }
+
+    proptest::proptest! {
+        /// A hasher carrying a frame register gives, from pieces cut
+        /// anywhere across its 2 KiB block edges, the digest and carried
+        /// register it gives from one piece: the digest of the bytes and
+        /// the register advanced over every one of them.
+        #[test]
+        fn a_carried_register_sees_every_block(
+            bytes in proptest::collection::vec(
+                proptest::prelude::any::<u8>(),
+                0..=3 * BE_BLOCK_BYTES + 100,
+            ),
+            cuts in proptest::collection::vec(0usize..=3 * BE_BLOCK_BYTES + 100, 0..6),
+            register in proptest::prelude::any::<u32>(),
+        ) {
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(bytes.len())).collect();
+            cuts.sort_unstable();
+            let mut pieces = Hasher::carrying(Some(register));
+            let mut from = 0;
+            for cut in cuts.into_iter().chain([bytes.len()]) {
+                pieces.update(&bytes[from..cut]);
+                from = cut;
+            }
+            let mut whole = Hasher::carrying(Some(register));
+            whole.update(&bytes);
+            let (digest, carried) = pieces.close();
+            proptest::prop_assert_eq!((digest, carried), whole.close());
+            proptest::prop_assert_eq!(digest, Digest::of(&bytes));
+            proptest::prop_assert_eq!(carried, Some(crate::crc::update_sw(register, &bytes)));
         }
     }
 

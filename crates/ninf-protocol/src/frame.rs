@@ -91,9 +91,9 @@ fn check_len(len: usize) -> ProtocolResult<u32> {
 /// argument being digested in the same pass. The folds read the buffer
 /// lazily — small writes accumulate, and each array block is folded right
 /// after it is appended, while it is still in L1. While an argument is
-/// digested, the digest kernel carries the frame's CRC register, so the
-/// two CRC chains run side by side in one loop. A bare sink (no header, no
-/// CRC) writes a value image and its digest ([`digested_image`]).
+/// digested, the digest's hasher carries the frame's CRC register over the
+/// same blocks. A bare sink (no header, no CRC) writes a value image and
+/// its digest ([`digested_image`]).
 struct FrameSink {
     buf: Vec<u8>,
     /// Bytes of `buf` folded so far.

@@ -16,9 +16,12 @@
 //! one connection are being handled, the reactor stops extracting frames
 //! from it (and stops reading its socket when the staging buffer fills), so
 //! one fast-spraying client cannot flood the worker queue. Replies re-enable
-//! the connection. A malformed frame — bad magic, wrong version, CRC
-//! mismatch, undecodable payload — closes exactly that connection; calls
-//! in flight on other connections are untouched.
+//! the connection. A connection also stops dispatching and reading while
+//! it holds reply bytes its socket would not take, so a peer that pipelines
+//! requests and never reads its replies costs at most the calls already in
+//! flight plus what the kernel buffers hold. A malformed frame — bad
+//! magic, wrong version, CRC mismatch, undecodable payload — closes exactly
+//! that connection; calls in flight on other connections are untouched.
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -382,7 +385,8 @@ impl Loop {
             self.close_conn(token);
             return;
         }
-        if ev.writable && !self.flush_writes(token) {
+        // Draining the queued replies lets staged frames dispatch again.
+        if ev.writable && !(self.flush_writes(token) && self.extract_frames(token)) {
             return;
         }
         if ev.readable {
@@ -428,7 +432,11 @@ impl Loop {
         };
         let mut dispatched: Vec<Request> = Vec::new();
         let mut bad = false;
-        while conn.inflight + dispatched.len() < self.config.max_inflight_per_conn {
+        // Nothing more dispatches while replies wait for the socket (see the
+        // module docs: the slow-reader bound).
+        while conn.inflight + dispatched.len() < self.config.max_inflight_per_conn
+            && !conn.io.has_writes()
+        {
             match conn.io.next_frame() {
                 Ok(Some((call_id, CheckedFrame { message, digests }))) => {
                     dispatched.push(Request {
@@ -497,13 +505,15 @@ impl Loop {
     }
 
     /// Recompute a connection's poller interest from its state: read while
-    /// under the in-flight and staging caps, write while replies are queued.
+    /// under the in-flight and staging caps and no reply waits for the
+    /// socket, write while replies are queued.
     fn update_interest(&mut self, token: u64) {
         if let Some(conn) = self.conns.get_mut(&token) {
             let want = Interest {
                 readable: !self.draining
                     && conn.inflight < self.config.max_inflight_per_conn
-                    && conn.io.staged() < STAGING_CAP,
+                    && conn.io.staged() < STAGING_CAP
+                    && !conn.io.has_writes(),
                 writable: conn.io.has_writes(),
             };
             conn.io.set_interest(&mut self.poller, token, want);
@@ -796,6 +806,59 @@ mod tests {
         }
         w.join().unwrap();
         assert_eq!(seen.len(), total as usize);
+        handle.shutdown();
+    }
+
+    /// A slow reader. A peer pipelines far more requests than the
+    /// in-flight cap, each answered by a large reply, and never reads.
+    /// Once the kernel buffers fill, the connection stops dispatching, so
+    /// the handler runs a bounded number of times instead of once per
+    /// request with every reply queued in the server's memory.
+    #[test]
+    fn a_peer_that_never_reads_runs_a_bounded_number_of_calls() {
+        const REQUESTS: usize = 400;
+        const REPLY_BYTES: usize = 256 * 1024;
+        let runs = Arc::new(AtomicI64::new(0));
+        let counted = Arc::clone(&runs);
+        let handler: Handler = Arc::new(move |_req: Request| {
+            counted.fetch_add(1, Ordering::SeqCst);
+            Some(Message::Error {
+                reason: "x".repeat(REPLY_BYTES),
+            })
+        });
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let handle = Reactor::start(
+            listener,
+            ReactorConfig {
+                workers: 2,
+                max_inflight_per_conn: 4,
+            },
+            handler,
+            ReactorHooks::default(),
+        )
+        .unwrap();
+        let mut peer = TcpStream::connect(handle.local_addr()).unwrap();
+        let burst: Vec<u8> = (1..=REQUESTS as u64)
+            .flat_map(|id| encode_frame(id, &Message::QueryLoad).unwrap())
+            .collect();
+        peer.write_all(&burst).unwrap();
+        // Wait until the count has held still for half a second.
+        let give_up = std::time::Instant::now() + Duration::from_secs(10);
+        let mut last = -1;
+        while std::time::Instant::now() < give_up {
+            let now = runs.load(Ordering::SeqCst);
+            if now == last {
+                break;
+            }
+            last = now;
+            std::thread::sleep(Duration::from_millis(500));
+        }
+        let ran = runs.load(Ordering::SeqCst) as usize;
+        assert!(
+            ran < REQUESTS / 4,
+            "{ran} of {REQUESTS} calls ran for a peer that reads nothing"
+        );
+        drop(peer);
         handle.shutdown();
     }
 
