@@ -5,31 +5,23 @@
 //! ninf-chaos run    --scenario <name> --seed <u64>   # one run, print transcript
 //! ninf-chaos replay --scenario <name> --seed <u64>   # reproduce a hunt finding
 //! ninf-chaos hunt   [--scenario <name>] --seeds A..B # sweep seeds, report violations
-//! ninf-chaos diff   [--clients 1,4,8] [--seed <u64>] [--tolerance <f64>]
+//! ninf-chaos diff   [--clients 1,4,8] [--seed <u64>]
 //! ```
 //!
 //! Every run is a pure function of `(scenario, seed)`: the same pair prints a
 //! byte-identical transcript, so a `hunt` finding is fully reproduced by the
 //! `replay` line it prints — no logs, cores, or timing archaeology needed.
 //! `diff` runs the live `lan-linpack` scalability sweep against the matched
-//! simulator scenario and compares normalized shapes within tolerance
-//! (policy in docs/TESTING.md).
+//! simulator scenario and compares normalized shapes within the one fixed
+//! tolerance, `ninf_testkit::TOLERANCE` (policy in docs/TESTING.md).
 
 use ninf_bench::cli::{parse_args, parse_list, CliError};
-use ninf_testkit::{
-    chaos, chaos_names, live_vs_sim, run_chaos, ChaosRun, Inject, DEFAULT_TOLERANCE,
-};
+use ninf_testkit::{chaos, chaos_names, live_vs_sim, run_chaos, ChaosRun, Inject, TOLERANCE};
 
 fn main() {
     let parsed = match parse_args(
         std::env::args().skip(1),
-        &[
-            "--scenario|-s",
-            "--seed",
-            "--seeds",
-            "--clients",
-            "--tolerance",
-        ],
+        &["--scenario|-s", "--seed", "--seeds", "--clients"],
         // --violate-exactly-once is deliberately undocumented: it plants a
         // duplicate completion record so CI can prove the checkers bite.
         &["--violate-exactly-once"],
@@ -125,13 +117,7 @@ fn main() {
                 },
                 None => vec![1, 4, 8],
             };
-            let seed = seed_of(&parsed);
-            let tolerance = match parsed.parse::<f64>("--tolerance") {
-                Ok(v) => v.unwrap_or(DEFAULT_TOLERANCE),
-                Err(CliError::Bad(msg)) => usage(&msg),
-                Err(CliError::Help) => usage(""),
-            };
-            match live_vs_sim(&clients, seed, tolerance) {
+            match live_vs_sim(&clients, seed_of(&parsed)) {
                 Ok(report) => {
                     print!("{}", report.render());
                     if !report.pass() {
@@ -199,8 +185,7 @@ fn usage(err: &str) -> ! {
         \x20 run    --scenario <name> [--seed <u64>]   one seeded run, print transcript\n\
         \x20 replay --scenario <name> --seed <u64>     reproduce a hunt finding exactly\n\
         \x20 hunt   [--scenario <name>] --seeds A..B   sweep seeds; print reproducers, exit 1 on violation\n\
-        \x20 diff   [--clients <list>] [--seed <u64>] [--tolerance <f64>]\n\
-        \x20                                           live-vs-sim scalability differential\n\
+        \x20 diff   [--clients <list>] [--seed <u64>]  live-vs-sim differential, tolerance {TOLERANCE}\n\
          scenarios: {}",
         chaos_names().join(", ")
     );

@@ -4,7 +4,7 @@
 //! ninf-load --scenario <name> [--clients <list>] [--seed <u64>]
 //!           [--json <path>] [--csv <dir>] [--addr <host:port>]
 //!           [--trace] [--trace-out <path>] [--no-arg-cache]
-//!           [--compare-sim] [--assert-zero-errors] [--list]
+//!           [--assert-zero-errors] [--list]
 //!
 //! ninf-load --list                                  # scenario menu
 //! ninf-load --scenario lan-linpack --clients 1,4,8  # Table 3-shaped sweep
@@ -23,9 +23,8 @@
 //! writes every span this process recorded — for in-process targets that is
 //! the client, metaserver, *and* server side — as Chrome `trace_event` JSON
 //! loadable in Perfetto (merge spans fetched from external servers with
-//! `ninf-trace fetch --merge`). `--compare-sim` re-runs
-//! the simulator's Table 3/4 experiment in-process at the same seed and
-//! prints the live and simulated scalability shapes side by side.
+//! `ninf-trace fetch --merge`). The checked comparison of the live shape
+//! with the simulator's is `ninf-chaos diff`.
 //!
 //! `--sweep` switches to the DiPerF-style coordinated saturation sweep: one
 //! controller ramps the open-loop offered rate over `--sweep-stages` stages
@@ -36,10 +35,8 @@
 //! timeline. The client count is the single (first) `--clients` value.
 //! External targets (`--addr`) should run `ninfd --windows-ms` to serve
 //! window series; a disarmed server yields an empty series, not an error.
-//! With `--sweep`, `--compare-sim` runs the simulator's `sweep-lan` client
-//! ramp at the same seed and prints the two knee locations side by side,
-//! and `--json`/`--csv` emit the sweep report schema instead of per-run
-//! reports.
+//! With `--sweep`, `--json`/`--csv` emit the sweep report schema instead of
+//! per-run reports.
 //!
 //! `--wan <spec>` installs the client-side link model (token-bucket bandwidth
 //! cap, propagation delay, seeded loss, stalls and corruption — one grammar,
@@ -73,7 +70,6 @@ fn main() {
         ],
         &[
             "--list",
-            "--compare-sim",
             "--assert-zero-errors",
             "--trace",
             "--no-arg-cache",
@@ -174,9 +170,6 @@ fn main() {
             }
         };
         print!("{}", render_live_sweep(&report));
-        if parsed.has("--compare-sim") {
-            print!("{}", compare_sim_sweep(&report, seed));
-        }
         if let Some(dir) = parsed.value("--csv") {
             let dir = std::path::PathBuf::from(dir);
             let files = report.write_csv(&dir).expect("write sweep csv");
@@ -227,9 +220,6 @@ fn main() {
     }
 
     print!("{}", render_sweep(&reports));
-    if parsed.has("--compare-sim") {
-        print!("{}", compare_sim(&reports, seed));
-    }
     // Process-wide argument-cache counters: how many argument slots this
     // sweep shipped as digests and how many the servers asked back inline.
     let (argref_sent, argref_refilled) = (
@@ -383,72 +373,6 @@ fn render_sweep(reports: &[RunReport]) -> String {
     s
 }
 
-/// Live-vs-sim comparison: re-run the simulator's 1-PE LAN Linpack table
-/// (Table 3) in-process at the same seed and set the two scalability shapes
-/// side by side, each normalized to its own c=1 run.
-///
-/// Absolute numbers differ by design — the sim models the paper's J90 and
-/// n∈{600,1000,1400}, the live run measures this host — so the comparable
-/// signal is the *decline shape* of per-call Mflops as clients contend.
-fn compare_sim(reports: &[RunReport], seed: u64) -> String {
-    let sim = match ninf_sim::experiments::run("table3", seed) {
-        Some(out) => out,
-        None => return String::from("# --compare-sim: sim experiment table3 unavailable\n"),
-    };
-    // Pick the sim's smallest-n workload row set (closest to the live rig).
-    let cells: Vec<&serde_json::Value> = match sim.json.as_array() {
-        Some(cells) => cells
-            .iter()
-            .filter(|c| c["workload"].as_str().is_some_and(|w| w == "linpack n=600"))
-            .collect(),
-        None => Vec::new(),
-    };
-    let sim_at = |clients: usize| -> Option<(f64, f64, f64)> {
-        let cell = cells
-            .iter()
-            .find(|c| c["clients"].as_u64() == Some(clients as u64))?;
-        Some((
-            cell["perf"]["mean"].as_f64()?,
-            cell["response"]["mean"].as_f64()?,
-            cell["wait"]["mean"].as_f64()?,
-        ))
-    };
-
-    let mut s = String::from(
-        "=================================================================\n\
-         live vs sim (Table 3 shape, each normalized to its own c=1)\n\
-         =================================================================\n\
-         clients  live-Mflops  live-norm  sim-Mflops  sim-norm   sim-T_wait\n",
-    );
-    let live_base = reports
-        .iter()
-        .find(|r| r.clients == 1)
-        .map(|r| r.fleet.perf.mean);
-    let sim_base = sim_at(1).map(|(m, _, _)| m);
-    for r in reports {
-        let live_norm = match live_base {
-            Some(b) if b > 0.0 => format!("{:.3}", r.fleet.perf.mean / b),
-            _ => "-".into(),
-        };
-        let (sim_m, sim_norm, sim_wait) = match (sim_at(r.clients), sim_base) {
-            (Some((m, _resp, wait)), Some(b)) if b > 0.0 => (
-                format!("{m:.2}"),
-                format!("{:.3}", m / b),
-                format!("{wait:.3}s"),
-            ),
-            (Some((m, _resp, wait)), _) => (format!("{m:.2}"), "-".into(), format!("{wait:.3}s")),
-            _ => ("-".into(), "-".into(), "-".into()),
-        };
-        s += &format!(
-            "{:<8} {:<12.2} {:<10} {:<11} {:<10} {}\n",
-            r.clients, r.fleet.perf.mean, live_norm, sim_m, sim_norm, sim_wait
-        );
-    }
-    s += "# sim rows: table3, linpack n=600 on the modeled J90; live rows: this host.\n\
-          # the comparable signal is the normalized per-call decline, not absolutes.\n";
-    s
-}
-
 /// The coordinated sweep: curve, knee, and merged-timeline summary.
 fn render_live_sweep(r: &SweepReport) -> String {
     let mut s = format!(
@@ -509,52 +433,6 @@ fn render_live_sweep(r: &SweepReport) -> String {
     s
 }
 
-/// Live-vs-sim knee comparison for `--sweep`: run the simulator's
-/// `sweep-lan` client ramp at the same seed and put the two knees side by
-/// side. The axes differ by design — the live ramp scales an open-loop
-/// rate at fixed clients, the sim ramps closed-loop clients — so the live
-/// knee is also restated in client-equivalents at the scenario's base
-/// rate, the unit the sim knee uses.
-fn compare_sim_sweep(r: &SweepReport, seed: u64) -> String {
-    let sim = match ninf_sim::experiments::run("sweep-lan", seed) {
-        Some(out) => out,
-        None => return String::from("# --compare-sim: sim experiment sweep-lan unavailable\n"),
-    };
-    let mut s = String::from(
-        "=================================================================\n\
-         live vs sim saturation knee (sweep-lan cross-check)\n\
-         =================================================================\n",
-    );
-    match &r.knee {
-        Some(k) => {
-            let client_equiv = if r.base_rate_hz > 0.0 {
-                k.offered_hz / r.base_rate_hz
-            } else {
-                0.0
-            };
-            s += &format!(
-                "live: knee at {:.1} Hz offered ≈ {client_equiv:.1} client-equivalents at {:.1} Hz each (saturated={})\n",
-                k.offered_hz, r.base_rate_hz, k.saturated
-            );
-        }
-        None => s += "live: no knee estimate\n",
-    }
-    let knee = &sim.json["knee"];
-    match (knee["clients"].as_u64(), knee["latency_s"].as_f64()) {
-        (Some(c), Some(lat)) => {
-            s += &format!(
-                "sim:  knee at c={c} clients ({:.3} Hz, {lat:.3}s mean latency, saturated={})\n",
-                knee["throughput_hz"].as_f64().unwrap_or(0.0),
-                knee["saturated"].as_bool().unwrap_or(false)
-            );
-        }
-        _ => s += "sim:  no knee in sweep-lan output\n",
-    }
-    s += "# same latency-elasticity rule both sides; axes differ (rate ramp vs client ramp),\n\
-          # so compare knee *existence and order of magnitude*, not absolutes.\n";
-    s
-}
-
 /// The whole sweep as one JSON document (experiments.json schema family).
 fn sweep_json(reports: &[RunReport], seed: u64) -> serde_json::Value {
     let mut doc = serde_json::Map::new();
@@ -594,7 +472,7 @@ fn usage(err: &str) -> ! {
         \x20                [--trace] [--trace-out <path>] [--no-arg-cache]\n\
         \x20                [--sweep] [--sweep-stages <n>] [--stage-secs <s>]\n\
         \x20                [--window-ms <ms>] [--wan <spec|off>]\n\
-        \x20                [--compare-sim] [--assert-zero-errors] [--list]\n\
+        \x20                [--assert-zero-errors] [--list]\n\
          scenarios: {}",
         scenario_names().join(", ")
     );

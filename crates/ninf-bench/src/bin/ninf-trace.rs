@@ -4,8 +4,6 @@
 //! ```text
 //! ninf-trace demo  [--n 64] [--out trace.json]
 //! ninf-trace fetch <addr>... [--trace <id>] [--merge <chrome.json>] [--out <path>]
-//! ninf-trace sim   [--clients 4] [--n 600] [--out <path>]
-//! ninf-trace diff  <a.json> <b.json>
 //! ninf-trace check <chrome.json> [--slack-us 1000]
 //! ninf-trace metrics <addr>
 //! ninf-trace timeline <sweep.json> [--metric <name>] [--source <substr>]
@@ -20,8 +18,6 @@
 //!   16 digits wide, decimal otherwise) and joins them — `--merge` folds in
 //!   spans already exported to a Chrome JSON file (e.g. by
 //!   `ninf-load --trace-out`).
-//! * `sim` renders a simulated LAN run in the same span schema, so a live
-//!   trace and its simulated twin diff side by side with `diff`.
 //! * `check` validates a Chrome trace file: it must parse, spans must nest
 //!   within their parents, and every client call span must have matching
 //!   server spans (CI uses this as the trace smoke test).
@@ -39,8 +35,8 @@ use ninf_bench::cli::{parse_args, CliError, Parsed};
 use ninf_client::NinfClient;
 use ninf_metaserver::{Balancing, Directory, Metaserver, ServerEntry};
 use ninf_obs::export::{
-    chrome_trace_json, client_server_coverage, dedup, diff_summary, parse_chrome_trace,
-    render_tree, validate_nesting,
+    chrome_trace_json, client_server_coverage, dedup, parse_chrome_trace, render_tree,
+    validate_nesting,
 };
 use ninf_obs::{recorder, Span, TraceContext};
 use ninf_protocol::Value;
@@ -56,8 +52,6 @@ fn main() {
     match cmd.as_str() {
         "demo" => demo(&args[1..]),
         "fetch" => fetch(&args[1..]),
-        "sim" => sim(&args[1..]),
-        "diff" => diff(&args[1..]),
         "check" => check(&args[1..]),
         "metrics" => metrics(&args[1..]),
         "timeline" => timeline(&args[1..]),
@@ -225,64 +219,6 @@ fn fetch(args: &[String]) {
     let spans = dedup(&spans);
     println!("{}", render_tree(&spans));
     write_or_print(&spans, parsed.value("--out"));
-}
-
-/// A simulated LAN run in the live span schema.
-fn sim(args: &[String]) {
-    let parsed = flags(args, &["--clients", "--n", "--seed", "--out"]);
-    if let Some(extra) = parsed.positionals.first() {
-        usage(&format!("unexpected argument `{extra}`"));
-    }
-    let parse_or = |flag: &str, default: u64| -> u64 {
-        parsed
-            .value(flag)
-            .map(|v| {
-                v.parse()
-                    .unwrap_or_else(|_| usage(&format!("{flag} needs an integer")))
-            })
-            .unwrap_or(default)
-    };
-    let clients = parse_or("--clients", 4) as usize;
-    let n = parse_or("--n", 600);
-    let seed = parse_or("--seed", 1997);
-
-    let scenario = ninf_sim::Scenario::lan(
-        ninf_machine::j90(),
-        clients,
-        ninf_sim::Workload::Linpack { n },
-        ExecMode::TaskParallel,
-        SchedPolicy::Fcfs,
-        seed,
-    );
-    let (cell, calls) = ninf_sim::World::new(scenario).run_detailed();
-    let spans = ninf_sim::spans_from_metrics(&calls);
-    println!("{}", render_tree(&spans));
-    eprintln!(
-        "# sim: {} call(s), {} clients, perf mean {:.2} Mflops",
-        calls.len(),
-        cell.clients,
-        cell.perf.mean
-    );
-    write_or_print(&spans, parsed.value("--out"));
-}
-
-/// Per-(process, name) mean-duration comparison of two trace files.
-fn diff(args: &[String]) {
-    let files = flags(args, &[]).positionals;
-    let [a, b] = files.as_slice() else {
-        usage("diff needs exactly two <chrome.json> files");
-    };
-    let load = |path: &str| -> Vec<Span> {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read {path}: {e}");
-            std::process::exit(1);
-        });
-        parse_chrome_trace(&text).unwrap_or_else(|e| {
-            eprintln!("{path}: {e}");
-            std::process::exit(1);
-        })
-    };
-    print!("{}", diff_summary(a, &load(a), b, &load(b)));
 }
 
 /// Validate a Chrome trace file (parse, nesting, client↔server coverage).
@@ -662,8 +598,6 @@ fn usage(err: &str) -> ! {
     eprintln!(
         "usage: ninf-trace demo  [--n 64] [--out trace.json]\n\
         \x20      ninf-trace fetch <addr>... [--trace <id>] [--merge <chrome.json>] [--out <path>]\n\
-        \x20      ninf-trace sim   [--clients 4] [--n 600] [--seed 1997] [--out <path>]\n\
-        \x20      ninf-trace diff  <a.json> <b.json>\n\
         \x20      ninf-trace check <chrome.json> [--slack-us 1000]\n\
         \x20      ninf-trace metrics <addr>\n\
         \x20      ninf-trace timeline <sweep.json> [--metric <name>] [--source <substr>]"

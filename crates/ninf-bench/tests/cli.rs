@@ -45,6 +45,35 @@ fn ninf_load_refuses_the_retired_streams_flag() {
     assert_usage_error(&out, "unknown flag `--streams`");
 }
 
+/// The simulator meets the live system only in the checked differentials:
+/// the print-only comparators are gone, and the tolerance is a constant,
+/// not a flag.
+#[test]
+fn ninf_load_refuses_the_retired_compare_sim_flag() {
+    let out = run(
+        env!("CARGO_BIN_EXE_ninf-load"),
+        &["--scenario", "lan-ep", "--list", "--compare-sim"],
+    );
+    assert_usage_error(&out, "unknown flag `--compare-sim`");
+}
+
+#[test]
+fn ninf_trace_refuses_the_retired_sim_and_diff_subcommands() {
+    for sub in ["sim", "diff"] {
+        let out = run(env!("CARGO_BIN_EXE_ninf-trace"), &[sub]);
+        assert_usage_error(&out, &format!("unknown subcommand `{sub}`"));
+    }
+}
+
+#[test]
+fn ninf_chaos_diff_refuses_a_tolerance() {
+    let out = run(
+        env!("CARGO_BIN_EXE_ninf-chaos"),
+        &["diff", "--tolerance", "0.5"],
+    );
+    assert_usage_error(&out, "unknown flag `--tolerance`");
+}
+
 /// A spec whose event bands sum past every send is input from outside the
 /// program: a parse error the CLI prints.
 #[test]

@@ -1106,12 +1106,42 @@ impl Call {
         }
     }
 
+    /// A client for this call's destination, nothing dialed yet.
+    fn client(&self) -> NinfClient {
+        let mut client = NinfClient::undialed(&self.addr, self.options, self.pool.clone());
+        client.trace_parent = self.trace_parent;
+        client.trace_process.clone_from(&self.process);
+        client
+    }
+
     /// Make the call on the current thread.
     pub fn run(self) -> ProtocolResult<Vec<Value>> {
-        let mut client = NinfClient::undialed(&self.addr, self.options, self.pool);
-        client.trace_parent = self.trace_parent;
-        client.trace_process = self.process;
-        client.ninf_call(&self.routine, &self.args)
+        self.client().ninf_call(&self.routine, &self.args)
+    }
+
+    /// Make the call in two phases over *separate connections* (§5.1):
+    /// submit on one, disconnect, then poll and fetch on a fresh connection
+    /// every `poll_interval`, so connections never pin server slots while
+    /// the server computes. The submit, every poll and the fetch run under
+    /// `options` (a silent server yields a typed
+    /// [`ProtocolError::Timeout`], not a hang) and through `pool` when one
+    /// is given.
+    pub fn two_phase(self, poll_interval: Duration) -> ProtocolResult<Vec<Value>> {
+        // The submitter is dropped at once: a direct connection closes while
+        // the server computes (a pooled stream goes back to its pool).
+        let job = self.client().submit_job(&self.routine, &self.args)?;
+        loop {
+            let mut poller = self.client();
+            match poller.poll_job(job)? {
+                ninf_protocol::JobPhase::Pending => std::thread::sleep(poll_interval),
+                ninf_protocol::JobPhase::Done | ninf_protocol::JobPhase::Failed => {
+                    return poller.fetch_result(job);
+                }
+                ninf_protocol::JobPhase::Unknown => {
+                    return Err(ProtocolError::Remote(format!("job {job} vanished")));
+                }
+            }
+        }
     }
 
     /// Make the call on a thread of its own; the deadline and retries apply
@@ -1158,35 +1188,6 @@ pub fn ninf_call_url(url: &str, args: &[Value]) -> ProtocolResult<Vec<Value>> {
 /// do not serialize on one socket.
 pub fn call_async(addr: String, routine: String, args: Vec<Value>) -> AsyncCall {
     Call::new(addr, routine, args).spawn()
-}
-
-/// A complete two-phase call over *separate connections*: submit on one,
-/// disconnect, then poll and fetch on a fresh connection every
-/// `poll_interval` — the §5.1 design that "terminates" communication during
-/// server computation so connections never pin server slots.
-pub fn call_two_phase(
-    addr: &str,
-    routine: &str,
-    args: &[Value],
-    poll_interval: std::time::Duration,
-) -> ProtocolResult<Vec<Value>> {
-    let job = {
-        let mut submitter = NinfClient::connect(addr)?;
-        submitter.submit_job(routine, args)?
-        // submitter dropped: connection closed while the server computes.
-    };
-    loop {
-        let mut poller = NinfClient::connect(addr)?;
-        match poller.poll_job(job)? {
-            ninf_protocol::JobPhase::Pending => std::thread::sleep(poll_interval),
-            ninf_protocol::JobPhase::Done | ninf_protocol::JobPhase::Failed => {
-                return poller.fetch_result(job);
-            }
-            ninf_protocol::JobPhase::Unknown => {
-                return Err(ProtocolError::Remote(format!("job {job} vanished")));
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -34,12 +34,12 @@
 //! dropped, never reused. Everything else is that loop under another name:
 //!
 //! * [`Call`] — a one-shot call as a plain value (destination, routine,
-//!   arguments, options, optional pool and trace position) with two verbs,
-//!   [`Call::run`] and [`Call::spawn`];
+//!   arguments, options, optional pool and trace position) with three
+//!   verbs: [`Call::run`], [`Call::spawn`], and [`Call::two_phase`] for
+//!   §5.1's submit / disconnect / poll / fetch, a different protocol rather
+//!   than an option of the same one;
 //! * [`ninf_call_url`] and [`call_async`] — the paper's URL-form
 //!   `Ninf_call` and `Ninf_call_async` as one-liners over [`Call`];
-//! * [`call_two_phase`] — §5.1's submit / disconnect / poll / fetch, a
-//!   different protocol rather than an option of the same one;
 //! * [`transaction`] — `Ninf_transaction_begin/end`: record a block of calls,
 //!   derive the data-dependency DAG, and hand it to a scheduler (the
 //!   metaserver executes independent calls task-parallel, §2.4 / §4.3.1).
@@ -51,7 +51,7 @@ pub mod transaction;
 
 pub use bulk::{upload, UploadReport, DEFAULT_LANE_DEADLINE, MAX_CHUNK_ATTEMPTS};
 pub use client::{
-    call_async, call_two_phase, ninf_call_url, parse_ninf_url, AsyncCall, Call, CallOptions,
-    CallTiming, LocalTxError, NinfClient,
+    call_async, ninf_call_url, parse_ninf_url, AsyncCall, Call, CallOptions, CallTiming,
+    LocalTxError, NinfClient,
 };
 pub use transaction::{execute_locally, PlannedCall, SlotId, Transaction, TxArg};

@@ -1,7 +1,7 @@
 //! `Call`: the dial happens inside the retry loop, so a server that is not
 //! up yet is retried like one that failed mid-call — on a direct connection
-//! and through a pool. `Ninf_query` runs in the same loop, so its deadline
-//! holds against a silent server.
+//! and through a pool. `Ninf_query` and the two-phase call run in the same
+//! loop, so their deadlines hold against a silent server.
 
 use std::io::Read;
 use std::sync::Arc;
@@ -74,5 +74,37 @@ fn ninf_query_against_a_silent_server_times_out() {
     );
     assert!(took < deadline * 4, "the deadline did not hold: {took:?}");
     drop(client);
+    silent.join().unwrap();
+}
+
+/// A server that accepts and never replies: a two-phase call's submit
+/// fails with a typed timeout inside its deadline instead of hanging. The
+/// call runs on its own thread, so a hang fails the test rather than
+/// stalling it.
+#[test]
+fn two_phase_against_a_silent_server_times_out() {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let silent = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        let _ = stream.read_to_end(&mut Vec::new());
+    });
+    let deadline = Duration::from_millis(300);
+    let call = Call {
+        options: CallOptions::with_deadline(deadline),
+        ..Call::new(addr.as_str(), "ep", vec![Value::Int(6)])
+    };
+    let (tx, rx) = std::sync::mpsc::channel();
+    let caller = std::thread::spawn(move || {
+        let _ = tx.send(call.two_phase(Duration::from_millis(5)));
+    });
+    let outcome = rx
+        .recv_timeout(deadline * 4)
+        .expect("the two-phase call hung past four deadlines");
+    assert!(
+        matches!(outcome, Err(ProtocolError::Timeout { .. })),
+        "expected a typed timeout, got {outcome:?}"
+    );
+    caller.join().unwrap();
     silent.join().unwrap();
 }

@@ -4,8 +4,8 @@
 //! one `pid` per logical process (client, metaserver, server), one `tid` per
 //! trace so each call tree renders on its own track, and complete (`ph:"X"`)
 //! events carrying the raw ids in `args` so a trace file round-trips loss-
-//! lessly through [`parse_chrome_trace`] for CI validation and live-vs-sim
-//! diffing.
+//! lessly through [`parse_chrome_trace`] for CI validation
+//! (`ninf-trace check`).
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -216,70 +216,6 @@ fn render_subtree(span: &Span, all: &[&Span], t0: u64, depth: usize, out: &mut S
     }
 }
 
-/// Per-(process, span-name) aggregate of a span set.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct SpanAggregate {
-    /// Spans with this key.
-    pub count: u64,
-    /// Mean duration in microseconds.
-    pub mean_us: f64,
-}
-
-fn aggregate(spans: &[Span]) -> BTreeMap<(String, String), SpanAggregate> {
-    let mut agg: BTreeMap<(String, String), (u64, f64)> = BTreeMap::new();
-    for s in spans {
-        let e = agg
-            .entry((s.process.clone(), s.name.clone()))
-            .or_insert((0, 0.0));
-        e.0 += 1;
-        e.1 += s.dur_us as f64;
-    }
-    agg.into_iter()
-        .map(|(k, (count, sum))| {
-            (
-                k,
-                SpanAggregate {
-                    count,
-                    mean_us: sum / count as f64,
-                },
-            )
-        })
-        .collect()
-}
-
-/// Side-by-side per-span-name comparison of two traces — built for diffing a
-/// live run against its simulated twin. Columns: count and mean duration for
-/// each side, plus the b/a duration ratio.
-pub fn diff_summary(label_a: &str, a: &[Span], label_b: &str, b: &[Span]) -> String {
-    let agg_a = aggregate(&dedup(a));
-    let agg_b = aggregate(&dedup(b));
-    let keys: std::collections::BTreeSet<_> = agg_a.keys().chain(agg_b.keys()).cloned().collect();
-    let mut out = format!(
-        "{:<12} {:<12} {:>8} {:>12} {:>8} {:>12} {:>8}\n",
-        "process",
-        "span",
-        format!("n({label_a})"),
-        format!("us({label_a})"),
-        format!("n({label_b})"),
-        format!("us({label_b})"),
-        "ratio"
-    );
-    for key in keys {
-        let da = agg_a.get(&key).copied().unwrap_or_default();
-        let db = agg_b.get(&key).copied().unwrap_or_default();
-        let ratio = if da.mean_us > 0.0 && db.count > 0 {
-            format!("{:.2}", db.mean_us / da.mean_us)
-        } else {
-            "-".into()
-        };
-        out.push_str(&format!(
-            "{:<12} {:<12} {:>8} {:>12.1} {:>8} {:>12.1} {:>8}\n",
-            key.0, key.1, da.count, da.mean_us, db.count, db.mean_us, ratio
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -394,18 +330,5 @@ mod tests {
         assert!(line("call") < line("rpc"));
         assert!(line("rpc") < line("request"));
         assert!(line("request") < line("exec"));
-    }
-
-    #[test]
-    fn diff_lines_up_matching_keys() {
-        let live = sample_trace();
-        let mut sim = sample_trace();
-        for s in &mut sim {
-            s.dur_us *= 2;
-        }
-        let table = diff_summary("live", &live, "sim", &sim);
-        let exec_line = table.lines().find(|l| l.contains("exec")).unwrap();
-        assert!(exec_line.contains("2.00"), "{exec_line}");
-        assert!(table.lines().count() >= 5);
     }
 }

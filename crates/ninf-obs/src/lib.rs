@@ -1,7 +1,7 @@
 //! Observability for the Ninf stack.
 //!
 //! The paper's contribution is measurement; this crate is the shared
-//! measurement substrate for the live system and the simulator:
+//! measurement substrate of the live system:
 //!
 //! - [`trace`]: trace context (`trace_id`/`span_id`/`parent_span_id`) and
 //!   the [`Span`] schema every process records.
@@ -17,7 +17,7 @@
 //!   call records all keep their history in.
 //! - [`hist`]: the log-scale latency histogram (shared with `ninf-loadgen`).
 //! - [`export`]: joins per-process spans into call trees, exports Chrome
-//!   `trace_event` JSON for Perfetto, validates nesting, diffs live vs sim.
+//!   `trace_event` JSON for Perfetto, validates nesting.
 //! - [`log`]: leveled `key=value` structured logging ([`logkv!`]).
 //!
 //! The crate is dependency-light on purpose: `ninf-protocol` depends on it

@@ -36,7 +36,7 @@ pub mod server;
 pub mod workload;
 pub mod world;
 
-pub use metrics::{spans_from_metrics, CellResult, Summary};
+pub use metrics::{CellResult, Summary};
 pub use scenario::{ClientGroup, NetworkKind, Scenario};
 pub use workload::Workload;
 pub use world::World;

@@ -97,57 +97,6 @@ impl CallMetrics {
     }
 }
 
-/// Virtual-time seconds → span microseconds (epoch 0 = run start).
-fn vt_us(t: f64) -> u64 {
-    (t.max(0.0) * 1e6).round() as u64
-}
-
-/// Render simulated calls in the live stack's span schema, so a sim run and
-/// a live trace diff side by side (`ninf-obs`'s `diff_summary`, keyed by
-/// `(process, name)`). Per call `i` the trace id is `i + 1` and the spans
-/// mirror the live hierarchy: a client `call` span covering
-/// `T_submit..T_complete` with server `queue_wait`
-/// (`T_enqueue..T_dequeue`) and `exec` (`T_dequeue..T_complete`) nested
-/// inside it. Span ids are deterministic functions of the call index.
-pub fn spans_from_metrics(calls: &[CallMetrics]) -> Vec<ninf_obs::Span> {
-    let mut spans = Vec::with_capacity(calls.len() * 3);
-    for (i, c) in calls.iter().enumerate() {
-        let trace_id = i as u64 + 1;
-        let call_id = trace_id << 8 | 1;
-        spans.push(ninf_obs::Span {
-            trace_id,
-            span_id: call_id,
-            parent_span_id: 0,
-            name: "call".into(),
-            process: "client".into(),
-            start_us: vt_us(c.t_submit),
-            dur_us: vt_us(c.t_complete).saturating_sub(vt_us(c.t_submit)),
-            detail: format!("client={} sim=1", c.client),
-        });
-        spans.push(ninf_obs::Span {
-            trace_id,
-            span_id: call_id | 2,
-            parent_span_id: call_id,
-            name: "queue_wait".into(),
-            process: "server".into(),
-            start_us: vt_us(c.t_enqueue),
-            dur_us: vt_us(c.t_dequeue).saturating_sub(vt_us(c.t_enqueue)),
-            detail: String::new(),
-        });
-        spans.push(ninf_obs::Span {
-            trace_id,
-            span_id: call_id | 4,
-            parent_span_id: call_id,
-            name: "exec".into(),
-            process: "server".into(),
-            start_us: vt_us(c.t_dequeue),
-            dur_us: vt_us(c.t_complete).saturating_sub(vt_us(c.t_dequeue)),
-            detail: format!("work_units={}", c.work_units),
-        });
-    }
-    spans
-}
-
 impl Serialize for Summary {
     fn to_json_value(&self) -> serde::Value {
         let mut m = serde::Map::new();
@@ -358,45 +307,5 @@ mod tests {
         assert_eq!(cell.clients, 2);
         assert!(cell.perf.max > cell.perf.min);
         assert_eq!(cell.cpu_utilization, 42.0);
-    }
-
-    #[test]
-    fn sim_spans_match_live_schema_and_nest() {
-        let calls = vec![
-            CallMetrics {
-                client: 0,
-                t_submit: 0.0,
-                t_enqueue: 0.1,
-                t_dequeue: 0.2,
-                t_complete: 2.0,
-                transfer_seconds: 1.0,
-                bytes: 2e6,
-                work_units: 1e8,
-            },
-            CallMetrics {
-                client: 1,
-                t_submit: 0.5,
-                t_enqueue: 0.6,
-                t_dequeue: 0.9,
-                t_complete: 4.0,
-                transfer_seconds: 2.0,
-                bytes: 2e6,
-                work_units: 1e8,
-            },
-        ];
-        let spans = spans_from_metrics(&calls);
-        assert_eq!(spans.len(), 6);
-        // Same hierarchy the live stack records: queue_wait and exec nest
-        // inside the client call span, and every client call has server
-        // spans in its trace.
-        ninf_obs::export::validate_nesting(&spans, 0).unwrap();
-        assert_eq!(ninf_obs::export::client_server_coverage(&spans).unwrap(), 2);
-        // The Chrome export round-trips.
-        let json = ninf_obs::export::chrome_trace_json(&spans);
-        let back = ninf_obs::export::parse_chrome_trace(&json).unwrap();
-        assert_eq!(back.len(), spans.len());
-        // Virtual seconds land as microseconds.
-        assert_eq!(spans[0].start_us, 0);
-        assert_eq!(spans[0].dur_us, 2_000_000);
     }
 }

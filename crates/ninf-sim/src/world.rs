@@ -148,13 +148,7 @@ impl World {
     }
 
     /// Run to the scenario's end time and aggregate the table cell.
-    pub fn run(self) -> CellResult {
-        self.run_detailed().0
-    }
-
-    /// Like [`World::run`], but also return every completed call's metrics
-    /// (for percentile/fairness analysis beyond the paper's max/min/mean).
-    pub fn run_detailed(mut self) -> (CellResult, Vec<CallMetrics>) {
+    pub fn run(mut self) -> CellResult {
         let t_end = self.scenario.duration;
         loop {
             let t_heap = self.engine.peek_time();
@@ -200,22 +194,19 @@ impl World {
                 self.handle(entry.event);
             }
         }
-        self.finish()
-    }
-
-    fn finish_detailed(mut self) -> (CellResult, Vec<CallMetrics>) {
+        // Multi-server cells report the *primary* server's accounting (the
+        // paper always instruments one computational server).
         let now = self.now().max(self.scenario.warmup);
         let cpu = self.servers[0].sim.cpu_utilization(now);
         let (load_mean, load_max) = self.servers[0].sim.load_stats(now);
-        let cell = CellResult::from_calls(
+        CellResult::from_calls(
             self.scenario.workload.label(),
             self.scenario.clients.len(),
             &self.completed,
             cpu,
             load_mean,
             load_max,
-        );
-        (cell, self.completed)
+        )
     }
 
     fn advance_all(&mut self, t: f64) {
@@ -510,12 +501,6 @@ impl World {
                 work_units: state.work_units,
             });
         }
-    }
-
-    /// Multi-server cells report the *primary* server's accounting (the
-    /// paper always instruments one computational server).
-    fn finish(self) -> (CellResult, Vec<CallMetrics>) {
-        self.finish_detailed()
     }
 }
 

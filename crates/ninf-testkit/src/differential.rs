@@ -1,40 +1,50 @@
-//! Live-vs-sim differential: run the same scalability scenario against the
-//! real fleet (ninf-loadgen) and a matched ninf-sim world, and diff the two
-//! *shapes* — per-call Mflops normalized to the single-client point —
-//! within a declared tolerance.
+//! Live-vs-sim differentials: the two places where the simulator meets the
+//! live system, with one report type ([`DiffReport`]) and one tolerance
+//! ([`TOLERANCE`]).
 //!
-//! Absolute Mflops are incomparable (this host vs the modeled J90); the
-//! paper's transferable claim is the per-client decline as clients contend
-//! for the server, which both systems must reproduce.
+//! - [`live_vs_sim`] runs the `lan-linpack` scalability scenario against the
+//!   real fleet (ninf-loadgen) and a matched ninf-sim world, and compares
+//!   the two *shapes*: per-call Mflops normalized to the single-client
+//!   point. Absolute Mflops are incomparable (this host vs the modeled
+//!   J90); the paper's transferable claim is the per-client decline as
+//!   clients contend for the server, which both systems must reproduce.
+//! - [`wan_live_vs_sim`] runs the `wan-upload` scenario's one windowed lane
+//!   over shaped loopback links against the FluidNet upload model, and
+//!   compares each side's upload goodput as its share of the link.
 
 use ninf_loadgen::{run_scenario, scenario};
 use ninf_protocol::{ProtocolError, ProtocolResult};
 
-/// Default tolerance on normalized per-call Mflops: the live decline and
-/// the modeled decline may differ by this much per point before the check
-/// fails. Generous because the live side runs on a loaded CI host; see
-/// docs/TESTING.md for the policy.
-pub const DEFAULT_TOLERANCE: f64 = 0.35;
+/// Tolerance on every compared value: the live and the modelled value at
+/// a point may differ by this much before the check fails. Generous because
+/// the live side runs on a loaded CI host; see docs/TESTING.md for the
+/// policy.
+pub const TOLERANCE: f64 = 0.35;
 
-/// One client-count sample of both curves.
-#[derive(Debug, Clone, Copy)]
-pub struct ShapePoint {
-    /// Concurrent clients.
-    pub clients: usize,
-    /// Live per-call Mflops, absolute.
-    pub live_mflops: f64,
-    /// Sim per-call Mflops, absolute.
-    pub sim_mflops: f64,
-    /// Live value normalized to the live curve's first point.
-    pub live_norm: f64,
-    /// Sim value normalized to the sim curve's first point.
-    pub sim_norm: f64,
+/// One sample of both sides.
+#[derive(Debug, Clone)]
+pub struct DiffPoint {
+    /// What this sample varied: the client count, or the link with its
+    /// window and bandwidth-delay product.
+    pub label: String,
+    /// Live value, absolute, in the unit [`DiffReport::measure`] names.
+    pub live: f64,
+    /// Sim value, absolute, same unit.
+    pub sim: f64,
+    /// The live value as compared.
+    pub live_cmp: f64,
+    /// The sim value as compared.
+    pub sim_cmp: f64,
 }
 
-impl ShapePoint {
-    /// Absolute difference of the normalized values.
+impl DiffPoint {
+    /// Absolute difference of the compared values.
     pub fn delta(&self) -> f64 {
-        (self.live_norm - self.sim_norm).abs()
+        (self.live_cmp - self.sim_cmp).abs()
+    }
+
+    fn agrees(&self) -> bool {
+        self.delta() <= TOLERANCE
     }
 }
 
@@ -43,46 +53,40 @@ impl ShapePoint {
 pub struct DiffReport {
     /// Scenario compared.
     pub scenario: String,
-    /// Per-client-count samples.
-    pub points: Vec<ShapePoint>,
-    /// Declared tolerance on normalized values.
-    pub tolerance: f64,
+    /// The absolute unit and what is compared.
+    pub measure: &'static str,
+    /// One sample per client count or link.
+    pub points: Vec<DiffPoint>,
 }
 
 impl DiffReport {
-    /// Whether every point's shapes agree within tolerance.
+    /// Whether every point agrees within [`TOLERANCE`].
     pub fn pass(&self) -> bool {
-        self.points.iter().all(|p| p.delta() <= self.tolerance)
+        self.points.iter().all(DiffPoint::agrees)
     }
 
-    /// Human-readable table.
+    /// Human-readable table ending in one `RESULT` line.
     pub fn render(&self) -> String {
+        let w = self
+            .points
+            .iter()
+            .map(|p| p.label.len())
+            .fold(5, usize::max);
         let mut s = format!(
-            "# live-vs-sim differential: {} (tolerance {:.2} on normalized Mflops)\n\
-             # {:>7} {:>12} {:>12} {:>10} {:>10} {:>8} verdict\n",
-            self.scenario,
-            self.tolerance,
-            "clients",
-            "live_mflops",
-            "sim_mflops",
-            "live_norm",
-            "sim_norm",
-            "delta"
+            "# live-vs-sim differential: {} (tolerance {TOLERANCE:.2}; {})\n\
+             # {:>w$} {:>12} {:>12} {:>10} {:>10} {:>8} verdict\n",
+            self.scenario, self.measure, "point", "live", "sim", "live_cmp", "sim_cmp", "delta"
         );
         for p in &self.points {
             s += &format!(
-                "  {:>7} {:>12.1} {:>12.1} {:>10.3} {:>10.3} {:>8.3} {}\n",
-                p.clients,
-                p.live_mflops,
-                p.sim_mflops,
-                p.live_norm,
-                p.sim_norm,
+                "  {:>w$} {:>12.3} {:>12.3} {:>10.3} {:>10.3} {:>8.3} {}\n",
+                p.label,
+                p.live,
+                p.sim,
+                p.live_cmp,
+                p.sim_cmp,
                 p.delta(),
-                if p.delta() <= self.tolerance {
-                    "ok"
-                } else {
-                    "DIVERGED"
-                }
+                if p.agrees() { "ok" } else { "DIVERGED" }
             );
         }
         s += &format!(
@@ -139,11 +143,7 @@ fn sim_curve(client_counts: &[usize], seed: u64) -> ProtocolResult<Vec<f64>> {
 
 /// Run the differential: live `lan-linpack` at each client count vs the
 /// matched sim scenario, both normalized to their own first point.
-pub fn live_vs_sim(
-    client_counts: &[usize],
-    seed: u64,
-    tolerance: f64,
-) -> ProtocolResult<DiffReport> {
+pub fn live_vs_sim(client_counts: &[usize], seed: u64) -> ProtocolResult<DiffReport> {
     if client_counts.is_empty() {
         return Err(ProtocolError::Remote("no client counts to compare".into()));
     }
@@ -170,121 +170,19 @@ pub fn live_vs_sim(
     let points = client_counts
         .iter()
         .zip(live.iter().zip(sim.iter()))
-        .map(|(&clients, (&l, &s))| ShapePoint {
-            clients,
-            live_mflops: l,
-            sim_mflops: s,
-            live_norm: l / live0,
-            sim_norm: s / sim0,
+        .map(|(&clients, (&l, &s))| DiffPoint {
+            label: format!("c={clients}"),
+            live: l,
+            sim: s,
+            live_cmp: l / live0,
+            sim_cmp: s / sim0,
         })
         .collect();
     Ok(DiffReport {
         scenario: "lan-linpack".into(),
+        measure: "per-call Mflops, compared normalized to the first point",
         points,
-        tolerance,
     })
-}
-
-/// One link shape's sample of live and simulated upload goodput.
-#[derive(Debug, Clone, Copy)]
-pub struct WanShapePoint {
-    /// The link both sides ran over.
-    pub shape: ninf_protocol::LinkShape,
-    /// Un-acked chunks the upload keeps ([`ninf_protocol::lane_window`]).
-    pub window: u32,
-    /// Live upload-phase goodput, bytes/second.
-    pub live_goodput: f64,
-    /// FluidNet-predicted goodput, bytes/second.
-    pub sim_goodput: f64,
-}
-
-impl WanShapePoint {
-    /// The link's bandwidth-delay product, in differential-sized chunks.
-    pub fn bdp_chunks(&self) -> f64 {
-        self.shape.bytes_per_sec as f64 * 2.0 * self.shape.delay_us as f64
-            / 1e6
-            / f64::from(WAN_DIFF_CHUNK_BYTES)
-    }
-
-    /// Live goodput as a share of the link's bandwidth.
-    pub fn live_share(&self) -> f64 {
-        self.live_goodput / self.shape.bytes_per_sec as f64
-    }
-
-    /// Predicted goodput as a share of the link's bandwidth.
-    pub fn sim_share(&self) -> f64 {
-        self.sim_goodput / self.shape.bytes_per_sec as f64
-    }
-
-    /// Absolute difference of the two shares.
-    pub fn delta(&self) -> f64 {
-        (self.live_share() - self.sim_share()).abs()
-    }
-}
-
-/// The WAN differential verdict: live one-lane upload goodput against the
-/// FluidNet prediction, each as its share of the link, per link shape.
-///
-/// Shares are compared directly, not normalized to a best point: one lane
-/// is one number per link, and how much of the link it fills is exactly
-/// what the window is for.
-#[derive(Debug, Clone)]
-pub struct WanDiffReport {
-    /// Scenario compared.
-    pub scenario: String,
-    /// Per-link samples.
-    pub points: Vec<WanShapePoint>,
-    /// Declared tolerance on the share of link.
-    pub tolerance: f64,
-}
-
-impl WanDiffReport {
-    /// Whether every point's shares agree within tolerance.
-    pub fn pass(&self) -> bool {
-        self.points.iter().all(|p| p.delta() <= self.tolerance)
-    }
-
-    /// Human-readable table.
-    pub fn render(&self) -> String {
-        let mut s = format!(
-            "# wan live-vs-sim differential: {} (tolerance {:.2} on upload share of link)\n\
-             # {:>24} {:>6} {:>8} {:>11} {:>11} {:>10} {:>10} {:>8} verdict\n",
-            self.scenario,
-            self.tolerance,
-            "link",
-            "window",
-            "bdp",
-            "live_MB/s",
-            "sim_MB/s",
-            "live_share",
-            "sim_share",
-            "delta"
-        );
-        for p in &self.points {
-            s += &format!(
-                "  {:>24} {:>6} {:>8.1} {:>11.3} {:>11.3} {:>10.3} {:>10.3} {:>8.3} {}\n",
-                format!("bw={},delay={}us", p.shape.bytes_per_sec, p.shape.delay_us),
-                p.window,
-                p.bdp_chunks(),
-                p.live_goodput / 1e6,
-                p.sim_goodput / 1e6,
-                p.live_share(),
-                p.sim_share(),
-                p.delta(),
-                if p.delta() <= self.tolerance {
-                    "ok"
-                } else {
-                    "DIVERGED"
-                }
-            );
-        }
-        s += &format!(
-            "RESULT {} wan-live-vs-sim scenario={}\n",
-            if self.pass() { "PASS" } else { "FAIL" },
-            self.scenario
-        );
-        s
-    }
 }
 
 /// Chunk size of the WAN differential: small enough that the scenario's
@@ -298,13 +196,16 @@ pub const WAN_DIFF_CHUNK_BYTES: u32 = 4096;
 /// [`ninf_netsim::wan`]'s FluidNet upload model under the *same* link,
 /// chunk size, window and lane deadline. Each side's upload goodput is
 /// taken as its share of the link's bandwidth and compared within
-/// `tolerance`. Every shape must cap its bandwidth; pick shapes whose
+/// [`TOLERANCE`]. Every shape must cap its bandwidth; pick shapes whose
 /// bandwidth-delay product falls below, near and above the window cap.
+///
+/// Shares are compared directly, not normalized to a best point: one lane
+/// is one number per link, and how much of the link it fills is exactly
+/// what the window is for.
 pub fn wan_live_vs_sim(
     shapes: &[ninf_protocol::LinkShape],
     seed: u64,
-    tolerance: f64,
-) -> ProtocolResult<WanDiffReport> {
+) -> ProtocolResult<DiffReport> {
     if shapes.is_empty() {
         return Err(ProtocolError::Remote("no link shapes to compare".into()));
     }
@@ -369,17 +270,25 @@ pub fn wan_live_vs_sim(
             window,
             lane_deadline,
         );
-        points.push(WanShapePoint {
-            shape,
-            window,
-            live_goodput: bulk as f64 / xfer,
-            sim_goodput: sim.goodput,
+        let bw = shape.bytes_per_sec as f64;
+        let live = bulk as f64 / xfer;
+        // The bandwidth-delay product in chunks, against the window.
+        let bdp = bw * 2.0 * shape.delay_us as f64 / 1e6 / f64::from(WAN_DIFF_CHUNK_BYTES);
+        points.push(DiffPoint {
+            label: format!(
+                "bw={},delay={}us window={window} bdp={bdp:.1}",
+                shape.bytes_per_sec, shape.delay_us
+            ),
+            live: live / 1e6,
+            sim: sim.goodput / 1e6,
+            live_cmp: live / bw,
+            sim_cmp: sim.goodput / bw,
         });
     }
-    Ok(WanDiffReport {
+    Ok(DiffReport {
         scenario: "wan-upload".into(),
+        measure: "upload MB/s, compared as the share of the link",
         points,
-        tolerance,
     })
 }
 
@@ -387,34 +296,71 @@ pub fn wan_live_vs_sim(
 mod tests {
     use super::*;
 
-    fn point(clients: usize, live_norm: f64, sim_norm: f64) -> ShapePoint {
-        ShapePoint {
-            clients,
-            live_mflops: live_norm * 1000.0,
-            sim_mflops: sim_norm * 500.0,
-            live_norm,
-            sim_norm,
+    fn point(label: &str, live_cmp: f64, sim_cmp: f64) -> DiffPoint {
+        DiffPoint {
+            label: label.into(),
+            live: live_cmp * 1000.0,
+            sim: sim_cmp * 500.0,
+            live_cmp,
+            sim_cmp,
+        }
+    }
+
+    /// Each report's verdict, its `DIVERGED` marks and its `RESULT` line
+    /// must all match the expected pass.
+    fn assert_verdicts(cases: Vec<(DiffReport, bool)>) {
+        for (report, pass) in cases {
+            let table = report.render();
+            assert_eq!(report.pass(), pass, "{table}");
+            assert_eq!(table.contains("DIVERGED"), !pass, "{table}");
+            let verdict = if pass { "RESULT PASS" } else { "RESULT FAIL" };
+            assert!(table.contains(verdict), "{table}");
         }
     }
 
     #[test]
     fn verdict_follows_tolerance() {
-        let report = DiffReport {
+        let lan = |points| DiffReport {
             scenario: "lan-linpack".into(),
-            points: vec![
-                point(1, 1.0, 1.0),
-                point(4, 0.27, 0.25),
-                point(8, 0.13, 0.12),
-            ],
-            tolerance: 0.35,
+            measure: "normalized Mflops",
+            points,
         };
-        assert!(report.pass());
-        let diverged = DiffReport {
-            points: vec![point(1, 1.0, 1.0), point(4, 0.9, 0.25)],
-            ..report
+        assert_verdicts(vec![
+            (
+                lan(vec![
+                    point("c=1", 1.0, 1.0),
+                    point("c=4", 0.27, 0.25),
+                    point("c=8", 0.13, 0.12),
+                ]),
+                true,
+            ),
+            (
+                lan(vec![point("c=1", 1.0, 1.0), point("c=4", 0.9, 0.25)]),
+                false,
+            ),
+        ]);
+    }
+
+    #[test]
+    fn wan_verdict_follows_tolerance() {
+        let wan = |points| DiffReport {
+            scenario: "wan-upload".into(),
+            measure: "share of the link",
+            points,
         };
-        assert!(!diverged.pass());
-        assert!(diverged.render().contains("DIVERGED"));
+        assert_verdicts(vec![
+            (
+                wan(vec![
+                    point("bdp=16.0", 0.83, 0.86),
+                    point("bdp=64.0", 0.40, 0.45),
+                ]),
+                true,
+            ),
+            // Shares, not max-normalized values: a live lane at a third of
+            // what the model predicts diverges even though both are each
+            // side's best.
+            (wan(vec![point("bdp=16.0", 0.30, 0.86)]), false),
+        ]);
     }
 
     #[test]
@@ -423,38 +369,10 @@ mod tests {
         assert!(sim[0] > sim[1] && sim[1] > sim[2], "sim curve: {sim:?}");
     }
 
-    fn wan_point(live_share: f64, sim_share: f64) -> WanShapePoint {
-        WanShapePoint {
-            shape: ninf_protocol::LinkShape::parse("bw=4m,delay=20ms").unwrap(),
-            window: 10,
-            live_goodput: live_share * 4e6,
-            sim_goodput: sim_share * 4e6,
-        }
-    }
-
-    #[test]
-    fn wan_verdict_follows_tolerance() {
-        let report = WanDiffReport {
-            scenario: "wan-upload".into(),
-            points: vec![wan_point(0.83, 0.86), wan_point(0.40, 0.45)],
-            tolerance: 0.35,
-        };
-        assert!(report.pass());
-        assert!(report.render().contains("RESULT PASS"));
-        // Shares, not max-normalized values: a live lane at a third of what
-        // the model predicts diverges even though both are each side's best.
-        let diverged = WanDiffReport {
-            points: vec![wan_point(0.30, 0.86)],
-            ..report
-        };
-        assert!(!diverged.pass());
-        assert!(diverged.render().contains("DIVERGED"));
-    }
-
     #[test]
     fn wan_differential_rejects_degenerate_inputs() {
-        assert!(wan_live_vs_sim(&[], 1, 0.35).is_err());
+        assert!(wan_live_vs_sim(&[], 1).is_err());
         let uncapped = ninf_protocol::LinkShape::parse("delay=20ms").unwrap();
-        assert!(wan_live_vs_sim(&[uncapped], 1, 0.35).is_err());
+        assert!(wan_live_vs_sim(&[uncapped], 1).is_err());
     }
 }

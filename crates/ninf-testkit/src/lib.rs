@@ -42,10 +42,11 @@
 //! [`live_vs_sim`] is the differential oracle: the live `lan-linpack`
 //! scalability shape against a matched simulator scenario (saturated
 //! closed-loop clients on a 1-PE server), normalized and compared within
-//! a declared tolerance. [`wan_live_vs_sim`] is its WAN sibling: the live
+//! [`TOLERANCE`]. [`wan_live_vs_sim`] is its WAN sibling: the live
 //! `wan-upload` scenario's one-lane upload goodput over shaped loopback
 //! links against [`ninf_netsim::wan`]'s FluidNet upload model under the
-//! same link spec, each as its share of the link.
+//! same link spec, each as its share of the link. Both return one
+//! [`DiffReport`].
 
 #![warn(missing_docs)]
 
@@ -55,8 +56,7 @@ pub mod invariants;
 pub mod spec;
 
 pub use differential::{
-    live_vs_sim, wan_live_vs_sim, DiffReport, ShapePoint, WanDiffReport, WanShapePoint,
-    DEFAULT_TOLERANCE, WAN_DIFF_CHUNK_BYTES,
+    live_vs_sim, wan_live_vs_sim, DiffPoint, DiffReport, TOLERANCE, WAN_DIFF_CHUNK_BYTES,
 };
 pub use harness::{run_chaos, ChaosRun, Inject};
 pub use invariants::{BulkRecord, CallRecord, Check, StatsPoll, WindowPoll};

@@ -8,9 +8,7 @@
 //! battery is deterministic for a given seed and safe for CI.
 
 use ninf_protocol::{LinkShape, MAX_LANE_WINDOW};
-use ninf_testkit::{
-    chaos, run_chaos, wan_live_vs_sim, ChaosRun, Inject, DEFAULT_TOLERANCE, WAN_DIFF_CHUNK_BYTES,
-};
+use ninf_testkit::{chaos, run_chaos, wan_live_vs_sim, ChaosRun, Inject, WAN_DIFF_CHUNK_BYTES};
 
 fn wan_partition(seed: u64) -> ChaosRun {
     let spec = chaos("wan-partition").expect("scenario registered");
@@ -66,7 +64,7 @@ fn live_goodput_shape_matches_the_fluidnet_model() {
         delay_us: (bdp_in_caps * cap_bytes as f64 / (2.0 * bw as f64) * 1e6) as u64,
         ..LinkShape::default()
     };
-    let report = wan_live_vs_sim(&[link(0.25), link(1.0), link(2.0)], 1997, DEFAULT_TOLERANCE)
+    let report = wan_live_vs_sim(&[link(0.25), link(1.0), link(2.0)], 1997)
         .expect("live wan-upload leg runs");
     println!("{}", report.render());
     assert!(report.pass(), "{}", report.render());

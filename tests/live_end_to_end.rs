@@ -289,13 +289,9 @@ fn two_phase_call_survives_disconnect() {
 fn two_phase_blocking_helper() {
     let server = start_server(1, ExecMode::TaskParallel);
     let addr = server.addr().to_string();
-    let results = ninf::client::call_two_phase(
-        &addr,
-        "ep",
-        &[Value::Int(14)],
-        std::time::Duration::from_millis(5),
-    )
-    .unwrap();
+    let results = ninf::client::Call::new(addr, "ep", vec![Value::Int(14)])
+        .two_phase(std::time::Duration::from_millis(5))
+        .unwrap();
     assert_eq!(results.len(), 2);
     server.shutdown();
 }
