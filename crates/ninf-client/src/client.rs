@@ -219,11 +219,11 @@ pub struct NinfClient {
     timing: CallTiming,
     /// Completed timing of the most recent `ninf_call`.
     last_timing: Option<CallTiming>,
-    /// Trace position to parent new calls under (set by a routing layer);
-    /// `None` starts fresh root traces.
+    /// Trace position to parent new calls under (a [`Call`]'s
+    /// `trace_parent`); `None` starts fresh root traces.
     trace_parent: Option<TraceContext>,
-    /// Process label stamped on spans this client records (`client` unless a
-    /// routing layer relabels its forwarding legs).
+    /// Process label stamped on spans this client records (a [`Call`]'s
+    /// `process`, `client` otherwise).
     trace_process: String,
     /// Key into the process-wide per-destination argument-digest memory;
     /// `None` (transport-wrapping clients) ships everything inline.
@@ -330,17 +330,6 @@ impl NinfClient {
     /// The active reliability policy.
     pub fn options(&self) -> CallOptions {
         self.options
-    }
-
-    /// Parent the next calls' traces under `parent` (a routing layer passes
-    /// its own span position here); `None` reverts to fresh root traces.
-    pub fn set_trace_parent(&mut self, parent: Option<TraceContext>) {
-        self.trace_parent = parent;
-    }
-
-    /// Relabel the logical process stamped on spans this client records.
-    pub fn set_trace_process(&mut self, process: impl Into<String>) {
-        self.trace_process = process.into();
     }
 
     /// Trace id of the most recent traced call; 0 when tracing was off.
@@ -1015,33 +1004,6 @@ impl NinfClient {
         })
     }
 }
-
-/// Failure of a locally-executed transaction.
-#[derive(Debug)]
-pub enum LocalTxError {
-    /// Call at this index reads a slot no earlier call wrote.
-    UnwrittenSlot(usize),
-    /// A call failed remotely.
-    Call {
-        /// Index of the failing call in the transaction.
-        call: usize,
-        /// The underlying RPC error.
-        error: ProtocolError,
-    },
-}
-
-impl std::fmt::Display for LocalTxError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            LocalTxError::UnwrittenSlot(i) => {
-                write!(f, "transaction call #{i} reads an unwritten slot")
-            }
-            LocalTxError::Call { call, error } => write!(f, "transaction call #{call}: {error}"),
-        }
-    }
-}
-
-impl std::error::Error for LocalTxError {}
 
 /// An in-flight asynchronous call (`Ninf_call_async`, §2.2).
 pub struct AsyncCall {

@@ -40,9 +40,11 @@
 //!   than an option of the same one;
 //! * [`ninf_call_url`] and [`call_async`] — the paper's URL-form
 //!   `Ninf_call` and `Ninf_call_async` as one-liners over [`Call`];
-//! * [`transaction`] — `Ninf_transaction_begin/end`: record a block of calls,
-//!   derive the data-dependency DAG, and hand it to a scheduler (the
-//!   metaserver executes independent calls task-parallel, §2.4 / §4.3.1).
+//! * [`transaction`] — `Ninf_transaction_begin/end`: record a block of calls
+//!   and derive the data-dependency DAG. Executing it is the metaserver's
+//!   job, not the client's: `ninf_metaserver::Metaserver::execute_transaction`
+//!   runs independent calls task-parallel (§2.4 / §4.3.1), and a single
+//!   server is a one-entry directory.
 
 pub mod argmem;
 pub mod bulk;
@@ -51,7 +53,6 @@ pub mod transaction;
 
 pub use bulk::{upload, UploadReport, DEFAULT_LANE_DEADLINE, MAX_CHUNK_ATTEMPTS};
 pub use client::{
-    call_async, ninf_call_url, parse_ninf_url, AsyncCall, Call, CallOptions, CallTiming,
-    LocalTxError, NinfClient,
+    call_async, ninf_call_url, parse_ninf_url, AsyncCall, Call, CallOptions, CallTiming, NinfClient,
 };
-pub use transaction::{execute_locally, PlannedCall, SlotId, Transaction, TxArg};
+pub use transaction::{PlannedCall, SlotId, Transaction, TxArg};

@@ -15,7 +15,9 @@
 //!
 //! [`Transaction::dependency_levels`] layers the DAG; calls within one level
 //! have no mutual dependencies and run task-parallel (how the EP benchmark of
-//! §4.3.1 fans out across the 32-node Alpha cluster).
+//! §4.3.1 fans out across the 32-node Alpha cluster). This crate only
+//! records; `ninf_metaserver::Metaserver::execute_transaction` is the one
+//! executor — over a one-server directory when there is a single server.
 
 use ninf_protocol::Value;
 
@@ -151,48 +153,6 @@ impl Transaction {
         }
         Ok(out)
     }
-}
-
-/// Execute a transaction *sequentially* against one connected client — the
-/// no-metaserver fallback (a single server executes the DAG in topological
-/// order; parallel fan-out needs `ninf_metaserver::Metaserver`).
-pub fn execute_locally(
-    client: &mut crate::client::NinfClient,
-    tx: &Transaction,
-) -> Result<Vec<Option<Value>>, crate::client::LocalTxError> {
-    use crate::client::LocalTxError;
-    let levels = tx
-        .dependency_levels()
-        .map_err(LocalTxError::UnwrittenSlot)?;
-    let mut slots: Vec<Option<Value>> = vec![None; tx.slot_count()];
-    for level in levels {
-        for call_idx in level {
-            let call = &tx.calls()[call_idx];
-            let args: Vec<Value> = call
-                .args
-                .iter()
-                .map(|a| match a {
-                    TxArg::Value(v) => Ok(v.clone()),
-                    TxArg::Ref(slot) => slots[slot.0]
-                        .clone()
-                        .ok_or(LocalTxError::UnwrittenSlot(call_idx)),
-                })
-                .collect::<Result<_, _>>()?;
-            let results =
-                client
-                    .ninf_call(&call.routine, &args)
-                    .map_err(|e| LocalTxError::Call {
-                        call: call_idx,
-                        error: e,
-                    })?;
-            for (out, value) in call.outputs.iter().zip(results) {
-                if let Some(slot) = out {
-                    slots[slot.0] = Some(value);
-                }
-            }
-        }
-    }
-    Ok(slots)
 }
 
 #[cfg(test)]

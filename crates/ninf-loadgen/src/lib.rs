@@ -32,7 +32,7 @@ pub mod spec;
 pub mod sweep;
 
 pub use report::{CallResult, ClientSummary, Outcome, RunReport, ServerView, Summary};
-pub use runner::{classify, run_scenario, spawn_server, Target};
+pub use runner::{classify, monitor_options, run_scenario, spawn_server, Target};
 pub use scenario::{scenario, scenario_names, Scenario};
 pub use spec::{fnv1a, Arrival, MixEntry, Phases, Routine, WorkloadSpec};
 pub use sweep::{

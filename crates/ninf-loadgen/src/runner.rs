@@ -6,7 +6,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ninf_client::{CallTiming, NinfClient};
+use ninf_client::{CallOptions, CallTiming, NinfClient};
 use ninf_metaserver::{Balancing, Directory, Metaserver, ServerEntry};
 use ninf_protocol::{CallStat, Message, ProtocolError, ProtocolResult, Value};
 use ninf_reactor::{run_open_loop, DriverConfig};
@@ -392,15 +392,21 @@ fn issue(
     }
 }
 
+/// Options for the harness's own measurement connections — stats queries
+/// and window polls: a deadline and nothing else. The tester stays fixed
+/// while the service changes, so a measurement connection never takes the
+/// workload's options: it neither joins the workload's emulated link (a
+/// lane of its own, and its loss draws) nor waits out its deadline.
+pub fn monitor_options() -> CallOptions {
+    CallOptions::with_deadline(Duration::from_secs(2))
+}
+
 /// Fetch §4.1 timelines from every queryable server after the run.
-pub(crate) fn collect_server_view(
-    addrs: &[String],
-    options: ninf_client::CallOptions,
-) -> Option<ServerView> {
+pub(crate) fn collect_server_view(addrs: &[String]) -> Option<ServerView> {
     let mut records: Vec<CallStat> = Vec::new();
     let mut any = false;
     for addr in addrs {
-        if let Ok(mut c) = NinfClient::connect_with(addr, options) {
+        if let Ok(mut c) = NinfClient::connect_with(addr, monitor_options()) {
             if let Ok((_now, _total, recs)) = c.query_stats(0) {
                 records.extend(recs);
                 any = true;
@@ -487,7 +493,7 @@ pub fn run_scenario(scenario: &Scenario, clients: usize, seed: u64) -> ProtocolR
         }
     };
 
-    let server = collect_server_view(&live.addrs, spec.options);
+    let server = collect_server_view(&live.addrs);
     let schedules: Vec<Vec<f64>> = (0..clients)
         .map(|c| spec.arrival_schedule(seed, c, clients))
         .collect();
@@ -591,7 +597,7 @@ fn run_c10k(scenario: &Scenario, clients: usize, seed: u64) -> ProtocolResult<Ru
         });
     }
 
-    let server_view = collect_server_view(&live.addrs, spec.options);
+    let server_view = collect_server_view(&live.addrs);
     for s in live.spawned {
         s.shutdown();
     }

@@ -30,7 +30,7 @@ use ninf_client::NinfClient;
 use ninf_protocol::{MetricFrame, MetricKind, ProtocolError, ProtocolResult};
 
 use crate::report::{Outcome, Summary};
-use crate::runner::{drive_client, materialize, sleep_until, Backend, Inputs};
+use crate::runner::{drive_client, materialize, monitor_options, sleep_until, Backend, Inputs};
 use crate::scenario::Scenario;
 use crate::spec::{fnv1a, schedule_bytes, Arrival, Phases, WorkloadSpec};
 
@@ -273,7 +273,6 @@ struct PollerOutcome {
 /// `total` after every snapshot so each window is fetched exactly once.
 fn poll_windows(
     addr: String,
-    options: ninf_client::CallOptions,
     epoch: Instant,
     period: Duration,
     stop: Arc<AtomicBool>,
@@ -287,7 +286,7 @@ fn poll_windows(
         polls: 0,
         frames: Vec::new(),
     };
-    let mut client = match NinfClient::connect_with(&addr, options) {
+    let mut client = match NinfClient::connect_with(&addr, monitor_options()) {
         Ok(c) => c,
         Err(_) => return out,
     };
@@ -429,9 +428,8 @@ pub fn run_sweep(
         .iter()
         .map(|addr| {
             let addr = addr.clone();
-            let options = spec.options;
             let stop = Arc::clone(&stop);
-            std::thread::spawn(move || poll_windows(addr, options, epoch, period, stop))
+            std::thread::spawn(move || poll_windows(addr, epoch, period, stop))
         })
         .collect();
 

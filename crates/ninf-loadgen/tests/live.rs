@@ -8,6 +8,7 @@ use ninf_loadgen::{
     run_scenario, scenario, Arrival, MixEntry, Outcome, Phases, Routine, Scenario, Target,
     WorkloadSpec,
 };
+use ninf_protocol::LinkShape;
 use ninf_server::SchedPolicy;
 
 /// A fast closed-loop Linpack scenario for debug-build test runtimes: same
@@ -154,6 +155,26 @@ fn metaserver_fleet_scenario_runs_clean() {
     // Mixed workload: EP calls have no Mflops, Linpack calls do; the mix is
     // seeded so at least the dominant EP side must appear.
     assert!(report.calls.iter().any(|c| c.routine == "ep"));
+}
+
+#[test]
+fn measurement_connections_stay_off_the_workload_link() {
+    // The workload's link garbles every frame, so no call gets through; the
+    // post-run stats query is the tester's own connection, off that link,
+    // and still reports the server's view.
+    let mut sc = small_linpack(2, 32);
+    sc.spec.options = CallOptions {
+        deadline: Some(Duration::from_secs(2)),
+        wan: Some(LinkShape::parse("garble=1").unwrap()),
+        ..CallOptions::default()
+    };
+    let report = run_scenario(&sc, 1, 1).unwrap();
+    assert_eq!(report.fleet.ok, 0);
+    let server = report
+        .server
+        .as_ref()
+        .expect("stats query reached the server");
+    assert_eq!(server.records, 0);
 }
 
 #[test]

@@ -265,14 +265,9 @@ impl Directory {
         }
     }
 
-    /// Probe every server's load over the wire; unreachable servers report
-    /// an all-zero load with zero PEs (they will never win selection).
-    pub fn probe_all(&self) -> Vec<ServerState> {
-        self.probe_states(&(0..self.entries.len()).collect::<Vec<_>>(), None)
-    }
-
-    /// Probe the given subset of servers, each bounded by `deadline` (a hung
-    /// server then reports infinite load instead of blocking the probe).
+    /// Probe the given subset of servers' loads over the wire, each bounded
+    /// by `deadline`. An unreachable or hung server reports infinite load
+    /// with zero PEs, so it never wins selection.
     pub fn probe_states(&self, indices: &[usize], deadline: Option<Duration>) -> Vec<ServerState> {
         indices
             .iter()
@@ -295,14 +290,9 @@ impl Directory {
     }
 }
 
-/// One load probe over a fresh connection.
-pub fn probe(addr: &str) -> ProtocolResult<LoadReport> {
-    probe_with_deadline(addr, None)
-}
-
 /// One load probe over a fresh connection, bounded by `deadline` so that an
 /// accepting-but-silent server yields a typed timeout instead of a hang.
-pub fn probe_with_deadline(addr: &str, deadline: Option<Duration>) -> ProtocolResult<LoadReport> {
+fn probe_with_deadline(addr: &str, deadline: Option<Duration>) -> ProtocolResult<LoadReport> {
     let options = match deadline {
         Some(d) => CallOptions::with_deadline(d),
         None => CallOptions::default(),
@@ -337,7 +327,7 @@ mod tests {
     fn probe_of_dead_server_yields_infinite_load() {
         let mut d = Directory::new();
         d.register(entry("dead"));
-        let states = d.probe_all();
+        let states = d.probe_states(&[0], Some(Duration::from_millis(100)));
         assert_eq!(states.len(), 1);
         assert!(states[0].load.load_average.is_infinite());
     }

@@ -8,7 +8,11 @@
 //! Besides the directory and monitoring, the metaserver executes recorded
 //! [`ninf_client::Transaction`]s: it layers the data-dependency DAG and fans
 //! each layer out to servers task-parallel — the mechanism behind the Fig 11
-//! EP cluster benchmark. Four balancing policies are provided:
+//! EP cluster benchmark. A routed [`Metaserver::ninf_call`] is a one-call
+//! transaction: it and every transaction leg take the one dispatch path —
+//! place (probe, balance, `route` span), then settle (failure accounting,
+//! the one fail-over loop, `ninf_meta_call_seconds`, `forward` span). Four
+//! balancing policies are provided:
 //!
 //! * [`Balancing::RoundRobin`] — static rotation;
 //! * [`Balancing::LoadBased`] — least loaded server, "such as is done for
@@ -25,7 +29,5 @@ pub mod directory;
 pub mod metaserver;
 
 pub use balance::{Balancing, CallEstimate, ServerState};
-pub use directory::{
-    probe_with_deadline, Directory, HealthEvent, HealthSnapshot, ServerEntry, QUARANTINE_THRESHOLD,
-};
+pub use directory::{Directory, HealthEvent, HealthSnapshot, ServerEntry, QUARANTINE_THRESHOLD};
 pub use metaserver::Metaserver;

@@ -1,10 +1,12 @@
-//! The metaserver proper: transaction execution over the server fleet.
+//! The metaserver proper: one way to place a call on the fleet and settle
+//! its outcome, taken by routed calls (one-call transactions) and every
+//! transaction leg alike.
 
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use ninf_client::{AsyncCall, Call, CallOptions, PlannedCall, Transaction, TxArg};
-use ninf_obs::{recorder, Counter, MetricsRegistry, Span};
+use ninf_client::{Call, CallOptions, PlannedCall, Transaction, TxArg};
+use ninf_obs::{recorder, Counter, LogHistogram, MetricsRegistry, Span};
 use ninf_protocol::{ProtocolError, ProtocolResult, TraceContext, Value};
 use ninf_reactor::{MuxPool, PoolConfig};
 
@@ -21,10 +23,20 @@ pub struct Metaserver {
     metrics: Arc<MetricsRegistry>,
     routed: Counter,
     failed: Counter,
+    /// `ninf_meta_call_seconds`, resolved once at construction.
+    call_seconds: Arc<parking_lot::Mutex<LogHistogram>>,
     /// Multiplexed streams to the fleet: fan-out legs check connections out
     /// of here instead of dialing one per call. Hit/miss counters land on
     /// [`Metaserver::metrics`].
     pool: Arc<MuxPool>,
+}
+
+/// Where one call goes: its server, and the position of the `forward` span
+/// all its legs run under (`None` when tracing is off).
+struct Placement {
+    server: usize,
+    ctx: Option<TraceContext>,
+    start_us: u64,
 }
 
 impl Metaserver {
@@ -57,6 +69,10 @@ impl Metaserver {
             "ninf_meta_errors_total",
             "routed calls whose final outcome was an error",
         );
+        let call_seconds = metrics.histogram(
+            "ninf_meta_call_seconds",
+            "end-to-end routed call time as seen by the metaserver, fail-over included",
+        );
         let pool = Arc::new(MuxPool::with_metrics(PoolConfig::default(), &metrics));
         Self {
             directory,
@@ -67,6 +83,7 @@ impl Metaserver {
             metrics,
             routed,
             failed,
+            call_seconds,
             pool,
         }
     }
@@ -85,11 +102,6 @@ impl Metaserver {
     /// `ninf_obs::http::serve_metrics`).
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
         &self.metrics
-    }
-
-    /// Call options applied to routed calls.
-    pub fn options(&self) -> CallOptions {
-        self.options
     }
 
     /// Pick a server for a call with the given cost estimate, probing the
@@ -142,16 +154,99 @@ impl Metaserver {
         }
     }
 
-    /// Account one leg's outcome: the routed/error counters and the
-    /// directory's per-server failure streak (quarantine feeds on it).
-    fn settle<T>(&self, idx: usize, outcome: ProtocolResult<T>) -> ProtocolResult<T> {
+    /// Place one call: pick its server, and record the decision (probes and
+    /// balancing) as a `route` span under the call's `forward` position — a
+    /// child of `parent`, or a fresh root when tracing is armed.
+    fn place(&self, args: &[Value], parent: Option<TraceContext>) -> Placement {
+        let ctx = recorder::global()
+            .enabled()
+            .then(|| parent.map_or_else(TraceContext::root, |p| p.child()));
+        let start_us = ninf_obs::now_us();
+        let server = self.choose_server(estimate(args));
+        if let Some(ctx) = ctx {
+            let addr = &self.directory.entries()[server].addr;
+            recorder::global().record(
+                Span::at(ctx.child(), "route", "metaserver", start_us)
+                    .with_detail(format!("server={server} addr={addr}")),
+            );
+        }
+        Placement {
+            server,
+            ctx,
+            start_us,
+        }
+    }
+
+    /// Feed one leg's outcome to the directory's failure accounting.
+    fn account<T>(&self, idx: usize, outcome: ProtocolResult<T>) -> ProtocolResult<T> {
+        if outcome.is_ok() {
+            self.directory.record_success(idx);
+        } else {
+            self.directory.record_failure(idx);
+        }
+        outcome
+    }
+
+    /// Settle one placed call from its first leg's outcome, in the one
+    /// fail-over loop (§2.4: the metaserver "controls the parallel,
+    /// fault-tolerant execution of multiple sequence of Ninf_calls"). A
+    /// retryable failure runs again, on arguments from `args`, on the next
+    /// available server after backoff jittered by `salt`. Every leg feeds
+    /// the directory's failure accounting: a server that fails
+    /// [`crate::directory::QUARANTINE_THRESHOLD`] times in a row is skipped
+    /// until a probe reinstates it, and when the whole fleet is
+    /// quarantined the first server to answer a probe is put back. Each
+    /// leg is bounded by the configured [`CallOptions`] deadline, so a hung
+    /// server costs one deadline, not a hang.
+    ///
+    /// Returns the last leg's outcome, and records the call once: counters,
+    /// `ninf_meta_call_seconds`, and the `forward` span its legs ran under.
+    fn settle(
+        &self,
+        at: Placement,
+        routine: &str,
+        salt: u64,
+        first: ProtocolResult<Vec<Value>>,
+        args: impl Fn() -> ProtocolResult<Vec<Value>>,
+    ) -> ProtocolResult<Vec<Value>> {
+        let max_attempts = 2 * self.directory.len() as u32;
+        let mut server = at.server;
+        let mut outcome = self.account(server, first);
+        let mut attempt = 0u32;
+        // Only retryable failures fail over: a Remote error is the
+        // application itself answering (another server would say the same),
+        // and an UnsupportedVersion peer will not change its mind on a
+        // retry — burning attempts on either just delays the caller's error.
+        while outcome.as_ref().is_err_and(|e| e.is_retryable()) && attempt < max_attempts {
+            std::thread::sleep(self.options.backoff_delay(attempt, salt));
+            let Some(next) = self
+                .next_available_after(server)
+                .or_else(|| self.reinstate_any())
+            else {
+                // Nothing answers probes either; give up.
+                break;
+            };
+            server = next;
+            outcome = match args() {
+                Ok(args) => self.account(server, self.leg(server, routine, args, at.ctx).run()),
+                Err(e) => Err(e),
+            };
+            attempt += 1;
+        }
         self.routed.inc();
-        match &outcome {
-            Ok(_) => self.directory.record_success(idx),
-            Err(_) => {
-                self.failed.inc();
-                self.directory.record_failure(idx);
-            }
+        if outcome.is_err() {
+            self.failed.inc();
+        }
+        let elapsed_us = ninf_obs::now_us().saturating_sub(at.start_us);
+        self.call_seconds.lock().record(elapsed_us as f64 / 1e6);
+        if let Some(ctx) = at.ctx {
+            let ok = outcome.is_ok();
+            recorder::global().record(
+                Span::at(ctx, "forward", "metaserver", at.start_us).with_detail(format!(
+                    "routine={routine} server={server} legs={} ok={ok}",
+                    attempt + 1
+                )),
+            );
         }
         outcome
     }
@@ -163,119 +258,64 @@ impl Metaserver {
     }
 
     /// [`Metaserver::ninf_call`] carrying the caller's trace position: the
-    /// routing decision and the forwarded leg are recorded as metaserver
+    /// routing decision and the forwarded legs are recorded as metaserver
     /// spans under `parent` (a fresh root when `parent` is `None` and
     /// tracing is armed). Returns the outcome and the trace id used
     /// (0 when tracing is off).
+    ///
+    /// A routed call is a one-call transaction whose first leg runs on the
+    /// caller's thread; it fails over like any leg, and an error is the
+    /// last leg's own, typed.
     pub fn ninf_call_traced(
         &self,
         routine: &str,
         args: &[Value],
         parent: Option<TraceContext>,
     ) -> (ProtocolResult<Vec<Value>>, u64) {
-        let ctx = recorder::global()
-            .enabled()
-            .then(|| parent.map(|p| p.child()).unwrap_or_else(TraceContext::root));
-        let start_us = ninf_obs::now_us();
-        let idx = self.choose_server(estimate(args));
-        if let Some(ctx) = ctx {
-            // The probe + balancing decision is its own hop.
-            let addr = &self.directory.entries()[idx].addr;
-            recorder::global().record(
-                Span::at(ctx.child(), "route", "metaserver", start_us)
-                    .with_detail(format!("server={idx} addr={addr}")),
-            );
-        }
-        let outcome = self.settle(idx, self.leg(idx, routine, args.to_vec(), ctx).run());
-        let end_us = ninf_obs::now_us();
-        self.metrics
-            .histogram(
-                "ninf_meta_call_seconds",
-                "end-to-end routed call time as seen by the metaserver",
-            )
-            .lock()
-            .record(end_us.saturating_sub(start_us) as f64 / 1e6);
-        let trace_id = ctx.map_or(0, |c| c.trace_id);
-        if let Some(ctx) = ctx {
-            recorder::global().record(Span {
-                trace_id: ctx.trace_id,
-                span_id: ctx.span_id,
-                parent_span_id: ctx.parent_span_id,
-                name: "forward".into(),
-                process: "metaserver".into(),
-                start_us,
-                dur_us: end_us.saturating_sub(start_us),
-                detail: format!("routine={routine} server={idx} ok={}", outcome.is_ok()),
-            });
-        }
+        let at = self.place(args, parent);
+        let trace_id = at.ctx.map_or(0, |c| c.trace_id);
+        let first = self.leg(at.server, routine, args.to_vec(), at.ctx).run();
+        let salt = at.start_us;
+        let outcome = self.settle(at, routine, salt, first, || Ok(args.to_vec()));
         (outcome, trace_id)
     }
 
     /// Execute a recorded transaction: topologically layer the dependency
     /// DAG, fan each layer out task-parallel across the fleet (exactly the
-    /// §4.3.1 EP fan-out), and collect slot values — fault-tolerantly
-    /// (§2.4: the metaserver "controls the parallel, fault-tolerant
-    /// execution of multiple sequence of Ninf_calls"). A call that fails on
-    /// one server is retried elsewhere with exponential backoff and jitter.
-    /// Every outcome feeds the directory's failure accounting — a server
-    /// that fails [`crate::directory::QUARANTINE_THRESHOLD`] times in a row
-    /// is quarantined and skipped by retries until a probe reinstates it.
-    /// When every server is quarantined, the quarantined ones are probed
-    /// and the first responder is put back in rotation before giving up.
-    /// Calls are bounded by the configured [`CallOptions`] deadline, so a
-    /// hung (accepting-but-silent) server costs one deadline, not a hang.
+    /// §4.3.1 EP fan-out), and collect slot values. A level places every
+    /// leg before it settles any, so its first picks are the balancer's
+    /// consecutive decisions; each leg then settles — fail-over included —
+    /// like a routed call. A failed leg's error names its call number.
     ///
     /// Returns the final contents of every slot (`None` if nothing wrote it).
     pub fn execute_transaction(&self, tx: &Transaction) -> ProtocolResult<Vec<Option<Value>>> {
         let levels = tx
             .dependency_levels()
             .map_err(|i| ProtocolError::Remote(format!("call #{i} reads an unwritten slot")))?;
-        let n_servers = self.directory.len();
-        let max_attempts = (2 * n_servers) as u32;
         let mut slots: Vec<Option<Value>> = vec![None; tx.slot_count()];
 
         for level in levels {
-            let mut in_flight: Vec<(usize, usize, AsyncCall)> = Vec::with_capacity(level.len());
+            let mut in_flight = Vec::with_capacity(level.len());
             for &call_idx in &level {
                 let call = &tx.calls()[call_idx];
                 let args = resolve_args(call, &slots)?;
-                let sidx = self.choose_server(estimate(&args));
-                let pending = self.leg(sidx, &call.routine, args, None).spawn();
-                in_flight.push((call_idx, sidx, pending));
+                let at = self.place(&args, None);
+                let pending = self.leg(at.server, &call.routine, args, at.ctx).spawn();
+                in_flight.push((call_idx, at, pending));
             }
-            for (call_idx, first_server, pending) in in_flight {
+            for (call_idx, at, pending) in in_flight {
                 let call = &tx.calls()[call_idx];
-                let mut outcome = self.settle(first_server, pending.wait());
-                let mut last_server = first_server;
-                let mut attempt: u32 = 0;
-                // Only retryable failures fail over: a Remote error is the
-                // application itself answering (another server would say
-                // the same), and an UnsupportedVersion peer will not
-                // change its mind on a retry — burning attempts on either
-                // just delays the caller's error.
-                while outcome.as_ref().is_err_and(|e| e.is_retryable()) && attempt < max_attempts {
-                    // Exponential backoff with per-call jitter so concurrent
-                    // retriers don't stampede a recovering server.
-                    std::thread::sleep(self.options.backoff_delay(attempt, call_idx as u64));
-                    let sidx = match self.next_available_after(last_server) {
-                        Some(i) => i,
-                        None => match self.reinstate_any() {
-                            Some(i) => i,
-                            // Nothing answers probes either; give up.
-                            None => break,
-                        },
-                    };
-                    // Arguments are re-resolved (slots from earlier levels
-                    // are still intact).
-                    let args = resolve_args(call, &slots)?;
-                    outcome = self.settle(sidx, self.leg(sidx, &call.routine, args, None).run());
-                    last_server = sidx;
-                    attempt += 1;
-                }
+                // Fail-over legs re-resolve their arguments: calls of one
+                // level write no slot another of them reads.
+                let outcome =
+                    self.settle(at, &call.routine, call_idx as u64, pending.wait(), || {
+                        resolve_args(call, &slots)
+                    });
                 let results = outcome.map_err(|e| {
                     ProtocolError::Remote(format!(
-                        "call #{call_idx} ({}) failed after {attempt} retries across {n_servers} servers: {e}",
-                        call.routine
+                        "call #{call_idx} ({}) failed across {} servers: {e}",
+                        call.routine,
+                        self.directory.len()
                     ))
                 })?;
                 if results.len() < call.outputs.iter().filter(|o| o.is_some()).count() {
@@ -493,26 +533,69 @@ mod tests {
         }
     }
 
-    #[test]
-    fn ft_execution_survives_a_dead_server() {
-        let (mut servers, mut dir) = spawn_fleet(2);
-        // Register a dead address as a third "server" that every third call
-        // round-robins onto.
+    /// The two ways a call reaches the fleet.
+    #[derive(Debug, Clone, Copy)]
+    enum Entry {
+        Transaction,
+        Routed,
+    }
+
+    /// A directory whose first entry — round-robin's first pick — is
+    /// `bad`, then a live two-server fleet.
+    fn fleet_behind(name: &str, bad: String) -> (Vec<NinfServer>, Directory) {
+        let (servers, live) = spawn_fleet(2);
+        let mut dir = Directory::new();
         dir.register(ServerEntry {
-            name: "dead".into(),
-            addr: "127.0.0.1:1".into(), // nothing listens here
+            name: name.into(),
+            addr: bad,
             bandwidth_bytes_per_sec: 10e6,
             linpack_mflops: 100.0,
         });
-        let meta = Metaserver::new(dir, Balancing::RoundRobin);
-        let (tx, outs) = ep_fan_out(6);
-        // Calls that land on the dead server are retried elsewhere.
-        let slots = meta.execute_transaction(&tx).unwrap();
-        for (sums, _) in outs {
-            assert!(slots[sums.0].is_some());
+        for e in live.entries() {
+            dir.register(e.clone());
         }
-        for s in servers.drain(..) {
-            s.shutdown();
+        (servers, dir)
+    }
+
+    /// EP work through `entry` over a [`fleet_behind`] directory: six
+    /// fanned-out transaction calls, or one routed call. Either way the bad
+    /// first entry draws a first attempt, and the work must still finish
+    /// on the live servers.
+    fn survives(entry: Entry, meta: &Metaserver) {
+        match entry {
+            Entry::Transaction => {
+                let (tx, outs) = ep_fan_out(6);
+                let slots = meta.execute_transaction(&tx).unwrap();
+                for (sums, _) in outs {
+                    assert!(slots[sums.0].is_some());
+                }
+            }
+            Entry::Routed => {
+                let out = meta.ninf_call("ep", &[Value::Int(10)]);
+                assert_eq!(out.unwrap().len(), 2); // sums + counts
+            }
+        }
+        let first_failure = crate::directory::HealthEvent::Failure {
+            server: 0,
+            probe: false,
+            streak: 1,
+        };
+        assert!(
+            meta.directory().health_events().contains(&first_failure),
+            "{entry:?}: the bad entry was never tried"
+        );
+    }
+
+    #[test]
+    fn ft_execution_survives_a_dead_server() {
+        for entry in [Entry::Transaction, Entry::Routed] {
+            // Nothing listens at the first entry's address.
+            let (servers, dir) = fleet_behind("dead", "127.0.0.1:1".into());
+            let meta = Metaserver::new(dir, Balancing::RoundRobin);
+            survives(entry, &meta);
+            for s in servers {
+                s.shutdown();
+            }
         }
     }
 
@@ -561,26 +644,18 @@ mod tests {
         // A hung server accepts but never replies: without deadlines this
         // blocks forever; with them each call on it costs one deadline and
         // is then retried on a live server.
-        let (mut servers, mut dir) = spawn_fleet(2);
-        dir.register(ServerEntry {
-            name: "hung".into(),
-            addr: hung_server(),
-            bandwidth_bytes_per_sec: 10e6,
-            linpack_mflops: 100.0,
-        });
-        let meta = Metaserver::with_options(
-            dir,
-            Balancing::RoundRobin,
-            fast_failure_options(),
-            Some(std::time::Duration::from_millis(200)),
-        );
-        let (tx, outs) = ep_fan_out(6);
-        let slots = meta.execute_transaction(&tx).unwrap();
-        for (sums, _) in outs {
-            assert!(slots[sums.0].is_some());
-        }
-        for s in servers.drain(..) {
-            s.shutdown();
+        for entry in [Entry::Transaction, Entry::Routed] {
+            let (servers, dir) = fleet_behind("hung", hung_server());
+            let meta = Metaserver::with_options(
+                dir,
+                Balancing::RoundRobin,
+                fast_failure_options(),
+                Some(std::time::Duration::from_millis(200)),
+            );
+            survives(entry, &meta);
+            for s in servers {
+                s.shutdown();
+            }
         }
     }
 

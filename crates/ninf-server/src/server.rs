@@ -431,12 +431,16 @@ fn handle_message(ctx: &Arc<CallContext>, msg: Message, digests: &[Option<Digest
             // Two-phase, phase 1 (§5.1): ticket now, compute detached —
             // the client may disconnect immediately. Refs resolve before
             // the ticket exists, so a store miss is a NeedArg, not a job
-            // that can never run.
+            // that can never run; past the pending-job cap there is no
+            // ticket and no thread.
             let args = match resolve_args(ctx, args, digests) {
                 Ok(values) => values,
                 Err(digests) => return Message::NeedArg { digests },
             };
-            let ticket = ctx.jobs.submit();
+            let ticket = match ctx.jobs.submit() {
+                Ok(ticket) => ticket,
+                Err(reason) => return Message::Error { reason },
+            };
             logkv!(
                 Level::Info,
                 "server",
@@ -924,6 +928,32 @@ mod tests {
         server.shutdown();
     }
 
+    type Release = Arc<(parking_lot::Mutex<bool>, parking_lot::Condvar)>;
+
+    /// A registry with one routine, `hold`, that blocks until `release`
+    /// opens and then echoes its argument.
+    fn hold_registry(release: &Release) -> Registry {
+        let mut registry = Registry::new();
+        let held = release.clone();
+        registry
+            .register(
+                r#"Define hold(mode_in int n, mode_out int m[1])
+                   "blocks until released, then echoes n",
+                   Calls "C" hold(n, m);"#,
+                Arc::new(move |args: &[&Value]| {
+                    let (open, cv) = &*held;
+                    let mut open = open.lock();
+                    while !*open {
+                        cv.wait(&mut open);
+                    }
+                    let n = args[0].as_scalar_i64().unwrap() as i32;
+                    Ok(vec![Value::IntArray(vec![n])])
+                }),
+            )
+            .unwrap();
+        registry
+    }
+
     /// Running and queued calls come from the PE gate while calls block
     /// in it: three calls on two PEs are 2 running + 1 queued when each
     /// takes one PE, 1 + 2 when each takes them all.
@@ -933,25 +963,8 @@ mod tests {
             (ExecMode::TaskParallel, 2, 1),
             (ExecMode::DataParallel, 1, 2),
         ] {
-            let release = Arc::new((parking_lot::Mutex::new(false), parking_lot::Condvar::new()));
-            let mut registry = Registry::new();
-            let held = release.clone();
-            registry
-                .register(
-                    r#"Define hold(mode_in int n, mode_out int m[1])
-                       "blocks until released, then echoes n",
-                       Calls "C" hold(n, m);"#,
-                    Arc::new(move |args: &[&Value]| {
-                        let (open, cv) = &*held;
-                        let mut open = open.lock();
-                        while !*open {
-                            cv.wait(&mut open);
-                        }
-                        let n = args[0].as_scalar_i64().unwrap() as i32;
-                        Ok(vec![Value::IntArray(vec![n])])
-                    }),
-                )
-                .unwrap();
+            let release = Release::default();
+            let registry = hold_registry(&release);
             let server = NinfServer::start(
                 "127.0.0.1:0",
                 registry,
@@ -1003,6 +1016,61 @@ mod tests {
             assert_eq!(server.stats().completed(), 3);
             server.shutdown();
         }
+    }
+
+    /// A flood of two-phase submissions cannot spawn a thread per job:
+    /// past [`crate::twophase::MAX_PENDING_JOBS`] still computing, a
+    /// submission is refused before it gets a ticket, and the cap frees as
+    /// jobs finish.
+    #[test]
+    fn submissions_past_the_pending_job_cap_are_refused() {
+        use crate::twophase::MAX_PENDING_JOBS;
+        let release = Release::default();
+        let server = NinfServer::start(
+            "127.0.0.1:0",
+            hold_registry(&release),
+            ServerConfig {
+                pes: 2,
+                ..ServerConfig::default()
+            },
+        )
+        .unwrap();
+        let mut t = TcpTransport::connect(&server.addr().to_string()).unwrap();
+        let mut exchange = |msg: Message| {
+            t.send(&msg).unwrap();
+            t.recv().unwrap()
+        };
+        let submit = |n: i32| Message::SubmitJob {
+            routine: "hold".into(),
+            args: Arg::inline(vec![Value::Int(n)]),
+            trace: None,
+        };
+        let tickets: Vec<u64> = (0..MAX_PENDING_JOBS as i32)
+            .map(|n| match exchange(submit(n)) {
+                Message::JobTicket { job } => job,
+                other => panic!("submission {n} refused: {other:?}"),
+            })
+            .collect();
+        match exchange(submit(-1)) {
+            Message::Error { reason } => {
+                assert!(reason.contains("too many pending jobs"), "{reason}")
+            }
+            other => panic!("submission past the cap got {other:?}"),
+        }
+
+        *release.0.lock() = true;
+        release.1.notify_all();
+        for (n, &job) in tickets.iter().enumerate() {
+            server.jobs().wait_done(job);
+            match exchange(Message::FetchResult { job, trace: None }) {
+                Message::ResultData { results } => {
+                    assert_eq!(results, vec![Value::IntArray(vec![n as i32])]);
+                }
+                other => panic!("fetch of job {job}: {other:?}"),
+            }
+        }
+        assert!(matches!(exchange(submit(0)), Message::JobTicket { .. }));
+        server.shutdown();
     }
 
     #[test]

@@ -24,11 +24,22 @@ enum JobState {
     Failed(String),
 }
 
+/// Cap on jobs still computing, each on a thread of its own; a submission
+/// past it is refused before it gets a ticket.
+pub const MAX_PENDING_JOBS: usize = 64;
+
+/// Ticket → job-state map, with the count of its pending entries.
+#[derive(Debug, Default)]
+struct Jobs {
+    states: HashMap<u64, JobState>,
+    pending: usize,
+}
+
 /// Thread-safe ticket → job-state table.
 #[derive(Debug, Default)]
 pub struct JobTable {
     next: AtomicU64,
-    jobs: Mutex<HashMap<u64, JobState>>,
+    jobs: Mutex<Jobs>,
     cv: Condvar,
 }
 
@@ -38,11 +49,17 @@ impl JobTable {
         Self::default()
     }
 
-    /// Allocate a ticket in the pending state.
-    pub fn submit(&self) -> u64 {
+    /// Allocate a ticket in the pending state, unless
+    /// [`MAX_PENDING_JOBS`] jobs are still computing.
+    pub fn submit(&self) -> Result<u64, String> {
+        let mut jobs = self.jobs.lock();
+        if jobs.pending >= MAX_PENDING_JOBS {
+            return Err(format!("too many pending jobs ({MAX_PENDING_JOBS})"));
+        }
         let id = self.next.fetch_add(1, Ordering::Relaxed);
-        self.jobs.lock().insert(id, JobState::Pending);
-        id
+        jobs.states.insert(id, JobState::Pending);
+        jobs.pending += 1;
+        Ok(id)
     }
 
     /// Record a finished job.
@@ -51,13 +68,16 @@ impl JobTable {
             Ok(v) => JobState::Done(v),
             Err(e) => JobState::Failed(e),
         };
-        self.jobs.lock().insert(job, state);
+        let mut jobs = self.jobs.lock();
+        if let Some(JobState::Pending) = jobs.states.insert(job, state) {
+            jobs.pending -= 1;
+        }
         self.cv.notify_all();
     }
 
     /// Current phase of a ticket.
     pub fn poll(&self, job: u64) -> JobPhase {
-        match self.jobs.lock().get(&job) {
+        match self.jobs.lock().states.get(&job) {
             None => JobPhase::Unknown,
             Some(JobState::Pending) => JobPhase::Pending,
             Some(JobState::Done(_)) => JobPhase::Done,
@@ -69,9 +89,9 @@ impl JobTable {
     /// for unknown tickets.
     pub fn fetch(&self, job: u64) -> Option<Result<Vec<Value>, String>> {
         let mut jobs = self.jobs.lock();
-        match jobs.get(&job) {
+        match jobs.states.get(&job) {
             Some(JobState::Pending) | None => None,
-            Some(_) => match jobs.remove(&job) {
+            Some(_) => match jobs.states.remove(&job) {
                 Some(JobState::Done(v)) => Some(Ok(v)),
                 Some(JobState::Failed(e)) => Some(Err(e)),
                 _ => unreachable!("checked above"),
@@ -81,19 +101,19 @@ impl JobTable {
 
     /// Number of tickets currently tracked.
     pub fn len(&self) -> usize {
-        self.jobs.lock().len()
+        self.jobs.lock().states.len()
     }
 
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.jobs.lock().is_empty()
+        self.jobs.lock().states.is_empty()
     }
 
     /// Block until `job` leaves the pending state (test helper; real clients
     /// poll over the network).
     pub fn wait_done(&self, job: u64) {
         let mut jobs = self.jobs.lock();
-        while matches!(jobs.get(&job), Some(JobState::Pending)) {
+        while matches!(jobs.states.get(&job), Some(JobState::Pending)) {
             self.cv.wait(&mut jobs);
         }
     }
@@ -107,7 +127,7 @@ mod tests {
     #[test]
     fn lifecycle_pending_done_fetch() {
         let t = JobTable::new();
-        let id = t.submit();
+        let id = t.submit().unwrap();
         assert_eq!(t.poll(id), JobPhase::Pending);
         assert!(t.fetch(id).is_none(), "cannot fetch a pending job");
         t.complete(id, Ok(vec![Value::Int(7)]));
@@ -121,7 +141,7 @@ mod tests {
     #[test]
     fn failures_carry_the_reason() {
         let t = JobTable::new();
-        let id = t.submit();
+        let id = t.submit().unwrap();
         t.complete(id, Err("singular matrix".into()));
         assert_eq!(t.poll(id), JobPhase::Failed);
         assert_eq!(t.fetch(id), Some(Err("singular matrix".into())));
@@ -137,8 +157,8 @@ mod tests {
     #[test]
     fn tickets_are_unique() {
         let t = JobTable::new();
-        let a = t.submit();
-        let b = t.submit();
+        let a = t.submit().unwrap();
+        let b = t.submit().unwrap();
         assert_ne!(a, b);
         assert_eq!(t.len(), 2);
     }
@@ -146,7 +166,7 @@ mod tests {
     #[test]
     fn wait_done_blocks_until_completion() {
         let t = Arc::new(JobTable::new());
-        let id = t.submit();
+        let id = t.submit().unwrap();
         let t2 = t.clone();
         let worker = std::thread::spawn(move || {
             std::thread::sleep(std::time::Duration::from_millis(20));

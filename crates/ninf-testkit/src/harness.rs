@@ -14,7 +14,7 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use ninf_client::{NinfClient, Transaction, TxArg};
-use ninf_loadgen::{classify, fnv1a, spawn_server, Outcome, Routine};
+use ninf_loadgen::{classify, fnv1a, monitor_options, spawn_server, Outcome, Routine};
 use ninf_metaserver::{Balancing, Directory, Metaserver, ServerEntry};
 use ninf_obs::recorder;
 use ninf_protocol::{link_schedule, LinkTransport, ProtocolResult, Value};
@@ -314,10 +314,7 @@ fn drive_client(
 /// server's lifetime total (records are appended asynchronously around
 /// reply time, so the drain is bounded, not one-shot).
 fn monitor_stats(addr: &str, stop: &AtomicBool) -> ProtocolResult<Vec<StatsPoll>> {
-    let mut c = NinfClient::connect_with(
-        addr,
-        ninf_client::CallOptions::with_deadline(Duration::from_secs(2)),
-    )?;
+    let mut c = NinfClient::connect_with(addr, monitor_options())?;
     let mut polls = Vec::new();
     let mut cursor = 0u64;
     fn poll(
@@ -355,10 +352,7 @@ fn monitor_stats(addr: &str, stop: &AtomicBool) -> ProtocolResult<Vec<StatsPoll>
 /// exactly-once invariant. One final poll after stop drains windows the
 /// sampler closed while the last sleep was pending.
 fn monitor_windows(addr: &str, stop: &AtomicBool) -> ProtocolResult<Vec<WindowPoll>> {
-    let mut c = NinfClient::connect_with(
-        addr,
-        ninf_client::CallOptions::with_deadline(Duration::from_secs(2)),
-    )?;
+    let mut c = NinfClient::connect_with(addr, monitor_options())?;
     let mut polls = Vec::new();
     let mut cursor = 0u64;
     let poll = |c: &mut NinfClient, cursor: &mut u64, polls: &mut Vec<WindowPoll>| {

@@ -354,9 +354,18 @@ fn metaserver_ft_retries_on_failure() {
 }
 
 #[test]
-fn local_transaction_execution_without_metaserver() {
+fn transaction_on_a_one_server_directory() {
+    // One server is a one-entry directory: the metaserver is the only
+    // transaction executor, and the dgefa → dgesl chain runs in order.
     let server = start_server(2, ExecMode::TaskParallel);
-    let mut client = NinfClient::connect(&server.addr().to_string()).unwrap();
+    let mut dir = Directory::new();
+    dir.register(ServerEntry {
+        name: "only".into(),
+        addr: server.addr().to_string(),
+        bandwidth_bytes_per_sec: 10e6,
+        linpack_mflops: 100.0,
+    });
+    let meta = Metaserver::new(dir, Balancing::RoundRobin);
 
     let n = 16usize;
     let (a, b) = ninf::exec::matgen(n);
@@ -382,7 +391,7 @@ fn local_transaction_execution_without_metaserver() {
         ],
         vec![Some(x)],
     );
-    let slots = ninf::client::execute_locally(&mut client, &tx).unwrap();
+    let slots = meta.execute_transaction(&tx).unwrap();
     let Some(Value::DoubleArray(sol)) = &slots[x.0] else {
         panic!()
     };

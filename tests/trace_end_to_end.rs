@@ -8,7 +8,7 @@
 
 use std::collections::BTreeSet;
 
-use ninf::client::NinfClient;
+use ninf::client::{NinfClient, Transaction, TxArg};
 use ninf::metaserver::{Balancing, Directory, Metaserver, ServerEntry};
 use ninf::obs::export::{
     chrome_trace_json, client_server_coverage, dedup, parse_chrome_trace, validate_nesting,
@@ -112,6 +112,66 @@ fn metaserver_routed_call_yields_one_connected_trace() {
     let parsed = parse_chrome_trace(&json).expect("exported JSON parses");
     assert_eq!(parsed.len(), spans.len());
 
+    server.shutdown();
+}
+
+#[test]
+fn transaction_legs_are_placed_and_settled_like_routed_calls() {
+    // Every leg of a transaction takes the routed call's one dispatch path:
+    // a `forward` span with a `route` child (the placement) and a `call`
+    // child (the leg), and one `ninf_meta_call_seconds` sample.
+    recorder::global().set_enabled(true);
+    let server = start_server();
+    let addr = server.addr().to_string();
+    let mut dir = Directory::new();
+    dir.register(ServerEntry {
+        name: "node0".into(),
+        addr: addr.clone(),
+        bandwidth_bytes_per_sec: 10e6,
+        linpack_mflops: 100.0,
+    });
+    let meta = Metaserver::new(dir, Balancing::RoundRobin);
+    let mut tx = Transaction::new();
+    for _ in 0..3 {
+        tx.call("ep", vec![TxArg::Value(Value::Int(8))], vec![None, None]);
+    }
+    meta.execute_transaction(&tx).expect("transaction succeeds");
+
+    settle();
+    let spans = dedup(&recorder::global().snapshot(0));
+    // Other tests share the recorder: this fleet's placements are the
+    // `route` spans naming its one server's address.
+    let routes: Vec<&Span> = spans
+        .iter()
+        .filter(|s| s.name == "route" && s.detail.ends_with(&format!("addr={addr}")))
+        .collect();
+    assert_eq!(routes.len(), 3, "one placement per leg");
+    let forwards: BTreeSet<u64> = routes.iter().map(|r| r.parent_span_id).collect();
+    assert_eq!(forwards.len(), 3, "one forward span per leg");
+    for route in routes {
+        let forward = spans
+            .iter()
+            .find(|s| s.span_id == route.parent_span_id)
+            .expect("the route span has a parent");
+        assert_eq!(
+            (forward.name.as_str(), forward.process.as_str()),
+            ("forward", "metaserver")
+        );
+        let children: Vec<(&str, &str)> = spans
+            .iter()
+            .filter(|s| s.parent_span_id == forward.span_id)
+            .map(|s| (s.name.as_str(), s.process.as_str()))
+            .collect();
+        assert!(children.contains(&("call", "metaserver")), "{children:?}");
+        let trace: Vec<Span> = spans
+            .iter()
+            .filter(|s| s.trace_id == forward.trace_id)
+            .cloned()
+            .collect();
+        validate_nesting(&trace, 10_000).expect("each leg's spans nest into one tree");
+    }
+    let seconds = meta.metrics().histogram("ninf_meta_call_seconds", "");
+    assert_eq!(seconds.lock().count(), 3, "one sample per leg");
     server.shutdown();
 }
 
