@@ -12,12 +12,26 @@
 //! them). The memory is process-global so transient per-call clients — the
 //! pooled path and the metaserver fan-out both construct one `NinfClient`
 //! per attempt — still accumulate digest knowledge across calls.
+//!
+//! A client that ships a fresh value on every call (a salted matrix, a new
+//! upload each time) remembers one more digest per call, and nothing but a
+//! `NeedArg` would ever forget one. So each destination holds at most
+//! [`MAX_DIGESTS_PER_DESTINATION`]; the one past it starts that
+//! destination's memory over. Forgetting is always safe: a value the
+//! server still holds just ships inline once more.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::{Mutex, OnceLock};
 
 use ninf_obs::{process_metrics, Counter};
 use ninf_protocol::Digest;
+
+/// Digests remembered per destination, at most: as many values as a
+/// default server's store can hold at all (64 MiB of values no smaller
+/// than [`ninf_protocol::ARG_CACHE_MIN_BYTES`], the smallest it caches), so
+/// the cap drops no belief a default server could still honour. Starting
+/// over on overflow costs O(1) per remembered digest.
+pub const MAX_DIGESTS_PER_DESTINATION: usize = (64 << 20) / ninf_protocol::ARG_CACHE_MIN_BYTES;
 
 fn memory() -> &'static Mutex<HashMap<String, HashSet<Digest>>> {
     static MEMORY: OnceLock<Mutex<HashMap<String, HashSet<Digest>>>> = OnceLock::new();
@@ -51,12 +65,12 @@ pub(crate) fn knows(key: &str, digest: &Digest) -> bool {
 
 /// Record that `digest` was shipped inline to `key`.
 pub(crate) fn remember(key: &str, digest: Digest) {
-    memory()
-        .lock()
-        .unwrap()
-        .entry(key.to_owned())
-        .or_default()
-        .insert(digest);
+    let mut mem = memory().lock().unwrap();
+    let set = mem.entry(key.to_owned()).or_default();
+    if set.len() >= MAX_DIGESTS_PER_DESTINATION && !set.contains(&digest) {
+        set.clear();
+    }
+    set.insert(digest);
 }
 
 /// Drop digests the destination reported missing.
@@ -87,6 +101,31 @@ mod tests {
         assert!(knows(key, &d));
         forget(key, &[d]);
         assert!(!knows(key, &d));
+    }
+
+    #[test]
+    fn a_destination_never_remembers_more_than_the_cap() {
+        assert_eq!(
+            MAX_DIGESTS_PER_DESTINATION,
+            ninf_server::DEFAULT_ARG_CACHE_BYTES / ninf_protocol::ARG_CACHE_MIN_BYTES,
+            "the cap is what a default server's store can hold"
+        );
+        let key = "argmem-test-127.0.0.1:4";
+        let held = || memory().lock().unwrap().get(key).map_or(0, HashSet::len);
+        for i in 0..=MAX_DIGESTS_PER_DESTINATION as u64 {
+            remember(key, Digest { hi: i, lo: !i });
+        }
+        assert!(held() <= MAX_DIGESTS_PER_DESTINATION, "{} held", held());
+        // The newest belief survives the overflow.
+        let newest = MAX_DIGESTS_PER_DESTINATION as u64;
+        assert!(knows(
+            key,
+            &Digest {
+                hi: newest,
+                lo: !newest
+            }
+        ));
+        forget_destination(key);
     }
 
     #[test]

@@ -4,8 +4,15 @@
 //! A large argument's XDR image is split into CRC-tagged chunks
 //! ([`ninf_protocol::chunk`]) and shipped over one dedicated multiplexed
 //! connection to the server, which reassembles and lands the value in its
-//! argument store; the call itself then names the value by content ref.
-//! The upload runs on the caller's thread.
+//! argument store. The upload runs on the caller's thread.
+//!
+//! The call that names the value rides the same connection
+//! (`upload_carrying`): it is posted directly behind the last chunk's
+//! first send, inside the window, with the value named by content ref. The
+//! server parks a call whose ref names an upload still reassembling and
+//! runs it once the value lands, so a bulk call crosses the link once —
+//! *latency + bytes ÷ bandwidth + compute*, the paper's §3.1 cost — instead
+//! of once for the upload and again for a call sent after the last ack.
 //!
 //! The connection keeps a **sliding window** of un-acked chunks
 //! ([`ninf_protocol::lane_window`]: the link's bandwidth-delay product in
@@ -25,13 +32,18 @@
 //! connection that *dies* is redialed once, and everything un-acked is sent
 //! again on the fresh one — the server keys reassembly by digest, not by
 //! connection, so the fresh connection continues where the dead one
-//! stopped. A deadline is not a death and never causes a redial. An ack
-//! that names a chunk its ticket did not carry, or a ticket never posted,
-//! ends the upload with [`ProtocolError::AckMismatch`].
+//! stopped; a riding call still owed its reply is posted again behind the
+//! resent chunks. A deadline is not a death and never causes a redial. An
+//! ack that names a chunk its ticket did not carry, or a ticket never
+//! posted, ends the upload with [`ProtocolError::AckMismatch`]. The riding
+//! call has a deadline of its own, the call's: a call whose reply misses
+//! it comes back as a timeout once the upload is done, for the caller's
+//! retry loop.
 //!
 //! A failed upload is never half-visible: the server holds partial state
 //! out of its store until every chunk lands and the digest verifies, and
-//! the caller ships the value inline instead.
+//! the caller ships the value inline instead, whatever became of a riding
+//! call.
 //!
 //! The upload sends in one order, so the link events its sends draw are the
 //! same pure function of `(seed, lane, lanes, op)` whatever the window is.
@@ -41,8 +53,8 @@ use std::ops::Range;
 use std::time::{Duration, Instant};
 
 use ninf_protocol::{
-    lane_window, link_for, split_chunks, Digest, LinkShape, LinkTransport, Message, Pipelined,
-    ProtocolError, ProtocolResult, Transport,
+    lane_window, link_for, split_chunks, Digest, FrameFn, LinkShape, LinkTransport, Message,
+    Pipelined, ProtocolError, ProtocolResult, Transport,
 };
 use ninf_reactor::MuxStream;
 
@@ -71,20 +83,58 @@ pub struct UploadReport {
     pub retransmits: u32,
     /// Times the upload tore down a dead connection and redialed.
     pub redials: u32,
+    /// From the first chunk sent to the last chunk acked.
+    pub elapsed: Duration,
 }
 
-/// Dial the bulk connection with room for `window` open chunks: the handle
-/// (wrapped in client-side WAN shaping when a link is named) and the mux
-/// stream that must outlive it — dropping a [`MuxStream`] shuts the socket
-/// down. Shaped, it contends for the destination's shared link as
-/// [`BULK_LANE`], with its own deterministic loss schedule.
+/// A call that rides an upload's connection (see the module docs).
+pub(crate) struct Rider<'a> {
+    /// Writes the call's frame for the ticket the connection hands it; run
+    /// again if the call is posted again on a redialed connection.
+    pub encode: FrameFn<'a>,
+    /// How long its reply may take once posted; `None` waits as long as
+    /// it takes.
+    pub deadline: Option<Duration>,
+}
+
+/// What [`upload_carrying`] brings back.
+#[derive(Debug)]
+pub(crate) struct Carried {
+    /// The upload, complete.
+    pub upload: UploadReport,
+    /// The riding call's reply, or the timeout its reply came to.
+    pub reply: ProtocolResult<Message>,
+    /// From the call's post to that outcome.
+    pub roundtrip: Duration,
+}
+
+/// Where a riding call is.
+enum Riding {
+    /// Not posted on the live connection.
+    Waiting,
+    /// Posted, its reply owed by `due` (never, if `None`).
+    Flying {
+        ticket: u64,
+        posted: Instant,
+        due: Option<Instant>,
+    },
+    /// Answered or given up on, with the time since its post.
+    Done(ProtocolResult<Message>, Duration),
+}
+
+/// Dial the bulk connection with room for `window` open chunks and the
+/// call that may ride behind them: the handle (wrapped in client-side WAN
+/// shaping when a link is named) and the mux stream that must outlive it —
+/// dropping a [`MuxStream`] shuts the socket down. Shaped, it contends for
+/// the destination's shared link as [`BULK_LANE`], with its own
+/// deterministic loss schedule.
 fn dial_lane(
     addr: &str,
     deadline: Duration,
     wan: Option<LinkShape>,
     window: u32,
 ) -> ProtocolResult<(Box<dyn Pipelined>, MuxStream)> {
-    let stream = MuxStream::connect(addr, Some(deadline), window as usize)?;
+    let stream = MuxStream::connect(addr, Some(deadline), window as usize + 1)?;
     let mut handle = stream.handle();
     handle.set_deadline(Some(deadline))?;
     let transport: Box<dyn Pipelined> = match wan {
@@ -103,7 +153,7 @@ struct Flying {
 }
 
 /// One upload's state, apart from the connection it runs over.
-struct Upload<'a> {
+struct Upload<'a, 'r> {
     chunks: &'a [Message],
     window: usize,
     deadline: Duration,
@@ -118,10 +168,20 @@ struct Upload<'a> {
     sends: Vec<u32>,
     retransmits: u32,
     redials: u32,
+    /// The call riding behind the last chunk, if any, and where it is.
+    rider: Option<(Rider<'r>, Riding)>,
+    /// First chunk send and latest ack.
+    started: Option<Instant>,
+    last_ack: Option<Instant>,
 }
 
-impl<'a> Upload<'a> {
-    fn new(chunks: &'a [Message], window: u32, deadline: Duration) -> Self {
+impl<'a, 'r> Upload<'a, 'r> {
+    fn new(
+        chunks: &'a [Message],
+        window: u32,
+        deadline: Duration,
+        rider: Option<Rider<'r>>,
+    ) -> Self {
         Self {
             chunks,
             window: window.max(1) as usize,
@@ -132,10 +192,14 @@ impl<'a> Upload<'a> {
             sends: vec![0; chunks.len()],
             retransmits: 0,
             redials: 0,
+            rider: rider.map(|r| (r, Riding::Waiting)),
+            started: None,
+            last_ack: None,
         }
     }
 
-    /// Send until the window is full or nothing is left to send. A chunk
+    /// Send until the window is full or nothing is left to send, then post
+    /// the riding call once every chunk has had its first send. A chunk
     /// that has used up its sends fails the upload instead.
     fn fill(&mut self, conn: &mut dyn Pipelined) -> ProtocolResult<()> {
         while self.flying.len() < self.window {
@@ -152,6 +216,7 @@ impl<'a> Upload<'a> {
                 self.retransmits += 1;
             }
             self.sends[chunk] += 1;
+            self.started.get_or_insert_with(Instant::now);
             let ticket = conn
                 .post(&self.chunks[chunk])
                 .inspect_err(|_| self.again.push_front(chunk))?;
@@ -161,19 +226,50 @@ impl<'a> Upload<'a> {
                 due: Instant::now() + self.deadline,
             });
         }
+        if let (true, Some((rider, state @ Riding::Waiting))) =
+            (self.fresh.is_empty(), self.rider.as_mut())
+        {
+            let posted = Instant::now();
+            let ticket = conn.post_frame(&mut *rider.encode)?;
+            *state = Riding::Flying {
+                ticket,
+                posted,
+                due: rider.deadline.map(|d| Instant::now() + d),
+            };
+        }
         Ok(())
     }
 
-    /// Run the window over `conn` until every chunk is acked. An error
-    /// leaves the un-acked chunks in `flying` and `again`.
+    /// Run the window over `conn` until every chunk is acked and a riding
+    /// call is answered or overdue. An error leaves the un-acked chunks in
+    /// `flying` and `again`.
     fn run(&mut self, conn: &mut dyn Pipelined) -> ProtocolResult<()> {
         loop {
             self.fill(conn)?;
-            let Some(oldest) = self.flying.front() else {
-                return Ok(());
+            let call = match &self.rider {
+                Some((_, Riding::Flying { ticket, due, .. })) => Some((*ticket, *due)),
+                _ => None,
             };
-            let wait = oldest.due.saturating_duration_since(Instant::now());
+            let chunk_due = self.flying.front().map(|f| f.due);
+            // The wait runs to the earlier deadline, and a timeout is that
+            // one's: the oldest chunk's, or the call's.
+            let call_first = match (chunk_due, call) {
+                (None, None) => return Ok(()),
+                (None, Some(_)) => true,
+                (Some(chunk), Some((_, Some(call)))) => call < chunk,
+                (Some(_), _) => false,
+            };
+            let until = match call {
+                Some((_, due)) if call_first => due,
+                _ => chunk_due,
+            };
+            let wait = until.map_or(DEFAULT_LANE_DEADLINE, |t| {
+                t.saturating_duration_since(Instant::now())
+            });
             match conn.recv_any(wait) {
+                Ok((ticket, reply)) if call.is_some_and(|(t, _)| t == ticket) => {
+                    self.settle_call(Ok(reply));
+                }
                 // An ack for a ticket already given up on is dropped below
                 // us, so one that gets here must be for a flying send, and
                 // for the chunk that send carried.
@@ -194,6 +290,7 @@ impl<'a> Upload<'a> {
                         });
                     }
                     self.flying.remove(at);
+                    self.last_ack = Some(Instant::now());
                 }
                 Ok((_, Message::Error { reason })) => return Err(ProtocolError::Remote(reason)),
                 Ok((_, other)) => {
@@ -201,6 +298,14 @@ impl<'a> Upload<'a> {
                         expected: "ChunkOk",
                         got: other.kind().to_owned(),
                     })
+                }
+                // The call's reply is overdue: it was lost, or it parked
+                // past the server's bound behind a lost chunk.
+                Err(e) if e.is_timeout() && call_first => {
+                    if let Some((ticket, Some(_))) = call {
+                        conn.forget(ticket);
+                        self.settle_call(Err(e));
+                    }
                 }
                 // The oldest send's chunk or ack was lost in flight: that
                 // chunk, and only that chunk, goes again.
@@ -210,6 +315,15 @@ impl<'a> Upload<'a> {
                     self.again.push_back(lost.chunk);
                 }
                 Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// The riding call is answered (or overdue): keep the outcome.
+    fn settle_call(&mut self, outcome: ProtocolResult<Message>) {
+        if let Some((_, state)) = &mut self.rider {
+            if let Riding::Flying { posted, .. } = *state {
+                *state = Riding::Done(outcome, posted.elapsed());
             }
         }
     }
@@ -226,11 +340,15 @@ impl<'a> Upload<'a> {
             Err(e) if e.is_retryable() && !e.is_timeout() => {
                 // The connection died mid-window; one fresh dial, then send
                 // everything un-acked again (oldest first, ahead of what
-                // else was queued). The server re-acks whatever the dead
+                // else was queued) and post a call still owed its reply
+                // behind them. The server re-acks whatever the dead
                 // connection already landed.
                 self.redials += 1;
                 for f in self.flying.drain(..).rev() {
                     self.again.push_front(f.chunk);
+                }
+                if let Some((_, state @ Riding::Flying { .. })) = &mut self.rider {
+                    *state = Riding::Waiting;
                 }
                 (conn, _keep) = dial()?;
                 self.run(&mut *conn)
@@ -238,6 +356,41 @@ impl<'a> Upload<'a> {
             outcome => outcome,
         }
     }
+
+    fn report(&self, bytes: usize) -> UploadReport {
+        UploadReport {
+            chunks: self.chunks.len() as u32,
+            bytes: bytes as u64,
+            retransmits: self.retransmits,
+            redials: self.redials,
+            elapsed: match (self.started, self.last_ack) {
+                (Some(from), Some(to)) => to.saturating_duration_since(from),
+                _ => Duration::ZERO,
+            },
+        }
+    }
+}
+
+/// Ship `image` under `digest`, with `rider` behind its last chunk.
+fn ship(
+    addr: &str,
+    digest: Digest,
+    image: &[u8],
+    chunk_bytes: u32,
+    deadline: Option<Duration>,
+    wan: Option<LinkShape>,
+    rider: Option<Rider<'_>>,
+) -> ProtocolResult<(UploadReport, Option<Riding>)> {
+    let chunk_bytes = chunk_bytes.max(1);
+    let chunks = split_chunks(digest, image, chunk_bytes);
+    let window = lane_window(wan.as_ref(), chunk_bytes);
+    let deadline = deadline.unwrap_or(DEFAULT_LANE_DEADLINE);
+    let mut upload = Upload::new(&chunks, window, deadline, rider);
+    upload.finish(|| dial_lane(addr, deadline, wan, window))?;
+    Ok((
+        upload.report(image.len()),
+        upload.rider.map(|(_, state)| state),
+    ))
 }
 
 /// Ship one value image to `addr` as chunks over one windowed connection,
@@ -253,17 +406,31 @@ pub fn upload(
     deadline: Option<Duration>,
     wan: Option<LinkShape>,
 ) -> ProtocolResult<UploadReport> {
-    let chunk_bytes = chunk_bytes.max(1);
-    let chunks = split_chunks(digest, image, chunk_bytes);
-    let window = lane_window(wan.as_ref(), chunk_bytes);
-    let deadline = deadline.unwrap_or(DEFAULT_LANE_DEADLINE);
-    let mut upload = Upload::new(&chunks, window, deadline);
-    upload.finish(|| dial_lane(addr, deadline, wan, window))?;
-    Ok(UploadReport {
-        chunks: chunks.len() as u32,
-        bytes: image.len() as u64,
-        retransmits: upload.retransmits,
-        redials: upload.redials,
+    ship(addr, digest, image, chunk_bytes, deadline, wan, None).map(|(report, _)| report)
+}
+
+/// [`upload`], with `call` riding the connection behind the last chunk
+/// (see the module docs): returns once the upload is complete and the call
+/// is answered or overdue. A failed upload fails this too, whatever became
+/// of the call; the server may still run a call it had parked, so the
+/// caller's fallback is an at-least-once retry.
+pub(crate) fn upload_carrying(
+    addr: &str,
+    digest: Digest,
+    image: &[u8],
+    chunk_bytes: u32,
+    deadline: Option<Duration>,
+    wan: Option<LinkShape>,
+    call: Rider<'_>,
+) -> ProtocolResult<Carried> {
+    let (upload, state) = ship(addr, digest, image, chunk_bytes, deadline, wan, Some(call))?;
+    let Some(Riding::Done(reply, roundtrip)) = state else {
+        unreachable!("a complete upload has settled its rider")
+    };
+    Ok(Carried {
+        upload,
+        reply,
+        roundtrip,
     })
 }
 
@@ -313,6 +480,19 @@ mod tests {
         open: Vec<u64>,
         acks: VecDeque<(u64, Message)>,
         dead: bool,
+        /// A riding call that arrived before the image was complete: the
+        /// far end parks it, as the server does, and answers it once the
+        /// last chunk lands.
+        parked: Option<u64>,
+    }
+
+    /// What the ledgers record for the riding call, in place of a chunk
+    /// seq; its fate is asked under this seq too (`Ack`: answered once the
+    /// image is complete, `Silence`: never).
+    const CALL: usize = usize::MAX;
+
+    fn answer() -> Message {
+        Message::ResultData { results: vec![] }
     }
 
     impl Transport for Peer {
@@ -325,16 +505,18 @@ mod tests {
         fn stage(&mut self, encode: FrameFn<'_>) -> ProtocolResult<(u64, Vec<u8>)> {
             let frame = encode(self.tickets + 1)?;
             let (_, msg) = read_frame_mux(&mut frame.as_slice())?;
-            let Message::PutArgChunk { seq, .. } = msg else {
-                panic!("an upload ships chunks, not {}", msg.kind())
+            let seq = match msg {
+                Message::PutArgChunk { seq, .. } => seq as usize,
+                Message::Invoke { .. } => CALL,
+                other => panic!("an upload ships chunks and a call, not {}", other.kind()),
             };
             let mut ledger = self.ledger.lock().unwrap();
-            let nth = ledger.staged.iter().filter(|&&s| s == seq as usize).count();
+            let nth = ledger.staged.iter().filter(|&&s| s == seq).count();
             if self.dead {
                 return Err(ProtocolError::Disconnected);
             }
-            ledger.staged.push(seq as usize);
-            if (self.fate)(seq as usize, nth) == Fate::Die {
+            ledger.staged.push(seq);
+            if (self.fate)(seq, nth) == Fate::Die {
                 self.dead = true;
                 return Err(ProtocolError::Disconnected);
             }
@@ -345,6 +527,19 @@ mod tests {
         }
         fn send_raw(&mut self, mut frame: &[u8]) -> ProtocolResult<()> {
             let (ticket, msg) = read_frame_mux(&mut frame)?;
+            if let Message::Invoke { .. } = msg {
+                let mut ledger = self.ledger.lock().unwrap();
+                let nth = ledger.staged.iter().filter(|&&s| s == CALL).count() - 1;
+                ledger.arrived.push(CALL);
+                let complete = ledger.reassembly.as_ref().is_some_and(Reassembly::complete);
+                if (self.fate)(CALL, nth) == Fate::Ack {
+                    match complete {
+                        true => self.acks.push_back((ticket, answer())),
+                        false => self.parked = Some(ticket),
+                    }
+                }
+                return Ok(());
+            }
             let Message::PutArgChunk {
                 digest,
                 total_bytes,
@@ -366,8 +561,11 @@ mod tests {
                         Reassembly::new(digest, total_bytes, total).unwrap()
                     });
                     // A duplicate re-acks, as the server's does.
-                    let _ = r.accept(total_bytes, total, seq, crc, &bytes);
+                    let landed = matches!(r.accept(total_bytes, total, seq, crc, &bytes), Ok(true));
                     self.acks.push_back((ticket, ack(seq)));
+                    if let Some(call) = self.parked.filter(|_| landed) {
+                        self.acks.push_back((call, answer()));
+                    }
                 }
                 Fate::MisAck => self.acks.push_back((ticket, ack(seq + 1))),
                 Fate::Phantom => self.acks.push_back((u64::MAX - ticket, ack(seq))),
@@ -417,6 +615,19 @@ mod tests {
         fate: fn(usize, usize) -> Fate,
         wrap: impl Fn(Peer) -> Box<dyn Pipelined>,
     ) -> (ProtocolResult<()>, UploadReport, Ledger) {
+        let (outcome, report, _, ledger) = drive_riding(chunks, window, fate, wrap, None);
+        (outcome, report, ledger)
+    }
+
+    /// [`drive`], with a call riding behind the last chunk when `call`
+    /// names its deadline; also returns where the call ended up.
+    fn drive_riding(
+        chunks: &[Message],
+        window: u32,
+        fate: fn(usize, usize) -> Fate,
+        wrap: impl Fn(Peer) -> Box<dyn Pipelined>,
+        call: Option<Duration>,
+    ) -> (ProtocolResult<()>, UploadReport, Option<Riding>, Ledger) {
         let ledger = Arc::new(Mutex::new(Ledger {
             reassembly: None,
             staged: Vec::new(),
@@ -433,18 +644,113 @@ mod tests {
                 open: Vec::new(),
                 acks: VecDeque::new(),
                 dead: false,
+                parked: None,
             });
             Ok((peer, ()))
         };
-        let mut upload = Upload::new(chunks, window, Duration::from_secs(5));
+        let invoke = Message::Invoke {
+            routine: "linpack".into(),
+            args: vec![],
+            trace: None,
+        };
+        let mut encode = |ticket| ninf_protocol::encode_frame(ticket, &invoke);
+        let rider = call.map(|deadline| Rider {
+            encode: &mut encode,
+            deadline: Some(deadline),
+        });
+        let mut upload = Upload::new(chunks, window, Duration::from_secs(5), rider);
         let outcome = upload.finish(dial);
         let report = UploadReport {
             retransmits: upload.retransmits,
             redials: upload.redials,
             ..UploadReport::default()
         };
+        let riding = upload.rider.take().map(|(_, state)| state);
         let ledger = Arc::into_inner(ledger).unwrap().into_inner().unwrap();
-        (outcome, report, ledger)
+        (outcome, report, riding, ledger)
+    }
+
+    /// The call goes out directly behind the last chunk's first send — not
+    /// behind its ack — and is answered once the image is complete, even
+    /// when a lost chunk's retransmit completes it after the call arrived.
+    #[test]
+    fn the_call_rides_behind_the_last_chunk_and_waits_for_its_image() {
+        let (_, chunks) = image(6);
+        // Chunk 2's first send is lost; everything else arrives.
+        let fate = |seq, nth| match (seq, nth) {
+            (2, 0) => Fate::Silence,
+            _ => Fate::Ack,
+        };
+        let call = Some(Duration::from_secs(60));
+        let (outcome, report, riding, ledger) = drive_riding(&chunks, 3, fate, bare, call);
+        outcome.unwrap();
+        let first_of_last = ledger.staged.iter().position(|&s| s == 5).unwrap();
+        assert_eq!(
+            ledger.staged.get(first_of_last + 1),
+            Some(&CALL),
+            "staged: {:?}",
+            ledger.staged
+        );
+        assert_eq!(ledger.staged.iter().filter(|&&s| s == CALL).count(), 1);
+        // The call arrived before the lost chunk's retransmit: it waited.
+        let call_at = ledger.arrived.iter().position(|&s| s == CALL).unwrap();
+        let resent_at = ledger.arrived.iter().rposition(|&s| s == 2).unwrap();
+        assert!(call_at < resent_at, "arrived: {:?}", ledger.arrived);
+        assert_eq!(report.retransmits, 1);
+        assert!(
+            matches!(
+                riding,
+                Some(Riding::Done(Ok(Message::ResultData { .. }), _))
+            ),
+            "the call was answered"
+        );
+    }
+
+    /// A call whose reply never comes ends the upload no later than its
+    /// deadline, as a timeout the caller's retry loop takes; the upload
+    /// itself completes.
+    #[test]
+    fn an_unanswered_call_times_out_once_the_upload_is_done() {
+        let (_, chunks) = image(4);
+        let fate = |seq, _| {
+            if seq == CALL {
+                Fate::Silence
+            } else {
+                Fate::Ack
+            }
+        };
+        let call = Some(Duration::from_secs(60));
+        let (outcome, _, riding, ledger) = drive_riding(&chunks, 4, fate, bare, call);
+        outcome.unwrap();
+        assert_eq!(ledger.arrived.len(), 5, "four chunks and the call");
+        let Some(Riding::Done(Err(e), _)) = riding else {
+            panic!("the call was not given up on")
+        };
+        assert!(e.is_timeout(), "{e}");
+    }
+
+    /// A connection that dies under a riding call: the call goes again on
+    /// the fresh connection, behind the resent chunks.
+    #[test]
+    fn a_redial_posts_the_call_again() {
+        let (_, chunks) = image(3);
+        // Chunk 1's first send is lost and the connection dies carrying its
+        // resend, with the call posted and unanswered on it.
+        let fate = |seq, nth| match (seq, nth) {
+            (CALL, 0) => Fate::Silence,
+            (1, 0) => Fate::Silence,
+            (1, 1) => Fate::Die,
+            _ => Fate::Ack,
+        };
+        let call = Some(Duration::from_secs(60));
+        let (outcome, report, riding, ledger) = drive_riding(&chunks, 3, fate, bare, call);
+        outcome.unwrap();
+        assert_eq!((ledger.dials, report.redials), (2, 1));
+        assert_eq!(ledger.staged, [0, 1, 2, CALL, 1, 1, CALL]);
+        assert!(matches!(
+            riding,
+            Some(Riding::Done(Ok(Message::ResultData { .. }), _))
+        ));
     }
 
     fn bare(peer: Peer) -> Box<dyn Pipelined> {

@@ -15,6 +15,7 @@ use ninf_protocol::{
 use ninf_reactor::MuxPool;
 
 use crate::argmem;
+use crate::bulk::{Rider, UploadReport};
 
 /// Per-call reliability policy: how long one attempt may take and how
 /// failed attempts are retried.
@@ -45,9 +46,10 @@ pub struct CallOptions {
     pub arg_cache: bool,
     /// Bulk upload switch: 0 = inline; any value ≥ 1 = one windowed lane.
     /// With a lane, arguments whose XDR image is at least
-    /// [`ninf_protocol::CHUNK_THRESHOLD`] bytes are pre-shipped as chunks
-    /// over one dedicated multiplexed connection, then named by content
-    /// ref in the call itself. The lane keeps a sliding window of chunks
+    /// [`ninf_protocol::CHUNK_THRESHOLD`] bytes are shipped as chunks over
+    /// one dedicated multiplexed connection, and the call itself rides the
+    /// same connection behind the last chunk, naming them by content ref
+    /// ([`crate::bulk`]). The lane keeps a sliding window of chunks
     /// in flight, sized from `wan` when it names the link
     /// ([`ninf_protocol::lane_window`]), so it fills a long-fat pipe on its
     /// own. Requires a dialed client (an address to upload to) and
@@ -126,7 +128,8 @@ pub struct CallTiming {
     pub marshal: f64,
     /// Seconds between sending `Invoke` and receiving the reply — wire
     /// transfer both ways plus server wall time (subtract the server-side
-    /// [`ninf_protocol::CallStat::total`] to isolate transfer).
+    /// [`ninf_protocol::CallStat::total`] to isolate transfer). An `Invoke`
+    /// riding a bulk upload is sent behind its last chunk.
     pub roundtrip: f64,
     /// End-to-end wall seconds of the call, retries and backoff included.
     pub total: f64,
@@ -150,6 +153,11 @@ pub struct CallTiming {
     pub bulk_bytes: usize,
     /// Chunk retransmits during bulk transfer (lost chunks or acks).
     pub bulk_retransmits: u32,
+    /// Seconds the bulk lane spent uploading: from each upload's first
+    /// chunk sent to its last chunk acked, summed. A call riding the lane
+    /// behind its last chunk ([`crate::bulk`]) overlaps its `roundtrip`
+    /// with this.
+    pub upload: f64,
 }
 
 /// FNV-1a of an address, used to salt backoff jitter per server.
@@ -371,8 +379,12 @@ impl NinfClient {
     /// into the same pass, and rolled back to a ref only if the guess was
     /// wrong. Every other cacheable position is digested first. The bytes
     /// sent are the same either way; the guess only saves a miss its
-    /// separate digest pass.
-    fn plan_args<'v>(&self, values: &'v [Value]) -> Vec<CallArg<'v>> {
+    /// separate digest pass. `policy` decides each digested position.
+    fn plan_args<'v>(
+        &self,
+        values: &'v [Value],
+        policy: fn(&str, &Digest) -> bool,
+    ) -> Vec<CallArg<'v>> {
         let Some(key) = self.ref_key() else {
             return values.iter().map(CallArg::Data).collect();
         };
@@ -386,7 +398,7 @@ impl NinfClient {
                     CallArg::Fold(v)
                 } else {
                     let d = ninf_protocol::digest_value(v);
-                    if held(key, &d) {
+                    if policy(key, &d) {
                         CallArg::Ref(d)
                     } else {
                         CallArg::Data(v)
@@ -423,6 +435,14 @@ impl NinfClient {
         if reply.is_err() {
             self.drop_transport();
         }
+        self.account_call(call, values, args);
+        reply
+    }
+
+    /// Account one call frame sent: the bytes it shipped, and which
+    /// cacheable positions went inline, for the next call's plan. `args`
+    /// holds what each position shipped as.
+    fn account_call(&mut self, call: &CallSpec<'_>, values: &[Value], args: &[CallArg<'_>]) {
         let refd = |a: &CallArg<'_>| matches!(a, CallArg::Ref(_));
         let refs = args.iter().filter(|a| refd(a)).count();
         if refs > 0 {
@@ -442,7 +462,6 @@ impl NinfClient {
         let shipped = call.payload_bytes - saved;
         self.bytes_sent += shipped;
         self.timing.request_bytes += shipped;
-        reply
     }
 
     /// Whether calls on this client use the bulk upload path: the lane
@@ -477,30 +496,124 @@ impl NinfClient {
             return false;
         };
         argmem::remember(key, digest);
-        self.bytes_sent += report.bytes as usize;
-        self.timing.bulk_bytes += report.bytes as usize;
-        self.timing.bulk_retransmits += report.retransmits;
+        self.account_upload(&report);
         true
     }
 
-    /// Pre-ship large arguments this destination does not hold yet as
-    /// chunks over the bulk lane, so the call refs them and the Invoke
-    /// itself stays small. Each image comes out of the frame writer with
-    /// its digest, in one pass. A failed upload is absorbed: the value simply
-    /// ships inline with the call (at-most-one transfer of the bytes either
-    /// way — the digest is only remembered on success). The fallback is
-    /// not lane plumbing but the inline path every non-bulk call takes, and
-    /// sometimes the only way the call can succeed: a server with its
-    /// argument store disabled (`--arg-cache-bytes 0`), or a value larger
-    /// than the store's budget, refuses the upload.
-    fn bulk_preship(&mut self, values: &[Value]) {
-        if !self.bulk_enabled() {
-            return;
+    /// Account one completed upload.
+    fn account_upload(&mut self, report: &UploadReport) {
+        self.bytes_sent += report.bytes as usize;
+        self.timing.bulk_bytes += report.bytes as usize;
+        self.timing.bulk_retransmits += report.retransmits;
+        self.timing.upload += report.elapsed.as_secs_f64();
+    }
+
+    /// Send one call and read its reply: riding a bulk upload when the
+    /// call has one to make ([`NinfClient::bulk_ride`]), the ordinary way
+    /// otherwise.
+    fn send_call(&mut self, call: &CallSpec<'_>, values: &[Value]) -> ProtocolResult<Message> {
+        if let Some(reply) = self.bulk_ride(call, values) {
+            return reply;
         }
+        let t_wire = Instant::now();
+        let reply = self.send_with_refill(call, values);
+        self.timing.roundtrip += t_wire.elapsed().as_secs_f64();
+        reply
+    }
+
+    /// The bulk path: pre-ship the large arguments this destination does
+    /// not hold yet as chunks over the bulk lane — each image out of the
+    /// frame writer with its digest, in one pass — and send the call riding
+    /// the last upload's lane, directly behind its last chunk, naming the
+    /// uploads by ref ([`crate::bulk::upload_carrying`]). Returns the
+    /// ridden call's reply, or the timeout it came to (for the retry loop,
+    /// whose next attempt finds the value held and sends the call the
+    /// ordinary way).
+    ///
+    /// `None` means the call still has to be sent
+    /// ([`NinfClient::send_with_refill`]): there was nothing to upload, the
+    /// server answered the riding call `NeedArg`, or an upload failed. A
+    /// failed upload is absorbed: the value ships inline with the call
+    /// (the digest is only remembered on success). That fallback is the
+    /// path every non-bulk call takes, and sometimes the only way the call
+    /// can succeed: a server with its argument store disabled
+    /// (`--arg-cache-bytes 0`), or a value larger than the store's budget,
+    /// refuses the upload.
+    fn bulk_ride(
+        &mut self,
+        call: &CallSpec<'_>,
+        values: &[Value],
+    ) -> Option<ProtocolResult<Message>> {
+        if !self.bulk_enabled() {
+            return None;
+        }
+        let (addr, key) = (self.addr.clone()?, self.cache_key.clone()?);
+        // Every upload but the last goes on its own; the last carries the
+        // call. At most two images are held at once.
+        let mut last: Option<(Vec<u8>, Digest)> = None;
+        let mut shipped = true;
         for v in values.iter().filter(|v| ninf_protocol::cacheable(v)) {
             let (image, digest) = ninf_protocol::digested_image(v);
-            if image.len() >= ninf_protocol::CHUNK_THRESHOLD {
-                self.bulk_put(digest, &image);
+            if image.len() >= ninf_protocol::CHUNK_THRESHOLD && !argmem::knows(&key, &digest) {
+                if let Some((image, digest)) = last.replace((image, digest)) {
+                    shipped &= self.bulk_put(digest, &image);
+                }
+            }
+        }
+        let (image, digest) = last?;
+        if !shipped {
+            self.bulk_put(digest, &image);
+            return None;
+        }
+        // The call names the value by ref, as it would one already held.
+        // Nothing else is remembered before the upload is through: if it
+        // fails, the call goes out again, inline.
+        argmem::remember(&key, digest);
+        self.timing.request_bytes = 0;
+        self.timing.args_refilled = 0;
+        let mut args = self.plan_args(values, argmem::knows);
+        let carried = crate::bulk::upload_carrying(
+            &addr,
+            digest,
+            &image,
+            self.options.chunk_bytes,
+            self.options.lane_deadline.or(self.options.deadline),
+            self.options.wan,
+            Rider {
+                encode: &mut |ticket| {
+                    encode_call(
+                        ticket,
+                        call.kind,
+                        call.routine,
+                        &mut args,
+                        call.trace,
+                        |d| argmem::knows(&key, d),
+                    )
+                },
+                deadline: self.options.deadline,
+            },
+        );
+        let Ok(carried) = carried else {
+            argmem::forget(&key, &[digest]);
+            return None;
+        };
+        // The call went out: what it shipped inline is believed held now,
+        // as after any send.
+        for arg in &args {
+            if let CallArg::Data(v) = arg {
+                if ninf_protocol::cacheable(v) {
+                    argmem::remember(&key, ninf_protocol::digest_value(v));
+                }
+            }
+        }
+        self.account_upload(&carried.upload);
+        self.account_call(call, values, &args);
+        self.timing.args_refd = args.iter().filter(|a| matches!(a, CallArg::Ref(_))).count() as u32;
+        match carried.reply {
+            Ok(Message::NeedArg { .. }) => None,
+            reply => {
+                self.timing.roundtrip += carried.roundtrip.as_secs_f64();
+                Some(reply)
             }
         }
     }
@@ -546,7 +659,7 @@ impl NinfClient {
     ) -> ProtocolResult<Message> {
         self.timing.request_bytes = 0;
         self.timing.args_refilled = 0;
-        let mut args = self.plan_args(values);
+        let mut args = self.plan_args(values, held);
         let reply = self.exchange_call(call, values, &mut args, held);
         self.timing.args_refd = args.iter().filter(|a| matches!(a, CallArg::Ref(_))).count() as u32;
         let reply = reply?;
@@ -562,7 +675,7 @@ impl NinfClient {
             // The lane re-primed the server's store; replay the ref'd
             // request. A second NeedArg (the server evicted again already)
             // falls through to the inline path below.
-            let mut args = self.plan_args(values);
+            let mut args = self.plan_args(values, held);
             let reply = self.exchange_call(call, values, &mut args, held)?;
             let Message::NeedArg { digests } = reply else {
                 return Ok(reply);
@@ -788,21 +901,18 @@ impl NinfClient {
         }
         let payload_bytes = ninf_protocol::request_payload_bytes(&layout);
         self.timing.reply_bytes = 0;
-        self.bulk_preship(args);
 
         // The rpc span's position travels on the wire, so the server parents
         // its own spans inside the client's send→receive interval.
         let rpc_ctx = ctx.map(|c| c.child());
         let rpc_start_us = rpc_ctx.map(|_| ninf_obs::now_us());
-        let t_wire = Instant::now();
         let call = CallSpec {
             kind: CallKind::Invoke,
             routine,
             trace: rpc_ctx,
             payload_bytes,
         };
-        let reply = self.send_with_refill(&call, args);
-        self.timing.roundtrip += t_wire.elapsed().as_secs_f64();
+        let reply = self.send_call(&call, args);
         if let (Some(rpc), Some(start)) = (rpc_ctx, rpc_start_us) {
             recorder::global().record(
                 Span::at(rpc, "rpc", &self.trace_process, start).with_detail(format!(
@@ -849,14 +959,13 @@ impl NinfClient {
         let interface = self.query_interface(routine)?.clone();
         let layout = validate_call_args(&interface, args).map_err(ProtocolError::Remote)?;
         let payload_bytes = ninf_protocol::request_payload_bytes(&layout);
-        self.bulk_preship(args);
         let call = CallSpec {
             kind: CallKind::SubmitJob,
             routine,
             trace: self.call_ctx,
             payload_bytes,
         };
-        let reply = self.send_with_refill(&call, args)?;
+        let reply = self.send_call(&call, args)?;
         self.expect(reply, "JobTicket", |m| match m {
             Message::JobTicket { job } => Ok(job),
             other => Err(other),

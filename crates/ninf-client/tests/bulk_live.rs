@@ -425,3 +425,114 @@ fn a_silent_server_sees_each_chunk_four_times_and_only_one_connection() {
         "every chunk goes MAX_CHUNK_ATTEMPTS times, no more"
     );
 }
+
+/// The call rides the upload's lane: over a 50 ms link with no bandwidth
+/// cap, a bulk call pays the link delay once — its matrix and its `Invoke`
+/// cross together — where uploading first and calling after the last ack
+/// paid it twice (≥ 100 ms).
+#[test]
+fn a_shaped_bulk_call_pays_the_link_delay_once() {
+    let server = start_server();
+    let addr = server.addr().to_string();
+    let delay = Duration::from_millis(50);
+    let opts = CallOptions {
+        wan: Some(LinkShape::parse("delay=50ms").unwrap()),
+        ..bulk_opts(1)
+    };
+    let mut client = NinfClient::connect_with(&addr, opts).unwrap();
+    let mut args = big_linpack_args();
+    // The first call also fetches the interface over the link.
+    client.ninf_call("linpack", &args).unwrap();
+    // A fresh matrix: the second call uploads again and rides again.
+    let Value::DoubleArray(a) = &mut args[1] else {
+        unreachable!()
+    };
+    a[0] += 1.0;
+    let out = client.ninf_call("linpack", &args).unwrap();
+    assert!(solves(&args, &out));
+    let t = client.last_timing().unwrap();
+    assert_eq!(t.bulk_bytes, ninf_protocol::value_image(&args[1]).len());
+    // By ref: the fresh matrix, and the rhs the first call shipped.
+    assert_eq!((t.attempts, t.args_refd), (1, 2));
+    assert!(
+        t.total < delay.as_secs_f64() * 1.5,
+        "a bulk call took {:.1} ms over a {delay:?} link",
+        t.total * 1e3
+    );
+    assert!(t.upload > 0.0 && t.roundtrip > 0.0, "{t:?}");
+    let (_, _, uploads, _) = server.metrics().chunked();
+    assert_eq!(uploads, 2);
+    server.shutdown();
+}
+
+/// A server that answers the interface query and then nothing — no chunk
+/// ack, no reply to the call riding behind the chunks. The upload gives up
+/// after its bounded retransmits, the call falls back to shipping its
+/// matrix inline on the call connection, and that ends in a typed timeout:
+/// never a hang.
+#[test]
+fn a_never_acking_server_ends_in_a_typed_error_after_the_inline_fallback() {
+    use ninf_protocol::{encode_frame, read_frame_mux, Arg, Message};
+    use std::io::Write;
+    use std::sync::Mutex;
+
+    let mut registry = Registry::new();
+    register_stdlib(&mut registry, false);
+    let linpack = registry.lookup("linpack").unwrap().interface.clone();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    // Each `Invoke` the server saw: whether its matrix came by ref.
+    let invokes = Arc::new(Mutex::new(Vec::new()));
+    {
+        let invokes = invokes.clone();
+        std::thread::spawn(move || {
+            for stream in listener.incoming() {
+                let Ok(stream) = stream else { break };
+                let (invokes, linpack) = (invokes.clone(), linpack.clone());
+                std::thread::spawn(move || {
+                    let mut writer = stream.try_clone().unwrap();
+                    let mut reader = std::io::BufReader::new(stream);
+                    while let Ok((id, msg)) = read_frame_mux(&mut reader) {
+                        match msg {
+                            Message::QueryInterface { .. } => {
+                                let reply = Message::InterfaceReply {
+                                    interface: linpack.clone(),
+                                };
+                                writer
+                                    .write_all(&encode_frame(id, &reply).unwrap())
+                                    .unwrap();
+                            }
+                            Message::Invoke { args, .. } => {
+                                let by_ref = matches!(args[1], Arg::Ref(_));
+                                invokes.lock().unwrap().push(by_ref);
+                            }
+                            _ => {}
+                        }
+                    }
+                });
+            }
+        });
+    }
+    let opts = CallOptions {
+        lane_deadline: Some(Duration::from_millis(20)),
+        ..bulk_opts(1)
+    };
+    let opts = CallOptions {
+        deadline: Some(Duration::from_millis(500)),
+        ..opts
+    };
+    let mut client = NinfClient::connect_with(&addr, opts).unwrap();
+    let err = client
+        .ninf_call("linpack", &big_linpack_args())
+        .unwrap_err();
+    assert!(err.is_timeout(), "{err}");
+    let t = client.last_timing().unwrap();
+    assert_eq!(t.bulk_bytes, 0, "a failed upload is not accounted");
+    assert!(
+        t.request_bytes >= 8 * 128 * 128,
+        "the matrix went inline: {} request bytes",
+        t.request_bytes
+    );
+    // The riding call named the matrix by ref; the fallback shipped it.
+    assert_eq!(*invokes.lock().unwrap(), [true, false]);
+}

@@ -76,6 +76,12 @@ impl Balancing {
         }
     }
 
+    /// Whether the policy reads server loads, which cost a probe per
+    /// server per placement; the others choose from the directory alone.
+    pub fn reads_load(&self) -> bool {
+        matches!(self, Balancing::LoadBased | Balancing::MinCompletion)
+    }
+
     /// All policies, for ablation sweeps.
     pub fn all() -> [Balancing; 4] {
         [

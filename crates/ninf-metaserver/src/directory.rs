@@ -269,19 +269,37 @@ impl Directory {
     /// by `deadline`. An unreachable or hung server reports infinite load
     /// with zero PEs, so it never wins selection.
     pub fn probe_states(&self, indices: &[usize], deadline: Option<Duration>) -> Vec<ServerState> {
+        self.states(indices, |addr| {
+            probe_with_deadline(addr, deadline).unwrap_or(LoadReport {
+                pes: 0,
+                running: u32::MAX / 2,
+                queued: 0,
+                load_average: f64::INFINITY,
+                cpu_utilization: 100.0,
+            })
+        })
+    }
+
+    /// The given subset of servers as a policy that reads no load sees
+    /// them ([`crate::Balancing::reads_load`]): the directory's figures,
+    /// with an idle load that nothing reads, and no dial.
+    pub fn unprobed_states(&self, indices: &[usize]) -> Vec<ServerState> {
+        self.states(indices, |_| LoadReport {
+            pes: 0,
+            running: 0,
+            queued: 0,
+            load_average: 0.0,
+            cpu_utilization: 0.0,
+        })
+    }
+
+    fn states(&self, indices: &[usize], load: impl Fn(&str) -> LoadReport) -> Vec<ServerState> {
         indices
             .iter()
             .map(|&i| {
                 let e = &self.entries[i];
-                let load = probe_with_deadline(&e.addr, deadline).unwrap_or(LoadReport {
-                    pes: 0,
-                    running: u32::MAX / 2,
-                    queued: 0,
-                    load_average: f64::INFINITY,
-                    cpu_utilization: 100.0,
-                });
                 ServerState {
-                    load,
+                    load: load(&e.addr),
                     bandwidth_bytes_per_sec: e.bandwidth_bytes_per_sec,
                     linpack_mflops: e.linpack_mflops,
                 }

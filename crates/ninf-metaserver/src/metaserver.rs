@@ -104,8 +104,9 @@ impl Metaserver {
         &self.metrics
     }
 
-    /// Pick a server for a call with the given cost estimate, probing the
-    /// current loads of the non-quarantined part of the fleet.
+    /// Pick a server for a call with the given cost estimate, among the
+    /// non-quarantined part of the fleet. Their current loads are probed
+    /// only for a policy that reads them: a probe is a dial per server.
     pub fn choose_server(&self, est: CallEstimate) -> usize {
         let mut pool = self.directory.available_indices();
         if pool.is_empty() {
@@ -113,7 +114,11 @@ impl Metaserver {
             // panic; deadlines and the fail-over loop govern from there.
             pool = (0..self.directory.len()).collect();
         }
-        let states = self.directory.probe_states(&pool, self.probe_deadline);
+        let states = if self.balancing.reads_load() {
+            self.directory.probe_states(&pool, self.probe_deadline)
+        } else {
+            self.directory.unprobed_states(&pool)
+        };
         let mut rr = self.rr_cursor.lock().expect("rr lock");
         let k = self.balancing.choose(&states, est, &mut rr);
         pool[k]
@@ -407,6 +412,51 @@ mod tests {
             })
             .collect();
         (tx, slots)
+    }
+
+    /// A placement under a policy that reads no load dials nothing: the
+    /// directory's one entry is a listener that counts what it accepts.
+    #[test]
+    fn round_robin_places_without_probing() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        listener.set_nonblocking(true).unwrap();
+        let accepted = AtomicUsize::new(0);
+        let count = |listener: &std::net::TcpListener| {
+            while listener.accept().is_ok() {
+                accepted.fetch_add(1, Ordering::SeqCst);
+            }
+        };
+        let est = CallEstimate {
+            bytes: 1e6,
+            flops: 1e6,
+        };
+        let dials = |balancing| {
+            let mut dir = Directory::new();
+            dir.register(ServerEntry {
+                name: "counter".into(),
+                addr: addr.clone(),
+                bandwidth_bytes_per_sec: 10e6,
+                linpack_mflops: 100.0,
+            });
+            let meta = Metaserver::with_options(
+                dir,
+                balancing,
+                CallOptions::default(),
+                Some(Duration::from_millis(50)),
+            );
+            accepted.store(0, Ordering::SeqCst);
+            for _ in 0..10 {
+                assert_eq!(meta.choose_server(est), 0);
+            }
+            count(&listener);
+            accepted.load(Ordering::SeqCst)
+        };
+        assert_eq!(dials(Balancing::RoundRobin), 0);
+        assert_eq!(dials(Balancing::BandwidthAware), 0);
+        // The negative control: a load-reading policy still probes.
+        assert_eq!(dials(Balancing::LoadBased), 10);
     }
 
     #[test]

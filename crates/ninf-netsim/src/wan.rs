@@ -23,9 +23,16 @@
 //! | ≤ W un-acked chunks, sent one after | ≤ W un-acked; the next flow      |
 //! | another                             | starts when the last has left    |
 //!
+//! | the call rides behind the last      | one more flow on the lane, right |
+//! | chunk's first send                  | after the last fresh chunk's     |
+//! | the server parks it until the value | it runs at the later of its own  |
+//! | lands                               | arrival and the last chunk's     |
+//!
 //! Both sides are work-conserving on a single bottleneck, so transfer times
 //! agree; the live-vs-sim differential compares the upload phase's share of
-//! the link on both sides.
+//! the link on both sides. The riding call is one more send on the lane:
+//! it takes the next op of the same event stream, so the ops of the
+//! retransmits behind it shift by one on both sides alike.
 //!
 //! With a window of one (stop-and-wait) every chunk pays the propagation
 //! delay and the link idles between chunks; with the window sized to the
@@ -54,6 +61,9 @@ const UNCAPPED_BYTES_PER_SEC: f64 = 1e11;
 /// lane 0: its loss draws are this lane's.
 const BULK_LANE: u32 = 1;
 
+/// What the lane is sending when it sends the riding call, not a chunk.
+const CALL: usize = usize::MAX;
+
 /// Outcome of one simulated chunked upload.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WanRun {
@@ -64,8 +74,11 @@ pub struct WanRun {
     /// Chunk sends that never arrived intact — lost, or corrupted and
     /// rejected by the receiver (each forced a retransmit).
     pub lost_chunks: u64,
-    /// Total send operations (chunks + retransmits).
+    /// Total send operations (chunks, retransmits, and the riding call).
     pub sends: u64,
+    /// When the riding call can run: the later of its own arrival and the
+    /// last chunk's. `None` without a call, or when its send was lost.
+    pub call_at: Option<f64>,
 }
 
 /// A chunk sent and not yet resolved: when its timer fires it either
@@ -84,6 +97,8 @@ struct Pending {
 /// `lanes` is the number of lanes registered on the live link for the
 /// loss draws — the client registers its call connection as lane 0 beside
 /// the upload, so pass `2` to mirror it. The upload draws as lane 1.
+/// `call_bytes` is the wire size of the call riding behind the last chunk,
+/// if one does.
 pub fn simulate_upload(
     spec: &LinkShape,
     total_bytes: u64,
@@ -91,6 +106,7 @@ pub fn simulate_upload(
     lanes: u32,
     window: u32,
     timeout_s: f64,
+    call_bytes: Option<u64>,
 ) -> WanRun {
     assert!(total_bytes > 0, "nothing to upload");
     let window = window.max(1) as usize;
@@ -132,8 +148,29 @@ pub fn simulate_upload(
     let mut lost_chunks = 0u64;
     let mut sends = 0u64;
     let mut now = 0.0f64;
+    // The riding call: still to send, and when it arrived.
+    let mut call_unsent = call_bytes;
+    let mut call_arrived = None;
 
-    while acked < total {
+    while acked < total || call_unsent.is_some() || matches!(sending, Some((_, CALL, _))) {
+        // Once every chunk has had its first send, the call goes next,
+        // window or not.
+        if sending.is_none() && fresh.is_empty() {
+            if let Some(bytes) = call_unsent.take() {
+                let event = planned_event(spec, BULK_LANE, lanes, sends);
+                sends += 1;
+                let flow = net.start_flow(
+                    FlowSpec {
+                        src: node,
+                        dst: server,
+                        bytes: bytes as f64,
+                        cap: f64::INFINITY,
+                    },
+                    now,
+                );
+                sending = Some((flow, CALL, event));
+            }
+        }
         // With a free window slot and nothing draining, the next send
         // starts now; `sends` is also its op on the event stream.
         if sending.is_none() && pending.len() < window {
@@ -173,6 +210,14 @@ pub fn simulate_upload(
             Some((t, id)) if t <= now => {
                 net.finish_flow(id);
                 let (_, chunk, event) = sending.take().expect("the one flow is the send");
+                if chunk == CALL {
+                    call_arrived = match event {
+                        LinkEvent::Forward => Some(now + delay),
+                        LinkEvent::Stall => Some(now + delay + spec.stall_us as f64 * 1e-6),
+                        _ => None,
+                    };
+                    continue;
+                }
                 pending.push(match event {
                     // The bytes burned link time and vanished (or arrived
                     // corrupt and were refused); the chunk's deadline fires
@@ -219,6 +264,7 @@ pub fn simulate_upload(
         goodput: total_bytes as f64 / elapsed,
         lost_chunks,
         sends,
+        call_at: call_arrived.map(|t: f64| t.max(last_ack)),
     }
 }
 
@@ -230,7 +276,7 @@ mod tests {
     #[test]
     fn capped_link_bounds_aggregate_goodput() {
         let spec = LinkShape::parse("bw=1m,delay=20ms").unwrap();
-        let full = simulate_upload(&spec, 4 << 20, 16 << 10, 2, 16, 1.0);
+        let full = simulate_upload(&spec, 4 << 20, 16 << 10, 2, 16, 1.0, None);
         assert!(
             full.goodput <= 1_000_000.0 * 1.01,
             "goodput {} exceeds the link cap",
@@ -238,7 +284,7 @@ mod tests {
         );
         // And a stop-and-wait lane is far below the cap: every chunk pays
         // the propagation delay serially.
-        let one = simulate_upload(&spec, 4 << 20, 16 << 10, 2, 1, 1.0);
+        let one = simulate_upload(&spec, 4 << 20, 16 << 10, 2, 1, 1.0, None);
         assert!(
             one.goodput < 500_000.0,
             "stop-and-wait goodput {}",
@@ -254,7 +300,7 @@ mod tests {
     fn window_of_one_is_the_stop_and_wait_model_bit_for_bit() {
         let run = |spec: &str, bytes, timeout| {
             let spec = LinkShape::parse(spec).unwrap();
-            let r = simulate_upload(&spec, bytes, 16 << 10, 2, 1, timeout);
+            let r = simulate_upload(&spec, bytes, 16 << 10, 2, 1, timeout, None);
             (r.elapsed.to_bits(), r.lost_chunks, r.sends)
         };
         let lossy = "bw=4m,delay=20ms,loss=0.01,congestion=0.015,seed=1997";
@@ -271,7 +317,7 @@ mod tests {
         let (bytes, chunk) = (2u64 << 20, 16u32 << 10);
         let chunks = bytes / chunk as u64;
         let wire = (bytes + chunks * CHUNK_WIRE_OVERHEAD) as f64;
-        let full = simulate_upload(&spec, bytes, chunk, 2, 16, 1.0);
+        let full = simulate_upload(&spec, bytes, chunk, 2, 16, 1.0, None);
         assert!(
             (full.elapsed - (wire / 4e6 + 0.020)).abs() < 1e-9,
             "{full:?}"
@@ -280,18 +326,47 @@ mod tests {
         // The computed window (10 chunks of a 9.77-chunk BDP, whose ack
         // also waits out the chunk's own 1.03-chunk serialisation) idles
         // the link a little each round trip; stop-and-wait idles it most.
-        let sized = simulate_upload(&spec, bytes, chunk, 2, lane_window(Some(&spec), chunk), 1.0);
-        let one = simulate_upload(&spec, bytes, chunk, 2, 1, 1.0);
+        let sized = simulate_upload(
+            &spec,
+            bytes,
+            chunk,
+            2,
+            lane_window(Some(&spec), chunk),
+            1.0,
+            None,
+        );
+        let one = simulate_upload(&spec, bytes, chunk, 2, 1, 1.0, None);
         assert!(sized.elapsed < 1.1 * full.elapsed, "{sized:?} vs {full:?}");
         assert!(one.elapsed > 5.0 * full.elapsed, "{one:?} vs {full:?}");
+    }
+
+    /// The riding call is one more send on the lane, right behind the
+    /// last fresh chunk: it leaves the chunks' timing alone and runs when
+    /// it arrives, one delay after the link went idle — not a delay after
+    /// the last ack, which is what a call sent after the upload would pay.
+    #[test]
+    fn the_riding_call_runs_one_delay_after_the_link_idles() {
+        let spec = LinkShape::parse("bw=4m,delay=20ms").unwrap();
+        let (bytes, chunk) = (73_740u64, 16u32 << 10);
+        let window = lane_window(Some(&spec), chunk);
+        let bare = simulate_upload(&spec, bytes, chunk, 2, window, 0.15, None);
+        let ride = simulate_upload(&spec, bytes, chunk, 2, window, 0.15, Some(1000));
+        assert_eq!((ride.sends, ride.elapsed), (bare.sends + 1, bare.elapsed));
+        assert_eq!(bare.call_at, None);
+        let idle = bare.elapsed - 0.020;
+        let call_at = ride.call_at.expect("a loss-free link delivers the call");
+        assert!(
+            (call_at - (idle + 1000.0 / 4e6 + 0.020)).abs() < 1e-9,
+            "{ride:?}"
+        );
     }
 
     #[test]
     fn simulation_is_deterministic() {
         let spec =
             LinkShape::parse("bw=4m,delay=20ms,loss=0.01,congestion=0.015,seed=1997").unwrap();
-        let a = simulate_upload(&spec, 3 << 20, 16 << 10, 2, 10, 0.25);
-        let b = simulate_upload(&spec, 3 << 20, 16 << 10, 2, 10, 0.25);
+        let a = simulate_upload(&spec, 3 << 20, 16 << 10, 2, 10, 0.25, None);
+        let b = simulate_upload(&spec, 3 << 20, 16 << 10, 2, 10, 0.25, None);
         assert_eq!(a, b);
     }
 
@@ -302,7 +377,7 @@ mod tests {
     fn lost_chunks_are_the_imported_schedules_losses() {
         let spec = LinkShape::parse("bw=4m,delay=2ms,loss=0.2,seed=42").unwrap();
         // The upload draws as lane 1 of 2 (the call connection is lane 0).
-        let run = simulate_upload(&spec, 1 << 20, 16 << 10, 2, 1, 0.05);
+        let run = simulate_upload(&spec, 1 << 20, 16 << 10, 2, 1, 0.05, None);
         let planned = (0..run.sends)
             .filter(|&op| planned_event(&spec, 1, 2, op) == LinkEvent::Lose)
             .count() as u64;
@@ -318,13 +393,13 @@ mod tests {
     #[test]
     fn stalls_delay_acks_and_corruption_costs_a_retransmit() {
         let clean = LinkShape::parse("bw=4m,delay=2ms").unwrap();
-        let base = simulate_upload(&clean, 1 << 20, 16 << 10, 2, 1, 0.05);
+        let base = simulate_upload(&clean, 1 << 20, 16 << 10, 2, 1, 0.05, None);
         let stalled = LinkShape::parse("bw=4m,delay=2ms,stall=1.0:10ms").unwrap();
-        let slow = simulate_upload(&stalled, 1 << 20, 16 << 10, 2, 1, 0.05);
+        let slow = simulate_upload(&stalled, 1 << 20, 16 << 10, 2, 1, 0.05, None);
         assert_eq!(slow.lost_chunks, 0);
         assert!((slow.elapsed - base.elapsed - 64.0 * 0.010).abs() < 1e-6);
         let garbled = LinkShape::parse("bw=4m,delay=2ms,garble=0.2,seed=42").unwrap();
-        let run = simulate_upload(&garbled, 1 << 20, 16 << 10, 2, 1, 0.05);
+        let run = simulate_upload(&garbled, 1 << 20, 16 << 10, 2, 1, 0.05, None);
         assert!(run.lost_chunks > 0);
         assert_eq!(run.sends, 64 + run.lost_chunks);
     }

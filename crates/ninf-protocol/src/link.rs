@@ -699,8 +699,8 @@ impl<T: Transport> Transport for LinkTransport<T> {
 }
 
 impl<T: Pipelined> Pipelined for LinkTransport<T> {
-    fn post(&mut self, msg: &Message) -> ProtocolResult<u64> {
-        self.put(&mut |ticket| crate::frame::encode_frame(ticket, msg))
+    fn post_frame(&mut self, encode: FrameFn<'_>) -> ProtocolResult<u64> {
+        self.put(encode)
     }
 
     /// Replies to earlier frames may arrive while later ones are still in

@@ -81,7 +81,13 @@ pub trait Pipelined: Transport {
     /// Send `msg` and return the ticket its reply will carry. Earlier
     /// tickets stay open.
     fn post(&mut self, msg: &Message) -> ProtocolResult<u64> {
-        let (ticket, frame) = self.stage(&mut |ticket| encode_frame(ticket, msg))?;
+        self.post_frame(&mut |ticket| encode_frame(ticket, msg))
+    }
+
+    /// [`Pipelined::post`] for a caller that writes its own frame (a call
+    /// encoded from borrowed values by [`crate::frame::encode_call`]).
+    fn post_frame(&mut self, encode: FrameFn<'_>) -> ProtocolResult<u64> {
+        let (ticket, frame) = self.stage(encode)?;
         self.send_raw(&frame)?;
         Ok(ticket)
     }

@@ -28,7 +28,7 @@ use crate::registry::Registry;
 use crate::stats::ServerStats;
 use crate::trace::CostModel;
 use crate::twophase::JobTable;
-use crate::uploads::{Accepted, Uploads};
+use crate::uploads::{Accepted, Uploads, MAX_PARKED_CALLS, PARK_TIMEOUT};
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -92,6 +92,7 @@ pub struct ServerMetrics {
     chunk_uploads: Counter,
     chunk_bytes: Counter,
     chunk_expired: Counter,
+    parked: Counter,
 }
 
 impl ServerMetrics {
@@ -159,6 +160,10 @@ impl ServerMetrics {
             "ninf_server_chunk_expired_total",
             "bulk uploads dropped unfinished after going idle",
         );
+        let parked = registry.counter(
+            "ninf_server_parked_calls_total",
+            "calls whose refs waited for an open upload to land",
+        );
         Self {
             registry,
             calls,
@@ -178,6 +183,7 @@ impl ServerMetrics {
             chunk_uploads,
             chunk_bytes,
             chunk_expired,
+            parked,
         }
     }
 
@@ -207,6 +213,11 @@ impl ServerMetrics {
             self.chunk_bytes.get(),
         )
     }
+
+    /// Calls that parked on an open upload before resolving their refs.
+    pub fn parked(&self) -> u64 {
+        self.parked.get()
+    }
 }
 
 /// The shared per-call context the reactor's workers hand to the message
@@ -223,6 +234,11 @@ struct CallContext {
     /// In-flight chunked bulk uploads; completed ones move into `args`
     /// and leave this table.
     uploads: parking_lot::Mutex<Uploads>,
+    /// Signalled whenever an entry leaves `uploads`, waking parked calls.
+    upload_gone: parking_lot::Condvar,
+    /// Calls that may park at once: half the worker pool, at most
+    /// [`MAX_PARKED_CALLS`].
+    park_cap: usize,
     /// Outbound reply shaping; see [`ServerConfig::wan`].
     wan: Option<SharedLink>,
 }
@@ -250,6 +266,9 @@ impl NinfServer {
         let jobs = Arc::new(JobTable::new());
         let metrics = Arc::new(ServerMetrics::new());
         let args = Arc::new(ArgStore::new(config.arg_cache_bytes));
+        // Invoke handlers block in the gate; keep headroom so load/stats
+        // queries are served while PEs are saturated.
+        let workers = config.workers.max(config.pes + 4);
         let ctx = Arc::new(CallContext {
             registry,
             stats: stats.clone(),
@@ -260,6 +279,8 @@ impl NinfServer {
             args: args.clone(),
             mode: config.mode,
             uploads: parking_lot::Mutex::default(),
+            upload_gone: parking_lot::Condvar::new(),
+            park_cap: (workers / 2).min(MAX_PARKED_CALLS),
             wan: config.wan.map(SharedLink::new),
         });
 
@@ -281,9 +302,7 @@ impl NinfServer {
             rejected_frames: Some(metrics.rejected_frames.clone()),
         };
         let reactor_config = ReactorConfig {
-            // Invoke handlers block in the gate; keep headroom so
-            // load/stats queries are served while PEs are saturated.
-            workers: config.workers.max(config.pes + 4),
+            workers,
             ..ReactorConfig::default()
         };
         let reactor = Reactor::start(listener, reactor_config, handler, hooks)?;
@@ -574,9 +593,11 @@ fn handle_chunk(
     }
     let mut uploads = ctx.uploads.lock();
     let now = Instant::now();
-    ctx.metrics
-        .chunk_expired
-        .add(uploads.expire_idle(now) as u64);
+    let expired = uploads.expire_idle(now);
+    if expired > 0 {
+        ctx.metrics.chunk_expired.add(expired as u64);
+        ctx.upload_gone.notify_all();
+    }
     if !uploads.contains(&digest) && ctx.args.contains(&digest) {
         return Message::ChunkOk { digest, seq };
     }
@@ -590,6 +611,7 @@ fn handle_chunk(
             if let Accepted::Complete(image) = fresh {
                 let stored = finish_upload(ctx, digest, image);
                 ctx.uploads.lock().landed(&digest);
+                ctx.upload_gone.notify_all();
                 if let Err(reason) = stored {
                     return refuse(reason);
                 }
@@ -639,7 +661,8 @@ fn finish_upload(ctx: &CallContext, digest: Digest, r: Reassembly) -> Result<(),
 /// under the digest the frame check folded into its CRC pass, since the
 /// client will start ref'ing them once the call succeeds; the store and
 /// the call share that one allocation, and no argument byte is read
-/// again. Refs are looked up (a shared handle, not a copy); if
+/// again. Refs are looked up (a shared handle, not a copy), a ref whose
+/// upload is still reassembling after waiting for it ([`await_upload`]); if
 /// *any* is missing the whole call fails closed with the missing digests
 /// and no hit/bytes-saved accounting, because the client will re-ship
 /// everything inline anyway.
@@ -663,7 +686,7 @@ fn resolve_args(
                 }
                 out.push(v);
             }
-            Arg::Ref(d) => match ctx.args.get(&d) {
+            Arg::Ref(d) => match ctx.args.get(&d).or_else(|| await_upload(ctx, &d)) {
                 Some(v) => {
                     hits += 1;
                     bytes_saved += v.wire_bytes() as u64;
@@ -686,6 +709,30 @@ fn resolve_args(
     ctx.metrics.argcache_hits.add(hits);
     ctx.metrics.argcache_bytes_saved.add(bytes_saved);
     Ok(out)
+}
+
+/// A ref the store missed whose digest is still an open upload: the call
+/// rode the upload's connection and overtook its last chunks (or a lost
+/// chunk's retransmit). Park until the upload's entry goes — landed, or
+/// dropped unfinished — for at most [`PARK_TIMEOUT`], then look again.
+/// With `park_cap` calls already parked the miss stands at once. A value
+/// that did not land is a plain miss, so the caller gets `NeedArg`, never
+/// a hang.
+fn await_upload(ctx: &CallContext, d: &Digest) -> Option<Arc<Value>> {
+    let mut uploads = ctx.uploads.lock();
+    if uploads.contains(d) && uploads.park(ctx.park_cap) {
+        ctx.metrics.parked.inc();
+        let until = Instant::now() + PARK_TIMEOUT;
+        while uploads.contains(d) {
+            let left = until.saturating_duration_since(Instant::now());
+            if left.is_zero() || ctx.upload_gone.wait_for(&mut uploads, left) {
+                break;
+            }
+        }
+        uploads.unpark();
+    }
+    drop(uploads);
+    ctx.args.get(d)
 }
 
 /// An `Invoke` or `SubmitJob` the server has accepted: its routine, its
@@ -1622,6 +1669,102 @@ mod tests {
             took < 4 * DELAY,
             "queries queued behind each other: {took:?}"
         );
+        server.shutdown();
+    }
+
+    /// A linpack `Invoke` naming by ref the matrix of an upload that is
+    /// still open, as a call riding the upload's connection does when it
+    /// overtakes the last chunk; with the upload's chunks, the first of
+    /// them already landed over the returned connection.
+    fn open_upload(addr: &str) -> (TcpTransport, Vec<Message>, Message) {
+        let n = 16usize;
+        let (a, b) = ninf_exec::matgen(n);
+        let matrix = Value::DoubleArray(a.as_slice().to_vec());
+        let image = ninf_protocol::value_image(&matrix);
+        let digest = ninf_protocol::Digest::of(&image);
+        let chunks = ninf_protocol::split_chunks(digest, &image, 1024);
+        assert!(chunks.len() > 1);
+        let mut t = TcpTransport::connect(addr).unwrap();
+        t.send(&chunks[0]).unwrap();
+        assert!(matches!(t.recv().unwrap(), Message::ChunkOk { seq: 0, .. }));
+        let invoke = Message::Invoke {
+            routine: "linpack".into(),
+            args: vec![
+                Arg::Data(Value::Int(n as i32)),
+                Arg::Ref(digest),
+                Arg::Data(Value::DoubleArray(b)),
+            ],
+            trace: None,
+        };
+        (t, chunks, invoke)
+    }
+
+    fn await_parked(server: &NinfServer, calls: u64) {
+        let t0 = Instant::now();
+        while server.metrics().parked() < calls {
+            assert!(t0.elapsed() < PARK_TIMEOUT, "calls never parked");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn a_call_overtaking_its_upload_parks_and_runs_once_when_it_lands() {
+        let server = start_test_server(ExecMode::TaskParallel);
+        let addr = server.addr().to_string();
+        let (mut upload, chunks, invoke) = open_upload(&addr);
+        let mut call = TcpTransport::connect(&addr).unwrap();
+        call.send(&invoke).unwrap();
+        await_parked(&server, 1);
+        assert_eq!(
+            server.stats().completed(),
+            0,
+            "nothing ran on half a matrix"
+        );
+        for c in &chunks[1..] {
+            upload.send(c).unwrap();
+            assert!(matches!(upload.recv().unwrap(), Message::ChunkOk { .. }));
+        }
+        assert!(matches!(call.recv().unwrap(), Message::ResultData { .. }));
+        assert_eq!(server.stats().completed(), 1, "the parked call ran once");
+        let (hits, misses, _, _) = server.metrics().argcache();
+        assert_eq!((hits, misses), (1, 0), "its ref resolved after the wait");
+        assert_eq!(server.metrics().parked(), 1);
+        server.shutdown();
+    }
+
+    /// Parking never hangs and never holds the pool: calls parked on an
+    /// upload nobody finishes answer `NeedArg` once `PARK_TIMEOUT` has
+    /// passed, and past the cap — half the test server's 8 workers — a
+    /// call misses at once.
+    #[test]
+    fn parked_calls_are_bounded_in_time_and_count() {
+        let server = start_test_server(ExecMode::TaskParallel);
+        let addr = server.addr().to_string();
+        let (_upload, _, invoke) = open_upload(&addr);
+        let t0 = Instant::now();
+        let parked: Vec<TcpTransport> = (0..4)
+            .map(|_| {
+                let mut t = TcpTransport::connect(&addr).unwrap();
+                t.send(&invoke).unwrap();
+                t
+            })
+            .collect();
+        await_parked(&server, 4);
+        let mut over = TcpTransport::connect(&addr).unwrap();
+        let t_over = Instant::now();
+        over.send(&invoke).unwrap();
+        assert!(matches!(over.recv().unwrap(), Message::NeedArg { .. }));
+        assert!(t_over.elapsed() < PARK_TIMEOUT / 3, "the fifth call parked");
+        for mut t in parked {
+            assert!(matches!(t.recv().unwrap(), Message::NeedArg { .. }));
+        }
+        let waited = t0.elapsed();
+        assert!(
+            waited >= PARK_TIMEOUT && waited < PARK_TIMEOUT * 2,
+            "parked for {waited:?}"
+        );
+        assert_eq!(server.metrics().parked(), 4);
+        assert_eq!(server.stats().completed(), 0);
         server.shutdown();
     }
 

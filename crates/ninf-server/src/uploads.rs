@@ -9,6 +9,14 @@
 //! reassembly for a digest that is about to be stored. An entry no chunk
 //! has touched for [`UPLOAD_IDLE_EXPIRY`] is dropped on the next access,
 //! so abandoned uploads give their slot and their claimed bytes back.
+//!
+//! A call that rode an upload's connection can reach the server before its
+//! value has landed: its ref names a digest that is still an entry here.
+//! Such a call *parks* on the table ([`Uploads::park`]) until the entry
+//! goes, for at most [`PARK_TIMEOUT`], and at most [`MAX_PARKED_CALLS`] —
+//! never more than half the worker pool — park at once, so the chunks that
+//! land the values always find a worker. A call that times out, or whose
+//! upload went without a value stored, is an ordinary store miss.
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -26,6 +34,16 @@ pub(crate) const MAX_INFLIGHT_UPLOADS: usize = 64;
 /// abandoned: many times any sender's whole retransmit budget
 /// (`MAX_CHUNK_ATTEMPTS` × a per-chunk deadline of seconds at most).
 pub(crate) const UPLOAD_IDLE_EXPIRY: Duration = Duration::from_secs(60);
+
+/// How long a call whose ref names an open upload waits for it to land:
+/// longer than a lost chunk's retransmit takes at the client's default
+/// per-chunk deadline (2 s), far shorter than [`UPLOAD_IDLE_EXPIRY`], so an
+/// abandoned upload holds a parked call's worker for seconds, not a minute.
+pub(crate) const PARK_TIMEOUT: Duration = Duration::from_secs(3);
+
+/// Calls parked at once, whatever the worker pool; a pool of fewer than
+/// twice this parks at most half of it.
+pub(crate) const MAX_PARKED_CALLS: usize = 16;
 
 struct Upload {
     /// `None` once every chunk has landed and the image is on its way
@@ -51,6 +69,8 @@ pub(crate) enum Accepted {
 #[derive(Default)]
 pub(crate) struct Uploads {
     table: HashMap<Digest, Upload>,
+    /// Calls parked on entries now.
+    parked: usize,
 }
 
 impl Uploads {
@@ -146,6 +166,18 @@ impl Uploads {
     /// by it): its entry goes.
     pub(crate) fn landed(&mut self, digest: &Digest) {
         self.table.remove(digest);
+    }
+
+    /// Take a parking slot for a call waiting on an entry, if fewer than
+    /// `cap` calls are parked; give it back with [`Uploads::unpark`].
+    pub(crate) fn park(&mut self, cap: usize) -> bool {
+        let free = self.parked < cap;
+        self.parked += usize::from(free);
+        free
+    }
+
+    pub(crate) fn unpark(&mut self) {
+        self.parked -= 1;
     }
 }
 

@@ -149,6 +149,10 @@ pub fn live_vs_sim(client_counts: &[usize], seed: u64) -> ProtocolResult<DiffRep
     }
     let sc = scenario("lan-linpack")
         .ok_or_else(|| ProtocolError::Remote("scenario lan-linpack missing".into()))?;
+    // Every point is normalized by the first, so the first must not be the
+    // process's cold run (page faults, lazy statics, a vCPU waking up): one
+    // discarded c=1 pass warms the process first.
+    run_scenario(&sc, 1, seed)?;
     let mut live = Vec::with_capacity(client_counts.len());
     for &n in client_counts {
         let report = run_scenario(&sc, n, seed)?;
@@ -229,9 +233,22 @@ pub fn wan_live_vs_sim(
             "wan-upload no longer ships a Linpack matrix".into(),
         ));
     };
-    let image_bytes =
-        ninf_protocol::value_image(&ninf_protocol::Value::DoubleArray(vec![0.0; n * n])).len()
-            as u64;
+    let matrix = ninf_protocol::Value::DoubleArray(vec![0.0; n * n]);
+    let image_bytes = ninf_protocol::value_image(&matrix).len() as u64;
+    // The call riding behind the upload: the matrix by ref, the rhs inline.
+    let call_bytes = ninf_protocol::encode_frame(
+        1,
+        &ninf_protocol::Message::Invoke {
+            routine: "linpack".into(),
+            args: vec![
+                ninf_protocol::Arg::Data(ninf_protocol::Value::Int(n as i32)),
+                ninf_protocol::Arg::Ref(ninf_protocol::digest_value(&matrix)),
+                ninf_protocol::Arg::Data(ninf_protocol::Value::DoubleArray(vec![0.0; n])),
+            ],
+            trace: None,
+        },
+    )?
+    .len() as u64;
     let lane_deadline = base
         .spec
         .options
@@ -244,16 +261,10 @@ pub fn wan_live_vs_sim(
         let mut sc = base.clone();
         sc.spec.options.wan = Some(shape);
         let report = run_scenario(&sc, 1, seed)?;
-        // Goodput over the *upload phase* alone: call total minus the
-        // connect/interface/marshal/roundtrip segments leaves the bulk
-        // pre-ship. The FluidNet model predicts transfer; compute and the
-        // `Invoke` crossing would otherwise dilute the share.
-        let mut xfer = 0.0f64;
-        for c in &report.calls {
-            let t = &c.timing;
-            let overhead = t.connect + t.interface + t.marshal + t.roundtrip;
-            xfer += (t.total - overhead).max(0.0);
-        }
+        // Goodput over the *upload phase* alone, first chunk sent to last
+        // chunk acked. The FluidNet model predicts transfer; compute and the
+        // riding `Invoke`'s reply would otherwise dilute the share.
+        let xfer: f64 = report.calls.iter().map(|c| c.timing.upload).sum();
         let bulk = report.bulk_bytes();
         if bulk == 0 || xfer <= 0.0 {
             return Err(ProtocolError::Remote(format!(
@@ -269,6 +280,7 @@ pub fn wan_live_vs_sim(
             2,
             window,
             lane_deadline,
+            Some(call_bytes),
         );
         let bw = shape.bytes_per_sec as f64;
         let live = bulk as f64 / xfer;
