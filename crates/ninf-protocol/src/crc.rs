@@ -10,7 +10,7 @@
 //! registers:
 //!
 //! - a 512-bit carry-less-multiply fold (VPCLMULQDQ, four 64 B
-//!   accumulators, 256 B per step) when `avx512f` and `vpclmulqdq` are
+//!   accumulators, 256 B per step) when `avx512bw` and `vpclmulqdq` are
 //!   present;
 //! - else a 128-bit fold (PCLMULQDQ, four 16 B accumulators, 64 B per
 //!   step), which is also the 512-bit fold's tail;
@@ -26,9 +26,19 @@
 //! and finish with `crc32` over those 16 bytes and the last < 16 B: the
 //! register is injected into the first block, so the residue's CRC from a
 //! zero register is the answer and no Barrett step is needed.
+//!
+//! `update_words` is the same three paths over an array held in native
+//! order whose image is big-endian: each path byteswaps the words as it
+//! loads them (`vpshufb`/`pshufb` on the folds, a register swap on the
+//! table), so an array's CRC never stages its image. It hands each folded
+//! piece of the array to a visitor while the piece is still in L1: the
+//! digest's lanes read the array in the same pass.
 
 /// Reflected CRC-32C (Castagnoli) polynomial.
 const POLY: u32 = 0x82F6_3B78;
+
+/// Bytes one visited piece of [`update_words`] holds, but the last.
+const STEP: usize = 256;
 
 const fn make_tables() -> [[u32; 256]; 8] {
     let mut tables = [[0u32; 256]; 8];
@@ -80,13 +90,47 @@ const fn fold_key(poly: u32, n: u32) -> u64 {
     (r as u64) << 1
 }
 
-/// Slice-by-8 software CRC: eight table lookups per 8-byte chunk instead of
-/// one lookup per byte. Works on the raw (uncomplemented) register.
-pub(crate) fn update_sw(mut crc: u32, data: &[u8]) -> u32 {
-    let mut chunks = data.chunks_exact(8);
-    for c in &mut chunks {
-        let lo = u32::from_le_bytes([c[0], c[1], c[2], c[3]]) ^ crc;
-        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+/// The image of 8 native bytes holding words of `W` bytes, read as one
+/// little-endian word: `W = 1` is the bytes as they are, `W = 4` and
+/// `W = 8` big-endian words (`u64::from_le_bytes(x.to_be_bytes())` is
+/// `x.swap_bytes()` on any host). On a little-endian host `W = 8` is one
+/// `bswap`.
+#[inline(always)]
+pub(crate) fn image_word<const W: usize>(native: [u8; 8]) -> u64 {
+    const { assert!(W == 1 || W == 4 || W == 8) };
+    match W {
+        8 => u64::from_ne_bytes(native).swap_bytes(),
+        4 => {
+            let [a0, a1, a2, a3, b0, b1, b2, b3] = native;
+            let a = u32::from_ne_bytes([a0, a1, a2, a3]).swap_bytes();
+            let b = u32::from_ne_bytes([b0, b1, b2, b3]).swap_bytes();
+            u64::from(a) | u64::from(b) << 32
+        }
+        _ => u64::from_le_bytes(native),
+    }
+}
+
+/// The image bytes of fewer than 8 native bytes (whole `W`-byte words):
+/// `native` itself for `W = 1`, else swapped into `buf`.
+#[inline]
+fn image_tail<'a, const W: usize>(native: &'a [u8], buf: &'a mut [u8; 8]) -> &'a [u8] {
+    if W == 1 {
+        return native;
+    }
+    buf[..native.len()].copy_from_slice(native);
+    *buf = image_word::<W>(*buf).to_le_bytes();
+    &buf[..native.len()]
+}
+
+/// Slice-by-8 software CRC over the image of native `W`-byte words (see
+/// [`image_word`]): eight table lookups per 8-byte chunk instead of one
+/// lookup per byte. Works on the raw (uncomplemented) register.
+pub(crate) fn update_sw<const W: usize>(mut crc: u32, data: &[u8]) -> u32 {
+    let (chunks, rest) = data.as_chunks::<8>();
+    for c in chunks {
+        let c = image_word::<W>(*c);
+        let lo = c as u32 ^ crc;
+        let hi = (c >> 32) as u32;
         crc = TABLES[7][(lo & 0xff) as usize]
             ^ TABLES[6][((lo >> 8) & 0xff) as usize]
             ^ TABLES[5][((lo >> 16) & 0xff) as usize]
@@ -96,18 +140,20 @@ pub(crate) fn update_sw(mut crc: u32, data: &[u8]) -> u32 {
             ^ TABLES[1][((hi >> 16) & 0xff) as usize]
             ^ TABLES[0][(hi >> 24) as usize];
     }
-    for &b in chunks.remainder() {
+    for &b in image_tail::<W>(rest, &mut [0; 8]) {
         crc = TABLES[0][((crc ^ u32::from(b)) & 0xff) as usize] ^ (crc >> 8);
     }
     crc
 }
 
-/// The carry-less-multiply folds (see the module docs).
+/// The carry-less-multiply folds (see the module docs), each generic over
+/// the word width `W` of [`image_word`] and over a visitor of the folded
+/// pieces.
 #[cfg(target_arch = "x86_64")]
 mod fold {
     use std::arch::x86_64::*;
 
-    use super::{fold_key, POLY};
+    use super::{fold_key, image_tail, image_word, POLY};
 
     /// `[low-half key, high-half key]` for a fold of `d` bits.
     const fn keys(d: u32) -> [u64; 2] {
@@ -121,17 +167,44 @@ mod fold {
     /// Four 64 B accumulators, 256 B forward.
     const K2048: [u64; 2] = keys(2048);
 
+    /// `pshufb` indices that reverse each `w`-byte word of a 16 B block.
+    const fn swap_indices(w: usize) -> [u8; 16] {
+        let mut idx = [0u8; 16];
+        let mut i = 0;
+        while i < 16 {
+            idx[i] = (i / w * w + (w - 1 - i % w)) as u8;
+            i += 1;
+        }
+        idx
+    }
+
     #[inline]
     #[target_feature(enable = "sse2")]
     fn key128([lo, hi]: [u64; 2]) -> __m128i {
         _mm_set_epi64x(hi as i64, lo as i64)
     }
 
+    /// The `pshufb` control of [`image_word`]`::<W>` for one 16 B block.
     #[inline]
     #[target_feature(enable = "sse2")]
-    fn load128(block: &[u8; 16]) -> __m128i {
+    fn swap128<const W: usize>() -> __m128i {
+        let idx = const { swap_indices(W) };
+        // SAFETY: `idx` is 16 readable bytes; the load is unaligned.
+        unsafe { _mm_loadu_si128(idx.as_ptr().cast()) }
+    }
+
+    /// A 16 B block as its image: loaded, then its words byteswapped in
+    /// the register.
+    #[inline]
+    #[target_feature(enable = "ssse3")]
+    fn load128<const W: usize>(block: &[u8; 16]) -> __m128i {
         // SAFETY: `block` is 16 readable bytes; the load is unaligned.
-        unsafe { _mm_loadu_si128(block.as_ptr().cast()) }
+        let x = unsafe { _mm_loadu_si128(block.as_ptr().cast()) };
+        if W == 1 {
+            x
+        } else {
+            _mm_shuffle_epi8(x, swap128::<W>())
+        }
     }
 
     /// `a` folded `d` bits forward (`k = key128(keys(d))`) onto `b`.
@@ -143,17 +216,17 @@ mod fold {
         _mm_xor_si128(_mm_xor_si128(lo, hi), b)
     }
 
-    /// `crc32` over fewer than a fold's worth of bytes.
+    /// `crc32` over the image of fewer than a fold's worth of bytes.
     #[inline]
     #[target_feature(enable = "sse4.2")]
-    fn crc32_bytes(crc: u32, data: &[u8]) -> u32 {
+    fn crc32_bytes<const W: usize>(crc: u32, data: &[u8]) -> u32 {
         let (words, rest) = data.as_chunks::<8>();
         let mut crc64 = u64::from(crc);
         for w in words {
-            crc64 = _mm_crc32_u64(crc64, u64::from_le_bytes(*w));
+            crc64 = _mm_crc32_u64(crc64, image_word::<W>(*w));
         }
         let mut crc = crc64 as u32;
-        for &b in rest {
+        for &b in image_tail::<W>(rest, &mut [0; 8]) {
             crc = _mm_crc32_u8(crc, b);
         }
         crc
@@ -163,62 +236,80 @@ mod fold {
     /// register over `x`'s 16 bytes from zero (the initial register was
     /// injected into the first block), then over the last < 16 B.
     #[target_feature(enable = "pclmulqdq,sse4.2")]
-    fn fold_single(mut x: __m128i, data: &[u8]) -> u32 {
+    fn fold_single<const W: usize>(mut x: __m128i, data: &[u8]) -> u32 {
         let k = key128(K128);
         let (blocks, tail) = data.as_chunks::<16>();
         for b in blocks {
-            x = fold128(x, k, load128(b));
+            x = fold128(x, k, load128::<W>(b));
         }
         let lo = _mm_cvtsi128_si64(x) as u64;
         let hi = _mm_extract_epi64(x, 1) as u64;
         let crc = _mm_crc32_u64(_mm_crc32_u64(0, lo), hi) as u32;
-        crc32_bytes(crc, tail)
+        crc32_bytes::<W>(crc, tail)
     }
 
     /// The 128-bit fold from four accumulators holding 64 consecutive
     /// bytes: 64 B steps, then the four folded into one.
     #[target_feature(enable = "pclmulqdq,sse4.2")]
-    fn fold_lanes(mut x: [__m128i; 4], data: &[u8]) -> u32 {
+    fn fold_lanes<const W: usize, V: FnMut(&[u8])>(
+        mut x: [__m128i; 4],
+        data: &[u8],
+        visit: &mut V,
+    ) -> u32 {
         let k = key128(K512);
         let (steps, rest) = data.as_chunks::<64>();
         for step in steps {
             let (blocks, _) = step.as_chunks::<16>();
             for (acc, b) in x.iter_mut().zip(blocks) {
-                *acc = fold128(*acc, k, load128(b));
+                *acc = fold128(*acc, k, load128::<W>(b));
             }
+            visit(step);
         }
+        visit(rest);
         let k = key128(K128);
         let x = fold128(fold128(fold128(x[0], k, x[1]), k, x[2]), k, x[3]);
-        fold_single(x, rest)
+        fold_single::<W>(x, rest)
     }
 
     /// The 128-bit fold (PCLMULQDQ).
     #[target_feature(enable = "pclmulqdq,sse4.2")]
-    pub(super) fn update_128(crc: u32, data: &[u8]) -> u32 {
+    pub(super) fn update_128<const W: usize, V: FnMut(&[u8])>(
+        crc: u32,
+        data: &[u8],
+        visit: &mut V,
+    ) -> u32 {
         let init = _mm_cvtsi32_si128(crc as i32);
-        match data.split_first_chunk::<64>() {
-            Some((head, rest)) => {
-                let (head, _) = head.as_chunks::<16>();
-                let x = [
-                    _mm_xor_si128(load128(&head[0]), init),
-                    load128(&head[1]),
-                    load128(&head[2]),
-                    load128(&head[3]),
-                ];
-                fold_lanes(x, rest)
-            }
-            None => match data.split_first_chunk::<16>() {
-                Some((head, rest)) => fold_single(_mm_xor_si128(load128(head), init), rest),
-                None => crc32_bytes(crc, data),
-            },
-        }
+        let Some((head, rest)) = data.split_first_chunk::<64>() else {
+            visit(data);
+            return match data.split_first_chunk::<16>() {
+                Some((head, rest)) => {
+                    fold_single::<W>(_mm_xor_si128(load128::<W>(head), init), rest)
+                }
+                None => crc32_bytes::<W>(crc, data),
+            };
+        };
+        visit(head);
+        let (blocks, _) = head.as_chunks::<16>();
+        let x = [
+            _mm_xor_si128(load128::<W>(&blocks[0]), init),
+            load128::<W>(&blocks[1]),
+            load128::<W>(&blocks[2]),
+            load128::<W>(&blocks[3]),
+        ];
+        fold_lanes::<W, V>(x, rest, visit)
     }
 
+    /// A 64 B block as its image (see [`load128`]).
     #[inline]
-    #[target_feature(enable = "avx512f")]
-    fn load512(block: &[u8; 64]) -> __m512i {
+    #[target_feature(enable = "avx512bw")]
+    fn load512<const W: usize>(block: &[u8; 64]) -> __m512i {
         // SAFETY: `block` is 64 readable bytes; the load is unaligned.
-        unsafe { _mm512_loadu_si512(block.as_ptr().cast()) }
+        let z = unsafe { _mm512_loadu_si512(block.as_ptr().cast()) };
+        if W == 1 {
+            z
+        } else {
+            _mm512_shuffle_epi8(z, _mm512_broadcast_i32x4(swap128::<W>()))
+        }
     }
 
     /// `a` folded forward onto `b`, four 128-bit lanes at once.
@@ -232,26 +323,32 @@ mod fold {
 
     /// The 512-bit fold (VPCLMULQDQ): 256 B steps, the four accumulators
     /// folded into one, whose lanes are the 128-bit fold's four.
-    #[target_feature(enable = "avx512f,vpclmulqdq,pclmulqdq,sse4.2")]
-    pub(super) fn update_512(crc: u32, data: &[u8]) -> u32 {
+    #[target_feature(enable = "avx512bw,vpclmulqdq,pclmulqdq,sse4.2")]
+    pub(super) fn update_512<const W: usize, V: FnMut(&[u8])>(
+        crc: u32,
+        data: &[u8],
+        visit: &mut V,
+    ) -> u32 {
         let Some((head, rest)) = data.split_first_chunk::<256>() else {
-            return update_128(crc, data);
+            return update_128::<W, V>(crc, data, visit);
         };
-        let (head, _) = head.as_chunks::<64>();
+        let (blocks, _) = head.as_chunks::<64>();
         let init = _mm512_zextsi128_si512(_mm_cvtsi32_si128(crc as i32));
         let mut z = [
-            _mm512_xor_si512(load512(&head[0]), init),
-            load512(&head[1]),
-            load512(&head[2]),
-            load512(&head[3]),
+            _mm512_xor_si512(load512::<W>(&blocks[0]), init),
+            load512::<W>(&blocks[1]),
+            load512::<W>(&blocks[2]),
+            load512::<W>(&blocks[3]),
         ];
+        visit(head);
         let k = _mm512_broadcast_i32x4(key128(K2048));
         let (steps, rest) = rest.as_chunks::<256>();
         for step in steps {
             let (blocks, _) = step.as_chunks::<64>();
             for (acc, b) in z.iter_mut().zip(blocks) {
-                *acc = fold512(*acc, k, load512(b));
+                *acc = fold512(*acc, k, load512::<W>(b));
             }
+            visit(step);
         }
         let k = _mm512_broadcast_i32x4(key128(K512));
         let z = fold512(fold512(fold512(z[0], k, z[1]), k, z[2]), k, z[3]);
@@ -261,7 +358,7 @@ mod fold {
             _mm512_extracti32x4_epi32(z, 2),
             _mm512_extracti32x4_epi32(z, 3),
         ];
-        fold_lanes(x, rest)
+        fold_lanes::<W, V>(x, rest, visit)
     }
 }
 
@@ -276,26 +373,53 @@ fn has_128() -> bool {
 #[cfg(target_arch = "x86_64")]
 fn has_512() -> bool {
     has_128()
-        && std::arch::is_x86_feature_detected!("avx512f")
+        && std::arch::is_x86_feature_detected!("avx512bw")
         && std::arch::is_x86_feature_detected!("vpclmulqdq")
 }
 
 /// Fold `data` into the raw (uncomplemented) CRC-32C register, on the
 /// widest carry-less-multiply fold the host has.
 pub(crate) fn update(crc: u32, data: &[u8]) -> u32 {
+    update_words::<1>(crc, data, |_| {})
+}
+
+/// Fold into the raw register the image of `data`, native words of `W`
+/// bytes ([`image_word`]), on the widest fold the host has. Each word is
+/// read once: `visit` gets each piece of `data` right after the fold has
+/// loaded it, in order, and every piece but the last is a whole number of
+/// 64 B.
+pub(crate) fn update_words<const W: usize>(
+    crc: u32,
+    data: &[u8],
+    mut visit: impl FnMut(&[u8]),
+) -> u32 {
+    debug_assert_eq!(data.len() % W, 0, "whole {W}-byte words");
     #[cfg(target_arch = "x86_64")]
     {
         if has_512() {
-            // SAFETY: AVX-512F, VPCLMULQDQ, PCLMULQDQ and SSE 4.2 were
+            // SAFETY: AVX-512BW, VPCLMULQDQ, PCLMULQDQ and SSE 4.2 were
             // detected at runtime.
-            return unsafe { fold::update_512(crc, data) };
+            return unsafe { fold::update_512::<W, _>(crc, data, &mut visit) };
         }
         if has_128() {
             // SAFETY: PCLMULQDQ and SSE 4.2 were detected at runtime.
-            return unsafe { fold::update_128(crc, data) };
+            return unsafe { fold::update_128::<W, _>(crc, data, &mut visit) };
         }
     }
-    update_sw(crc, data)
+    update_words_sw::<W, _>(crc, data, &mut visit)
+}
+
+/// The table path of [`update_words`]: [`STEP`]-byte pieces.
+fn update_words_sw<const W: usize, V: FnMut(&[u8])>(
+    mut crc: u32,
+    data: &[u8],
+    visit: &mut V,
+) -> u32 {
+    for piece in data.chunks(STEP) {
+        crc = update_sw::<W>(crc, piece);
+        visit(piece);
+    }
+    crc
 }
 
 /// CRC-32C digest of `data` (init `!0`, final complement — the RFC 3720
@@ -339,30 +463,49 @@ impl Crc32c {
 mod tests {
     use super::*;
 
-    /// The 128-bit fold, or `None` where the host lacks it.
-    fn update_128(crc: u32, data: &[u8]) -> Option<u32> {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if has_128() {
-                // SAFETY: the fold's instructions were detected at runtime.
-                return Some(unsafe { fold::update_128(crc, data) });
-            }
-        }
-        let _ = (crc, data);
-        None
+    /// The paths of [`update_words`].
+    #[derive(Clone, Copy, Debug)]
+    enum Path {
+        Dispatch,
+        Fold512,
+        Fold128,
+        Table,
     }
 
-    /// The 512-bit fold, or `None` where the host lacks it.
-    fn update_512(crc: u32, data: &[u8]) -> Option<u32> {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if has_512() {
+    /// The register `path` leaves over native `W`-byte words, and where
+    /// each piece it visits starts and ends in `data`; `None` where the
+    /// host lacks the path.
+    fn run<const W: usize>(
+        path: Path,
+        crc: u32,
+        data: &[u8],
+    ) -> Option<(u32, Vec<(usize, usize)>)> {
+        let mut pieces = Vec::new();
+        let mut visit = |piece: &[u8]| {
+            let at = piece.as_ptr() as usize - data.as_ptr() as usize;
+            pieces.push((at, at + piece.len()));
+        };
+        let got = match path {
+            Path::Dispatch => Some(update_words::<W>(crc, data, &mut visit)),
+            Path::Table => Some(update_words_sw::<W, _>(crc, data, &mut visit)),
+            #[cfg(target_arch = "x86_64")]
+            Path::Fold512 if has_512() => {
                 // SAFETY: the fold's instructions were detected at runtime.
-                return Some(unsafe { fold::update_512(crc, data) });
+                Some(unsafe { fold::update_512::<W, _>(crc, data, &mut visit) })
             }
-        }
-        let _ = (crc, data);
-        None
+            #[cfg(target_arch = "x86_64")]
+            Path::Fold128 if has_128() => {
+                // SAFETY: the fold's instructions were detected at runtime.
+                Some(unsafe { fold::update_128::<W, _>(crc, data, &mut visit) })
+            }
+            _ => None,
+        };
+        got.map(|crc| (crc, pieces))
+    }
+
+    /// The 128-bit fold over bytes, or `None` where the host lacks it.
+    fn update_128(crc: u32, data: &[u8]) -> Option<u32> {
+        run::<1>(Path::Fold128, crc, data).map(|(crc, _)| crc)
     }
 
     #[test]
@@ -409,18 +552,91 @@ mod tests {
             for start in [0usize, 1, 3, 7, 13] {
                 let bytes = &data[start..start + len];
                 for reg in [0u32, !0, 0x1234_5678, 0xDEAD_BEEF] {
-                    let want = update_sw(reg, bytes);
+                    let want = update_sw::<1>(reg, bytes);
                     let at = format!("length {len}, start {start}, register {reg:#x}");
                     assert_eq!(update(reg, bytes), want, "dispatch, {at}");
-                    if let Some(got) = update_128(reg, bytes) {
-                        assert_eq!(got, want, "128-bit fold, {at}");
-                    }
-                    if let Some(got) = update_512(reg, bytes) {
-                        assert_eq!(got, want, "512-bit fold, {at}");
+                    for path in [Path::Fold512, Path::Fold128, Path::Table] {
+                        if let Some((got, _)) = run::<1>(path, reg, bytes) {
+                            assert_eq!(got, want, "{path:?}, {at}");
+                        }
                     }
                 }
             }
         }
+    }
+
+    /// The big-endian image of native `w`-byte words, built byte by byte.
+    fn image(native: &[u8], w: usize) -> Vec<u8> {
+        native
+            .chunks(w)
+            .flat_map(|word| {
+                let mut word = word.to_vec();
+                if cfg!(target_endian = "little") {
+                    word.reverse();
+                }
+                word
+            })
+            .collect()
+    }
+
+    fn byteswapping_paths_fold_the_image<const W: usize>() {
+        let data: Vec<u8> = (0..8300u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 11) as u8)
+            .collect();
+        let mut lens: Vec<usize> = (0..=300).map(|words| words * W).collect();
+        for edge in [16usize, 64, 256, 2048] {
+            for k in 1..=4 {
+                let at = edge * k;
+                lens.extend([at - W, at, at + W]);
+            }
+        }
+        for &len in &lens {
+            for start in [0usize, 1, 4, 13] {
+                let native = &data[start..start + len];
+                let want_image = image(native, W);
+                for reg in [0u32, !0, 0xDEAD_BEEF] {
+                    let want = update_sw::<1>(reg, &want_image);
+                    let at = format!("width {W}, length {len}, start {start}, register {reg:#x}");
+                    for path in [Path::Dispatch, Path::Fold512, Path::Fold128, Path::Table] {
+                        let Some((got, pieces)) = run::<W>(path, reg, native) else {
+                            continue;
+                        };
+                        assert_eq!(got, want, "{path:?}, {at}");
+                        let mut end = 0;
+                        for (i, &(from, to)) in pieces.iter().enumerate() {
+                            let last = i + 1 == pieces.len();
+                            let whole = (to - from) % 64 == 0;
+                            assert!(from == end && (last || whole), "{path:?} {pieces:?}, {at}");
+                            end = to;
+                        }
+                        assert_eq!(end, len, "{path:?} visits {pieces:?}, {at}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Every path over native 4- and 8-byte words, at lengths around each
+    /// fold boundary and from misaligned starts, folds exactly the image's
+    /// register, and visits the whole array in order in pieces of whole
+    /// 64 B but the last. The 128-bit and table paths are called directly,
+    /// so a host with the 512-bit fold covers them too.
+    #[test]
+    fn every_byteswapping_path_folds_the_big_endian_image() {
+        byteswapping_paths_fold_the_image::<4>();
+        byteswapping_paths_fold_the_image::<8>();
+    }
+
+    #[test]
+    fn image_words_are_big_endian_words_read_little_endian() {
+        let native = 0x0102_0304_0506_0708u64.to_ne_bytes();
+        assert_eq!(image_word::<1>(native), u64::from_le_bytes(native));
+        let be = u64::from_le_bytes([1, 2, 3, 4, 5, 6, 7, 8]);
+        assert_eq!(image_word::<8>(native), be);
+        let pair = [0x0102_0304u32.to_ne_bytes(), 0x0506_0708u32.to_ne_bytes()].concat();
+        assert_eq!(image_word::<4>(pair.clone().try_into().unwrap()), be);
+        assert_eq!(image_tail::<4>(&pair[..4], &mut [0; 8]), [1, 2, 3, 4]);
+        assert_eq!(image_tail::<1>(&pair[..4], &mut [0; 8]), &pair[..4]);
     }
 
     /// The 128-bit fold runs wherever PCLMULQDQ exists, which is every
@@ -443,7 +659,7 @@ mod tests {
         // exercise the 8-byte remainder handling.
         for n in [0usize, 1, 7, 8, 9, 63, 64, 65, 1000] {
             let data: Vec<u8> = (0..n).map(|i| (i * 131 + 7) as u8).collect();
-            assert_eq!(!update_sw(!0, &data), crc32c(&data), "length {n}");
+            assert_eq!(!update_sw::<1>(!0, &data), crc32c(&data), "length {n}");
         }
     }
 

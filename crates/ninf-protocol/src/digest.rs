@@ -2,8 +2,7 @@
 //!
 //! A [`Digest`] names one marshalled argument by the bytes of its tagged
 //! XDR image: 128 bits in two independent halves, both computed in **one
-//! pass** over the image, one 2 KiB block at a time: the lanes fold a
-//! block, then the CRC folds the same block while it is still in L1.
+//! pass** over the image.
 //!
 //! - `lo = crc32c(image) << 32 | len mod 2^32` — the frame checksum's own
 //!   CRC-32C (the carry-less-multiply fold, see [`crate::crc`]) folded
@@ -15,15 +14,21 @@
 //!   through the SplitMix64 finalizer once. Eight independent chains, so
 //!   the multiplies overlap instead of waiting on each other.
 //!
-//! [`digest_value`] computes this without materialising the image: the
-//! value's header words, then its body byteswapped one L1-sized block at a
-//! time ([`ninf_xdr::be_blocks`]), each block folded into both halves while
-//! it is still in cache. [`Digest::of`] is **the same function** over a byte
-//! image — chunked uploads are named and verified with it — and a property
-//! test holds `digest_value(v) == Digest::of(&value_image(v))` for every
-//! value kind. A split definition would be silent: every uploaded value
-//! would ship inline a second time and no call would fail. The frame check
-//! ([`crate::frame::check_frame_payload`]) takes the same digest of each
+//! [`digest_value`] computes this without materialising the image, and
+//! reads each array word once. The value's 8-byte header (tag and count) is
+//! image word 0; for an array, image word `k ≥ 1` is its `k−1`-th 8 native
+//! bytes byteswapped in a register (one element of a 64-bit array, two of
+//! a 32-bit one, an odd count ending in a zero-padded half word). The CRC
+//! fold loads the array through a byteswapping shuffle
+//! (`crc::update_words`) and hands each 256 B piece it has loaded
+//! to the lanes while the piece is in L1; no image block is written.
+//! [`Digest::of`] is **the same function** over a byte image, fed to
+//! `Hasher` in 2 KiB blocks (the lanes, then the CRC, over each block
+//! while it is in L1). Chunked uploads are named and verified with it, and
+//! a property test holds `digest_value(v) == Digest::of(&value_image(v))`
+//! for every value kind. A split definition would be silent: every uploaded
+//! value would ship inline a second time and no call would fail. The frame
+//! check ([`crate::frame::check_frame_payload`]) takes the same digest of each
 //! cacheable inline argument straight from the received payload, in the
 //! pass that checks the frame's CRC.
 //!
@@ -42,9 +47,10 @@
 //! costs ~20 wire bytes plus a store lookup, which only pays for itself on
 //! the flat arrays that dominate WAN transfer time.
 
-use ninf_xdr::{be_blocks, BeWord, BE_BLOCK_BYTES};
+use ninf_xdr::{BeWord, BE_BLOCK_BYTES};
 
 use crate::codec::Wire;
+use crate::crc::image_word;
 use crate::value::Value;
 
 /// Arguments smaller than this many XDR bytes are always shipped inline —
@@ -96,19 +102,43 @@ fn finalize(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The digest kernel: fold whole [`GROUP`]s into the lanes. [`Hasher`]
-/// advances the CRC registers over the same bytes with
-/// [`crate::crc::update`].
+/// The lanes' starting values.
+fn seed() -> [u64; LANES] {
+    let mut lanes = [0u64; LANES];
+    for (i, lane) in lanes.iter_mut().enumerate() {
+        *lane = finalize(i as u64 + 1);
+    }
+    lanes
+}
+
+/// The digest kernel: the 8-byte word `k` of `bytes` (the last one
+/// zero-padded), read through `load`, goes to lane `k mod 8`. Each call
+/// starts again at lane 0, so a caller hands it whole [`GROUP`]s until its
+/// last piece, or turns the lanes to match (as [`digest_words`] does).
 #[inline]
-fn absorb(lanes: &mut [u64; LANES], groups: &[[u8; GROUP]]) {
+fn absorb(lanes: &mut [u64; LANES], bytes: &[u8], load: impl Fn([u8; 8]) -> u64) {
     let mut acc = *lanes;
+    let (groups, tail) = bytes.as_chunks::<GROUP>();
     for g in groups {
         let (words, _) = g.as_chunks::<8>();
         for (lane, w) in acc.iter_mut().zip(words) {
-            *lane = mix(*lane, u64::from_le_bytes(*w));
+            *lane = mix(*lane, load(*w));
         }
     }
+    for (lane, w) in acc.iter_mut().zip(tail.chunks(8)) {
+        let mut word = [0u8; 8];
+        word[..w.len()].copy_from_slice(w);
+        *lane = mix(*lane, load(word));
+    }
     *lanes = acc;
+}
+
+/// Both halves from the lanes, the raw CRC register and the image length.
+fn seal(lanes: &[u64; LANES], crc: u32, len: u64) -> Digest {
+    Digest {
+        hi: finalize(lanes.iter().fold(K ^ len, |h, &l| mix(h, l))),
+        lo: (u64::from(!crc) << 32) | (len & 0xFFFF_FFFF),
+    }
 }
 
 /// One streaming pass computing both halves; bytes may arrive in pieces
@@ -137,12 +167,8 @@ impl Hasher {
 
     /// A hasher that also advances `carry` over every byte it hashes.
     pub(crate) fn carrying(carry: Option<u32>) -> Self {
-        let mut lanes = [0u64; LANES];
-        for (i, lane) in lanes.iter_mut().enumerate() {
-            *lane = finalize(i as u64 + 1);
-        }
         Hasher {
-            lanes,
+            lanes: seed(),
             crc: !0,
             carry,
             len: 0,
@@ -176,20 +202,13 @@ impl Hasher {
             if self.filled < GROUP {
                 return;
             }
-            absorb(&mut self.lanes, std::slice::from_ref(&self.pending));
+            absorb(&mut self.lanes, &self.pending, image_word::<1>);
             self.filled = 0;
         }
         let (groups, rest) = data.as_chunks::<GROUP>();
-        absorb(&mut self.lanes, groups);
+        absorb(&mut self.lanes, groups.as_flattened(), image_word::<1>);
         self.pending[..rest.len()].copy_from_slice(rest);
         self.filled = rest.len();
-    }
-
-    /// Fold the body of an array value: its count word, then its elements
-    /// one big-endian block at a time.
-    fn array<T: BeWord>(&mut self, items: &[T]) {
-        self.update(&(items.len() as u32).to_be_bytes());
-        be_blocks(items, |block| self.update(block));
     }
 
     pub(crate) fn finish(self) -> Digest {
@@ -198,18 +217,12 @@ impl Hasher {
 
     /// The digest, and the carried register advanced over every byte.
     pub(crate) fn close(mut self) -> (Digest, Option<u32>) {
-        let tail = &self.pending[..self.filled];
-        for (lane, w) in self.lanes.iter_mut().zip(tail.chunks(8)) {
-            let mut word = [0u8; 8];
-            word[..w.len()].copy_from_slice(w);
-            *lane = mix(*lane, u64::from_le_bytes(word));
-        }
-        let hi = finalize(self.lanes.iter().fold(K ^ self.len, |h, &l| mix(h, l)));
-        let digest = Digest {
-            hi,
-            lo: (u64::from(!self.crc) << 32) | (self.len & 0xFFFF_FFFF),
-        };
-        (digest, self.carry)
+        absorb(
+            &mut self.lanes,
+            &self.pending[..self.filled],
+            image_word::<1>,
+        );
+        (seal(&self.lanes, self.crc, self.len), self.carry)
     }
 }
 
@@ -227,19 +240,59 @@ pub fn value_image(v: &Value) -> ninf_xdr::Bytes {
 /// in one streaming pass that never builds the image:
 /// `digest_value(v) == Digest::of(&value_image(v))`.
 pub fn digest_value(v: &Value) -> Digest {
-    let mut h = Hasher::new();
-    h.update(&crate::message::value_tag(v).to_be_bytes());
+    let tag = crate::message::value_tag(v).to_be_bytes();
+    let scalar = |body: &[u8]| {
+        let mut h = Hasher::new();
+        h.update(&tag);
+        h.update(body);
+        h.finish()
+    };
     match v {
-        Value::Int(x) => h.update(&x.to_be_bytes()),
-        Value::Long(x) => h.update(&x.to_be_bytes()),
-        Value::Float(x) => h.update(&x.to_be_bytes()),
-        Value::Double(x) => h.update(&x.to_be_bytes()),
-        Value::IntArray(a) => h.array(a),
-        Value::LongArray(a) => h.array(a),
-        Value::FloatArray(a) => h.array(a),
-        Value::DoubleArray(a) => h.array(a),
+        Value::Int(x) => scalar(&x.to_be_bytes()),
+        Value::Long(x) => scalar(&x.to_be_bytes()),
+        Value::Float(x) => scalar(&x.to_be_bytes()),
+        Value::Double(x) => scalar(&x.to_be_bytes()),
+        Value::IntArray(a) => digest_array(tag, a),
+        Value::LongArray(a) => digest_array(tag, a),
+        Value::FloatArray(a) => digest_array(tag, a),
+        Value::DoubleArray(a) => digest_array(tag, a),
     }
-    h.finish()
+}
+
+/// Digest of an array value from its elements in place: the header (tag,
+/// count) is image word 0, and each element is read once.
+fn digest_array<T: BeWord>(tag: [u8; 4], items: &[T]) -> Digest {
+    let [t0, t1, t2, t3] = tag;
+    let [c0, c1, c2, c3] = (items.len() as u32).to_be_bytes();
+    let header = [t0, t1, t2, t3, c0, c1, c2, c3];
+    // SAFETY: `BeWord` is sealed to `i32`, `i64`, `f32` and `f64`, which
+    // have no padding, so all `size_of_val(items)` bytes behind the pointer
+    // are initialised; `u8` needs no alignment, and the view borrows
+    // `items`.
+    let body = unsafe {
+        std::slice::from_raw_parts(items.as_ptr().cast::<u8>(), std::mem::size_of_val(items))
+    };
+    match std::mem::size_of::<T>() {
+        8 => digest_words::<8>(header, body),
+        _ => digest_words::<4>(header, body),
+    }
+}
+
+/// Digest of the image `header ++ body`, `body` held as native words of
+/// `W` bytes: the CRC fold loads each piece of it byteswapped, and the
+/// lanes read the piece while it is in L1.
+fn digest_words<const W: usize>(header: [u8; 8], body: &[u8]) -> Digest {
+    let mut lanes = seed();
+    absorb(&mut lanes, &header, image_word::<1>);
+    // Body word `j` is image word `j + 1`: turn the lanes one place so it
+    // lands on lane `j mod 8`, and back afterwards.
+    lanes.rotate_left(1);
+    let crc = crate::crc::update(!0, &header);
+    let crc = crate::crc::update_words::<W>(crc, body, |piece| {
+        absorb(&mut lanes, piece, image_word::<W>);
+    });
+    lanes.rotate_right(1);
+    seal(&lanes, crc, (header.len() + body.len()) as u64)
 }
 
 /// Whether an argument is worth caching at all: a flat array whose XDR
@@ -349,7 +402,72 @@ mod tests {
             let (digest, carried) = pieces.close();
             proptest::prop_assert_eq!((digest, carried), whole.close());
             proptest::prop_assert_eq!(digest, Digest::of(&bytes));
-            proptest::prop_assert_eq!(carried, Some(crate::crc::update_sw(register, &bytes)));
+            proptest::prop_assert_eq!(carried, Some(crate::crc::update_sw::<1>(register, &bytes)));
+        }
+    }
+
+    /// Every array kind, at lengths around the lanes' 8-word group, the
+    /// 256 B fold step and the 2 KiB block, and odd 32-bit counts (which
+    /// end in a half word): the native-word path digests the image.
+    #[test]
+    fn native_words_digest_as_the_image() {
+        let lens = [
+            0usize, 1, 3, 7, 8, 9, 15, 31, 32, 33, 63, 65, 255, 256, 257, 511, 513, 4095, 4096,
+        ];
+        for len in lens {
+            let x = |i: usize| (i as i64).wrapping_mul(0x9E37_79B9_7F4A_7C15u64 as i64) >> 7;
+            let values = [
+                Value::IntArray((0..len).map(|i| x(i) as i32).collect()),
+                Value::LongArray((0..len).map(x).collect()),
+                Value::FloatArray((0..len).map(|i| x(i) as f32 * 0.25).collect()),
+                Value::DoubleArray((0..len).map(|i| x(i) as f64 * 0.25).collect()),
+            ];
+            for v in values {
+                let tag = crate::message::value_tag(&v);
+                let image = value_image(&v);
+                assert_eq!(
+                    digest_value(&v),
+                    Digest::of(&image),
+                    "tag {tag}, {len} elements"
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// The lanes take an array in any pieces of whole 64 B groups but
+        /// the last (the pieces every CRC path hands over): the lanes come
+        /// out as from one piece, for both byteswapping loaders.
+        #[test]
+        fn lanes_take_whole_group_pieces_as_one(
+            words in proptest::collection::vec(proptest::prelude::any::<u64>(), 0..=200),
+            half in proptest::prelude::any::<bool>(),
+            cuts in proptest::collection::vec(0usize..=25, 0..6),
+        ) {
+            let mut bytes: Vec<u8> = words.iter().flat_map(|w| w.to_ne_bytes()).collect();
+            if half && !bytes.is_empty() {
+                bytes.truncate(bytes.len() - 4);
+            }
+            let mut cuts: Vec<usize> =
+                cuts.into_iter().map(|c| (c * GROUP).min(bytes.len())).collect();
+            cuts.sort_unstable();
+            let lanes_of = |pieces: &[&[u8]], load: fn([u8; 8]) -> u64| {
+                let mut lanes = seed();
+                for piece in pieces {
+                    absorb(&mut lanes, piece, load);
+                }
+                lanes
+            };
+            let mut pieces = Vec::new();
+            let mut from = 0;
+            for cut in cuts.into_iter().chain([bytes.len()]) {
+                pieces.push(&bytes[from..cut]);
+                from = cut;
+            }
+            let as_one = |load: fn([u8; 8]) -> u64| lanes_of(&pieces, load) == lanes_of(&[&bytes], load);
+            proptest::prop_assert!(as_one(image_word::<4>));
+            // 64-bit words never end in a half word.
+            proptest::prop_assert!(half || as_one(image_word::<8>));
         }
     }
 

@@ -89,13 +89,17 @@ impl CostModel {
         if !(seconds > 0.0 && seconds.is_finite()) {
             return;
         }
-        let x = (n.max(1)) as f64;
-        self.traces
-            .write()
-            .entry(routine.to_owned())
-            .or_default()
-            .samples
-            .push((x.ln(), seconds.ln()));
+        let sample = (((n.max(1)) as f64).ln(), seconds.ln());
+        let mut traces = self.traces.write();
+        // A known routine is found by `&str`: only a new one allocates its
+        // name, not every call under the lock.
+        match traces.get_mut(routine) {
+            Some(trace) => trace.samples.push(sample),
+            None => {
+                let samples = vec![sample];
+                traces.insert(routine.to_owned(), RoutineTrace { samples });
+            }
+        }
     }
 
     /// Predict the service time of `routine` at problem size `n`; `None`

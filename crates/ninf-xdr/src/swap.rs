@@ -65,9 +65,9 @@ be_word_32!(f32, i32);
 /// [`BE_BLOCK_BYTES`] block at a time, in order.
 ///
 /// This is the one place array bytes are converted for the wire: the
-/// encoder appends each block to its buffer, and the argument-cache
-/// digest folds each block while it is still in L1, so hashing a matrix
-/// never materialises its image.
+/// encoder appends each block to its buffer, and a frame writer folds its
+/// checksum (and the digest of an argument it ships) over each block while
+/// it is still in L1.
 pub fn be_blocks<T: BeWord>(data: &[T], mut visit: impl FnMut(&[u8])) {
     let mut block = [0u8; BE_BLOCK_BYTES];
     for chunk in data.chunks(BE_BLOCK_BYTES / std::mem::size_of::<T>()) {
