@@ -32,7 +32,10 @@
 //! polls every server's `QueryMetrics` window ring while the ramp runs, and
 //! reports the throughput/latency-vs-offered-load curve with an automatic
 //! latency-slope knee estimate plus the clock-skew-corrected merged
-//! timeline. The client count is the single (first) `--clients` value.
+//! timeline. Each client sends a due call whatever it still has in flight,
+//! up to 8 calls, and the `capped` column counts calls that found all 8
+//! busy and waited. The client count is the single (first) `--clients`
+//! value.
 //! External targets (`--addr`) should run `ninfd --windows-ms` to serve
 //! window series; a disarmed server yields an empty series, not an error.
 //! With `--sweep`, `--json`/`--csv` emit the sweep report schema instead of
@@ -379,18 +382,19 @@ fn render_live_sweep(r: &SweepReport) -> String {
         "=================================================================\n\
          coordinated saturation sweep: {} c={} seed={} (base {:.1} Hz/client)\n\
          =================================================================\n\
-         stage  rate/client  offered-Hz  calls  ok     err  tput-Hz  lat-mean   lat-p95\n",
+         stage  rate/client  offered-Hz  calls  ok     err  capped  tput-Hz  lat-mean   lat-p95\n",
         r.scenario, r.clients, r.seed, r.base_rate_hz
     );
     for p in &r.points {
         s += &format!(
-            "{:<6} {:<12.1} {:<11.1} {:<6} {:<6} {:<4} {:<8.2} {:<10.4} {:<10.4}\n",
+            "{:<6} {:<12.1} {:<11.1} {:<6} {:<6} {:<4} {:<7} {:<8.2} {:<10.4} {:<10.4}\n",
             p.stage,
             p.rate_hz_per_client,
             p.offered_hz,
             p.calls,
             p.ok,
             p.errors,
+            p.generator_capped,
             p.throughput_hz,
             p.latency.mean,
             p.latency_p95_s,

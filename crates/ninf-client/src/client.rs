@@ -1611,9 +1611,10 @@ mod tests {
 
     #[test]
     fn transport_wrapped_client_fails_fast_without_reconnect() {
-        // No dial address: a retryable error must surface immediately even
-        // with retries configured, rather than spinning on a dead transport.
-        let t = Scripted::new(vec![]); // recv -> Disconnected
+        // No dial address: a retryable error must surface after one attempt
+        // even with retries configured, rather than spinning on a dead
+        // transport.
+        let (t, sent) = Scripted::logged(vec![]); // recv -> Disconnected
         let mut client = NinfClient::from_transport(Box::new(t));
         client
             .set_options(CallOptions {
@@ -1624,7 +1625,10 @@ mod tests {
         let start = std::time::Instant::now();
         let err = client.ninf_call("ep", &[]).unwrap_err();
         assert!(matches!(err, ProtocolError::Disconnected));
-        assert!(start.elapsed() < Duration::from_millis(50));
+        assert_eq!(client.last_timing().unwrap().attempts, 1);
+        assert_eq!(sent.lock().unwrap().len(), 1, "one request, no resend");
+        // Only a hang guard: the attempt count is the assertion.
+        assert!(start.elapsed() < Duration::from_secs(2));
     }
 
     /// dmmul arguments big enough to clear the cacheable threshold

@@ -426,17 +426,22 @@ fn a_silent_server_sees_each_chunk_four_times_and_only_one_connection() {
     );
 }
 
-/// The call rides the upload's lane: over a 50 ms link with no bandwidth
+/// The call rides the upload's lane: over a 400 ms link with no bandwidth
 /// cap, a bulk call pays the link delay once — its matrix and its `Invoke`
 /// cross together — where uploading first and calling after the last ack
-/// paid it twice (≥ 100 ms).
+/// paid it twice (≥ 800 ms). The delay is long beside the call's own work
+/// (digest, reassembly, a 128² linpack, unoptimised in a debug build), so
+/// the 1.5 × delay bound leaves room for a slow host and none for a second
+/// crossing. That the call's round trip overlapped the upload is checked
+/// apart from the clock: a call sent after the last ack makes the two
+/// intervals disjoint, so they could not sum past the call's total.
 #[test]
 fn a_shaped_bulk_call_pays_the_link_delay_once() {
     let server = start_server();
     let addr = server.addr().to_string();
-    let delay = Duration::from_millis(50);
+    let delay = Duration::from_millis(400);
     let opts = CallOptions {
-        wan: Some(LinkShape::parse("delay=50ms").unwrap()),
+        wan: Some(LinkShape::parse("delay=400ms").unwrap()),
         ..bulk_opts(1)
     };
     let mut client = NinfClient::connect_with(&addr, opts).unwrap();
@@ -456,10 +461,16 @@ fn a_shaped_bulk_call_pays_the_link_delay_once() {
     assert_eq!((t.attempts, t.args_refd), (1, 2));
     assert!(
         t.total < delay.as_secs_f64() * 1.5,
-        "a bulk call took {:.1} ms over a {delay:?} link",
+        "a bulk call took {:.1} ms over a {delay:?} link: {t:?}",
         t.total * 1e3
     );
     assert!(t.upload > 0.0 && t.roundtrip > 0.0, "{t:?}");
+    // A reply cannot precede its request's arrival: the link was crossed.
+    assert!(t.roundtrip >= delay.as_secs_f64(), "{t:?}");
+    assert!(
+        t.upload + t.roundtrip > t.total,
+        "the call was sent after the upload's last ack: {t:?}"
+    );
     let (_, _, uploads, _) = server.metrics().chunked();
     assert_eq!(uploads, 2);
     server.shutdown();

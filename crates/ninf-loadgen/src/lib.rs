@@ -25,14 +25,16 @@
 //! `results/experiments.json`, so live runs are comparable with the sim's
 //! Table 3/4 cells) and to CSV.
 
+pub mod poll;
 pub mod report;
 pub mod runner;
 pub mod scenario;
 pub mod spec;
 pub mod sweep;
 
+pub use poll::{Poller, ServerPolls, StatsPoll, WindowPoll};
 pub use report::{CallResult, ClientSummary, Outcome, RunReport, ServerView, Summary};
-pub use runner::{classify, monitor_options, run_scenario, spawn_server, Target};
+pub use runner::{run_scenario, spawn_server, Conn, Fleet, Inputs, Target, OPEN_INFLIGHT_CAP};
 pub use scenario::{scenario, scenario_names, Scenario};
 pub use spec::{fnv1a, Arrival, MixEntry, Phases, Routine, WorkloadSpec};
 pub use sweep::{

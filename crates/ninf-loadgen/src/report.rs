@@ -11,6 +11,7 @@ use std::path::{Path, PathBuf};
 use ninf_client::CallTiming;
 use ninf_protocol::CallStat;
 
+use crate::poll::ServerPolls;
 use crate::spec::{fnv1a, schedule_bytes};
 use ninf_obs::LogHistogram;
 
@@ -50,8 +51,10 @@ pub struct CallResult {
     pub routine: &'static str,
     /// First scalar argument (`n` / `m`).
     pub n: i64,
-    /// When the call was *supposed* to start (open loop) or did start
-    /// (closed loop), seconds from run start.
+    /// Seconds from run start when the call was due: its arrival time
+    /// under an open loop, its submission under a closed one. Latency runs
+    /// from here, so an open-loop call that waited for the generator — for
+    /// a free slot, or for the thread to wake — is charged that wait.
     pub scheduled: f64,
     /// `T_submit`, client clock: seconds from run start at submission.
     pub t_submit: f64,
@@ -66,9 +69,18 @@ pub struct CallResult {
     /// Trace id minted for this call (0 when tracing was off), joining the
     /// client-side record to the cross-process flight-recorder spans.
     pub trace_id: u64,
+    /// Whether the call came due with all of its client's open-loop slots
+    /// busy and waited for one (`generator_capped`): the generator, not
+    /// the service, held it back.
+    pub capped: bool,
 }
 
 impl CallResult {
+    /// End-to-end latency: due time to reply (`t_complete − scheduled`).
+    pub fn latency(&self) -> f64 {
+        self.t_complete - self.scheduled
+    }
+
     /// Per-call delivered Mflops (`flops / total-time`), when defined.
     pub fn mflops(&self) -> Option<f64> {
         let f = self.flops? as f64;
@@ -147,6 +159,8 @@ pub struct ClientSummary {
     pub perf_calls: usize,
     /// Successful calls per active second.
     pub calls_per_sec: f64,
+    /// Calls that waited for an open-loop slot (see [`CallResult::capped`]).
+    pub generator_capped: usize,
 }
 
 impl ClientSummary {
@@ -166,8 +180,8 @@ impl ClientSummary {
             match c.outcome {
                 Outcome::Ok => {
                     ok += 1;
-                    hist.record(c.timing.total);
-                    lat.push(c.timing.total);
+                    hist.record(c.latency());
+                    lat.push(c.latency());
                 }
                 Outcome::Remote => remote += 1,
                 Outcome::Timeout => timeouts += 1,
@@ -193,6 +207,7 @@ impl ClientSummary {
             perf: Summary::of(perf.iter().copied()),
             perf_calls: perf.len(),
             calls_per_sec: if wall > 0.0 { ok as f64 / wall } else { 0.0 },
+            generator_capped: calls.iter().filter(|c| c.capped).count(),
         }
     }
 
@@ -230,6 +245,10 @@ impl ClientSummary {
             "calls_per_sec".into(),
             serde_json::json!(self.calls_per_sec),
         );
+        cell.insert(
+            "generator_capped".into(),
+            serde_json::json!(self.generator_capped as u64),
+        );
         serde_json::Value::Object(cell)
     }
 }
@@ -246,27 +265,67 @@ pub struct ServerView {
     pub wait: Summary,
     /// Service time `T_complete − T_dequeue`.
     pub service: Summary,
+    /// The most calls one server held at once: the deepest overlap of its
+    /// records' `[T_submit, T_complete]` spans.
+    pub held_max: usize,
 }
 
 impl ServerView {
-    /// Decompose a set of server records.
+    /// Decompose a set of records from one server (one clock).
     pub fn from_stats(records: &[CallStat]) -> Self {
         ServerView {
             records: records.len(),
             response: Summary::of(records.iter().map(CallStat::response)),
             wait: Summary::of(records.iter().map(CallStat::wait)),
             service: Summary::of(records.iter().map(CallStat::service)),
+            held_max: held_max(records.iter()),
         }
     }
 
-    fn to_json(&self) -> serde_json::Value {
+    /// Decompose every record a poller fetched; `None` when no server
+    /// answered a stats poll.
+    pub fn from_polls(polls: &[ServerPolls]) -> Option<Self> {
+        if polls.iter().all(|p| p.stats.is_empty()) {
+            return None;
+        }
+        let records: Vec<CallStat> = polls
+            .iter()
+            .flat_map(ServerPolls::records)
+            .cloned()
+            .collect();
+        Some(ServerView {
+            held_max: polls
+                .iter()
+                .map(|p| held_max(p.records()))
+                .max()
+                .unwrap_or(0),
+            ..Self::from_stats(&records)
+        })
+    }
+
+    pub(crate) fn to_json(&self) -> serde_json::Value {
         serde_json::json!({
             "records": self.records as u64,
             "response": self.response.to_json(),
             "wait": self.wait.to_json(),
             "service": self.service.to_json(),
+            "held_max": self.held_max as u64,
         })
     }
+}
+
+/// The deepest overlap of one server's records' `[T_submit, T_complete]`
+/// spans. A call ending at the instant another starts was not held with it.
+fn held_max<'a>(records: impl Iterator<Item = &'a CallStat>) -> usize {
+    let mut edges: Vec<(f64, i64)> = records
+        .flat_map(|r| [(r.t_submit, 1), (r.t_complete, -1)])
+        .collect();
+    edges.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    let held = edges.iter().scan(0, |held, &(_, step)| {
+        *held += step;
+        Some(*held)
+    });
+    held.max().unwrap_or(0) as usize
 }
 
 /// One complete run of a scenario at one client count.
@@ -490,6 +549,7 @@ mod tests {
             outcome,
             flops: Some(1_000_000),
             trace_id: 0,
+            capped: false,
         }
     }
 
@@ -523,6 +583,20 @@ mod tests {
         assert_eq!(s.perf_calls, 2);
         assert!((s.calls_per_sec - 2.0).abs() < 1e-12);
         assert!(s.p50 > 0.0 && s.p50 <= s.p95 && s.p95 <= s.p99);
+    }
+
+    #[test]
+    fn latency_runs_from_the_due_time_and_mflops_from_submission() {
+        // Due at 1 s, sent at 1.5 s (it waited for a slot), answered at
+        // 1.6 s: the client saw 0.6 s; the call itself took 0.1 s.
+        let mut late = call(0, 1, 0.1, Outcome::Ok);
+        (late.scheduled, late.t_submit, late.t_complete) = (1.0, 1.5, 1.6);
+        late.capped = true;
+        assert!((late.latency() - 0.6).abs() < 1e-12);
+        let s = ClientSummary::aggregate(0, &[late.clone()], 1.0);
+        assert!((s.latency.mean - 0.6).abs() < 1e-12, "{}", s.latency.mean);
+        assert!((s.perf.mean - 10.0).abs() < 1e-9, "{}", s.perf.mean);
+        assert_eq!(s.generator_capped, 1);
     }
 
     #[test]
@@ -616,8 +690,48 @@ mod tests {
         }];
         let v = ServerView::from_stats(&stats);
         assert_eq!(v.records, 1);
+        assert_eq!(v.held_max, 1);
         assert!((v.response.mean - 0.5).abs() < 1e-12);
         assert!((v.wait.mean - 1.5).abs() < 1e-12);
         assert!((v.service.mean - 7.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn held_max_is_the_deepest_overlap_on_one_servers_clock() {
+        let stat = |t_submit: f64, t_complete: f64| CallStat {
+            routine: "ep".into(),
+            n: None,
+            request_bytes: 0,
+            reply_bytes: 0,
+            t_submit,
+            t_enqueue: t_submit,
+            t_dequeue: t_submit,
+            t_complete,
+        };
+        // [0,3] holds [1,2] and [1.5,4]; [3,5] starts as [0,3] ends.
+        let one = [
+            stat(0.0, 3.0),
+            stat(1.0, 2.0),
+            stat(1.5, 4.0),
+            stat(3.0, 5.0),
+        ];
+        assert_eq!(ServerView::from_stats(&one).held_max, 3);
+        assert_eq!(ServerView::from_stats(&[]).held_max, 0);
+        // Two servers' clocks never overlap each other's records.
+        let polls = [&one[..2], &one[2..]].map(|records| ServerPolls {
+            addr: "unit".into(),
+            stats: vec![crate::poll::StatsPoll {
+                t0: 0.0,
+                t1: 0.0,
+                now: 5.0,
+                total: records.len() as u64,
+                records: records.to_vec(),
+            }],
+            windows: Vec::new(),
+            error: None,
+        });
+        let v = ServerView::from_polls(&polls).unwrap();
+        assert_eq!((v.records, v.held_max), (4, 2));
+        assert!(ServerView::from_polls(&[]).is_none());
     }
 }

@@ -3,18 +3,19 @@
 //! measurements into a [`RunReport`].
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use ninf_client::{CallOptions, CallTiming, NinfClient};
+use ninf_client::{CallTiming, NinfClient};
 use ninf_metaserver::{Balancing, Directory, Metaserver, ServerEntry};
-use ninf_protocol::{CallStat, Message, ProtocolError, ProtocolResult, Value};
-use ninf_reactor::{run_open_loop, DriverConfig};
+use ninf_protocol::{Message, ProtocolError, ProtocolResult, Value};
+use ninf_reactor::{run_open_loop, DriverConfig, MuxPool};
 use ninf_server::{
     builtin::register_stdlib, ExecMode, NinfServer, Registry, SchedPolicy, ServerConfig,
     DEFAULT_ARG_CACHE_BYTES,
 };
 
+use crate::poll::Poller;
 use crate::report::{CallResult, Outcome, RunReport, ServerView};
 use crate::scenario::Scenario;
 use crate::spec::{Arrival, Routine, WorkloadSpec};
@@ -42,20 +43,34 @@ pub enum Target {
     },
 }
 
-/// Backend the client threads actually call through.
-pub(crate) enum Backend {
-    /// Each client dials one of these addresses directly.
-    Direct(Vec<String>),
-    /// Calls go through a shared in-process metaserver.
-    Meta(Arc<Metaserver>),
-}
-
-/// Spawned servers (shut down when the run ends) plus every queryable
-/// address.
+/// Spawned servers (shut down when the run ends), every queryable address,
+/// and the metaserver fronting them, if any.
 pub(crate) struct LiveTarget {
     pub(crate) spawned: Vec<NinfServer>,
     pub(crate) addrs: Vec<String>,
-    pub(crate) backend: Backend,
+    pub(crate) meta: Option<Arc<Metaserver>>,
+    /// Where open-loop calls check their connections out.
+    pool: Arc<MuxPool>,
+}
+
+impl LiveTarget {
+    /// A connection for `client`: the metaserver when there is one; else
+    /// for a closed loop a connection of its own, like the paper's
+    /// clients, and for an open-loop call one checked out of the shared
+    /// pool of multiplexed streams.
+    pub(crate) fn dial(&self, spec: &WorkloadSpec, client: usize) -> ProtocolResult<Conn> {
+        if let Some(meta) = &self.meta {
+            return Ok(Conn::Meta(Arc::clone(meta)));
+        }
+        let addr = &self.addrs[client % self.addrs.len()];
+        match spec.arrival {
+            Arrival::Closed { .. } => NinfClient::connect_with(addr, spec.options),
+            Arrival::Open { .. } => {
+                NinfClient::connect_pooled(addr, spec.options, Arc::clone(&self.pool))
+            }
+        }
+        .map(|c| Conn::Client(Box::new(c)))
+    }
 }
 
 /// An in-process task-parallel `ninfd` on an ephemeral loopback port,
@@ -82,20 +97,12 @@ pub fn spawn_server(
 }
 
 pub(crate) fn materialize(target: &Target, spec: &WorkloadSpec) -> ProtocolResult<LiveTarget> {
-    match target {
-        Target::External(addr) => Ok(LiveTarget {
-            spawned: Vec::new(),
-            addrs: vec![addr.clone()],
-            backend: Backend::Direct(vec![addr.clone()]),
-        }),
+    let (spawned, addrs, meta) = match target {
+        Target::External(addr) => (Vec::new(), vec![addr.clone()], None),
         Target::Spawn { pes, policy } => {
             let server = spawn_server(*pes, *policy, DEFAULT_ARG_CACHE_BYTES)?;
             let addr = server.addr().to_string();
-            Ok(LiveTarget {
-                spawned: vec![server],
-                addrs: vec![addr.clone()],
-                backend: Backend::Direct(vec![addr]),
-            })
+            (vec![server], vec![addr], None)
         }
         Target::SpawnFleet { servers, pes } => {
             let mut dir = Directory::new();
@@ -119,18 +126,20 @@ pub(crate) fn materialize(target: &Target, spec: &WorkloadSpec) -> ProtocolResul
                 spec.options,
                 Some(Duration::from_secs(1)),
             );
-            Ok(LiveTarget {
-                spawned,
-                addrs,
-                backend: Backend::Meta(Arc::new(meta)),
-            })
+            (spawned, addrs, Some(Arc::new(meta)))
         }
-    }
+    };
+    Ok(LiveTarget {
+        spawned,
+        addrs,
+        meta,
+        pool: Arc::default(),
+    })
 }
 
 /// Pre-generated call inputs, shared read-only across the fleet so argument
 /// generation never sits on the measured path.
-pub(crate) struct Inputs {
+pub struct Inputs {
     /// `n → (A, b)` for every distinct Linpack order in the mix.
     linpack: HashMap<usize, (Vec<f64>, Vec<f64>)>,
     /// `n → (masses, pos)` for every distinct N-body size in the mix. The
@@ -143,7 +152,9 @@ pub(crate) struct Inputs {
 }
 
 impl Inputs {
-    pub(crate) fn prepare(spec: &WorkloadSpec, seed: u64) -> Self {
+    /// The arrays every routine in `spec`'s mix needs, generated under
+    /// `seed`.
+    pub fn prepare(spec: &WorkloadSpec, seed: u64) -> Self {
         let mut linpack = HashMap::new();
         let mut nbody = HashMap::new();
         for entry in &spec.mix {
@@ -186,7 +197,7 @@ impl Inputs {
     /// Arguments of call number `seq` from `client`; the indices feed the
     /// per-iteration scalars (N-body's `step`) and, under `unique_args`,
     /// the array salt — never the array shapes.
-    fn args(&self, routine: Routine, client: usize, seq: usize) -> Vec<Value> {
+    pub fn args(&self, routine: Routine, client: usize, seq: usize) -> Vec<Value> {
         match routine {
             Routine::Linpack { n } => {
                 let (a, b) = &self.linpack[&n];
@@ -212,7 +223,7 @@ impl Inputs {
 
 /// The outcome class of a failed call: refused by the server, out of
 /// time, or lost in transport.
-pub fn classify(err: &ProtocolError) -> Outcome {
+fn classify(err: &ProtocolError) -> Outcome {
     match err {
         ProtocolError::Remote(_) => Outcome::Remote,
         ProtocolError::Timeout { .. } => Outcome::Timeout,
@@ -231,189 +242,193 @@ pub(crate) fn sleep_until(epoch: Instant, offset: f64) {
     }
 }
 
-/// One client thread's whole life: issue every scheduled call, measure each.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn drive_client(
-    spec: &WorkloadSpec,
-    backend: &Backend,
-    inputs: &Inputs,
-    epoch: Instant,
-    seed: u64,
-    client: usize,
-    clients: usize,
-) -> Vec<CallResult> {
-    let schedule = spec.arrival_schedule(seed, client, clients);
-    let planned = spec.planned_calls(seed, client, clients);
-    let mut results = Vec::with_capacity(planned);
+/// Calls one client may have in flight under open-loop arrivals, each on
+/// a thread of its own.
+pub const OPEN_INFLIGHT_CAP: usize = 8;
 
-    // Direct backends hold one long-lived connection per client, like the
-    // paper's clients; the reliability policy re-dials inside the call.
-    let mut direct = match backend {
-        Backend::Direct(addrs) => {
-            let addr = &addrs[client % addrs.len()];
-            match NinfClient::connect_with(addr, spec.options) {
-                Ok(c) => Some(c),
-                Err(_) => {
-                    // Server unreachable at start: every planned call is a
-                    // transport failure, not a silent no-show.
-                    for seq in 0..planned {
-                        let routine = spec.pick_routine(seed, client, seq);
-                        let t = epoch.elapsed().as_secs_f64();
-                        results.push(CallResult {
-                            client,
-                            seq,
-                            routine: routine.name(),
-                            n: routine.scalar(),
-                            scheduled: t,
-                            t_submit: t,
-                            t_complete: t,
-                            timing: CallTiming {
-                                attempts: 1,
-                                ..CallTiming::default()
-                            },
-                            outcome: Outcome::Transport,
-                            flops: routine.flops(),
-                            trace_id: 0,
-                        });
-                    }
-                    return results;
-                }
-            }
-        }
-        Backend::Meta(_) => None,
-    };
-
-    let (start, _end) = spec.phases.window(client, clients);
-    match spec.arrival {
-        Arrival::Closed { think } => {
-            sleep_until(epoch, start);
-            for seq in 0..spec.calls_per_client {
-                let scheduled = epoch.elapsed().as_secs_f64();
-                results.push(issue(
-                    spec,
-                    backend,
-                    &mut direct,
-                    inputs,
-                    epoch,
-                    seed,
-                    client,
-                    seq,
-                    scheduled,
-                ));
-                if think > Duration::ZERO && seq + 1 < spec.calls_per_client {
-                    std::thread::sleep(think);
-                }
-            }
-        }
-        Arrival::Open { .. } => {
-            for (seq, &offset) in schedule.iter().enumerate() {
-                // Late calls are issued immediately, never skipped: the
-                // offered load is exactly the schedule.
-                sleep_until(epoch, offset);
-                results.push(issue(
-                    spec,
-                    backend,
-                    &mut direct,
-                    inputs,
-                    epoch,
-                    seed,
-                    client,
-                    seq,
-                    offset,
-                ));
-            }
-        }
-    }
-    results
+/// One way to the service: a client of its own, or the shared metaserver.
+pub enum Conn {
+    /// A dialed, pooled or transport-wrapped client.
+    Client(Box<NinfClient>),
+    /// Calls route through an in-process metaserver.
+    Meta(Arc<Metaserver>),
 }
 
-/// Issue and measure one call.
-#[allow(clippy::too_many_arguments)]
-fn issue(
-    spec: &WorkloadSpec,
-    backend: &Backend,
-    direct: &mut Option<NinfClient>,
-    inputs: &Inputs,
-    epoch: Instant,
-    seed: u64,
-    client: usize,
-    seq: usize,
-    scheduled: f64,
-) -> CallResult {
-    let routine = spec.pick_routine(seed, client, seq);
-    let args = inputs.args(routine, client, seq);
-    let t_submit = epoch.elapsed().as_secs_f64();
-    let (timing, outcome, trace_id) = match (backend, direct.as_mut()) {
-        (_, Some(c)) => {
-            let outcome = match c.ninf_call(routine.name(), &args) {
-                Ok(_) => Outcome::Ok,
-                Err(e) => classify(&e),
-            };
-            (
-                c.last_timing().unwrap_or_default(),
-                outcome,
-                c.last_trace_id(),
-            )
-        }
-        (Backend::Meta(meta), _) => {
-            // The metaserver path has no per-segment decomposition; wall
-            // total only.
-            let t0 = Instant::now();
-            let (result, trace_id) = meta.ninf_call_traced(routine.name(), &args, None);
-            let outcome = match result {
-                Ok(_) => Outcome::Ok,
-                Err(e) => classify(&e),
-            };
-            (
-                CallTiming {
+impl Conn {
+    /// Make one call: its reply, client-side timing and trace id.
+    fn call(
+        &mut self,
+        routine: &str,
+        args: &[Value],
+    ) -> (ProtocolResult<Vec<Value>>, CallTiming, u64) {
+        match self {
+            Conn::Client(c) => {
+                let reply = c.ninf_call(routine, args);
+                (
+                    reply,
+                    c.last_timing().unwrap_or_default(),
+                    c.last_trace_id(),
+                )
+            }
+            Conn::Meta(meta) => {
+                // The metaserver path has no per-segment decomposition;
+                // wall total only.
+                let t0 = Instant::now();
+                let (reply, trace_id) = meta.ninf_call_traced(routine, args, None);
+                let timing = CallTiming {
                     total: t0.elapsed().as_secs_f64(),
                     attempts: 1,
                     ..CallTiming::default()
-                },
-                outcome,
-                trace_id,
-            )
-        }
-        (Backend::Direct(_), None) => unreachable!("direct backend always has a client"),
-    };
-    let t_complete = epoch.elapsed().as_secs_f64();
-    CallResult {
-        client,
-        seq,
-        routine: routine.name(),
-        n: routine.scalar(),
-        scheduled,
-        t_submit,
-        t_complete,
-        timing,
-        outcome,
-        flops: routine.flops(),
-        trace_id,
-    }
-}
-
-/// Options for the harness's own measurement connections — stats queries
-/// and window polls: a deadline and nothing else. The tester stays fixed
-/// while the service changes, so a measurement connection never takes the
-/// workload's options: it neither joins the workload's emulated link (a
-/// lane of its own, and its loss draws) nor waits out its deadline.
-pub fn monitor_options() -> CallOptions {
-    CallOptions::with_deadline(Duration::from_secs(2))
-}
-
-/// Fetch §4.1 timelines from every queryable server after the run.
-pub(crate) fn collect_server_view(addrs: &[String]) -> Option<ServerView> {
-    let mut records: Vec<CallStat> = Vec::new();
-    let mut any = false;
-    for addr in addrs {
-        if let Ok(mut c) = NinfClient::connect_with(addr, monitor_options()) {
-            if let Ok((_now, _total, recs)) = c.query_stats(0) {
-                records.extend(recs);
-                any = true;
+                };
+                (reply, timing, trace_id)
             }
         }
     }
-    any.then(|| ServerView::from_stats(&records))
+}
+
+/// Sees each call's record, arguments and reply (`None` on error) on the
+/// issuing thread, before that connection makes its next call.
+pub type Observer<'a> = &'a (dyn Fn(&CallResult, &[Value], Option<&[Value]>) + Sync);
+
+/// An observer that watches nothing.
+pub(crate) fn ignore_replies(_: &CallResult, _: &[Value], _: Option<&[Value]>) {}
+
+/// What every client thread of one run shares.
+pub struct Fleet<'a> {
+    /// The workload.
+    pub spec: &'a WorkloadSpec,
+    /// Its arguments.
+    pub inputs: &'a Inputs,
+    /// Opens a connection for client `i`: once for a closed loop, once per
+    /// open-loop slot. A call whose dial fails fails with the dial's error,
+    /// and the next call dials again.
+    pub dial: &'a (dyn Fn(usize) -> ProtocolResult<Conn> + Sync),
+    /// Watches every reply.
+    pub observe: Observer<'a>,
+    /// Time zero of the schedules and of every record.
+    pub epoch: Instant,
+    /// Seed of the schedules and the routine picks.
+    pub seed: u64,
+    /// Clients in the fleet.
+    pub clients: usize,
+}
+
+impl Fleet<'_> {
+    /// Run every client on a thread of its own; the calls, sorted by
+    /// client, then sequence.
+    pub fn run(&self) -> Vec<CallResult> {
+        let mut calls: Vec<CallResult> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..self.clients)
+                .map(|client| s.spawn(move || drive_client(self, client)))
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("client thread panicked"))
+                .collect()
+        });
+        calls.sort_by_key(|c| (c.client, c.seq));
+        calls
+    }
+
+    /// Issue and measure call `seq` of `client` over `conn`, dialing first
+    /// if there is none; a failed dial fails the call with the dial's error. `due` is the call's arrival time under an open
+    /// loop; a closed-loop call is due when it is submitted.
+    fn issue(
+        &self,
+        conn: &mut Option<Conn>,
+        client: usize,
+        seq: usize,
+        due: Option<f64>,
+        capped: bool,
+    ) -> CallResult {
+        let routine = self.spec.pick_routine(self.seed, client, seq);
+        let args = self.inputs.args(routine, client, seq);
+        let dialed = conn.take().map_or_else(|| (self.dial)(client), Ok);
+        let t_submit = self.epoch.elapsed().as_secs_f64();
+        let (reply, timing, trace_id) = match dialed {
+            Ok(c) => conn.insert(c).call(routine.name(), &args),
+            Err(e) => (
+                Err(e),
+                CallTiming {
+                    attempts: 1,
+                    ..CallTiming::default()
+                },
+                0,
+            ),
+        };
+        let result = CallResult {
+            client,
+            seq,
+            routine: routine.name(),
+            n: routine.scalar(),
+            scheduled: due.unwrap_or(t_submit),
+            t_submit,
+            t_complete: self.epoch.elapsed().as_secs_f64(),
+            timing,
+            outcome: reply.as_ref().map_or_else(classify, |_| Outcome::Ok),
+            flops: routine.flops(),
+            trace_id,
+            capped,
+        };
+        (self.observe)(&result, &args, reply.as_deref().ok());
+        result
+    }
+}
+
+/// One client's whole life: issue every call its arrival process asks for,
+/// measure each.
+fn drive_client(fleet: &Fleet, client: usize) -> Vec<CallResult> {
+    let (start, _end) = fleet.spec.phases.window(client, fleet.clients);
+    match fleet.spec.arrival {
+        Arrival::Closed { think } => {
+            let calls = fleet.spec.calls_per_client;
+            let mut conn = None;
+            let mut results = Vec::with_capacity(calls);
+            sleep_until(fleet.epoch, start);
+            for seq in 0..calls {
+                results.push(fleet.issue(&mut conn, client, seq, None, false));
+                if think > Duration::ZERO && seq + 1 < calls {
+                    std::thread::sleep(think);
+                }
+            }
+            results
+        }
+        Arrival::Open { .. } => {
+            // Each due call goes out at its time on a thread of its own,
+            // whatever is still in flight, up to the cap. A call due with
+            // every slot busy waits for one and says so: past that point
+            // the tester, not the service, holds the load back.
+            let schedule = fleet
+                .spec
+                .arrival_schedule(fleet.seed, client, fleet.clients);
+            let idle = Mutex::new((Vec::<Conn>::new(), 0usize));
+            let freed = Condvar::new();
+            let results = Mutex::new(Vec::with_capacity(schedule.len()));
+            std::thread::scope(|s| {
+                for (seq, &due) in schedule.iter().enumerate() {
+                    sleep_until(fleet.epoch, due);
+                    let mut slots = idle.lock().unwrap_or_else(|e| e.into_inner());
+                    let capped = slots.1 == OPEN_INFLIGHT_CAP;
+                    while slots.1 == OPEN_INFLIGHT_CAP {
+                        slots = freed.wait(slots).unwrap_or_else(|e| e.into_inner());
+                    }
+                    slots.1 += 1;
+                    let mut conn = slots.0.pop();
+                    drop(slots);
+                    let (idle, freed, results) = (&idle, &freed, &results);
+                    s.spawn(move || {
+                        let r = fleet.issue(&mut conn, client, seq, Some(due), capped);
+                        results.lock().unwrap_or_else(|e| e.into_inner()).push(r);
+                        let mut slots = idle.lock().unwrap_or_else(|e| e.into_inner());
+                        slots.0.extend(conn);
+                        slots.1 -= 1;
+                        freed.notify_one();
+                    });
+                }
+            });
+            results.into_inner().unwrap_or_else(|e| e.into_inner())
+        }
+    }
 }
 
 /// Short human description of what the fleet offered.
@@ -448,11 +463,14 @@ fn workload_desc(spec: &WorkloadSpec) -> String {
     }
 }
 
+/// Period of a run's cursor poller.
+const RUN_POLL_PERIOD: Duration = Duration::from_millis(100);
+
 /// Run `scenario` with `clients` concurrent live clients under `seed`.
 ///
 /// Spawns whatever the scenario's [`Target`] asks for, fans out one OS
-/// thread per client, joins them, queries every server's §4.1 stats, shuts
-/// spawned servers down, and aggregates the [`RunReport`].
+/// thread per client, polls every server's §4.1 stats while they run, joins
+/// them, shuts spawned servers down, and aggregates the [`RunReport`].
 pub fn run_scenario(scenario: &Scenario, clients: usize, seed: u64) -> ProtocolResult<RunReport> {
     // The c10k scenario swaps the thread-per-client fleet for the
     // single-threaded open-loop driver: 10 000 OS threads on a small host
@@ -465,20 +483,18 @@ pub fn run_scenario(scenario: &Scenario, clients: usize, seed: u64) -> ProtocolR
     let inputs = Inputs::prepare(spec, seed);
 
     let epoch = Instant::now();
-    let mut calls: Vec<CallResult> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..clients)
-            .map(|client| {
-                let backend = &live.backend;
-                let inputs = &inputs;
-                s.spawn(move || drive_client(spec, backend, inputs, epoch, seed, client, clients))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("client thread panicked"))
-            .collect()
-    });
-    calls.sort_by_key(|c| (c.client, c.seq));
+    let poller = Poller::start(&live.addrs, epoch, RUN_POLL_PERIOD);
+    let calls = Fleet {
+        spec,
+        inputs: &inputs,
+        dial: &|client| live.dial(spec, client),
+        observe: &ignore_replies,
+        epoch,
+        seed,
+        clients,
+    }
+    .run();
+    let server = ServerView::from_polls(&poller.finish());
 
     let wall_secs = {
         let first = calls
@@ -493,7 +509,6 @@ pub fn run_scenario(scenario: &Scenario, clients: usize, seed: u64) -> ProtocolR
         }
     };
 
-    let server = collect_server_view(&live.addrs);
     let schedules: Vec<Vec<f64>> = (0..clients)
         .map(|c| spec.arrival_schedule(seed, c, clients))
         .collect();
@@ -550,7 +565,10 @@ fn run_c10k(scenario: &Scenario, clients: usize, seed: u64) -> ProtocolResult<Ru
         },
         drain,
     };
-    let report = run_open_loop(&config)?;
+    let poller = Poller::start(&live.addrs, Instant::now(), RUN_POLL_PERIOD);
+    let report = run_open_loop(&config);
+    let server_view = ServerView::from_polls(&poller.finish());
+    let report = report?;
 
     let mut calls: Vec<CallResult> = report
         .samples
@@ -572,6 +590,7 @@ fn run_c10k(scenario: &Scenario, clients: usize, seed: u64) -> ProtocolResult<Ru
             outcome: if s.ok { Outcome::Ok } else { Outcome::Remote },
             flops: routine.flops(),
             trace_id: 0,
+            capped: false,
         })
         .collect();
     // Driver-level errors with no sample (dead connections, calls still owed
@@ -594,10 +613,10 @@ fn run_c10k(scenario: &Scenario, clients: usize, seed: u64) -> ProtocolResult<Ru
             outcome: Outcome::Transport,
             flops: routine.flops(),
             trace_id: 0,
+            capped: false,
         });
     }
 
-    let server_view = collect_server_view(&live.addrs);
     for s in live.spawned {
         s.shutdown();
     }

@@ -85,9 +85,11 @@ pub enum Arrival {
         /// Think time between completion and next submission.
         think: Duration,
     },
-    /// Open loop: calls are issued at pre-computed, seeded exponential
-    /// inter-arrival offsets regardless of completions (a client that falls
-    /// behind issues late but never skips).
+    /// Open loop: calls come due at pre-computed, seeded exponential
+    /// inter-arrival offsets, and each goes out when due whatever the
+    /// client still has in flight, up to [`crate::OPEN_INFLIGHT_CAP`]
+    /// calls; one due with every slot busy waits for a slot and is counted
+    /// as `generator_capped`. No call is skipped.
     Open {
         /// Mean arrival rate per client, in calls/second.
         rate_hz: f64,

@@ -1,18 +1,22 @@
 //! Coordinated saturation sweeps: ramp offered load stage by stage across
-//! the client fleet, poll every server's metric windows while the ramp
-//! runs, and join both sides into one clock-skew-corrected timeline with an
-//! automatic saturation-knee estimate.
+//! the client fleet, poll every server while the ramp runs, and join both
+//! sides into one clock-skew-corrected timeline with an automatic
+//! saturation-knee estimate.
 //!
 //! This is the DiPerF shape: instead of hand-picking a client-count grid
 //! and eyeballing where throughput flattens, one controller drives the
 //! open-loop Poisson driver through a deterministic rate ramp (stage `k`
-//! offers `base × (start_mult + k·step_mult)` Hz per client), while a
-//! poller thread per server drains the `QueryMetrics` window ring
-//! incrementally. Each poll brackets the reply between two local
-//! timestamps; the minimum-RTT poll's midpoint fixes the remote window
-//! clock's offset against the sweep epoch, so server-side series land on
-//! the same time axis as client-side call records without assuming
-//! synchronized clocks.
+//! offers `base × (start_mult + k·step_mult)` Hz per client), while the
+//! run's cursor poller ([`crate::poll`]) drains every server's `QueryMetrics`
+//! window ring and §4.1 records. Each client sends a due call at its time
+//! whatever is still in flight, up to [`crate::OPEN_INFLIGHT_CAP`] calls; a call
+//! due with every slot busy waits for one and is counted in the stage's
+//! `generator_capped`, so a stage that offers more than the tester can hold
+//! says so instead of quietly offering less. Each poll brackets the reply
+//! between two local timestamps; the minimum-RTT poll's midpoint fixes the
+//! remote window clock's offset against the sweep epoch, so server-side
+//! series land on the same time axis as client-side call records without
+//! assuming synchronized clocks.
 //!
 //! The knee estimate follows the latency-slope rule: scanning stages in
 //! order, saturation is declared at the first stage whose *latency
@@ -22,15 +26,13 @@
 //! schedules (`schedule_fnv` proves it), so a knee shift between two runs
 //! is a behavior change, never schedule noise.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ninf_client::NinfClient;
 use ninf_protocol::{MetricFrame, MetricKind, ProtocolError, ProtocolResult};
 
-use crate::report::{Outcome, Summary};
-use crate::runner::{drive_client, materialize, monitor_options, sleep_until, Backend, Inputs};
+use crate::poll::{Poller, ServerPolls};
+use crate::report::{CallResult, Outcome, ServerView, Summary};
+use crate::runner::{ignore_replies, materialize, sleep_until, Fleet, Inputs};
 use crate::scenario::Scenario;
 use crate::spec::{fnv1a, schedule_bytes, Arrival, Phases, WorkloadSpec};
 
@@ -85,13 +87,19 @@ pub struct SweepPoint {
     pub offered_hz: f64,
     /// Seconds from sweep epoch when the stage actually started issuing.
     pub t_start: f64,
+    /// Seconds from the stage's start to its last completion, never less
+    /// than the offered window: a saturated stage drains its backlog past
+    /// the window's end.
+    pub span_s: f64,
     /// Calls issued.
     pub calls: usize,
     /// Calls that returned a validated reply.
     pub ok: usize,
     /// Calls that did not.
     pub errors: usize,
-    /// Completed calls per offered second.
+    /// Calls that came due with every slot of their client busy.
+    pub generator_capped: usize,
+    /// Successful calls per second of the stage's span.
     pub throughput_hz: f64,
     /// End-to-end latency of successful calls.
     pub latency: Summary,
@@ -187,6 +195,8 @@ pub struct SweepReport {
     pub knee: Option<KneeEstimate>,
     /// Merged timeline.
     pub timeline: SweepTimeline,
+    /// The §4.1 view of every record the servers kept during the sweep.
+    pub server: Option<ServerView>,
     /// FNV-1a over every stage schedule — same seed ⇒ same fingerprint.
     pub schedule_fnv: u64,
     /// Whole-sweep wall clock, seconds.
@@ -257,73 +267,70 @@ pub fn estimate_knee(points: &[SweepPoint], threshold: f64) -> Option<KneeEstima
     points.last().map(|p| at(p, false))
 }
 
-/// What one poller thread brings home.
-struct PollerOutcome {
-    addr: String,
-    /// `(poll RTT, skew estimate)` of the best poll.
-    best: Option<(f64, f64)>,
-    interval_s: f64,
-    total: u64,
-    dropped: u64,
-    polls: usize,
-    frames: Vec<MetricFrame>,
+/// One stage's curve point from its calls (times on the sweep epoch), for
+/// a stage that began issuing at `t_start`.
+fn stage_point(
+    k: usize,
+    cfg: &SweepConfig,
+    base_rate: f64,
+    offered: usize,
+    t_start: f64,
+    calls: &[CallResult],
+) -> SweepPoint {
+    let last = calls.iter().map(|c| c.t_complete).fold(t_start, f64::max);
+    let span_s = (last - t_start).max(cfg.stage_secs);
+    let mut lats: Vec<f64> = calls
+        .iter()
+        .filter(|c| c.outcome == Outcome::Ok)
+        .map(CallResult::latency)
+        .collect();
+    lats.sort_by(|a, b| a.total_cmp(b));
+    SweepPoint {
+        stage: k,
+        rate_hz_per_client: base_rate * cfg.multiplier(k),
+        offered_hz: offered as f64 / cfg.stage_secs,
+        t_start,
+        span_s,
+        calls: calls.len(),
+        ok: lats.len(),
+        errors: calls.len() - lats.len(),
+        generator_capped: calls.iter().filter(|c| c.capped).count(),
+        throughput_hz: lats.len() as f64 / span_s,
+        latency: Summary::of(lats.iter().copied()),
+        latency_p95_s: exact_percentile(&lats, 95.0),
+    }
 }
 
-/// Poll one server's window ring until `stop`, advancing the cursor to
-/// `total` after every snapshot so each window is fetched exactly once.
-fn poll_windows(
-    addr: String,
-    epoch: Instant,
-    period: Duration,
-    stop: Arc<AtomicBool>,
-) -> PollerOutcome {
-    let mut out = PollerOutcome {
-        addr: addr.clone(),
-        best: None,
+/// A server's window polls as a series: the minimum-RTT poll fixes the
+/// remote clock's offset against the sweep epoch.
+fn remote_series(p: ServerPolls) -> RemoteSeries {
+    let best = p
+        .windows
+        .iter()
+        .min_by(|a, b| (a.t1 - a.t0).total_cmp(&(b.t1 - b.t0)));
+    let mut series = RemoteSeries {
+        source: format!("server@{}", p.addr),
+        clock_skew_s: best.map_or(0.0, |w| (w.t0 + w.t1) / 2.0 - w.snap.now),
         interval_s: 0.0,
         total: 0,
         dropped: 0,
-        polls: 0,
+        polls: p.windows.len(),
         frames: Vec::new(),
     };
-    let mut client = match NinfClient::connect_with(&addr, monitor_options()) {
-        Ok(c) => c,
-        Err(_) => return out,
-    };
-    let mut cursor = 0u64;
-    let mut done = false;
-    while !done {
-        // One final drain after stop, so windows closed near the end of
-        // the last stage still land in the series.
-        done = stop.load(Ordering::Acquire);
-        let t0 = epoch.elapsed().as_secs_f64();
-        let Ok((_process, snap)) = client.query_metrics(cursor) else {
-            break;
-        };
-        let t1 = epoch.elapsed().as_secs_f64();
-        let rtt = t1 - t0;
-        let skew = (t0 + t1) / 2.0 - snap.now;
-        if out.best.is_none_or(|(best_rtt, _)| rtt < best_rtt) {
-            out.best = Some((rtt, skew));
-        }
-        out.polls += 1;
-        out.interval_s = snap.interval;
-        out.total = snap.total;
-        out.dropped = snap.dropped;
-        out.frames.extend(snap.frames);
-        cursor = snap.total;
-        if !done {
-            std::thread::sleep(period);
-        }
+    for w in p.windows {
+        series.interval_s = w.snap.interval;
+        series.total = w.snap.total;
+        series.dropped = w.snap.dropped;
+        series.frames.extend(w.snap.frames);
     }
-    out
+    series
 }
 
 /// Bucket client-side schedules and call records into windows.
 fn client_timeline(
     window_secs: f64,
     schedules: &[(f64, Vec<f64>)],
-    calls: &[crate::report::CallResult],
+    calls: &[CallResult],
 ) -> Vec<ClientWindow> {
     use std::collections::BTreeMap;
     let bucket = |t: f64| (t.max(0.0) / window_secs) as u64;
@@ -356,7 +363,7 @@ fn client_timeline(
         let (win, lats) = map.get_mut(&w).unwrap();
         if c.outcome == Outcome::Ok {
             win.ok += 1;
-            lats.push(c.timing.total);
+            lats.push(c.latency());
         } else {
             win.errors += 1;
         }
@@ -408,32 +415,21 @@ pub fn run_sweep(
     for s in &live.spawned {
         s.metrics().registry().start_window_sampler(cfg.window);
     }
-    let meta = match &live.backend {
-        Backend::Meta(m) => Some(Arc::clone(m)),
-        Backend::Direct(_) => None,
-    };
-    if let Some(m) = &meta {
+    if let Some(m) = &live.meta {
         m.metrics().start_window_sampler(cfg.window);
     }
 
     let epoch = Instant::now();
     let meta_armed_at = -epoch.elapsed().as_secs_f64();
+    let poller = Poller::start(
+        &live.addrs,
+        epoch,
+        cfg.window.max(Duration::from_millis(20)) / 2,
+    );
 
-    // One poller per queryable address, draining windows while the ramp
-    // runs.
-    let stop = Arc::new(AtomicBool::new(false));
-    let period = cfg.window.max(Duration::from_millis(20)) / 2;
-    let pollers: Vec<_> = live
-        .addrs
-        .iter()
-        .map(|addr| {
-            let addr = addr.clone();
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || poll_windows(addr, epoch, period, stop))
-        })
-        .collect();
-
-    // The ramp: stage k offers base × multiplier(k) for stage_secs.
+    // The ramp: stage k offers base × multiplier(k) for stage_secs, on a
+    // schedule that starts when the stage does (a saturated stage drains
+    // past its window, and the next one starts late).
     let mut points = Vec::with_capacity(cfg.stages);
     let mut all_calls = Vec::new();
     let mut all_schedules: Vec<(f64, Vec<f64>)> = Vec::new();
@@ -441,32 +437,24 @@ pub fn run_sweep(
     for k in 0..cfg.stages {
         let sspec = stage_spec(spec, base_rate, cfg, k);
         let sseed = stage_seed(seed, k);
-        let stage_start = k as f64 * cfg.stage_secs;
-        sleep_until(epoch, stage_start);
-        let t_start = epoch.elapsed().as_secs_f64();
-        let stage_epoch = epoch + Duration::from_secs_f64(stage_start);
-
-        let mut calls: Vec<crate::report::CallResult> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..clients)
-                .map(|client| {
-                    let sspec = &sspec;
-                    let backend = &live.backend;
-                    let inputs = &inputs;
-                    s.spawn(move || {
-                        drive_client(sspec, backend, inputs, stage_epoch, sseed, client, clients)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("sweep client thread panicked"))
-                .collect()
-        });
+        sleep_until(epoch, k as f64 * cfg.stage_secs);
+        let stage_epoch = Instant::now();
+        let t_start = (stage_epoch - epoch).as_secs_f64();
+        let mut calls = Fleet {
+            spec: &sspec,
+            inputs: &inputs,
+            dial: &|client| live.dial(&sspec, client),
+            observe: &ignore_replies,
+            epoch: stage_epoch,
+            seed: sseed,
+            clients,
+        }
+        .run();
         // Stage-relative times → sweep-epoch times.
         for c in &mut calls {
-            c.scheduled += stage_start;
-            c.t_submit += stage_start;
-            c.t_complete += stage_start;
+            c.scheduled += t_start;
+            c.t_submit += t_start;
+            c.t_complete += t_start;
         }
 
         let mut offered = 0usize;
@@ -474,50 +462,19 @@ pub fn run_sweep(
             let schedule = sspec.arrival_schedule(sseed, client, clients);
             offered += schedule.len();
             sched_bytes.extend_from_slice(&schedule_bytes(&schedule));
-            all_schedules.push((stage_start, schedule));
+            all_schedules.push((t_start, schedule));
         }
-
-        let ok = calls.iter().filter(|c| c.outcome == Outcome::Ok).count();
-        let mut lats: Vec<f64> = calls
-            .iter()
-            .filter(|c| c.outcome == Outcome::Ok)
-            .map(|c| c.timing.total)
-            .collect();
-        lats.sort_by(|a, b| a.total_cmp(b));
-        points.push(SweepPoint {
-            stage: k,
-            rate_hz_per_client: base_rate * cfg.multiplier(k),
-            offered_hz: offered as f64 / cfg.stage_secs,
-            t_start,
-            calls: calls.len(),
-            ok,
-            errors: calls.len() - ok,
-            throughput_hz: ok as f64 / cfg.stage_secs,
-            latency: Summary::of(lats.iter().copied()),
-            latency_p95_s: exact_percentile(&lats, 95.0),
-        });
+        points.push(stage_point(k, cfg, base_rate, offered, t_start, &calls));
         all_calls.extend(calls);
     }
 
-    // Stop the pollers (each does one final drain first).
-    stop.store(true, Ordering::Release);
-    let mut remotes: Vec<RemoteSeries> = pollers
-        .into_iter()
-        .map(|h| h.join().expect("sweep poller thread panicked"))
-        .map(|o| RemoteSeries {
-            source: format!("server@{}", o.addr),
-            clock_skew_s: o.best.map(|(_, skew)| skew).unwrap_or(0.0),
-            interval_s: o.interval_s,
-            total: o.total,
-            dropped: o.dropped,
-            polls: o.polls,
-            frames: o.frames,
-        })
-        .collect();
+    let polls = poller.finish();
+    let server = ServerView::from_polls(&polls);
+    let mut remotes: Vec<RemoteSeries> = polls.into_iter().map(remote_series).collect();
 
     // The in-process metaserver has no TCP endpoint; drain it directly.
     // Its window clock started `meta_armed_at` before the epoch.
-    if let Some(m) = &meta {
+    if let Some(m) = &live.meta {
         let snap = m.metrics().snapshot_windows(0);
         remotes.push(RemoteSeries {
             source: "metaserver".into(),
@@ -556,6 +513,7 @@ pub fn run_sweep(
         knee: estimate_knee(&points, cfg.knee_threshold),
         points,
         timeline,
+        server,
         schedule_fnv: fnv1a(&sched_bytes),
         wall_secs,
     })
@@ -608,9 +566,11 @@ impl SweepReport {
                             "rate_hz_per_client": p.rate_hz_per_client,
                             "offered_hz": p.offered_hz,
                             "t_start": p.t_start,
+                            "span_s": p.span_s,
                             "calls": p.calls as u64,
                             "ok": p.ok as u64,
                             "errors": p.errors as u64,
+                            "generator_capped": p.generator_capped as u64,
                             "throughput_hz": p.throughput_hz,
                             "latency": {
                                 "mean": p.latency.mean,
@@ -635,6 +595,12 @@ impl SweepReport {
                 }),
                 None => serde_json::Value::Null,
             },
+        );
+        doc.insert(
+            "server".into(),
+            self.server
+                .as_ref()
+                .map_or(serde_json::Value::Null, ServerView::to_json),
         );
         let client: Vec<serde_json::Value> = self
             .timeline
@@ -698,12 +664,12 @@ impl SweepReport {
         let mut f = std::fs::File::create(&curve_path)?;
         writeln!(
             f,
-            "stage,rate_hz_per_client,offered_hz,calls,ok,errors,throughput_hz,latency_mean,latency_p95,latency_max"
+            "stage,rate_hz_per_client,offered_hz,calls,ok,errors,throughput_hz,latency_mean,latency_p95,latency_max,span_s,generator_capped"
         )?;
         for p in &self.points {
             writeln!(
                 f,
-                "{},{:.3},{:.3},{},{},{},{:.3},{:.6},{:.6},{:.6}",
+                "{},{:.3},{:.3},{},{},{},{:.3},{:.6},{:.6},{:.6},{:.3},{}",
                 p.stage,
                 p.rate_hz_per_client,
                 p.offered_hz,
@@ -714,6 +680,8 @@ impl SweepReport {
                 p.latency.mean,
                 p.latency_p95_s,
                 p.latency.max,
+                p.span_s,
+                p.generator_capped,
             )?;
         }
 
@@ -759,7 +727,6 @@ impl SweepReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::CallResult;
     use crate::runner::Target;
     use crate::spec::{MixEntry, Routine};
     use ninf_client::{CallOptions, CallTiming};
@@ -771,9 +738,11 @@ mod tests {
             rate_hz_per_client: offered,
             offered_hz: offered,
             t_start: stage as f64,
+            span_s: 1.0,
             calls: ok.max(1),
             ok,
             errors: ok.max(1) - ok,
+            generator_capped: 0,
             throughput_hz: ok as f64,
             latency: Summary {
                 mean: latency,
@@ -875,7 +844,37 @@ mod tests {
             outcome,
             flops: None,
             trace_id: 0,
+            capped: false,
         }
+    }
+
+    #[test]
+    fn a_stage_that_drains_late_reads_what_it_delivered() {
+        // 10 calls offered over a 1 s stage starting at t = 4, all answered,
+        // the last at 2 s into the stage: a saturated server drained the
+        // backlog at half the offered rate.
+        let cfg = SweepConfig {
+            stage_secs: 1.0,
+            ..SweepConfig::default()
+        };
+        let calls: Vec<CallResult> = (0..10)
+            .map(|i| {
+                let due = 4.0 + 0.1 * i as f64;
+                let done = 4.0 + 0.2 * (i + 1) as f64;
+                timed_call(0, i, due, done - due, Outcome::Ok)
+            })
+            .collect();
+        let p = stage_point(0, &cfg, 10.0, 10, 4.0, &calls);
+        assert!((p.offered_hz - 10.0).abs() < 1e-9);
+        assert!((p.span_s - 2.0).abs() < 1e-9, "{}", p.span_s);
+        assert!((p.throughput_hz - 5.0).abs() < 1e-9, "{}", p.throughput_hz);
+        // An unsaturated stage is measured over its whole window.
+        let quick: Vec<CallResult> = (0..10)
+            .map(|i| timed_call(0, i, 4.0 + 0.05 * i as f64, 0.01, Outcome::Ok))
+            .collect();
+        let p = stage_point(0, &cfg, 10.0, 10, 4.0, &quick);
+        assert!((p.span_s - 1.0).abs() < 1e-9);
+        assert!((p.throughput_hz - 10.0).abs() < 1e-9);
     }
 
     #[test]

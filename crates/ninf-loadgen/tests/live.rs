@@ -6,7 +6,7 @@ use std::time::Duration;
 use ninf_client::CallOptions;
 use ninf_loadgen::{
     run_scenario, scenario, Arrival, MixEntry, Outcome, Phases, Routine, Scenario, Target,
-    WorkloadSpec,
+    WorkloadSpec, OPEN_INFLIGHT_CAP,
 };
 use ninf_protocol::LinkShape;
 use ninf_server::SchedPolicy;
@@ -139,6 +139,79 @@ fn open_loop_run_is_schedule_faithful_and_seed_reproducible() {
     // Different seed → different offered load.
     let c = run_scenario(&sc, 2, 43).unwrap();
     assert_ne!(a.schedule_fnv, c.schedule_fnv);
+}
+
+/// One EP client against a 1-PE server under `arrival`.
+fn one_pe_ep(arrival: Arrival, phases: Phases, calls_per_client: usize) -> Scenario {
+    Scenario {
+        name: "test-overload",
+        about: "test",
+        spec: WorkloadSpec {
+            mix: vec![MixEntry {
+                routine: Routine::Ep { m: 12 },
+                weight: 1,
+            }],
+            arrival,
+            phases,
+            calls_per_client,
+            unique_args: false,
+            options: CallOptions {
+                deadline: Some(Duration::from_secs(30)),
+                ..CallOptions::default()
+            },
+        },
+        target: Target::Spawn {
+            pes: 1,
+            policy: SchedPolicy::Fcfs,
+        },
+    }
+}
+
+#[test]
+fn one_open_loop_client_offers_past_a_servers_capacity() {
+    // The server's capacity: one PE over the shortest service time of a
+    // few closed-loop calls (a slower host later only overloads it more).
+    let closed = one_pe_ep(
+        Arrival::Closed {
+            think: Duration::ZERO,
+        },
+        Phases::none(),
+        4,
+    );
+    let service = run_scenario(&closed, 1, 1)
+        .unwrap()
+        .server
+        .unwrap()
+        .service
+        .mean;
+    assert!(service > 0.0);
+    // Offer three times that from one client, about 40 calls' worth: the
+    // arrivals outrun the PE, so calls pile up in the server until the
+    // client's slots are all busy.
+    let rate_hz = 3.0 / service;
+    let open = one_pe_ep(
+        Arrival::Open { rate_hz },
+        Phases {
+            ramp_up: 0.0,
+            steady: 40.0 / rate_hz,
+            ramp_down: 0.0,
+        },
+        0,
+    );
+    let report = run_scenario(&open, 1, 1997).unwrap();
+    assert_eq!(report.fleet.errors(), 0);
+    let server = report.server.expect("stats polled");
+    assert_eq!(server.records, report.calls.len());
+    assert!(
+        server.held_max > 1,
+        "one client's open loop never had two calls in the server"
+    );
+    assert!(server.held_max <= OPEN_INFLIGHT_CAP, "{}", server.held_max);
+    assert!(report.fleet.generator_capped > 0, "the cap never bound");
+    // A capped call's latency counts its wait for a slot.
+    for c in report.calls.iter().filter(|c| c.capped) {
+        assert!(c.latency() >= c.t_complete - c.t_submit);
+    }
 }
 
 #[test]

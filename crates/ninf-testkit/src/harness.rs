@@ -9,22 +9,22 @@
 //! into timeouts vs transport errors) are deliberately excluded, so two
 //! same-seed runs print byte-identical transcripts.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use ninf_client::{NinfClient, Transaction, TxArg};
-use ninf_loadgen::{classify, fnv1a, monitor_options, spawn_server, Outcome, Routine};
+use ninf_exec::{residual_check, Matrix};
+use ninf_loadgen::{fnv1a, spawn_server, CallResult, Conn, Fleet, Inputs, Outcome, Poller};
 use ninf_metaserver::{Balancing, Directory, Metaserver, ServerEntry};
 use ninf_obs::recorder;
-use ninf_protocol::{link_schedule, LinkTransport, ProtocolResult, Value};
+use ninf_protocol::{link_schedule, LinkHistory, LinkTransport, ProtocolResult, Value};
 use ninf_reactor::MuxStream;
 use ninf_server::SchedPolicy;
 
 use crate::invariants::{
     bulk_isolation, conservation, corruption_rejected, exactly_once, monotone_cursors,
     quarantine_legal, traces_connected, tx_exactly_once, window_cursors, BulkRecord, CallRecord,
-    Check, StatsPoll, WindowPoll,
+    Check,
 };
 use crate::spec::{fraction, ChaosSpec};
 
@@ -36,6 +36,13 @@ const NESTING_SLACK_US: u64 = 10_000;
 /// enough that a run closes several windows for the cursor invariant to
 /// chew on, long enough not to perturb the run.
 const WINDOW_INTERVAL: Duration = Duration::from_millis(25);
+
+/// How often the harness polls its servers' cursors while the run is live.
+const POLL_PERIOD: Duration = Duration::from_millis(15);
+
+/// Largest normalized Linpack residual ([`residual_check`]) of a reply that
+/// solves the system its call shipped: a correct solve reads a few units.
+const EXACT_RESIDUAL: f64 = 100.0;
 
 /// Deliberate defects the harness can plant in its own accounting, used to
 /// prove the invariant checkers actually bite (`ninf-chaos --violate-*`).
@@ -83,295 +90,32 @@ impl ChaosRun {
 /// trace snapshots (and wall-clock determinism).
 static GATE: Mutex<()> = Mutex::new(());
 
-/// Call arguments for call `seq` of a routine. Linpack gets an identity
-/// system so the solve is well-conditioned without hauling a matrix
-/// generator in here; N-body regenerates its deterministic particle set, so
-/// every call of a given size carries byte-identical arrays (the argument
-/// cache's repeat-input case) while `seq` drives the probe step.
-fn args_for(routine: Routine, seq: usize) -> Vec<Value> {
-    match routine {
-        Routine::Ep { m } => vec![Value::Int(m)],
-        Routine::Linpack { n } => {
-            let mut a = vec![0.0f64; n * n];
-            for i in 0..n {
-                a[i * n + i] = 1.0;
-            }
-            vec![
-                Value::Int(n as i32),
-                Value::DoubleArray(a),
-                Value::DoubleArray(vec![1.0; n]),
-            ]
-        }
-        Routine::Nbody { n } => {
-            let (masses, pos) = ninf_exec::nbody_particles(n);
-            vec![
-                Value::Int(n as i32),
-                Value::Int(seq as i32),
-                Value::DoubleArray(masses),
-                Value::DoubleArray(pos),
-            ]
-        }
-    }
-}
-
-/// Arguments of call `seq` from `client`, salted under `unique_args` the
-/// same way the load generator salts (`+= 1 + client·1_000_003 + seq` on
-/// every array's last element) so no two calls ship the same digest and
-/// every call re-runs the whole chunk upload.
-fn salted_args(spec: &ChaosSpec, routine: Routine, client: usize, seq: usize) -> Vec<Value> {
-    let mut args = args_for(routine, seq);
-    if spec.workload.unique_args {
-        let salt = 1.0 + (client as f64) * 1_000_003.0 + seq as f64;
-        for v in &mut args {
-            if let Value::DoubleArray(a) = v {
-                if let Some(last) = a.last_mut() {
-                    *last += salt;
-                }
-            }
-        }
-    }
-    args
-}
-
-/// Whether a Linpack reply matches the solution predicted from the exact
-/// bytes shipped. The harness solves `A x = b` with `A` an identity whose
-/// last diagonal entry carries the same salt as `b`'s last element, so the
-/// exact answer is all-ones *regardless of the salt* — but only when the
-/// server factored precisely the salted matrix this call uploaded. A stale,
-/// foreign, or partially-reassembled image yields `x[n-1] ≠ 1`.
-fn solution_is_exact(out: &[Value]) -> bool {
-    let Some(Value::DoubleArray(x)) = out.first() else {
+/// Whether a Linpack reply solves exactly the system its call shipped:
+/// the salted matrix and right-hand side in `args`. A stale, foreign, or
+/// partially reassembled image is a different system, and its solution
+/// leaves a residual against the shipped one far above rounding.
+fn solves_shipped(args: &[Value], out: &[Value]) -> bool {
+    let (
+        [Value::Int(n), Value::DoubleArray(a), Value::DoubleArray(b)],
+        Some(Value::DoubleArray(x)),
+    ) = (args, out.first())
+    else {
         return false;
     };
-    !x.is_empty() && x.iter().all(|v| (v - 1.0).abs() <= 1e-9)
+    let n = *n as usize;
+    x.len() == n
+        && a.len() == n * n
+        && residual_check(&Matrix::from_col_major(n, n, a.clone()), x, b) <= EXACT_RESIDUAL
 }
 
-/// One bulk-path client leg: a dialed, WAN-shaped client whose large
-/// arguments pre-ship as chunks over one windowed lane. The link's seeded
-/// loss schedule supplies the faults (bursts land mid-transfer), so the
-/// scenario's `faults` link does not wrap this leg; alongside the call
-/// ledger it records per-call [`BulkRecord`]s for the [`bulk_isolation`]
-/// invariant.
-fn drive_bulk_client(
-    spec: &ChaosSpec,
-    addr: &str,
-    seed: u64,
-    client: usize,
-) -> (Vec<CallRecord>, Vec<u64>, Vec<BulkRecord>) {
-    let planned = spec.workload.planned_calls(seed, client, spec.clients);
-    let mut records = Vec::with_capacity(planned);
-    let mut bulk = Vec::with_capacity(planned);
-    let mut trace_ids = Vec::new();
-    let mut options = spec.workload.options;
-    options.wan = spec.link_shape(seed);
-    let mut c = match NinfClient::connect_with(addr, options) {
-        Ok(c) => c,
-        Err(_) => {
-            for seq in 0..planned {
-                records.push(CallRecord {
-                    client,
-                    seq,
-                    outcome: Outcome::Transport,
-                    tainted: false,
-                });
-            }
-            return (records, trace_ids, bulk);
-        }
-    };
-    // Per-client digest memory, cleared so every run's upload starts cold.
-    let cache_key = format!("{addr}#chaos-client{client}");
-    ninf_client::argmem::forget_destination(&cache_key);
-    c.set_cache_key(Some(cache_key));
-    for seq in 0..planned {
-        let routine = spec.workload.pick_routine(seed, client, seq);
-        let args = salted_args(spec, routine, client, seq);
-        let image_bytes: u64 = args
-            .iter()
-            .filter(|v| ninf_protocol::cacheable(v))
-            .map(|v| ninf_protocol::value_image(v).len())
-            .filter(|len| *len >= ninf_protocol::CHUNK_THRESHOLD)
-            .map(|len| len as u64)
-            .sum();
-        let result = c.ninf_call(routine.name(), &args);
-        let timing = c.last_timing().unwrap_or_default();
-        let (outcome, result_exact) = match result {
-            Ok(out) => {
-                trace_ids.push(c.last_trace_id());
-                (Outcome::Ok, solution_is_exact(&out))
-            }
-            Err(e) => (classify(&e), true),
-        };
-        records.push(CallRecord {
-            client,
-            seq,
-            outcome,
-            tainted: false,
-        });
-        bulk.push(BulkRecord {
-            client,
-            seq,
-            image_bytes,
-            bulk_bytes: timing.bulk_bytes as u64,
-            retransmits: timing.bulk_retransmits,
-            outcome,
-            result_exact,
-        });
-    }
-    (records, trace_ids, bulk)
-}
-
-/// One client leg: wrap a multiplexed stream's handle in the seeded fault
-/// injector and issue every planned call, recording typed outcomes, the
-/// trace ids of every successful call, and whether the stream had been
-/// corrupted (truncate/garble) by the time each call returned. With
-/// checksummed framing an `Ok` means the peer decoded genuine bytes, so
-/// trace attribution is claimed unconditionally — and any `Ok` after a
-/// corrupting fault is itself an invariant violation. Each client owns its
-/// own [`MuxStream`], so a corrupting fault poisons exactly that client's
-/// stream: a dropped send surfaces as a deadline timeout, and a truncated
-/// or garbled frame makes the server kill the connection, failing the
-/// calls in flight on it as retryable transport errors.
-fn drive_client(
-    spec: &ChaosSpec,
-    addr: &str,
-    seed: u64,
-    client: usize,
-) -> (Vec<CallRecord>, Vec<u64>, Vec<BulkRecord>) {
-    // Bulk scenarios trade the fault injector for link shaping and keep a
-    // per-call upload ledger on the side.
-    if spec.bulk_leg() {
-        return drive_bulk_client(spec, addr, seed, client);
-    }
-    let planned = spec.workload.planned_calls(seed, client, spec.clients);
-    let mut records = Vec::with_capacity(planned);
-    let mut trace_ids = Vec::new();
-    let plan = spec.client_faults(seed, client);
-    // The stream must outlive the client: dropping a MuxStream poisons it.
-    let stream = match MuxStream::connect(addr, spec.workload.options.deadline, 64) {
-        Ok(s) => s,
-        Err(_) => {
-            for seq in 0..planned {
-                records.push(CallRecord {
-                    client,
-                    seq,
-                    outcome: Outcome::Transport,
-                    tainted: false,
-                });
-            }
-            return (records, trace_ids, Vec::new());
-        }
-    };
-    let faulty = LinkTransport::private(stream.handle(), plan);
-    let fault_log = faulty.history();
-    let mut c = NinfClient::from_transport(Box::new(faulty));
-    // Arm the argument cache with a per-(server, client) digest memory,
-    // cleared first so every run starts cold: the refill leg then follows
-    // the seeded fault schedule, not what an earlier run left behind.
-    let cache_key = format!("{addr}#chaos-client{client}");
-    ninf_client::argmem::forget_destination(&cache_key);
-    c.set_cache_key(Some(cache_key));
-    if c.set_options(spec.workload.options).is_err() {
-        for seq in 0..planned {
-            records.push(CallRecord {
-                client,
-                seq,
-                outcome: Outcome::Transport,
-                tainted: false,
-            });
-        }
-        return (records, trace_ids, Vec::new());
-    }
-    let mut tainted = false;
-    for seq in 0..planned {
-        let routine = spec.workload.pick_routine(seed, client, seq);
-        let result = c.ninf_call(routine.name(), &args_for(routine, seq));
-        // The fault log now covers every send this call performed, so the
-        // taint flag reflects the stream state at the moment the outcome
-        // was decided. Taint is sticky: the client never reconnects.
-        tainted = tainted || fault_log.corrupts_stream();
-        let outcome = match result {
-            Ok(_) => {
-                // The payload CRC means a decoded reply is a genuine
-                // reply: claim trace attribution for every success, with
-                // no corrupted-stream carve-out.
-                trace_ids.push(c.last_trace_id());
-                Outcome::Ok
-            }
-            Err(e) => classify(&e),
-        };
-        records.push(CallRecord {
-            client,
-            seq,
-            outcome,
-            tainted,
-        });
-    }
-    (records, trace_ids, Vec::new())
-}
-
-/// Stats monitor for one server: poll `QueryStats` with a moving cursor
-/// while the run is live, then drain until the cursor catches the
-/// server's lifetime total (records are appended asynchronously around
-/// reply time, so the drain is bounded, not one-shot).
-fn monitor_stats(addr: &str, stop: &AtomicBool) -> ProtocolResult<Vec<StatsPoll>> {
-    let mut c = NinfClient::connect_with(addr, monitor_options())?;
-    let mut polls = Vec::new();
-    let mut cursor = 0u64;
-    fn poll(
-        c: &mut NinfClient,
-        cursor: &mut u64,
-        polls: &mut Vec<StatsPoll>,
-    ) -> ProtocolResult<u64> {
-        let (now, total, records) = c.query_stats(*cursor)?;
-        *cursor += records.len() as u64;
-        polls.push(StatsPoll {
-            now,
-            total,
-            fetched: records.len(),
-        });
-        Ok(total)
-    }
-    while !stop.load(Ordering::Acquire) {
-        poll(&mut c, &mut cursor, &mut polls)?;
-        std::thread::sleep(Duration::from_millis(15));
-    }
-    // Bounded drain: totals are monotone and the run is over, so catch up.
-    for _ in 0..200 {
-        let total = poll(&mut c, &mut cursor, &mut polls)?;
-        if cursor >= total {
-            return Ok(polls);
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    Ok(polls)
-}
-
-/// Window monitor for one server: poll `QueryMetrics` with a moving cursor
-/// while the run is live, recording exactly which window indices every
-/// poll delivered — the raw material for the [`window_cursors`]
-/// exactly-once invariant. One final poll after stop drains windows the
-/// sampler closed while the last sleep was pending.
-fn monitor_windows(addr: &str, stop: &AtomicBool) -> ProtocolResult<Vec<WindowPoll>> {
-    let mut c = NinfClient::connect_with(addr, monitor_options())?;
-    let mut polls = Vec::new();
-    let mut cursor = 0u64;
-    let poll = |c: &mut NinfClient, cursor: &mut u64, polls: &mut Vec<WindowPoll>| {
-        let (_process, snap) = c.query_metrics(*cursor)?;
-        polls.push(WindowPoll {
-            now: snap.now,
-            total: snap.total,
-            dropped: snap.dropped,
-            windows: snap.frames.iter().map(|f| f.window).collect(),
-        });
-        *cursor = snap.total;
-        ProtocolResult::Ok(())
-    };
-    while !stop.load(Ordering::Acquire) {
-        poll(&mut c, &mut cursor, &mut polls)?;
-        std::thread::sleep(Duration::from_millis(15));
-    }
-    poll(&mut c, &mut cursor, &mut polls)?;
-    Ok(polls)
+/// XDR image bytes of the arguments large enough to ship as chunks.
+fn chunked_image_bytes(args: &[Value]) -> u64 {
+    args.iter()
+        .filter(|v| ninf_protocol::cacheable(v))
+        .map(|v| ninf_protocol::value_image(v).len())
+        .filter(|len| *len >= ninf_protocol::CHUNK_THRESHOLD)
+        .map(|len| len as u64)
+        .sum()
 }
 
 /// The metaserver transaction leg: `tx_calls` independent calls routed
@@ -441,68 +185,113 @@ pub fn run_chaos(spec: &ChaosSpec, seed: u64, inject: Inject) -> ProtocolResult<
     }
     let addrs: Vec<String> = servers.iter().map(|s| s.addr().to_string()).collect();
 
-    let stop = AtomicBool::new(false);
-    let (mut records, trace_ids, bulk_records, tx_outcome, stats_results, window_results) =
-        std::thread::scope(|scope| {
-            let stop_ref = &stop;
-            let monitors: Vec<_> = addrs
-                .iter()
-                .map(|addr| scope.spawn(move || monitor_stats(addr, stop_ref)))
-                .collect();
-            let window_monitors: Vec<_> = addrs
-                .iter()
-                .map(|addr| scope.spawn(move || monitor_windows(addr, stop_ref)))
-                .collect();
-            let clients: Vec<_> = (0..spec.clients)
-                .map(|client| {
-                    let addr = &addrs[client % addrs.len()];
-                    scope.spawn(move || drive_client(spec, addr, seed, client))
-                })
-                .collect();
-            let mut records = Vec::new();
-            let mut trace_ids = Vec::new();
-            let mut bulk_records = Vec::new();
-            for handle in clients {
-                let (r, t, b) = handle.join().expect("client thread");
-                records.extend(r);
-                trace_ids.extend(t);
-                bulk_records.extend(b);
-            }
-            // The transaction leg runs while monitors still poll, so its
-            // calls land inside the monitored cursor stream too.
-            let tx_outcome = (spec.tx_calls > 0).then(|| drive_transaction(spec, &addrs));
-            stop.store(true, Ordering::Release);
-            let mut stats_results = Vec::new();
-            for m in monitors {
-                stats_results.push(m.join().expect("monitor thread"));
-            }
-            let mut window_results = Vec::new();
-            for m in window_monitors {
-                window_results.push(m.join().expect("window monitor thread"));
-            }
-            (
-                records,
-                trace_ids,
-                bulk_records,
-                tx_outcome,
-                stats_results,
-                window_results,
-            )
+    let inputs = Inputs::prepare(&spec.workload, seed);
+    // Per client, the fault log of its wrapped transport and the stream
+    // under it, which must outlive the client: dropping a MuxStream
+    // poisons it.
+    let links: Vec<Mutex<Option<(LinkHistory, MuxStream)>>> =
+        (0..spec.clients).map(|_| Mutex::default()).collect();
+    // Each client issues every call over the one connection it dials and
+    // never reconnects (only a failed dial is tried again). Bulk scenarios dial a WAN-shaped client whose large
+    // arguments pre-ship as chunks over one windowed lane, and the link's
+    // seeded loss schedule supplies the faults (bursts land mid-transfer).
+    // Every other client sends through its own multiplexed stream wrapped
+    // in the seeded fault injector, so a corrupting fault poisons exactly
+    // that client's stream: a dropped send surfaces as a deadline timeout,
+    // and a truncated or garbled frame makes the server kill the
+    // connection, failing the calls in flight on it as retryable transport
+    // errors.
+    let dial = |client: usize| -> ProtocolResult<Conn> {
+        let addr = &addrs[client % addrs.len()];
+        let mut c = if spec.bulk_leg() {
+            let mut options = spec.workload.options;
+            options.wan = spec.link_shape(seed);
+            NinfClient::connect_with(addr, options)?
+        } else {
+            let stream = MuxStream::connect(addr, spec.workload.options.deadline, 64)?;
+            let faulty = LinkTransport::private(stream.handle(), spec.client_faults(seed, client));
+            let log = faulty.history();
+            let mut c = NinfClient::from_transport(Box::new(faulty));
+            c.set_options(spec.workload.options)?;
+            *links[client].lock().unwrap_or_else(|e| e.into_inner()) = Some((log, stream));
+            c
+        };
+        // A per-(server, client) digest memory, cleared so every run starts
+        // cold: the refill leg then follows the seeded fault schedule, not
+        // what an earlier run left behind.
+        let cache_key = format!("{addr}#chaos-client{client}");
+        ninf_client::argmem::forget_destination(&cache_key);
+        c.set_cache_key(Some(cache_key));
+        Ok(Conn::Client(Box::new(c)))
+    };
+    let ledger = Mutex::new(Vec::new());
+    let observe = |r: &CallResult, args: &[Value], reply: Option<&[Value]>| {
+        // The fault log now covers every send this call performed, so the
+        // taint reflects the stream at the moment the outcome was decided;
+        // the log only grows, so taint is sticky.
+        let tainted = links[r.client]
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .as_ref()
+            .is_some_and(|(log, _)| log.corrupts_stream());
+        let call = CallRecord {
+            client: r.client,
+            seq: r.seq,
+            outcome: r.outcome,
+            tainted,
+        };
+        let bulk = spec.bulk_leg().then(|| BulkRecord {
+            client: r.client,
+            seq: r.seq,
+            image_bytes: chunked_image_bytes(args),
+            bulk_bytes: r.timing.bulk_bytes as u64,
+            retransmits: r.timing.bulk_retransmits,
+            outcome: r.outcome,
+            result_exact: reply.is_none_or(|out| solves_shipped(args, out)),
         });
+        ledger
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .push((call, bulk));
+    };
+
+    let epoch = Instant::now();
+    let poller = Poller::start(&addrs, epoch, POLL_PERIOD);
+    let calls = Fleet {
+        spec: &spec.workload,
+        inputs: &inputs,
+        dial: &dial,
+        observe: &observe,
+        epoch,
+        seed,
+        clients: spec.clients,
+    }
+    .run();
+    // The transaction leg runs while the poller still polls, so its calls
+    // land inside the polled cursor streams too.
+    let tx_outcome = (spec.tx_calls > 0).then(|| drive_transaction(spec, &addrs));
+    let mut polls = poller.finish();
     let snapshot = rec.snapshot(0);
     rec.set_enabled(was_enabled);
     for s in servers {
         s.shutdown();
     }
+    if let Some(e) = polls.iter_mut().find_map(|p| p.error.take()) {
+        return Err(e);
+    }
 
-    let mut stats_polls = Vec::with_capacity(stats_results.len());
-    for r in stats_results {
-        stats_polls.push(r?);
-    }
-    let mut window_polls = Vec::with_capacity(window_results.len());
-    for r in window_results {
-        window_polls.push(r?);
-    }
+    // The payload CRC means a decoded reply is a genuine reply: claim trace
+    // attribution for every success, with no corrupted-stream carve-out.
+    let trace_ids: Vec<u64> = calls
+        .iter()
+        .filter(|c| c.outcome == Outcome::Ok)
+        .map(|c| c.trace_id)
+        .collect();
+    let mut ledger = ledger.into_inner().unwrap_or_else(|e| e.into_inner());
+    ledger.sort_by_key(|(call, _)| (call.client, call.seq));
+    let (mut records, bulk_records): (Vec<CallRecord>, Vec<Option<BulkRecord>>) =
+        ledger.into_iter().unzip();
+    let bulk_records: Vec<BulkRecord> = bulk_records.into_iter().flatten().collect();
 
     if inject == Inject::DuplicateCompletion {
         if let Some(first) = records.first().copied() {
@@ -518,8 +307,8 @@ pub fn run_chaos(spec: &ChaosSpec, seed: u64, inject: Inject) -> ProtocolResult<
         conservation(&records, &planned),
         exactly_once(&records, &planned),
         corruption_rejected(&records),
-        monotone_cursors(&stats_polls),
-        window_cursors(&window_polls),
+        monotone_cursors(&polls),
+        window_cursors(&polls),
         traces_connected(&snapshot, &trace_ids, NESTING_SLACK_US),
     ];
     if spec.bulk_leg() {
@@ -611,4 +400,47 @@ fn transcript(spec: &ChaosSpec, seed: u64, planned: &[usize], checks: &[Check]) 
         spec.fingerprint()
     ));
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::spec::chaos;
+
+    /// What a server holding `a` would answer a call shipping `args`.
+    fn solve_with(a: &Value, args: &[Value]) -> Vec<Value> {
+        let ([Value::Int(n), _, Value::DoubleArray(b)], Value::DoubleArray(a)) = (args, a) else {
+            panic!("not a Linpack call");
+        };
+        let n = *n as usize;
+        let mut a = Matrix::from_col_major(n, n, a.clone());
+        let x = ninf_exec::solve(&mut a, &mut b.clone()).expect("non-singular");
+        vec![Value::DoubleArray(x)]
+    }
+
+    #[test]
+    fn exactness_is_judged_against_the_system_the_call_shipped() {
+        let spec = chaos("wan-partition").unwrap();
+        let routine = spec.workload.mix[0].routine;
+        let salted = Inputs::prepare(&spec.workload, 7);
+        let mut plain = spec.workload.clone();
+        plain.unique_args = false;
+        let unsalted = Inputs::prepare(&plain, 7);
+        for client in 0..2 {
+            let shipped = salted.args(routine, client, 1);
+            assert!(solves_shipped(&shipped, &solve_with(&shipped[1], &shipped)));
+            // A stale image in the server's store: the unsalted matrix, or
+            // the neighbouring call's, under this call's right-hand side.
+            let stale = [
+                unsalted.args(routine, client, 1)[1].clone(),
+                salted.args(routine, client, 0)[1].clone(),
+            ];
+            for a in &stale {
+                assert!(!solves_shipped(&shipped, &solve_with(a, &shipped)));
+            }
+        }
+        // A reply that is not a solution at all.
+        let shipped = salted.args(routine, 0, 0);
+        assert!(!solves_shipped(&shipped, &[Value::Int(1)]));
+    }
 }

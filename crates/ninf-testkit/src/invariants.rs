@@ -6,7 +6,7 @@
 //! out; on FAIL the detail names the offending record, which is itself
 //! deterministic for seed-pinned violations.
 
-use ninf_loadgen::Outcome;
+use ninf_loadgen::{Outcome, ServerPolls};
 use ninf_metaserver::{HealthEvent, QUARANTINE_THRESHOLD};
 use ninf_obs::export::{client_server_coverage, validate_nesting};
 use ninf_obs::Span;
@@ -123,24 +123,12 @@ pub fn conservation(records: &[CallRecord], planned: &[usize]) -> Check {
     Check::pass(NAME)
 }
 
-/// One `QueryStats` poll observation: `(server clock, total calls, records
-/// fetched at this cursor position)`.
-#[derive(Debug, Clone, Copy)]
-pub struct StatsPoll {
-    /// Server-reported seconds since start.
-    pub now: f64,
-    /// Server-reported lifetime call total.
-    pub total: u64,
-    /// Records this poll fetched.
-    pub fetched: usize,
-}
-
 /// Monotone cursors: per server, the stats clock and lifetime total never
 /// go backwards across polls, and cursor-driven fetches deliver every
 /// record exactly once (Σ fetched == final total).
-pub fn monotone_cursors(per_server: &[Vec<StatsPoll>]) -> Check {
+pub fn monotone_cursors(per_server: &[ServerPolls]) -> Check {
     const NAME: &str = "monotone-cursors";
-    for (server, polls) in per_server.iter().enumerate() {
+    for (server, polls) in per_server.iter().map(|p| &p.stats).enumerate() {
         let mut fetched = 0u64;
         for (i, w) in polls.windows(2).enumerate() {
             if w[1].now < w[0].now {
@@ -157,7 +145,7 @@ pub fn monotone_cursors(per_server: &[Vec<StatsPoll>]) -> Check {
             }
         }
         for p in polls {
-            fetched += p.fetched as u64;
+            fetched += p.records.len() as u64;
         }
         if let Some(last) = polls.last() {
             if fetched != last.total {
@@ -174,33 +162,19 @@ pub fn monotone_cursors(per_server: &[Vec<StatsPoll>]) -> Check {
     Check::pass(NAME)
 }
 
-/// One `QueryMetrics` poll observation: the reply header plus the window
-/// indices it delivered.
-#[derive(Debug, Clone)]
-pub struct WindowPoll {
-    /// Server-reported seconds since registry arm.
-    pub now: f64,
-    /// Lifetime windows captured (ring head).
-    pub total: u64,
-    /// Windows evicted from the ring before they were fetched.
-    pub dropped: u64,
-    /// `window` indices of the frames this poll returned.
-    pub windows: Vec<u64>,
-}
-
 /// Window-cursor exactly-once: per server, `QueryMetrics` cursor polling
 /// must deliver the window series exactly once even across ring eviction.
 /// The ring clamps a stale cursor up to its base, so poll *k* (with cursor
 /// = poll *k−1*'s `total`, 0 initially) must return exactly the contiguous
 /// indices `max(cursor, dropped)..total` — no gaps, no duplicates, no
 /// reordering — and `now`/`total`/`dropped` must be monotone.
-pub fn window_cursors(per_server: &[Vec<WindowPoll>]) -> Check {
+pub fn window_cursors(per_server: &[ServerPolls]) -> Check {
     const NAME: &str = "window-cursors";
-    for (server, polls) in per_server.iter().enumerate() {
+    for (server, polls) in per_server.iter().map(|p| &p.windows).enumerate() {
         let mut cursor = 0u64;
         let mut prev_now = f64::NEG_INFINITY;
         let mut prev_dropped = 0u64;
-        for (i, p) in polls.iter().enumerate() {
+        for (i, p) in polls.iter().map(|w| &w.snap).enumerate() {
             if p.now < prev_now {
                 return Check::fail(
                     NAME,
@@ -228,14 +202,15 @@ pub fn window_cursors(per_server: &[Vec<WindowPoll>]) -> Check {
                     ),
                 );
             }
+            let windows: Vec<u64> = p.frames.iter().map(|f| f.window).collect();
             let want: Vec<u64> = (cursor.max(p.dropped)..p.total).collect();
-            if p.windows != want {
+            if windows != want {
                 return Check::fail(
                     NAME,
                     format!(
                         "server {server}: poll {i} at cursor {cursor} returned windows \
                          {:?}, want {}..{} (dropped {})",
-                        p.windows,
+                        windows,
                         cursor.max(p.dropped),
                         p.total,
                         p.dropped
@@ -406,8 +381,8 @@ pub struct BulkRecord {
     pub retransmits: u32,
     /// Typed call outcome.
     pub outcome: Outcome,
-    /// Whether a successful call's reply matched the solution predicted
-    /// from the exact bytes shipped (vacuously `true` for failed calls).
+    /// Whether a successful call's reply solves the exact system the call
+    /// shipped, to rounding (vacuously `true` for failed calls).
     pub result_exact: bool,
 }
 
@@ -420,10 +395,10 @@ pub struct BulkRecord {
 ///   falls back to shipping the value inline) and the server's
 ///   reassembly holds partial state out of the arg store, so no fraction
 ///   of an image can ever be claimed as landed.
-/// * **Payload exactness** — every `Ok` call's solution must match the
-///   one predicted from the exact salted bytes shipped; retransmits and
-///   the redial must deliver each chunk's bytes exactly once or
-///   the digest check would have refused the image.
+/// * **Payload exactness** — every `Ok` call's solution must solve the
+///   exact salted system it shipped; retransmits and the redial must
+///   deliver each chunk's bytes exactly once or the digest check would
+///   have refused the image.
 /// * **Loss stays loss** — a shaped link only delays or drops; the sole
 ///   legal failure is a client deadline expiry (`Timeout`). A `Transport`
 ///   or `Remote` outcome would mean an upload failure escaped the upload
@@ -489,6 +464,7 @@ pub fn tx_exactly_once(completions: &[u32]) -> Check {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ninf_loadgen::{StatsPoll, WindowPoll};
 
     fn rec(client: usize, seq: usize, outcome: Outcome) -> CallRecord {
         CallRecord {
@@ -555,90 +531,94 @@ mod tests {
         assert!(!conservation(&short, &planned).pass);
     }
 
+    /// One server's polls: record polls as `(now, total, fetched)`, window
+    /// polls as `(now, total, dropped, indices)`.
+    fn polled(stats: &[(f64, u64, usize)], windows: &[(f64, u64, u64, &[u64])]) -> ServerPolls {
+        let record = ninf_protocol::CallStat {
+            routine: "ep".into(),
+            n: None,
+            request_bytes: 0,
+            reply_bytes: 0,
+            t_submit: 0.0,
+            t_enqueue: 0.0,
+            t_dequeue: 0.0,
+            t_complete: 0.0,
+        };
+        ServerPolls {
+            addr: "unit".into(),
+            stats: stats
+                .iter()
+                .map(|&(now, total, fetched)| StatsPoll {
+                    t0: now,
+                    t1: now,
+                    now,
+                    total,
+                    records: vec![record.clone(); fetched],
+                })
+                .collect(),
+            windows: windows
+                .iter()
+                .map(|&(now, total, dropped, indices)| WindowPoll {
+                    t0: now,
+                    t1: now,
+                    snap: ninf_protocol::WindowsSnapshot {
+                        now,
+                        interval: 0.025,
+                        total,
+                        dropped,
+                        frames: indices
+                            .iter()
+                            .map(|&window| ninf_protocol::MetricFrame {
+                                window,
+                                t: now,
+                                samples: Vec::new(),
+                            })
+                            .collect(),
+                    },
+                })
+                .collect(),
+            error: None,
+        }
+    }
+
     #[test]
     fn cursor_checks() {
-        let ok = vec![vec![
-            StatsPoll {
-                now: 0.1,
-                total: 2,
-                fetched: 2,
-            },
-            StatsPoll {
-                now: 0.2,
-                total: 5,
-                fetched: 3,
-            },
-        ]];
-        assert!(monotone_cursors(&ok).pass);
-        let back = vec![vec![
-            StatsPoll {
-                now: 0.2,
-                total: 5,
-                fetched: 5,
-            },
-            StatsPoll {
-                now: 0.1,
-                total: 5,
-                fetched: 0,
-            },
-        ]];
-        assert!(!monotone_cursors(&back).pass);
-        let lost = vec![vec![
-            StatsPoll {
-                now: 0.1,
-                total: 2,
-                fetched: 1,
-            },
-            StatsPoll {
-                now: 0.2,
-                total: 5,
-                fetched: 3,
-            },
-        ]];
-        let c = monotone_cursors(&lost);
+        let stats = |polls: &[(f64, u64, usize)]| vec![polled(polls, &[])];
+        assert!(monotone_cursors(&stats(&[(0.1, 2, 2), (0.2, 5, 3)])).pass);
+        assert!(!monotone_cursors(&stats(&[(0.2, 5, 5), (0.1, 5, 0)])).pass);
+        let c = monotone_cursors(&stats(&[(0.1, 2, 1), (0.2, 5, 3)]));
         assert!(!c.pass);
         assert!(c.detail.contains("fetched 4"));
     }
 
     #[test]
     fn window_cursor_checks() {
-        let poll = |now: f64, total: u64, dropped: u64, windows: &[u64]| WindowPoll {
-            now,
-            total,
-            dropped,
-            windows: windows.to_vec(),
-        };
+        let series = |polls: &[(f64, u64, u64, &[u64])]| vec![polled(&[], polls)];
         // Plain incremental drain: 0..3 then 3..5.
-        let ok = vec![vec![
-            poll(0.1, 3, 0, &[0, 1, 2]),
-            poll(0.2, 5, 0, &[3, 4]),
-            poll(0.3, 5, 0, &[]),
-        ]];
+        let ok = series(&[
+            (0.1, 3, 0, &[0, 1, 2]),
+            (0.2, 5, 0, &[3, 4]),
+            (0.3, 5, 0, &[]),
+        ]);
         assert!(window_cursors(&ok).pass);
         // Ring eviction between polls: base jumped to 6, so the clamp must
         // surface exactly 6..9 and the dropped counter must own 4..6.
-        let evicted = vec![vec![
-            poll(0.1, 4, 0, &[0, 1, 2, 3]),
-            poll(0.9, 9, 6, &[6, 7, 8]),
-        ]];
+        let evicted = series(&[(0.1, 4, 0, &[0, 1, 2, 3]), (0.9, 9, 6, &[6, 7, 8])]);
         assert!(window_cursors(&evicted).pass);
         // A window delivered twice violates exactly-once.
-        let dup = vec![vec![poll(0.1, 2, 0, &[0, 1]), poll(0.2, 3, 0, &[1, 2])]];
+        let dup = series(&[(0.1, 2, 0, &[0, 1]), (0.2, 3, 0, &[1, 2])]);
         let c = window_cursors(&dup);
         assert!(!c.pass);
         assert!(c.detail.contains("poll 1"), "{}", c.detail);
         // A gap (window 1 never delivered, no eviction to excuse it).
-        let gap = vec![vec![poll(0.1, 1, 0, &[0]), poll(0.2, 3, 0, &[2])]];
+        let gap = series(&[(0.1, 1, 0, &[0]), (0.2, 3, 0, &[2])]);
         assert!(!window_cursors(&gap).pass);
         // Monotonicity of the header fields.
-        let back = vec![vec![poll(0.2, 2, 0, &[0, 1]), poll(0.1, 2, 0, &[])]];
+        let back = series(&[(0.2, 2, 0, &[0, 1]), (0.1, 2, 0, &[])]);
         assert!(!window_cursors(&back).pass);
-        let shrank = vec![vec![
-            poll(0.1, 5, 0, &[0, 1, 2, 3, 4]),
-            poll(0.2, 4, 0, &[]),
-        ]];
+        let shrank = series(&[(0.1, 5, 0, &[0, 1, 2, 3, 4]), (0.2, 4, 0, &[])]);
         assert!(!window_cursors(&shrank).pass);
-        let overdrop = vec![vec![poll(0.1, 2, 3, &[])]];
+        let overdrop = series(&[(0.1, 2, 3, &[])]);
         assert!(!window_cursors(&overdrop).pass);
     }
 

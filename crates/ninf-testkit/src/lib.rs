@@ -59,5 +59,5 @@ pub use differential::{
     live_vs_sim, wan_live_vs_sim, DiffPoint, DiffReport, TOLERANCE, WAN_DIFF_CHUNK_BYTES,
 };
 pub use harness::{run_chaos, ChaosRun, Inject};
-pub use invariants::{BulkRecord, CallRecord, Check, StatsPoll, WindowPoll};
+pub use invariants::{BulkRecord, CallRecord, Check};
 pub use spec::{chaos, chaos_names, ChaosSpec};
