@@ -1,18 +1,21 @@
 //! Windowed, chunked bulk transfer — the client half of the WAN upload
-//! path.
+//! path, and the one way a large argument ships.
 //!
-//! A large argument's XDR image is split into CRC-tagged chunks
-//! ([`ninf_protocol::chunk`]) and shipped over one dedicated multiplexed
-//! connection to the server, which reassembles and lands the value in its
-//! argument store. The upload runs on the caller's thread.
+//! `ride` takes the large arguments of one call — each value whose XDR
+//! image is at least [`ninf_protocol::CHUNK_THRESHOLD`] bytes and which the
+//! destination lacks — splits every image into CRC-tagged chunks
+//! ([`ninf_protocol::chunk`]) and ships them, one image after another,
+//! through one window on one dedicated multiplexed connection to the
+//! server, which reassembles each image and lands it in its argument store.
+//! The transfer runs on the caller's thread.
 //!
-//! The call that names the value rides the same connection
-//! (`upload_carrying`): it is posted directly behind the last chunk's
-//! first send, inside the window, with the value named by content ref. The
-//! server parks a call whose ref names an upload still reassembling and
-//! runs it once the value lands, so a bulk call crosses the link once —
-//! *latency + bytes ÷ bandwidth + compute*, the paper's §3.1 cost — instead
-//! of once for the upload and again for a call sent after the last ack.
+//! The call that names the values rides the same connection: it is posted
+//! directly behind the last chunk's first send, inside the window, naming
+//! every image by content ref. The server parks a call whose ref names an
+//! upload still reassembling and runs it once the value lands, so a bulk
+//! call crosses the link once — *latency + bytes ÷ bandwidth + compute*,
+//! the paper's §3.1 cost — however many images it carries. A refill after
+//! `NeedArg` is the same ride again.
 //!
 //! The connection keeps a **sliding window** of un-acked chunks
 //! ([`ninf_protocol::lane_window`]: the link's bandwidth-delay product in
@@ -34,16 +37,17 @@
 //! connection, so the fresh connection continues where the dead one
 //! stopped; a riding call still owed its reply is posted again behind the
 //! resent chunks. A deadline is not a death and never causes a redial. An
-//! ack that names a chunk its ticket did not carry, or a ticket never
-//! posted, ends the upload with [`ProtocolError::AckMismatch`]. The riding
-//! call has a deadline of its own, the call's: a call whose reply misses
-//! it comes back as a timeout once the upload is done, for the caller's
-//! retry loop.
+//! ack must name the `(digest, seq)` its ticket carried: one that names
+//! another chunk — of its own image or of another — or comes back on a
+//! ticket never posted ends the upload with
+//! [`ProtocolError::AckMismatch`]. The riding call has a deadline of its
+//! own, the call's: a call whose reply misses it comes back as a timeout
+//! once the upload is done, for the caller's retry loop.
 //!
 //! A failed upload is never half-visible: the server holds partial state
-//! out of its store until every chunk lands and the digest verifies, and
-//! the caller ships the value inline instead, whatever became of a riding
-//! call.
+//! out of its store until every chunk of an image lands and its digest
+//! verifies, and the caller ships the values inline instead, whatever
+//! became of the riding call.
 //!
 //! The upload sends in one order, so the link events its sends draw are the
 //! same pure function of `(seed, lane, lanes, op)` whatever the window is.
@@ -71,23 +75,18 @@ pub const DEFAULT_LANE_DEADLINE: Duration = Duration::from_secs(2);
 /// the call connection is lane 0.
 const BULK_LANE: u32 = 1;
 
-/// What one upload did, for timing/throughput accounting.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct UploadReport {
-    /// Chunks the image split into.
-    pub chunks: u32,
+/// What one ride's upload did, for timing/throughput accounting.
+pub(crate) struct UploadReport {
     /// Image bytes shipped (chunk payloads, excluding retransmits).
     pub bytes: u64,
     /// Chunk sends beyond each chunk's first: after a lost chunk or ack,
     /// and after a redial.
     pub retransmits: u32,
-    /// Times the upload tore down a dead connection and redialed.
-    pub redials: u32,
     /// From the first chunk sent to the last chunk acked.
     pub elapsed: Duration,
 }
 
-/// A call that rides an upload's connection (see the module docs).
+/// The call that rides an upload's connection (see the module docs).
 pub(crate) struct Rider<'a> {
     /// Writes the call's frame for the ticket the connection hands it; run
     /// again if the call is posted again on a redialed connection.
@@ -97,8 +96,7 @@ pub(crate) struct Rider<'a> {
     pub deadline: Option<Duration>,
 }
 
-/// What [`upload_carrying`] brings back.
-#[derive(Debug)]
+/// What [`ride`] brings back.
 pub(crate) struct Carried {
     /// The upload, complete.
     pub upload: UploadReport,
@@ -108,7 +106,7 @@ pub(crate) struct Carried {
     pub roundtrip: Duration,
 }
 
-/// Where a riding call is.
+/// Where the riding call is.
 enum Riding {
     /// Not posted on the live connection.
     Waiting,
@@ -123,7 +121,7 @@ enum Riding {
 }
 
 /// Dial the bulk connection with room for `window` open chunks and the
-/// call that may ride behind them: the handle (wrapped in client-side WAN
+/// call that rides behind them: the handle (wrapped in client-side WAN
 /// shaping when a link is named) and the mux stream that must outlive it —
 /// dropping a [`MuxStream`] shuts the socket down. Shaped, it contends for
 /// the destination's shared link as [`BULK_LANE`], with its own
@@ -144,6 +142,14 @@ fn dial_lane(
     Ok((transport, stream))
 }
 
+/// The `(digest, seq)` a chunk carries, which its ack must name.
+fn chunk_name(chunk: &Message) -> (Digest, u32) {
+    match *chunk {
+        Message::PutArgChunk { digest, seq, .. } => (digest, seq),
+        _ => unreachable!("an upload holds only chunks"),
+    }
+}
+
 /// A chunk sent and not yet acked.
 struct Flying {
     chunk: usize,
@@ -154,6 +160,7 @@ struct Flying {
 
 /// One upload's state, apart from the connection it runs over.
 struct Upload<'a, 'r> {
+    /// Every image's chunks, image after image.
     chunks: &'a [Message],
     window: usize,
     deadline: Duration,
@@ -167,21 +174,16 @@ struct Upload<'a, 'r> {
     /// Sends so far, per chunk.
     sends: Vec<u32>,
     retransmits: u32,
-    redials: u32,
-    /// The call riding behind the last chunk, if any, and where it is.
-    rider: Option<(Rider<'r>, Riding)>,
+    /// The call riding behind the last chunk, and where it is.
+    rider: Rider<'r>,
+    riding: Riding,
     /// First chunk send and latest ack.
     started: Option<Instant>,
     last_ack: Option<Instant>,
 }
 
 impl<'a, 'r> Upload<'a, 'r> {
-    fn new(
-        chunks: &'a [Message],
-        window: u32,
-        deadline: Duration,
-        rider: Option<Rider<'r>>,
-    ) -> Self {
+    fn new(chunks: &'a [Message], window: u32, deadline: Duration, rider: Rider<'r>) -> Self {
         Self {
             chunks,
             window: window.max(1) as usize,
@@ -191,8 +193,8 @@ impl<'a, 'r> Upload<'a, 'r> {
             flying: VecDeque::new(),
             sends: vec![0; chunks.len()],
             retransmits: 0,
-            redials: 0,
-            rider: rider.map(|r| (r, Riding::Waiting)),
+            rider,
+            riding: Riding::Waiting,
             started: None,
             last_ack: None,
         }
@@ -226,28 +228,26 @@ impl<'a, 'r> Upload<'a, 'r> {
                 due: Instant::now() + self.deadline,
             });
         }
-        if let (true, Some((rider, state @ Riding::Waiting))) =
-            (self.fresh.is_empty(), self.rider.as_mut())
-        {
+        if self.fresh.is_empty() && matches!(self.riding, Riding::Waiting) {
             let posted = Instant::now();
-            let ticket = conn.post_frame(&mut *rider.encode)?;
-            *state = Riding::Flying {
+            let ticket = conn.post_frame(&mut *self.rider.encode)?;
+            self.riding = Riding::Flying {
                 ticket,
                 posted,
-                due: rider.deadline.map(|d| Instant::now() + d),
+                due: self.rider.deadline.map(|d| Instant::now() + d),
             };
         }
         Ok(())
     }
 
-    /// Run the window over `conn` until every chunk is acked and a riding
+    /// Run the window over `conn` until every chunk is acked and the riding
     /// call is answered or overdue. An error leaves the un-acked chunks in
     /// `flying` and `again`.
     fn run(&mut self, conn: &mut dyn Pipelined) -> ProtocolResult<()> {
         loop {
             self.fill(conn)?;
-            let call = match &self.rider {
-                Some((_, Riding::Flying { ticket, due, .. })) => Some((*ticket, *due)),
+            let call = match self.riding {
+                Riding::Flying { ticket, due, .. } => Some((ticket, due)),
                 _ => None,
             };
             let chunk_due = self.flying.front().map(|f| f.due);
@@ -273,7 +273,7 @@ impl<'a, 'r> Upload<'a, 'r> {
                 // An ack for a ticket already given up on is dropped below
                 // us, so one that gets here must be for a flying send, and
                 // for the chunk that send carried.
-                Ok((ticket, Message::ChunkOk { seq, .. })) => {
+                Ok((ticket, Message::ChunkOk { digest, seq })) => {
                     let Some(at) = self.flying.iter().position(|f| f.ticket == ticket) else {
                         return Err(ProtocolError::AckMismatch {
                             ticket,
@@ -281,11 +281,11 @@ impl<'a, 'r> Upload<'a, 'r> {
                             acked: seq,
                         });
                     };
-                    let sent = self.flying[at].chunk;
-                    if sent != seq as usize {
+                    let sent = chunk_name(&self.chunks[self.flying[at].chunk]);
+                    if sent != (digest, seq) {
                         return Err(ProtocolError::AckMismatch {
                             ticket,
-                            sent: Some(sent as u32),
+                            sent: Some(sent.1),
                             acked: seq,
                         });
                     }
@@ -321,10 +321,8 @@ impl<'a, 'r> Upload<'a, 'r> {
 
     /// The riding call is answered (or overdue): keep the outcome.
     fn settle_call(&mut self, outcome: ProtocolResult<Message>) {
-        if let Some((_, state)) = &mut self.rider {
-            if let Riding::Flying { posted, .. } = *state {
-                *state = Riding::Done(outcome, posted.elapsed());
-            }
+        if let Riding::Flying { posted, .. } = self.riding {
+            self.riding = Riding::Done(outcome, posted.elapsed());
         }
     }
 
@@ -343,12 +341,11 @@ impl<'a, 'r> Upload<'a, 'r> {
                 // else was queued) and post a call still owed its reply
                 // behind them. The server re-acks whatever the dead
                 // connection already landed.
-                self.redials += 1;
                 for f in self.flying.drain(..).rev() {
                     self.again.push_front(f.chunk);
                 }
-                if let Some((_, state @ Riding::Flying { .. })) = &mut self.rider {
-                    *state = Riding::Waiting;
+                if let Riding::Flying { .. } = self.riding {
+                    self.riding = Riding::Waiting;
                 }
                 (conn, _keep) = dial()?;
                 self.run(&mut *conn)
@@ -359,10 +356,8 @@ impl<'a, 'r> Upload<'a, 'r> {
 
     fn report(&self, bytes: usize) -> UploadReport {
         UploadReport {
-            chunks: self.chunks.len() as u32,
             bytes: bytes as u64,
             retransmits: self.retransmits,
-            redials: self.redials,
             elapsed: match (self.started, self.last_ack) {
                 (Some(from), Some(to)) => to.saturating_duration_since(from),
                 _ => Duration::ZERO,
@@ -371,64 +366,39 @@ impl<'a, 'r> Upload<'a, 'r> {
     }
 }
 
-/// Ship `image` under `digest`, with `rider` behind its last chunk.
-fn ship(
+/// Ship `images` — each value's digest and XDR image — through one window
+/// on one lane connection to `addr`, with `call` riding behind the last
+/// chunk's first send (see the module docs). Returns once the server has
+/// reassembled, verified and stored every image under its digest and the
+/// call is answered or overdue. A chunk that exhausts its sends, a
+/// connection that dies twice, or a server that refuses a chunk fails the
+/// ride, whatever became of the call: the caller then ships the values
+/// inline (nothing partial ever escapes), and since the server may still
+/// run a call it had parked, that fallback is an at-least-once retry.
+pub(crate) fn ride(
     addr: &str,
-    digest: Digest,
-    image: &[u8],
-    chunk_bytes: u32,
-    deadline: Option<Duration>,
-    wan: Option<LinkShape>,
-    rider: Option<Rider<'_>>,
-) -> ProtocolResult<(UploadReport, Option<Riding>)> {
-    let chunk_bytes = chunk_bytes.max(1);
-    let chunks = split_chunks(digest, image, chunk_bytes);
-    let window = lane_window(wan.as_ref(), chunk_bytes);
-    let deadline = deadline.unwrap_or(DEFAULT_LANE_DEADLINE);
-    let mut upload = Upload::new(&chunks, window, deadline, rider);
-    upload.finish(|| dial_lane(addr, deadline, wan, window))?;
-    Ok((
-        upload.report(image.len()),
-        upload.rider.map(|(_, state)| state),
-    ))
-}
-
-/// Ship one value image to `addr` as chunks over one windowed connection,
-/// blocking until the server has reassembled, verified, and stored it
-/// under `digest` — or until a chunk exhausts its retries, the connection
-/// dies twice, or the server refuses the upload, any of which fails it
-/// (the caller then ships the value inline; nothing partial ever escapes).
-pub fn upload(
-    addr: &str,
-    digest: Digest,
-    image: &[u8],
-    chunk_bytes: u32,
-    deadline: Option<Duration>,
-    wan: Option<LinkShape>,
-) -> ProtocolResult<UploadReport> {
-    ship(addr, digest, image, chunk_bytes, deadline, wan, None).map(|(report, _)| report)
-}
-
-/// [`upload`], with `call` riding the connection behind the last chunk
-/// (see the module docs): returns once the upload is complete and the call
-/// is answered or overdue. A failed upload fails this too, whatever became
-/// of the call; the server may still run a call it had parked, so the
-/// caller's fallback is an at-least-once retry.
-pub(crate) fn upload_carrying(
-    addr: &str,
-    digest: Digest,
-    image: &[u8],
+    images: Vec<(Digest, Vec<u8>)>,
     chunk_bytes: u32,
     deadline: Option<Duration>,
     wan: Option<LinkShape>,
     call: Rider<'_>,
 ) -> ProtocolResult<Carried> {
-    let (upload, state) = ship(addr, digest, image, chunk_bytes, deadline, wan, Some(call))?;
-    let Some(Riding::Done(reply, roundtrip)) = state else {
+    let chunk_bytes = chunk_bytes.max(1);
+    let bytes = images.iter().map(|(_, image)| image.len()).sum();
+    let chunks: Vec<Message> = images
+        .into_iter()
+        .flat_map(|(digest, image)| split_chunks(digest, &image, chunk_bytes))
+        .collect();
+    let window = lane_window(wan.as_ref(), chunk_bytes);
+    let deadline = deadline.unwrap_or(DEFAULT_LANE_DEADLINE);
+    let mut upload = Upload::new(&chunks, window, deadline, call);
+    upload.finish(|| dial_lane(addr, deadline, wan, window))?;
+    let report = upload.report(bytes);
+    let Riding::Done(reply, roundtrip) = upload.riding else {
         unreachable!("a complete upload has settled its rider")
     };
     Ok(Carried {
-        upload,
+        upload: report,
         reply,
         roundtrip,
     })
@@ -441,19 +411,31 @@ mod tests {
         link_schedule, read_frame_mux, FrameFn, LinkEvent, Reassembly, SharedLink,
     };
     use proptest::prelude::*;
+    use std::collections::HashMap;
     use std::sync::{Arc, Mutex};
 
     /// What every connection of one scripted upload did, shared with the
     /// test after the upload has consumed the connections.
     struct Ledger {
-        reassembly: Option<Reassembly>,
-        /// Chunk seq of every send attempted on a live connection, in
-        /// order, across connections.
+        /// Per image digest, what has landed of it.
+        reassemblies: HashMap<Digest, Reassembly>,
+        /// Chunk index (in the upload's order) of every send attempted on a
+        /// live connection, in order, across connections; [`CALL`] for the
+        /// riding call.
         staged: Vec<usize>,
-        /// Chunk seq of every frame that arrived, in order.
+        /// Chunk index of every frame that arrived, in order.
         arrived: Vec<usize>,
         dials: u32,
+        /// Most chunks open at once on one connection (the call aside).
         most_open: usize,
+    }
+
+    impl Ledger {
+        /// The image stored under `digest`, complete.
+        fn landed(&mut self, digest: &Digest) -> Vec<u8> {
+            let r = self.reassemblies.remove(digest).expect("image never began");
+            r.into_image().unwrap()
+        }
     }
 
     /// What the far end does with an arriving chunk.
@@ -465,6 +447,8 @@ mod tests {
         Die,
         /// Acked on its own ticket, naming the next chunk instead.
         MisAck,
+        /// Acked on its own ticket and seq, under another image's digest.
+        Foreign,
         /// Acked on a ticket that was never posted.
         Phantom,
     }
@@ -473,26 +457,49 @@ mod tests {
     /// once, and a wait with no ack queued times out at once.
     struct Peer {
         ledger: Arc<Mutex<Ledger>>,
-        /// Fate of chunk `seq` on its `nth` staging (0-based, all
+        /// `(digest, seq)` of each chunk, in the upload's order.
+        order: Arc<Vec<(Digest, u32)>>,
+        /// Fate of chunk `index` on its `nth` staging (0-based, all
         /// connections).
         fate: fn(usize, usize) -> Fate,
         tickets: u64,
         open: Vec<u64>,
+        /// The riding call's ticket on this connection.
+        call: Option<u64>,
         acks: VecDeque<(u64, Message)>,
         dead: bool,
-        /// A riding call that arrived before the image was complete: the
+        /// A riding call that arrived before every image was complete: the
         /// far end parks it, as the server does, and answers it once the
-        /// last chunk lands.
+        /// last image lands.
         parked: Option<u64>,
     }
 
     /// What the ledgers record for the riding call, in place of a chunk
-    /// seq; its fate is asked under this seq too (`Ack`: answered once the
-    /// image is complete, `Silence`: never).
+    /// index; its fate is asked under this index too (`Ack`: answered once
+    /// every image is complete, `Silence`: never).
     const CALL: usize = usize::MAX;
 
     fn answer() -> Message {
         Message::ResultData { results: vec![] }
+    }
+
+    impl Peer {
+        /// Which send `msg` is: a chunk's index, or [`CALL`].
+        fn index(&self, msg: &Message) -> usize {
+            match *msg {
+                Message::PutArgChunk { digest, seq, .. } => {
+                    self.order.iter().position(|&n| n == (digest, seq)).unwrap()
+                }
+                Message::Invoke { .. } => CALL,
+                ref other => panic!("an upload ships chunks and a call, not {}", other.kind()),
+            }
+        }
+
+        fn complete(&self, ledger: &Ledger) -> bool {
+            self.order
+                .iter()
+                .all(|(d, _)| ledger.reassemblies.get(d).is_some_and(Reassembly::complete))
+        }
     }
 
     impl Transport for Peer {
@@ -505,41 +512,33 @@ mod tests {
         fn stage(&mut self, encode: FrameFn<'_>) -> ProtocolResult<(u64, Vec<u8>)> {
             let frame = encode(self.tickets + 1)?;
             let (_, msg) = read_frame_mux(&mut frame.as_slice())?;
-            let seq = match msg {
-                Message::PutArgChunk { seq, .. } => seq as usize,
-                Message::Invoke { .. } => CALL,
-                other => panic!("an upload ships chunks and a call, not {}", other.kind()),
-            };
+            let index = self.index(&msg);
             let mut ledger = self.ledger.lock().unwrap();
-            let nth = ledger.staged.iter().filter(|&&s| s == seq).count();
+            let nth = ledger.staged.iter().filter(|&&s| s == index).count();
             if self.dead {
                 return Err(ProtocolError::Disconnected);
             }
-            ledger.staged.push(seq);
-            if (self.fate)(seq, nth) == Fate::Die {
+            ledger.staged.push(index);
+            if (self.fate)(index, nth) == Fate::Die {
                 self.dead = true;
                 return Err(ProtocolError::Disconnected);
             }
             self.tickets += 1;
             self.open.push(self.tickets);
-            ledger.most_open = ledger.most_open.max(self.open.len());
+            if index == CALL {
+                self.call = Some(self.tickets);
+            }
+            let chunks_open = self.open.iter().filter(|&&t| Some(t) != self.call).count();
+            ledger.most_open = ledger.most_open.max(chunks_open);
             Ok((self.tickets, frame))
         }
         fn send_raw(&mut self, mut frame: &[u8]) -> ProtocolResult<()> {
             let (ticket, msg) = read_frame_mux(&mut frame)?;
-            if let Message::Invoke { .. } = msg {
-                let mut ledger = self.ledger.lock().unwrap();
-                let nth = ledger.staged.iter().filter(|&&s| s == CALL).count() - 1;
-                ledger.arrived.push(CALL);
-                let complete = ledger.reassembly.as_ref().is_some_and(Reassembly::complete);
-                if (self.fate)(CALL, nth) == Fate::Ack {
-                    match complete {
-                        true => self.acks.push_back((ticket, answer())),
-                        false => self.parked = Some(ticket),
-                    }
-                }
-                return Ok(());
-            }
+            let index = self.index(&msg);
+            let mut ledger = self.ledger.lock().unwrap();
+            let nth = ledger.staged.iter().filter(|&&s| s == index).count() - 1;
+            ledger.arrived.push(index);
+            let fate = (self.fate)(index, nth);
             let Message::PutArgChunk {
                 digest,
                 total_bytes,
@@ -549,26 +548,36 @@ mod tests {
                 bytes,
             } = msg
             else {
-                panic!("not a chunk")
-            };
-            let mut ledger = self.ledger.lock().unwrap();
-            let nth = ledger.staged.iter().filter(|&&s| s == seq as usize).count() - 1;
-            ledger.arrived.push(seq as usize);
-            let ack = |seq| Message::ChunkOk { digest, seq };
-            match (self.fate)(seq as usize, nth) {
-                Fate::Ack => {
-                    let r = ledger.reassembly.get_or_insert_with(|| {
-                        Reassembly::new(digest, total_bytes, total).unwrap()
-                    });
-                    // A duplicate re-acks, as the server's does.
-                    let landed = matches!(r.accept(total_bytes, total, seq, crc, &bytes), Ok(true));
-                    self.acks.push_back((ticket, ack(seq)));
-                    if let Some(call) = self.parked.filter(|_| landed) {
-                        self.acks.push_back((call, answer()));
+                if fate == Fate::Ack {
+                    match self.complete(&ledger) {
+                        true => self.acks.push_back((ticket, answer())),
+                        false => self.parked = Some(ticket),
                     }
                 }
-                Fate::MisAck => self.acks.push_back((ticket, ack(seq + 1))),
-                Fate::Phantom => self.acks.push_back((u64::MAX - ticket, ack(seq))),
+                return Ok(());
+            };
+            let ack = |digest, seq| Message::ChunkOk { digest, seq };
+            match fate {
+                Fate::Ack => {
+                    let r = ledger
+                        .reassemblies
+                        .entry(digest)
+                        .or_insert_with(|| Reassembly::new(digest, total_bytes, total).unwrap());
+                    // A duplicate re-acks, as the server's does.
+                    let _ = r.accept(total_bytes, total, seq, crc, &bytes);
+                    self.acks.push_back((ticket, ack(digest, seq)));
+                    if self.complete(&ledger) {
+                        if let Some(call) = self.parked.take() {
+                            self.acks.push_back((call, answer()));
+                        }
+                    }
+                }
+                Fate::MisAck => self.acks.push_back((ticket, ack(digest, seq + 1))),
+                Fate::Foreign => {
+                    let (other, _) = self.order.iter().find(|(d, _)| *d != digest).unwrap();
+                    self.acks.push_back((ticket, ack(*other, seq)));
+                }
+                Fate::Phantom => self.acks.push_back((u64::MAX - ticket, ack(digest, seq))),
                 Fate::Silence | Fate::Die => {}
             }
             Ok(())
@@ -601,47 +610,53 @@ mod tests {
         }
     }
 
-    fn image(chunks: usize) -> (Vec<u8>, Vec<Message>) {
-        let image: Vec<u8> = (0..chunks * 64).map(|i| (i * 31 % 251) as u8).collect();
+    /// An image of `chunks` 64-byte chunks, its content keyed by `salt`.
+    fn salted(chunks: usize, salt: usize) -> (Vec<u8>, Vec<Message>) {
+        let image: Vec<u8> = (0..chunks * 64)
+            .map(|i| ((i + salt) * 31 % 251) as u8)
+            .collect();
         let split = split_chunks(Digest::of(&image), &image, 64);
         assert_eq!(split.len(), chunks);
         (image, split)
     }
 
-    /// Run one upload against scripted connections.
+    fn image(chunks: usize) -> (Vec<u8>, Vec<Message>) {
+        salted(chunks, 0)
+    }
+
+    /// What one scripted ride did.
+    struct Driven {
+        outcome: ProtocolResult<()>,
+        retransmits: u32,
+        riding: Riding,
+        ledger: Ledger,
+    }
+
+    /// Run one upload, with a call riding behind its last chunk, against
+    /// scripted connections.
     fn drive(
         chunks: &[Message],
         window: u32,
         fate: fn(usize, usize) -> Fate,
         wrap: impl Fn(Peer) -> Box<dyn Pipelined>,
-    ) -> (ProtocolResult<()>, UploadReport, Ledger) {
-        let (outcome, report, _, ledger) = drive_riding(chunks, window, fate, wrap, None);
-        (outcome, report, ledger)
-    }
-
-    /// [`drive`], with a call riding behind the last chunk when `call`
-    /// names its deadline; also returns where the call ended up.
-    fn drive_riding(
-        chunks: &[Message],
-        window: u32,
-        fate: fn(usize, usize) -> Fate,
-        wrap: impl Fn(Peer) -> Box<dyn Pipelined>,
-        call: Option<Duration>,
-    ) -> (ProtocolResult<()>, UploadReport, Option<Riding>, Ledger) {
+    ) -> Driven {
         let ledger = Arc::new(Mutex::new(Ledger {
-            reassembly: None,
+            reassemblies: HashMap::new(),
             staged: Vec::new(),
             arrived: Vec::new(),
             dials: 0,
             most_open: 0,
         }));
+        let order = Arc::new(chunks.iter().map(chunk_name).collect::<Vec<_>>());
         let dial = || {
             ledger.lock().unwrap().dials += 1;
             let peer = wrap(Peer {
                 ledger: ledger.clone(),
+                order: order.clone(),
                 fate,
                 tickets: 0,
                 open: Vec::new(),
+                call: None,
                 acks: VecDeque::new(),
                 dead: false,
                 parked: None,
@@ -654,20 +669,24 @@ mod tests {
             trace: None,
         };
         let mut encode = |ticket| ninf_protocol::encode_frame(ticket, &invoke);
-        let rider = call.map(|deadline| Rider {
+        let rider = Rider {
             encode: &mut encode,
-            deadline: Some(deadline),
-        });
+            deadline: Some(Duration::from_secs(60)),
+        };
         let mut upload = Upload::new(chunks, window, Duration::from_secs(5), rider);
         let outcome = upload.finish(dial);
-        let report = UploadReport {
-            retransmits: upload.retransmits,
-            redials: upload.redials,
-            ..UploadReport::default()
-        };
-        let riding = upload.rider.take().map(|(_, state)| state);
+        let (retransmits, riding) = (upload.retransmits, upload.riding);
         let ledger = Arc::into_inner(ledger).unwrap().into_inner().unwrap();
-        (outcome, report, riding, ledger)
+        Driven {
+            outcome,
+            retransmits,
+            riding,
+            ledger,
+        }
+    }
+
+    fn answered(riding: &Riding) -> bool {
+        matches!(riding, Riding::Done(Ok(Message::ResultData { .. }), _))
     }
 
     /// The call goes out directly behind the last chunk's first send — not
@@ -681,29 +700,62 @@ mod tests {
             (2, 0) => Fate::Silence,
             _ => Fate::Ack,
         };
-        let call = Some(Duration::from_secs(60));
-        let (outcome, report, riding, ledger) = drive_riding(&chunks, 3, fate, bare, call);
-        outcome.unwrap();
-        let first_of_last = ledger.staged.iter().position(|&s| s == 5).unwrap();
-        assert_eq!(
-            ledger.staged.get(first_of_last + 1),
-            Some(&CALL),
-            "staged: {:?}",
-            ledger.staged
-        );
-        assert_eq!(ledger.staged.iter().filter(|&&s| s == CALL).count(), 1);
+        let d = drive(&chunks, 3, fate, bare);
+        d.outcome.unwrap();
+        let staged = &d.ledger.staged;
+        let first_of_last = staged.iter().position(|&s| s == 5).unwrap();
+        assert_eq!(staged.get(first_of_last + 1), Some(&CALL), "{staged:?}");
+        assert_eq!(staged.iter().filter(|&&s| s == CALL).count(), 1);
         // The call arrived before the lost chunk's retransmit: it waited.
-        let call_at = ledger.arrived.iter().position(|&s| s == CALL).unwrap();
-        let resent_at = ledger.arrived.iter().rposition(|&s| s == 2).unwrap();
-        assert!(call_at < resent_at, "arrived: {:?}", ledger.arrived);
-        assert_eq!(report.retransmits, 1);
+        let arrived = &d.ledger.arrived;
+        let call_at = arrived.iter().position(|&s| s == CALL).unwrap();
+        let resent_at = arrived.iter().rposition(|&s| s == 2).unwrap();
+        assert!(call_at < resent_at, "arrived: {arrived:?}");
+        assert_eq!(d.retransmits, 1);
+        assert!(answered(&d.riding), "the call was answered");
+    }
+
+    /// Several images share one window and one connection, image after
+    /// image; the call rides behind the last chunk of the last image and is
+    /// answered once both have landed.
+    #[test]
+    fn two_images_ride_one_window_behind_one_call() {
+        let (first, mut chunks) = salted(3, 0);
+        let (second, more) = salted(2, 1);
+        chunks.extend(more);
+        let d = drive(&chunks, 4, |_, _| Fate::Ack, bare);
+        d.outcome.unwrap();
+        let mut ledger = d.ledger;
+        assert_eq!(ledger.staged, [0, 1, 2, 3, 4, CALL]);
+        assert_eq!((ledger.dials, ledger.most_open), (1, 4));
+        assert!(answered(&d.riding));
+        assert_eq!(ledger.landed(&Digest::of(&first)), first);
+        assert_eq!(ledger.landed(&Digest::of(&second)), second);
+    }
+
+    /// An ack is checked against the `(digest, seq)` its ticket carried,
+    /// not the seq alone: with two images in one window, the right seq
+    /// under the other image's digest is a lie.
+    #[test]
+    fn an_ack_naming_the_right_seq_of_another_image_is_a_mismatch() {
+        let (_, mut chunks) = salted(2, 0);
+        chunks.extend(salted(2, 1).1);
+        // The second image's chunk 0 is acked as the first image's chunk 0.
+        let fate = |index, _| if index == 2 { Fate::Foreign } else { Fate::Ack };
+        let d = drive(&chunks, 4, fate, bare);
         assert!(
             matches!(
-                riding,
-                Some(Riding::Done(Ok(Message::ResultData { .. }), _))
+                d.outcome,
+                Err(ProtocolError::AckMismatch {
+                    sent: Some(0),
+                    acked: 0,
+                    ..
+                })
             ),
-            "the call was answered"
+            "{:?}",
+            d.outcome
         );
+        assert_eq!(d.ledger.dials, 1, "a liar is no death");
     }
 
     /// A call whose reply never comes ends the upload no later than its
@@ -719,11 +771,10 @@ mod tests {
                 Fate::Ack
             }
         };
-        let call = Some(Duration::from_secs(60));
-        let (outcome, _, riding, ledger) = drive_riding(&chunks, 4, fate, bare, call);
-        outcome.unwrap();
-        assert_eq!(ledger.arrived.len(), 5, "four chunks and the call");
-        let Some(Riding::Done(Err(e), _)) = riding else {
+        let d = drive(&chunks, 4, fate, bare);
+        d.outcome.unwrap();
+        assert_eq!(d.ledger.arrived.len(), 5, "four chunks and the call");
+        let Riding::Done(Err(e), _) = d.riding else {
             panic!("the call was not given up on")
         };
         assert!(e.is_timeout(), "{e}");
@@ -742,15 +793,11 @@ mod tests {
             (1, 1) => Fate::Die,
             _ => Fate::Ack,
         };
-        let call = Some(Duration::from_secs(60));
-        let (outcome, report, riding, ledger) = drive_riding(&chunks, 3, fate, bare, call);
-        outcome.unwrap();
-        assert_eq!((ledger.dials, report.redials), (2, 1));
-        assert_eq!(ledger.staged, [0, 1, 2, CALL, 1, 1, CALL]);
-        assert!(matches!(
-            riding,
-            Some(Riding::Done(Ok(Message::ResultData { .. }), _))
-        ));
+        let d = drive(&chunks, 3, fate, bare);
+        d.outcome.unwrap();
+        assert_eq!(d.ledger.dials, 2);
+        assert_eq!(d.ledger.staged, [0, 1, 2, CALL, 1, 1, CALL]);
+        assert!(answered(&d.riding));
     }
 
     fn bare(peer: Peer) -> Box<dyn Pipelined> {
@@ -762,25 +809,17 @@ mod tests {
         // Chunk 2 is never acked; everything else is, first time.
         let (_, chunks) = image(5);
         let fate = |seq, _| if seq == 2 { Fate::Silence } else { Fate::Ack };
-        let (outcome, report, ledger) = drive(&chunks, 3, fate, bare);
-        assert!(outcome.unwrap_err().is_timeout());
-        let sends = |seq| ledger.staged.iter().filter(|&&s| s == seq).count() as u32;
-        assert_eq!(sends(2), MAX_CHUNK_ATTEMPTS, "staged: {:?}", ledger.staged);
+        let d = drive(&chunks, 3, fate, bare);
+        assert!(d.outcome.unwrap_err().is_timeout());
+        let staged = &d.ledger.staged;
+        let sends = |seq| staged.iter().filter(|&&s| s == seq).count() as u32;
+        assert_eq!(sends(2), MAX_CHUNK_ATTEMPTS, "staged: {staged:?}");
         for seq in [0, 1, 3, 4] {
-            assert_eq!(
-                sends(seq),
-                1,
-                "an acked chunk went again: {:?}",
-                ledger.staged
-            );
+            assert_eq!(sends(seq), 1, "an acked chunk went again: {staged:?}");
         }
-        assert_eq!(
-            (ledger.dials, report.redials),
-            (1, 0),
-            "a deadline is not a death"
-        );
-        assert_eq!(report.retransmits, MAX_CHUNK_ATTEMPTS - 1);
-        assert!(ledger.most_open <= 3);
+        assert_eq!(d.ledger.dials, 1, "a deadline is not a death");
+        assert_eq!(d.retransmits, MAX_CHUNK_ATTEMPTS - 1);
+        assert!(d.ledger.most_open <= 3);
     }
 
     #[test]
@@ -793,28 +832,26 @@ mod tests {
             (3, 0) => Fate::Die,
             _ => Fate::Ack,
         };
-        let (outcome, report, ledger) = drive(&chunks, 2, fate, bare);
-        outcome.unwrap();
-        assert_eq!((ledger.dials, report.redials), (2, 1));
+        let d = drive(&chunks, 2, fate, bare);
+        d.outcome.unwrap();
+        let mut ledger = d.ledger;
+        assert_eq!(ledger.dials, 2);
         assert_eq!(
             ledger.staged,
-            [0, 1, 2, 3, 2, 3, 4, 5],
+            [0, 1, 2, 3, 2, 3, 4, 5, CALL],
             "oldest un-acked first"
         );
         assert_eq!(
-            report.retransmits,
-            (ledger.staged.len() - chunks.len()) as u32,
+            d.retransmits,
+            (ledger.staged.len() - 1 - chunks.len()) as u32,
             "exactly the sends beyond each chunk's first"
         );
-        assert_eq!(
-            ledger.reassembly.unwrap().into_image().unwrap(),
-            image_bytes
-        );
+        assert_eq!(ledger.landed(&Digest::of(&image_bytes)), image_bytes);
         // A second death is the upload's: no third dial.
         let fate = |seq, _| if seq == 3 { Fate::Die } else { Fate::Ack };
-        let (outcome, report, ledger) = drive(&chunks, 2, fate, bare);
-        assert!(matches!(outcome, Err(ProtocolError::Disconnected)));
-        assert_eq!((ledger.dials, report.redials), (2, 1));
+        let d = drive(&chunks, 2, fate, bare);
+        assert!(matches!(d.outcome, Err(ProtocolError::Disconnected)));
+        assert_eq!(d.ledger.dials, 2);
     }
 
     #[test]
@@ -822,51 +859,55 @@ mod tests {
         // Chunk 0's ack comes back on its own ticket but names chunk 1.
         let (_, chunks) = image(8);
         let fate = |seq, _| if seq == 0 { Fate::MisAck } else { Fate::Ack };
-        let (outcome, report, ledger) = drive(&chunks, 4, fate, bare);
+        let d = drive(&chunks, 4, fate, bare);
         assert!(
             matches!(
-                outcome,
+                d.outcome,
                 Err(ProtocolError::AckMismatch {
                     sent: Some(0),
                     acked: 1,
                     ..
                 })
             ),
-            "{outcome:?}"
+            "{:?}",
+            d.outcome
         );
-        assert!(ledger.staged.len() <= 4, "staged: {:?}", ledger.staged);
-        assert_eq!((ledger.dials, report.redials), (1, 0), "a liar is no death");
+        assert!(d.ledger.staged.len() <= 4, "staged: {:?}", d.ledger.staged);
+        assert_eq!(d.ledger.dials, 1, "a liar is no death");
     }
 
     #[test]
     fn an_ack_for_a_ticket_never_posted_ends_the_upload_within_one_window() {
         let (_, chunks) = image(8);
         let fate = |seq, _| if seq == 0 { Fate::Phantom } else { Fate::Ack };
-        let (outcome, report, ledger) = drive(&chunks, 4, fate, bare);
+        let d = drive(&chunks, 4, fate, bare);
         assert!(
             matches!(
-                outcome,
+                d.outcome,
                 Err(ProtocolError::AckMismatch {
                     sent: None,
                     acked: 0,
                     ..
                 })
             ),
-            "{outcome:?}"
+            "{:?}",
+            d.outcome
         );
-        assert!(ledger.staged.len() <= 4, "staged: {:?}", ledger.staged);
-        assert_eq!((ledger.dials, report.redials), (1, 0), "a liar is no death");
+        assert!(d.ledger.staged.len() <= 4, "staged: {:?}", d.ledger.staged);
+        assert_eq!(d.ledger.dials, 1, "a liar is no death");
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
         /// Any chunk count, window and seeded loss schedule, through the
-        /// real link model: the upload's k-th send takes op k of the planned
-        /// schedule, never more than `window` chunks are open, every send
-        /// the link did not forward costs exactly one retransmit, and the
-        /// image lands bit for bit — or, if some chunk drew
-        /// `MAX_CHUNK_ATTEMPTS` losses in a row, the upload gives up on time.
+        /// real link model: the upload's k-th send (the riding call's among
+        /// them) takes op k of the planned schedule, never more than
+        /// `window` chunks are open, every chunk send the link did not
+        /// forward costs exactly one retransmit, the image lands bit for bit
+        /// and the call is answered exactly when the link forwarded it — or,
+        /// if some chunk drew `MAX_CHUNK_ATTEMPTS` losses in a row, the
+        /// upload gives up on time.
         #[test]
         fn windowed_upload_over_a_lossy_link(
             n in 1usize..40,
@@ -883,36 +924,36 @@ mod tests {
                 *history.lock().unwrap() = Some(lane.history());
                 Box::new(lane) as Box<dyn Pipelined>
             };
-            let (outcome, report, ledger) = drive(&chunks, window, |_, _| Fate::Ack, wrap);
+            let d = drive(&chunks, window, |_, _| Fate::Ack, wrap);
+            let mut ledger = d.ledger;
             let events = history.lock().unwrap().take().unwrap().snapshot();
             prop_assert_eq!(ledger.dials, 1);
             prop_assert_eq!(&events, &link_schedule(&shape, BULK_LANE, 1, events.len() as u64));
             prop_assert_eq!(events.len(), ledger.staged.len());
-            let forwarded: Vec<usize> = ledger
-                .staged
+            let sends: Vec<(usize, LinkEvent)> =
+                ledger.staged.iter().copied().zip(events.iter().copied()).collect();
+            let forwarded: Vec<usize> = sends
                 .iter()
-                .zip(&events)
-                .filter(|(_, e)| **e == LinkEvent::Forward)
+                .filter(|(_, e)| *e == LinkEvent::Forward)
                 .map(|(seq, _)| *seq)
                 .collect();
             prop_assert_eq!(&ledger.arrived, &forwarded);
             prop_assert!(ledger.most_open <= window as usize);
-            let lost = (events.len() - forwarded.len()) as u32;
-            match outcome {
+            let chunk_sends = sends.iter().filter(|(seq, _)| *seq != CALL);
+            let lost = chunk_sends.filter(|(_, e)| *e != LinkEvent::Forward).count() as u32;
+            match d.outcome {
                 Ok(()) => {
-                    prop_assert_eq!(report.retransmits, lost);
-                    prop_assert_eq!(ledger.staged.len(), n + lost as usize);
-                    let landed = ledger.reassembly.unwrap().into_image().unwrap();
-                    prop_assert_eq!(landed, image_bytes);
+                    prop_assert_eq!(d.retransmits, lost);
+                    prop_assert_eq!(ledger.staged.len(), n + lost as usize + 1);
+                    prop_assert_eq!(ledger.landed(&Digest::of(&image_bytes)), image_bytes);
+                    prop_assert_eq!(answered(&d.riding), forwarded.contains(&CALL));
                 }
                 Err(e) => {
                     prop_assert!(e.is_timeout());
                     let spent = (0..n).any(|seq| {
-                        let fates: Vec<_> = ledger
-                            .staged
+                        let fates: Vec<_> = sends
                             .iter()
-                            .zip(&events)
-                            .filter(|(s, _)| **s == seq)
+                            .filter(|(s, _)| *s == seq)
                             .map(|(_, e)| *e)
                             .collect();
                         fates == [LinkEvent::Lose; MAX_CHUNK_ATTEMPTS as usize]

@@ -41,19 +41,22 @@ pub struct CallOptions {
     pub backoff: Duration,
     /// Whether to name repeat arguments by content digest instead of
     /// re-shipping their bytes (on by default). A destination that no longer
-    /// holds a digest replies `NeedArg` and the call refills inline, so
-    /// turning this off is purely a measurement/diagnostic switch.
+    /// holds a digest replies `NeedArg` and the call is sent again with its
+    /// values inline (the large ones riding the bulk lane when `streams`
+    /// is on), so turning this off is purely a measurement/diagnostic
+    /// switch.
     pub arg_cache: bool,
     /// Bulk upload switch: 0 = inline; any value ≥ 1 = one windowed lane.
-    /// With a lane, arguments whose XDR image is at least
-    /// [`ninf_protocol::CHUNK_THRESHOLD`] bytes are shipped as chunks over
-    /// one dedicated multiplexed connection, and the call itself rides the
-    /// same connection behind the last chunk, naming them by content ref
-    /// ([`crate::bulk`]). The lane keeps a sliding window of chunks
-    /// in flight, sized from `wan` when it names the link
-    /// ([`ninf_protocol::lane_window`]), so it fills a long-fat pipe on its
-    /// own. Requires a dialed client (an address to upload to) and
-    /// `arg_cache`; otherwise it is ignored.
+    /// With a lane, the arguments whose XDR image is at least
+    /// [`ninf_protocol::CHUNK_THRESHOLD`] bytes and which the destination
+    /// lacks ship as chunks, all of one call's through one window on one
+    /// dedicated multiplexed connection, and the call itself rides the same
+    /// connection behind the last chunk, naming them by content ref
+    /// ([`crate::bulk`]); a refill after `NeedArg` rides the same way. The
+    /// lane keeps a sliding window of chunks in flight, sized from `wan`
+    /// when it names the link ([`ninf_protocol::lane_window`]), so it fills
+    /// a long-fat pipe on its own. Requires a dialed client (an address to
+    /// upload to) and `arg_cache`; otherwise it is ignored.
     pub streams: u32,
     /// Chunk payload size for bulk upload, in bytes.
     pub chunk_bytes: u32,
@@ -146,15 +149,15 @@ pub struct CallTiming {
     /// Arguments re-shipped inline after a server-side cache miss
     /// (`NeedArg`) on the last attempt.
     pub args_refilled: u32,
-    /// Image bytes pre-shipped as chunks over the bulk lane on this call.
+    /// Image bytes shipped as chunks over the bulk lane on this call.
     /// Tracked separately from `request_bytes`, which counts only payload
     /// shipped inside the Invoke itself — a bulk-shipped value arrives by
     /// ref there.
     pub bulk_bytes: usize,
     /// Chunk retransmits during bulk transfer (lost chunks or acks).
     pub bulk_retransmits: u32,
-    /// Seconds the bulk lane spent uploading: from each upload's first
-    /// chunk sent to its last chunk acked, summed. A call riding the lane
+    /// Seconds the bulk lane spent uploading: from each ride's first chunk
+    /// sent to its last chunk acked, summed. The call riding the lane
     /// behind its last chunk ([`crate::bulk`]) overlaps its `roundtrip`
     /// with this.
     pub upload: f64,
@@ -169,23 +172,29 @@ fn addr_salt(addr: &str) -> u64 {
     h
 }
 
-/// Whether `key`'s destination is believed to hold `d`. If not, it is
-/// remembered as held from now on: the value is about to ship inline, and
-/// a stale belief surfaces as `NeedArg` (see
-/// [`NinfClient::send_with_refill`]).
-fn held(key: &str, d: &Digest) -> bool {
-    if argmem::knows(key, d) {
-        return true;
-    }
-    argmem::remember(key, *d);
-    false
+/// How one send of a call names its cacheable arguments.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Policy {
+    /// A first send: by ref where the destination is believed to hold the
+    /// value. A value that goes inline is believed held from then on, and a
+    /// stale belief surfaces as `NeedArg` (see [`NinfClient::send_call`]).
+    Held,
+    /// The refill after a `NeedArg`: everything inline, and the server's
+    /// store holds every value afterwards.
+    Resent,
 }
 
-/// The inline refill's policy: everything ships inline, and the server's
-/// store holds every value afterwards.
-fn resent(key: &str, d: &Digest) -> bool {
-    argmem::remember(key, *d);
-    false
+impl Policy {
+    /// Whether the digested position `d` ships by ref to `key`'s
+    /// destination. Either way the destination holds it once the call has
+    /// gone.
+    fn by_ref(self, key: &str, d: &Digest) -> bool {
+        if self == Policy::Held && argmem::knows(key, d) {
+            return true;
+        }
+        argmem::remember(key, *d);
+        false
+    }
 }
 
 /// The call an `Invoke`/`SubmitJob` carries, apart from its arguments.
@@ -372,19 +381,16 @@ impl NinfClient {
         self.cache_key.as_deref().filter(|_| self.options.arg_cache)
     }
 
-    /// Plan how each argument ships, naming values this destination is
-    /// believed to hold by content ref. A cacheable position that went
-    /// inline on the previous call is expected to miss again and is
-    /// planned as [`CallArg::Fold`]: encoded inline with its digest folded
-    /// into the same pass, and rolled back to a ref only if the guess was
-    /// wrong. Every other cacheable position is digested first. The bytes
-    /// sent are the same either way; the guess only saves a miss its
-    /// separate digest pass. `policy` decides each digested position.
-    fn plan_args<'v>(
-        &self,
-        values: &'v [Value],
-        policy: fn(&str, &Digest) -> bool,
-    ) -> Vec<CallArg<'v>> {
+    /// Plan how each argument ships under `policy`. On a first send, values
+    /// this destination is believed to hold go by content ref. A cacheable
+    /// position that went inline on the previous call is expected to miss
+    /// again and is planned as [`CallArg::Fold`]: encoded inline with its
+    /// digest folded into the same pass, and rolled back to a ref only if
+    /// the guess was wrong. Every other cacheable position is digested
+    /// first. The bytes sent are the same either way; the guess only saves
+    /// a miss its separate digest pass. A refill plans every cacheable
+    /// position as a `Fold`.
+    fn plan_args<'v>(&self, values: &'v [Value], policy: Policy) -> Vec<CallArg<'v>> {
         let Some(key) = self.ref_key() else {
             return values.iter().map(CallArg::Data).collect();
         };
@@ -394,11 +400,11 @@ impl NinfClient {
             .map(|(pos, v)| {
                 if !ninf_protocol::cacheable(v) {
                     CallArg::Data(v)
-                } else if self.shipped_inline.get(pos) == Some(&true) {
+                } else if policy == Policy::Resent || self.shipped_inline.get(pos) == Some(&true) {
                     CallArg::Fold(v)
                 } else {
                     let d = ninf_protocol::digest_value(v);
-                    if policy(key, &d) {
+                    if policy.by_ref(key, &d) {
                         CallArg::Ref(d)
                     } else {
                         CallArg::Data(v)
@@ -418,7 +424,7 @@ impl NinfClient {
         call: &CallSpec<'_>,
         values: &[Value],
         args: &mut [CallArg<'_>],
-        policy: fn(&str, &Digest) -> bool,
+        policy: Policy,
     ) -> ProtocolResult<Message> {
         self.wire()?;
         // Field borrows, not `ref_key()`: the transport is borrowed mutably
@@ -428,7 +434,7 @@ impl NinfClient {
         let reply = wire
             .send_frame(&mut |ticket| {
                 encode_call(ticket, call.kind, call.routine, args, call.trace, |d| {
-                    key.is_some_and(|key| policy(key, d))
+                    key.is_some_and(|key| policy.by_ref(key, d))
                 })
             })
             .and_then(|()| wire.recv());
@@ -439,15 +445,16 @@ impl NinfClient {
         reply
     }
 
-    /// Account one call frame sent: the bytes it shipped, and which
-    /// cacheable positions went inline, for the next call's plan. `args`
-    /// holds what each position shipped as.
+    /// Account one call frame sent: the bytes it shipped, its refs, and
+    /// which cacheable positions went inline, for the next call's plan.
+    /// `args` holds what each position shipped as.
     fn account_call(&mut self, call: &CallSpec<'_>, values: &[Value], args: &[CallArg<'_>]) {
         let refd = |a: &CallArg<'_>| matches!(a, CallArg::Ref(_));
         let refs = args.iter().filter(|a| refd(a)).count();
         if refs > 0 {
             argmem::argref_sent().add(refs as u64);
         }
+        self.timing.args_refd = refs as u32;
         self.shipped_inline = args
             .iter()
             .zip(values)
@@ -464,42 +471,6 @@ impl NinfClient {
         self.timing.request_bytes += shipped;
     }
 
-    /// Whether calls on this client use the bulk upload path: the lane
-    /// switched on, a dialed destination to upload to, and content refs on
-    /// (a bulk upload is useless if the call cannot ref it afterwards).
-    fn bulk_enabled(&self) -> bool {
-        self.options.streams >= 1
-            && self.options.arg_cache
-            && self.addr.is_some()
-            && self.cache_key.is_some()
-    }
-
-    /// The bulk path's one upload step: ship `image` as chunks over the
-    /// lane unless the destination is believed to hold it already, then
-    /// remember that it does and account the transfer. Returns whether the
-    /// destination now holds `digest`.
-    fn bulk_put(&mut self, digest: ninf_protocol::Digest, image: &[u8]) -> bool {
-        let (Some(addr), Some(key)) = (self.addr.as_deref(), self.cache_key.as_deref()) else {
-            return false;
-        };
-        if argmem::knows(key, &digest) {
-            return true;
-        }
-        let Ok(report) = crate::bulk::upload(
-            addr,
-            digest,
-            image,
-            self.options.chunk_bytes,
-            self.options.lane_deadline.or(self.options.deadline),
-            self.options.wan,
-        ) else {
-            return false;
-        };
-        argmem::remember(key, digest);
-        self.account_upload(&report);
-        true
-    }
-
     /// Account one completed upload.
     fn account_upload(&mut self, report: &UploadReport) {
         self.bytes_sent += report.bytes as usize;
@@ -508,74 +479,113 @@ impl NinfClient {
         self.timing.upload += report.elapsed.as_secs_f64();
     }
 
-    /// Send one call and read its reply: riding a bulk upload when the
-    /// call has one to make ([`NinfClient::bulk_ride`]), the ordinary way
-    /// otherwise.
+    /// Send one call and read its reply, absorbing one `NeedArg`: the named
+    /// digests are forgotten and the call is sent again under
+    /// [`Policy::Resent`] — everything inline, except that a bulk client's
+    /// large values ride, as on a first send. The server executes nothing
+    /// before all refs resolve, so the second send is the call's first (and
+    /// only) execution — exactly-once is preserved. A `NeedArg` for the
+    /// second send surfaces to the caller as an unexpected message.
     fn send_call(&mut self, call: &CallSpec<'_>, values: &[Value]) -> ProtocolResult<Message> {
-        if let Some(reply) = self.bulk_ride(call, values) {
+        self.timing.request_bytes = 0;
+        self.timing.args_refilled = 0;
+        let reply = self.send_once(call, values, Policy::Held)?;
+        let Message::NeedArg { digests } = reply else {
+            return Ok(reply);
+        };
+        if let Some(key) = self.cache_key.as_deref() {
+            argmem::forget(key, &digests);
+        }
+        argmem::argref_refilled().add(digests.len() as u64);
+        self.timing.args_refilled = digests.len() as u32;
+        // `args_refd` counts the first send's refs.
+        let refd = self.timing.args_refd;
+        let reply = self.send_once(call, values, Policy::Resent);
+        self.timing.args_refd = refd;
+        reply
+    }
+
+    /// Send the call once under `policy` and read its reply: riding a bulk
+    /// upload when there is one to make ([`NinfClient::ride`]), as one
+    /// exchange on the call connection otherwise.
+    fn send_once(
+        &mut self,
+        call: &CallSpec<'_>,
+        values: &[Value],
+        policy: Policy,
+    ) -> ProtocolResult<Message> {
+        if let Some(reply) = self.ride(call, values, policy) {
             return reply;
         }
         let t_wire = Instant::now();
-        let reply = self.send_with_refill(call, values);
+        let mut args = self.plan_args(values, policy);
+        let reply = self.exchange_call(call, values, &mut args, policy);
         self.timing.roundtrip += t_wire.elapsed().as_secs_f64();
         reply
     }
 
-    /// The bulk path: pre-ship the large arguments this destination does
-    /// not hold yet as chunks over the bulk lane — each image out of the
-    /// frame writer with its digest, in one pass — and send the call riding
-    /// the last upload's lane, directly behind its last chunk, naming the
-    /// uploads by ref ([`crate::bulk::upload_carrying`]). Returns the
-    /// ridden call's reply, or the timeout it came to (for the retry loop,
-    /// whose next attempt finds the value held and sends the call the
-    /// ordinary way).
+    /// The bulk path. With the lane switched on, a dialed destination to
+    /// upload to and content refs on (an upload is useless if the call
+    /// cannot ref it), every value whose image is at least
+    /// [`ninf_protocol::CHUNK_THRESHOLD`] bytes and which the destination
+    /// lacks ships as chunks through one lane window, each image out of the
+    /// frame writer with its digest in one pass, and the call rides behind
+    /// the last chunk naming them by ref ([`crate::bulk::ride`]). Every
+    /// other cacheable value goes by ref if it is held and `policy` allows,
+    /// inline otherwise. Returns the ridden call's reply, or the timeout it
+    /// came to (for the retry loop, whose next attempt finds the values
+    /// held).
     ///
-    /// `None` means the call still has to be sent
-    /// ([`NinfClient::send_with_refill`]): there was nothing to upload, the
-    /// server answered the riding call `NeedArg`, or an upload failed. A
-    /// failed upload is absorbed: the value ships inline with the call
-    /// (the digest is only remembered on success). That fallback is the
-    /// path every non-bulk call takes, and sometimes the only way the call
-    /// can succeed: a server with its argument store disabled
-    /// (`--arg-cache-bytes 0`), or a value larger than the store's budget,
-    /// refuses the upload.
-    fn bulk_ride(
+    /// `None` means the call still has to be sent on the call connection:
+    /// there was nothing to upload, or the upload failed. A failed upload is
+    /// absorbed: nothing of the ride is remembered, so its values ship
+    /// inline. That fallback is the path every non-bulk call takes, and
+    /// sometimes the only way the call can succeed: a server with its
+    /// argument store disabled (`--arg-cache-bytes 0`), or a value larger
+    /// than the store's budget, refuses the upload.
+    fn ride(
         &mut self,
         call: &CallSpec<'_>,
         values: &[Value],
+        policy: Policy,
     ) -> Option<ProtocolResult<Message>> {
-        if !self.bulk_enabled() {
+        if self.options.streams == 0 {
             return None;
         }
-        let (addr, key) = (self.addr.clone()?, self.cache_key.clone()?);
-        // Every upload but the last goes on its own; the last carries the
-        // call. At most two images are held at once.
-        let mut last: Option<(Vec<u8>, Digest)> = None;
-        let mut shipped = true;
-        for v in values.iter().filter(|v| ninf_protocol::cacheable(v)) {
-            let (image, digest) = ninf_protocol::digested_image(v);
-            if image.len() >= ninf_protocol::CHUNK_THRESHOLD && !argmem::knows(&key, &digest) {
-                if let Some((image, digest)) = last.replace((image, digest)) {
-                    shipped &= self.bulk_put(digest, &image);
+        let (Some(addr), Some(key)) = (self.addr.as_deref(), self.ref_key()) else {
+            return None;
+        };
+        let mut images: Vec<(Digest, Vec<u8>)> = Vec::new();
+        // Cacheable values shipped inline: held once the call has gone.
+        let mut inline = Vec::new();
+        let mut args: Vec<CallArg<'_>> = values
+            .iter()
+            .map(|v| {
+                if !ninf_protocol::cacheable(v) {
+                    return CallArg::Data(v);
                 }
-            }
-        }
-        let (image, digest) = last?;
-        if !shipped {
-            self.bulk_put(digest, &image);
+                let (image, d) = ninf_protocol::digested_image(v);
+                let held = argmem::knows(key, &d);
+                if image.len() >= ninf_protocol::CHUNK_THRESHOLD && !held {
+                    if images.iter().all(|(shipped, _)| *shipped != d) {
+                        images.push((d, image));
+                    }
+                    CallArg::Ref(d)
+                } else if held && policy == Policy::Held {
+                    CallArg::Ref(d)
+                } else {
+                    inline.push(d);
+                    CallArg::Data(v)
+                }
+            })
+            .collect();
+        if images.is_empty() {
             return None;
         }
-        // The call names the value by ref, as it would one already held.
-        // Nothing else is remembered before the upload is through: if it
-        // fails, the call goes out again, inline.
-        argmem::remember(&key, digest);
-        self.timing.request_bytes = 0;
-        self.timing.args_refilled = 0;
-        let mut args = self.plan_args(values, argmem::knows);
-        let carried = crate::bulk::upload_carrying(
-            &addr,
-            digest,
-            &image,
+        let ridden: Vec<Digest> = images.iter().map(|(d, _)| *d).collect();
+        let carried = crate::bulk::ride(
+            addr,
+            images,
             self.options.chunk_bytes,
             self.options.lane_deadline.or(self.options.deadline),
             self.options.wan,
@@ -587,114 +597,22 @@ impl NinfClient {
                         call.routine,
                         &mut args,
                         call.trace,
-                        |d| argmem::knows(&key, d),
+                        |_| false,
                     )
                 },
                 deadline: self.options.deadline,
             },
-        );
-        let Ok(carried) = carried else {
-            argmem::forget(&key, &[digest]);
-            return None;
-        };
-        // The call went out: what it shipped inline is believed held now,
-        // as after any send.
-        for arg in &args {
-            if let CallArg::Data(v) = arg {
-                if ninf_protocol::cacheable(v) {
-                    argmem::remember(&key, ninf_protocol::digest_value(v));
-                }
-            }
+        )
+        .ok()?;
+        // The call went out: what it shipped, by chunks or inline, is
+        // believed held now, as after any send.
+        for d in ridden.into_iter().chain(inline) {
+            argmem::remember(key, d);
         }
         self.account_upload(&carried.upload);
         self.account_call(call, values, &args);
-        self.timing.args_refd = args.iter().filter(|a| matches!(a, CallArg::Ref(_))).count() as u32;
-        match carried.reply {
-            Ok(Message::NeedArg { .. }) => None,
-            reply => {
-                self.timing.roundtrip += carried.roundtrip.as_secs_f64();
-                Some(reply)
-            }
-        }
-    }
-
-    /// Refill the digests a `NeedArg` named over the bulk lane: values are
-    /// matched by digest, and only the named ones are imaged. Returns
-    /// `true` only if every named value landed (and was remembered), so
-    /// the ref'd request can simply be replayed.
-    fn bulk_refill(&mut self, values: &[Value], digests: &[Digest]) -> bool {
-        if !self.bulk_enabled() {
-            return false;
-        }
-        let named: Vec<(Digest, &Value)> = values
-            .iter()
-            .filter(|v| ninf_protocol::cacheable(v))
-            .map(|v| (ninf_protocol::digest_value(v), v))
-            .filter(|(d, _)| digests.contains(d))
-            .collect();
-        digests.iter().all(|wanted| {
-            named
-                .iter()
-                .find(|(d, _)| d == wanted)
-                .is_some_and(|(d, v)| {
-                    let image = ninf_protocol::value_image(v);
-                    self.bulk_put(*d, &image)
-                })
-        })
-    }
-
-    /// Ship one call whose arguments may be named by content ref, and
-    /// absorb `NeedArg` rounds: the named digests are forgotten, then
-    /// either re-shipped as chunk uploads (bulk clients — the
-    /// ref'd request is replayed afterwards) or folded inline into a
-    /// re-sent request. The server executes nothing before all refs
-    /// resolve, so the refill round is the call's first (and only)
-    /// execution — exactly-once is preserved. A `NeedArg` for an
-    /// all-inline request is a protocol violation and surfaces to the
-    /// caller as an unexpected message.
-    fn send_with_refill(
-        &mut self,
-        call: &CallSpec<'_>,
-        values: &[Value],
-    ) -> ProtocolResult<Message> {
-        self.timing.request_bytes = 0;
-        self.timing.args_refilled = 0;
-        let mut args = self.plan_args(values, held);
-        let reply = self.exchange_call(call, values, &mut args, held);
-        self.timing.args_refd = args.iter().filter(|a| matches!(a, CallArg::Ref(_))).count() as u32;
-        let reply = reply?;
-        let Message::NeedArg { digests } = reply else {
-            return Ok(reply);
-        };
-        if let Some(key) = self.cache_key.as_deref() {
-            argmem::forget(key, &digests);
-        }
-        argmem::argref_refilled().add(digests.len() as u64);
-        self.timing.args_refilled = digests.len() as u32;
-        if self.bulk_refill(values, &digests) {
-            // The lane re-primed the server's store; replay the ref'd
-            // request. A second NeedArg (the server evicted again already)
-            // falls through to the inline path below.
-            let mut args = self.plan_args(values, held);
-            let reply = self.exchange_call(call, values, &mut args, held)?;
-            let Message::NeedArg { digests } = reply else {
-                return Ok(reply);
-            };
-            if let Some(key) = self.cache_key.as_deref() {
-                argmem::forget(key, &digests);
-            }
-        }
-        // Everything inline. The refill re-primes the server's store, so
-        // each cacheable value is digested in the encode pass and
-        // remembered, and the next call refs again.
-        let mut args: Vec<CallArg<'_>> = values
-            .iter()
-            .map(|v| match self.ref_key() {
-                Some(_) if ninf_protocol::cacheable(v) => CallArg::Fold(v),
-                _ => CallArg::Data(v),
-            })
-            .collect();
-        self.exchange_call(call, values, &mut args, resent)
+        self.timing.roundtrip += carried.roundtrip.as_secs_f64();
+        Some(carried.reply)
     }
 
     /// Replace the reliability policy, re-arming the transport deadline.

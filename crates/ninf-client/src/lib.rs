@@ -51,7 +51,7 @@ pub mod bulk;
 pub mod client;
 pub mod transaction;
 
-pub use bulk::{upload, UploadReport, DEFAULT_LANE_DEADLINE, MAX_CHUNK_ATTEMPTS};
+pub use bulk::{DEFAULT_LANE_DEADLINE, MAX_CHUNK_ATTEMPTS};
 pub use client::{
     call_async, ninf_call_url, parse_ninf_url, AsyncCall, Call, CallOptions, CallTiming, NinfClient,
 };

@@ -1,13 +1,13 @@
 //! Live tests of the bulk upload path: chunked uploads over one windowed,
-//! multiplexed lane against a real server, with the call itself naming the
-//! shipped value by content ref.
+//! multiplexed lane against a real server, with the call riding the same
+//! lane and naming the shipped values by content ref.
 
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use ninf_client::{upload, CallOptions, NinfClient};
+use ninf_client::{CallOptions, NinfClient};
 use ninf_protocol::{LinkShape, Value};
 use ninf_server::{builtin::register_stdlib, NinfServer, Registry, ServerConfig};
 
@@ -202,6 +202,9 @@ fn an_uploaded_value_is_named_by_ref_and_never_shipped_inline_again() {
     server.shutdown();
 }
 
+/// A refill is a second send: after a `NeedArg`, the evicted matrix rides
+/// the bulk lane again, as on a first send, and the 1 KiB right-hand side
+/// goes inline with the call.
 #[test]
 fn need_arg_refills_over_the_bulk_lanes_and_replays_the_refs() {
     let server = start_server();
@@ -209,48 +212,93 @@ fn need_arg_refills_over_the_bulk_lanes_and_replays_the_refs() {
     let mut client = NinfClient::connect_with(&addr, bulk_opts(1)).unwrap();
     let args = big_linpack_args();
     client.ninf_call("linpack", &args).unwrap();
-
-    // Evict everything server-side: the next ref'd call draws NeedArg (for
-    // the matrix *and* the 1 KiB rhs, both cacheable), and the refill must
-    // travel back over the bulk lane — the replayed request still ships
-    // refs, so its inline payload is zero.
-    server.arg_store().clear();
     client.ninf_call("linpack", &args).unwrap();
+    assert_eq!(client.last_timing().unwrap().args_refd, 2, "both held");
+
+    // Evict everything server-side: the next call names both by ref and
+    // draws NeedArg for the matrix *and* the rhs (both cacheable).
+    server.arg_store().clear();
+    let out = client.ninf_call("linpack", &args).unwrap();
+    assert!(solves(&args, &out));
     let timing = client.last_timing().unwrap();
-    assert_eq!(timing.args_refilled, 2);
-    let refilled =
-        ninf_protocol::value_image(&args[1]).len() + ninf_protocol::value_image(&args[2]).len();
-    assert_eq!(timing.bulk_bytes, refilled, "both refills went as chunks");
-    assert_eq!(timing.request_bytes, 0, "no inline fallback");
+    assert_eq!((timing.attempts, timing.args_refilled), (1, 2));
+    let matrix = ninf_protocol::value_image(&args[1]).len();
+    assert_eq!(timing.bulk_bytes, matrix, "the matrix rode the lane");
+    assert_eq!(
+        timing.request_bytes,
+        args[2].wire_bytes(),
+        "the rhs went inline, nothing else"
+    );
     let (_, _, uploads, _) = server.metrics().chunked();
-    assert_eq!(uploads, 3, "cold matrix pre-ship plus two refills");
+    assert_eq!(uploads, 2, "cold matrix ride plus one refill ride");
     server.shutdown();
 }
 
+/// Two large arguments ride one window on one lane connection, behind
+/// one call that names both by ref.
+#[test]
+fn two_large_arguments_ride_one_lane_behind_one_call() {
+    let server = start_server();
+    let (relay, accepted) = counting_relay(server.addr().to_string());
+    let mut client = NinfClient::connect_with(&relay, bulk_opts(1)).unwrap();
+    // 8·128·128 = 128 KiB each: both clear the chunking threshold.
+    let n = 128usize;
+    let a: Vec<f64> = (0..n * n).map(|i| (i % 7) as f64).collect();
+    let b: Vec<f64> = (0..n * n).map(|i| (i % 5) as f64 - 2.0).collect();
+    let args = vec![
+        Value::Int(n as i32),
+        Value::DoubleArray(a.clone()),
+        Value::DoubleArray(b.clone()),
+    ];
+    let out = client.ninf_call("dmmul", &args).unwrap();
+    let c = ninf_exec::dmmul(
+        &ninf_exec::Matrix::from_col_major(n, n, a),
+        &ninf_exec::Matrix::from_col_major(n, n, b),
+    );
+    assert_eq!(out, vec![Value::DoubleArray(c.into_vec())]);
+
+    let timing = client.last_timing().unwrap();
+    let images =
+        ninf_protocol::value_image(&args[1]).len() + ninf_protocol::value_image(&args[2]).len();
+    assert_eq!(timing.bulk_bytes, images, "both matrices went as chunks");
+    assert_eq!(timing.args_refd, 2, "the call names both by ref");
+    assert_eq!(
+        accepted.load(Ordering::SeqCst),
+        2,
+        "one lane connection beside the call's"
+    );
+    let (_, rejects, uploads, _) = server.metrics().chunked();
+    assert_eq!((rejects, uploads), (0, 2));
+    server.shutdown();
+}
+
+/// A lossy, delayed, capped link between the client and the server: the
+/// bulk call must still land its matrix exactly (retransmits recover every
+/// lost chunk) — the correctness half of the WAN story.
 #[test]
 fn shaped_bulk_upload_still_lands_byte_identically() {
-    // A lossy, delayed, capped link between the lane and the server: the
-    // transfer must still complete exactly (retransmits recover every lost
-    // chunk) — the correctness half of the WAN story.
     let server = start_server();
     let addr = server.addr().to_string();
-    let shape = LinkShape::parse("bw=64m,delay=1ms,loss=0.02,seed=7").unwrap();
-    let v = Value::DoubleArray((0..25_000).map(|i| i as f64 * 0.5).collect());
-    let image = ninf_protocol::value_image(&v);
-    let digest = ninf_protocol::Digest::of(&image);
-    let report = upload(
-        &addr,
-        digest,
-        &image,
-        8192,
-        Some(Duration::from_millis(300)),
-        Some(shape),
-    )
-    .unwrap();
-    assert_eq!(report.bytes, image.len() as u64);
-    // loss=2% over ~25 chunks usually costs a retransmit, but the schedule
+    let opts = CallOptions {
+        chunk_bytes: 8192,
+        lane_deadline: Some(Duration::from_millis(300)),
+        wan: Some(LinkShape::parse("bw=64m,delay=1ms,loss=0.02,seed=7").unwrap()),
+        // The call connection crosses the same lossy link: a lost request
+        // is a timeout, and a retry absorbs it.
+        retries: 3,
+        ..bulk_opts(1)
+    };
+    let mut client = NinfClient::connect_with(&addr, opts).unwrap();
+    let args = big_linpack_args();
+    let out = client.ninf_call("linpack", &args).unwrap();
+    assert!(solves(&args, &out));
+    let image = ninf_protocol::value_image(&args[1]);
+    assert_eq!(client.last_timing().unwrap().bulk_bytes, image.len());
+    // loss=2% over 17 chunks usually costs a retransmit, but the schedule
     // is seed-dependent; what matters is the image landed and verified.
-    assert!(server.arg_store().contains(&digest));
+    assert!(server
+        .arg_store()
+        .contains(&ninf_protocol::Digest::of(&image)));
     let (_, rejects, uploads, _) = server.metrics().chunked();
     assert_eq!((rejects, uploads), (0, 1));
     server.shutdown();
@@ -362,17 +410,24 @@ fn transport_wrapped_clients_ignore_the_streams_knob() {
     server.shutdown();
 }
 
+/// A peer that answers the interface query and then nothing: it takes
+/// every chunk and acks none. Deadlines are not deaths: the upload must
+/// give up after `MAX_CHUNK_ATTEMPTS` sends of each chunk on the one lane
+/// connection it has, not redial a healthy one and send a fifth copy down
+/// it.
 #[test]
 fn a_silent_server_sees_each_chunk_four_times_and_only_one_connection() {
-    // A peer that takes every chunk and acks none. Deadlines are not
-    // deaths: the upload must give up after `MAX_CHUNK_ATTEMPTS` sends of a
-    // chunk on the connection it has, not redial a healthy one and send a
-    // fifth copy down it.
+    use ninf_protocol::{encode_frame, read_frame_mux, Message};
+    use std::io::Write;
     use std::sync::atomic::AtomicBool;
 
+    let mut registry = Registry::new();
+    register_stdlib(&mut registry, false);
+    let linpack = registry.lookup("linpack").unwrap().interface.clone();
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
     let done = Arc::new(AtomicBool::new(false));
+    // Connections accepted, and chunk frames across them all.
     let (conns, frames) = (Arc::new(AtomicU32::new(0)), Arc::new(AtomicU32::new(0)));
     let acceptor = {
         let (done, conns, frames) = (done.clone(), conns.clone(), frames.clone());
@@ -383,12 +438,26 @@ fn a_silent_server_sees_each_chunk_four_times_and_only_one_connection() {
                     break;
                 }
                 conns.fetch_add(1, Ordering::SeqCst);
-                let frames = frames.clone();
+                let (frames, linpack) = (frames.clone(), linpack.clone());
                 readers.push(std::thread::spawn(move || {
-                    let mut reader = std::io::BufReader::new(stream.unwrap());
-                    while let Ok((_, msg)) = ninf_protocol::read_frame_mux(&mut reader) {
-                        assert_eq!(msg.kind(), "PutArgChunk");
-                        frames.fetch_add(1, Ordering::SeqCst);
+                    let stream = stream.unwrap();
+                    let mut writer = stream.try_clone().unwrap();
+                    let mut reader = std::io::BufReader::new(stream);
+                    while let Ok((id, msg)) = read_frame_mux(&mut reader) {
+                        match msg {
+                            Message::QueryInterface { .. } => {
+                                let reply = Message::InterfaceReply {
+                                    interface: linpack.clone(),
+                                };
+                                writer
+                                    .write_all(&encode_frame(id, &reply).unwrap())
+                                    .unwrap();
+                            }
+                            Message::PutArgChunk { .. } => {
+                                frames.fetch_add(1, Ordering::SeqCst);
+                            }
+                            _ => {}
+                        }
                     }
                 }));
             }
@@ -398,30 +467,34 @@ fn a_silent_server_sees_each_chunk_four_times_and_only_one_connection() {
         })
     };
 
-    let image = vec![0x5a_u8; 3 * 1024];
-    let digest = ninf_protocol::Digest::of(&image);
-    let err = upload(
-        &addr,
-        digest,
-        &image,
-        1024,
-        Some(Duration::from_millis(40)),
-        None,
-    )
-    .unwrap_err();
+    let chunk_bytes = 32 * 1024;
+    let opts = CallOptions {
+        chunk_bytes,
+        lane_deadline: Some(Duration::from_millis(40)),
+        deadline: Some(Duration::from_millis(300)),
+        ..bulk_opts(1)
+    };
+    let mut client = NinfClient::connect_with(&addr, opts).unwrap();
+    let args = big_linpack_args();
+    let err = client.ninf_call("linpack", &args).unwrap_err();
     assert!(err.is_timeout(), "{err}");
-    // The upload has hung up (its readers see EOF); wake the acceptor.
+    assert_eq!(client.last_timing().unwrap().bulk_bytes, 0);
+    // The client has hung up (the readers see EOF); wake the acceptor.
+    drop(client);
     done.store(true, Ordering::SeqCst);
     drop(TcpStream::connect(&addr).unwrap());
     acceptor.join().unwrap();
     assert_eq!(
         conns.load(Ordering::SeqCst),
-        1,
-        "a deadline caused a redial"
+        2,
+        "the call's connection and one lane: a deadline caused a redial"
     );
+    let chunks = ninf_protocol::value_image(&args[1])
+        .len()
+        .div_ceil(chunk_bytes as usize) as u32;
     assert_eq!(
         frames.load(Ordering::SeqCst),
-        3 * ninf_client::MAX_CHUNK_ATTEMPTS,
+        chunks * ninf_client::MAX_CHUNK_ATTEMPTS,
         "every chunk goes MAX_CHUNK_ATTEMPTS times, no more"
     );
 }

@@ -38,16 +38,18 @@ pub enum ProtocolError {
         got: String,
     },
     /// A windowed upload's peer acked what was not sent: a `ChunkOk` naming
-    /// another chunk than the one its ticket carried, or one on a ticket
-    /// never posted. Nothing on that connection can be trusted after this,
+    /// another `(digest, seq)` than the chunk its ticket carried — another
+    /// seq, or the same seq of another image — or one on a ticket never
+    /// posted. Nothing on that connection can be trusted after this,
     /// and a fresh one to the same peer is no better, so it is not
     /// retryable.
     AckMismatch {
         /// The ticket the ack came back on.
         ticket: u64,
-        /// Chunk that ticket carried (`None`: no such ticket was posted).
+        /// Seq of the chunk that ticket carried (`None`: no such ticket was
+        /// posted).
         sent: Option<u32>,
-        /// Chunk the ack named.
+        /// Seq the ack named.
         acked: u32,
     },
     /// The remote side reported an error (e.g. unknown routine, singular
@@ -109,7 +111,7 @@ impl fmt::Display for ProtocolError {
                 acked,
             } => write!(
                 f,
-                "protocol violation: ticket {ticket} carried chunk {sent}, its ack names chunk {acked}"
+                "protocol violation: ticket {ticket} carried chunk {sent}, its ack names chunk {acked} of this or another image"
             ),
             ProtocolError::AckMismatch {
                 ticket,

@@ -31,6 +31,7 @@ use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Instant;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use ninf_obs::metrics::{Counter, Gauge};
@@ -86,6 +87,9 @@ pub struct Request {
     pub digests: Vec<Option<Digest>>,
     /// Peer address, for logs.
     pub peer: SocketAddr,
+    /// When the reactor took the frame off its connection — before it waits
+    /// in the work queue for a worker.
+    pub arrived: Instant,
 }
 
 /// Handler run on worker threads: returns the reply (None = no reply).
@@ -432,6 +436,7 @@ impl Loop {
         };
         let mut dispatched: Vec<Request> = Vec::new();
         let mut bad = false;
+        let arrived = Instant::now();
         // Nothing more dispatches while replies wait for the socket (see the
         // module docs: the slow-reader bound).
         while conn.inflight + dispatched.len() < self.config.max_inflight_per_conn
@@ -445,6 +450,7 @@ impl Loop {
                         message,
                         digests,
                         peer: conn.peer,
+                        arrived,
                     })
                 }
                 Ok(None) => break,

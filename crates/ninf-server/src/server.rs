@@ -285,7 +285,7 @@ impl NinfServer {
         });
 
         let handler: Handler = Arc::new(move |req: ninf_reactor::Request| {
-            let reply = handle_message(&ctx, req.message, &req.digests);
+            let reply = handle_message(&ctx, req.message, &req.digests, req.arrived);
             // Outbound WAN shaping: the reply serializes through the
             // process-wide bottleneck and crosses the propagation delay
             // before the reactor puts it on the wire (lossless — see
@@ -386,8 +386,15 @@ impl NinfServer {
 /// The protocol state machine: one request
 /// message in, one reply message out. Every message kind replies exactly
 /// once; SubmitJob's compute runs detached after its ticket is returned.
-/// `digests` are the frame check's, one per argument of a call.
-fn handle_message(ctx: &Arc<CallContext>, msg: Message, digests: &[Option<Digest>]) -> Message {
+/// `digests` are the frame check's, one per argument of a call; `arrived`
+/// is when the reactor read the frame, a call's `T_submit`, so the wait
+/// for a worker is part of its record.
+fn handle_message(
+    ctx: &Arc<CallContext>,
+    msg: Message,
+    digests: &[Option<Digest>],
+    arrived: Instant,
+) -> Message {
     match msg {
         Message::QueryInterface { routine } => match ctx.registry.lookup(&routine) {
             Some(exe) => Message::InterfaceReply {
@@ -405,7 +412,6 @@ fn handle_message(ctx: &Arc<CallContext>, msg: Message, digests: &[Option<Digest
             args,
             trace,
         } => {
-            let t_submit = Instant::now();
             logkv!(
                 Level::Info,
                 "server",
@@ -426,7 +432,7 @@ fn handle_message(ctx: &Arc<CallContext>, msg: Message, digests: &[Option<Digest
                     routine,
                     args,
                     trace,
-                    t_submit,
+                    t_submit: arrived,
                 },
             ) {
                 Ok(results) => Message::ResultData { results },
@@ -446,7 +452,6 @@ fn handle_message(ctx: &Arc<CallContext>, msg: Message, digests: &[Option<Digest
             args,
             trace,
         } => {
-            let t_submit = Instant::now();
             // Two-phase, phase 1 (§5.1): ticket now, compute detached —
             // the client may disconnect immediately. Refs resolve before
             // the ticket exists, so a store miss is a NeedArg, not a job
@@ -472,7 +477,7 @@ fn handle_message(ctx: &Arc<CallContext>, msg: Message, digests: &[Option<Digest
                 routine,
                 args,
                 trace,
-                t_submit,
+                t_submit: arrived,
             };
             std::thread::spawn(move || {
                 let outcome = execute_invoke(&ctx, call);
@@ -1063,6 +1068,62 @@ mod tests {
             assert_eq!(server.stats().completed(), 3);
             server.shutdown();
         }
+    }
+
+    /// `T_submit` is stamped when the reactor reads a call's frame, so a
+    /// call waiting in the work queue for one of the eight workers is in
+    /// the §4.1 record from then on: twelve calls on one PE are all held at
+    /// once.
+    #[test]
+    fn a_call_waiting_for_a_worker_is_held_from_its_arrival() {
+        let release = Release::default();
+        let server = NinfServer::start(
+            "127.0.0.1:0",
+            hold_registry(&release),
+            ServerConfig {
+                pes: 1,
+                ..ServerConfig::default()
+            },
+        )
+        .unwrap();
+        let addr = server.addr().to_string();
+        let calls: Vec<_> = (0..12)
+            .map(|n| {
+                let addr = addr.clone();
+                std::thread::spawn(move || {
+                    let mut t = TcpTransport::connect(&addr).unwrap();
+                    t.send(&Message::Invoke {
+                        routine: "hold".into(),
+                        args: Arg::inline(vec![Value::Int(n)]),
+                        trace: None,
+                    })
+                    .unwrap();
+                    t.recv().unwrap()
+                })
+            })
+            .collect();
+        // Every call is in the server: one runs, seven wait in the PE gate
+        // and four wait for a worker.
+        while server.metrics.inflight_calls.get() < 12.0 {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        *release.0.lock() = true;
+        release.1.notify_all();
+        for call in calls {
+            assert!(matches!(call.join().unwrap(), Message::ResultData { .. }));
+        }
+        let records = server.stats().snapshot();
+        assert_eq!(records.len(), 12);
+        let last_in = records.iter().map(|r| r.t_submit).fold(f64::MIN, f64::max);
+        let first_out = records
+            .iter()
+            .map(|r| r.t_complete)
+            .fold(f64::MAX, f64::min);
+        assert!(
+            last_in < first_out,
+            "a call entered the record after another left it: {records:?}"
+        );
+        server.shutdown();
     }
 
     /// A flood of two-phase submissions cannot spawn a thread per job:
