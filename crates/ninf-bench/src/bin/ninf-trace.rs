@@ -40,9 +40,7 @@ use ninf_obs::export::{
 };
 use ninf_obs::{recorder, Span, TraceContext};
 use ninf_protocol::Value;
-use ninf_server::{
-    builtin::register_stdlib, ExecMode, NinfServer, Registry, SchedPolicy, ServerConfig,
-};
+use ninf_server::{builtin::register_stdlib, NinfServer, Registry, SchedPolicy, ServerConfig};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -123,7 +121,6 @@ fn demo(args: &[String]) {
             registry,
             ServerConfig {
                 pes: 2,
-                mode: ExecMode::TaskParallel,
                 policy: SchedPolicy::Fcfs,
                 ..ServerConfig::default()
             },

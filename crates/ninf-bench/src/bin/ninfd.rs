@@ -3,14 +3,16 @@
 //!
 //! ```text
 //! ninfd [--addr 0.0.0.0:5656] [--pes 4] [--mode task|data] \
-//!       [--policy fcfs|sjf|fpfs|fpmpfs] [--workers N] \
-//!       [--db-addr 0.0.0.0:5657] \
+//!       [--policy fcfs|sjf|fpfs|fpmpfs] [--db-addr 0.0.0.0:5657] \
 //!       [--trace] [--metrics-addr 0.0.0.0:9156] [--windows-ms 1000] \
 //!       [--wan bw=4m,delay=20ms,loss=0.01]
 //! ```
 //!
 //! Serves the stdlib routines (dmmul, dgefa, dgesl, linpack, ep, dos) until
-//! killed. With `--db-addr`, also serves the builtin numerical datasets.
+//! killed. `--mode` picks the stdlib's flavour, and with it the width every
+//! routine declares: `task` registers 1-PE executables, `data` executables
+//! that hold all `--pes` PEs per call and run their kernels on them.
+//! With `--db-addr`, also serves the builtin numerical datasets.
 //! `--trace` arms the in-process flight recorder (same effect as setting
 //! `NINF_TRACE=1`): spans are recorded for traced calls and served over the
 //! `QueryTrace` protocol message. `--metrics-addr` exposes the server's
@@ -23,7 +25,7 @@
 //! (token-bucket bandwidth, propagation delay; see `LinkShape::parse` for
 //! the grammar — a spec's loss and fault terms are accepted but only the
 //! client side applies them). Each reply is paced on the worker thread that
-//! produced it; `--workers` (floored at `pes + 4`) sizes that pool.
+//! produced it; that pool is `max(8, pes + 4)` threads.
 
 use ninf_bench::cli::{parse_args, CliError, Parsed};
 use ninf_server::{
@@ -39,7 +41,6 @@ fn main() {
             "--pes",
             "--mode",
             "--policy",
-            "--workers",
             "--arg-cache-bytes",
             "--metrics-addr",
             "--windows-ms",
@@ -72,12 +73,6 @@ fn main() {
         Some("fpmpfs") => SchedPolicy::Fpmpfs,
         Some(_) => usage("--policy is fcfs|sjf|fpfs|fpmpfs"),
     };
-    let workers = number(
-        &parsed,
-        "--workers",
-        8,
-        "--workers needs a positive integer",
-    );
     let trace = parsed.has("--trace");
     let arg_cache_bytes = number(
         &parsed,
@@ -105,9 +100,7 @@ fn main() {
         registry,
         ServerConfig {
             pes,
-            mode,
             policy,
-            workers,
             arg_cache_bytes,
             wan,
         },
@@ -183,7 +176,7 @@ fn usage(err: &str) -> ! {
     }
     eprintln!(
         "usage: ninfd [--addr host:port] [--pes N] [--mode task|data] \
-         [--policy fcfs|sjf|fpfs|fpmpfs] [--workers N] \
+         [--policy fcfs|sjf|fpfs|fpmpfs] \
          [--db-addr host:port] [--trace] [--metrics-addr host:port] \
          [--arg-cache-bytes N] [--windows-ms N] [--wan spec]"
     );

@@ -163,15 +163,6 @@ pub struct CallTiming {
     pub upload: f64,
 }
 
-/// FNV-1a of an address, used to salt backoff jitter per server.
-fn addr_salt(addr: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in addr.as_bytes() {
-        h = (h ^ u64::from(*b)).wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 /// How one send of a call names its cacheable arguments.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Policy {
@@ -732,7 +723,9 @@ impl NinfClient {
                     let Some(addr) = self.addr.as_deref() else {
                         return Err(e);
                     };
-                    std::thread::sleep(self.options.backoff_delay(attempt, addr_salt(addr)));
+                    // Jitter salted per server by its address.
+                    let salt = ninf_protocol::fnv1a(addr.as_bytes());
+                    std::thread::sleep(self.options.backoff_delay(attempt, salt));
                     attempt += 1;
                 }
                 outcome => return outcome,

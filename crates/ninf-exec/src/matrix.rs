@@ -197,11 +197,6 @@ impl<'a> ColsMut<'a> {
         &mut self.data[j * self.rows..(j + 1) * self.rows]
     }
 
-    /// Split the view itself into disjoint per-column mutable slices.
-    pub fn par_columns(&mut self) -> impl Iterator<Item = &mut [f64]> {
-        self.data.chunks_mut(self.rows)
-    }
-
     /// The raw backing slice of the view.
     pub fn as_mut_slice(&mut self) -> &mut [f64] {
         self.data

@@ -36,7 +36,7 @@ pub use poll::{Poller, ServerPolls, StatsPoll, WindowPoll};
 pub use report::{CallResult, ClientSummary, Outcome, RunReport, ServerView, Summary};
 pub use runner::{run_scenario, spawn_server, Conn, Fleet, Inputs, Target, OPEN_INFLIGHT_CAP};
 pub use scenario::{scenario, scenario_names, Scenario};
-pub use spec::{fnv1a, Arrival, MixEntry, Phases, Routine, WorkloadSpec};
+pub use spec::{Arrival, MixEntry, Phases, Routine, WorkloadSpec};
 pub use sweep::{
     estimate_knee, run_sweep, KneeEstimate, RemoteSeries, SweepConfig, SweepPoint, SweepReport,
     SweepTimeline,

@@ -9,10 +9,10 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use ninf_client::CallTiming;
-use ninf_protocol::CallStat;
+use ninf_protocol::{fnv1a, CallStat};
 
 use crate::poll::ServerPolls;
-use crate::spec::{fnv1a, schedule_bytes};
+use crate::spec::schedule_bytes;
 use ninf_obs::LogHistogram;
 
 /// How one call ended, from the client's point of view.

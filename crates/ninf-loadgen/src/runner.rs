@@ -11,7 +11,7 @@ use ninf_metaserver::{Balancing, Directory, Metaserver, ServerEntry};
 use ninf_protocol::{Message, ProtocolError, ProtocolResult, Value};
 use ninf_reactor::{run_open_loop, DriverConfig, MuxPool};
 use ninf_server::{
-    builtin::register_stdlib, ExecMode, NinfServer, Registry, SchedPolicy, ServerConfig,
+    builtin::register_stdlib, NinfServer, Registry, SchedPolicy, ServerConfig,
     DEFAULT_ARG_CACHE_BYTES,
 };
 
@@ -88,7 +88,6 @@ pub fn spawn_server(
         registry,
         ServerConfig {
             pes,
-            mode: ExecMode::TaskParallel,
             policy,
             arg_cache_bytes,
             ..ServerConfig::default()

@@ -158,15 +158,6 @@ pub struct WorkloadSpec {
     pub options: CallOptions,
 }
 
-/// FNV-1a over a byte slice; used to fingerprint schedules in reports.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in bytes {
-        h = (h ^ u64::from(*b)).wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 /// Canonical little-endian serialization of a schedule, the unit of the
 /// "byte-identical across runs" guarantee.
 pub fn schedule_bytes(schedule: &[f64]) -> Vec<u8> {

@@ -28,13 +28,13 @@
 
 use std::time::{Duration, Instant};
 
-use ninf_protocol::{MetricFrame, MetricKind, ProtocolError, ProtocolResult};
+use ninf_protocol::{fnv1a, MetricFrame, MetricKind, ProtocolError, ProtocolResult};
 
 use crate::poll::{Poller, ServerPolls};
 use crate::report::{CallResult, Outcome, ServerView, Summary};
 use crate::runner::{ignore_replies, materialize, sleep_until, Fleet, Inputs};
 use crate::scenario::Scenario;
-use crate::spec::{fnv1a, schedule_bytes, Arrival, Phases, WorkloadSpec};
+use crate::spec::{schedule_bytes, Arrival, Phases, WorkloadSpec};
 
 /// Sweep shape: how many stages, how long, how steep.
 #[derive(Debug, Clone, Copy)]

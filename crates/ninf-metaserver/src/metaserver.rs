@@ -368,9 +368,7 @@ mod tests {
     use super::*;
     use crate::directory::ServerEntry;
     use ninf_client::SlotId;
-    use ninf_server::{
-        builtin::register_stdlib, ExecMode, NinfServer, Registry, SchedPolicy, ServerConfig,
-    };
+    use ninf_server::{builtin::register_stdlib, NinfServer, Registry, SchedPolicy, ServerConfig};
 
     fn spawn_fleet(n: usize) -> (Vec<NinfServer>, Directory) {
         let mut dir = Directory::new();
@@ -383,7 +381,6 @@ mod tests {
                 registry,
                 ServerConfig {
                     pes: 2,
-                    mode: ExecMode::TaskParallel,
                     policy: SchedPolicy::Fcfs,
                     ..ServerConfig::default()
                 },

@@ -6,9 +6,7 @@
 use std::time::Duration;
 
 use ninf_metaserver::{Directory, HealthEvent, ServerEntry, QUARANTINE_THRESHOLD};
-use ninf_server::{
-    builtin::register_stdlib, ExecMode, NinfServer, Registry, SchedPolicy, ServerConfig,
-};
+use ninf_server::{builtin::register_stdlib, NinfServer, Registry, SchedPolicy, ServerConfig};
 use proptest::prelude::*;
 
 /// Events the harness can feed the directory. `ProbeDead` probes
@@ -157,7 +155,6 @@ fn successful_probe_reinstates() {
         registry,
         ServerConfig {
             pes: 1,
-            mode: ExecMode::TaskParallel,
             policy: SchedPolicy::Fcfs,
             ..ServerConfig::default()
         },

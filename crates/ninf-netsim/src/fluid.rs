@@ -348,15 +348,6 @@ impl FluidNet {
         }
     }
 
-    /// Rates of all active flows in deterministic (start) order — used by
-    /// invariant tests and instrumentation.
-    pub fn snapshot_rates(&self) -> Vec<(FlowId, f64)> {
-        self.order
-            .iter()
-            .filter_map(|&id| self.flows.get(&id).map(|f| (id, f.rate)))
-            .collect()
-    }
-
     /// Per-link utilized bandwidth (sum of flow rates crossing each link).
     pub fn link_loads(&self) -> Vec<f64> {
         let mut loads = vec![0.0; self.topo.link_count()];

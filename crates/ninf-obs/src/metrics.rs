@@ -184,11 +184,6 @@ impl MetricsRegistry {
         *self.windows.lock() = None;
     }
 
-    /// Whether windowed capture is armed.
-    pub fn windows_armed(&self) -> bool {
-        self.windows.lock().is_some()
-    }
-
     /// Close one window: every registered metric contributes its delta
     /// (counters, histograms) or instantaneous value (gauges) since the
     /// previous capture. Returns `false` (and records nothing) when

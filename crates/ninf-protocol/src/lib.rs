@@ -60,6 +60,6 @@ pub use marshal::{
 };
 pub use message::{Arg, CallArg, CallKind, CallStat, JobPhase, LoadReport, Message};
 pub use ninf_obs::{MetricFrame, MetricKind, MetricSample, Span, TraceContext, WindowsSnapshot};
-pub use rng::SplitMix64;
+pub use rng::{fnv1a, SplitMix64};
 pub use transport::{ChannelTransport, FrameFn, Pipelined, TcpTransport, Transport};
 pub use value::Value;

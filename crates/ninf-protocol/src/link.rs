@@ -47,7 +47,7 @@ use std::time::{Duration, Instant};
 
 use crate::error::ProtocolResult;
 use crate::message::Message;
-use crate::rng::SplitMix64;
+use crate::rng::{fnv1a, SplitMix64};
 use crate::transport::{FrameFn, Pipelined, Transport};
 
 /// One link's shape. All-integer so specs hash and compare exactly (it
@@ -447,20 +447,12 @@ pub fn link_schedule(shape: &LinkShape, lane: u32, lanes: u32, ops: u64) -> Vec<
 /// FNV-1a fingerprint of a lane's planned schedule, prefixed by the
 /// canonical spec string.
 pub fn link_fingerprint(shape: &LinkShape, lane: u32, lanes: u32, ops: u64) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    };
-    eat(shape.to_string().as_bytes());
-    eat(b"#");
+    let mut bytes = format!("{shape}#").into_bytes();
     for event in link_schedule(shape, lane, lanes, ops) {
-        eat(event.label().as_bytes());
-        eat(b";");
+        bytes.extend_from_slice(event.label().as_bytes());
+        bytes.push(b';');
     }
-    h
+    fnv1a(&bytes)
 }
 
 /// Counters of what the link did to one lane's sends.

@@ -1,4 +1,4 @@
-//! The workspace's one seeded generator.
+//! The workspace's one seeded generator and its one byte-string fingerprint.
 //!
 //! Everything that must replay from a seed draws from [`SplitMix64`]: the
 //! link model's per-send events, the simulator's arrival and service
@@ -7,6 +7,15 @@
 //! BigCrush, is trivially seedable, and every draw is a pure function of
 //! the previous state, so one definition pins every seeded stream at once
 //! (the known answers below).
+
+/// FNV-1a of `bytes`: the workspace's one fingerprint of a byte string
+/// (link and open-loop schedules, chaos fault plans, per-server backoff
+/// salts). Pinned by the known answers below.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
+}
 
 /// SplitMix64 generator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,6 +75,14 @@ impl SplitMix64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The published FNV-1a 64-bit test vectors.
+    #[test]
+    fn known_answers_of_fnv1a() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+    }
 
     #[test]
     fn known_answers_from_seed_zero() {

@@ -6,38 +6,36 @@ use std::sync::Arc;
 use ninf_exec::{ep_kernel_parallel, Matrix};
 use ninf_protocol::Value;
 
+use crate::exec::ExecMode;
 use crate::registry::{Handler, Registry};
 
 /// Register every stdlib routine on `registry`.
 ///
-/// `data_parallel` selects the library flavour for the LU-based routines:
-/// `true` uses the rayon-parallel blocked factorization (the paper's 4-PE
-/// libSci analogue), `false` the plain unblocked routines (1-PE task-parallel
-/// flavour). EP always partitions its stream across rayon workers.
+/// `data_parallel` selects the library flavour, and with it the width every
+/// routine declares: `true` registers all-PE executables whose LU-based
+/// routines use the rayon-parallel blocked factorization (the paper's 4-PE
+/// libSci analogue), `false` 1-PE executables with the plain unblocked
+/// routines (the task-parallel flavour). EP and N-body split their work
+/// over the threads of the call's grant.
 pub fn register_stdlib(registry: &mut Registry, data_parallel: bool) {
-    let sources = ninf_idl::stdlib();
-    registry
-        .register(sources[0], dmmul_handler(data_parallel))
-        .expect("dmmul IDL");
-    registry
-        .register(sources[1], dgefa_handler(data_parallel))
-        .expect("dgefa IDL");
-    registry
-        .register(sources[2], dgesl_handler())
-        .expect("dgesl IDL");
-    registry
-        .register(sources[3], linpack_handler(data_parallel))
-        .expect("linpack IDL");
-    registry.register(sources[4], ep_handler()).expect("ep IDL");
-    registry
-        .register(sources[5], dos_handler())
-        .expect("dos IDL");
-    registry
-        .register(sources[6], dgeco_handler())
-        .expect("dgeco IDL");
-    registry
-        .register(sources[7], nbody_handler())
-        .expect("nbody IDL");
+    let mode = if data_parallel {
+        ExecMode::DataParallel
+    } else {
+        ExecMode::TaskParallel
+    };
+    let handlers = [
+        dmmul_handler(data_parallel),
+        dgefa_handler(data_parallel),
+        dgesl_handler(),
+        linpack_handler(data_parallel),
+        ep_handler(),
+        dos_handler(),
+        dgeco_handler(),
+        nbody_handler(),
+    ];
+    for (idl, handler) in ninf_idl::stdlib().into_iter().zip(handlers) {
+        registry.register(idl, handler).expect("stdlib IDL").mode = mode;
+    }
 }
 
 fn get_int(v: &Value, what: &str) -> Result<usize, String> {
@@ -139,7 +137,8 @@ pub fn linpack_handler(parallel: bool) -> Handler {
     })
 }
 
-/// `ep(m) -> (sums[2], counts[10])` — NAS EP, `2^m` pair trials.
+/// `ep(m) -> (sums[2], counts[10])` — NAS EP, `2^m` pair trials, one
+/// stream segment per thread of the call's grant.
 pub fn ep_handler() -> Handler {
     Arc::new(move |args: &[&Value]| {
         let m = get_int(args[0], "m")?;

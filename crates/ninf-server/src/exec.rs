@@ -4,10 +4,10 @@
 //! The paper's central server-side design question (§1, §4.1): "distribute
 //! the computing resources amongst different client requests in a *task
 //! parallel manner*, or allocate all the processors to each client task in a
-//! *data parallel manner* in sequence". [`ExecMode`] picks the width;
-//! [`JobGate`] enforces it with a [`SchedPolicy`]-driven admission queue,
-//! and is the server's one count of running and queued calls
-//! ([`JobGate::load_report`]).
+//! *data parallel manner* in sequence". Each registered executable declares
+//! its width as an [`ExecMode`]; [`JobGate`] enforces it with a
+//! [`SchedPolicy`]-driven admission queue, and is the server's one count of
+//! running and queued calls ([`JobGate::load_report`]).
 
 use parking_lot::{Condvar, Mutex};
 
@@ -15,7 +15,8 @@ use ninf_protocol::LoadReport;
 
 use crate::policy::{JobInfo, SchedPolicy};
 
-/// How a server maps one call onto its PEs.
+/// How one executable's calls map onto the server's PEs: the width its
+/// handler was built for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExecMode {
     /// One PE per call; up to `pes` calls run concurrently (the 1-PE rows of

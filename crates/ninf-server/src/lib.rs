@@ -9,7 +9,8 @@
 //! This crate provides:
 //!
 //! * [`registry`] — the executable registry binding compiled IDL interfaces
-//!   to Rust handler functions;
+//!   to Rust handler functions, each with the width (PEs per call) it was
+//!   built for;
 //! * [`builtin`] — the paper's workloads (`dmmul`, `dgefa`, `dgesl`,
 //!   `linpack`, `ep`, `dos`) wired to the real kernels in `ninf-exec`;
 //! * [`policy`] — job admission policies: the FCFS the real server used

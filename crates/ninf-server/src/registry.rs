@@ -12,6 +12,8 @@ use std::sync::Arc;
 use ninf_idl::{CompiledInterface, IdlError};
 use ninf_protocol::Value;
 
+use crate::exec::ExecMode;
+
 /// A handler receives the `mode_in`/`mode_inout` values (declaration order)
 /// and returns the `mode_out`/`mode_inout` values (declaration order), or a
 /// human-readable error shipped back to the client.
@@ -28,12 +30,16 @@ pub struct NinfExecutable {
     pub interface: CompiledInterface,
     /// The computation.
     pub handler: Handler,
+    /// The width the handler was built for: the PEs one call holds in the
+    /// gate, and so the threads its kernel runs on.
+    pub mode: ExecMode,
 }
 
 impl std::fmt::Debug for NinfExecutable {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NinfExecutable")
             .field("interface", &self.interface.name)
+            .field("mode", &self.mode)
             .finish()
     }
 }
@@ -51,14 +57,23 @@ impl Registry {
     }
 
     /// Parse `idl_src`, compile it, and register `handler` under the
-    /// `Define`d name. Re-registering a name replaces the previous entry
-    /// (mirroring server-side library upgrades).
-    pub fn register(&mut self, idl_src: &str, handler: Handler) -> Result<(), IdlError> {
+    /// `Define`d name as a 1-PE executable. Re-registering a name replaces
+    /// the previous entry (mirroring server-side library upgrades). The
+    /// entry comes back so a handler built for all PEs can say so
+    /// (`.mode = ExecMode::DataParallel`).
+    pub fn register(
+        &mut self,
+        idl_src: &str,
+        handler: Handler,
+    ) -> Result<&mut NinfExecutable, IdlError> {
         let def = ninf_idl::parse_one(idl_src)?;
         let interface = CompiledInterface::compile(&def)?;
-        self.entries
-            .insert(def.name.clone(), NinfExecutable { interface, handler });
-        Ok(())
+        let entry = NinfExecutable {
+            interface,
+            handler,
+            mode: ExecMode::TaskParallel,
+        };
+        Ok(self.entries.entry(def.name).insert_entry(entry).into_mut())
     }
 
     /// Find an executable by routine name. Accepts bare names and

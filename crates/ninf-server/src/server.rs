@@ -7,6 +7,7 @@
 //! task-parallel/data-parallel tradeoff and the admission policy behave
 //! exactly as in the paper's server.
 
+use std::collections::HashMap;
 use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::Instant;
@@ -30,19 +31,14 @@ use crate::trace::CostModel;
 use crate::twophase::JobTable;
 use crate::uploads::{Accepted, Uploads, MAX_PARKED_CALLS, PARK_TIMEOUT};
 
-/// Server configuration.
+/// Server configuration. How many PEs a call holds is not here: each
+/// registered executable declares it ([`crate::NinfExecutable::mode`]).
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Number of PEs the gate manages (the J90 has 4).
     pub pes: usize,
-    /// Task-parallel vs data-parallel execution (§4.1).
-    pub mode: ExecMode,
     /// Admission policy (§5.2–5.3); the paper's server runs FCFS.
     pub policy: SchedPolicy,
-    /// Handler threads behind the reactor. A floor, not the exact count:
-    /// Invoke handlers block in the PE gate, so the pool is sized at least
-    /// `pes + 4` to keep queries flowing under compute saturation.
-    pub workers: usize,
     /// Resident-byte budget of the content-addressed argument store
     /// ([`crate::argstore::ArgStore`]); 0 disables server-side caching, so
     /// every `Arg::Ref` comes back as `NeedArg`.
@@ -50,7 +46,7 @@ pub struct ServerConfig {
     /// Outbound WAN shape: replies pace through one process-wide
     /// [`SharedLink`] bottleneck plus propagation delay, on the worker
     /// thread that produced them (workers already block for whole kernels
-    /// in the PE gate, which is what the `pes + 4` floor is for). Only the
+    /// in the PE gate, which is why the pool is `max(8, pes + 4)`). Only the
     /// shape's bandwidth and delay apply: loss and corruption are
     /// deliberately *not* applied server-side — a vanished ack would be
     /// indistinguishable from a vanished chunk, so the lossy direction
@@ -62,9 +58,7 @@ impl Default for ServerConfig {
     fn default() -> Self {
         Self {
             pes: 4,
-            mode: ExecMode::TaskParallel,
             policy: SchedPolicy::Fcfs,
-            workers: 8,
             arg_cache_bytes: DEFAULT_ARG_CACHE_BYTES,
             wan: None,
         }
@@ -230,7 +224,9 @@ struct CallContext {
     cost: CostModel,
     metrics: Arc<ServerMetrics>,
     args: Arc<ArgStore>,
-    mode: ExecMode,
+    /// One kernel thread budget per call width, keyed by the PEs granted:
+    /// a call's handler runs inside the pool of exactly its grant.
+    kernels: HashMap<usize, rayon::ThreadPool>,
     /// In-flight chunked bulk uploads; completed ones move into `args`
     /// and leave this table.
     uploads: parking_lot::Mutex<Uploads>,
@@ -268,7 +264,19 @@ impl NinfServer {
         let args = Arc::new(ArgStore::new(config.arg_cache_bytes));
         // Invoke handlers block in the gate; keep headroom so load/stats
         // queries are served while PEs are saturated.
-        let workers = config.workers.max(config.pes + 4);
+        let workers = (config.pes + 4).max(8);
+        // More kernel threads than cores would only time-share them.
+        let cores = std::thread::available_parallelism().map_or(1, usize::from);
+        let kernels = HashMap::from(
+            [ExecMode::TaskParallel, ExecMode::DataParallel].map(|mode| {
+                let width = mode.pes_per_call(config.pes);
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(width.min(cores))
+                    .build()
+                    .expect("a kernel thread pool");
+                (width, pool)
+            }),
+        );
         let ctx = Arc::new(CallContext {
             registry,
             stats: stats.clone(),
@@ -277,7 +285,7 @@ impl NinfServer {
             cost: CostModel::new(),
             metrics: metrics.clone(),
             args: args.clone(),
-            mode: config.mode,
+            kernels,
             uploads: parking_lot::Mutex::default(),
             upload_gone: parking_lot::Condvar::new(),
             park_cap: (workers / 2).min(MAX_PARKED_CALLS),
@@ -769,7 +777,8 @@ fn execute_invoke(ctx: &CallContext, call: Submitted) -> Result<Vec<Value>, Stri
 }
 
 /// One call's §4.1 lifecycle: check it against the IDL with the client's
-/// own checker, wait in the PE gate, execute. The clock is read once at
+/// own checker, wait in the PE gate for the executable's width, execute on
+/// exactly the PEs granted. The clock is read once at
 /// each lifecycle point (T_submit on arrival), and the record, the
 /// `invoke`/`queue_wait`/`exec` spans, the latency histogram and the
 /// cost-model sample are all computed from those four readings. A call the
@@ -792,13 +801,14 @@ fn run_call(ctx: &CallContext, call: &Submitted) -> Result<Vec<Value>, String> {
     let estimated_cost = n
         .and_then(|n| ctx.cost.predict(routine, n))
         .unwrap_or((request_bytes + reply_bytes) as f64 * 1e-9);
+    let width = exe.mode.pes_per_call(ctx.gate.pes());
     let guard = ctx.gate.acquire(JobInfo {
         arrival_seq: 0, // assigned by the gate
         estimated_cost,
-        pes_required: ctx.mode.pes_per_call(ctx.gate.pes()),
+        pes_required: width,
     });
     let t_dequeue = Instant::now();
-    let result = (exe.handler)(&args);
+    let result = ctx.kernels[&width].install(|| (exe.handler)(&args));
     let t_complete = Instant::now();
     drop(guard);
 
@@ -883,7 +893,6 @@ mod tests {
             registry,
             ServerConfig {
                 pes: 2,
-                mode,
                 policy: SchedPolicy::Fcfs,
                 ..ServerConfig::default()
             },
@@ -982,9 +991,9 @@ mod tests {
 
     type Release = Arc<(parking_lot::Mutex<bool>, parking_lot::Condvar)>;
 
-    /// A registry with one routine, `hold`, that blocks until `release`
-    /// opens and then echoes its argument.
-    fn hold_registry(release: &Release) -> Registry {
+    /// A registry with one routine, `hold`, of width `mode`, that blocks
+    /// until `release` opens and then echoes its argument.
+    fn hold_registry(release: &Release, mode: ExecMode) -> Registry {
         let mut registry = Registry::new();
         let held = release.clone();
         registry
@@ -1002,7 +1011,8 @@ mod tests {
                     Ok(vec![Value::IntArray(vec![n])])
                 }),
             )
-            .unwrap();
+            .unwrap()
+            .mode = mode;
         registry
     }
 
@@ -1016,13 +1026,11 @@ mod tests {
             (ExecMode::DataParallel, 1, 2),
         ] {
             let release = Release::default();
-            let registry = hold_registry(&release);
             let server = NinfServer::start(
                 "127.0.0.1:0",
-                registry,
+                hold_registry(&release, mode),
                 ServerConfig {
                     pes: 2,
-                    mode,
                     ..ServerConfig::default()
                 },
             )
@@ -1070,6 +1078,50 @@ mod tests {
         }
     }
 
+    /// A call's kernel runs on exactly the PEs its executable's width was
+    /// granted: a handler reading rayon's thread count sees 1 on a 1-PE
+    /// entry and 2 on an all-PE entry of a 2-PE server, whatever the
+    /// host's core count (2 or more).
+    #[test]
+    fn a_kernel_runs_on_exactly_its_grant() {
+        let mut registry = Registry::new();
+        for (name, mode) in [
+            ("task_width", ExecMode::TaskParallel),
+            ("data_width", ExecMode::DataParallel),
+        ] {
+            let idl = format!(
+                r#"Define {name}(mode_out int t[1])
+                   "the kernel thread budget",
+                   Calls "C" {name}(t);"#
+            );
+            let threads: crate::Handler = Arc::new(|_: &[&Value]| {
+                Ok(vec![Value::IntArray(vec![
+                    rayon::current_num_threads() as i32
+                ])])
+            });
+            registry.register(&idl, threads).unwrap().mode = mode;
+        }
+        let server = NinfServer::start(
+            "127.0.0.1:0",
+            registry,
+            ServerConfig {
+                pes: 2,
+                ..ServerConfig::default()
+            },
+        )
+        .unwrap();
+        let addr = server.addr().to_string();
+        for (name, grant) in [("task_width", 1), ("data_width", 2)] {
+            match raw_call(&addr, name, vec![]) {
+                Message::ResultData { results } => {
+                    assert_eq!(results, vec![Value::IntArray(vec![grant])], "{name}")
+                }
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        server.shutdown();
+    }
+
     /// `T_submit` is stamped when the reactor reads a call's frame, so a
     /// call waiting in the work queue for one of the eight workers is in
     /// the §4.1 record from then on: twelve calls on one PE are all held at
@@ -1079,7 +1131,7 @@ mod tests {
         let release = Release::default();
         let server = NinfServer::start(
             "127.0.0.1:0",
-            hold_registry(&release),
+            hold_registry(&release, ExecMode::TaskParallel),
             ServerConfig {
                 pes: 1,
                 ..ServerConfig::default()
@@ -1136,7 +1188,7 @@ mod tests {
         let release = Release::default();
         let server = NinfServer::start(
             "127.0.0.1:0",
-            hold_registry(&release),
+            hold_registry(&release, ExecMode::TaskParallel),
             ServerConfig {
                 pes: 2,
                 ..ServerConfig::default()
@@ -1365,7 +1417,6 @@ mod tests {
             registry,
             ServerConfig {
                 pes: 2,
-                mode: ExecMode::TaskParallel,
                 policy: SchedPolicy::Fcfs,
                 ..ServerConfig::default()
             },

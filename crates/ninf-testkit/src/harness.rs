@@ -14,10 +14,10 @@ use std::time::{Duration, Instant};
 
 use ninf_client::{NinfClient, Transaction, TxArg};
 use ninf_exec::{residual_check, Matrix};
-use ninf_loadgen::{fnv1a, spawn_server, CallResult, Conn, Fleet, Inputs, Outcome, Poller};
+use ninf_loadgen::{spawn_server, CallResult, Conn, Fleet, Inputs, Outcome, Poller};
 use ninf_metaserver::{Balancing, Directory, Metaserver, ServerEntry};
 use ninf_obs::recorder;
-use ninf_protocol::{link_schedule, LinkHistory, LinkTransport, ProtocolResult, Value};
+use ninf_protocol::{fnv1a, link_schedule, LinkHistory, LinkTransport, ProtocolResult, Value};
 use ninf_reactor::MuxStream;
 use ninf_server::SchedPolicy;
 

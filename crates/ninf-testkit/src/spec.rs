@@ -5,8 +5,8 @@
 use std::time::Duration;
 
 use ninf_client::CallOptions;
-use ninf_loadgen::{fnv1a, Arrival, MixEntry, Phases, Routine, WorkloadSpec};
-use ninf_protocol::LinkShape;
+use ninf_loadgen::{Arrival, MixEntry, Phases, Routine, WorkloadSpec};
+use ninf_protocol::{fnv1a, LinkShape};
 use ninf_server::DEFAULT_ARG_CACHE_BYTES;
 
 /// Everything one chaos run needs besides the seed.

@@ -15,9 +15,7 @@ use ninf::client::{Transaction, TxArg};
 use ninf::exec::{ep_kernel, EpResult, EP_GAUSSIAN_BINS};
 use ninf::metaserver::{Balancing, Directory, Metaserver, ServerEntry};
 use ninf::protocol::Value;
-use ninf::server::{
-    builtin::register_stdlib, ExecMode, NinfServer, Registry, SchedPolicy, ServerConfig,
-};
+use ninf::server::{builtin::register_stdlib, NinfServer, Registry, SchedPolicy, ServerConfig};
 use std::time::Instant;
 
 fn main() {
@@ -36,7 +34,6 @@ fn main() {
                 registry,
                 ServerConfig {
                     pes: 1,
-                    mode: ExecMode::TaskParallel,
                     policy: SchedPolicy::Fcfs,
                     ..Default::default()
                 },

@@ -11,7 +11,9 @@ use ninf::server::{builtin::register_stdlib, NinfServer, Registry, ServerConfig}
 
 fn main() {
     // --- server side: register the stdlib routines (dmmul, dgefa, dgesl,
-    // linpack, ep, dos) and start serving.
+    // linpack, ep, dos) and start serving. The data-parallel flavour
+    // declares every routine all-PE: each call holds the default config's
+    // 4 PEs and runs its kernel on them.
     let mut registry = Registry::new();
     register_stdlib(&mut registry, /* data_parallel = */ true);
     let server =

@@ -9,9 +9,7 @@
 use ninf::client::NinfClient;
 use ninf::exec::{linpack_flops, linpack_message_bytes, matgen, solve};
 use ninf::protocol::Value;
-use ninf::server::{
-    builtin::register_stdlib, ExecMode, NinfServer, Registry, SchedPolicy, ServerConfig,
-};
+use ninf::server::{builtin::register_stdlib, NinfServer, Registry, SchedPolicy, ServerConfig};
 use std::time::Instant;
 
 fn main() {
@@ -20,6 +18,8 @@ fn main() {
         .and_then(|a| a.parse().ok())
         .unwrap_or(600);
 
+    // The data-parallel flavour: every call holds all 4 PEs and its blocked
+    // LU runs on them (the paper's 4-PE libSci rows).
     let mut registry = Registry::new();
     register_stdlib(&mut registry, /* data_parallel = */ true);
     let server = NinfServer::start(
@@ -27,7 +27,6 @@ fn main() {
         registry,
         ServerConfig {
             pes: 4,
-            mode: ExecMode::DataParallel,
             policy: SchedPolicy::Fcfs,
             ..Default::default()
         },

@@ -7,14 +7,88 @@
 //! worker, which matches the regular, equal-cost loops in the kernels; there
 //! is no work stealing. Results preserve input order exactly, so kernels that
 //! promise bitwise-identical parallel output keep that promise here.
+//!
+//! A [`ThreadPool`] is a thread budget, not a set of parked threads:
+//! [`ThreadPool::install`] runs its closure on the calling thread with
+//! [`current_num_threads`] reading the pool's size, so every parallel
+//! iterator inside it splits over exactly that many threads (one means
+//! inline, no spawn). Outside any `install`, the budget is the host's
+//! cores.
 
+use std::cell::Cell;
 use std::num::NonZeroUsize;
 
-/// Number of worker threads a parallel operation will use.
+thread_local! {
+    /// The budget of the innermost [`ThreadPool::install`] on this thread.
+    static BUDGET: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+/// Number of worker threads a parallel operation will use: the installed
+/// pool's size, else the host's cores.
 pub fn current_num_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
+    BUDGET.with(Cell::get).unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(NonZeroUsize::get)
+            .unwrap_or(1)
+    })
+}
+
+/// Builder of a [`ThreadPool`] (rayon's `ThreadPoolBuilder`).
+#[derive(Debug, Default)]
+pub struct ThreadPoolBuilder {
+    num_threads: usize,
+}
+
+impl ThreadPoolBuilder {
+    /// A builder whose pool has the host's cores.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The pool's thread count; 0 means the host's cores.
+    pub fn num_threads(self, num_threads: usize) -> Self {
+        Self { num_threads }
+    }
+
+    /// The pool. The shim never fails to build one.
+    pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
+        Ok(ThreadPool {
+            threads: match self.num_threads {
+                0 => current_num_threads(),
+                n => n,
+            },
+        })
+    }
+}
+
+/// Why a pool could not be built; the shim has no such case.
+#[derive(Debug)]
+pub enum ThreadPoolBuildError {}
+
+/// A thread budget for parallel operations (see the crate docs).
+#[derive(Debug)]
+pub struct ThreadPool {
+    threads: usize,
+}
+
+impl ThreadPool {
+    /// Run `op` with every parallel operation in it split over this pool's
+    /// threads; the previous budget comes back when `op` returns or
+    /// unwinds.
+    pub fn install<OP, R>(&self, op: OP) -> R
+    where
+        OP: FnOnce() -> R + Send,
+        R: Send,
+    {
+        struct Restore(Option<usize>);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                BUDGET.with(|b| b.set(self.0));
+            }
+        }
+        let _restore = Restore(BUDGET.with(|b| b.replace(Some(self.threads))));
+        op()
+    }
 }
 
 /// Everything the kernels import.
@@ -25,10 +99,12 @@ pub mod prelude {
 }
 
 pub mod iter {
-    use super::current_num_threads;
+    use super::{current_num_threads, BUDGET};
 
     /// Run `f` over every item of `items` on up to [`current_num_threads`]
-    /// scoped threads, splitting into contiguous blocks.
+    /// scoped threads, splitting into contiguous blocks. Each spawned
+    /// thread is one thread of the budget, so a parallel operation nested
+    /// in it runs inline.
     fn run_for_each<I, F>(items: Vec<I>, f: &F)
     where
         I: Send,
@@ -51,6 +127,7 @@ pub mod iter {
         std::thread::scope(|scope| {
             for block in blocks {
                 scope.spawn(move || {
+                    BUDGET.with(|b| b.set(Some(1)));
                     for item in block {
                         f(item);
                     }
@@ -81,7 +158,12 @@ pub mod iter {
         std::thread::scope(|scope| {
             let handles: Vec<_> = blocks
                 .into_iter()
-                .map(|block| scope.spawn(move || block.into_iter().map(f).collect::<Vec<R>>()))
+                .map(|block| {
+                    scope.spawn(move || {
+                        BUDGET.with(|b| b.set(Some(1)));
+                        block.into_iter().map(f).collect::<Vec<R>>()
+                    })
+                })
                 .collect();
             for h in handles {
                 outputs.push(h.join().expect("parallel map worker panicked"));
@@ -290,5 +372,52 @@ mod tests {
     #[test]
     fn threads_reported() {
         assert!(crate::current_num_threads() >= 1);
+    }
+
+    fn pool(threads: usize) -> crate::ThreadPool {
+        crate::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap()
+    }
+
+    /// An installed pool is the budget inside it and only there, nested
+    /// installs included.
+    #[test]
+    fn install_sets_the_budget_and_restores_it() {
+        let host = crate::current_num_threads();
+        let outer = pool(3).install(|| {
+            let inner = pool(1).install(crate::current_num_threads);
+            (crate::current_num_threads(), inner)
+        });
+        assert_eq!(outer, (3, 1));
+        assert_eq!(crate::current_num_threads(), host);
+        assert_eq!(pool(0).install(crate::current_num_threads), host);
+    }
+
+    /// A one-thread budget runs a parallel map on the calling thread; a
+    /// wider one spawns exactly its size, and each of those threads runs
+    /// nested work inline.
+    #[test]
+    fn a_parallel_map_uses_exactly_the_budget() {
+        let threads = |budget: usize| {
+            pool(budget).install(|| {
+                let ids: Vec<(std::thread::ThreadId, usize)> = (0..64u32)
+                    .into_par_iter()
+                    .map(|_| (std::thread::current().id(), crate::current_num_threads()))
+                    .collect();
+                let distinct: std::collections::HashSet<_> =
+                    ids.iter().map(|&(id, _)| id).collect();
+                let nested = ids.iter().map(|&(_, n)| n).max().unwrap();
+                (distinct, nested)
+            })
+        };
+        let (one, nested) = threads(1);
+        assert_eq!(one, [std::thread::current().id()].into());
+        assert_eq!(nested, 1);
+        let (three, nested) = threads(3);
+        assert_eq!(three.len(), 3);
+        assert!(!three.contains(&std::thread::current().id()));
+        assert_eq!(nested, 1);
     }
 }

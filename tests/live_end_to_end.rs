@@ -12,6 +12,8 @@ use ninf::server::{
     builtin::register_stdlib, ExecMode, NinfServer, Registry, SchedPolicy, ServerConfig,
 };
 
+/// A `pes`-PE server whose stdlib executables are registered at width
+/// `mode`.
 fn start_server(pes: usize, mode: ExecMode) -> NinfServer {
     let mut registry = Registry::new();
     register_stdlib(&mut registry, matches!(mode, ExecMode::DataParallel));
@@ -20,7 +22,6 @@ fn start_server(pes: usize, mode: ExecMode) -> NinfServer {
         registry,
         ServerConfig {
             pes,
-            mode,
             policy: SchedPolicy::Fcfs,
             ..Default::default()
         },
@@ -555,7 +556,6 @@ fn client_retries_reach_a_late_starting_server() {
             registry,
             ServerConfig {
                 pes: 1,
-                mode: ExecMode::TaskParallel,
                 policy: SchedPolicy::Fcfs,
                 ..Default::default()
             },

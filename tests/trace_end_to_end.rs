@@ -15,9 +15,7 @@ use ninf::obs::export::{
 };
 use ninf::obs::{http, recorder, Span, TraceContext};
 use ninf::protocol::Value;
-use ninf::server::{
-    builtin::register_stdlib, ExecMode, NinfServer, Registry, SchedPolicy, ServerConfig,
-};
+use ninf::server::{builtin::register_stdlib, NinfServer, Registry, SchedPolicy, ServerConfig};
 
 fn start_server() -> NinfServer {
     let mut registry = Registry::new();
@@ -27,7 +25,6 @@ fn start_server() -> NinfServer {
         registry,
         ServerConfig {
             pes: 2,
-            mode: ExecMode::TaskParallel,
             policy: SchedPolicy::Fcfs,
             ..Default::default()
         },
