@@ -9,9 +9,11 @@
 //! ```
 //!
 //! Serves the stdlib routines (dmmul, dgefa, dgesl, linpack, ep, dos) until
-//! killed. `--mode` picks the stdlib's flavour, and with it the width every
-//! routine declares: `task` registers 1-PE executables, `data` executables
-//! that hold all `--pes` PEs per call and run their kernels on them.
+//! killed. `--mode` only declares the width every routine holds per call:
+//! `task` registers 1-PE executables, `data` executables that hold all
+//! `--pes` PEs. The kernels are the same in both modes; each splits its
+//! work over the threads of its call's grant, so the grant alone decides
+//! how many threads a kernel runs on.
 //! With `--db-addr`, also serves the builtin numerical datasets.
 //! `--trace` arms the in-process flight recorder (same effect as setting
 //! `NINF_TRACE=1`): spans are recorded for traced calls and served over the

@@ -1,46 +1,38 @@
-//! Cache-blocked LU factorization — the paper's `glub4` analogue.
+//! Cache-blocked LU factorization — the paper's `glub4` analogue, and the
+//! server's one LU kernel.
 //!
 //! The paper registers "glub4 and gslv4 routines which employ blocking
 //! optimizations and could thus be executed efficiently on RISC-based
 //! workstations" (§3.1), and on the J90 the 4-PE libSci `sgetrf`. Here the
 //! blocked factorization defers the update of columns right of the current
 //! panel until the panel is fully factored, so the panel stays resident in
-//! cache during the rank-`nb` update; the parallel variant applies that
-//! deferred update across columns with rayon (the 4-PE data-parallel stand-in).
+//! cache during the rank-`nb` update, and applies that deferred update
+//! across columns with rayon. How many threads share it is the ambient
+//! rayon budget: on the server, the call's PE grant, so a 1-PE call runs
+//! inline and an all-PE call (the 4-PE libSci stand-in) splits over the PEs
+//! it holds.
 //!
-//! Both variants perform *bitwise-identical arithmetic* to the unblocked
+//! It performs *bitwise-identical arithmetic* to the unblocked
 //! [`crate::linpack::dgefa`] — every column still receives its updates in
-//! ascending pivot order — so their outputs (factors and pivots) are exactly
-//! equal, which the tests assert. They return the same storage convention
-//! (negated multipliers, Linpack `ipvt`) and therefore work with
-//! [`crate::linpack::dgesl`] unchanged.
+//! ascending pivot order — so its outputs (factors and pivots) are exactly
+//! equal at any budget, which the tests assert. It returns the same storage
+//! convention (negated multipliers, Linpack `ipvt`) and therefore works
+//! with [`crate::linpack::dgesl`] unchanged.
 
 use rayon::prelude::*;
 
-use crate::linpack::Singular;
+use crate::linpack::{daxpy, idamax, Singular};
 use crate::matrix::Matrix;
 
 /// Default panel width. 32 keeps an n=1600 panel (~400 KiB) inside L2 on
 /// modern hardware while amortizing the pass over the trailing matrix.
 pub const DEFAULT_BLOCK: usize = 32;
 
-/// Blocked LU with partial pivoting; sequential deferred updates.
+/// Blocked LU with partial pivoting; the deferred panel update is applied to
+/// trailing columns in parallel over the ambient rayon budget.
 ///
 /// `nb` is the panel width; `nb = 0` falls back to [`DEFAULT_BLOCK`].
-pub fn dgefa_blocked(a: &mut Matrix, nb: usize) -> Result<Vec<usize>, Singular> {
-    factor_blocked(a, nb, false)
-}
-
-/// Blocked LU with partial pivoting; the deferred panel update is applied to
-/// trailing columns in parallel with rayon.
-///
-/// This is the stand-in for the paper's data-parallel 4-PE libSci execution:
-/// one call occupies all processors.
 pub fn dgefa_blocked_parallel(a: &mut Matrix, nb: usize) -> Result<Vec<usize>, Singular> {
-    factor_blocked(a, nb, true)
-}
-
-fn factor_blocked(a: &mut Matrix, nb: usize, parallel: bool) -> Result<Vec<usize>, Singular> {
     let n = a.rows();
     assert_eq!(n, a.cols(), "blocked dgefa requires a square matrix");
     let nb = if nb == 0 { DEFAULT_BLOCK } else { nb };
@@ -60,6 +52,9 @@ fn factor_blocked(a: &mut Matrix, nb: usize, parallel: bool) -> Result<Vec<usize
             let l = k + idamax(&col_k[k..]);
             ipvt[k] = l;
             if a[(l, k)] == 0.0 {
+                // Leave the columns right of the panel as unblocked `dgefa`
+                // leaves them: updated by every step before `k`.
+                update_trailing(a, &ipvt[k0..k], k0, panel_end);
                 return Err(Singular { column: k });
             }
             if l != k {
@@ -90,31 +85,7 @@ fn factor_blocked(a: &mut Matrix, nb: usize, parallel: bool) -> Result<Vec<usize
         }
 
         // --- Deferred update of all columns right of the panel.
-        if panel_end < n {
-            let pivots = &ipvt[k0..panel_end];
-            let (panel, mut trailing) = a.split_cols_mut(panel_end);
-            let rows = n;
-            let apply = |col: &mut [f64]| {
-                for (&l, k) in pivots.iter().zip(k0..panel_end) {
-                    if k == n - 1 {
-                        break;
-                    }
-                    if l != k {
-                        col.swap(l, k);
-                    }
-                    let mults = &panel.col(k)[k + 1..];
-                    let (upper, lower) = col.split_at_mut(k + 1);
-                    daxpy(upper[k], mults, lower);
-                }
-            };
-            if parallel {
-                trailing.as_mut_slice().par_chunks_mut(rows).for_each(apply);
-            } else {
-                for chunk in trailing.as_mut_slice().chunks_mut(rows) {
-                    apply(chunk);
-                }
-            }
-        }
+        update_trailing(a, &ipvt[k0..panel_end], k0, panel_end);
 
         k0 = panel_end;
     }
@@ -127,47 +98,43 @@ fn factor_blocked(a: &mut Matrix, nb: usize, parallel: bool) -> Result<Vec<usize
     Ok(ipvt)
 }
 
-/// Solve `A·X = B` for many right-hand sides using factors from any of the
-/// `dgefa*` variants; the columns of `b` are solved in place, in parallel
-/// with rayon (the `gslv4` analogue: the solve phase of the 4-PE library).
-pub fn dgesl_multi(a: &Matrix, ipvt: &[usize], b: &mut Matrix) {
-    assert_eq!(a.rows(), a.cols(), "square factors required");
-    assert_eq!(b.rows(), a.rows(), "rhs row mismatch");
+/// Apply elimination steps `k0..k0 + pivots.len()`, whose multipliers sit
+/// in columns left of `from`, to every column from `from` on: one rayon task
+/// per column, so the split follows the ambient budget.
+fn update_trailing(a: &mut Matrix, pivots: &[usize], k0: usize, from: usize) {
     let n = a.rows();
-    b.as_mut_slice().par_chunks_mut(n).for_each(|col| {
-        crate::linpack::dgesl(a, ipvt, col);
-    });
-}
-
-#[inline]
-fn idamax(x: &[f64]) -> usize {
-    let mut best = 0;
-    let mut best_val = 0.0f64;
-    for (i, &v) in x.iter().enumerate() {
-        let a = v.abs();
-        if a > best_val {
-            best_val = a;
-            best = i;
-        }
-    }
-    best
-}
-
-#[inline]
-fn daxpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    debug_assert_eq!(x.len(), y.len());
-    if alpha == 0.0 {
+    if from >= n {
         return;
     }
-    for (yi, &xi) in y.iter_mut().zip(x) {
-        *yi += alpha * xi;
-    }
+    let (panel, mut trailing) = a.split_cols_mut(from);
+    trailing
+        .as_mut_slice()
+        .par_chunks_mut(n)
+        .for_each(|col: &mut [f64]| {
+            for (k, &l) in (k0..).zip(pivots) {
+                if l != k {
+                    col.swap(l, k);
+                }
+                let mults = &panel.col(k)[k + 1..];
+                let (upper, lower) = col.split_at_mut(k + 1);
+                daxpy(upper[k], mults, lower);
+            }
+        });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::linpack::{dgefa, dgesl, matgen, residual_check};
+
+    /// `dgefa_blocked_parallel` on a budget of `threads`.
+    fn factor_on(threads: usize, a: &mut Matrix, nb: usize) -> Result<Vec<usize>, Singular> {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap();
+        pool.install(|| dgefa_blocked_parallel(a, nb))
+    }
 
     #[test]
     fn blocked_equals_unblocked_bitwise() {
@@ -177,7 +144,7 @@ mod tests {
             let ip_ref = dgefa(&mut a_ref).unwrap();
             for nb in [1usize, 2, 8, 32, 1000] {
                 let mut a_blk = orig.clone();
-                let ip_blk = dgefa_blocked(&mut a_blk, nb).unwrap();
+                let ip_blk = factor_on(1, &mut a_blk, nb).unwrap();
                 assert_eq!(ip_blk, ip_ref, "pivots differ at n={n} nb={nb}");
                 assert_eq!(
                     a_blk.as_slice(),
@@ -193,11 +160,13 @@ mod tests {
         for n in [33usize, 100, 150] {
             let (orig, _) = matgen(n);
             let mut a_seq = orig.clone();
-            let ip_seq = dgefa_blocked(&mut a_seq, 16).unwrap();
-            let mut a_par = orig.clone();
-            let ip_par = dgefa_blocked_parallel(&mut a_par, 16).unwrap();
-            assert_eq!(ip_par, ip_seq);
-            assert_eq!(a_par.as_slice(), a_seq.as_slice());
+            let ip_seq = factor_on(1, &mut a_seq, 16).unwrap();
+            for threads in [2usize, 3] {
+                let mut a_par = orig.clone();
+                let ip_par = factor_on(threads, &mut a_par, 16).unwrap();
+                assert_eq!(ip_par, ip_seq, "threads = {threads}");
+                assert_eq!(a_par.as_slice(), a_seq.as_slice(), "threads = {threads}");
+            }
         }
     }
 
@@ -206,7 +175,7 @@ mod tests {
         let n = 120;
         let (orig, b) = matgen(n);
         let mut a = orig.clone();
-        let ipvt = dgefa_blocked(&mut a, DEFAULT_BLOCK).unwrap();
+        let ipvt = dgefa_blocked_parallel(&mut a, DEFAULT_BLOCK).unwrap();
         let mut x = b.clone();
         dgesl(&a, &ipvt, &mut x);
         assert!(residual_check(&orig, &x, &b) < 50.0);
@@ -218,52 +187,29 @@ mod tests {
     #[test]
     fn singular_detected_in_blocked() {
         let mut a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]);
-        assert!(dgefa_blocked(&mut a, 8).is_err());
+        assert!(dgefa_blocked_parallel(&mut a, 8).is_err());
+    }
+
+    #[test]
+    fn a_singular_matrix_is_left_as_unblocked_leaves_it() {
+        // Column 5 is zero, so the pivot search fails there, inside the
+        // panel [4, 8); columns 8 and 9 still owe that panel's step 4.
+        let (mut orig, _) = matgen(10);
+        orig.col_mut(5).fill(0.0);
+        let mut a_ref = orig.clone();
+        let err = dgefa(&mut a_ref).unwrap_err();
+        assert_eq!(err, Singular { column: 5 });
+        for threads in [1usize, 2] {
+            let mut a_blk = orig.clone();
+            assert_eq!(factor_on(threads, &mut a_blk, 4), Err(err));
+            assert_eq!(a_blk.as_slice(), a_ref.as_slice(), "threads = {threads}");
+        }
     }
 
     #[test]
     fn zero_sized_ok() {
         let mut a = Matrix::zeros(0, 0);
-        assert!(dgefa_blocked(&mut a, 8).unwrap().is_empty());
-    }
-
-    #[test]
-    fn multi_rhs_solve_matches_column_by_column() {
-        let n = 60;
-        let k = 7;
-        let (orig, _) = matgen(n);
-        let mut fact = orig.clone();
-        let ipvt = dgefa_blocked(&mut fact, 16).unwrap();
-
-        // B's columns: A times distinct known solutions.
-        let mut solutions = Vec::new();
-        let mut b = Matrix::zeros(n, k);
-        for j in 0..k {
-            let x: Vec<f64> = (0..n).map(|i| ((i + j) % 5) as f64 - 2.0).collect();
-            let bx = orig.matvec(&x);
-            b.col_mut(j).copy_from_slice(&bx);
-            solutions.push(x);
-        }
-        dgesl_multi(&fact, &ipvt, &mut b);
-        for (j, expect) in solutions.iter().enumerate() {
-            // Also check against the sequential single-RHS path, bitwise.
-            let mut single = orig.matvec(expect);
-            crate::linpack::dgesl(&fact, &ipvt, &mut single);
-            assert_eq!(b.col(j), &single[..], "column {j} diverges from dgesl");
-            for (xi, ti) in b.col(j).iter().zip(expect) {
-                assert!((xi - ti).abs() < 1e-7, "col {j}: {xi} vs {ti}");
-            }
-        }
-    }
-
-    #[test]
-    fn multi_rhs_zero_columns_ok() {
-        let (orig, _) = matgen(10);
-        let mut fact = orig.clone();
-        let ipvt = dgefa_blocked(&mut fact, 4).unwrap();
-        let mut b = Matrix::zeros(10, 0);
-        dgesl_multi(&fact, &ipvt, &mut b);
-        assert_eq!(b.cols(), 0);
+        assert!(dgefa_blocked_parallel(&mut a, 8).unwrap().is_empty());
     }
 
     #[test]
@@ -271,8 +217,8 @@ mod tests {
         let (orig, _) = matgen(50);
         let mut a1 = orig.clone();
         let mut a2 = orig.clone();
-        let p1 = dgefa_blocked(&mut a1, 0).unwrap();
-        let p2 = dgefa_blocked(&mut a2, DEFAULT_BLOCK).unwrap();
+        let p1 = dgefa_blocked_parallel(&mut a1, 0).unwrap();
+        let p2 = dgefa_blocked_parallel(&mut a2, DEFAULT_BLOCK).unwrap();
         assert_eq!(p1, p2);
         assert_eq!(a1.as_slice(), a2.as_slice());
     }

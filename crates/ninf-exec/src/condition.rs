@@ -41,8 +41,10 @@ pub fn dgesl_t(a: &Matrix, ipvt: &[usize], b: &mut [f64]) {
     }
 }
 
-/// Factor `a` in place (like [`crate::linpack::dgefa`]) and estimate the
-/// reciprocal condition number `rcond = 1/(‖A‖₁·‖A⁻¹‖₁)`.
+/// Factor `a` in place (with [`crate::dgefa_blocked_parallel`], so the
+/// factorization splits over the ambient rayon budget and its factors equal
+/// [`crate::linpack::dgefa`]'s bit for bit) and estimate the reciprocal
+/// condition number `rcond = 1/(‖A‖₁·‖A⁻¹‖₁)`.
 ///
 /// Returns `(ipvt, rcond)`. `rcond` near 1 means well-conditioned; if
 /// `1.0 + rcond == 1.0` the matrix is singular to working precision (the
@@ -58,7 +60,7 @@ pub fn dgeco(a: &mut Matrix) -> Result<(Vec<usize>, f64), Singular> {
         .map(|j| a.col(j).iter().map(|v| v.abs()).sum::<f64>())
         .fold(0.0f64, f64::max);
 
-    let ipvt = crate::linpack::dgefa(a)?;
+    let ipvt = crate::blocked::dgefa_blocked_parallel(a, 0)?;
     let inv_norm = hager_inverse_norm(a, &ipvt);
     let rcond = if anorm > 0.0 && inv_norm > 0.0 {
         1.0 / (anorm * inv_norm)

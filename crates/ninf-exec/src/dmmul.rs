@@ -5,36 +5,20 @@ use rayon::prelude::*;
 
 use crate::matrix::Matrix;
 
-/// Naive triple loop in column-major-friendly (j, k, i) order.
+/// Naive triple loop in column-major-friendly (j, k, i) order: the
+/// reference [`dmmul_parallel`] is checked against, kept a separate loop
+/// so the check compares two implementations.
 pub fn dmmul(a: &Matrix, b: &Matrix) -> Matrix {
-    a.matmul_ref(b)
-}
-
-/// Cache-blocked multiply. Identical results to [`dmmul`] up to FP
-/// reassociation; with the (j, k, i) inner order and per-(j,k) rank-1 updates
-/// the accumulation order per output element is in fact identical, so results
-/// are bitwise equal — asserted in tests.
-pub fn dmmul_blocked(a: &Matrix, b: &Matrix, block: usize) -> Matrix {
     assert_eq!(a.cols(), b.rows(), "dimension mismatch");
-    let block = block.max(1);
-    let m = a.rows();
-    let n = b.cols();
-    let kk = a.cols();
-    let mut c = Matrix::zeros(m, n);
-    for j0 in (0..n).step_by(block) {
-        let j1 = (j0 + block).min(n);
-        for k0 in (0..kk).step_by(block) {
-            let k1 = (k0 + block).min(kk);
-            for j in j0..j1 {
-                for k in k0..k1 {
-                    let bkj = b[(k, j)];
-                    if bkj != 0.0 {
-                        let col_a = a.col(k);
-                        let col_c = c.col_mut(j);
-                        for i in 0..m {
-                            col_c[i] += col_a[i] * bkj;
-                        }
-                    }
+    let mut c = Matrix::zeros(a.rows(), b.cols());
+    for j in 0..b.cols() {
+        for k in 0..a.cols() {
+            let bkj = b[(k, j)];
+            if bkj != 0.0 {
+                let col_a = a.col(k);
+                let col_c = c.col_mut(j);
+                for i in 0..a.rows() {
+                    col_c[i] += col_a[i] * bkj;
                 }
             }
         }
@@ -42,23 +26,23 @@ pub fn dmmul_blocked(a: &Matrix, b: &Matrix, block: usize) -> Matrix {
     c
 }
 
-/// Rayon-parallel multiply: output columns are computed independently.
-/// Bitwise equal to [`dmmul`] (each column's accumulation order is unchanged).
+/// The server's multiply: output columns are computed independently,
+/// split over the ambient rayon budget (a call's grant on the server; one
+/// thread runs inline). Bitwise equal to [`dmmul`], since each column's
+/// accumulation order is unchanged.
 pub fn dmmul_parallel(a: &Matrix, b: &Matrix) -> Matrix {
     assert_eq!(a.cols(), b.rows(), "dimension mismatch");
     let m = a.rows();
-    let n = b.cols();
-    let mut c = Matrix::zeros(m, n);
+    let mut c = Matrix::zeros(m, b.cols());
     c.as_mut_slice()
-        .par_chunks_mut(m)
+        .par_chunks_mut(m.max(1))
         .enumerate()
         .for_each(|(j, col_c)| {
             for k in 0..a.cols() {
                 let bkj = b[(k, j)];
                 if bkj != 0.0 {
-                    let col_a = a.col(k);
-                    for i in 0..m {
-                        col_c[i] += col_a[i] * bkj;
+                    for (ci, &aik) in col_c.iter_mut().zip(a.col(k)) {
+                        *ci += aik * bkj;
                     }
                 }
             }
@@ -89,20 +73,16 @@ mod tests {
     }
 
     #[test]
-    fn blocked_matches_naive_bitwise() {
-        let a = test_matrix(17, 23, 0.3);
-        let b = test_matrix(23, 11, 0.9);
-        let reference = dmmul(&a, &b);
-        for block in [1usize, 2, 5, 8, 64] {
-            assert_eq!(dmmul_blocked(&a, &b, block), reference, "block = {block}");
-        }
-    }
-
-    #[test]
     fn parallel_matches_naive_bitwise() {
         let a = test_matrix(40, 40, 0.13);
         let b = test_matrix(40, 40, 0.77);
-        assert_eq!(dmmul_parallel(&a, &b), dmmul(&a, &b));
+        let reference = dmmul(&a, &b);
+        let inline = rayon::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .unwrap();
+        assert_eq!(inline.install(|| dmmul_parallel(&a, &b)), reference);
+        assert_eq!(dmmul_parallel(&a, &b), reference);
     }
 
     #[test]
@@ -125,6 +105,6 @@ mod tests {
     fn mismatched_dims_panic() {
         let a = test_matrix(3, 4, 1.0);
         let b = test_matrix(5, 2, 1.0);
-        let _ = dmmul_blocked(&a, &b, 4);
+        let _ = dmmul_parallel(&a, &b);
     }
 }

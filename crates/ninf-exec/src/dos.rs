@@ -52,8 +52,9 @@ pub fn dos_histogram(m: u32, levels: u32, bins: usize) -> DosResult {
     dos_segment(NasRng::default(), 0, 1u64 << m, levels, bins)
 }
 
-/// Parallel version partitioning one global stream across `workers`; integer
-/// results are bitwise identical to [`dos_histogram`].
+/// The server's DOS kernel: one global stream partitioned across `workers`
+/// segments, run in parallel over the ambient rayon budget. Integer results
+/// are bitwise identical to [`dos_histogram`] for any `workers`.
 pub fn dos_histogram_parallel(m: u32, levels: u32, bins: usize, workers: usize) -> DosResult {
     let total: u64 = 1 << m;
     let workers = workers.max(1) as u64;

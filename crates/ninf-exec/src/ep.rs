@@ -177,11 +177,6 @@ pub fn ep_kernel_parallel(m: u32, workers: usize) -> EpResult {
     merged
 }
 
-/// Convenience: run trials `[start, start + len)` of the default stream.
-pub fn ep_segment_any(start: u64, len: u64) -> EpResult {
-    ep_segment(NasRng::default(), start, len, start + len)
-}
-
 /// Run pair trials `[start, start + len)` of the global stream seeded by `rng`.
 ///
 /// Each pair trial consumes exactly two uniforms, so trial `i` starts at

@@ -6,16 +6,22 @@
 //! * **Linpack** — LU factorization (`dgefa`) + back-substitution (`dgesl`),
 //!   shipping dense matrices over the network: `8n² + 20n` bytes of traffic
 //!   against `2/3·n³ + 2n²` flops. We provide the classic unblocked
-//!   column-oriented routines, a blocked right-looking variant (the paper's
-//!   `glub4`/`gslv4` "blocking optimizations … executed efficiently on
-//!   RISC-based workstations"), and a rayon-parallel blocked variant standing
-//!   in for the 4-PE libSci `sgetrf`/`sgetrs`.
+//!   column-oriented routines (the reference) and one blocked right-looking
+//!   factorization (the paper's `glub4` "blocking optimizations … executed
+//!   efficiently on RISC-based workstations") whose deferred update splits
+//!   over rayon, standing in for the 4-PE libSci `sgetrf`.
 //! * **NAS EP** — the embarrassingly parallel Monte-Carlo kernel with the
 //!   official power-of-two linear congruential generator, O(1) communication.
 //!
 //! Plus the `dmmul` running example of §2 and a density-of-states (`dos`)
 //! Monte-Carlo kernel, the "EP-style practical application in computational
 //! chemistry" of §4.3.1.
+//!
+//! Each routine the server registers has one kernel, and that kernel splits
+//! its work over the ambient rayon budget: on the server, the call's PE
+//! grant, so a 1-PE call runs inline. The sequential references
+//! ([`dmmul`](fn@dmmul), [`dgefa`], [`ep_kernel`], [`dos_histogram`]) are
+//! what the kernels are checked against, bit for bit.
 
 pub mod blocked;
 pub mod condition;
@@ -26,13 +32,11 @@ pub mod linpack;
 pub mod matrix;
 pub mod nbody;
 
-pub use blocked::{dgefa_blocked, dgefa_blocked_parallel, dgesl_multi, DEFAULT_BLOCK};
+pub use blocked::{dgefa_blocked_parallel, DEFAULT_BLOCK};
 pub use condition::{dgeco, dgesl_t};
-pub use dmmul::{dmmul, dmmul_blocked, dmmul_parallel};
-pub use dos::{dos_histogram, DosResult};
-pub use ep::{
-    ep_kernel, ep_kernel_parallel, ep_segment, ep_segment_any, EpResult, NasRng, EP_GAUSSIAN_BINS,
-};
+pub use dmmul::{dmmul, dmmul_parallel};
+pub use dos::{dos_histogram, dos_histogram_parallel, DosResult};
+pub use ep::{ep_kernel, ep_kernel_parallel, ep_segment, EpResult, NasRng, EP_GAUSSIAN_BINS};
 pub use linpack::{
     dgefa, dgesl, dgesl_cols, linpack_flops, linpack_message_bytes, matgen, random_matrix,
     residual_check, solve, ShapeError,

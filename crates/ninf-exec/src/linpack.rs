@@ -30,7 +30,7 @@ impl std::error::Error for Singular {}
 
 /// Index of the element with largest magnitude (BLAS `idamax`).
 #[inline]
-fn idamax(x: &[f64]) -> usize {
+pub(crate) fn idamax(x: &[f64]) -> usize {
     let mut best = 0;
     let mut best_val = 0.0f64;
     for (i, &v) in x.iter().enumerate() {
@@ -45,7 +45,7 @@ fn idamax(x: &[f64]) -> usize {
 
 /// `y += alpha * x` (BLAS `daxpy`).
 #[inline]
-fn daxpy(alpha: f64, x: &[f64], y: &mut [f64]) {
+pub(crate) fn daxpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     debug_assert_eq!(x.len(), y.len());
     if alpha == 0.0 {
         return;

@@ -131,25 +131,6 @@ impl Matrix {
         y
     }
 
-    /// Reference (naive) matrix product, used to validate the fast kernels.
-    pub fn matmul_ref(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.rows, "dimension mismatch");
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        for j in 0..other.cols {
-            for k in 0..self.cols {
-                let bkj = other[(k, j)];
-                if bkj != 0.0 {
-                    let col = self.col(k);
-                    let out_col = out.col_mut(j);
-                    for i in 0..self.rows {
-                        out_col[i] += col[i] * bkj;
-                    }
-                }
-            }
-        }
-        out
-    }
-
     /// Max-absolute-entry norm.
     pub fn max_norm(&self) -> f64 {
         self.data.iter().fold(0.0f64, |acc, &v| acc.max(v.abs()))
@@ -258,7 +239,7 @@ mod tests {
     fn matmul_ref_small() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         let b = Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]);
-        let c = a.matmul_ref(&b);
+        let c = crate::dmmul(&a, &b);
         assert_eq!(c, Matrix::from_rows(&[&[19.0, 22.0], &[43.0, 50.0]]));
     }
 

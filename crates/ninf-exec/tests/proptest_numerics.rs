@@ -1,12 +1,22 @@
 //! Property tests on the numerical kernels: LU correctness on random
-//! well-conditioned systems, blocked/parallel equivalence, EP stream
+//! well-conditioned systems, each server kernel bitwise equal to its
+//! reference on one thread and on the default budget, EP stream
 //! partitioning.
 
 use ninf_exec::{
-    dgefa, dgefa_blocked, dgefa_blocked_parallel, dgesl, dmmul, dmmul_blocked, dmmul_parallel,
-    ep_segment_any, residual_check, Matrix, NasRng,
+    dgefa, dgefa_blocked_parallel, dgesl, dmmul, dmmul_parallel, ep_segment, residual_check,
+    Matrix, NasRng,
 };
 use proptest::prelude::*;
+
+/// Run `op` on a one-thread rayon budget: the inline path a 1-PE call takes.
+fn inline<R: Send>(op: impl FnOnce() -> R + Send) -> R {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .unwrap()
+        .install(op)
+}
 
 /// Random diagonally-dominant matrix (guaranteed non-singular) plus a
 /// random solution vector.
@@ -43,15 +53,16 @@ proptest! {
         prop_assert!(residual_check(&a, &x, &b) < 100.0);
     }
 
-    /// Blocked and parallel factorizations are bitwise equal to unblocked on
-    /// arbitrary (well-conditioned) matrices, for arbitrary block sizes.
+    /// The blocked factorization is bitwise equal to unblocked on arbitrary
+    /// (well-conditioned) matrices, for arbitrary block sizes, inline and on
+    /// the default budget.
     #[test]
     fn blocked_variants_bitwise_equal((a, _) in arb_system(), nb in 1usize..48) {
         let mut reference = a.clone();
         let ip_ref = dgefa(&mut reference).unwrap();
 
         let mut blocked = a.clone();
-        let ip_blk = dgefa_blocked(&mut blocked, nb).unwrap();
+        let ip_blk = inline(|| dgefa_blocked_parallel(&mut blocked, nb)).unwrap();
         prop_assert_eq!(&ip_blk, &ip_ref);
         prop_assert_eq!(blocked.as_slice(), reference.as_slice());
 
@@ -61,7 +72,8 @@ proptest! {
         prop_assert_eq!(parallel.as_slice(), reference.as_slice());
     }
 
-    /// All three matrix-multiply kernels agree bitwise.
+    /// The server's multiply agrees bitwise with the reference, inline and
+    /// on the default budget.
     #[test]
     fn matmul_kernels_agree(n in 1usize..24, seed in any::<u32>()) {
         let mut g = NasRng::new(seed as u64 | 1);
@@ -72,7 +84,7 @@ proptest! {
         let a = fill(n, n);
         let b = fill(n, n);
         let reference = dmmul(&a, &b);
-        prop_assert_eq!(&dmmul_blocked(&a, &b, 7), &reference);
+        prop_assert_eq!(&inline(|| dmmul_parallel(&a, &b)), &reference);
         prop_assert_eq!(&dmmul_parallel(&a, &b), &reference);
     }
 
@@ -81,9 +93,9 @@ proptest! {
     #[test]
     fn ep_partitioning_is_exact(total in 64u64..2048, cut in 1u64..63) {
         let cut = (cut * total / 64).clamp(1, total - 1);
-        let whole = ep_segment_any(0, total);
-        let first = ep_segment_any(0, cut);
-        let second = ep_segment_any(cut, total - cut);
+        let whole = ep_segment(NasRng::default(), 0, total, total);
+        let first = ep_segment(NasRng::default(), 0, cut, total);
+        let second = ep_segment(NasRng::default(), cut, total - cut, total);
         let merged = first.merge(&second);
         prop_assert_eq!(merged.counts, whole.counts);
         prop_assert_eq!(merged.accepted, whole.accepted);

@@ -98,15 +98,6 @@ impl HealthState {
     }
 }
 
-/// Point-in-time copy of one server's health accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HealthSnapshot {
-    /// Consecutive failures so far.
-    pub consecutive_failures: u32,
-    /// Whether the server is currently quarantined.
-    pub quarantined: bool,
-}
-
 /// The metaserver's view of the server fleet.
 #[derive(Debug, Default)]
 pub struct Directory {
@@ -210,20 +201,6 @@ impl Directory {
     /// Consecutive failure count for server `idx`.
     pub fn failure_count(&self, idx: usize) -> u32 {
         self.health.lock().expect("health lock").slots[idx].consecutive_failures
-    }
-
-    /// Point-in-time health of every server, in registration order.
-    pub fn health_snapshot(&self) -> Vec<HealthSnapshot> {
-        self.health
-            .lock()
-            .expect("health lock")
-            .slots
-            .iter()
-            .map(|h| HealthSnapshot {
-                consecutive_failures: h.consecutive_failures,
-                quarantined: h.quarantined,
-            })
-            .collect()
     }
 
     /// The health-state transition log so far (capped; see
@@ -481,19 +458,7 @@ mod tests {
         d.register(entry("a"));
         d.register(entry("b"));
         d.record_failure(1);
-        let snap = d.health_snapshot();
-        assert_eq!(
-            snap,
-            vec![
-                HealthSnapshot {
-                    consecutive_failures: 0,
-                    quarantined: false
-                },
-                HealthSnapshot {
-                    consecutive_failures: 1,
-                    quarantined: false
-                },
-            ]
-        );
+        let health = |i| (d.failure_count(i), d.is_quarantined(i));
+        assert_eq!([health(0), health(1)], [(0, false), (1, false)]);
     }
 }

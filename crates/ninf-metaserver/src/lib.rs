@@ -29,5 +29,5 @@ pub mod directory;
 pub mod metaserver;
 
 pub use balance::{Balancing, CallEstimate, ServerState};
-pub use directory::{Directory, HealthEvent, HealthSnapshot, ServerEntry, QUARANTINE_THRESHOLD};
+pub use directory::{Directory, HealthEvent, ServerEntry, QUARANTINE_THRESHOLD};
 pub use metaserver::Metaserver;

@@ -440,6 +440,32 @@ mod tests {
     }
 
     #[test]
+    fn vec_length_one_past_remaining_rejected_before_decoding() {
+        // Every element takes at least one word, so a count of
+        // remaining/4 + 1 cannot fit: the guard refuses it before reading
+        // an element (an off-by-one here once admitted a phantom element).
+        let mut enc = XdrEncoder::new();
+        enc.put_u32(2);
+        enc.put_u32(9);
+        let wire = enc.finish();
+        let err = get_vec::<u32>(&mut XdrDecoder::new(&wire)).unwrap_err();
+        assert!(
+            err.to_string().contains("vector length 2 overruns"),
+            "{err}"
+        );
+
+        // A count that exactly fills the frame is accepted.
+        let mut enc = XdrEncoder::new();
+        enc.put_u32(2);
+        enc.put_u32(9);
+        enc.put_u32(10);
+        let wire = enc.finish();
+        let mut dec = XdrDecoder::new(&wire);
+        assert_eq!(get_vec::<u32>(&mut dec).unwrap(), vec![9, 10]);
+        assert!(dec.is_empty());
+    }
+
+    #[test]
     fn tuple_and_option_roundtrip() {
         let v: Vec<(String, String)> = vec![
             ("dgefa".into(), "LU factorization".into()),

@@ -168,14 +168,6 @@ impl Arg {
         values.into_iter().map(Arg::Data).collect()
     }
 
-    /// The inline value, if this arg carries one.
-    pub fn as_value(&self) -> Option<&Value> {
-        match self {
-            Arg::Data(v) => Some(v),
-            Arg::Ref(_) => None,
-        }
-    }
-
     /// Unwrap an all-inline arg list back to values; `None` if any position
     /// is a ref.
     pub fn into_values(args: Vec<Arg>) -> Option<Vec<Value>> {
@@ -738,10 +730,12 @@ mod tests {
     fn arg_helpers_roundtrip_inline_lists() {
         let values = vec![Value::Int(1), Value::DoubleArray(vec![2.0; 4])];
         let args = Arg::inline(values.clone());
-        assert_eq!(args[0].as_value(), Some(&values[0]));
-        assert_eq!(Arg::into_values(args), Some(values));
-        let refd = vec![Arg::Ref(Digest { hi: 1, lo: 2 })];
-        assert_eq!(refd[0].as_value(), None);
+        assert_eq!(args[0], Arg::Data(values[0].clone()));
+        assert_eq!(Arg::into_values(args), Some(values.clone()));
+        let refd = vec![
+            Arg::Data(values[0].clone()),
+            Arg::Ref(Digest { hi: 1, lo: 2 }),
+        ];
         assert_eq!(Arg::into_values(refd), None);
     }
 

@@ -6,7 +6,6 @@
 //! IDL layout supplies the logical dimensions.
 
 use ninf_idl::{BaseType, IdlError};
-use ninf_xdr::{XdrDecoder, XdrEncoder, XdrResult};
 
 /// One argument value.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,75 +73,6 @@ impl Value {
         }
     }
 
-    /// Encode *without* a type tag, as `count` elements of `base` — the
-    /// layout-directed form used for call arguments, where both sides know
-    /// the type and extent from the compiled IDL.
-    pub fn encode_body(&self, enc: &mut XdrEncoder) {
-        match self {
-            Value::Int(v) => enc.put_i32(*v),
-            Value::Long(v) => enc.put_i64(*v),
-            Value::Float(v) => enc.put_f32(*v),
-            Value::Double(v) => enc.put_f64(*v),
-            Value::IntArray(v) => {
-                for &x in v {
-                    enc.put_i32(x);
-                }
-            }
-            Value::LongArray(v) => {
-                for &x in v {
-                    enc.put_i64(x);
-                }
-            }
-            Value::FloatArray(v) => {
-                for &x in v {
-                    enc.put_f32(x);
-                }
-            }
-            Value::DoubleArray(v) => enc.put_f64_slice(v),
-        }
-    }
-
-    /// Decode a value whose type and extent are dictated by the IDL layout.
-    pub fn decode_body(
-        dec: &mut XdrDecoder<'_>,
-        base: BaseType,
-        count: usize,
-        scalar: bool,
-    ) -> XdrResult<Value> {
-        if scalar {
-            return Ok(match base {
-                BaseType::Int => Value::Int(dec.get_i32()?),
-                BaseType::Long => Value::Long(dec.get_i64()?),
-                BaseType::Float => Value::Float(dec.get_f32()?),
-                BaseType::Double => Value::Double(dec.get_f64()?),
-            });
-        }
-        Ok(match base {
-            BaseType::Int => {
-                let mut v = Vec::with_capacity(count);
-                for _ in 0..count {
-                    v.push(dec.get_i32()?);
-                }
-                Value::IntArray(v)
-            }
-            BaseType::Long => {
-                let mut v = Vec::with_capacity(count);
-                for _ in 0..count {
-                    v.push(dec.get_i64()?);
-                }
-                Value::LongArray(v)
-            }
-            BaseType::Float => {
-                let mut v = Vec::with_capacity(count);
-                for _ in 0..count {
-                    v.push(dec.get_f32()?);
-                }
-                Value::FloatArray(v)
-            }
-            BaseType::Double => Value::DoubleArray(dec.get_f64_slice(count)?),
-        })
-    }
-
     /// Check this value against an IDL parameter layout.
     pub fn conforms(&self, base: BaseType, count: usize, scalar: bool) -> Result<(), IdlError> {
         if self.base_type() != base {
@@ -168,41 +98,43 @@ impl Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::Wire;
+    use ninf_xdr::{XdrDecoder, XdrEncoder};
+
+    /// `v`'s tagged image through the one codec, and the value read back.
+    fn roundtrip(v: &Value) -> (usize, Value) {
+        let mut enc = XdrEncoder::new();
+        v.put(&mut enc);
+        let wire = enc.finish();
+        let mut dec = XdrDecoder::new(&wire);
+        let back = Value::get(&mut dec).unwrap();
+        assert!(dec.is_empty());
+        (wire.len(), back)
+    }
 
     #[test]
     fn scalar_roundtrip_all_types() {
-        let cases = vec![
-            (Value::Int(-7), BaseType::Int),
-            (Value::Long(1 << 40), BaseType::Long),
-            (Value::Float(2.5), BaseType::Float),
-            (Value::Double(-1e100), BaseType::Double),
-        ];
-        for (v, base) in cases {
-            let mut enc = XdrEncoder::new();
-            v.encode_body(&mut enc);
-            let wire = enc.finish();
-            let mut dec = XdrDecoder::new(&wire);
-            let back = Value::decode_body(&mut dec, base, 1, true).unwrap();
-            assert_eq!(back, v);
+        for v in [
+            Value::Int(-7),
+            Value::Long(1 << 40),
+            Value::Float(2.5),
+            Value::Double(-1e100),
+        ] {
+            // A tag word, then the body.
+            assert_eq!(roundtrip(&v), (4 + v.wire_bytes(), v));
         }
     }
 
     #[test]
     fn array_roundtrip_all_types() {
-        let cases = vec![
-            (Value::IntArray(vec![1, -2, 3]), BaseType::Int, 3),
-            (Value::LongArray(vec![1 << 40, -5]), BaseType::Long, 2),
-            (Value::FloatArray(vec![0.5; 4]), BaseType::Float, 4),
-            (Value::DoubleArray(vec![1.0, 2.0]), BaseType::Double, 2),
-        ];
-        for (v, base, count) in cases {
-            let mut enc = XdrEncoder::new();
-            v.encode_body(&mut enc);
-            let wire = enc.finish();
-            assert_eq!(wire.len(), v.wire_bytes());
-            let mut dec = XdrDecoder::new(&wire);
-            let back = Value::decode_body(&mut dec, base, count, false).unwrap();
-            assert_eq!(back, v);
+        for v in [
+            Value::IntArray(vec![1, -2, 3]),
+            Value::LongArray(vec![1 << 40, -5]),
+            Value::FloatArray(vec![0.5; 4]),
+            Value::DoubleArray(vec![1.0, 2.0]),
+        ] {
+            // A tag word and a count word, then the body.
+            assert_eq!(roundtrip(&v), (8 + v.wire_bytes(), v));
         }
     }
 

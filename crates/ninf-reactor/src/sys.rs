@@ -41,14 +41,6 @@ impl Interest {
         readable: true,
         writable: false,
     };
-    pub const WRITE: Interest = Interest {
-        readable: false,
-        writable: true,
-    };
-    pub const BOTH: Interest = Interest {
-        readable: true,
-        writable: true,
-    };
 }
 
 #[cfg(target_os = "linux")]

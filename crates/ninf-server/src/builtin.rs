@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use ninf_exec::{ep_kernel_parallel, Matrix};
+use ninf_exec::Matrix;
 use ninf_protocol::Value;
 
 use crate::exec::ExecMode;
@@ -11,12 +11,12 @@ use crate::registry::{Handler, Registry};
 
 /// Register every stdlib routine on `registry`.
 ///
-/// `data_parallel` selects the library flavour, and with it the width every
-/// routine declares: `true` registers all-PE executables whose LU-based
-/// routines use the rayon-parallel blocked factorization (the paper's 4-PE
-/// libSci analogue), `false` 1-PE executables with the plain unblocked
-/// routines (the task-parallel flavour). EP and N-body split their work
-/// over the threads of the call's grant.
+/// `data_parallel` only declares the width every routine holds per call:
+/// `true` marks all-PE executables (the paper's 4-PE libSci analogue),
+/// `false` 1-PE ones (the task-parallel flavour). The handlers are the same
+/// either way: each calls one `ninf-exec` kernel, which splits its work over
+/// the call's grant (the rayon budget `run_call` installs), so a 1-PE call
+/// runs inline and an all-PE one uses every PE it holds.
 pub fn register_stdlib(registry: &mut Registry, data_parallel: bool) {
     let mode = if data_parallel {
         ExecMode::DataParallel
@@ -24,10 +24,10 @@ pub fn register_stdlib(registry: &mut Registry, data_parallel: bool) {
         ExecMode::TaskParallel
     };
     let handlers = [
-        dmmul_handler(data_parallel),
-        dgefa_handler(data_parallel),
+        dmmul_handler(),
+        dgefa_handler(),
         dgesl_handler(),
-        linpack_handler(data_parallel),
+        linpack_handler(),
         ep_handler(),
         dos_handler(),
         dgeco_handler(),
@@ -60,31 +60,22 @@ fn get_ints<'a>(v: &'a Value, what: &str) -> Result<&'a [i32], String> {
 }
 
 /// `dmmul(n, A, B) -> C` (matrix product, §2's running example).
-pub fn dmmul_handler(parallel: bool) -> Handler {
+pub fn dmmul_handler() -> Handler {
     Arc::new(move |args: &[&Value]| {
         let n = get_int(args[0], "n")?;
         let a = Matrix::from_col_major(n, n, get_doubles(args[1], "A")?.to_vec());
         let b = Matrix::from_col_major(n, n, get_doubles(args[2], "B")?.to_vec());
-        let c = if parallel {
-            ninf_exec::dmmul_parallel(&a, &b)
-        } else {
-            ninf_exec::dmmul(&a, &b)
-        };
+        let c = ninf_exec::dmmul_parallel(&a, &b);
         Ok(vec![Value::DoubleArray(c.into_vec())])
     })
 }
 
 /// `dgefa(n, A inout) -> (A, ipvt, info)` — LU factorization.
-pub fn dgefa_handler(parallel: bool) -> Handler {
+pub fn dgefa_handler() -> Handler {
     Arc::new(move |args: &[&Value]| {
         let n = get_int(args[0], "n")?;
         let mut a = Matrix::from_col_major(n, n, get_doubles(args[1], "A")?.to_vec());
-        let outcome = if parallel {
-            ninf_exec::dgefa_blocked_parallel(&mut a, 0)
-        } else {
-            ninf_exec::dgefa(&mut a)
-        };
-        match outcome {
+        match ninf_exec::dgefa_blocked_parallel(&mut a, 0) {
             Ok(ipvt) => Ok(vec![
                 Value::DoubleArray(a.into_vec()),
                 Value::IntArray(ipvt.into_iter().map(|p| p as i32).collect()),
@@ -119,16 +110,12 @@ pub fn dgesl_handler() -> Handler {
 
 /// `linpack(n, A, b) -> (x, ipvt)` — one benchmark `Ninf_call` (factor +
 /// solve).
-pub fn linpack_handler(parallel: bool) -> Handler {
+pub fn linpack_handler() -> Handler {
     Arc::new(move |args: &[&Value]| {
         let n = get_int(args[0], "n")?;
         let mut a = Matrix::from_col_major(n, n, get_doubles(args[1], "A")?.to_vec());
         let mut b = get_doubles(args[2], "b")?.to_vec();
-        let ipvt = if parallel {
-            ninf_exec::dgefa_blocked_parallel(&mut a, 0).map_err(|e| e.to_string())?
-        } else {
-            ninf_exec::dgefa(&mut a).map_err(|e| e.to_string())?
-        };
+        let ipvt = ninf_exec::dgefa_blocked_parallel(&mut a, 0).map_err(|e| e.to_string())?;
         ninf_exec::dgesl(&a, &ipvt, &mut b);
         Ok(vec![
             Value::DoubleArray(b),
@@ -145,7 +132,7 @@ pub fn ep_handler() -> Handler {
         if m > 36 {
             return Err("ep: m > 36 would run for days".into());
         }
-        let r = ep_kernel_parallel(m as u32, rayon::current_num_threads());
+        let r = ninf_exec::ep_kernel_parallel(m as u32, rayon::current_num_threads());
         Ok(vec![
             Value::DoubleArray(vec![r.sx, r.sy]),
             Value::DoubleArray(r.counts.iter().map(|&c| c as f64).collect()),
@@ -186,7 +173,8 @@ pub fn nbody_handler() -> Handler {
     })
 }
 
-/// `dos(m, bins) -> hist[bins]` — density-of-states Monte-Carlo.
+/// `dos(m, bins) -> hist[bins]` — density-of-states Monte-Carlo, one stream
+/// segment per thread of the call's grant.
 pub fn dos_handler() -> Handler {
     Arc::new(move |args: &[&Value]| {
         let m = get_int(args[0], "m")?;
@@ -197,7 +185,7 @@ pub fn dos_handler() -> Handler {
         if bins == 0 {
             return Err("dos: bins must be positive".into());
         }
-        let r = ninf_exec::dos_histogram(m as u32, 8, bins);
+        let r = ninf_exec::dos_histogram_parallel(m as u32, 8, bins, rayon::current_num_threads());
         Ok(vec![Value::DoubleArray(
             r.histogram.iter().map(|&c| c as f64).collect(),
         )])
@@ -422,21 +410,139 @@ mod tests {
         assert!((rcond[0] - 1.0).abs() < 1e-9);
     }
 
-    #[test]
-    fn parallel_flavour_gives_same_linpack_answer() {
-        let mut r1 = Registry::new();
-        register_stdlib(&mut r1, false);
-        let mut r2 = Registry::new();
-        register_stdlib(&mut r2, true);
-        let n = 24usize;
-        let (a, b) = ninf_exec::matgen(n);
-        let args = vec![
-            Value::Int(n as i32),
-            Value::DoubleArray(a.as_slice().to_vec()),
-            Value::DoubleArray(b),
-        ];
-        let o1 = (r1.lookup("linpack").unwrap().handler)(&refs(&args)).unwrap();
-        let o2 = (r2.lookup("linpack").unwrap().handler)(&refs(&args)).unwrap();
-        assert_eq!(o1, o2, "blocked-parallel LU must match unblocked bitwise");
+    /// The wire image of each output: equal images are equal bits.
+    fn images(out: &[Value]) -> Vec<ninf_xdr::Bytes> {
+        out.iter().map(ninf_protocol::value_image).collect()
     }
+
+    /// Every stdlib handler on a 1-thread and a 2-thread budget (a 1-PE and
+    /// an all-PE grant on a 2-core server), in both flavours: the same bits
+    /// at either width, equal to the sequential reference kernels. EP is the
+    /// exception: its counts are exact and its sums agree within the
+    /// reassociation of per-segment partial sums.
+    #[test]
+    fn every_handler_gives_the_same_bits_on_any_grant() {
+        let n = 40usize;
+        let int = |x: usize| Value::Int(x as i32);
+        let mat = |m: &Matrix| Value::DoubleArray(m.as_slice().to_vec());
+        let pivots = |p: &[usize]| Value::IntArray(p.iter().map(|&p| p as i32).collect());
+        let (a, b) = ninf_exec::matgen(n);
+        let (x, _) = ninf_exec::random_matrix(n, 3);
+        let mut fact = a.clone();
+        let ipvt = ninf_exec::dgefa(&mut fact).unwrap();
+        let mut solved = b.clone();
+        ninf_exec::dgesl(&fact, &ipvt, &mut solved);
+        // Zero pivot at column 5, inside the first 32-wide panel: the
+        // columns past that panel are returned as unblocked dgefa left them.
+        let mut singular = a.clone();
+        singular.col_mut(5).fill(0.0);
+        let mut sing_ref = singular.clone();
+        assert_eq!(ninf_exec::dgefa(&mut sing_ref).unwrap_err().column, 5);
+        let (masses, pos) = ninf_exec::nbody_particles(64);
+        let dos = ninf_exec::dos_histogram(12, 8, 16).histogram;
+
+        let cases: Vec<(&str, Vec<Value>, Vec<Value>)> = vec![
+            (
+                "dmmul",
+                vec![int(n), mat(&a), mat(&x)],
+                vec![mat(&ninf_exec::dmmul(&a, &x))],
+            ),
+            (
+                "dgefa",
+                vec![int(n), mat(&a)],
+                vec![mat(&fact), pivots(&ipvt), Value::IntArray(vec![0])],
+            ),
+            (
+                "dgefa",
+                vec![int(n), mat(&singular)],
+                vec![
+                    mat(&sing_ref),
+                    pivots(&vec![0; n]),
+                    Value::IntArray(vec![6]),
+                ],
+            ),
+            (
+                "dgesl",
+                vec![
+                    int(n),
+                    mat(&fact),
+                    pivots(&ipvt),
+                    Value::DoubleArray(b.clone()),
+                ],
+                vec![Value::DoubleArray(solved.clone())],
+            ),
+            (
+                "linpack",
+                vec![int(n), mat(&a), Value::DoubleArray(b.clone())],
+                vec![Value::DoubleArray(solved), pivots(&ipvt)],
+            ),
+            (
+                "dgeco",
+                vec![int(n), mat(&a)],
+                vec![
+                    mat(&fact),
+                    pivots(&ipvt),
+                    Value::DoubleArray(vec![f64::from_bits(DGECO_MATGEN40_RCOND)]),
+                ],
+            ),
+            (
+                "dos",
+                vec![int(12), int(16)],
+                vec![Value::DoubleArray(dos.iter().map(|&c| c as f64).collect())],
+            ),
+            (
+                "nbody",
+                vec![
+                    int(64),
+                    int(3),
+                    Value::DoubleArray(masses.clone()),
+                    Value::DoubleArray(pos.clone()),
+                ],
+                vec![Value::DoubleArray(
+                    ninf_exec::nbody_kernel(&masses, &pos, 3).to_vec(),
+                )],
+            ),
+        ];
+        let ep = ninf_exec::ep_kernel(12);
+        for data_parallel in [false, true] {
+            let mut r = Registry::new();
+            register_stdlib(&mut r, data_parallel);
+            for threads in [1usize, 2] {
+                let grant = rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .unwrap();
+                let run = |name: &str, args: &[Value]| {
+                    grant
+                        .install(|| (r.lookup(name).unwrap().handler)(&refs(args)))
+                        .unwrap()
+                };
+                for (name, args, want) in &cases {
+                    assert_eq!(
+                        images(&run(name, args)),
+                        images(want),
+                        "{name} on {threads} threads (data_parallel = {data_parallel})"
+                    );
+                }
+                let out = run("ep", &[int(12)]);
+                let Value::DoubleArray(sums) = &out[0] else {
+                    panic!("ep sums")
+                };
+                let counts: Vec<f64> = ep.counts.iter().map(|&c| c as f64).collect();
+                assert_eq!(out[1], Value::DoubleArray(counts), "{threads} threads");
+                let tol = 1e-9 * ep.accepted as f64;
+                assert!((sums[0] - ep.sx).abs() <= tol && (sums[1] - ep.sy).abs() <= tol);
+                if threads == 1 {
+                    assert_eq!(
+                        images(&out[..1]),
+                        images(&[Value::DoubleArray(vec![ep.sx, ep.sy])])
+                    );
+                }
+            }
+        }
+    }
+
+    /// `dgeco`'s rcond of `matgen(40)` (≈ 8.77e-4), as `dgeco` computes it
+    /// on the factors of the unblocked `dgefa`.
+    const DGECO_MATGEN40_RCOND: u64 = 0x3f4c_bc56_08c5_2342;
 }
