@@ -39,5 +39,5 @@ pub use scenario::{scenario, scenario_names, Scenario};
 pub use spec::{Arrival, MixEntry, Phases, Routine, WorkloadSpec};
 pub use sweep::{
     estimate_knee, run_sweep, KneeEstimate, RemoteSeries, SweepConfig, SweepPoint, SweepReport,
-    SweepTimeline,
+    SweepTimeline, KNEE_SHORTFALL_PCT,
 };

@@ -18,11 +18,12 @@
 //! series land on the same time axis as client-side call records without
 //! assuming synchronized clocks.
 //!
-//! The knee estimate follows the latency-slope rule: scanning stages in
-//! order, saturation is declared at the first stage whose *latency
-//! elasticity* — relative latency growth over relative offered-load growth
-//! — exceeds a threshold (or whose calls all fail); the knee is the last
-//! stage before that. Same-seed sweeps produce byte-identical offered-load
+//! The knee estimate follows the delivered-rate rule: scanning stages in
+//! order, saturation is declared at the first stage that delivered less
+//! than it issued, by more than [`KNEE_SHORTFALL_PCT`] percent (or whose
+//! calls all fail); the knee is the last stage before that. A server that
+//! keeps up answers a stage's calls within the stage, however slow one of
+//! them is; one that cannot drains a backlog past the stage's end. Same-seed sweeps produce byte-identical offered-load
 //! schedules (`schedule_fnv` proves it), so a knee shift between two runs
 //! is a behavior change, never schedule noise.
 
@@ -50,10 +51,11 @@ pub struct SweepConfig {
     /// Metric window interval armed on spawned servers, and the timeline
     /// bucket width.
     pub window: Duration,
-    /// Latency-elasticity threshold above which a stage counts as
-    /// saturated (2.0 = latency growing twice as fast as offered load).
-    pub knee_threshold: f64,
 }
+
+/// How far, in percent of the rate a stage issued, its delivered
+/// throughput may fall short before the stage counts as saturated.
+pub const KNEE_SHORTFALL_PCT: f64 = 10.0;
 
 impl Default for SweepConfig {
     fn default() -> Self {
@@ -63,7 +65,6 @@ impl Default for SweepConfig {
             start_mult: 1.0,
             step_mult: 1.0,
             window: Duration::from_millis(250),
-            knee_threshold: 2.0,
         }
     }
 }
@@ -234,14 +235,19 @@ fn exact_percentile(sorted: &[f64], p: f64) -> f64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
-/// Latency-slope knee estimate over a ramp curve.
+/// Delivered-rate knee estimate over a ramp curve.
 ///
-/// Scanning stage pairs in ramp order, stage `k` is saturated when its
-/// latency elasticity `(ΔL/L) / (ΔR/R)` against stage `k−1` exceeds
-/// `threshold`, or when it issued calls and none succeeded (collapse).
-/// The knee is stage `k−1` with `saturated = true`; if the ramp never
-/// bends the last point is returned with `saturated = false`.
-pub fn estimate_knee(points: &[SweepPoint], threshold: f64) -> Option<KneeEstimate> {
+/// Scanning stages in ramp order, stage `k` is saturated when its
+/// delivered `throughput_hz` (successful calls over the stage's span, which
+/// runs to its last completion) falls below the rate it issued,
+/// `offered_hz`, by more than `shortfall_pct` percent, or when it issued
+/// calls and none succeeded (collapse). The open arm issues every
+/// scheduled call, a capped one late, so `offered_hz` is the stage's calls
+/// over its window. The knee is stage `k−1` with `saturated = true`; if no
+/// stage falls short the last point is returned with `saturated = false`.
+/// Latency alone never marks a stage: one slow call in a stage that
+/// delivered all it was offered is not saturation.
+pub fn estimate_knee(points: &[SweepPoint], shortfall_pct: f64) -> Option<KneeEstimate> {
     let at = |p: &SweepPoint, saturated: bool| KneeEstimate {
         stage: p.stage,
         offered_hz: p.offered_hz,
@@ -249,19 +255,13 @@ pub fn estimate_knee(points: &[SweepPoint], threshold: f64) -> Option<KneeEstima
         latency_mean_s: p.latency.mean,
         saturated,
     };
+    let keeps_up = 1.0 - shortfall_pct / 100.0;
     for k in 1..points.len() {
-        let (prev, cur) = (&points[k - 1], &points[k]);
+        let cur = &points[k];
         let collapse = cur.calls > 0 && cur.ok == 0;
-        let elastic = prev.latency.mean > 0.0
-            && prev.offered_hz > 0.0
-            && cur.offered_hz > prev.offered_hz
-            && {
-                let dl = (cur.latency.mean - prev.latency.mean) / prev.latency.mean;
-                let dr = (cur.offered_hz - prev.offered_hz) / prev.offered_hz;
-                dl / dr > threshold
-            };
-        if collapse || elastic {
-            return Some(at(prev, true));
+        let short = cur.throughput_hz < keeps_up * cur.offered_hz;
+        if collapse || short {
+            return Some(at(&points[k - 1], true));
         }
     }
     points.last().map(|p| at(p, false))
@@ -510,7 +510,7 @@ pub fn run_sweep(
         seed,
         stage_secs: cfg.stage_secs,
         base_rate_hz: base_rate,
-        knee: estimate_knee(&points, cfg.knee_threshold),
+        knee: estimate_knee(&points, KNEE_SHORTFALL_PCT),
         points,
         timeline,
         server,
@@ -784,6 +784,28 @@ mod tests {
         let knee = estimate_knee(&points, 2.0).unwrap();
         assert!(knee.saturated);
         assert_eq!(knee.stage, 1);
+    }
+
+    /// One slow call in a stage that delivered all it was offered is not
+    /// a knee (a latency-slope rule named such stages in overload sweeps
+    /// whose server later delivered several times as much).
+    #[test]
+    fn one_slow_call_in_a_fully_delivered_stage_is_not_a_knee() {
+        let mut slow = point(2, 30.0, 30, 0.001);
+        // 29 calls of 1 ms and one of 100 ms.
+        slow.latency.mean = (29.0 * 0.001 + 0.100) / 30.0;
+        slow.latency.max = 0.100;
+        let points = vec![
+            point(0, 10.0, 10, 0.001),
+            point(1, 20.0, 20, 0.001),
+            slow,
+            point(3, 40.0, 40, 0.001),
+            point(4, 50.0, 30, 0.050),
+        ];
+        let knee = estimate_knee(&points, KNEE_SHORTFALL_PCT).unwrap();
+        assert!(knee.saturated);
+        assert_eq!(knee.stage, 3);
+        assert!((knee.offered_hz - 40.0).abs() < 1e-9);
     }
 
     #[test]

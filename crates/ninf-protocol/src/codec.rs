@@ -119,6 +119,14 @@ pub(crate) fn put_vec<T: Wire, S: XdrSink>(enc: &mut XdrEncoder<S>, items: &[T])
 /// additionally capped so a hostile-but-plausible count cannot reserve
 /// unbounded memory up front.
 pub(crate) fn get_vec<T: Wire>(dec: &mut XdrDecoder<'_>) -> ProtocolResult<Vec<T>> {
+    get_seq(dec, T::get)
+}
+
+/// [`get_vec`] with each element read by `item`.
+pub(crate) fn get_seq<'a, T>(
+    dec: &mut XdrDecoder<'a>,
+    mut item: impl FnMut(&mut XdrDecoder<'a>) -> ProtocolResult<T>,
+) -> ProtocolResult<Vec<T>> {
     let n = dec.get_u32()? as usize;
     if n > dec.remaining() / 4 {
         return Err(ProtocolError::Frame(format!(
@@ -127,7 +135,7 @@ pub(crate) fn get_vec<T: Wire>(dec: &mut XdrDecoder<'_>) -> ProtocolResult<Vec<T
     }
     let mut out = Vec::with_capacity(n.min(256));
     for _ in 0..n {
-        out.push(T::get(dec)?);
+        out.push(item(dec)?);
     }
     Ok(out)
 }
@@ -151,7 +159,6 @@ macro_rules! impl_wire_vec {
 
 impl_wire_vec!(
     crate::value::Value,
-    crate::message::Arg,
     crate::message::CallStat,
     crate::digest::Digest,
     ninf_obs::Span,
@@ -354,9 +361,21 @@ macro_rules! impl_message_codec {
             /// The payload must be *exactly* one message: unknown tags and
             /// trailing bytes are both frame errors.
             pub fn decode(payload: &[u8]) -> $crate::error::ProtocolResult<Message> {
+                Self::decode_with(payload, ::std::vec::Vec::new())
+            }
+
+            /// [`Message::decode`] of a payload some of whose inline call
+            /// arguments are already decoded (the frame check's pass): each
+            /// is taken in its position and its bytes only stepped over.
+            pub(crate) fn decode_with(
+                payload: &[u8],
+                decoded: $crate::message::Decoded,
+            ) -> $crate::error::ProtocolResult<Message> {
                 let mut dec = ::ninf_xdr::XdrDecoder::new(payload);
+                let mut decoded = decoded.into_iter();
                 let tag = dec.get_u32()?;
-                let msg = Self::decode_variant(tag, &mut dec)?;
+                let msg = Self::decode_variant(tag, &mut dec, &mut decoded)?;
+                debug_assert!(decoded.as_slice().is_empty(), "every decoded argument is taken");
                 if !dec.is_empty() {
                     return Err($crate::error::ProtocolError::Frame(format!(
                         "{} trailing bytes after {}",
@@ -370,6 +389,7 @@ macro_rules! impl_message_codec {
             fn decode_variant(
                 tag: u32,
                 dec: &mut ::ninf_xdr::XdrDecoder<'_>,
+                decoded: &mut <$crate::message::Decoded as ::std::iter::IntoIterator>::IntoIter,
             ) -> $crate::error::ProtocolResult<Message> {
                 $(
                     if tag == $utag {
@@ -396,7 +416,7 @@ macro_rules! impl_message_codec {
                         // `put_call`'s order.
                         return Ok(Message::$cvar {
                             routine: $crate::codec::Wire::get(dec)?,
-                            args: $crate::codec::Wire::get(dec)?,
+                            args: $crate::message::get_args(dec, decoded)?,
                             trace: $crate::codec::Wire::get(dec)?,
                         });
                     }

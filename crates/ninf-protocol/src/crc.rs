@@ -422,6 +422,61 @@ fn update_words_sw<const W: usize, V: FnMut(&[u8])>(
     crc
 }
 
+/// `a · b mod P` for two polynomials in the reflected domain (bit 31 is
+/// `x^0`): one shift-and-add step per bit of `a`, no CRC instruction.
+const fn mul_mod(a: u32, mut b: u32) -> u32 {
+    let mut product = 0;
+    let mut bit = 1u32 << 31;
+    while bit != 0 {
+        if a & bit != 0 {
+            product ^= b;
+        }
+        b = if b & 1 != 0 { (b >> 1) ^ POLY } else { b >> 1 };
+        bit >>= 1;
+    }
+    product
+}
+
+/// `x^(2^k) mod P` for `k < 64`: squares of squares of `x`.
+const X_POW_2K: [u32; 64] = {
+    let mut table = [0u32; 64];
+    let mut p = 1u32 << 30; // x^1
+    let mut k = 0;
+    while k < 64 {
+        table[k] = p;
+        p = mul_mod(p, p);
+        k += 1;
+    }
+    table
+};
+
+/// `v · x^(8·len) mod P`: the raw register `v` advanced over `len` zero
+/// bytes (`shift(v, n) == update(v, &[0; n])`), in one multiply per set
+/// bit of `8·len` instead of a pass over the bytes.
+pub(crate) fn shift(v: u32, len: u64) -> u32 {
+    let mut p = v;
+    let mut bits = len;
+    // x^(8·len) = x^(len·2^3): start the table three squarings in.
+    let mut k = 3;
+    while bits != 0 {
+        if bits & 1 != 0 {
+            p = mul_mod(X_POW_2K[k], p);
+        }
+        bits >>= 1;
+        k += 1;
+    }
+    p
+}
+
+/// The raw register `update(crc, B)` from `tail = update(!0, B)` and
+/// `len = |B|`, without reading `B` again: the CRC is affine in its
+/// register, so `update(c, B) = update(!0, B) ⊕ (c ⊕ !0)·x^(8|B|) mod P`.
+/// This is how a frame's register crosses an argument whose own CRC (the
+/// digest's `lo`) was folded from `!0`: one CRC pass per argument byte.
+pub(crate) fn combine(crc: u32, tail: u32, len: u64) -> u32 {
+    shift(crc ^ !0, len) ^ tail
+}
+
 /// CRC-32C digest of `data` (init `!0`, final complement — the RFC 3720
 /// parameterization, so `crc32c(b"123456789") == 0xE306_9283`).
 pub fn crc32c(data: &[u8]) -> u32 {
@@ -650,6 +705,41 @@ mod tests {
             update_128(!0, b"123456789"),
             has.then_some(0xE306_9283 ^ !0)
         );
+    }
+
+    /// `combine` joins two registers folded from `!0` into the register
+    /// of the concatenation, on every path the host runs, at lengths
+    /// around each fold boundary and at 8 MiB (an inline matrix); and
+    /// `shift` is a fold over zero bytes.
+    #[test]
+    fn combine_joins_registers_folded_from_scratch() {
+        let big = 8 << 20;
+        let data: Vec<u8> = (0..big + 300)
+            .map(|i: usize| (i.wrapping_mul(2_654_435_761) >> 9) as u8)
+            .collect();
+        let lens = [0usize, 1, 15, 16, 63, 64, 255, 256, 257];
+        let mut pairs: Vec<(usize, usize)> = lens
+            .iter()
+            .flat_map(|&a| lens.iter().map(move |&b| (a, b)))
+            .collect();
+        pairs.extend([(1, big), (big, 257)]);
+        for (a, b) in pairs {
+            let (head, tail) = data[..a + b].split_at(a);
+            for path in [Path::Dispatch, Path::Fold512, Path::Fold128, Path::Table] {
+                let fold = |bytes: &[u8]| run::<1>(path, !0, bytes).map(|(crc, _)| crc);
+                let (Some(h), Some(t), Some(whole)) =
+                    (fold(head), fold(tail), fold(&data[..a + b]))
+                else {
+                    continue;
+                };
+                assert_eq!(combine(h, t, b as u64), whole, "{path:?}, |A| {a}, |B| {b}");
+            }
+        }
+        for len in [0usize, 1, 7, 64, 1000] {
+            for reg in [0u32, !0, 0xDEAD_BEEF] {
+                assert_eq!(shift(reg, len as u64), update_sw::<1>(reg, &vec![0; len]));
+            }
+        }
     }
 
     #[test]

@@ -22,15 +22,17 @@
 //! fold loads the array through a byteswapping shuffle
 //! (`crc::update_words`) and hands each 256 B piece it has loaded
 //! to the lanes while the piece is in L1; no image block is written.
-//! [`Digest::of`] is **the same function** over a byte image, fed to
-//! `Hasher` in 2 KiB blocks (the lanes, then the CRC, over each block
-//! while it is in L1). Chunked uploads are named and verified with it, and
-//! a property test holds `digest_value(v) == Digest::of(&value_image(v))`
+//! [`Digest::of`] is **the same function** over a byte image, in the same
+//! kind of pass: the CRC fold loads each piece of the image and the lanes
+//! read it while it is in L1. Chunked uploads are named and verified with
+//! it, and a property test holds `digest_value(v) == Digest::of(&value_image(v))`
 //! for every value kind. A split definition would be silent: every uploaded
 //! value would ship inline a second time and no call would fail. The frame
 //! check ([`crate::frame::check_frame_payload`]) takes the same digest of each
 //! cacheable inline argument straight from the received payload, in the
-//! pass that checks the frame's CRC.
+//! pass that checks the frame's CRC and decodes the argument. The frame
+//! writer streams an argument through `Hasher` in 2 KiB blocks as it
+//! writes them.
 //!
 //! The halves fail independently, so an accidental collision needs to
 //! defeat both at once; this is a cache key against accidental collision,
@@ -69,9 +71,7 @@ pub struct Digest {
 impl Digest {
     /// Digest of a byte image.
     pub fn of(bytes: &[u8]) -> Digest {
-        let mut h = Hasher::new();
-        h.update(bytes);
-        h.finish()
+        digest_image(bytes, |_| {}).0
     }
 }
 
@@ -143,17 +143,14 @@ fn seal(lanes: &[u64; LANES], crc: u32, len: u64) -> Digest {
 
 /// One streaming pass computing both halves; bytes may arrive in pieces
 /// of any length. The frame writer feeds one from the bytes it writes, so
-/// an argument is digested in the pass that encodes it, and the frame
-/// check feeds one from the payload it checks; both hand it the frame's
-/// CRC register to carry over the same bytes: each block goes to the
-/// lanes and then to each register while it is in L1.
+/// an argument is digested in the pass that encodes it: each block goes to
+/// the lanes and then to the CRC register while it is in L1. The frame's
+/// own register is not carried over the same bytes: the writer derives it
+/// from this one at [`Hasher::close`] ([`crate::crc::combine`]).
 pub(crate) struct Hasher {
     lanes: [u64; LANES],
-    /// Raw (uncomplemented) CRC-32C register.
+    /// Raw (uncomplemented) CRC-32C register, from `!0`.
     crc: u32,
-    /// A second raw CRC-32C register advanced over exactly the bytes
-    /// hashed, in order (the frame's, while an argument is digested).
-    carry: Option<u32>,
     len: u64,
     /// The start of a group whose remaining bytes have not arrived yet.
     pending: [u8; GROUP],
@@ -162,15 +159,9 @@ pub(crate) struct Hasher {
 
 impl Hasher {
     pub(crate) fn new() -> Self {
-        Self::carrying(None)
-    }
-
-    /// A hasher that also advances `carry` over every byte it hashes.
-    pub(crate) fn carrying(carry: Option<u32>) -> Self {
         Hasher {
             lanes: seed(),
             crc: !0,
-            carry,
             len: 0,
             pending: [0; GROUP],
             filled: 0,
@@ -178,15 +169,12 @@ impl Hasher {
     }
 
     /// Fold `data` one [`BE_BLOCK_BYTES`] block at a time: the lanes, then
-    /// each CRC register over the same block while it is still in L1.
+    /// the CRC register over the same block while it is still in L1.
     pub(crate) fn update(&mut self, data: &[u8]) {
         self.len += data.len() as u64;
         for block in data.chunks(BE_BLOCK_BYTES) {
             self.feed_lanes(block);
             self.crc = crate::crc::update(self.crc, block);
-            if let Some(carry) = &mut self.carry {
-                *carry = crate::crc::update(*carry, block);
-            }
         }
     }
 
@@ -215,15 +203,30 @@ impl Hasher {
         self.close().0
     }
 
-    /// The digest, and the carried register advanced over every byte.
-    pub(crate) fn close(mut self) -> (Digest, Option<u32>) {
+    /// The digest, and the raw CRC register over the bytes hashed, from
+    /// `!0` (the digest's `lo` before its complement).
+    pub(crate) fn close(mut self) -> (Digest, u32) {
         absorb(
             &mut self.lanes,
             &self.pending[..self.filled],
             image_word::<1>,
         );
-        (seal(&self.lanes, self.crc, self.len), self.carry)
+        (seal(&self.lanes, self.crc, self.len), self.crc)
     }
+}
+
+/// The digest of a byte image in one pass, and the raw CRC register over
+/// it from `!0`: the CRC fold loads each piece, the lanes read it while it
+/// is in L1, and then `visit` gets it (the frame check decodes an inline
+/// array there). Every piece but the last is a whole number of 64 B
+/// groups, so the lanes take them as one.
+pub(crate) fn digest_image(image: &[u8], mut visit: impl FnMut(&[u8])) -> (Digest, u32) {
+    let mut lanes = seed();
+    let crc = crate::crc::update_words::<1>(!0, image, |piece| {
+        absorb(&mut lanes, piece, image_word::<1>);
+        visit(piece);
+    });
+    (seal(&lanes, crc, image.len() as u64), crc)
 }
 
 /// Full tagged XDR image of one value: the exact byte stream chunked bulk
@@ -376,10 +379,10 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// A hasher carrying a frame register gives, from pieces cut
-        /// anywhere across its 2 KiB block edges, the digest and carried
-        /// register it gives from one piece: the digest of the bytes and
-        /// the register advanced over every one of them.
+        /// A hasher fed pieces cut anywhere across its 2 KiB block edges
+        /// gives the digest and raw register of the one-pass image digest,
+        /// and that register, combined onto any frame register, is the
+        /// frame register carried over every byte.
         #[test]
         fn a_carried_register_sees_every_block(
             bytes in proptest::collection::vec(
@@ -391,18 +394,19 @@ mod tests {
         ) {
             let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(bytes.len())).collect();
             cuts.sort_unstable();
-            let mut pieces = Hasher::carrying(Some(register));
+            let mut pieces = Hasher::new();
             let mut from = 0;
             for cut in cuts.into_iter().chain([bytes.len()]) {
                 pieces.update(&bytes[from..cut]);
                 from = cut;
             }
-            let mut whole = Hasher::carrying(Some(register));
-            whole.update(&bytes);
-            let (digest, carried) = pieces.close();
-            proptest::prop_assert_eq!((digest, carried), whole.close());
+            let (digest, crc) = pieces.close();
+            proptest::prop_assert_eq!((digest, crc), digest_image(&bytes, |_| {}));
             proptest::prop_assert_eq!(digest, Digest::of(&bytes));
-            proptest::prop_assert_eq!(carried, Some(crate::crc::update_sw::<1>(register, &bytes)));
+            proptest::prop_assert_eq!(
+                crate::crc::combine(register, crc, bytes.len() as u64),
+                crate::crc::update_sw::<1>(register, &bytes)
+            );
         }
     }
 

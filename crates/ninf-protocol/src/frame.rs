@@ -26,29 +26,35 @@
 //! words are patched last. A frame therefore costs one user-space pass
 //! per payload byte; writers put it on the wire with one `write_all`.
 //! [`encode_call`] can also digest an inline argument in the pass that
-//! encodes it (see [`CallArg::Fold`]).
+//! encodes it (see [`CallArg::Fold`]); the frame's CRC register then takes
+//! the argument's CRC from the digest (`crc::combine`) rather than a
+//! second CRC over the same bytes.
 //!
-//! One check reads every frame: [`check_frame_payload`], one pass over
-//! the payload before its decode. It first *locates* each cacheable inline
-//! argument of an `Invoke`/`SubmitJob` from the header words alone (message
-//! tag, routine length and pad, argument count, each argument's tag and
-//! element count), reading no array byte. It then *folds*: the CRC-32C runs
-//! over call id ++ payload, and over each located argument the digest
-//! kernel carries the frame's CRC register, so the argument's digest comes
-//! out of the pass that checks it. Only once the CRC matches does the
-//! payload decode. A server therefore makes two passes over an inline
-//! argument — this one and the decode — and hands the digests to its
-//! argument store with the message ([`CheckedFrame::digests`]).
+//! One check reads every frame: [`check_frame_payload`]. It first
+//! *locates* each cacheable inline argument of an `Invoke`/`SubmitJob`
+//! from the header words alone (message tag, routine length and pad,
+//! argument count, each argument's tag and element count), reading no
+//! array byte. It then *folds*: the CRC-32C runs over call id ++ payload
+//! outside those arguments, and over each one a single pass folds its own
+//! CRC, feeds the digest's lanes and byteswaps it into its `Vec`, after
+//! which the frame's register crosses it by `crc::combine`. Only once
+//! the CRC matches does the rest of the payload decode, taking the decoded
+//! arrays in position order and stepping over their bytes; a frame that
+//! fails drops them. A server therefore reads each inline argument byte
+//! once, and hands the digests to its argument store with the message
+//! ([`CheckedFrame::digests`]).
 
 use std::io::{Read, Write};
 
-use ninf_xdr::{be_blocks, BeWord, ByteCount, XdrEncoder, XdrSink};
+use ninf_xdr::{BeWord, ByteCount, XdrEncoder, XdrSink, BE_BLOCK_BYTES};
 
 use crate::codec::Wire;
 use crate::crc;
-use crate::digest::{Digest, Hasher};
+use crate::digest::{digest_image, Digest, Hasher};
 use crate::error::{ProtocolError, ProtocolResult};
-use crate::message::{cacheable_arg_ranges, put_call, put_ref, CallArg, CallKind, Message};
+use crate::message::{
+    cacheable_arg_ranges, put_call, put_ref, ArrayFill, CallArg, CallKind, Message,
+};
 use crate::value::Value;
 use crate::TraceContext;
 
@@ -91,15 +97,17 @@ fn check_len(len: usize) -> ProtocolResult<u32> {
 /// argument being digested in the same pass. The folds read the buffer
 /// lazily — small writes accumulate, and each array block is folded right
 /// after it is appended, while it is still in L1. While an argument is
-/// digested, the digest's hasher carries the frame's CRC register over the
-/// same blocks. A bare sink (no header, no CRC) writes a value image and
-/// its digest ([`digested_image`]).
+/// digested only the digest's hasher reads its blocks; the frame's register
+/// waits and takes the argument's CRC from the hasher when it closes
+/// ([`crc::combine`]), so each argument byte goes through one CRC. A bare
+/// sink (no header, no CRC) writes a value image and its digest
+/// ([`digested_image`]).
 struct FrameSink {
     buf: Vec<u8>,
     /// Bytes of `buf` folded so far.
     folded: usize,
-    /// Raw (uncomplemented) CRC-32C register; `None` for a bare sink and
-    /// while `digest` carries it.
+    /// Raw (uncomplemented) CRC-32C register over what was folded before
+    /// the argument being digested; `None` for a bare sink.
     crc: Option<u32>,
     /// The argument being digested.
     digest: Option<Hasher>,
@@ -126,19 +134,20 @@ impl FrameSink {
     /// Start digesting what is written next.
     fn begin_digest(&mut self) -> Mark {
         self.fold();
-        let mark = Mark {
+        self.digest = Some(Hasher::new());
+        Mark {
             len: self.buf.len(),
             crc: self.crc,
-        };
-        self.digest = Some(Hasher::carrying(self.crc.take()));
-        mark
+        }
     }
 
-    /// The digest of everything written since [`FrameSink::begin_digest`].
-    fn end_digest(&mut self) -> Digest {
+    /// The digest of everything written since `mark`
+    /// ([`FrameSink::begin_digest`]); the frame's register crosses it.
+    fn end_digest(&mut self, mark: Mark) -> Digest {
         self.fold();
-        let (digest, crc) = self.digest.take().expect("a digest was begun").close();
-        self.crc = crc;
+        let (digest, arg_crc) = self.digest.take().expect("a digest was begun").close();
+        let len = (self.buf.len() - mark.len) as u64;
+        self.crc = self.crc.map(|crc| crc::combine(crc, arg_crc, len));
         digest
     }
 
@@ -158,10 +167,10 @@ impl XdrSink for FrameSink {
 
     fn put_words<T: BeWord>(&mut self, data: &[T]) {
         self.buf.reserve(std::mem::size_of_val(data));
-        be_blocks(data, |block| {
-            self.buf.extend_from_slice(block);
+        for block in data.chunks(BE_BLOCK_BYTES / std::mem::size_of::<T>()) {
+            T::extend_be(&mut self.buf, block);
             self.fold();
-        });
+        }
     }
 }
 
@@ -243,7 +252,7 @@ pub fn encode_call(
             };
             let mark = enc.sink_mut().begin_digest();
             v.put(enc);
-            let d = enc.sink_mut().end_digest();
+            let d = enc.sink_mut().end_digest(mark);
             *arg = if held(&d) {
                 enc.sink_mut().rollback(mark);
                 put_ref(enc, &d);
@@ -268,9 +277,9 @@ pub fn digested_image(v: &Value) -> (Vec<u8>, Digest) {
         crc: None,
         digest: None,
     });
-    enc.sink_mut().begin_digest();
+    let mark = enc.sink_mut().begin_digest();
     v.put(&mut enc);
-    let digest = enc.sink_mut().end_digest();
+    let digest = enc.sink_mut().end_digest(mark);
     (enc.into_sink().buf, digest)
 }
 
@@ -326,31 +335,35 @@ pub struct CheckedFrame {
 }
 
 /// Verify the CRC and decode the payload of a frame whose header already
-/// parsed, digesting each cacheable inline argument in the CRC's pass (see
-/// the module docs). `payload` must be exactly `header.len` bytes.
+/// parsed, digesting and decoding each cacheable inline argument in the
+/// CRC's pass (see the module docs). `payload` must be exactly
+/// `header.len` bytes.
 pub fn check_frame_payload(header: &FrameHeader, payload: &[u8]) -> ProtocolResult<CheckedFrame> {
     debug_assert_eq!(payload.len(), header.len as usize);
     let ranges = cacheable_arg_ranges(payload);
     let mut found = Vec::with_capacity(ranges.len());
+    let mut decoded = Vec::with_capacity(ranges.len());
     let mut crc = crc::update(!0, &header.call_id.to_be_bytes());
     let mut folded = 0;
     for (pos, range) in ranges {
         crc = crc::update(crc, &payload[folded..range.start]);
-        let mut h = Hasher::carrying(Some(crc));
-        h.update(&payload[range.clone()]);
-        let (digest, carried) = h.close();
-        crc = carried.expect("the hasher carries the frame's register");
+        let image = &payload[range.clone()];
+        let mut array = ArrayFill::new(image).expect("a located argument is an array");
+        let (digest, arg_crc) = digest_image(image, |piece| array.take(piece));
+        crc = crc::combine(crc, arg_crc, image.len() as u64);
         found.push((pos, digest));
+        decoded.push((range.clone(), array.into_value()));
         folded = range.end;
     }
     let got = !crc::update(crc, &payload[folded..]);
     if got != header.crc {
+        // `decoded` drops here: nothing of a bad frame outlives its check.
         return Err(ProtocolError::Checksum {
             expected: header.crc,
             got,
         });
     }
-    let message = Message::decode(payload)?;
+    let message = Message::decode_with(payload, decoded)?;
     let mut digests = Vec::new();
     if let Message::Invoke { args, .. } | Message::SubmitJob { args, .. } = &message {
         // The decode accepted the words the ranges were located from, so

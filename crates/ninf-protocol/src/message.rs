@@ -11,7 +11,7 @@ use std::ops::Range;
 
 use ninf_idl::CompiledInterface;
 use ninf_obs::{MetricFrame, MetricKind, MetricSample, Span, TraceContext};
-use ninf_xdr::{ByteCount, XdrDecoder, XdrEncoder, XdrSink};
+use ninf_xdr::{BeWord, ByteCount, XdrDecoder, XdrEncoder, XdrSink};
 
 use crate::codec::{impl_message_codec, impl_wire, Wire};
 use crate::digest::Digest;
@@ -322,6 +322,75 @@ fn locate_cacheable_args(
         }
     }
     Ok(())
+}
+
+/// Inline call arguments the frame check has already decoded, in payload
+/// order, each with the byte range of its tagged image.
+pub(crate) type Decoded = Vec<(Range<usize>, Value)>;
+
+/// A call's argument list (count, then each position). An argument in
+/// `decoded` whose image starts where the next position does is taken as
+/// it is, and its bytes are only stepped over; every other position is
+/// decoded here. The locate walk that found those images read the same
+/// words this walk reads, so their positions coincide.
+pub(crate) fn get_args(
+    dec: &mut XdrDecoder<'_>,
+    decoded: &mut <Decoded as IntoIterator>::IntoIter,
+) -> ProtocolResult<Vec<Arg>> {
+    crate::codec::get_seq(dec, |dec| match decoded.as_slice().first() {
+        Some((image, _)) if image.start == dec.position() => {
+            dec.get_opaque_fixed(image.len())?;
+            let (_, value) = decoded.next().expect("the first entry was just seen");
+            Ok(Arg::Data(value))
+        }
+        _ => Arg::get(dec),
+    })
+}
+
+/// An inline array argument decoded piece by piece while the frame check's
+/// CRC pass reads its tagged image, so the check and the decode read each
+/// array byte once between them.
+pub(crate) struct ArrayFill {
+    value: Value,
+    /// Bytes of the image's header (tag and count words) not yet passed.
+    header: usize,
+}
+
+impl ArrayFill {
+    /// An empty array of the kind the image's tag names, with room for its
+    /// count; `None` unless `image` starts with an array's tag and count.
+    pub(crate) fn new(image: &[u8]) -> Option<Self> {
+        let mut dec = XdrDecoder::new(image);
+        let (tag, count) = (dec.get_u32().ok()?, dec.get_u32().ok()? as usize);
+        let value = match tag {
+            VTAG_INT_ARR => Value::IntArray(Vec::with_capacity(count)),
+            VTAG_LONG_ARR => Value::LongArray(Vec::with_capacity(count)),
+            VTAG_FLOAT_ARR => Value::FloatArray(Vec::with_capacity(count)),
+            VTAG_DOUBLE_ARR => Value::DoubleArray(Vec::with_capacity(count)),
+            _ => return None,
+        };
+        Some(ArrayFill { value, header: 8 })
+    }
+
+    /// Decode the image's next piece. Pieces come in order, and each one
+    /// past the header starts on an element.
+    pub(crate) fn take(&mut self, piece: &[u8]) {
+        let skip = self.header.min(piece.len());
+        self.header -= skip;
+        let body = &piece[skip..];
+        match &mut self.value {
+            Value::IntArray(v) => i32::extend_from_be(v, body),
+            Value::LongArray(v) => i64::extend_from_be(v, body),
+            Value::FloatArray(v) => f32::extend_from_be(v, body),
+            Value::DoubleArray(v) => f64::extend_from_be(v, body),
+            _ => unreachable!("`new` makes only arrays"),
+        }
+    }
+
+    /// The decoded array.
+    pub(crate) fn into_value(self) -> Value {
+        self.value
+    }
 }
 
 impl Wire for CompiledInterface {

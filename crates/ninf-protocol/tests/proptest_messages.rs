@@ -954,3 +954,77 @@ proptest! {
         check_matches_reference(&flipped, &payload)?;
     }
 }
+
+/// Cacheable arrays of the two shapes a matrix call ships: doubles, and
+/// 32-bit ints with an odd count (whose image ends in a half word), sized
+/// across the check's 256 B fold steps and the digest's 2 KiB blocks.
+fn arb_cacheable_array() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        proptest::collection::vec(any::<u64>(), 128..1500).prop_map(|v| Value::DoubleArray(
+            v.into_iter().map(|b| (b % 65536) as f64 - 0.5).collect()
+        )),
+        (128usize..1500, any::<i32>()).prop_map(|(half, x)| Value::IntArray(
+            (0..2 * half as i32 + 1).map(|i| i ^ x).collect()
+        )),
+    ]
+}
+
+/// An `Invoke` with 0–3 cacheable arrays among scalars and small arrays,
+/// in any order, under any call id.
+fn arb_array_invoke() -> impl Strategy<Value = (u64, Message)> {
+    (
+        proptest::collection::vec(arb_cacheable_array(), 0..=3),
+        proptest::collection::vec(arb_value(), 0..3),
+        any::<u64>(),
+        any::<u64>(),
+    )
+        .prop_map(|(big, small, shuffle, call_id)| {
+            let mut args: Vec<Value> = big.into_iter().chain(small).collect();
+            if !args.is_empty() {
+                let len = args.len();
+                args.rotate_left(shuffle as usize % len);
+            }
+            let msg = Message::Invoke {
+                routine: "dgesl".into(),
+                args: Arg::inline(args),
+                trace: None,
+            };
+            (call_id, msg)
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The fused check (CRC, digest and decode of each cacheable array in
+    /// one pass) returns exactly `Message::decode`'s message and
+    /// `digest_value`'s digests, and one bit flipped anywhere in the call
+    /// id or the payload fails the sender's CRC.
+    #[test]
+    fn the_fused_check_is_decode_and_digest_value(
+        (call_id, msg) in arb_array_invoke(),
+        pos in any::<prop::sample::Index>(),
+        bit in 0u8..8,
+    ) {
+        let frame = encode_frame(call_id, &msg).unwrap();
+        let payload = &frame[ninf_protocol::FRAME_HEADER_BYTES..];
+        let header = header_for(call_id, payload);
+        let checked = check_frame_payload(&header, payload).unwrap();
+        prop_assert_eq!(&checked.message, &Message::decode(payload).unwrap());
+        prop_assert_eq!(checked.digests, expected_digests(&msg));
+        prop_assert_eq!(checked.message, msg);
+
+        let mut flipped = [&call_id.to_be_bytes()[..], payload].concat();
+        let at = pos.index(flipped.len());
+        flipped[at] ^= 1 << bit;
+        let (id, payload) = flipped.split_at(8);
+        let header = FrameHeader {
+            call_id: u64::from_be_bytes(id.try_into().unwrap()),
+            ..header
+        };
+        prop_assert!(matches!(
+            check_frame_payload(&header, payload),
+            Err(ProtocolError::Checksum { .. })
+        ));
+    }
+}

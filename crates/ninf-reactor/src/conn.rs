@@ -6,20 +6,35 @@
 //! there is one non-blocking read, one place a frame header is parsed off
 //! a socket, and one write path to test.
 //!
-//! The slicer parses a header as soon as one is staged, waits for the whole
-//! length it claims, checks the payload in place
-//! ([`check_frame_payload`]: CRC, digests, decode) and consumes the frame.
-//! It stops at the first bad frame: that frame is never consumed, so every
-//! later call reports the same error and nothing behind it is sliced.
+//! The slicer parses a header as soon as one is staged and remembers the
+//! length it claims, so until the whole frame is staged each read costs
+//! one comparison. Once it is, the slicer checks the payload in place
+//! ([`check_frame_payload`]: CRC, digests and the decode of each cacheable
+//! argument in one pass, then the rest of the decode) and consumes the
+//! frame. It stops at the first bad frame: that frame is never consumed,
+//! so every later call reports the same error and nothing behind it is
+//! sliced.
+//!
+//! Reads take one of two routes. Headers and frames of at most
+//! [`READ_CHUNK`] bytes go through the caller's scratch buffer and are
+//! copied into staging, which lets one read take several small frames.
+//! Once a staged header claims a larger frame, the socket is read straight
+//! into the staging buffer, a chunk at a time up to that frame's end, so a
+//! large frame takes as many reads as before but no copy. The buffer grows with
+//! the bytes that have arrived (never toward the claim), and it stays
+//! initialised up to its high-water mark, so reading into it needs no
+//! `unsafe`. An inline argument's bytes then cross user space once: the
+//! kernel writes them into staging, and the check reads them there.
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::os::unix::io::AsRawFd;
 
+use ninf_obs::metrics::Counter;
 use ninf_protocol::{
-    check_frame_payload, parse_frame_header, CheckedFrame, ProtocolResult, FRAME_HEADER_BYTES,
-    MAX_FRAME_BYTES,
+    check_frame_payload, parse_frame_header, CheckedFrame, FrameHeader, ProtocolResult,
+    FRAME_HEADER_BYTES, MAX_FRAME_BYTES,
 };
 
 use crate::sys::{Interest, Poller};
@@ -29,7 +44,8 @@ use crate::sys::{Interest, Poller};
 pub const STAGING_CAP: usize = FRAME_HEADER_BYTES + MAX_FRAME_BYTES as usize;
 
 /// Size of the scratch buffer callers lend [`FrameConn::read`]: the most
-/// one read pulls off a socket.
+/// one read pulls off a socket, on either route, and the largest frame
+/// that is staged through scratch rather than read in place.
 pub const READ_CHUNK: usize = 64 * 1024;
 
 /// Outcome of one [`FrameConn::read`].
@@ -43,10 +59,21 @@ pub enum Filled {
     Closed,
 }
 
+/// Exact counts of what reads cost, kept by whoever owns the connections
+/// (relaxed atomics; a `None` counts nothing).
+#[derive(Debug, Clone, Default)]
+pub struct ReadCounters {
+    /// Socket `read` calls, whatever they returned.
+    pub reads: Option<Counter>,
+    /// Bytes copied from the scratch buffer into staging.
+    pub staged_copy_bytes: Option<Counter>,
+}
+
 /// A registered non-blocking connection that reads and writes whole frames.
 pub struct FrameConn {
     stream: TcpStream,
     slicer: Slicer,
+    counters: ReadCounters,
     /// Encoded frames waiting for the socket to accept them.
     writes: VecDeque<Vec<u8>>,
     /// Bytes of `writes[0]` already written.
@@ -65,10 +92,17 @@ impl FrameConn {
         Ok(FrameConn {
             stream,
             slicer: Slicer::default(),
+            counters: ReadCounters::default(),
             writes: VecDeque::new(),
             write_off: 0,
             interest: Interest::READ,
         })
+    }
+
+    /// Count this connection's reads into `counters`.
+    pub fn counting(mut self, counters: ReadCounters) -> Self {
+        self.counters = counters;
+        self
     }
 
     /// Stop watching the socket (it closes when the connection drops).
@@ -76,20 +110,10 @@ impl FrameConn {
         let _ = poller.deregister(self.stream.as_raw_fd());
     }
 
-    /// One read off the socket through `scratch`, staged for slicing.
+    /// One read off the socket, staged for slicing: in place when a large
+    /// frame is arriving, else through `scratch`.
     pub fn read(&mut self, scratch: &mut [u8]) -> Filled {
-        loop {
-            match self.stream.read(scratch) {
-                Ok(0) => return Filled::Closed,
-                Ok(n) => {
-                    self.slicer.push(&scratch[..n]);
-                    return Filled::Bytes;
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Filled::WouldBlock,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return Filled::Closed,
-            }
-        }
+        self.slicer.fill(&mut self.stream, scratch, &self.counters)
     }
 
     /// The next complete, checked frame and its call id; `Ok(None)` until
@@ -148,39 +172,124 @@ impl FrameConn {
     }
 }
 
-/// Staged bytes and the offset of the first unsliced one.
+/// Staged bytes, `buf[start..end]`. `buf` is initialised up to its length,
+/// the high-water mark, which the staged bytes never pass.
 #[derive(Default)]
 struct Slicer {
     buf: Vec<u8>,
     start: usize,
+    end: usize,
+    /// The parsed header of the frame at `start`, once it is staged.
+    awaited: Option<FrameHeader>,
 }
 
 impl Slicer {
-    fn push(&mut self, bytes: &[u8]) {
-        // Sliced frames leave the buffer once per read, not once per frame.
+    /// One read from `src`: straight into staging while a frame larger
+    /// than [`READ_CHUNK`] is arriving, else through `scratch`.
+    fn fill(&mut self, src: &mut impl Read, scratch: &mut [u8], counters: &ReadCounters) -> Filled {
+        loop {
+            if let Some(c) = &counters.reads {
+                c.inc();
+            }
+            let in_place = self.room().map(|room| src.read(room));
+            let read = match in_place {
+                Some(Ok(n)) => {
+                    self.end += n;
+                    Ok(n)
+                }
+                Some(Err(e)) => Err(e),
+                None => src.read(scratch).inspect(|&n| {
+                    self.push(&scratch[..n]);
+                    if let Some(c) = &counters.staged_copy_bytes {
+                        c.add(n as u64);
+                    }
+                }),
+            };
+            match read {
+                Ok(0) => return Filled::Closed,
+                Ok(_) => return Filled::Bytes,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Filled::WouldBlock,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => return Filled::Closed,
+            }
+        }
+    }
+
+    /// Where a read lands in place: at most [`READ_CHUNK`] of free staging,
+    /// up to the end of the awaited frame, if that frame is larger than
+    /// [`READ_CHUNK`] and not all staged yet. When the initialised buffer
+    /// is full, the staged bytes move to its front and it grows by as much
+    /// as is staged (at least [`READ_CHUNK`]), capped at the frame's end.
+    ///
+    /// A read takes no more than a chunk even when more has arrived: the
+    /// socket buffer then drains a chunk at a time and the sender keeps
+    /// writing while the reactor reads. (Reading everything that had
+    /// arrived in one call took fewer reads but delivered fewer `bulk-call`
+    /// calls per second.)
+    fn room(&mut self) -> Option<&mut [u8]> {
+        let frame = FRAME_HEADER_BYTES + self.awaited?.len as usize;
+        if frame <= READ_CHUNK || self.staged() >= frame {
+            return None;
+        }
+        if self.end == self.buf.len() {
+            self.compact();
+            let staged = self.end;
+            let len = (staged + staged.max(READ_CHUNK)).min(frame);
+            if len > self.buf.len() {
+                self.buf.reserve_exact(len - self.buf.len());
+                self.buf.resize(len, 0);
+            }
+        }
+        let stop = self
+            .buf
+            .len()
+            .min(self.start + frame)
+            .min(self.end + READ_CHUNK);
+        Some(&mut self.buf[self.end..stop])
+    }
+
+    /// Move the staged bytes to the front of the buffer.
+    fn compact(&mut self) {
         if self.start > 0 {
-            self.buf.drain(..self.start);
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
             self.start = 0;
         }
-        self.buf.extend_from_slice(bytes);
+    }
+
+    /// Stage `bytes` behind what is staged.
+    fn push(&mut self, bytes: &[u8]) {
+        // Sliced frames leave the buffer once per read, not once per frame.
+        self.compact();
+        let fits = (self.buf.len() - self.end).min(bytes.len());
+        self.buf[self.end..self.end + fits].copy_from_slice(&bytes[..fits]);
+        self.buf.extend_from_slice(&bytes[fits..]);
+        self.end += bytes.len();
     }
 
     fn staged(&self) -> usize {
-        self.buf.len() - self.start
+        self.end - self.start
     }
 
     fn next_frame(&mut self) -> ProtocolResult<Option<(u64, CheckedFrame)>> {
-        let buf = &self.buf[self.start..];
-        let Some(header) = buf.first_chunk::<FRAME_HEADER_BYTES>() else {
-            return Ok(None);
+        let header = match self.awaited {
+            Some(header) => header,
+            None => {
+                let staged = &self.buf[self.start..self.end];
+                let Some(header) = staged.first_chunk::<FRAME_HEADER_BYTES>() else {
+                    return Ok(None);
+                };
+                *self.awaited.insert(parse_frame_header(header)?)
+            }
         };
-        let header = parse_frame_header(header)?;
         let total = FRAME_HEADER_BYTES + header.len as usize;
-        if buf.len() < total {
+        if self.staged() < total {
             return Ok(None);
         }
-        let checked = check_frame_payload(&header, &buf[FRAME_HEADER_BYTES..total])?;
+        let payload = &self.buf[self.start + FRAME_HEADER_BYTES..self.start + total];
+        let checked = check_frame_payload(&header, payload)?;
         self.start += total;
+        self.awaited = None;
         Ok(Some((header.call_id, checked)))
     }
 }
@@ -316,6 +425,165 @@ mod tests {
                 prop_assert_eq!(slicer.staged(), received);
                 prop_assert!(slicer.buf.capacity() <= 2 * received + READ_CHUNK);
             }
+        }
+    }
+
+    /// A socket stand-in: hands out `bytes` in reads of the given sizes
+    /// (cycled), then would block.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        sizes: std::iter::Cycle<std::slice::Iter<'a, usize>>,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if self.bytes.is_empty() {
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            let n = (*self.sizes.next().expect("cycled")).clamp(1, buf.len().max(1));
+            let n = n.min(self.bytes.len()).min(buf.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    /// Frames sliced, whether an error was reported, and the bytes copied
+    /// through scratch.
+    type Sliced = (Vec<(u64, Message)>, bool, u64);
+
+    /// [`slice_in_reads`] through [`Slicer::fill`], as [`FrameConn::read`]
+    /// reads a socket: a frame larger than [`READ_CHUNK`] is read in place.
+    fn fill_in_reads(bytes: &[u8], reads: &[usize]) -> Result<Sliced, TestCaseError> {
+        let mut src = Trickle {
+            bytes,
+            sizes: reads.iter().cycle(),
+        };
+        let counters = ReadCounters {
+            reads: None,
+            staged_copy_bytes: Some(Counter::default()),
+        };
+        let mut slicer = Slicer::default();
+        let mut scratch = vec![0; READ_CHUNK];
+        let mut frames = Vec::new();
+        let mut failed = false;
+        while slicer.fill(&mut src, &mut scratch, &counters) == Filled::Bytes {
+            prop_assert!(slicer.staged() <= bytes.len() - src.bytes.len());
+            loop {
+                match slicer.next_frame() {
+                    Ok(Some((call_id, checked))) => {
+                        prop_assert!(!failed, "a frame was sliced behind a bad one");
+                        frames.push((call_id, checked.message));
+                    }
+                    Ok(None) => break,
+                    Err(_) => {
+                        failed = true;
+                        break;
+                    }
+                }
+            }
+        }
+        let copied = counters.staged_copy_bytes.expect("counting").get();
+        Ok((frames, failed, copied))
+    }
+
+    /// Small frames and frames past [`READ_CHUNK`] (which are read in
+    /// place).
+    fn arb_mixed_message() -> impl Strategy<Value = Message> {
+        prop_oneof![
+            arb_message(),
+            (READ_CHUNK / 8..3 * READ_CHUNK / 8).prop_map(|n| Message::Invoke {
+                routine: "dgesl".into(),
+                args: Arg::inline(vec![
+                    Value::Int(n as i32),
+                    Value::DoubleArray((0..n).map(|i| i as f64 * 0.5).collect()),
+                ]),
+                trace: None,
+            }),
+        ]
+    }
+
+    fn arb_socket_reads() -> impl Strategy<Value = Vec<usize>> {
+        proptest::collection::vec(prop_oneof![1usize..3000, 3000usize..2 * READ_CHUNK], 1..12)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// `frames_before_the_first_bad_one_and_nothing_after` over a
+        /// socket: large frames are read in place, whatever the read
+        /// sizes, and slice exactly as through scratch.
+        #[test]
+        fn frames_before_the_first_bad_one_and_nothing_after_in_place(
+            msgs in proptest::collection::vec(arb_mixed_message(), 1..5),
+            bad_at in any::<usize>(),
+            flip in any::<usize>(),
+            reads in arb_socket_reads(),
+        ) {
+            let bad_at = bad_at % msgs.len();
+            let encoded: Vec<Vec<u8>> = msgs
+                .iter()
+                .enumerate()
+                .map(|(i, m)| encode_frame(i as u64 + 1, m).expect("encode"))
+                .collect();
+            let mut wire = Vec::new();
+            for (i, frame) in encoded.iter().enumerate() {
+                let mut frame = frame.clone();
+                if i == bad_at {
+                    let bit = flip % (frame.len() * 8);
+                    frame[bit / 8] ^= 1 << (bit % 8);
+                }
+                wire.extend(frame);
+            }
+            let (frames, _, _) = fill_in_reads(&wire, &reads)?;
+            let want: Vec<(u64, Message)> = msgs[..bad_at]
+                .iter()
+                .enumerate()
+                .map(|(i, m)| (i as u64 + 1, m.clone()))
+                .collect();
+            prop_assert_eq!(&frames, &want);
+
+            let clean = encoded.concat();
+            let (all, failed, copied) = fill_in_reads(&clean, &reads)?;
+            prop_assert!(!failed);
+            prop_assert_eq!(all.len(), msgs.len());
+            // A large frame costs at most the reads that staged its header
+            // through scratch; small frames are copied whole.
+            let bound: usize = encoded
+                .iter()
+                .map(|f| if f.len() > READ_CHUNK { 2 * READ_CHUNK } else { f.len() })
+                .sum();
+            prop_assert!(copied as usize <= bound, "{} copied, bound {}", copied, bound);
+        }
+
+        /// `a_huge_claim_stages_only_what_arrives` over a socket: the
+        /// header is staged through scratch, the trickle behind it in
+        /// place, and the buffer still grows only with what arrived.
+        #[test]
+        fn a_huge_claim_stages_only_what_arrives_in_place(
+            reads in arb_socket_reads(),
+            rounds in 1usize..16,
+        ) {
+            let mut wire = encode_frame(9, &Message::QueryLoad).expect("encode");
+            wire.truncate(FRAME_HEADER_BYTES);
+            wire[8..12].copy_from_slice(&MAX_FRAME_BYTES.to_be_bytes());
+            let arrived: usize = reads.iter().cycle().take(rounds * reads.len()).sum();
+            wire.resize(FRAME_HEADER_BYTES + arrived, 0xA5);
+            let mut src = Trickle { bytes: &wire, sizes: [FRAME_HEADER_BYTES].iter().cycle() };
+            let counters = ReadCounters::default();
+            let mut slicer = Slicer::default();
+            let mut scratch = vec![0; READ_CHUNK];
+            prop_assert_eq!(slicer.fill(&mut src, &mut scratch, &counters), Filled::Bytes);
+            prop_assert!(matches!(slicer.next_frame(), Ok(None)));
+            src.sizes = reads.iter().cycle();
+            let mut received = FRAME_HEADER_BYTES;
+            while slicer.fill(&mut src, &mut scratch, &counters) == Filled::Bytes {
+                received = wire.len() - src.bytes.len();
+                prop_assert!(matches!(slicer.next_frame(), Ok(None)));
+                prop_assert_eq!(slicer.staged(), received);
+                prop_assert!(slicer.buf.capacity() <= 2 * received + READ_CHUNK);
+            }
+            prop_assert_eq!(received, wire.len());
         }
     }
 

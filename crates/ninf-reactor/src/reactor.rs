@@ -37,7 +37,7 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use ninf_obs::metrics::{Counter, Gauge};
 use ninf_protocol::{encode_frame, CheckedFrame, Digest, Message};
 
-use crate::conn::{Filled, FrameConn, READ_CHUNK, STAGING_CAP};
+use crate::conn::{Filled, FrameConn, ReadCounters, READ_CHUNK, STAGING_CAP};
 use crate::sys::{Interest, PollEvent, Poller};
 
 /// Tuning knobs for [`Reactor::start`].
@@ -71,6 +71,12 @@ pub struct ReactorHooks {
     pub inflight_calls: Option<Gauge>,
     /// Incremented once per connection torn down for a malformed frame.
     pub rejected_frames: Option<Counter>,
+    /// Incremented once per socket `read` call.
+    pub reads: Option<Counter>,
+    /// Advanced by every byte copied from the read scratch buffer into a
+    /// connection's staging (a large frame is read in place and adds only
+    /// what arrived before its header was parsed).
+    pub staged_copy_bytes: Option<Counter>,
 }
 
 /// One decoded request, as handed to the handler.
@@ -367,6 +373,10 @@ impl Loop {
                     let Ok(io) = FrameConn::register(stream, &mut self.poller, token) else {
                         continue;
                     };
+                    let io = io.counting(ReadCounters {
+                        reads: self.hooks.reads.clone(),
+                        staged_copy_bytes: self.hooks.staged_copy_bytes.clone(),
+                    });
                     self.conns.insert(
                         token,
                         Conn {

@@ -72,6 +72,8 @@ pub struct ServerMetrics {
     calls: Counter,
     errors: Counter,
     rejected_frames: Counter,
+    reactor_reads: Counter,
+    reactor_staged_copy_bytes: Counter,
     latency: Arc<parking_lot::Mutex<LogHistogram>>,
     running: Gauge,
     queued: Gauge,
@@ -103,6 +105,14 @@ impl ServerMetrics {
         let rejected_frames = registry.counter(
             "ninf_server_rejected_frames_total",
             "inbound frames rejected before decode (bad magic/version/checksum)",
+        );
+        let reactor_reads = registry.counter(
+            "ninf_reactor_reads_total",
+            "socket read calls the reactor made",
+        );
+        let reactor_staged_copy_bytes = registry.counter(
+            "ninf_reactor_staged_copy_bytes_total",
+            "bytes the reactor copied from its read scratch buffer into staging",
         );
         let latency = registry.histogram(
             "ninf_server_call_seconds",
@@ -163,6 +173,8 @@ impl ServerMetrics {
             calls,
             errors,
             rejected_frames,
+            reactor_reads,
+            reactor_staged_copy_bytes,
             latency,
             running,
             queued,
@@ -308,6 +320,8 @@ impl NinfServer {
             open_connections: Some(metrics.open_connections.clone()),
             inflight_calls: Some(metrics.inflight_calls.clone()),
             rejected_frames: Some(metrics.rejected_frames.clone()),
+            reads: Some(metrics.reactor_reads.clone()),
+            staged_copy_bytes: Some(metrics.reactor_staged_copy_bytes.clone()),
         };
         let reactor_config = ReactorConfig {
             workers,
@@ -1923,6 +1937,53 @@ mod tests {
             Message::Error { reason } => assert!(reason.contains("singular")),
             other => panic!("unexpected {other:?}"),
         }
+        server.shutdown();
+    }
+
+    /// An 8 MiB inline matrix crosses user space once: the reactor reads
+    /// it straight into the connection's staging buffer, so at most the
+    /// first read (which carries the frame's header) goes through the
+    /// scratch buffer. Copying every byte through scratch moved this
+    /// counter by the whole frame, ≈ 8.4 MB.
+    #[test]
+    fn an_inline_matrix_is_read_in_place_not_copied_through_scratch() {
+        let server = start_test_server(ExecMode::TaskParallel);
+        let registry = server.metrics().registry();
+        let reads = registry.counter("ninf_reactor_reads_total", "");
+        let copied = registry.counter("ninf_reactor_staged_copy_bytes_total", "");
+        let n = 1024usize;
+        let mut a = vec![0.0; n * n];
+        for k in 0..n {
+            a[k * n + k] = 1.0;
+        }
+        let b: Vec<f64> = (0..n).map(|i| i as f64).collect();
+        let invoke = Message::Invoke {
+            routine: "dgesl".into(),
+            args: Arg::inline(vec![
+                Value::Int(n as i32),
+                Value::DoubleArray(a),
+                Value::IntArray((0..n as i32).collect()),
+                Value::DoubleArray(b.clone()),
+            ]),
+            trace: None,
+        };
+        let frame_bytes = ninf_protocol::encode_frame(0, &invoke).unwrap().len();
+        let mut t = TcpTransport::connect(&server.addr().to_string()).unwrap();
+        let (reads_before, copied_before) = (reads.get(), copied.get());
+        t.send(&invoke).unwrap();
+        match t.recv().unwrap() {
+            Message::ResultData { results } => assert_eq!(results, vec![Value::DoubleArray(b)]),
+            other => panic!("unexpected {other:?}"),
+        }
+        let copied = copied.get() - copied_before;
+        println!(
+            "{frame_bytes} B frame: {} socket reads, {copied} B copied through scratch",
+            reads.get() - reads_before
+        );
+        assert!(
+            copied <= ninf_reactor::conn::READ_CHUNK as u64,
+            "{copied} B of a {frame_bytes} B frame went through the scratch buffer"
+        );
         server.shutdown();
     }
 }

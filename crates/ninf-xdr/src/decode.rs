@@ -2,6 +2,7 @@
 
 use crate::error::{XdrError, XdrResult};
 use crate::pad_len;
+use crate::swap::BeWord;
 
 /// Strict XDR decoder over a borrowed buffer.
 ///
@@ -150,23 +151,15 @@ impl<'a> XdrDecoder<'a> {
     /// Read `n` doubles back-to-back (fixed array, no length word).
     ///
     /// The byte swap runs through the bulk kernel straight from the wire
-    /// slice into the result `Vec`'s spare capacity, so elements land in
-    /// their final buffer with no per-element bounds checks and no
-    /// intermediate copy.
+    /// slice into the result `Vec`'s spare capacity
+    /// ([`BeWord::extend_from_be`]), so elements land in their final buffer
+    /// with no per-element bounds checks and no intermediate copy.
     pub fn get_f64_slice(&mut self, n: usize) -> XdrResult<Vec<f64>> {
         let bytes = self.take(n.checked_mul(8).ok_or(XdrError::LengthOverflow {
             requested: n,
             remaining: self.remaining(),
         })?)?;
-        let mut out = Vec::<f64>::with_capacity(n);
-        // SAFETY: `bytes` holds exactly n * 8 readable bytes, `out` owns
-        // n * 8 writable bytes of spare capacity (fully written by the
-        // kernel), and the buffers are disjoint.
-        unsafe {
-            crate::swap::be_words64(bytes.as_ptr(), out.as_mut_ptr().cast(), n * 8);
-            out.set_len(n);
-        }
-        Ok(out)
+        Ok(from_be(bytes))
     }
 
     /// Read a variable-length array of 32-bit signed integers.
@@ -180,14 +173,7 @@ impl<'a> XdrDecoder<'a> {
                 remaining: self.remaining(),
             });
         }
-        let bytes = self.take(n * 4)?;
-        let mut out = Vec::with_capacity(n);
-        out.extend(bytes.chunks_exact(4).map(|c| {
-            let mut arr = [0u8; 4];
-            arr.copy_from_slice(c);
-            i32::from_be_bytes(arr)
-        }));
-        Ok(out)
+        Ok(from_be(self.take(n * 4)?))
     }
 
     /// Read a variable-length array of 64-bit signed integers.
@@ -201,15 +187,7 @@ impl<'a> XdrDecoder<'a> {
                 remaining: self.remaining(),
             });
         }
-        let bytes = self.take(n * 8)?;
-        let mut out = Vec::<i64>::with_capacity(n);
-        // SAFETY: same contract as `get_f64_slice` — n * 8 readable bytes
-        // in, n * 8 bytes of disjoint spare capacity out, fully written.
-        unsafe {
-            crate::swap::be_words64(bytes.as_ptr(), out.as_mut_ptr().cast(), n * 8);
-            out.set_len(n);
-        }
-        Ok(out)
+        Ok(from_be(self.take(n * 8)?))
     }
 
     /// Read a variable-length array of single-precision floats.
@@ -223,15 +201,15 @@ impl<'a> XdrDecoder<'a> {
                 remaining: self.remaining(),
             });
         }
-        let bytes = self.take(n * 4)?;
-        let mut out = Vec::with_capacity(n);
-        out.extend(bytes.chunks_exact(4).map(|c| {
-            let mut arr = [0u8; 4];
-            arr.copy_from_slice(c);
-            f32::from_be_bytes(arr)
-        }));
-        Ok(out)
+        Ok(from_be(self.take(n * 4)?))
     }
+}
+
+/// The elements of a whole array body, in an exactly sized `Vec`.
+fn from_be<T: BeWord>(body: &[u8]) -> Vec<T> {
+    let mut out = Vec::with_capacity(body.len() / std::mem::size_of::<T>());
+    T::extend_from_be(&mut out, body);
+    out
 }
 
 #[cfg(test)]

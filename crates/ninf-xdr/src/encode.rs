@@ -43,8 +43,7 @@ impl XdrSink for Vec<u8> {
     }
 
     fn put_words<T: BeWord>(&mut self, data: &[T]) {
-        self.reserve(std::mem::size_of_val(data));
-        be_blocks(data, |block| self.extend_from_slice(block));
+        T::extend_be(self, data);
     }
 }
 
@@ -193,10 +192,10 @@ impl<S: XdrSink> XdrEncoder<S> {
 
     /// Write doubles back-to-back without a length prefix (fixed array).
     ///
-    /// Big-endian conversion runs through the bulk byte-swap kernel over a
-    /// stack-resident block ([`be_blocks`]) and reaches the sink one block
-    /// at a time ([`XdrSink::put_words`]), instead of one 8-byte append
-    /// per element.
+    /// Big-endian conversion runs through the bulk byte-swap kernel and
+    /// reaches the sink in bulk ([`XdrSink::put_words`]: straight into a
+    /// `Vec<u8>`'s spare capacity, or one stack-resident [`be_blocks`]
+    /// block at a time), instead of one 8-byte append per element.
     pub fn put_f64_slice(&mut self, data: &[f64]) {
         self.sink.put_words(data);
     }

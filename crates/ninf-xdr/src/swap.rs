@@ -17,6 +17,15 @@ pub trait BeWord: Copy + sealed::Sealed {
     /// Write `src` big-endian into the front of `dst` (which must hold
     /// `size_of_val(src)` bytes) and return how many bytes were written.
     fn put_be(src: &[Self], dst: &mut [u8]) -> usize;
+
+    /// Append to `out` the elements whose big-endian image is `be` (whole
+    /// words): the decode of an array body, or of any piece of it that
+    /// starts on a word.
+    fn extend_from_be(out: &mut Vec<Self>, be: &[u8]);
+
+    /// Append the big-endian image of `src` to `out`, written straight
+    /// into its spare capacity.
+    fn extend_be(out: &mut Vec<u8>, src: &[Self]);
 }
 
 mod sealed {
@@ -37,6 +46,38 @@ macro_rules! be_word_64 {
                 unsafe { be_words64(src.as_ptr().cast(), dst.as_mut_ptr(), n) };
                 n
             }
+
+            #[inline]
+            fn extend_from_be(out: &mut Vec<Self>, be: &[u8]) {
+                assert_eq!(be.len() % 8, 0, "whole 64-bit words");
+                let n = be.len() / 8;
+                out.reserve(n);
+                let len = out.len();
+                // SAFETY: `be` is valid for n * 8 reads; `out` owns at least
+                // n * 8 bytes of spare capacity after `len` (just reserved),
+                // which the kernel writes in full before the length covers
+                // them; the buffers are disjoint, and every bit pattern is a
+                // valid `f64`/`i64`.
+                unsafe {
+                    be_words64(be.as_ptr(), out.as_mut_ptr().add(len).cast(), n * 8);
+                    out.set_len(len + n);
+                }
+            }
+
+            #[inline]
+            fn extend_be(out: &mut Vec<u8>, src: &[Self]) {
+                let n = std::mem::size_of_val(src);
+                out.reserve(n);
+                let len = out.len();
+                // SAFETY: `src` is valid for n reads; `out` owns at least n
+                // bytes of spare capacity after `len` (just reserved), which
+                // the kernel writes in full before the length covers them; a
+                // shared and an exclusive borrow cannot overlap.
+                unsafe {
+                    be_words64(src.as_ptr().cast(), out.as_mut_ptr().add(len), n);
+                    out.set_len(len + n);
+                }
+            }
         }
     )*};
 }
@@ -54,6 +95,18 @@ macro_rules! be_word_32 {
                 }
                 n
             }
+
+            #[inline]
+            fn extend_from_be(out: &mut Vec<Self>, be: &[u8]) {
+                let (words, rest) = be.as_chunks::<4>();
+                assert!(rest.is_empty(), "whole 32-bit words");
+                out.extend(words.iter().map(|w| <$ty>::from_be_bytes(*w)));
+            }
+
+            #[inline]
+            fn extend_be(out: &mut Vec<u8>, src: &[Self]) {
+                out.extend(src.iter().flat_map(|x| x.to_be_bytes()));
+            }
         }
     )*};
 }
@@ -64,10 +117,11 @@ be_word_32!(f32, i32);
 /// Visit the big-endian XDR image of `data` (no length word) one
 /// [`BE_BLOCK_BYTES`] block at a time, in order.
 ///
-/// This is the one place array bytes are converted for the wire: the
-/// encoder appends each block to its buffer, and a frame writer folds its
-/// checksum (and the digest of an argument it ships) over each block while
-/// it is still in L1.
+/// A sink that takes bytes only as slices gets an array this way. A sink
+/// that owns a `Vec<u8>` (a plain buffer, the frame writer) skips the
+/// block and has [`BeWord::extend_be`] write the image straight into its
+/// spare capacity, one block at a time where it folds a checksum over
+/// each block while it is still in L1.
 pub fn be_blocks<T: BeWord>(data: &[T], mut visit: impl FnMut(&[u8])) {
     let mut block = [0u8; BE_BLOCK_BYTES];
     for chunk in data.chunks(BE_BLOCK_BYTES / std::mem::size_of::<T>()) {
@@ -212,6 +266,39 @@ mod tests {
             be_blocks(&narrow, |b| got.extend_from_slice(b));
             let want: Vec<u8> = narrow.iter().flat_map(|x| x.to_be_bytes()).collect();
             assert_eq!(got, want, "i32 x {len}");
+        }
+    }
+
+    /// Appending an image writes what `put_be` writes, and decoding it in
+    /// pieces that start on words gives the elements it was encoded from,
+    /// for both word widths.
+    #[test]
+    fn extend_from_be_inverts_put_be_in_any_word_pieces() {
+        for len in [0usize, 1, 3, 4, 5, 31, 32, 33, 300] {
+            let wide: Vec<f64> = (0..len).map(|i| i as f64 * -1.25).collect();
+            let narrow: Vec<i32> = (0..len as i32).map(|i| i * 7 - 300).collect();
+            let mut image = vec![0u8; len * 8];
+            f64::put_be(&wide, &mut image);
+            let mut appended = vec![7u8; 3];
+            f64::extend_be(&mut appended, &wide);
+            assert_eq!(appended[3..], image[..], "f64 x {len}");
+            for cut in [0, len / 3, len] {
+                let mut back = Vec::new();
+                f64::extend_from_be(&mut back, &image[..cut * 8]);
+                f64::extend_from_be(&mut back, &image[cut * 8..]);
+                assert_eq!(back, wide, "f64 x {len}, cut {cut}");
+            }
+            let mut image = vec![0u8; len * 4];
+            i32::put_be(&narrow, &mut image);
+            let mut appended = vec![7u8; 3];
+            i32::extend_be(&mut appended, &narrow);
+            assert_eq!(appended[3..], image[..], "i32 x {len}");
+            for cut in [0, len / 3, len] {
+                let mut back = Vec::new();
+                i32::extend_from_be(&mut back, &image[..cut * 4]);
+                i32::extend_from_be(&mut back, &image[cut * 4..]);
+                assert_eq!(back, narrow, "i32 x {len}, cut {cut}");
+            }
         }
     }
 
