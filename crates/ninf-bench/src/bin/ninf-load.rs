@@ -14,10 +14,12 @@
 //! ```
 //!
 //! Each client-count in `--clients` is one full live run: the scenario's
-//! target is spawned (or dialed, with `--addr`), N real client threads issue
-//! `Ninf_call`s over TCP per the workload spec, and the run is reported with
-//! the §4.1 vocabulary — per-call Mflops, latency percentiles, and the
-//! server-side `T_response`/`T_wait` decomposition. `--trace` arms the
+//! target is spawned (or dialed, with `--addr`), N real clients issue
+//! `Ninf_call`s over TCP per the workload spec (a thread each when
+//! closed-loop, one poller thread for all of them when open-loop), and the
+//! run is reported with the §4.1 vocabulary — per-call Mflops, latency
+//! percentiles, and the server-side `T_response`/`T_wait` decomposition.
+//! `--trace` arms the
 //! flight recorder for the whole sweep (every call carries trace context;
 //! per-call trace ids land in the CSV/JSON); `--trace-out` additionally
 //! writes every span this process recorded — for in-process targets that is

@@ -8,10 +8,10 @@
 //!       [--wan bw=4m,delay=20ms,loss=0.01]
 //! ```
 //!
-//! Serves the stdlib routines (dmmul, dgefa, dgesl, linpack, ep, dos) until
-//! killed. `--mode` only declares the width every routine holds per call:
-//! `task` registers 1-PE executables, `data` executables that hold all
-//! `--pes` PEs. The kernels are the same in both modes; each splits its
+//! Serves the stdlib routines (dmmul, dgefa, dgesl, dgeco, linpack, ep, dos,
+//! nbody) until killed. `--mode` only declares the width every routine
+//! holds per call: `task` registers 1-PE executables, `data` executables
+//! that hold all `--pes` PEs. The kernels are the same in both modes; each splits its
 //! work over the threads of its call's grant, so the grant alone decides
 //! how many threads a kernel runs on.
 //! With `--db-addr`, also serves the builtin numerical datasets.
@@ -112,7 +112,7 @@ fn main() {
         std::process::exit(1);
     });
     eprintln!(
-        "ninfd: serving dmmul dgefa dgesl dgeco linpack ep dos at {} ({} PEs, {}, {})",
+        "ninfd: serving dmmul dgefa dgesl dgeco linpack ep dos nbody at {} ({} PEs, {}, {})",
         server.addr(),
         pes,
         mode.name(),

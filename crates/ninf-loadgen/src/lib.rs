@@ -5,12 +5,12 @@
 //! timestamps `T_submit`/`T_enqueue`/`T_dequeue`/`T_complete` and the derived
 //! `T_response`/`T_wait` plus per-call Mflops. This crate is the live
 //! counterpart of that experiment rig (and of the simulator's Table 3/4
-//! reproductions): it fans out N real client threads over TCP against real
-//! `ninfd` servers (or a metaserver fleet), drives them from a declarative
-//! [`WorkloadSpec`] — closed-loop with think time or open-loop with a
-//! deterministic seeded arrival process, with ramp-up/steady/ramp-down
-//! phases and a per-client routine+size mix — and aggregates every call into
-//! per-client and fleet-wide reports.
+//! reproductions): it drives N real clients over TCP against real `ninfd`
+//! servers (or a metaserver fleet) from a declarative [`WorkloadSpec`] —
+//! closed-loop with think time, a thread per client, or open-loop with a
+//! deterministic seeded arrival process, all on one poller ([`open`]) —
+//! with ramp phases and a per-client routine+size mix, and aggregates
+//! every call into per-client and fleet-wide reports.
 //!
 //! Measurement joins two views:
 //!
@@ -25,6 +25,7 @@
 //! `results/experiments.json`, so live runs are comparable with the sim's
 //! Table 3/4 cells) and to CSV.
 
+pub mod open;
 pub mod poll;
 pub mod report;
 pub mod runner;
@@ -32,6 +33,7 @@ pub mod scenario;
 pub mod spec;
 pub mod sweep;
 
+pub use open::Unserved;
 pub use poll::{Poller, ServerPolls, StatsPoll, WindowPoll};
 pub use report::{CallResult, ClientSummary, Outcome, RunReport, ServerView, Summary};
 pub use runner::{run_scenario, spawn_server, Conn, Fleet, Inputs, Target, OPEN_INFLIGHT_CAP};

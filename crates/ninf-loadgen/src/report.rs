@@ -54,7 +54,7 @@ pub struct CallResult {
     /// Seconds from run start when the call was due: its arrival time
     /// under an open loop, its submission under a closed one. Latency runs
     /// from here, so an open-loop call that waited for the generator — for
-    /// a free slot, or for the thread to wake — is charged that wait.
+    /// a free slot, or for the engine to wake — is charged that wait.
     pub scheduled: f64,
     /// `T_submit`, client clock: seconds from run start at submission.
     pub t_submit: f64,

@@ -1,20 +1,21 @@
-//! Live execution: materialize a target, fan out client threads over real
-//! TCP, drive them from the workload spec, and join client- and server-side
+//! Live execution: materialize a target, drive the client fleet over real
+//! TCP from the workload spec (a thread per closed-loop client, the
+//! open-loop engine for open arrivals), and join client- and server-side
 //! measurements into a [`RunReport`].
 
 use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ninf_client::{CallTiming, NinfClient};
 use ninf_metaserver::{Balancing, Directory, Metaserver, ServerEntry};
-use ninf_protocol::{Message, ProtocolError, ProtocolResult, Value};
-use ninf_reactor::{run_open_loop, DriverConfig, MuxPool};
+use ninf_protocol::{ProtocolError, ProtocolResult, Value};
 use ninf_server::{
     builtin::register_stdlib, NinfServer, Registry, SchedPolicy, ServerConfig,
     DEFAULT_ARG_CACHE_BYTES,
 };
 
+use crate::open::Unserved;
 use crate::poll::Poller;
 use crate::report::{CallResult, Outcome, RunReport, ServerView};
 use crate::scenario::Scenario;
@@ -49,27 +50,17 @@ pub(crate) struct LiveTarget {
     pub(crate) spawned: Vec<NinfServer>,
     pub(crate) addrs: Vec<String>,
     pub(crate) meta: Option<Arc<Metaserver>>,
-    /// Where open-loop calls check their connections out.
-    pool: Arc<MuxPool>,
 }
 
 impl LiveTarget {
-    /// A connection for `client`: the metaserver when there is one; else
-    /// for a closed loop a connection of its own, like the paper's
-    /// clients, and for an open-loop call one checked out of the shared
-    /// pool of multiplexed streams.
+    /// A closed-loop connection for `client`: the metaserver when there is
+    /// one, else a connection of its own, like the paper's clients.
     pub(crate) fn dial(&self, spec: &WorkloadSpec, client: usize) -> ProtocolResult<Conn> {
         if let Some(meta) = &self.meta {
             return Ok(Conn::Meta(Arc::clone(meta)));
         }
         let addr = &self.addrs[client % self.addrs.len()];
-        match spec.arrival {
-            Arrival::Closed { .. } => NinfClient::connect_with(addr, spec.options),
-            Arrival::Open { .. } => {
-                NinfClient::connect_pooled(addr, spec.options, Arc::clone(&self.pool))
-            }
-        }
-        .map(|c| Conn::Client(Box::new(c)))
+        NinfClient::connect_with(addr, spec.options).map(|c| Conn::Client(Box::new(c)))
     }
 }
 
@@ -95,7 +86,9 @@ pub fn spawn_server(
     )
 }
 
+/// Start what `target` asks for, once `spec` is known to be served.
 pub(crate) fn materialize(target: &Target, spec: &WorkloadSpec) -> ProtocolResult<LiveTarget> {
+    Unserved::check(spec, matches!(target, Target::SpawnFleet { .. }))?;
     let (spawned, addrs, meta) = match target {
         Target::External(addr) => (Vec::new(), vec![addr.clone()], None),
         Target::Spawn { pes, policy } => {
@@ -132,7 +125,6 @@ pub(crate) fn materialize(target: &Target, spec: &WorkloadSpec) -> ProtocolResul
         spawned,
         addrs,
         meta,
-        pool: Arc::default(),
     })
 }
 
@@ -222,7 +214,7 @@ impl Inputs {
 
 /// The outcome class of a failed call: refused by the server, out of
 /// time, or lost in transport.
-fn classify(err: &ProtocolError) -> Outcome {
+pub(crate) fn classify(err: &ProtocolError) -> Outcome {
     match err {
         ProtocolError::Remote(_) => Outcome::Remote,
         ProtocolError::Timeout { .. } => Outcome::Timeout,
@@ -241,8 +233,8 @@ pub(crate) fn sleep_until(epoch: Instant, offset: f64) {
     }
 }
 
-/// Calls one client may have in flight under open-loop arrivals, each on
-/// a thread of its own.
+/// Calls one open-loop client may have in flight; a call due with all of
+/// them busy waits for one and is counted as `generator_capped`.
 pub const OPEN_INFLIGHT_CAP: usize = 8;
 
 /// One way to the service: a client of its own, or the shared metaserver.
@@ -285,27 +277,28 @@ impl Conn {
     }
 }
 
-/// Sees each call's record, arguments and reply (`None` on error) on the
-/// issuing thread, before that connection makes its next call.
+/// Sees each call's record, arguments and reply (`None` on error) once, as
+/// it completes (a closed-loop client's before its next call).
 pub type Observer<'a> = &'a (dyn Fn(&CallResult, &[Value], Option<&[Value]>) + Sync);
 
 /// An observer that watches nothing.
 pub(crate) fn ignore_replies(_: &CallResult, _: &[Value], _: Option<&[Value]>) {}
 
-/// What every client thread of one run shares.
+/// What every client of one run shares.
 pub struct Fleet<'a> {
     /// The workload.
     pub spec: &'a WorkloadSpec,
     /// Its arguments.
     pub inputs: &'a Inputs,
-    /// Opens a connection for client `i`: once for a closed loop, once per
-    /// open-loop slot. A call whose dial fails fails with the dial's error,
-    /// and the next call dials again.
+    /// Opens a closed-loop client's connection, once per client. A call
+    /// whose dial fails fails with the dial's error, and the next call
+    /// dials again.
     pub dial: &'a (dyn Fn(usize) -> ProtocolResult<Conn> + Sync),
+    /// Where an open-loop client sends its calls, directly: client `i` to
+    /// `addrs[i % addrs.len()]`.
+    pub addrs: &'a [String],
     /// Watches every reply.
     pub observe: Observer<'a>,
-    /// Time zero of the schedules and of every record.
-    pub epoch: Instant,
     /// Seed of the schedules and the routine picks.
     pub seed: u64,
     /// Clients in the fleet.
@@ -313,37 +306,46 @@ pub struct Fleet<'a> {
 }
 
 impl Fleet<'_> {
-    /// Run every client on a thread of its own; the calls, sorted by
-    /// client, then sequence.
-    pub fn run(&self) -> Vec<CallResult> {
-        let mut calls: Vec<CallResult> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..self.clients)
-                .map(|client| s.spawn(move || drive_client(self, client)))
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("client thread panicked"))
-                .collect()
-        });
+    /// Run the fleet: a closed loop on a thread per client, an open loop on
+    /// the open-loop engine ([`crate::open`]). Returns the run's time zero,
+    /// and its calls sorted by client, then sequence.
+    pub fn run(&self) -> ProtocolResult<(Instant, Vec<CallResult>)> {
+        let (epoch, mut calls) = match self.spec.arrival {
+            Arrival::Open { .. } => {
+                crate::open::run(self).map(|(epoch, calls, _)| (epoch, calls))?
+            }
+            Arrival::Closed { think } => {
+                let epoch = Instant::now();
+                let calls = std::thread::scope(|s| {
+                    let handles: Vec<_> = (0..self.clients)
+                        .map(|client| s.spawn(move || drive_client(self, epoch, client, think)))
+                        .collect();
+                    handles
+                        .into_iter()
+                        .flat_map(|h| h.join().expect("client thread panicked"))
+                        .collect()
+                });
+                (epoch, calls)
+            }
+        };
         calls.sort_by_key(|c| (c.client, c.seq));
-        calls
+        Ok((epoch, calls))
     }
 
     /// Issue and measure call `seq` of `client` over `conn`, dialing first
-    /// if there is none; a failed dial fails the call with the dial's error. `due` is the call's arrival time under an open
-    /// loop; a closed-loop call is due when it is submitted.
+    /// if there is none; a failed dial fails the call with the dial's
+    /// error. Times are seconds from `epoch`.
     fn issue(
         &self,
+        epoch: Instant,
         conn: &mut Option<Conn>,
         client: usize,
         seq: usize,
-        due: Option<f64>,
-        capped: bool,
     ) -> CallResult {
         let routine = self.spec.pick_routine(self.seed, client, seq);
         let args = self.inputs.args(routine, client, seq);
         let dialed = conn.take().map_or_else(|| (self.dial)(client), Ok);
-        let t_submit = self.epoch.elapsed().as_secs_f64();
+        let t_submit = epoch.elapsed().as_secs_f64();
         let (reply, timing, trace_id) = match dialed {
             Ok(c) => conn.insert(c).call(routine.name(), &args),
             Err(e) => (
@@ -360,74 +362,35 @@ impl Fleet<'_> {
             seq,
             routine: routine.name(),
             n: routine.scalar(),
-            scheduled: due.unwrap_or(t_submit),
+            scheduled: t_submit,
             t_submit,
-            t_complete: self.epoch.elapsed().as_secs_f64(),
+            t_complete: epoch.elapsed().as_secs_f64(),
             timing,
             outcome: reply.as_ref().map_or_else(classify, |_| Outcome::Ok),
             flops: routine.flops(),
             trace_id,
-            capped,
+            capped: false,
         };
         (self.observe)(&result, &args, reply.as_deref().ok());
         result
     }
 }
 
-/// One client's whole life: issue every call its arrival process asks for,
-/// measure each.
-fn drive_client(fleet: &Fleet, client: usize) -> Vec<CallResult> {
+/// One closed-loop client's whole life: from its start in the ramp, issue
+/// its call budget, each call `think` after the previous one completes.
+fn drive_client(fleet: &Fleet, epoch: Instant, client: usize, think: Duration) -> Vec<CallResult> {
     let (start, _end) = fleet.spec.phases.window(client, fleet.clients);
-    match fleet.spec.arrival {
-        Arrival::Closed { think } => {
-            let calls = fleet.spec.calls_per_client;
-            let mut conn = None;
-            let mut results = Vec::with_capacity(calls);
-            sleep_until(fleet.epoch, start);
-            for seq in 0..calls {
-                results.push(fleet.issue(&mut conn, client, seq, None, false));
-                if think > Duration::ZERO && seq + 1 < calls {
-                    std::thread::sleep(think);
-                }
-            }
-            results
-        }
-        Arrival::Open { .. } => {
-            // Each due call goes out at its time on a thread of its own,
-            // whatever is still in flight, up to the cap. A call due with
-            // every slot busy waits for one and says so: past that point
-            // the tester, not the service, holds the load back.
-            let schedule = fleet
-                .spec
-                .arrival_schedule(fleet.seed, client, fleet.clients);
-            let idle = Mutex::new((Vec::<Conn>::new(), 0usize));
-            let freed = Condvar::new();
-            let results = Mutex::new(Vec::with_capacity(schedule.len()));
-            std::thread::scope(|s| {
-                for (seq, &due) in schedule.iter().enumerate() {
-                    sleep_until(fleet.epoch, due);
-                    let mut slots = idle.lock().unwrap_or_else(|e| e.into_inner());
-                    let capped = slots.1 == OPEN_INFLIGHT_CAP;
-                    while slots.1 == OPEN_INFLIGHT_CAP {
-                        slots = freed.wait(slots).unwrap_or_else(|e| e.into_inner());
-                    }
-                    slots.1 += 1;
-                    let mut conn = slots.0.pop();
-                    drop(slots);
-                    let (idle, freed, results) = (&idle, &freed, &results);
-                    s.spawn(move || {
-                        let r = fleet.issue(&mut conn, client, seq, Some(due), capped);
-                        results.lock().unwrap_or_else(|e| e.into_inner()).push(r);
-                        let mut slots = idle.lock().unwrap_or_else(|e| e.into_inner());
-                        slots.0.extend(conn);
-                        slots.1 -= 1;
-                        freed.notify_one();
-                    });
-                }
-            });
-            results.into_inner().unwrap_or_else(|e| e.into_inner())
+    let calls = fleet.spec.calls_per_client;
+    let mut conn = None;
+    let mut results = Vec::with_capacity(calls);
+    sleep_until(epoch, start);
+    for seq in 0..calls {
+        results.push(fleet.issue(epoch, &mut conn, client, seq));
+        if think > Duration::ZERO && seq + 1 < calls {
+            std::thread::sleep(think);
         }
     }
+    results
 }
 
 /// Short human description of what the fleet offered.
@@ -467,33 +430,35 @@ const RUN_POLL_PERIOD: Duration = Duration::from_millis(100);
 
 /// Run `scenario` with `clients` concurrent live clients under `seed`.
 ///
-/// Spawns whatever the scenario's [`Target`] asks for, fans out one OS
-/// thread per client, polls every server's §4.1 stats while they run, joins
-/// them, shuts spawned servers down, and aggregates the [`RunReport`].
+/// Spawns whatever the scenario's [`Target`] asks for, runs the [`Fleet`]
+/// (a thread per closed-loop client, or the one open-loop engine), polls
+/// every server's §4.1 stats while it runs, shuts spawned servers down,
+/// and aggregates the [`RunReport`]. An open-loop scenario the engine
+/// does not serve is refused before anything starts ([`Unserved`]).
 pub fn run_scenario(scenario: &Scenario, clients: usize, seed: u64) -> ProtocolResult<RunReport> {
-    // The c10k scenario swaps the thread-per-client fleet for the
-    // single-threaded open-loop driver: 10 000 OS threads on a small host
-    // is its own experiment, not the one we're measuring.
-    if scenario.name == "lan-c10k" {
-        return run_c10k(scenario, clients, seed);
-    }
     let spec = &scenario.spec;
     let live = materialize(&scenario.target, spec)?;
     let inputs = Inputs::prepare(spec, seed);
 
-    let epoch = Instant::now();
-    let poller = Poller::start(&live.addrs, epoch, RUN_POLL_PERIOD);
-    let calls = Fleet {
+    let poller = Poller::start(&live.addrs, Instant::now(), RUN_POLL_PERIOD);
+    let run = Fleet {
         spec,
         inputs: &inputs,
         dial: &|client| live.dial(spec, client),
+        addrs: &live.addrs,
         observe: &ignore_replies,
-        epoch,
         seed,
         clients,
     }
     .run();
     let server = ServerView::from_polls(&poller.finish());
+    let schedules: Vec<Vec<f64>> = (0..clients)
+        .map(|c| spec.arrival_schedule(seed, c, clients))
+        .collect();
+    for s in live.spawned {
+        s.shutdown();
+    }
+    let (_, calls) = run?;
 
     let wall_secs = {
         let first = calls
@@ -508,13 +473,6 @@ pub fn run_scenario(scenario: &Scenario, clients: usize, seed: u64) -> ProtocolR
         }
     };
 
-    let schedules: Vec<Vec<f64>> = (0..clients)
-        .map(|c| spec.arrival_schedule(seed, c, clients))
-        .collect();
-    for s in live.spawned {
-        s.shutdown();
-    }
-
     Ok(RunReport::build(
         scenario.name,
         workload_desc(spec),
@@ -525,115 +483,4 @@ pub fn run_scenario(scenario: &Scenario, clients: usize, seed: u64) -> ProtocolR
         server,
         schedules,
     ))
-}
-
-/// The `lan-c10k` path: `clients` is the *connection* count, all driven from
-/// one poller thread ([`run_open_loop`]); the spec's per-client open-loop
-/// rate scales to an aggregate schedule. Calls collapse into a single
-/// per-client summary row — at c=10 000 a per-connection breakdown is noise.
-fn run_c10k(scenario: &Scenario, clients: usize, seed: u64) -> ProtocolResult<RunReport> {
-    let spec = &scenario.spec;
-    let live = materialize(&scenario.target, spec)?;
-    let addr = live
-        .addrs
-        .first()
-        .cloned()
-        .ok_or_else(|| ProtocolError::Frame("c10k target has no address".into()))?;
-
-    let routine = spec
-        .mix
-        .first()
-        .map(|e| e.routine)
-        .unwrap_or(Routine::Ep { m: 4 });
-    let inputs = Inputs::prepare(spec, seed);
-    let rate_per_conn = match spec.arrival {
-        Arrival::Open { rate_hz } => rate_hz,
-        Arrival::Closed { .. } => 1.0,
-    };
-    let drain = spec.options.deadline.unwrap_or(Duration::from_secs(10));
-    let config = DriverConfig {
-        addr,
-        conns: clients,
-        duration: Duration::from_secs_f64(spec.phases.total().max(1.0)),
-        rate_hz: rate_per_conn * clients as f64,
-        max_inflight_per_conn: 32,
-        request: Message::Invoke {
-            routine: routine.name().into(),
-            args: ninf_protocol::Arg::inline(inputs.args(routine, 0, 0)),
-            trace: None,
-        },
-        drain,
-    };
-    let poller = Poller::start(&live.addrs, Instant::now(), RUN_POLL_PERIOD);
-    let report = run_open_loop(&config);
-    let server_view = ServerView::from_polls(&poller.finish());
-    let report = report?;
-
-    let mut calls: Vec<CallResult> = report
-        .samples
-        .iter()
-        .enumerate()
-        .map(|(seq, s)| CallResult {
-            client: 0,
-            seq,
-            routine: routine.name(),
-            n: routine.scalar(),
-            scheduled: s.scheduled,
-            t_submit: s.scheduled,
-            t_complete: s.scheduled + s.latency,
-            timing: CallTiming {
-                total: s.latency,
-                attempts: 1,
-                ..CallTiming::default()
-            },
-            outcome: if s.ok { Outcome::Ok } else { Outcome::Remote },
-            flops: routine.flops(),
-            trace_id: 0,
-            capped: false,
-        })
-        .collect();
-    // Driver-level errors with no sample (dead connections, calls still owed
-    // at the drain deadline) must surface in the report, not vanish.
-    let sample_errors = report.samples.iter().filter(|s| !s.ok).count() as u64;
-    let base = calls.len();
-    for k in 0..report.errors.saturating_sub(sample_errors) {
-        calls.push(CallResult {
-            client: 0,
-            seq: base + k as usize,
-            routine: routine.name(),
-            n: routine.scalar(),
-            scheduled: 0.0,
-            t_submit: 0.0,
-            t_complete: 0.0,
-            timing: CallTiming {
-                attempts: 1,
-                ..CallTiming::default()
-            },
-            outcome: Outcome::Transport,
-            flops: routine.flops(),
-            trace_id: 0,
-            capped: false,
-        });
-    }
-
-    for s in live.spawned {
-        s.shutdown();
-    }
-    let mut run = RunReport::build(
-        scenario.name,
-        format!(
-            "open-loop {:.1} Hz aggregate over {} mux connections, {}",
-            config.rate_hz,
-            report.conns,
-            workload_desc(spec)
-        ),
-        1,
-        seed,
-        report.elapsed,
-        calls,
-        server_view,
-        Vec::new(),
-    );
-    run.clients = report.conns;
-    Ok(run)
 }

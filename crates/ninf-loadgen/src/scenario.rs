@@ -67,7 +67,7 @@ pub fn scenario(name: &str) -> Option<Scenario> {
         // a wedged server surfaces as timeouts rather than a hang.
         "lan-ep" => Some(Scenario {
             name: "lan-ep",
-            about: "open-loop EP 2^14 at 40 Hz/client with ramp phases against a 4-PE server",
+            about: "open-loop EP 2^14 at 40 Hz/client with ramp phases (spawns a 4-PE server)",
             spec: WorkloadSpec {
                 mix: vec![MixEntry {
                     routine: Routine::Ep { m: 14 },
@@ -91,14 +91,14 @@ pub fn scenario(name: &str) -> Option<Scenario> {
                 policy: SchedPolicy::Fcfs,
             },
         }),
-        // The C10k rig: thousands of multiplexed connections from one
-        // open-loop driver thread, tiny EP payloads so the measurement is
-        // connection-scaling, not compute. `--clients` is the connection
-        // count (c ∈ {256, 1024, 4096, 10000} in the committed benchmark);
-        // the per-connection rate scales to an aggregate schedule.
+        // The C10k rig: many open-loop clients, one connection each, all
+        // driven from the engine's one poller thread, with tiny EP
+        // payloads so the measurement is connection scaling, not compute.
+        // `--clients` is the connection count; each client follows its own
+        // 1 Hz schedule, so the offered rate grows with it.
         "lan-c10k" => Some(Scenario {
             name: "lan-c10k",
-            about: "open-loop tiny-EP over --clients multiplexed connections (reactor core)",
+            about: "open-loop tiny EP at 1 Hz over each of --clients connections (reactor core)",
             spec: WorkloadSpec {
                 mix: vec![MixEntry {
                     routine: Routine::Ep { m: 4 },

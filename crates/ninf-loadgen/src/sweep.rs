@@ -8,9 +8,11 @@
 //! open-loop Poisson driver through a deterministic rate ramp (stage `k`
 //! offers `base × (start_mult + k·step_mult)` Hz per client), while the
 //! run's cursor poller ([`crate::poll`]) drains every server's `QueryMetrics`
-//! window ring and §4.1 records. Each client sends a due call at its time
-//! whatever is still in flight, up to [`crate::OPEN_INFLIGHT_CAP`] calls; a call
-//! due with every slot busy waits for one and is counted in the stage's
+//! window ring and §4.1 records. Each stage is one run of the open-loop
+//! engine ([`crate::open`]), its clients dialed before its window opens.
+//! Each client sends a due call at its time whatever is still in flight, up
+//! to [`crate::OPEN_INFLIGHT_CAP`] calls; a call due with every slot busy
+//! waits for one and is counted in the stage's
 //! `generator_capped`, so a stage that offers more than the tester can hold
 //! says so instead of quietly offering less. Each poll brackets the reply
 //! between two local timestamps; the minimum-RTT poll's midpoint fixes the
@@ -427,9 +429,10 @@ pub fn run_sweep(
         cfg.window.max(Duration::from_millis(20)) / 2,
     );
 
-    // The ramp: stage k offers base × multiplier(k) for stage_secs, on a
-    // schedule that starts when the stage does (a saturated stage drains
-    // past its window, and the next one starts late).
+    // The ramp: stage k offers base × multiplier(k) for stage_secs, each
+    // stage one open-loop run whose schedule starts when its window opens,
+    // once its clients have dialed (a saturated stage drains past its
+    // window, and the next one starts late).
     let mut points = Vec::with_capacity(cfg.stages);
     let mut all_calls = Vec::new();
     let mut all_schedules: Vec<(f64, Vec<f64>)> = Vec::new();
@@ -438,18 +441,17 @@ pub fn run_sweep(
         let sspec = stage_spec(spec, base_rate, cfg, k);
         let sseed = stage_seed(seed, k);
         sleep_until(epoch, k as f64 * cfg.stage_secs);
-        let stage_epoch = Instant::now();
-        let t_start = (stage_epoch - epoch).as_secs_f64();
-        let mut calls = Fleet {
+        let (stage_epoch, mut calls) = Fleet {
             spec: &sspec,
             inputs: &inputs,
             dial: &|client| live.dial(&sspec, client),
+            addrs: &live.addrs,
             observe: &ignore_replies,
-            epoch: stage_epoch,
             seed: sseed,
             clients,
         }
-        .run();
+        .run()?;
+        let t_start = (stage_epoch - epoch).as_secs_f64();
         // Stage-relative times → sweep-epoch times.
         for c in &mut calls {
             c.scheduled += t_start;

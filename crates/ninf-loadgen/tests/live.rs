@@ -271,3 +271,26 @@ fn unreachable_server_yields_transport_errors_not_hangs() {
     assert_eq!(report.fleet.ok, 0);
     assert!(report.server.is_none());
 }
+
+#[test]
+fn lan_c10k_runs_as_an_ordinary_open_loop_scenario() {
+    // 64 connections, one per client, all driven from the open-loop
+    // engine's one poller. The window is trimmed for test runtime; the
+    // shape stays the same.
+    let mut sc = scenario("lan-c10k").expect("library scenario");
+    sc.spec.phases.steady = 1.0;
+    let a = run_scenario(&sc, 64, 1997).unwrap();
+    let planned: usize = (0..64)
+        .map(|c| sc.spec.arrival_schedule(1997, c, 64).len())
+        .sum();
+    assert!(planned > 0);
+    assert_eq!(a.clients, 64);
+    assert_eq!(a.calls.len(), planned);
+    assert_eq!(a.fleet.errors(), 0);
+    // Every client reports its own schedule, and the offered load is a
+    // pure function of the seed.
+    assert_eq!(a.schedules.len(), 64);
+    let b = run_scenario(&sc, 64, 1997).unwrap();
+    assert_eq!(b.fleet.errors(), 0);
+    assert_eq!(a.schedule_fnv, b.schedule_fnv);
+}

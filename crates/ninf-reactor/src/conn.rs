@@ -1,8 +1,8 @@
 //! One non-blocking frame connection: the socket, its staging buffer and
 //! frame slicer, and its write queue with the partial-write offset.
 //!
-//! The reactor's server connections and the open-loop driver's client
-//! connections are each a [`FrameConn`] plus their own bookkeeping, so
+//! The reactor's server connections and the load generator's open-loop
+//! client connections are each a [`FrameConn`] plus their own bookkeeping, so
 //! there is one non-blocking read, one place a frame header is parsed off
 //! a socket, and one write path to test.
 //!
@@ -28,8 +28,9 @@
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpStream, ToSocketAddrs};
 use std::os::unix::io::AsRawFd;
+use std::time::Duration;
 
 use ninf_obs::metrics::Counter;
 use ninf_protocol::{
@@ -47,6 +48,16 @@ pub const STAGING_CAP: usize = FRAME_HEADER_BYTES + MAX_FRAME_BYTES as usize;
 /// one read pulls off a socket, on either route, and the largest frame
 /// that is staged through scratch rather than read in place.
 pub const READ_CHUNK: usize = 64 * 1024;
+
+/// Dial `addr` ("host:port"), within `deadline` when there is one.
+pub fn dial(addr: &str, deadline: Option<Duration>) -> io::Result<TcpStream> {
+    let to = addr.to_socket_addrs()?.next();
+    let to = to.ok_or(io::ErrorKind::AddrNotAvailable)?;
+    match deadline {
+        Some(d) => TcpStream::connect_timeout(&to, d),
+        None => TcpStream::connect(to),
+    }
+}
 
 /// Outcome of one [`FrameConn::read`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -18,7 +18,7 @@
 
 use std::collections::HashMap;
 use std::io::BufReader;
-use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -75,7 +75,6 @@ impl Shared {
 /// which terminates the reader thread.
 pub struct MuxStream {
     shared: Arc<Shared>,
-    peer: SocketAddr,
 }
 
 impl MuxStream {
@@ -86,14 +85,7 @@ impl MuxStream {
         deadline: Option<Duration>,
         max_inflight: usize,
     ) -> ProtocolResult<MuxStream> {
-        let sockaddr = addr
-            .to_socket_addrs()?
-            .next()
-            .ok_or_else(|| ProtocolError::Io(std::io::ErrorKind::AddrNotAvailable.into()))?;
-        let stream = match deadline {
-            Some(d) => TcpStream::connect_timeout(&sockaddr, d)?,
-            None => TcpStream::connect(sockaddr)?,
-        };
+        let stream = crate::conn::dial(addr, deadline)?;
         stream.set_nodelay(true)?;
         let writer = stream.try_clone()?;
         let reader = BufReader::new(stream.try_clone()?);
@@ -114,10 +106,7 @@ impl MuxStream {
             .name("ninf-mux-reader".into())
             .spawn(move || run_reader(demux, reader))
             .map_err(ProtocolError::Io)?;
-        Ok(MuxStream {
-            shared,
-            peer: sockaddr,
-        })
+        Ok(MuxStream { shared })
     }
 
     /// Check out a handle: one logical client on this stream.
@@ -149,16 +138,6 @@ impl MuxStream {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .inflight
-    }
-
-    /// Admission bound for this stream.
-    pub fn max_inflight(&self) -> usize {
-        self.shared.max_inflight
-    }
-
-    /// The dialed peer address.
-    pub fn peer(&self) -> SocketAddr {
-        self.peer
     }
 }
 

@@ -151,11 +151,6 @@ impl MuxPool {
             list.iter().filter(|s| !s.is_dead()).count()
         })
     }
-
-    /// Drop every pooled stream (closing the sockets).
-    pub fn clear(&self) {
-        self.slots.lock().unwrap_or_else(|e| e.into_inner()).clear();
-    }
 }
 
 /// Process-wide pool for CLI tools: every `ninf-call`/`repro` invocation in

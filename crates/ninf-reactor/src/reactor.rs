@@ -31,7 +31,7 @@ use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use ninf_obs::metrics::{Counter, Gauge};
@@ -297,7 +297,8 @@ impl Loop {
         let mut events: Vec<PollEvent> = Vec::new();
         loop {
             events.clear();
-            if self.poller.wait(&mut events, 500).is_err() {
+            let tick = Duration::from_millis(500);
+            if self.poller.wait(&mut events, tick).is_err() {
                 break;
             }
             // Wake bytes, then commands, then socket events. A worker queues

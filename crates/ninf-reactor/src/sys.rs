@@ -8,12 +8,23 @@
 //! interest in readable/writable. Level-triggering is deliberate — the
 //! reactor can stop draining a connection mid-buffer (backpressure) and the
 //! next wait still reports it readable.
+//!
+//! A wait takes a [`Duration`] and never ends early for want of resolution:
+//! epoll waits to the nanosecond (`epoll_pwait2`); without it, and on the
+//! poll(2) backend, the timeout is rounded *up* to whole milliseconds.
 
 #![allow(clippy::upper_case_acronyms)]
 
 use std::io;
 use std::os::raw::c_int;
 use std::os::unix::io::RawFd;
+use std::time::Duration;
+
+/// `timeout` in whole milliseconds, rounded up.
+fn ceil_ms(timeout: Duration) -> c_int {
+    let ms = timeout.as_nanos().div_ceil(1_000_000);
+    ms.min(c_int::MAX as u128) as c_int
+}
 
 /// One readiness report from [`Poller::wait`].
 #[derive(Debug, Clone, Copy)]
@@ -46,6 +57,7 @@ impl Interest {
 #[cfg(target_os = "linux")]
 mod backend {
     use super::*;
+    use std::os::raw::c_long;
 
     const EPOLL_CLOEXEC: c_int = 0o2000000;
     const EPOLL_CTL_ADD: c_int = 1;
@@ -64,6 +76,12 @@ mod backend {
         data: u64,
     }
 
+    /// `epoll_pwait2` in the unified syscall table (Linux 5.11+); older C
+    /// libraries have no wrapper for it.
+    const SYS_EPOLL_PWAIT2: c_long = 441;
+    const ENOSYS: i32 = 38;
+    const EPERM: i32 = 1;
+
     extern "C" {
         fn epoll_create1(flags: c_int) -> c_int;
         fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
@@ -73,6 +91,7 @@ mod backend {
             maxevents: c_int,
             timeout: c_int,
         ) -> c_int;
+        fn syscall(number: c_long, ...) -> c_long;
         fn close(fd: c_int) -> c_int;
     }
 
@@ -133,18 +152,28 @@ mod backend {
             Ok(())
         }
 
-        /// Wait up to `timeout_ms` (-1 = forever) and append ready events.
-        pub fn wait(&mut self, events: &mut Vec<PollEvent>, timeout_ms: i32) -> io::Result<()> {
+        /// Wait up to `timeout` and append ready events: `epoll_pwait2` to
+        /// the nanosecond, or `epoll_wait` rounded up to whole milliseconds
+        /// where that is absent (an old kernel, or a sandbox that filters
+        /// it).
+        pub fn wait(&mut self, events: &mut Vec<PollEvent>, timeout: Duration) -> io::Result<()> {
+            let (buf, max) = (self.buf.as_mut_ptr(), self.buf.len() as c_int);
+            // The kernel's `__kernel_timespec`: two 64-bit fields everywhere.
+            let secs = timeout.as_secs().min(i64::MAX as u64) as i64;
+            let ts = [secs, i64::from(timeout.subsec_nanos())];
             let n = loop {
-                // SAFETY: `buf` is a live allocation of `buf.len()` events.
-                let n = unsafe {
-                    epoll_wait(
-                        self.epfd,
-                        self.buf.as_mut_ptr(),
-                        self.buf.len() as c_int,
-                        timeout_ms,
-                    )
+                let (fd, n, ts) = (self.epfd as c_long, max as c_long, ts.as_ptr());
+                let none = std::ptr::null::<u64>();
+                // SAFETY: `buf` is a live allocation of `max` events, `ts`
+                // outlives the call, and a null sigmask keeps the mask.
+                let mut n = unsafe {
+                    syscall(SYS_EPOLL_PWAIT2, fd, buf, n, ts, none, 0 as c_long) as c_int
                 };
+                let errno = io::Error::last_os_error().raw_os_error();
+                if n < 0 && matches!(errno, Some(ENOSYS | EPERM)) {
+                    // SAFETY: as above.
+                    n = unsafe { epoll_wait(self.epfd, buf, max, ceil_ms(timeout)) };
+                }
                 if n >= 0 {
                     break n as usize;
                 }
@@ -252,7 +281,10 @@ mod backend {
             }
         }
 
-        pub fn wait(&mut self, events: &mut Vec<PollEvent>, timeout_ms: i32) -> io::Result<()> {
+        /// Wait up to `timeout`, rounded up to whole milliseconds, and
+        /// append ready events.
+        pub fn wait(&mut self, events: &mut Vec<PollEvent>, timeout: Duration) -> io::Result<()> {
+            let timeout_ms = ceil_ms(timeout);
             let n = loop {
                 // SAFETY: `fds` is a live slice of `fds.len()` pollfds.
                 let n =
@@ -303,11 +335,11 @@ mod tests {
         poller.register(b.as_raw_fd(), 7, Interest::READ).unwrap();
 
         let mut events = Vec::new();
-        poller.wait(&mut events, 0).unwrap();
+        poller.wait(&mut events, Duration::ZERO).unwrap();
         assert!(events.is_empty(), "no bytes yet");
 
         a.write_all(b"ping").unwrap();
-        poller.wait(&mut events, 1000).unwrap();
+        poller.wait(&mut events, Duration::from_secs(1)).unwrap();
         assert!(events.iter().any(|e| e.token == 7 && e.readable));
 
         let mut buf = [0u8; 8];
@@ -325,7 +357,7 @@ mod tests {
 
         for _ in 0..2 {
             let mut events = Vec::new();
-            poller.wait(&mut events, 1000).unwrap();
+            poller.wait(&mut events, Duration::from_secs(1)).unwrap();
             assert!(
                 events.iter().any(|e| e.token == 1 && e.readable),
                 "undrained fd must stay readable (level-triggered)"
@@ -353,13 +385,28 @@ mod tests {
             )
             .unwrap();
         let mut events = Vec::new();
-        poller.wait(&mut events, 50).unwrap();
+        poller.wait(&mut events, Duration::from_millis(50)).unwrap();
         assert!(events.iter().all(|e| !e.readable), "read interest removed");
 
         poller.modify(b.as_raw_fd(), 3, Interest::READ).unwrap();
         events.clear();
-        poller.wait(&mut events, 1000).unwrap();
+        poller.wait(&mut events, Duration::from_secs(1)).unwrap();
         assert!(events.iter().any(|e| e.token == 3 && e.readable));
+    }
+
+    #[test]
+    fn a_sub_millisecond_wait_is_not_cut_to_zero() {
+        // Nothing is registered, so only the timeout ends each wait; a
+        // wait truncated to whole milliseconds would return at once.
+        let mut poller = Poller::new().unwrap();
+        let mut events = Vec::new();
+        for us in [1, 300, 999] {
+            let want = Duration::from_micros(us);
+            let t0 = std::time::Instant::now();
+            poller.wait(&mut events, want).unwrap();
+            assert!(t0.elapsed() >= want, "a {us} µs wait ended early");
+        }
+        assert!(events.is_empty());
     }
 
     #[test]
@@ -370,7 +417,7 @@ mod tests {
         poller.register(b.as_raw_fd(), 9, Interest::READ).unwrap();
         drop(a);
         let mut events = Vec::new();
-        poller.wait(&mut events, 1000).unwrap();
+        poller.wait(&mut events, Duration::from_secs(1)).unwrap();
         let ev = events.iter().find(|e| e.token == 9).expect("hangup event");
         assert!(ev.readable, "EOF must surface as readable (read returns 0)");
     }

@@ -257,12 +257,12 @@ pub fn run_chaos(spec: &ChaosSpec, seed: u64, inject: Inject) -> ProtocolResult<
 
     let epoch = Instant::now();
     let poller = Poller::start(&addrs, epoch, POLL_PERIOD);
-    let calls = Fleet {
+    let run = Fleet {
         spec: &spec.workload,
         inputs: &inputs,
         dial: &dial,
+        addrs: &addrs,
         observe: &observe,
-        epoch,
         seed,
         clients: spec.clients,
     }
@@ -279,6 +279,7 @@ pub fn run_chaos(spec: &ChaosSpec, seed: u64, inject: Inject) -> ProtocolResult<
     if let Some(e) = polls.iter_mut().find_map(|p| p.error.take()) {
         return Err(e);
     }
+    let (_, calls) = run?;
 
     // The payload CRC means a decoded reply is a genuine reply: claim trace
     // attribution for every success, with no corrupted-stream carve-out.
