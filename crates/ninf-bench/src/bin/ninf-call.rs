@@ -15,12 +15,12 @@
 //! accepts but never replies then fails with a typed timeout instead of
 //! hanging the call. `--retries` re-checks-out with exponential backoff on
 //! retryable (non-remote) errors. Connections come from the process-wide
-//! multiplexed stream pool — every command in one invocation shares a
-//! single connection to the server rather than dialing per call. `--json`
+//! connection pool — each client gives its connection back when done, and
+//! the next one to the same server reuses it rather than dialing. `--json`
 //! (for `ep` and `linpack`) emits the call's timing decomposition —
 //! connect, interface fetch, marshal, server wall time, transfer, total —
-//! plus `stream_reused` (whether the measured call rode an already-open
-//! pooled stream) and the argument-cache accounting — `bytes_sent` on the
+//! plus `stream_reused` (whether the measured call rode an idle pooled
+//! connection) and the argument-cache accounting — `bytes_sent` on the
 //! wire, `args_refd` (argument slots shipped as digests), `args_refilled`
 //! (slots the server asked back inline) — as one JSON object on stdout
 //! instead of prose; the server-side wall time is joined from the server's
@@ -184,8 +184,8 @@ struct TimedCall {
     /// Server-observed wall time of this call (`T_complete − T_submit` on
     /// the server clock), when the stats join succeeded.
     server_wall: Option<f64>,
-    /// Whether the measured call's checkout reused an already-open pooled
-    /// stream.
+    /// Whether the measured call's checkout reused an idle pooled
+    /// connection.
     stream_reused: bool,
     bytes_sent: usize,
     bytes_received: usize,
@@ -201,13 +201,14 @@ impl TimedCall {
 }
 
 /// Mark the server's stats cursor on one pooled checkout, issue the call
-/// on another (which reuses the stream the cursor client dialed), and join
-/// the server-side record for it.
+/// on another (which reuses the connection the cursor client dialed and
+/// gave back), and join the server-side record for it.
 fn timed_call(addr: &str, options: CallOptions, routine: &str, args: Vec<Value>) -> TimedCall {
-    // The cursor client's checkout dials the pooled stream; the measured
-    // call below then checks the same stream out again — a pool hit.
+    // The cursor client's checkout dials the pooled connection and gives it
+    // back; the measured call below then checks it out again — a pool hit.
     let mut stats = connect(addr, options);
     let cursor = stats.query_stats(u64::MAX).map(|(_, total, _)| total).ok();
+    stats.release();
     let t0 = std::time::Instant::now();
     let mut client = connect(addr, options);
     let connect = t0.elapsed().as_secs_f64();
@@ -306,8 +307,8 @@ fn call_json(routine: &str, n: i64, flops: Option<u64>, timed: &TimedCall) -> se
     serde_json::Value::Object(doc)
 }
 
-/// Check a pooled client out of the process-wide stream pool (dialing only
-/// when no live stream to `addr` exists yet). A refused or timed-out dial
+/// Check a pooled client out of the process-wide pool (dialing only when no
+/// idle connection to `addr` is there). A refused or timed-out dial
 /// is retried under `options` by the client itself.
 fn connect(addr: &str, options: CallOptions) -> NinfClient {
     NinfClient::connect_pooled(addr, options, global_pool().clone()).unwrap_or_else(|e| {

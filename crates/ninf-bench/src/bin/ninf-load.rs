@@ -54,7 +54,8 @@ use std::io::Write as _;
 
 use ninf_bench::cli::{parse_args, parse_list, CliError};
 use ninf_loadgen::{
-    run_scenario, run_sweep, scenario, scenario_names, RunReport, SweepConfig, SweepReport, Target,
+    run_scenario, run_sweep, scenario, scenario_names, ClientSummary, RunReport, SweepConfig,
+    SweepReport, Target,
 };
 
 fn main() {
@@ -275,6 +276,9 @@ fn main() {
     }
 }
 
+/// Per-client rows the text report prints; one line stands for the rest.
+const CLIENT_ROWS: usize = 16;
+
 /// One run, rendered in the paper's table vocabulary.
 fn render(r: &RunReport) -> String {
     let mut s = format!(
@@ -331,7 +335,8 @@ fn render(r: &RunReport) -> String {
         );
     }
     s += "per-client:\n";
-    for c in &r.per_client {
+    let (shown, rest) = r.per_client.split_at(r.per_client.len().min(CLIENT_ROWS));
+    for c in shown {
         s += &format!(
             "  client {:<3} calls {:<4} ok {:<4} err {:<3} mean {:.4}s p95 {:.4}s",
             c.client,
@@ -345,6 +350,16 @@ fn render(r: &RunReport) -> String {
             s += &format!("  {:.2} Mflops", c.perf.mean);
         }
         s.push('\n');
+    }
+    if !rest.is_empty() {
+        let sum = |f: fn(&ClientSummary) -> usize| rest.iter().map(f).sum::<usize>();
+        s += &format!(
+            "  ... {} more clients: calls {} ok {} err {} (every client is in --json and --csv)\n",
+            rest.len(),
+            sum(|c| c.calls),
+            sum(|c| c.ok),
+            sum(ClientSummary::errors)
+        );
     }
     s
 }
@@ -483,4 +498,33 @@ fn usage(err: &str) -> ! {
         scenario_names().join(", ")
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_512_client_report_prints_a_bounded_number_of_client_rows() {
+        let r = RunReport::build(
+            "lan-c10k",
+            "ep".into(),
+            512,
+            1997,
+            1.0,
+            vec![],
+            None,
+            vec![],
+        );
+        assert_eq!(r.per_client.len(), 512, "the report keeps every client");
+        let text = render(&r);
+        let rows = text.lines().filter(|l| l.starts_with("  client ")).count();
+        assert_eq!(rows, CLIENT_ROWS);
+        let rest = format!(
+            "  ... {} more clients: calls 0 ok 0 err 0",
+            512 - CLIENT_ROWS
+        );
+        assert!(text.contains(&rest), "{text}");
+        assert!(text.lines().count() < 2 * CLIENT_ROWS + 10, "{text}");
+    }
 }

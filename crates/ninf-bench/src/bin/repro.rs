@@ -6,8 +6,8 @@
 //! ```
 //!
 //! `--live-check` sanity-checks a live server through the process-wide
-//! multiplexed stream pool (two EP calls; the second must reuse the first's
-//! connection) before — or, with no `--experiment`, instead of — the
+//! connection pool (two EP calls; the second must reuse the connection the
+//! first gave back) before — or, with no `--experiment`, instead of — the
 //! deterministic experiment suite.
 
 use std::io::Write;
@@ -99,7 +99,7 @@ fn main() {
 }
 
 /// Two pooled EP calls against a live server: the first checkout dials,
-/// the second must reuse the same multiplexed stream.
+/// the second must reuse the connection the first gave back.
 fn live_check(addr: &str) {
     use ninf_client::{CallOptions, NinfClient};
     use ninf_protocol::Value;
@@ -111,7 +111,7 @@ fn live_check(addr: &str) {
             std::process::exit(1);
         });
         if round > 0 && !client.stream_reused() {
-            eprintln!("error: live-check checkout {round} did not reuse the pooled stream");
+            eprintln!("error: live-check checkout {round} did not reuse the pooled connection");
             std::process::exit(1);
         }
         if let Err(e) = client.ninf_call("ep", &[Value::Int(6)]) {
@@ -119,7 +119,7 @@ fn live_check(addr: &str) {
             std::process::exit(1);
         }
     }
-    eprintln!("# live-check {addr}: 2 EP calls ok over 1 pooled stream (stream_reused=true)");
+    eprintln!("# live-check {addr}: 2 EP calls ok over 1 pooled connection (stream_reused=true)");
 }
 
 fn usage(err: &str) -> ! {

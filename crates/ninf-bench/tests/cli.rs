@@ -87,8 +87,9 @@ fn overfull_link_spec_is_a_usage_error_not_a_panic() {
 
 /// `--retries` covers a server that is not up yet: the refused dial is an
 /// attempt of the client's own retry loop (`ninf-call` has none), and the
-/// `--json` document keeps its keys — the stats-cursor checkout dialed the
-/// pooled stream, so the measured call reports `stream_reused`.
+/// `--json` document keeps its keys — the stats-cursor client dialed the
+/// pooled connection and gave it back, so the measured call reports
+/// `stream_reused`.
 #[test]
 fn ninf_call_retries_reach_a_late_starting_server() {
     let probe = std::net::TcpListener::bind("127.0.0.1:0").unwrap();

@@ -5,7 +5,7 @@
 //! image is at least [`ninf_protocol::CHUNK_THRESHOLD`] bytes and which the
 //! destination lacks — splits every image into CRC-tagged chunks
 //! ([`ninf_protocol::chunk`]) and ships them, one image after another,
-//! through one window on one dedicated multiplexed connection to the
+//! through one window on one dedicated connection to the
 //! server, which reassembles each image and lands it in its argument store.
 //! The transfer runs on the caller's thread.
 //!
@@ -58,9 +58,9 @@ use std::time::{Duration, Instant};
 
 use ninf_protocol::{
     lane_window, link_for, split_chunks, Digest, FrameFn, LinkShape, LinkTransport, Message,
-    Pipelined, ProtocolError, ProtocolResult, Transport,
+    Pipelined, ProtocolError, ProtocolResult,
 };
-use ninf_reactor::MuxStream;
+use ninf_reactor::TcpTransport;
 
 /// Sends per chunk (the first and its retransmits) before an upload gives
 /// up.
@@ -120,26 +120,19 @@ enum Riding {
     Done(ProtocolResult<Message>, Duration),
 }
 
-/// Dial the bulk connection with room for `window` open chunks and the
-/// call that rides behind them: the handle (wrapped in client-side WAN
-/// shaping when a link is named) and the mux stream that must outlive it —
-/// dropping a [`MuxStream`] shuts the socket down. Shaped, it contends for
-/// the destination's shared link as [`BULK_LANE`], with its own
-/// deterministic loss schedule.
+/// Dial the bulk connection, wrapped in client-side WAN shaping when a
+/// link is named. Shaped, it contends for the destination's shared link as
+/// [`BULK_LANE`], with its own deterministic loss schedule.
 fn dial_lane(
     addr: &str,
     deadline: Duration,
     wan: Option<LinkShape>,
-    window: u32,
-) -> ProtocolResult<(Box<dyn Pipelined>, MuxStream)> {
-    let stream = MuxStream::connect(addr, Some(deadline), window as usize + 1)?;
-    let mut handle = stream.handle();
-    handle.set_deadline(Some(deadline))?;
-    let transport: Box<dyn Pipelined> = match wan {
-        Some(shape) => Box::new(LinkTransport::new(handle, link_for(addr, shape), BULK_LANE)),
-        None => Box::new(handle),
-    };
-    Ok((transport, stream))
+) -> ProtocolResult<Box<dyn Pipelined>> {
+    let conn = TcpTransport::connect_with_deadline(addr, Some(deadline))?;
+    Ok(match wan {
+        Some(shape) => Box::new(LinkTransport::new(conn, link_for(addr, shape), BULK_LANE)),
+        None => Box::new(conn),
+    })
 }
 
 /// The `(digest, seq)` a chunk carries, which its ack must name.
@@ -327,13 +320,12 @@ impl<'a, 'r> Upload<'a, 'r> {
     }
 
     /// Ship every chunk through the window, with bounded per-chunk
-    /// retransmission and one redial if the connection dies. `dial` yields
-    /// the connection and whatever has to stay alive under it.
-    fn finish<K>(
+    /// retransmission and one redial if the connection dies.
+    fn finish(
         &mut self,
-        mut dial: impl FnMut() -> ProtocolResult<(Box<dyn Pipelined>, K)>,
+        mut dial: impl FnMut() -> ProtocolResult<Box<dyn Pipelined>>,
     ) -> ProtocolResult<()> {
-        let (mut conn, mut _keep) = dial()?;
+        let mut conn = dial()?;
         match self.run(&mut *conn) {
             Err(e) if e.is_retryable() && !e.is_timeout() => {
                 // The connection died mid-window; one fresh dial, then send
@@ -347,7 +339,7 @@ impl<'a, 'r> Upload<'a, 'r> {
                 if let Riding::Flying { .. } = self.riding {
                     self.riding = Riding::Waiting;
                 }
-                (conn, _keep) = dial()?;
+                conn = dial()?;
                 self.run(&mut *conn)
             }
             outcome => outcome,
@@ -392,7 +384,7 @@ pub(crate) fn ride(
     let window = lane_window(wan.as_ref(), chunk_bytes);
     let deadline = deadline.unwrap_or(DEFAULT_LANE_DEADLINE);
     let mut upload = Upload::new(&chunks, window, deadline, call);
-    upload.finish(|| dial_lane(addr, deadline, wan, window))?;
+    upload.finish(|| dial_lane(addr, deadline, wan))?;
     let report = upload.report(bytes);
     let Riding::Done(reply, roundtrip) = upload.riding else {
         unreachable!("a complete upload has settled its rider")
@@ -408,7 +400,7 @@ pub(crate) fn ride(
 mod tests {
     use super::*;
     use ninf_protocol::{
-        link_schedule, read_frame_mux, FrameFn, LinkEvent, Reassembly, SharedLink,
+        link_schedule, read_frame_mux, FrameFn, LinkEvent, Reassembly, SharedLink, Transport,
     };
     use proptest::prelude::*;
     use std::collections::HashMap;
@@ -661,7 +653,7 @@ mod tests {
                 dead: false,
                 parked: None,
             });
-            Ok((peer, ()))
+            Ok(peer)
         };
         let invoke = Message::Invoke {
             routine: "linpack".into(),

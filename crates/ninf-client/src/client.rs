@@ -10,9 +10,9 @@ use ninf_idl::CompiledInterface;
 use ninf_obs::recorder;
 use ninf_protocol::{
     encode_call, validate_call_args, validate_results, CallArg, CallKind, Digest, Message,
-    ProtocolError, ProtocolResult, Span, SplitMix64, TcpTransport, TraceContext, Transport, Value,
+    ProtocolError, ProtocolResult, Span, SplitMix64, TraceContext, Transport, Value,
 };
-use ninf_reactor::MuxPool;
+use ninf_reactor::{MuxPool, TcpTransport};
 
 use crate::argmem;
 use crate::bulk::{Rider, UploadReport};
@@ -50,7 +50,7 @@ pub struct CallOptions {
     /// With a lane, the arguments whose XDR image is at least
     /// [`ninf_protocol::CHUNK_THRESHOLD`] bytes and which the destination
     /// lacks ship as chunks, all of one call's through one window on one
-    /// dedicated multiplexed connection, and the call itself rides the same
+    /// dedicated connection, and the call itself rides the same
     /// connection behind the last chunk, naming them by content ref
     /// ([`crate::bulk`]); a refill after `NeedArg` rides the same way. The
     /// lane keeps a sliding window of chunks in flight, sized from `wan`
@@ -121,7 +121,7 @@ impl CallOptions {
 /// so `total ≥ connect + interface + marshal + roundtrip`.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CallTiming {
-    /// Seconds spent dialing (or checking a stream out) inside the call:
+    /// Seconds spent dialing (or checking a connection out) inside the call:
     /// redials after a failed attempt, and the first dial of a [`Call`].
     pub connect: f64,
     /// Seconds fetching the compiled interface (stage 1); 0 on a cache hit.
@@ -213,11 +213,10 @@ pub struct NinfClient {
     /// Remembered dial address; attempts connect through it. `None` for
     /// clients wrapped around a caller-supplied transport.
     addr: Option<String>,
-    /// Pool this client checks streams out of instead of dialing, so a
-    /// retry transparently lands on a live (or freshly dialed) multiplexed
-    /// stream. `None` for direct connections.
+    /// Pool this client checks its connection out of instead of dialing,
+    /// and gives it back to when done. `None` for direct connections.
     pool: Option<Arc<MuxPool>>,
-    /// Whether the most recent checkout reused an already-open stream.
+    /// Whether the most recent checkout reused an idle pooled connection.
     stream_reused: bool,
     options: CallOptions,
     /// Running totals of array payload bytes, for throughput accounting.
@@ -261,11 +260,10 @@ impl NinfClient {
     }
 
     /// Connect through a shared [`MuxPool`]: the connection is *checked
-    /// out* — an already-open multiplexed stream to `addr` is reused when
-    /// one has admission capacity, and a new one is dialed only on a pool
-    /// miss. Retries re-check-out, so after a stream failure the next
-    /// attempt transparently lands on a fresh connection while calls on
-    /// other streams never notice.
+    /// out* — an idle connection to `addr` is reused, and a new one is
+    /// dialed only on a pool miss. It goes back to the pool when the client
+    /// is dropped or [released](NinfClient::release), unless an operation
+    /// failed on it; a retry after a failure checks out again.
     pub fn connect_pooled(
         addr: &str,
         options: CallOptions,
@@ -277,7 +275,8 @@ impl NinfClient {
     /// Wrap an arbitrary transport (e.g. an in-process channel in tests).
     /// Such a client has no address to reach again, so it keeps this
     /// transport through failures — what a late reply on it means is the
-    /// supplier's business (a mux handle, for one, discards it by call id).
+    /// supplier's business (a [`TcpTransport`], for one, discards it by
+    /// call id).
     pub fn from_transport(transport: Box<dyn Transport>) -> Self {
         Self::new(Some(transport))
     }
@@ -323,10 +322,17 @@ impl NinfClient {
     }
 
     /// Whether the most recent checkout of this pooled client reused an
-    /// already-open multiplexed stream (always `false` for direct
-    /// connections).
+    /// idle connection (always `false` for direct connections).
     pub fn stream_reused(&self) -> bool {
         self.stream_reused
+    }
+
+    /// Let go of the connection now: a pooled one goes back to its pool
+    /// (unless an operation failed on it), a direct one closes. The next
+    /// operation connects again. A client wrapped around a transport keeps
+    /// it.
+    pub fn release(&mut self) {
+        self.drop_transport();
     }
 
     /// Timing decomposition of the most recent [`NinfClient::ninf_call`]
@@ -615,13 +621,12 @@ impl NinfClient {
         Ok(())
     }
 
-    /// Reach the remembered address — through the pool (a checkout; dead
-    /// streams were evicted) for pooled clients, by dialing for direct
-    /// ones — and shape the connection when the options ask for WAN
-    /// emulation. Lane id 0 is the call connection; the bulk lane takes 1 on
-    /// the same shared link, so control and bulk traffic contend for one
-    /// emulated bottleneck. Fails for transport-wrapping clients, which
-    /// have no address.
+    /// Reach the remembered address — through the pool (a checkout) for
+    /// pooled clients, by dialing for direct ones — and shape the
+    /// connection when the options ask for WAN emulation. Lane id 0 is the
+    /// call connection; the bulk lane takes 1 on the same shared link, so
+    /// control and bulk traffic contend for one emulated bottleneck. Fails
+    /// for transport-wrapping clients, which have no address.
     fn dial(&mut self) -> ProtocolResult<()> {
         let addr = self.addr.as_deref().ok_or(ProtocolError::Disconnected)?;
         let deadline = self.options.deadline;
@@ -630,7 +635,7 @@ impl NinfClient {
         let dialed: ProtocolResult<Box<dyn Transport>> = match &self.pool {
             Some(pool) => pool.checkout(addr, deadline).map(|co| {
                 self.stream_reused = co.reused;
-                Box::new(co.handle) as Box<dyn Transport>
+                Box::new(co) as Box<dyn Transport>
             }),
             None => TcpTransport::connect_with_deadline(addr, deadline)
                 .map(|t| Box::new(t) as Box<dyn Transport>),
@@ -1062,10 +1067,9 @@ pub struct Call {
     pub args: Vec<Value>,
     /// Deadline, retries, backoff and transfer policy.
     pub options: CallOptions,
-    /// Check a multiplexed stream out of this pool for each attempt instead
-    /// of dialing, so concurrent calls to one server share connections; a
-    /// stream failure fails exactly the calls in flight on it, and their
-    /// retries land on a live or freshly dialed stream.
+    /// Check a connection out of this pool for each attempt instead of
+    /// dialing, and give it back when the call is done, so calls to one
+    /// server reuse connections; a retry after a failure checks out again.
     pub pool: Option<Arc<MuxPool>>,
     /// Parent the call's spans here (how a routing layer keeps its
     /// forwarded leg inside the caller's trace); `None` roots a fresh trace.
@@ -1110,7 +1114,7 @@ impl Call {
     /// is given.
     pub fn two_phase(self, poll_interval: Duration) -> ProtocolResult<Vec<Value>> {
         // The submitter is dropped at once: a direct connection closes while
-        // the server computes (a pooled stream goes back to its pool).
+        // the server computes (a pooled one goes back to its pool).
         let job = self.client().submit_job(&self.routine, &self.args)?;
         loop {
             let mut poller = self.client();

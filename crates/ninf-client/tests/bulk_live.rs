@@ -324,7 +324,7 @@ fn a_dead_connection_loses_only_its_unacked_chunks_and_a_fresh_one_finishes_them
         chunks.len()
     );
 
-    fn send_chunk(conn: &mut ninf_protocol::TcpTransport, m: &ninf_protocol::Message) {
+    fn send_chunk(conn: &mut ninf_reactor::TcpTransport, m: &ninf_protocol::Message) {
         use ninf_protocol::Transport;
         conn.send(m).unwrap();
         match conn.recv().unwrap() {
@@ -335,7 +335,7 @@ fn a_dead_connection_loses_only_its_unacked_chunks_and_a_fresh_one_finishes_them
 
     // The first connection lands k chunks, then dies.
     let k = 3;
-    let mut first = ninf_protocol::TcpTransport::connect(&addr).unwrap();
+    let mut first = ninf_reactor::TcpTransport::connect(&addr).unwrap();
     for m in &chunks[..k] {
         send_chunk(&mut first, m);
     }
@@ -347,7 +347,7 @@ fn a_dead_connection_loses_only_its_unacked_chunks_and_a_fresh_one_finishes_them
 
     // The fresh one resends the last chunk the dead one landed, then
     // everything the dead one never sent.
-    let mut fresh = ninf_protocol::TcpTransport::connect(&addr).unwrap();
+    let mut fresh = ninf_reactor::TcpTransport::connect(&addr).unwrap();
     for m in &chunks[k - 1..] {
         send_chunk(&mut fresh, m);
     }
@@ -400,7 +400,7 @@ fn transport_wrapped_clients_ignore_the_streams_knob() {
     // back to plain inline shipping instead of failing.
     let server = start_server();
     let addr = server.addr().to_string();
-    let t = ninf_protocol::TcpTransport::connect(&addr).unwrap();
+    let t = ninf_reactor::TcpTransport::connect(&addr).unwrap();
     let mut client = NinfClient::from_transport(Box::new(t));
     client.set_options(bulk_opts(8)).unwrap();
     let args = big_linpack_args();

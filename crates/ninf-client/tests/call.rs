@@ -37,7 +37,7 @@ fn call_a_late_server(pool: Option<Arc<MuxPool>>) {
     };
     assert_eq!(call.spawn().wait().unwrap().len(), 2);
     if let Some(pool) = pool {
-        assert_eq!(pool.open_streams(&addr), 1, "the retry dialed the stream");
+        assert_eq!(pool.idle(&addr), 1, "the retry dialed, the call gave back");
     }
     starter.join().unwrap().shutdown();
 }

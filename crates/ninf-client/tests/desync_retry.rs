@@ -12,7 +12,7 @@ use std::net::TcpListener;
 use std::time::Duration;
 
 use ninf_client::{CallOptions, NinfClient};
-use ninf_protocol::{Message, TcpTransport, Transport, Value};
+use ninf_protocol::{read_frame_mux, write_frame_mux, Message, Value};
 
 /// `ep`-shaped results whose every number is the request's own `m`.
 fn tagged(m: i32) -> Vec<Value> {
@@ -28,11 +28,11 @@ fn a_late_reply_never_answers_the_next_call() {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
     let peer = std::thread::spawn(move || {
-        let (stream, _) = listener.accept().unwrap();
+        let (mut wire, _) = listener.accept().unwrap();
         drop(listener); // every redial is refused from here on
-        let mut wire = TcpTransport::new(stream).unwrap();
         let mut invokes = 0;
-        while let Ok(msg) = wire.recv() {
+        // Each reply echoes its request's call id, as the server's do.
+        while let Ok((id, msg)) = read_frame_mux(&mut wire) {
             let reply = match msg {
                 Message::QueryInterface { .. } => Message::InterfaceReply {
                     interface: ninf_idl::stdlib_interfaces()
@@ -52,7 +52,7 @@ fn a_late_reply_never_answers_the_next_call() {
                 }
                 other => panic!("unscripted request {other:?}"),
             };
-            if wire.send(&reply).is_err() {
+            if write_frame_mux(&mut wire, id, &reply).is_err() {
                 break;
             }
         }

@@ -1,12 +1,12 @@
-//! Live tests of the pooled client path: checked-out multiplexed streams
-//! against a real reactor-core server.
+//! Live tests of the pooled client path: connections checked out, given
+//! back and checked out again, against a real reactor-core server.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use ninf_client::{Call, CallOptions, NinfClient};
 use ninf_protocol::Value;
-use ninf_reactor::{MuxPool, PoolConfig};
+use ninf_reactor::MuxPool;
 use ninf_server::{builtin::register_stdlib, NinfServer, Registry, ServerConfig};
 
 fn start_server() -> NinfServer {
@@ -23,49 +23,24 @@ fn opts() -> CallOptions {
 fn second_pooled_client_reuses_the_stream() {
     let server = start_server();
     let addr = server.addr().to_string();
-    let pool = Arc::new(MuxPool::default());
+    let pool = Arc::new(MuxPool::new());
 
     let mut first = NinfClient::connect_pooled(&addr, opts(), pool.clone()).unwrap();
     assert!(!first.stream_reused(), "first checkout must dial");
     first.ninf_call("ep", &[Value::Int(4)]).unwrap();
 
+    drop(first);
     let mut second = NinfClient::connect_pooled(&addr, opts(), pool.clone()).unwrap();
     assert!(second.stream_reused(), "second checkout must reuse");
     second.ninf_call("ep", &[Value::Int(4)]).unwrap();
+    // Released, the connection is idle again; the next operation checks
+    // it out anew.
+    second.release();
+    assert_eq!(pool.idle(&addr), 1);
+    second.ninf_call("ep", &[Value::Int(4)]).unwrap();
 
-    assert_eq!(pool.hits(), 1);
+    assert_eq!(pool.hits(), 2);
     assert_eq!(pool.misses(), 1);
-    assert_eq!(pool.open_streams(&addr), 1);
-    server.shutdown();
-}
-
-#[test]
-fn pooled_clients_share_one_stream_across_threads() {
-    let server = start_server();
-    let addr = server.addr().to_string();
-    let pool = Arc::new(MuxPool::new(PoolConfig {
-        max_streams_per_addr: 1,
-        ..PoolConfig::default()
-    }));
-
-    let threads: Vec<_> = (0..8)
-        .map(|_| {
-            let addr = addr.clone();
-            let pool = pool.clone();
-            std::thread::spawn(move || {
-                let mut c = NinfClient::connect_pooled(&addr, opts(), pool).unwrap();
-                for _ in 0..4 {
-                    let out = c.ninf_call("ep", &[Value::Int(4)]).unwrap();
-                    assert!(!out.is_empty());
-                }
-            })
-        })
-        .collect();
-    for t in threads {
-        t.join().unwrap();
-    }
-    assert_eq!(pool.misses(), 1, "all clients share one dialed stream");
-    assert_eq!(pool.hits(), 7);
     server.shutdown();
 }
 
@@ -73,22 +48,29 @@ fn pooled_clients_share_one_stream_across_threads() {
 fn pooled_async_calls_complete_concurrently() {
     let server = start_server();
     let addr = server.addr().to_string();
-    let pool = Arc::new(MuxPool::default());
+    let pool = Arc::new(MuxPool::new());
 
-    let calls: Vec<_> = (0..6)
-        .map(|_| {
-            Call {
-                options: opts(),
-                pool: Some(pool.clone()),
-                ..Call::new(addr.as_str(), "ep", vec![Value::Int(4)])
-            }
-            .spawn()
-        })
-        .collect();
-    for call in calls {
-        call.wait().unwrap();
+    // Two waves of six concurrent calls: each call holds a connection of
+    // its own and gives it back when done, so the second wave reuses the
+    // first wave's.
+    for _ in 0..2 {
+        let calls: Vec<_> = (0..6)
+            .map(|_| {
+                Call {
+                    options: opts(),
+                    pool: Some(pool.clone()),
+                    ..Call::new(addr.as_str(), "ep", vec![Value::Int(4)])
+                }
+                .spawn()
+            })
+            .collect();
+        for call in calls {
+            call.wait().unwrap();
+        }
     }
-    assert!(pool.hits() >= 4, "fan-out must reuse pooled streams");
+    assert_eq!(pool.hits() + pool.misses(), 12);
+    assert!(pool.hits() >= 6, "fan-out must reuse pooled connections");
+    assert!(pool.idle(&addr) <= 6);
     server.shutdown();
 }
 
@@ -96,7 +78,7 @@ fn pooled_async_calls_complete_concurrently() {
 fn retry_after_server_restart_lands_on_a_fresh_stream() {
     let server = start_server();
     let addr = server.addr().to_string();
-    let pool = Arc::new(MuxPool::default());
+    let pool = Arc::new(MuxPool::new());
 
     let mut client = NinfClient::connect_pooled(
         &addr,
@@ -111,7 +93,7 @@ fn retry_after_server_restart_lands_on_a_fresh_stream() {
     .unwrap();
     client.ninf_call("ep", &[Value::Int(4)]).unwrap();
 
-    // Kill the server: the pooled stream dies underneath the client.
+    // Kill the server: the pooled connection dies underneath the client.
     let port: u16 = addr.rsplit(':').next().unwrap().parse().unwrap();
     server.shutdown();
     let server2 = {
@@ -137,8 +119,8 @@ fn retry_after_server_restart_lands_on_a_fresh_stream() {
         }
     };
 
-    // The retry path must evict the dead stream and re-check-out.
+    // The retry path must drop the dead connection and re-check-out.
     client.ninf_call("ep", &[Value::Int(4)]).unwrap();
-    assert!(pool.misses() >= 2, "reconnect must dial a fresh stream");
+    assert!(pool.misses() >= 2, "reconnect must dial a fresh connection");
     server2.shutdown();
 }

@@ -63,7 +63,8 @@ mod tests {
     use super::*;
     use crate::builtin_datasets;
     use ninf_client::{CallOptions, NinfClient};
-    use ninf_protocol::{ProtocolError, TcpTransport, Transport, Value};
+    use ninf_protocol::{ProtocolError, Transport, Value};
+    use ninf_reactor::TcpTransport;
     use std::time::Duration;
 
     fn query(addr: SocketAddr, q: &str) -> Result<(String, Vec<Value>), ProtocolError> {

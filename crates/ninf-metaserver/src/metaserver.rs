@@ -8,7 +8,7 @@ use std::time::Duration;
 use ninf_client::{Call, CallOptions, PlannedCall, Transaction, TxArg};
 use ninf_obs::{recorder, Counter, LogHistogram, MetricsRegistry, Span};
 use ninf_protocol::{ProtocolError, ProtocolResult, TraceContext, Value};
-use ninf_reactor::{MuxPool, PoolConfig};
+use ninf_reactor::MuxPool;
 
 use crate::balance::{Balancing, CallEstimate};
 use crate::directory::Directory;
@@ -25,8 +25,8 @@ pub struct Metaserver {
     failed: Counter,
     /// `ninf_meta_call_seconds`, resolved once at construction.
     call_seconds: Arc<parking_lot::Mutex<LogHistogram>>,
-    /// Multiplexed streams to the fleet: fan-out legs check connections out
-    /// of here instead of dialing one per call. Hit/miss counters land on
+    /// Idle connections to the fleet: legs check connections out of here
+    /// instead of dialing one per call. Hit/miss counters land on
     /// [`Metaserver::metrics`].
     pool: Arc<MuxPool>,
 }
@@ -73,7 +73,7 @@ impl Metaserver {
             "ninf_meta_call_seconds",
             "end-to-end routed call time as seen by the metaserver, fail-over included",
         );
-        let pool = Arc::new(MuxPool::with_metrics(PoolConfig::default(), &metrics));
+        let pool = Arc::new(MuxPool::with_metrics(&metrics));
         Self {
             directory,
             balancing,

@@ -21,9 +21,10 @@
 //! argument layouts at call time (§2.3).
 //!
 //! The crate provides the message set ([`message::Message`]), the typed
-//! argument values ([`value::Value`]), binary framing, and two transports:
-//! real TCP ([`transport::TcpTransport`]) and an in-process channel pair
-//! ([`transport::ChannelTransport`]) for tests and benchmarks.
+//! argument values ([`value::Value`]), binary framing, the transport traits
+//! and an in-process channel pair ([`transport::ChannelTransport`]) for
+//! tests and benchmarks. The TCP client connection is `ninf-reactor`'s
+//! `TcpTransport`.
 
 pub mod chunk;
 pub mod codec;
@@ -61,5 +62,5 @@ pub use marshal::{
 pub use message::{Arg, CallArg, CallKind, CallStat, JobPhase, LoadReport, Message};
 pub use ninf_obs::{MetricFrame, MetricKind, MetricSample, Span, TraceContext, WindowsSnapshot};
 pub use rng::{fnv1a, SplitMix64};
-pub use transport::{ChannelTransport, FrameFn, Pipelined, TcpTransport, Transport};
+pub use transport::{ChannelTransport, FrameFn, Pipelined, Transport};
 pub use value::Value;

@@ -568,7 +568,7 @@ pub enum Message {
     /// a large value's tagged XDR image, addressed by the *whole value's*
     /// content digest so reassembly lands directly in the arg store and a
     /// later [`Message::Invoke`] references it as [`Arg::Ref`]. Chunks
-    /// travel through one mux stream's window, and a redial's resends
+    /// travel through one lane connection's window, and a redial's resends
     /// through a fresh one; each carries its own CRC so a corrupt
     /// chunk is rejected individually instead of poisoning the upload.
     PutArgChunk {

@@ -1,10 +1,11 @@
 //! One non-blocking frame connection: the socket, its staging buffer and
 //! frame slicer, and its write queue with the partial-write offset.
 //!
-//! The reactor's server connections and the load generator's open-loop
-//! client connections are each a [`FrameConn`] plus their own bookkeeping, so
-//! there is one non-blocking read, one place a frame header is parsed off
-//! a socket, and one write path to test.
+//! The reactor's server connections, the load generator's open-loop client
+//! connections and the blocking client connection ([`TcpTransport`]) are
+//! each a [`FrameConn`] plus their own bookkeeping, so there is one
+//! non-blocking read, one place a frame header is parsed off a socket, and
+//! one write path to test.
 //!
 //! The slicer parses a header as soon as one is staged and remembers the
 //! length it claims, so until the whole frame is staged each read costs
@@ -30,15 +31,15 @@ use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::os::unix::io::AsRawFd;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use ninf_obs::metrics::Counter;
 use ninf_protocol::{
-    check_frame_payload, parse_frame_header, CheckedFrame, FrameHeader, ProtocolResult,
-    FRAME_HEADER_BYTES, MAX_FRAME_BYTES,
+    check_frame_payload, parse_frame_header, CheckedFrame, FrameFn, FrameHeader, Message,
+    Pipelined, ProtocolError, ProtocolResult, Transport, FRAME_HEADER_BYTES, MAX_FRAME_BYTES,
 };
 
-use crate::sys::{Interest, Poller};
+use crate::sys::{Interest, PollEvent, Poller};
 
 /// Staged (unsliced) bytes per connection before reading pauses: one
 /// maximal frame, so any legal frame can always finish staging.
@@ -152,21 +153,25 @@ impl FrameConn {
     /// block. An error means the connection is dead.
     pub fn flush(&mut self) -> io::Result<()> {
         while let Some(front) = self.writes.front() {
-            match self.stream.write(&front[self.write_off..]) {
-                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-                Ok(n) => {
+            match write_some(&mut self.stream, &front[self.write_off..])? {
+                0 => break,
+                n => {
                     self.write_off += n;
                     if self.write_off == front.len() {
                         self.writes.pop_front();
                         self.write_off = 0;
                     }
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
             }
         }
         Ok(())
+    }
+
+    /// Write as much of `bytes` as the socket takes now, bypassing the
+    /// queue (a blocking caller's frame is borrowed, not queued); `Ok(0)`
+    /// when it would block. An error means the connection is dead.
+    pub fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+        write_some(&mut self.stream, bytes)
     }
 
     /// What the poller currently watches for.
@@ -180,6 +185,249 @@ impl FrameConn {
             self.interest = want;
             let _ = poller.modify(self.stream.as_raw_fd(), token, want);
         }
+    }
+}
+
+/// One non-blocking write of a nonempty `bytes`; `Ok(0)` when it would
+/// block.
+fn write_some(stream: &mut TcpStream, bytes: &[u8]) -> io::Result<usize> {
+    loop {
+        match stream.write(bytes) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => return Ok(n),
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(0),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+}
+
+/// What a wait with no deadline asks the poller for, again and again.
+const FOREVER: Duration = Duration::from_secs(3600);
+
+const READ_WRITE: Interest = Interest {
+    readable: true,
+    writable: true,
+};
+
+/// The blocking client connection: one dialed [`FrameConn`], waited on by
+/// a one-fd [`Poller`] of its own, with no thread. Its replies come off
+/// the socket through the slicer the server reads requests with.
+///
+/// It numbers its frames: [`Transport::stage`] takes a fresh call id and
+/// opens it as a ticket. Through [`Transport`] it is the strict Ninf RPC
+/// pairing: a send abandons the tickets still open, and `recv` returns
+/// the reply to the latest one. Through [`Pipelined`] it keeps several
+/// open (a bulk lane's window), and replies come out in arrival order. A
+/// reply to a ticket no longer open is dropped.
+///
+/// Sends wait for writability and reads for readability, each until the
+/// deadline, through [`Poller::wait`] (a socket timeout would be rounded
+/// up to whole jiffies). A wait that runs out leaves a partly-arrived
+/// frame staged, and the next wait resumes it. End of stream, a bad frame
+/// or a failed write kills the connection: its open tickets fail with a
+/// retryable [`ProtocolError::Disconnected`], and so does every later
+/// operation.
+pub struct TcpTransport {
+    conn: FrameConn,
+    poller: Poller,
+    events: Vec<PollEvent>,
+    scratch: Vec<u8>,
+    deadline: Option<Duration>,
+    /// The call id the next staged frame carries.
+    next_id: u64,
+    /// Tickets staged and neither answered nor given up on, oldest first.
+    open: Vec<u64>,
+    dead: bool,
+}
+
+impl TcpTransport {
+    /// Wrap a connected stream.
+    pub fn new(stream: TcpStream) -> ProtocolResult<Self> {
+        let mut poller = Poller::new()?;
+        let conn = FrameConn::register(stream, &mut poller, 0)?;
+        Ok(Self {
+            conn,
+            poller,
+            events: Vec::new(),
+            scratch: vec![0; READ_CHUNK],
+            deadline: None,
+            next_id: 1,
+            open: Vec::new(),
+            dead: false,
+        })
+    }
+
+    /// Connect to `addr` ("host:port").
+    pub fn connect(addr: &str) -> ProtocolResult<Self> {
+        Self::connect_with_deadline(addr, None)
+    }
+
+    /// Connect to `addr` within `deadline`, past which the connect fails
+    /// with a typed timeout, and install the same deadline for I/O.
+    pub fn connect_with_deadline(addr: &str, deadline: Option<Duration>) -> ProtocolResult<Self> {
+        let stream = dial(addr, deadline).map_err(|e| match (e.kind(), deadline) {
+            (io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock, Some(after)) => {
+                ProtocolError::Timeout {
+                    operation: "connect",
+                    after,
+                }
+            }
+            _ => e.into(),
+        })?;
+        let mut transport = Self::new(stream)?;
+        transport.deadline = deadline;
+        Ok(transport)
+    }
+
+    /// Whether the peer has closed this (idle) connection, by one read
+    /// that does not block.
+    pub fn peer_closed(&mut self) -> bool {
+        self.dead || self.conn.read(&mut self.scratch) == Filled::Closed
+    }
+
+    /// Kill the connection: every open ticket fails, and so does every
+    /// later operation.
+    fn die(&mut self) -> ProtocolError {
+        self.dead = true;
+        self.open.clear();
+        ProtocolError::Disconnected
+    }
+
+    /// Wait until the socket is ready for `want`, or `limit` passes
+    /// (`false`).
+    fn ready(&mut self, want: Interest, limit: Option<Instant>) -> ProtocolResult<bool> {
+        self.conn.set_interest(&mut self.poller, 0, want);
+        loop {
+            let wait = match limit {
+                Some(limit) => match limit.checked_duration_since(Instant::now()) {
+                    Some(left) if !left.is_zero() => left,
+                    _ => return Ok(false),
+                },
+                None => FOREVER,
+            };
+            self.events.clear();
+            self.poller.wait(&mut self.events, wait)?;
+            if !self.events.is_empty() {
+                return Ok(true);
+            }
+        }
+    }
+
+    /// The next reply to an open ticket, read until `limit`; a timeout
+    /// reports `after`.
+    fn next_reply(
+        &mut self,
+        limit: Option<Instant>,
+        after: Duration,
+    ) -> ProtocolResult<(u64, Message)> {
+        loop {
+            if self.dead {
+                return Err(ProtocolError::Disconnected);
+            }
+            match self.conn.next_frame() {
+                Ok(Some((ticket, frame))) => {
+                    if let Some(at) = self.open.iter().position(|&t| t == ticket) {
+                        self.open.remove(at);
+                        return Ok((ticket, frame.message));
+                    }
+                }
+                Ok(None) => match self.conn.read(&mut self.scratch) {
+                    Filled::Bytes => {}
+                    Filled::Closed => return Err(self.die()),
+                    Filled::WouldBlock => {
+                        if !self.ready(Interest::READ, limit)? {
+                            return Err(ProtocolError::Timeout {
+                                operation: "read",
+                                after,
+                            });
+                        }
+                    }
+                },
+                Err(_) => return Err(self.die()),
+            }
+        }
+    }
+}
+
+impl Transport for TcpTransport {
+    fn send_frame(&mut self, encode: FrameFn<'_>) -> ProtocolResult<()> {
+        self.open.clear();
+        let (_, frame) = self.stage(encode)?;
+        self.send_raw(&frame)
+    }
+
+    /// The reply to the latest ticket; older ones are abandoned. With none
+    /// open this waits out the deadline or the connection, as a read on a
+    /// silent peer does.
+    fn recv(&mut self) -> ProtocolResult<Message> {
+        let latest = self.open.pop();
+        self.open.clear();
+        self.open.extend(latest);
+        let limit = self.deadline.and_then(|d| Instant::now().checked_add(d));
+        let reply = self.next_reply(limit, self.deadline.unwrap_or_default());
+        if reply.is_err() {
+            self.open.clear();
+        }
+        reply.map(|(_, msg)| msg)
+    }
+
+    fn set_deadline(&mut self, deadline: Option<Duration>) -> ProtocolResult<bool> {
+        self.deadline = deadline;
+        Ok(true)
+    }
+
+    /// Replies that arrive while the socket is full are staged meanwhile.
+    fn send_raw(&mut self, bytes: &[u8]) -> ProtocolResult<()> {
+        if self.dead {
+            return Err(ProtocolError::Disconnected);
+        }
+        let limit = self.deadline.and_then(|d| Instant::now().checked_add(d));
+        let mut off = 0;
+        while off < bytes.len() {
+            match self.conn.write(&bytes[off..]) {
+                Ok(0) => {
+                    if !self.ready(READ_WRITE, limit)? {
+                        self.die();
+                        return Err(ProtocolError::Timeout {
+                            operation: "write",
+                            after: self.deadline.unwrap_or_default(),
+                        });
+                    }
+                    let readable = self.events.iter().any(|e| e.readable);
+                    if readable && self.conn.read(&mut self.scratch) == Filled::Closed {
+                        return Err(self.die());
+                    }
+                }
+                Ok(n) => off += n,
+                Err(e) => {
+                    self.die();
+                    return Err(ProtocolError::Io(e));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn stage(&mut self, encode: FrameFn<'_>) -> ProtocolResult<(u64, Vec<u8>)> {
+        if self.dead {
+            return Err(ProtocolError::Disconnected);
+        }
+        let ticket = self.next_id;
+        self.next_id += 1;
+        let frame = encode(ticket)?;
+        self.open.push(ticket);
+        Ok((ticket, frame))
+    }
+}
+
+impl Pipelined for TcpTransport {
+    fn recv_any(&mut self, wait: Duration) -> ProtocolResult<(u64, Message)> {
+        self.next_reply(Instant::now().checked_add(wait), wait)
+    }
+
+    fn forget(&mut self, ticket: u64) {
+        self.open.retain(|&t| t != ticket);
     }
 }
 
@@ -308,7 +556,7 @@ impl Slicer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ninf_protocol::{encode_frame, Arg, Message, Value};
+    use ninf_protocol::{encode_frame, read_frame_mux, write_frame_mux, Arg, Value};
     use proptest::prelude::*;
 
     /// Feed `bytes` to a fresh slicer in reads of the given sizes (cycled;
@@ -596,6 +844,194 @@ mod tests {
             }
             prop_assert_eq!(received, wire.len());
         }
+    }
+
+    /// A peer on a raw socket: `serve` gets each accepted connection.
+    fn peer(
+        serve: impl FnOnce(TcpStream) + Send + 'static,
+    ) -> (String, std::thread::JoinHandle<()>) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let peer = std::thread::spawn(move || serve(listener.accept().unwrap().0));
+        (addr, peer)
+    }
+
+    /// Answer one request with `reply`, echoing its call id.
+    fn answer(s: &mut TcpStream, reply: impl FnOnce(Message) -> Message) {
+        let (id, msg) = read_frame_mux(s).unwrap();
+        write_frame_mux(s, id, &reply(msg)).unwrap();
+    }
+
+    #[test]
+    fn tcp_loopback_roundtrip() {
+        let (addr, server) = peer(|mut s| {
+            answer(&mut s, |msg| {
+                assert_eq!(msg.kind(), "QueryInterface");
+                Message::Error {
+                    reason: "unknown routine".into(),
+                }
+            })
+        });
+        let mut client = TcpTransport::connect(&addr).unwrap();
+        client
+            .send(&Message::QueryInterface {
+                routine: "nope".into(),
+            })
+            .unwrap();
+        match client.recv().unwrap() {
+            Message::Error { reason } => assert!(reason.contains("unknown")),
+            other => panic!("unexpected {other:?}"),
+        }
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn tcp_large_payload() {
+        let n = 200usize; // 200x200 doubles = 320 KB, read in place
+        let (addr, server) = peer(|mut s| {
+            answer(&mut s, |msg| match msg {
+                Message::Invoke { args, .. } => Message::ResultData {
+                    results: Arg::into_values(args).expect("inline"),
+                },
+                other => panic!("unexpected {other:?}"),
+            })
+        });
+        let mut client = TcpTransport::connect(&addr).unwrap();
+        let matrix = Value::DoubleArray((0..n * n).map(|i| i as f64).collect());
+        client
+            .send(&Message::Invoke {
+                routine: "echo".into(),
+                args: Arg::inline(vec![matrix.clone()]),
+                trace: None,
+            })
+            .unwrap();
+        match client.recv().unwrap() {
+            Message::ResultData { results } => assert_eq!(results, vec![matrix]),
+            other => panic!("unexpected {other:?}"),
+        }
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn tcp_read_deadline_yields_typed_timeout() {
+        // A peer that accepts and never replies, holding the socket until
+        // the client is done (or 10 s): end of stream would fail the read
+        // as `Disconnected`, so a typed timeout is the deadline firing.
+        let (done, hold) = std::sync::mpsc::channel::<()>();
+        let (addr, silent) = peer(move |s| {
+            let _ = hold.recv_timeout(Duration::from_secs(10));
+            drop(s);
+        });
+        let deadline = Duration::from_millis(80);
+        let mut client = TcpTransport::connect_with_deadline(&addr, Some(deadline)).unwrap();
+        client.send(&Message::QueryLoad).unwrap();
+        let start = Instant::now();
+        match client.recv().unwrap_err() {
+            ProtocolError::Timeout { operation, after } => {
+                assert_eq!(operation, "read");
+                assert_eq!(after, deadline);
+            }
+            other => panic!("expected timeout, got {other}"),
+        }
+        assert!(start.elapsed() >= deadline);
+        assert!(start.elapsed() < Duration::from_secs(2), "hang guard");
+        done.send(()).unwrap();
+        silent.join().unwrap();
+    }
+
+    #[test]
+    fn tcp_connect_deadline_bounds_the_attempt() {
+        extern "C" {
+            fn listen(fd: std::os::raw::c_int, backlog: std::os::raw::c_int)
+                -> std::os::raw::c_int;
+        }
+        // A listener whose accept queue holds one connection: with that one
+        // waiting, the kernel drops the next SYN, so only the deadline
+        // ends the next connect.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        // SAFETY: a plain syscall on a listening socket this test owns.
+        assert_eq!(unsafe { listen(listener.as_raw_fd(), 0) }, 0);
+        let addr = listener.local_addr().unwrap().to_string();
+        let _queued = TcpStream::connect(&addr).unwrap();
+        let deadline = Duration::from_millis(100);
+        let start = Instant::now();
+        match TcpTransport::connect_with_deadline(&addr, Some(deadline)) {
+            Err(ProtocolError::Timeout { operation, after }) => {
+                assert_eq!((operation, after), ("connect", deadline));
+            }
+            Err(other) => panic!("expected a connect timeout, got {other}"),
+            Ok(_) => panic!("expected a connect timeout, got a connection"),
+        }
+        assert!(start.elapsed() >= deadline);
+        assert!(start.elapsed() < Duration::from_secs(3), "hang guard");
+    }
+
+    #[test]
+    fn tcp_send_raw_bytes_arrive_verbatim() {
+        let (bytes, got) = std::sync::mpsc::channel();
+        let (addr, server) = peer(move |mut s| {
+            let mut buf = Vec::new();
+            s.read_to_end(&mut buf).unwrap();
+            bytes.send(buf).unwrap();
+        });
+        let mut client = TcpTransport::connect(&addr).unwrap();
+        client.send_raw(&[0xde, 0xad, 0xbe, 0xef]).unwrap();
+        drop(client);
+        server.join().unwrap();
+        assert_eq!(got.recv().unwrap(), vec![0xde, 0xad, 0xbe, 0xef]);
+    }
+
+    #[test]
+    fn a_reply_straddling_a_timed_out_wait_is_delivered_whole_by_the_next() {
+        let (go, wait_for_go) = std::sync::mpsc::channel::<()>();
+        let reply = Message::ResultData {
+            results: vec![Value::DoubleArray(vec![0.25; 64])],
+        };
+        let sent = reply.clone();
+        let (addr, server) = peer(move |mut s| {
+            let (id, _) = read_frame_mux(&mut s).unwrap();
+            let frame = encode_frame(id, &sent).unwrap();
+            let half = frame.len() / 2;
+            s.write_all(&frame[..half]).unwrap();
+            wait_for_go.recv().unwrap();
+            s.write_all(&frame[half..]).unwrap();
+            let _ = s.read(&mut [0]); // hold the socket until the client goes
+        });
+        let mut client = TcpTransport::connect(&addr).unwrap();
+        let ticket = client.post(&Message::QueryLoad).unwrap();
+        let err = client.recv_any(Duration::from_millis(50)).unwrap_err();
+        assert!(err.is_timeout(), "{err}");
+        assert!(client.conn.staged() > 0, "half a frame is staged");
+        go.send(()).unwrap();
+        assert_eq!(
+            client.recv_any(Duration::from_secs(10)).unwrap(),
+            (ticket, reply)
+        );
+        drop(client);
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn replies_come_out_in_arrival_order_not_post_order() {
+        let (addr, server) = peer(|mut s| {
+            let asked: Vec<(u64, Message)> =
+                (0..3).map(|_| read_frame_mux(&mut s).unwrap()).collect();
+            for (id, msg) in asked.into_iter().rev() {
+                write_frame_mux(&mut s, id, &msg).unwrap();
+            }
+            let _ = s.read(&mut [0]);
+        });
+        let mut client = TcpTransport::connect(&addr).unwrap();
+        let tag = |i: i32| Message::Error {
+            reason: format!("tag {i}"),
+        };
+        let tickets: Vec<u64> = (0..3).map(|i| client.post(&tag(i)).unwrap()).collect();
+        for i in (0..3).rev() {
+            let got = client.recv_any(Duration::from_secs(10)).unwrap();
+            assert_eq!(got, (tickets[i as usize], tag(i)));
+        }
+        drop(client);
+        server.join().unwrap();
     }
 
     #[test]

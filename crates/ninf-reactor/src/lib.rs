@@ -8,17 +8,18 @@
 //! * [`sys`] — readiness polling (epoll on Linux, poll(2) elsewhere) via
 //!   direct FFI, no external dependency;
 //! * [`conn`] — `FrameConn`, the one non-blocking frame connection: socket,
-//!   staging buffer and frame slicer, write queue. The reactor here and
-//!   `ninf-loadgen`'s open-loop engine each wrap it with their own
-//!   bookkeeping;
+//!   staging buffer and frame slicer, write queue. The reactor here,
+//!   `ninf-loadgen`'s open-loop engine and the blocking client connection
+//!   [`TcpTransport`] (a `FrameConn` and a one-fd poller, no thread) each
+//!   wrap it with their own bookkeeping;
 //! * [`reactor`] — the server core: one reactor thread owning every
 //!   nonblocking socket, a bounded worker pool running handlers, per-
 //!   connection in-flight backpressure. Every Ninf-frame server in the
 //!   workspace (`ninfd`, the database server) runs on it;
-//! * [`mux`] — the client side of v3 call multiplexing: one stream, many
-//!   in-flight calls, per-call deadlines, poison-on-error teardown;
-//! * [`pool`] — `MuxPool`, checkout/reuse of multiplexed streams with
-//!   hit/miss accounting, replacing connect-per-call.
+//! * [`pool`] — `MuxPool`, idle client connections given back and checked
+//!   out again, with hit/miss accounting, replacing connect-per-call;
+//! * [`mux`] — `MuxStream`, a dial-only shim the benchmark harness still
+//!   dials through.
 
 pub mod conn;
 pub mod mux;
@@ -26,6 +27,7 @@ pub mod pool;
 pub mod reactor;
 pub mod sys;
 
-pub use mux::{MuxHandle, MuxStream, DEFAULT_MAX_INFLIGHT};
-pub use pool::{global_pool, Checkout, MuxPool, PoolConfig};
+pub use conn::TcpTransport;
+pub use mux::MuxStream;
+pub use pool::{global_pool, Checkout, MuxPool};
 pub use reactor::{Handler, Reactor, ReactorConfig, ReactorHandle, ReactorHooks, Request};

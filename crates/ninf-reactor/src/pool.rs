@@ -1,89 +1,48 @@
-//! `MuxPool`: checked-out multiplexed streams instead of connect-per-call.
+//! `MuxPool`: idle client connections kept for reuse instead of
+//! connect-per-call.
 //!
-//! Checkout returns a [`MuxHandle`] onto a live shared stream for the
-//! target address, dialing only when no live stream has admission capacity
-//! (a *miss*); reusing one is a *hit*. Dead streams — poisoned by any
-//! stream-level error — are evicted on the next checkout, so a retry after
-//! a stream failure transparently lands on a fresh connection.
-//!
-//! `max_streams_per_addr` is an invariant: each address's streams sit
-//! behind their own lock, held across a dial, so a burst of concurrent
-//! checkouts to one address waits for a single dial and then shares its
-//! stream, while checkouts to other addresses never wait on it.
+//! Checkout hands out an idle connection to the target address (a *hit*)
+//! or dials one (a *miss*). The connection belongs to its checkout until
+//! dropped; it then goes back to the pool, unless one of its operations
+//! failed, so a retry after a failure dials anew. An idle connection is
+//! read once, without blocking, before it is handed out, and dropped if its
+//! peer has closed it. Each connection is used by one client at a time, so
+//! the pool needs no bound on calls in flight.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 use ninf_obs::metrics::{Counter, MetricsRegistry};
-use ninf_protocol::ProtocolResult;
+use ninf_protocol::{FrameFn, Message, ProtocolResult, Transport};
 
-use crate::mux::{MuxHandle, MuxStream, DEFAULT_MAX_INFLIGHT};
+use crate::conn::TcpTransport;
 
-/// Pool sizing knobs.
-#[derive(Debug, Clone)]
-pub struct PoolConfig {
-    /// Streams dialed per address before calls share the least-loaded one.
-    pub max_streams_per_addr: usize,
-    /// In-flight bound per stream (admission backpressure).
-    pub max_inflight_per_stream: usize,
-}
+/// Idle connections kept per address; one given back beyond this closes.
+pub const MAX_IDLE_PER_ADDR: usize = 8;
 
-impl Default for PoolConfig {
-    fn default() -> Self {
-        PoolConfig {
-            max_streams_per_addr: 2,
-            max_inflight_per_stream: DEFAULT_MAX_INFLIGHT,
-        }
-    }
-}
-
-/// A checked-out connection: the transport handle plus whether it reused an
-/// already-open stream.
-pub struct Checkout {
-    /// Transport for one logical client.
-    pub handle: MuxHandle,
-    /// True when an existing live stream was reused (a pool hit).
-    pub reused: bool,
-}
-
-/// One address's pooled streams, behind that address's own lock.
-type Slot = Arc<Mutex<Vec<Arc<MuxStream>>>>;
-
-/// Shared pool of multiplexed streams, keyed by server address.
+/// Idle connections, keyed by server address.
+#[derive(Default)]
 pub struct MuxPool {
-    slots: Mutex<HashMap<String, Slot>>,
-    config: PoolConfig,
+    idle: Mutex<HashMap<String, Vec<TcpTransport>>>,
     hits: Counter,
     misses: Counter,
 }
 
-impl Default for MuxPool {
-    fn default() -> Self {
-        Self::new(PoolConfig::default())
-    }
-}
-
 impl MuxPool {
     /// Pool with standalone hit/miss counters.
-    pub fn new(config: PoolConfig) -> Self {
-        MuxPool {
-            slots: Mutex::new(HashMap::new()),
-            config,
-            hits: Counter::default(),
-            misses: Counter::default(),
-        }
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Pool whose hit/miss counters live in `registry` as
     /// `ninf_client_pool_hits_total` / `ninf_client_pool_misses_total`.
-    pub fn with_metrics(config: PoolConfig, registry: &MetricsRegistry) -> Self {
+    pub fn with_metrics(registry: &MetricsRegistry) -> Self {
         MuxPool {
-            slots: Mutex::new(HashMap::new()),
-            config,
+            idle: Mutex::default(),
             hits: registry.counter(
                 "ninf_client_pool_hits_total",
-                "Checkouts served by an already-open multiplexed stream",
+                "Checkouts served by an idle pooled connection",
             ),
             misses: registry.counter(
                 "ninf_client_pool_misses_total",
@@ -92,43 +51,39 @@ impl MuxPool {
         }
     }
 
-    /// The slot for `addr`, created on first use.
-    fn slot(&self, addr: &str) -> Slot {
-        let mut map = self.slots.lock().unwrap_or_else(|e| e.into_inner());
-        map.entry(addr.to_string()).or_default().clone()
+    fn take_idle(&self, addr: &str) -> Option<TcpTransport> {
+        let mut idle = self.idle.lock().unwrap_or_else(|e| e.into_inner());
+        idle.get_mut(addr)?.pop()
     }
 
-    /// Check out a handle for `addr`, dialing (with `deadline`) on a miss.
-    pub fn checkout(&self, addr: &str, deadline: Option<Duration>) -> ProtocolResult<Checkout> {
-        let slot = self.slot(addr);
-        let mut list = slot.lock().unwrap_or_else(|e| e.into_inner());
-        // Evict streams poisoned since the last checkout.
-        list.retain(|s| !s.is_dead());
-        // Reuse the least-loaded live stream unless every one is at its
-        // admission bound and there is still dial budget.
-        if let Some(best) = list.iter().min_by_key(|s| s.inflight()) {
-            let saturated = best.inflight() >= self.config.max_inflight_per_stream;
-            if !saturated || list.len() >= self.config.max_streams_per_addr {
-                self.hits.inc();
-                return Ok(Checkout {
-                    handle: best.handle(),
-                    reused: true,
-                });
+    /// Check out a connection to `addr`: an idle one whose peer is still
+    /// there, or one dialed within `deadline`.
+    pub fn checkout(
+        self: &Arc<Self>,
+        addr: &str,
+        deadline: Option<Duration>,
+    ) -> ProtocolResult<Checkout> {
+        let (conn, reused) = loop {
+            match self.take_idle(addr) {
+                Some(mut conn) => {
+                    if !conn.peer_closed() {
+                        break (conn, true);
+                    }
+                }
+                None => break (TcpTransport::connect_with_deadline(addr, deadline)?, false),
             }
-        }
-        // Dial holding this address's lock (and only that one): checkouts
-        // racing this one wait here and then reuse what it dialed.
-        let stream = MuxStream::connect(addr, deadline, self.config.max_inflight_per_stream)?;
-        self.misses.inc();
-        let handle = stream.handle();
-        list.push(Arc::new(stream));
+        };
+        if reused { &self.hits } else { &self.misses }.inc();
         Ok(Checkout {
-            handle,
-            reused: false,
+            conn: Some(conn),
+            pool: self.clone(),
+            addr: addr.to_owned(),
+            failed: false,
+            reused,
         })
     }
 
-    /// Total checkouts that reused a live stream.
+    /// Total checkouts that reused an idle connection.
     pub fn hits(&self) -> u64 {
         self.hits.get()
     }
@@ -138,32 +93,85 @@ impl MuxPool {
         self.misses.get()
     }
 
-    /// Live streams currently pooled for `addr`.
-    pub fn open_streams(&self, addr: &str) -> usize {
-        let slot = self
-            .slots
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(addr)
-            .cloned();
-        slot.map_or(0, |slot| {
-            let list = slot.lock().unwrap_or_else(|e| e.into_inner());
-            list.iter().filter(|s| !s.is_dead()).count()
-        })
+    /// Connections idle in the pool for `addr`.
+    pub fn idle(&self, addr: &str) -> usize {
+        let idle = self.idle.lock().unwrap_or_else(|e| e.into_inner());
+        idle.get(addr).map_or(0, Vec::len)
+    }
+}
+
+/// A checked-out connection. It forwards every [`Transport`] operation to
+/// the connection and goes back to its pool when dropped, unless one of
+/// those operations failed.
+pub struct Checkout {
+    /// `None` only once dropped.
+    conn: Option<TcpTransport>,
+    pool: Arc<MuxPool>,
+    addr: String,
+    failed: bool,
+    /// True when an idle connection was reused (a pool hit).
+    pub reused: bool,
+}
+
+impl Checkout {
+    /// Run `op` on the connection, remembering a failure.
+    fn run<R>(
+        &mut self,
+        op: impl FnOnce(&mut TcpTransport) -> ProtocolResult<R>,
+    ) -> ProtocolResult<R> {
+        let conn = self.conn.as_mut().expect("held until dropped");
+        let outcome = op(conn);
+        self.failed |= outcome.is_err();
+        outcome
+    }
+}
+
+impl Transport for Checkout {
+    fn recv(&mut self) -> ProtocolResult<Message> {
+        self.run(|c| c.recv())
+    }
+
+    fn set_deadline(&mut self, deadline: Option<Duration>) -> ProtocolResult<bool> {
+        self.run(|c| c.set_deadline(deadline))
+    }
+
+    fn send_raw(&mut self, bytes: &[u8]) -> ProtocolResult<()> {
+        self.run(|c| c.send_raw(bytes))
+    }
+
+    fn stage(&mut self, encode: FrameFn<'_>) -> ProtocolResult<(u64, Vec<u8>)> {
+        self.run(|c| c.stage(encode))
+    }
+
+    fn send_frame(&mut self, encode: FrameFn<'_>) -> ProtocolResult<()> {
+        self.run(|c| c.send_frame(encode))
+    }
+}
+
+impl Drop for Checkout {
+    fn drop(&mut self) {
+        let Some(conn) = self.conn.take().filter(|_| !self.failed) else {
+            return;
+        };
+        let mut idle = self.pool.idle.lock().unwrap_or_else(|e| e.into_inner());
+        let kept = idle.entry(std::mem::take(&mut self.addr)).or_default();
+        if kept.len() < MAX_IDLE_PER_ADDR {
+            kept.push(conn);
+        }
     }
 }
 
 /// Process-wide pool for CLI tools: every `ninf-call`/`repro` invocation in
-/// one process shares streams through this.
+/// one process shares connections through this.
 pub fn global_pool() -> &'static Arc<MuxPool> {
     static POOL: OnceLock<Arc<MuxPool>> = OnceLock::new();
-    POOL.get_or_init(|| Arc::new(MuxPool::default()))
+    POOL.get_or_init(|| Arc::new(MuxPool::new()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ninf_protocol::{Arg, Message, Transport};
+    use ninf_protocol::{read_frame_mux, write_frame_mux, Arg};
     use std::net::TcpListener;
     use std::sync::Arc as StdArc;
 
@@ -188,7 +196,7 @@ mod tests {
         .unwrap()
     }
 
-    fn ping(h: &mut MuxHandle) {
+    fn ping(h: &mut Checkout) {
         h.set_deadline(Some(Duration::from_secs(5))).unwrap();
         h.send(&Message::Invoke {
             routine: "echo".into(),
@@ -203,19 +211,26 @@ mod tests {
     fn second_checkout_reuses_the_stream() {
         let server = echo_server();
         let addr = server.local_addr().to_string();
-        let pool = MuxPool::new(PoolConfig::default());
+        let pool = Arc::new(MuxPool::new());
 
         let mut first = pool.checkout(&addr, Some(Duration::from_secs(5))).unwrap();
         assert!(!first.reused);
-        ping(&mut first.handle);
+        ping(&mut first);
+        // Held, it cannot be handed out again.
+        let mut beside = pool.checkout(&addr, Some(Duration::from_secs(5))).unwrap();
+        assert!(!beside.reused, "a checked-out connection is nobody else's");
+        ping(&mut beside);
+        drop(first);
+        assert_eq!(pool.idle(&addr), 1, "given back");
 
         let mut second = pool.checkout(&addr, Some(Duration::from_secs(5))).unwrap();
-        assert!(second.reused, "live stream must be reused");
-        ping(&mut second.handle);
+        assert!(second.reused, "an idle connection must be reused");
+        ping(&mut second);
 
         assert_eq!(pool.hits(), 1);
-        assert_eq!(pool.misses(), 1);
-        assert_eq!(pool.open_streams(&addr), 1);
+        assert_eq!(pool.misses(), 2);
+        drop((second, beside));
+        assert_eq!(pool.idle(&addr), 2);
         server.shutdown();
     }
 
@@ -223,53 +238,55 @@ mod tests {
     fn dead_stream_is_evicted_and_redialed() {
         let server = echo_server();
         let addr = server.local_addr().to_string();
-        let pool = MuxPool::new(PoolConfig::default());
+        let pool = Arc::new(MuxPool::new());
 
+        // A connection an operation failed on never goes back.
         let mut co = pool.checkout(&addr, Some(Duration::from_secs(5))).unwrap();
-        // Poison the stream (at least one full header of garbage, so the
-        // server parses and rejects it).
-        co.handle.send_raw(&[0xAAu8; 64]).unwrap();
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while pool.open_streams(&addr) > 0 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(10));
-        }
-
-        let mut fresh = pool.checkout(&addr, Some(Duration::from_secs(5))).unwrap();
-        assert!(!fresh.reused, "poisoned stream must not be handed out");
-        ping(&mut fresh.handle);
-        assert_eq!(pool.misses(), 2);
+        co.set_deadline(Some(Duration::from_millis(20))).unwrap();
+        assert!(co.recv().unwrap_err().is_timeout());
+        drop(co);
+        assert_eq!(pool.idle(&addr), 0, "a failed connection is not kept");
         server.shutdown();
+
+        // A peer that answers one request per connection, then closes it.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let (closed_tx, closed) = std::sync::mpsc::channel();
+        let peer = std::thread::spawn(move || {
+            for _ in 0..2 {
+                let (mut s, _) = listener.accept().unwrap();
+                let (id, _) = read_frame_mux(&mut s).unwrap();
+                let reply = Message::ResultData { results: vec![] };
+                write_frame_mux(&mut s, id, &reply).unwrap();
+                drop(s);
+                closed_tx.send(()).unwrap();
+            }
+        });
+        let mut co = pool.checkout(&addr, Some(Duration::from_secs(5))).unwrap();
+        ping(&mut co);
+        drop(co);
+        assert_eq!(pool.idle(&addr), 1, "given back");
+        closed.recv().unwrap();
+        // Its peer closed it, so checkout reads end of stream and dials.
+        let mut fresh = pool.checkout(&addr, Some(Duration::from_secs(5))).unwrap();
+        assert!(!fresh.reused, "a closed connection must not be handed out");
+        ping(&mut fresh);
+        assert_eq!((pool.hits(), pool.misses()), (0, 3));
+        assert_eq!(pool.idle(&addr), 0);
+        peer.join().unwrap();
     }
 
     #[test]
-    fn concurrent_checkouts_never_exceed_the_stream_cap() {
-        const BURST: usize = 32;
-        const ROUNDS: usize = 40;
+    fn the_pool_keeps_at_most_the_idle_cap_per_address() {
         let server = echo_server();
         let addr = server.local_addr().to_string();
-        for round in 0..ROUNDS {
-            let pool = StdArc::new(MuxPool::new(PoolConfig {
-                max_streams_per_addr: 1,
-                ..PoolConfig::default()
-            }));
-            let start = StdArc::new(std::sync::Barrier::new(BURST));
-            let burst: Vec<_> = (0..BURST)
-                .map(|_| {
-                    let (pool, start, addr) = (pool.clone(), start.clone(), addr.clone());
-                    std::thread::spawn(move || {
-                        start.wait();
-                        pool.checkout(&addr, Some(Duration::from_secs(5))).unwrap()
-                    })
-                })
-                .collect();
-            // Hold every handle until the counts are read, so no stream can
-            // die and be redialed mid-round.
-            let checkouts: Vec<Checkout> = burst.into_iter().map(|t| t.join().unwrap()).collect();
-            assert_eq!(pool.misses(), 1, "round {round}: one dial per address");
-            assert_eq!(pool.hits(), BURST as u64 - 1, "round {round}");
-            assert_eq!(pool.open_streams(&addr), 1, "round {round}");
-            assert_eq!(checkouts.iter().filter(|c| !c.reused).count(), 1);
-        }
+        let pool = Arc::new(MuxPool::new());
+        let held: Vec<Checkout> = (0..MAX_IDLE_PER_ADDR + 3)
+            .map(|_| pool.checkout(&addr, Some(Duration::from_secs(5))).unwrap())
+            .collect();
+        assert_eq!(pool.misses(), MAX_IDLE_PER_ADDR as u64 + 3);
+        drop(held);
+        assert_eq!(pool.idle(&addr), MAX_IDLE_PER_ADDR, "the rest closed");
         server.shutdown();
     }
 
@@ -278,8 +295,8 @@ mod tests {
         let server = echo_server();
         let addr = server.local_addr().to_string();
         let registry = MetricsRegistry::new();
-        let pool = MuxPool::with_metrics(PoolConfig::default(), &registry);
-        let _a = pool.checkout(&addr, Some(Duration::from_secs(5))).unwrap();
+        let pool = Arc::new(MuxPool::with_metrics(&registry));
+        drop(pool.checkout(&addr, Some(Duration::from_secs(5))).unwrap());
         let _b = pool.checkout(&addr, Some(Duration::from_secs(5))).unwrap();
         let text = registry.render_prometheus();
         assert!(text.contains("ninf_client_pool_hits_total 1"), "{text}");

@@ -563,7 +563,8 @@ impl Loop {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ninf_protocol::{read_frame_mux, write_frame_mux, ProtocolResult, TcpTransport, Transport};
+    use crate::conn::TcpTransport;
+    use ninf_protocol::{read_frame_mux, write_frame_mux, ProtocolResult, Transport};
     use std::io::BufReader;
     use std::net::TcpStream;
     use std::time::Duration;

@@ -1,15 +1,16 @@
-//! Property coverage for stream multiplexing: under arbitrary completion
-//! and write interleavings, every caller gets exactly its own reply back,
-//! and a corrupted frame taints only the stream it was written to — calls
-//! in flight on that stream fail retryably, calls on other streams to the
-//! same server never notice.
+//! Property coverage for call multiplexing on a client connection: under
+//! arbitrary completion orders, every ticket gets exactly its own reply
+//! back, and a corrupted frame taints only the connection it was written
+//! to — calls in flight there fail retryably, calls on other connections to
+//! the same server never notice.
 
+use std::collections::HashMap;
 use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::Duration;
 
-use ninf_protocol::{Arg, Message, Transport, Value};
-use ninf_reactor::{MuxStream, Reactor, ReactorConfig, ReactorHandle, ReactorHooks, Request};
+use ninf_protocol::{Arg, Message, Pipelined, Transport, Value};
+use ninf_reactor::{Reactor, ReactorConfig, ReactorHandle, ReactorHooks, Request, TcpTransport};
 use proptest::prelude::*;
 
 /// Echo server whose reply latency is controlled by the second argument:
@@ -54,52 +55,37 @@ fn invoke(tag: i32, delay_ms: i32) -> Message {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// N concurrent calls with arbitrary per-call delays (hence arbitrary
-    /// completion order and write interleaving) each receive exactly their
+    /// N calls open at once on one connection with arbitrary per-call
+    /// delays (hence arbitrary completion order) each receive exactly their
     /// own tag back — no cross-talk, no lost replies.
     #[test]
     fn interleaved_calls_demux_to_their_callers(
         delays in proptest::collection::vec(0i32..25, 2..12),
     ) {
         let server = scrambling_server();
-        let stream = Arc::new(
-            MuxStream::connect(
-                &server.local_addr().to_string(),
-                Some(Duration::from_secs(10)),
-                64,
-            )
-            .unwrap(),
-        );
-        let threads: Vec<_> = delays
+        let deadline = Some(Duration::from_secs(10));
+        let mut conn =
+            TcpTransport::connect_with_deadline(&server.local_addr().to_string(), deadline)
+                .unwrap();
+        let mut owed: HashMap<u64, i32> = delays
             .iter()
             .enumerate()
-            .map(|(i, &delay)| {
-                let mut h = stream.handle();
-                std::thread::spawn(move || {
-                    h.set_deadline(Some(Duration::from_secs(10))).unwrap();
-                    let tag = i as i32;
-                    h.send(&invoke(tag, delay)).unwrap();
-                    match h.recv().unwrap() {
-                        Message::ResultData { results } => {
-                            assert_eq!(results, vec![Value::Int(tag)], "cross-talk");
-                        }
-                        other => panic!("unexpected reply {other:?}"),
-                    }
-                })
-            })
+            .map(|(i, &delay)| (conn.post(&invoke(i as i32, delay)).unwrap(), i as i32))
             .collect();
-        for t in threads {
-            t.join().unwrap();
+        prop_assert_eq!(owed.len(), delays.len());
+        while !owed.is_empty() {
+            let (ticket, reply) = conn.recv_any(Duration::from_secs(10)).unwrap();
+            let tag = owed.remove(&ticket).expect("a ticket still owed");
+            prop_assert_eq!(reply, Message::ResultData { results: vec![Value::Int(tag)] });
         }
-        prop_assert!(!stream.is_dead());
         server.shutdown();
     }
 
     /// A corrupted frame (arbitrary garbage bytes, at least one header's
     /// worth so the server parses and rejects it) poisons exactly the
-    /// stream that carried it: the call in flight there fails with a
+    /// connection that carried it: the call in flight there fails with a
     /// retryable error, while a slow call in flight on a *different*
-    /// stream to the same server completes normally.
+    /// connection to the same server completes normally.
     #[test]
     fn corrupted_frame_taints_only_its_stream(
         garbage in proptest::collection::vec(any::<u8>(), 32..128),
@@ -109,32 +95,24 @@ proptest! {
         let addr = server.local_addr().to_string();
         let deadline = Some(Duration::from_secs(10));
 
-        let poisoned = MuxStream::connect(&addr, deadline, 64).unwrap();
-        let healthy = MuxStream::connect(&addr, deadline, 64).unwrap();
+        let mut victim = TcpTransport::connect_with_deadline(&addr, deadline).unwrap();
+        let mut bystander = TcpTransport::connect_with_deadline(&addr, deadline).unwrap();
 
-        // One slow call in flight on each stream.
-        let mut victim = poisoned.handle();
-        victim.set_deadline(deadline).unwrap();
+        // One slow call in flight on each connection.
         victim.send(&invoke(1, victim_delay)).unwrap();
-        let victim = std::thread::spawn(move || victim.recv());
-
-        let mut bystander = healthy.handle();
-        bystander.set_deadline(deadline).unwrap();
         bystander.send(&invoke(2, victim_delay)).unwrap();
-        let bystander = std::thread::spawn(move || bystander.recv());
 
-        // Corrupt the first stream mid-flight. Force a bad magic so the
+        // Corrupt the first connection mid-flight. Force a bad magic so the
         // garbage can never be a valid frame prefix.
         let mut bytes = garbage.clone();
         bytes[0] = 0xFF;
-        poisoned.handle().send_raw(&bytes).unwrap();
+        victim.send_raw(&bytes).unwrap();
 
-        let err = victim.join().unwrap().unwrap_err();
-        prop_assert!(err.is_retryable(), "in-flight call on the corrupted stream must fail retryably, got {err}");
+        let err = victim.recv().unwrap_err();
+        prop_assert!(err.is_retryable(), "in-flight call on the corrupted connection must fail retryably, got {err}");
 
-        let ok = bystander.join().unwrap().unwrap();
+        let ok = bystander.recv().unwrap();
         prop_assert_eq!(ok, Message::ResultData { results: vec![Value::Int(2)] });
-        prop_assert!(!healthy.is_dead(), "other stream must stay live");
         server.shutdown();
     }
 }

@@ -897,7 +897,8 @@ mod tests {
     use super::*;
     use crate::builtin::register_stdlib;
     use crate::uploads::MAX_INFLIGHT_UPLOADS;
-    use ninf_protocol::{TcpTransport, Transport, Value};
+    use ninf_protocol::{Transport, Value};
+    use ninf_reactor::TcpTransport;
 
     fn start_test_server(mode: ExecMode) -> NinfServer {
         let mut registry = Registry::new();

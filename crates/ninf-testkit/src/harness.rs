@@ -18,7 +18,7 @@ use ninf_loadgen::{spawn_server, CallResult, Conn, Fleet, Inputs, Outcome, Polle
 use ninf_metaserver::{Balancing, Directory, Metaserver, ServerEntry};
 use ninf_obs::recorder;
 use ninf_protocol::{fnv1a, link_schedule, LinkHistory, LinkTransport, ProtocolResult, Value};
-use ninf_reactor::MuxStream;
+use ninf_reactor::TcpTransport;
 use ninf_server::SchedPolicy;
 
 use crate::invariants::{
@@ -186,18 +186,16 @@ pub fn run_chaos(spec: &ChaosSpec, seed: u64, inject: Inject) -> ProtocolResult<
     let addrs: Vec<String> = servers.iter().map(|s| s.addr().to_string()).collect();
 
     let inputs = Inputs::prepare(&spec.workload, seed);
-    // Per client, the fault log of its wrapped transport and the stream
-    // under it, which must outlive the client: dropping a MuxStream
-    // poisons it.
-    let links: Vec<Mutex<Option<(LinkHistory, MuxStream)>>> =
+    // Per client, the fault log of its wrapped transport.
+    let links: Vec<Mutex<Option<LinkHistory>>> =
         (0..spec.clients).map(|_| Mutex::default()).collect();
     // Each client issues every call over the one connection it dials and
     // never reconnects (only a failed dial is tried again). Bulk scenarios dial a WAN-shaped client whose large
     // arguments pre-ship as chunks over one windowed lane, and the link's
     // seeded loss schedule supplies the faults (bursts land mid-transfer).
-    // Every other client sends through its own multiplexed stream wrapped
-    // in the seeded fault injector, so a corrupting fault poisons exactly
-    // that client's stream: a dropped send surfaces as a deadline timeout,
+    // Every other client sends through its own connection wrapped in the
+    // seeded fault injector, so a corrupting fault poisons exactly that
+    // client's connection: a dropped send surfaces as a deadline timeout,
     // and a truncated or garbled frame makes the server kill the
     // connection, failing the calls in flight on it as retryable transport
     // errors.
@@ -208,12 +206,12 @@ pub fn run_chaos(spec: &ChaosSpec, seed: u64, inject: Inject) -> ProtocolResult<
             options.wan = spec.link_shape(seed);
             NinfClient::connect_with(addr, options)?
         } else {
-            let stream = MuxStream::connect(addr, spec.workload.options.deadline, 64)?;
-            let faulty = LinkTransport::private(stream.handle(), spec.client_faults(seed, client));
+            let conn = TcpTransport::connect_with_deadline(addr, spec.workload.options.deadline)?;
+            let faulty = LinkTransport::private(conn, spec.client_faults(seed, client));
             let log = faulty.history();
             let mut c = NinfClient::from_transport(Box::new(faulty));
             c.set_options(spec.workload.options)?;
-            *links[client].lock().unwrap_or_else(|e| e.into_inner()) = Some((log, stream));
+            *links[client].lock().unwrap_or_else(|e| e.into_inner()) = Some(log);
             c
         };
         // A per-(server, client) digest memory, cleared so every run starts
@@ -233,7 +231,7 @@ pub fn run_chaos(spec: &ChaosSpec, seed: u64, inject: Inject) -> ProtocolResult<
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .as_ref()
-            .is_some_and(|(log, _)| log.corrupts_stream());
+            .is_some_and(|log| log.corrupts_stream());
         let call = CallRecord {
             client: r.client,
             seq: r.seq,

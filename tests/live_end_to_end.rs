@@ -5,12 +5,11 @@ use std::time::{Duration, Instant};
 
 use ninf::client::{call_async, Call, CallOptions, NinfClient, Transaction, TxArg};
 use ninf::metaserver::{Balancing, Directory, Metaserver, ServerEntry, QUARANTINE_THRESHOLD};
-use ninf::protocol::{
-    LinkShape, LinkTransport, Message, ProtocolError, TcpTransport, Transport, Value,
-};
+use ninf::protocol::{LinkShape, LinkTransport, Message, ProtocolError, Transport, Value};
 use ninf::server::{
     builtin::register_stdlib, ExecMode, NinfServer, Registry, SchedPolicy, ServerConfig,
 };
+use ninf_reactor::TcpTransport;
 
 /// A `pes`-PE server whose stdlib executables are registered at width
 /// `mode`.
